@@ -1,21 +1,20 @@
 """Optimal control of elliptic PDEs with internal interfaces, discretized
 with penalized extended P1 elements on unfitted uniform meshes."""
 
-from .assembly import (NitscheParams, apply_dirichlet, assemble_load,
-                       assemble_mass, assemble_stiffness)
+from .assembly import (NitscheParams, assemble_load, assemble_mass,
+                       assemble_stiffness)
 from .errors import ErrorReport, compute_errors
 from .interface_geometry import (CutGeometry, CutInfo, ElementClass, LevelSet,
                                  QuadRule, build_cut_info, circle_interface,
-                                 classify_element, compute_cut_geometry,
-                                 line_interface, segment_quadrature,
-                                 subtriangle_quadrature)
+                                 compute_cut_geometry, line_interface,
+                                 segment_quadrature)
 from .mesh import Mesh, build_uniform_mesh, triangle_area
 from .problems import ManufacturedProblem, PiecewiseField, build_example
 from .solver import (LinearSolverConfig, OcpSolution, project_control,
                      solve_constrained_fixed_point, solve_constrained_ssn,
-                     solve_state, solve_unconstrained_ocp)
+                     solve_unconstrained_ocp)
 from .study import (RunConfig, discretize, extract_active_set_boundary,
                     run_convergence_study, solve_discretized)
-from .xfem_space import ExtendedSpace, build_extended_space
+from .xfem_space import ExtendedSpace
 
 __version__ = "0.1.0"

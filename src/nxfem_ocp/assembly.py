@@ -18,9 +18,8 @@ from .interface_geometry import (ElementClass, map_rule_to_triangle,
                                  refined_triangle_quadrature, segment_quadrature,
                                  triangle_rule)
 
-__all__ = ["NitscheParams", "RefineSpec", "AssemblyError", "DirichletSystem",
-           "assemble_stiffness", "assemble_mass", "assemble_load",
-           "apply_dirichlet", "export_matrix_coo"]
+__all__ = ["NitscheParams", "RefineSpec", "AssemblyError",
+           "assemble_stiffness", "assemble_mass", "assemble_load"]
 
 # exact local P1 mass matrix, to be scaled by the area
 _MASS_BARY = np.array([[2.0, 1.0, 1.0],
@@ -265,57 +264,3 @@ def assemble_load(mesh, cut_info, space, f=None, g=None, u_field=None,
     if g is not None:
         _interface_load(vec, mesh, cut_info, space, g, seg_points)
     return vec
-
-
-class DirichletSystem:
-    """Symmetric elimination of Dirichlet dofs.
-
-    The modified matrix keeps the full size with identity rows/columns on
-    the constrained dofs; ``reduced()`` exposes the interior block.
-    """
-
-    def __init__(self, A, b, dofs, values):
-        S = A.shape[0]
-        self.constrained = np.asarray(dofs, dtype=np.int64)
-        self.values = np.asarray(values, dtype=float)
-        mask = np.zeros(S, dtype=bool)
-        mask[self.constrained] = True
-        self.free = np.flatnonzero(~mask)
-
-        full_vals = np.zeros(S)
-        full_vals[self.constrained] = self.values
-        b_mod = b - A @ full_vals
-        b_mod[self.constrained] = self.values
-
-        coo = A.tocoo()
-        keep = ~(mask[coo.row] | mask[coo.col])
-        rows = np.concatenate([coo.row[keep], self.constrained])
-        cols = np.concatenate([coo.col[keep], self.constrained])
-        vals = np.concatenate([coo.data[keep], np.ones(len(self.constrained))])
-        self.matrix = sp.coo_matrix((vals, (rows, cols)), shape=(S, S)).tocsr()
-        self.rhs = b_mod
-        self._A = A
-
-    def reduced(self):
-        free = self.free
-        return (self.matrix[free][:, free].tocsc(), self.rhs[free])
-
-    def expand(self, x_free):
-        x = np.zeros(self._A.shape[0])
-        x[self.free] = x_free
-        x[self.constrained] = self.values
-        return x
-
-
-def apply_dirichlet(A, b, dofs, values):
-    """Eliminate the given dofs at the given values, symmetrically."""
-    return DirichletSystem(A, b, dofs, values)
-
-
-def export_matrix_coo(path, A):
-    """Write a sparse matrix as 'row,col,value' text."""
-    coo = A.tocoo()
-    with open(path, "w") as fh:
-        fh.write("row,col,value\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r},{c},{v:.17e}\n")

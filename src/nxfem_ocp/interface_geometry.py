@@ -17,9 +17,9 @@ from .mesh import ConfigurationError, triangle_area
 
 __all__ = ["LevelSet", "line_interface", "circle_interface", "ElementClass",
            "CutGeometry", "CutInfo", "GeometryError", "QuadRule",
-           "classify_element", "compute_cut_geometry", "build_cut_info",
-           "triangle_rule", "map_rule_to_triangle", "subtriangle_quadrature",
-           "segment_quadrature", "refined_triangle_quadrature",
+           "compute_cut_geometry", "build_cut_info", "triangle_rule",
+           "map_rule_to_triangle", "segment_quadrature",
+           "refined_triangle_quadrature",
            "total_interface_length", "write_integration_mesh_csv"]
 
 # vertices closer to the zero set than SNAP_REL * h count as subdomain-2
@@ -96,12 +96,6 @@ def _classes_from_signs(mesh, signs):
     classes[(s == -1).all(axis=1)] = int(ElementClass.INTERIOR_1)
     classes[(s == 1).all(axis=1)] = int(ElementClass.INTERIOR_2)
     return classes
-
-
-def classify_element(mesh, levelset, element):
-    """Classify one element against the (snapped) vertex signs."""
-    _, signs = snapped_vertex_signs(mesh, levelset)
-    return ElementClass(_classes_from_signs(mesh, signs)[element])
 
 
 def _edge_root(levelset, pa, pb, fa, fb):
@@ -260,9 +254,6 @@ class CutInfo:
     cut_elements: np.ndarray     # indices of cut elements, increasing
     cuts: dict                   # element -> CutGeometry
 
-    def geometry(self, element):
-        return self.cuts[element]
-
 
 def build_cut_info(mesh, levelset):
     """Classify every element and compute geometry of all cut elements.
@@ -322,20 +313,6 @@ def map_rule_to_triangle(coords, bary, weights):
     coords = np.asarray(coords, dtype=float)
     pts = bary @ coords
     return QuadRule(points=pts, weights=weights * triangle_area(coords))
-
-
-def subtriangle_quadrature(cut, degree):
-    """One physical rule per element side, assembled from the sub-triangles."""
-    bary, w = triangle_rule(degree)
-    rules = []
-    for tris in (cut.tris1, cut.tris2):
-        pts, wts = [], []
-        for t in tris:
-            r = map_rule_to_triangle(t, bary, w)
-            pts.append(r.points)
-            wts.append(r.weights)
-        rules.append(QuadRule(points=np.vstack(pts), weights=np.hstack(wts)))
-    return rules[0], rules[1]
 
 
 _GAUSS_CACHE = {}

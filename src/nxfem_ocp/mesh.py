@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = ["Mesh", "ConfigurationError", "build_uniform_mesh", "triangle_area",
-           "mesh_edges", "write_mesh_csv"]
+           "write_mesh_csv"]
 
 
 class ConfigurationError(ValueError):
@@ -148,16 +148,6 @@ def triangle_area(coords):
     e0 = coords[1] - coords[0]
     e1 = coords[2] - coords[0]
     return 0.5 * abs(e0[0] * e1[1] - e0[1] * e1[0])
-
-
-def mesh_edges(mesh):
-    """Map (vmin, vmax) -> list of incident triangle indices."""
-    edges = {}
-    for e, tri in enumerate(mesh.triangles):
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (min(a, b), max(a, b))
-            edges.setdefault(key, []).append(e)
-    return edges
 
 
 def write_mesh_csv(mesh, vertex_path, triangle_path):

@@ -88,11 +88,6 @@ class ManufacturedProblem:
         side = self.side_at(x, y)
         return np.where(side == 1, self.y.side(1)(x, y), self.y.side(2)(x, y))
 
-    def eval_exact(self, field, x, y):
-        pf = getattr(self, field)
-        side = self.side_at(x, y)
-        return np.where(side == 1, pf.side(1)(x, y), pf.side(2)(x, y))
-
     def clamp_status(self, z):
         """-1 / 0 / +1 for below-box / inside / above-box values."""
         if self.bounds is None:

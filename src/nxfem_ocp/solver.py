@@ -20,7 +20,7 @@ from .interface_geometry import (map_rule_to_triangle,
 from .mesh import ConfigurationError
 
 __all__ = ["SolverError", "LinearSolverConfig", "OcpSolution", "ReducedSolver",
-           "solve_state", "solve_unconstrained_ocp", "project_control",
+           "solve_unconstrained_ocp", "project_control",
            "solve_constrained_fixed_point", "solve_constrained_ssn"]
 
 
@@ -66,24 +66,24 @@ class OcpSolution:
 
 
 class ReducedSolver:
-    """Dirichlet-reduced SPD solve with a reusable factorization."""
+    """Dirichlet reduction: the one split of the dofs into free and
+    constrained ones, with a lazily built factorization for SPD solves."""
 
     def __init__(self, A, dirichlet_dofs, config=LinearSolverConfig()):
         self.A = A
         self.config = config
-        S = A.shape[0]
-        mask = np.zeros(S, dtype=bool)
+        mask = np.zeros(A.shape[0], dtype=bool)
         mask[dirichlet_dofs] = True
         self.constrained = np.asarray(dirichlet_dofs, dtype=np.int64)
         self.free = np.flatnonzero(~mask)
-        self.A_ff = A[self.free][:, self.free].tocsc()
-        self.A_fc = A[self.free][:, self.constrained].tocsr()
+        A_ff, self.A_fc = self._split(A)
+        self.A_ff = A_ff.tocsc()
         self._lu = None
-        if config.method == "direct":
-            try:
-                self._lu = spla.splu(self.A_ff)
-            except RuntimeError as exc:
-                raise SolverError(f"factorization failed: {exc}") from exc
+
+    def _split(self, B):
+        """Free/free and free/constrained blocks of a matrix on the dofs."""
+        rows = B[self.free]
+        return rows[:, self.free], rows[:, self.constrained]
 
     def solve(self, b, bc_values=None):
         """Solve with full-length right-hand side; ``bc_values`` holds the
@@ -91,7 +91,13 @@ class ReducedSolver:
         vals = (np.zeros(len(self.constrained)) if bc_values is None
                 else np.asarray(bc_values, dtype=float))
         b_f = b[self.free] - self.A_fc @ vals
-        if self._lu is not None:
+        direct = self.config.method == "direct"
+        if direct:
+            if self._lu is None:
+                try:
+                    self._lu = spla.splu(self.A_ff)
+                except RuntimeError as exc:
+                    raise SolverError(f"factorization failed: {exc}") from exc
             x_f = self._lu.solve(b_f)
         else:
             diag = self.A_ff.diagonal()
@@ -107,19 +113,38 @@ class ReducedSolver:
                     f"cg failed to converge (info={info}, residual={res:.3e})")
         scale = max(np.linalg.norm(b_f), 1e-300)
         res = np.linalg.norm(self.A_ff @ x_f - b_f) / scale
-        tol = 1e-10 if self._lu is not None else 10.0 * self.config.cg_tol
+        tol = 1e-10 if direct else 10.0 * self.config.cg_tol
         if res > max(tol, 1e-14):
             raise SolverError(f"linear solve residual {res:.3e} exceeds {tol:.1e}")
+        return self._expand(x_f, vals)
+
+    def _expand(self, x_f, bc_values=0.0):
         x = np.zeros(self.A.shape[0])
         x[self.free] = x_f
-        x[self.constrained] = vals
+        x[self.constrained] = bc_values
         return x
 
 
-def solve_state(A, rhs, dirichlet_dofs, bc_values=None,
-                config=LinearSolverConfig()):
-    """One forward solve of the reduced system."""
-    return ReducedSolver(A, dirichlet_dofs, config).solve(rhs, bc_values)
+def _solve_saddle(red, MI_ff, M_ff, M_fc, load, F2, a, ybc_values):
+    """One direct solve of [[M_I/a, A], [A, -M]] (p, y) = (load, F2) on the
+    free dofs of ``red``, with y prescribed on the Dirichlet dofs.
+
+    M_I is the mass on the inactive set (all of M without bounds); the
+    control u = -p/a has no unknowns of its own.  Returns full-length P, Y.
+    """
+    yb = np.asarray(ybc_values, dtype=float)
+    free = red.free
+    K = sp.bmat([[MI_ff / a, red.A_ff], [red.A_ff, -M_ff]], format="csc")
+    rhs = np.concatenate([load[free] - red.A_fc @ yb,
+                          F2[free] + M_fc @ yb])
+    try:
+        x = spla.spsolve(K, rhs)
+    except RuntimeError as exc:
+        raise SolverError(f"saddle solve failed: {exc}") from exc
+    if not np.isfinite(x).all():
+        raise SolverError("singular saddle system")
+    nf = len(free)
+    return red._expand(x[:nf]), red._expand(x[nf:], yb)
 
 
 def _block_residuals(A, M, F1, F2, sol, control_term, free):
@@ -130,66 +155,17 @@ def _block_residuals(A, M, F1, F2, sol, control_term, free):
     return (np.linalg.norm(r1[free]) / s1, np.linalg.norm(r2[free]) / s2)
 
 
-def solve_unconstrained_ocp(A, M, F1, F2, a, dirichlet_dofs, ybc_values,
-                            form="reduced"):
-    """Coupled optimality system without control bounds.
-
-    ``form='reduced'`` eliminates the control via u = -p/a and solves the
-    symmetric block system [[M/a, A], [A, -M]] (p, y) = (F1, F2);
-    ``form='full'`` keeps the equivalent unsymmetric 3x3 block system in
-    (u, y, p) for cross-checking.
-    """
-    S = A.shape[0]
-    mask = np.zeros(S, dtype=bool)
-    mask[dirichlet_dofs] = True
-    free = np.flatnonzero(~mask)
-    cdofs = np.asarray(dirichlet_dofs, dtype=np.int64)
-    yb = np.asarray(ybc_values, dtype=float)
-
-    A_ff = A[free][:, free]
-    M_ff = M[free][:, free]
-    A_fc = A[free][:, cdofs]
-    M_fc = M[free][:, cdofs]
-
-    if form == "reduced":
-        K = sp.bmat([[M_ff / a, A_ff], [A_ff, -M_ff]], format="csc")
-        rhs = np.concatenate([F1[free] - A_fc @ yb, F2[free] + M_fc @ yb])
-        try:
-            x = spla.spsolve(K, rhs)
-        except RuntimeError as exc:
-            raise SolverError(f"block solve failed: {exc}") from exc
-        nf = len(free)
-        P = np.zeros(S)
-        Y = np.zeros(S)
-        P[free] = x[:nf]
-        Y[free] = x[nf:]
-        Y[cdofs] = yb
-    elif form == "full":
-        # unknowns (U, Y_f, P_f); rows: projection -aMU - MP = 0,
-        # then the eliminated co-state and state equations
-        K = sp.bmat([
-            [-a * M, None, -M[:, free]],
-            [None, -M_ff, A_ff],
-            [-M[free, :], A_ff, None]], format="csc")
-        rhs = np.concatenate([np.zeros(S),
-                              F2[free] + M_fc @ yb,
-                              F1[free] - A_fc @ yb])
-        x = spla.spsolve(K, rhs)
-        nf = len(free)
-        Y = np.zeros(S)
-        P = np.zeros(S)
-        Y[free] = x[S:S + nf]
-        P[free] = x[S + nf:]
-        Y[cdofs] = yb
-    else:
-        raise ConfigurationError(f"unknown system form {form!r}")
-
-    if not np.isfinite(P).all() or not np.isfinite(Y).all():
-        raise SolverError("block system is singular")
+def solve_unconstrained_ocp(A, M, F1, F2, a, dirichlet_dofs, ybc_values):
+    """Coupled optimality system without control bounds: the control is
+    eliminated via u = -p/a and the symmetric saddle system with M_I = M
+    is solved directly."""
+    red = ReducedSolver(A, dirichlet_dofs)
+    M_ff, M_fc = red._split(M)
+    P, Y = _solve_saddle(red, M_ff, M_ff, M_fc, F1, F2, a, ybc_values)
     U = -P / a
     sol = OcpSolution(Y=Y, P=P, a=a, bounds=None, U=U)
     sol.residual_state, sol.residual_costate = _block_residuals(
-        A, M, F1, F2, sol, M @ U, free)
+        A, M, F1, F2, sol, M @ U, red.free)
     return sol
 
 
@@ -421,41 +397,22 @@ def solve_constrained_ssn(mesh, cut_info, space, A, M, F1_base, F2_base, a,
     declared when the active set stops changing.
     """
     lo, hi = bounds
-    S = A.shape[0]
-    mask = np.zeros(S, dtype=bool)
-    mask[space.dirichlet_dofs] = True
-    free = np.flatnonzero(~mask)
-    cdofs = space.dirichlet_dofs
-    yb = np.asarray(ybc_values, dtype=float)
+    red = ReducedSolver(A, space.dirichlet_dofs)
+    M_ff, M_fc = red._split(M)
     bary, _ = triangle_rule(4)
 
-    P = np.zeros(S)
+    P = np.zeros(A.shape[0])
     status_prev = None
     converged = False
     iterations = 0
-    Y = np.zeros(S)
+    Y = np.zeros(A.shape[0])
     for it in range(max_iter):
         iterations = it + 1
         M_inact, b_act = _active_mass_and_load(mesh, cut_info, space, P, a,
                                                bounds)
-        A_ff = A[free][:, free]
-        K = sp.bmat([[M_inact[free][:, free] / a, A_ff],
-                     [A_ff, -M[free][:, free]]], format="csc")
-        rhs = np.concatenate([
-            (F1_base + b_act)[free] - A[free][:, cdofs] @ yb,
-            F2_base[free] + M[free][:, cdofs] @ yb])
-        x = spla.spsolve(K, rhs)
-        if not np.isfinite(x).all():
-            raise SolverError("singular active-set system")
-        nf = len(free)
-        P = np.zeros(S)
-        Y = np.zeros(S)
-        P[free] = x[:nf]
-        Y[free] = x[nf:]
-        Y[cdofs] = yb
+        P, Y = _solve_saddle(red, M_inact[red.free][:, red.free], M_ff, M_fc,
+                             F1_base + b_act, F2_base, a, ybc_values)
 
-        u_now, w = _control_at_quadrature(mesh, cut_info, space, P, a,
-                                          bounds, bary)
         z, _ = _control_at_quadrature(mesh, cut_info, space, P, a, None, bary)
         status = np.where(z <= lo, -1, np.where(z >= hi, 1, 0))
         if log is not None:
@@ -471,5 +428,5 @@ def solve_constrained_ssn(mesh, cut_info, space, A, M, F1_base, F2_base, a,
                       converged=converged)
     control_term = _control_load(mesh, cut_info, space, P, a, bounds)
     sol.residual_state, sol.residual_costate = _block_residuals(
-        A, M, F1_base, F2_base, sol, control_term, free)
+        A, M, F1_base, F2_base, sol, control_term, red.free)
     return sol

@@ -17,7 +17,7 @@ from .mesh import ConfigurationError, build_uniform_mesh, write_mesh_csv
 from .problems import PiecewiseField, build_example
 from .solver import (LinearSolverConfig, solve_constrained_fixed_point,
                      solve_unconstrained_ocp)
-from .xfem_space import build_extended_space
+from .xfem_space import ExtendedSpace
 
 __all__ = ["RunConfig", "Discretization", "discretize", "solve_discretized",
            "run_convergence_study", "StudyResult", "extract_active_set_boundary",
@@ -45,6 +45,11 @@ class RunConfig:
             raise ConfigurationError("mesh sizes must be >= 4")
         if any(b >= a for a, b in zip(ns[1:], ns)):
             raise ConfigurationError("mesh sizes must be strictly increasing")
+        for name in ("a", "lambda_coef"):
+            value = getattr(self, name)
+            if value is not None and not (np.isfinite(value) and value > 0.0):
+                raise ConfigurationError(
+                    f"{name} must be positive and finite, got {value}")
         self.n_values = ns
 
     def build_problem(self):
@@ -74,7 +79,7 @@ def discretize(problem, n, quad_degree=4, seg_points=3):
     """Mesh, cut geometry, extended space, matrices and base loads."""
     mesh = build_uniform_mesh(problem.domain, n)
     cut_info = build_cut_info(mesh, problem.levelset)
-    space = build_extended_space(mesh, cut_info)
+    space = ExtendedSpace(mesh, cut_info)
     params = problem.nitsche_params()
     A = assemble_stiffness(mesh, cut_info, space, problem.alpha1,
                            problem.alpha2, params, quad_degree, seg_points)
@@ -289,20 +294,31 @@ def extract_active_set_boundary(solution, a, bounds, mesh, cut_info, space):
     """Contours where the clamped control hits each finite bound, as chained
     polylines keyed 'lower' / 'upper'."""
     lo, hi = bounds
+    classes = cut_info.classes
+    cut = classes == int(ElementClass.CUT)
+    # vertex values of -p/a on every uncut element (cut rows are not used)
+    tri_dofs = np.where((classes == int(ElementClass.INTERIOR_1))[:, None],
+                        space.dof1[mesh.triangles], space.dof2[mesh.triangles])
+    uv = -solution.P[tri_dofs] / a
+    vmin, vmax = uv.min(axis=1), uv.max(axis=1)
     curves = {}
     for name, level in (("lower", lo), ("upper", hi)):
         if not np.isfinite(level):
             curves[name] = []
             continue
+        # an uncut element can carry a contour segment only if its vertex
+        # values straddle the level; the slack covers the rounding of the
+        # barycentric evaluation below
+        slack = 1e-9 * (np.abs(uv).max() + abs(level))
+        straddles = (vmin - level < slack) & (vmax - level > -slack)
         segments = []
-        for e in range(mesh.num_triangles):
-            cls = int(cut_info.classes[e])
-            patches = []
-            if cls == int(ElementClass.CUT):
+        for e in np.flatnonzero(straddles | cut):
+            e = int(e)
+            if cut[e]:
                 cg = cut_info.cuts[e]
                 patches = [(1, t) for t in cg.tris1] + [(2, t) for t in cg.tris2]
             else:
-                patches = [(cls, mesh.tri_coords(e))]
+                patches = [(int(classes[e]), mesh.tri_coords(e))]
             for side, tri in patches:
                 dofs = space.element_dofs(e, side)
                 coeffs = -solution.P[dofs] / a

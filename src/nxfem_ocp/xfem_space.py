@@ -8,36 +8,13 @@ the enriched space).  All other vertices keep a single standard hat.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .interface_geometry import ElementClass, GeometryError
 
-__all__ = ["ExtendedSpace", "BasisEval", "TraceEval", "build_extended_space"]
+__all__ = ["ExtendedSpace"]
 
 SIDE_BOTH = 3
-
-
-@dataclass
-class BasisEval:
-    """Local basis values/gradients at one point of one element side."""
-
-    dofs: np.ndarray        # global dof ids
-    values: np.ndarray
-    grads: np.ndarray       # (k, 2)
-
-
-@dataclass
-class TraceEval:
-    """Two-sided traces of a coefficient field on the interface chord."""
-
-    value1: float
-    value2: float
-    grad1: np.ndarray
-    grad2: np.ndarray
-    jump: float                 # side 1 - side 2
-    avg_normal_grad: float      # k-weighted, optionally alpha-scaled
 
 
 class ExtendedSpace:
@@ -125,58 +102,6 @@ class ExtendedSpace:
             else:
                 vals[i] = func(x, y)
         return self.dirichlet_dofs, vals
-
-    # ------------------------------------------------------------------
-    def eval_basis(self, element, side, point):
-        """Values and gradients of the local basis at a physical point.
-
-        On cut elements all six dofs are reported; the ones restricted to
-        the other side evaluate to zero.
-        """
-        point = np.asarray(point, dtype=float)
-        lam = self.mesh.barycentric(element, point)[0]
-        if lam.min() < -1e-10 or lam.max() > 1.0 + 1e-10:
-            raise GeometryError(
-                f"point {point.tolist()} lies outside element {element}")
-        grads = self.mesh.grad_bary[element]
-        if self.classes[element] != int(ElementClass.CUT):
-            return BasisEval(dofs=self.element_dofs(element),
-                             values=lam.copy(), grads=grads.copy())
-        if side not in (1, 2):
-            raise GeometryError(f"element {element} is cut; side must be 1 or 2")
-        values = np.zeros(6)
-        g = np.zeros((6, 2))
-        sl = slice(0, 3) if side == 1 else slice(3, 6)
-        values[sl] = lam
-        g[sl] = grads
-        return BasisEval(dofs=self.cut_element_dofs(element), values=values,
-                         grads=g)
-
-    def eval_interface_traces(self, cut_geom, point, coeffs, alpha=None):
-        """Two-sided traces, jump and k-weighted average normal derivative of
-        the coefficient field at a chord point of a cut element."""
-        e = cut_geom.element
-        if self.classes[e] != int(ElementClass.CUT):
-            raise GeometryError(f"element {e} is not cut")
-        lam = self.mesh.barycentric(e, np.asarray(point, dtype=float))[0]
-        grads = self.mesh.grad_bary[e]
-        tri = self.mesh.triangles[e]
-        c1 = coeffs[self.dof1[tri]]
-        c2 = coeffs[self.dof2[tri]]
-        v1 = float(c1 @ lam)
-        v2 = float(c2 @ lam)
-        g1 = c1 @ grads
-        g2 = c2 @ grads
-        a1, a2 = (1.0, 1.0) if alpha is None else alpha
-        n = cut_geom.normal
-        avg = cut_geom.k1 * a1 * float(g1 @ n) + cut_geom.k2 * a2 * float(g2 @ n)
-        return TraceEval(value1=v1, value2=v2, grad1=g1, grad2=g2,
-                         jump=v1 - v2, avg_normal_grad=avg)
-
-
-def build_extended_space(mesh, cut_info):
-    """Build the extended dof map for a classified mesh."""
-    return ExtendedSpace(mesh, cut_info)
 
 
 def interpolate_two_sided(space, vertex_signs, f1, f2):

@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from nxfem_ocp.assembly import (NitscheParams, apply_dirichlet, assemble_load,
-                                assemble_mass, assemble_stiffness,
-                                cut_element_matrices, export_matrix_coo)
+from nxfem_ocp.assembly import (NitscheParams, assemble_load, assemble_mass,
+                                assemble_stiffness, cut_element_matrices)
 from nxfem_ocp.interface_geometry import (LevelSet, build_cut_info,
                                           circle_interface, line_interface)
 from nxfem_ocp.mesh import Mesh, build_uniform_mesh
 from nxfem_ocp.problems import build_example
-from nxfem_ocp.solver import solve_state
-from nxfem_ocp.xfem_space import build_extended_space
+from nxfem_ocp.solver import ReducedSolver
+from nxfem_ocp.xfem_space import ExtendedSpace
 
 FAR_AWAY = circle_interface(1.0, center=(10.0, 10.0))
 SEG_LS = line_interface(-np.sqrt(3) / 3, (6 + np.sqrt(6) - 2 * np.sqrt(3)) / 6)
@@ -41,7 +39,7 @@ def plain_p1_matrices(mesh, alpha):
 def setup(problem, n):
     mesh = build_uniform_mesh(problem.domain, n)
     info = build_cut_info(mesh, problem.levelset)
-    space = build_extended_space(mesh, info)
+    space = ExtendedSpace(mesh, info)
     A = assemble_stiffness(mesh, info, space, problem.alpha1, problem.alpha2,
                            problem.nitsche_params())
     return mesh, info, space, A
@@ -50,7 +48,7 @@ def setup(problem, n):
 def test_no_interface_matches_plain_p1():
     mesh = build_uniform_mesh((0, 1, 0, 1), 8)
     info = build_cut_info(mesh, FAR_AWAY)
-    space = build_extended_space(mesh, info)
+    space = ExtendedSpace(mesh, info)
     alpha = 2.3
     A = assemble_stiffness(mesh, info, space, alpha, alpha, NitscheParams(10.0))
     M = assemble_mass(mesh, info, space)
@@ -197,7 +195,7 @@ def test_interface_load_cross_weights():
                   grad=lambda x, y: (np.ones_like(np.asarray(x, dtype=float)),
                                      -np.ones_like(np.asarray(y, dtype=float))))
     info = build_cut_info(mesh, ls)
-    space = build_extended_space(mesh, info)
+    space = ExtendedSpace(mesh, info)
     one = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
     F = assemble_load(mesh, info, space, g=one)
     cg = info.cuts[0]
@@ -232,7 +230,7 @@ def test_adaptive_load_quadrature_resolves_kinks():
     from nxfem_ocp.assembly import RefineSpec
     mesh = build_uniform_mesh((0, 1, 0, 1), 8)
     info = build_cut_info(mesh, FAR_AWAY)
-    space = build_extended_space(mesh, info)
+    space = ExtendedSpace(mesh, info)
     f = lambda x, y: np.clip(10.0 * (x - 0.3), -1.0, 1.0)
     plain = assemble_load(mesh, info, space, f=f)
 
@@ -259,28 +257,23 @@ def test_adaptive_load_quadrature_resolves_kinks():
 
 
 def test_dirichlet_zero_and_constant_consistency():
+    # zero load: zero boundary data gives zero, constant boundary data
+    # reproduces the constant (the form annihilates constants)
     problem = build_example(1)
     mesh, info, space, A = setup(problem, 8)
+    red = ReducedSolver(A, space.dirichlet_dofs)
     zero = np.zeros(space.n_dofs)
-
-    sysd = apply_dirichlet(A, zero, space.dirichlet_dofs,
-                           np.zeros(len(space.dirichlet_dofs)))
-    x = np.array(sp.linalg.spsolve(sysd.matrix.tocsc(), sysd.rhs))
-    assert np.abs(x).max() <= 1e-12
-
-    cval = 0.7
-    vals = np.full(len(space.dirichlet_dofs), cval)
-    sysc = apply_dirichlet(A, zero, space.dirichlet_dofs, vals)
-    xc = np.array(sp.linalg.spsolve(sysc.matrix.tocsc(), sysc.rhs))
-    assert np.abs(xc - cval).max() <= 1e-10
-    assert np.abs(xc[space.dirichlet_dofs] - cval).max() == 0.0
+    for cval, tol in ((0.0, 1e-12), (0.7, 1e-10)):
+        x = red.solve(zero, np.full(len(space.dirichlet_dofs), cval))
+        assert np.abs(x - cval).max() <= tol
+        assert np.abs(x[space.dirichlet_dofs] - cval).max() == 0.0
 
 
 def test_dirichlet_boundary_interpolation_matches_exact():
     problem = build_example(3)
     mesh = build_uniform_mesh(problem.domain, 16)
     info = build_cut_info(mesh, problem.levelset)
-    space = build_extended_space(mesh, info)
+    space = ExtendedSpace(mesh, info)
     dofs, vals = space.boundary_values(problem.y)
     for dof, val in zip(dofs, vals):
         x, y = mesh.vertices[space.dof_vertex[dof]]
@@ -291,11 +284,10 @@ def test_dirichlet_boundary_interpolation_matches_exact():
 def test_modified_system_keeps_symmetry():
     problem = build_example(2)
     mesh, info, space, A = setup(problem, 8)
-    sysd = apply_dirichlet(A, np.zeros(space.n_dofs), space.dirichlet_dofs,
-                           np.zeros(len(space.dirichlet_dofs)))
-    diff = (sysd.matrix - sysd.matrix.T).tocoo()
+    A_ff = ReducedSolver(A, space.dirichlet_dofs).A_ff
+    diff = (A_ff - A_ff.T).tocoo()
     assert (np.abs(diff.data).max() if diff.nnz else 0.0) \
-        <= 1e-12 * np.abs(sysd.matrix.data).max()
+        <= 1e-12 * np.abs(A_ff.data).max()
 
 
 def test_galerkin_residual_of_state_solve():
@@ -304,7 +296,7 @@ def test_galerkin_residual_of_state_solve():
     F = assemble_load(mesh, info, space, f=problem.f, g=problem.g,
                       u_field=problem.u)
     _, ybc = space.boundary_values(problem.y)
-    Y = solve_state(A, F, space.dirichlet_dofs, ybc)
+    Y = ReducedSolver(A, space.dirichlet_dofs).solve(F, ybc)
     mask = np.ones(space.n_dofs, dtype=bool)
     mask[space.dirichlet_dofs] = False
     # apply the boundary coupling before measuring the residual
@@ -313,12 +305,3 @@ def test_galerkin_residual_of_state_solve():
     resid = (A @ Y - F)[mask]
     assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(F[mask] - (A @ full)[mask])
 
-
-def test_matrix_export(tmp_path):
-    problem = build_example(1)
-    _, _, _, A = setup(problem, 8)
-    path = tmp_path / "mat.txt"
-    export_matrix_coo(path, A)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "row,col,value"
-    assert len(lines) == A.nnz + 1

@@ -4,13 +4,11 @@ import pytest
 from nxfem_ocp.interface_geometry import (DegenerateCutError, ElementClass,
                                           GeometryError, LevelSet,
                                           build_cut_info, circle_interface,
-                                          classify_element,
                                           compute_cut_geometry, line_interface,
                                           map_rule_to_triangle,
                                           refined_triangle_quadrature,
                                           segment_quadrature,
                                           snapped_vertex_signs,
-                                          subtriangle_quadrature,
                                           total_interface_length, triangle_rule)
 from nxfem_ocp.mesh import ConfigurationError, Mesh, build_uniform_mesh, triangle_area
 
@@ -29,9 +27,9 @@ def test_classify_trivial_signs():
     below = LevelSet(f=lambda x, y: -np.ones_like(np.asarray(x, dtype=float)),
                      grad=lambda x, y: (np.ones_like(np.asarray(x, dtype=float)),
                                         np.zeros_like(np.asarray(y, dtype=float))))
-    assert classify_element(mesh, below, 0) == ElementClass.INTERIOR_1
+    assert build_cut_info(mesh, below).classes[0] == ElementClass.INTERIOR_1
     mesh0 = reference_cut_mesh()
-    assert classify_element(mesh0, FIG_LS, 0) == ElementClass.CUT
+    assert build_cut_info(mesh0, FIG_LS).classes[0] == ElementClass.CUT
 
 
 def test_cut_count_matches_sign_scan():
@@ -41,14 +39,19 @@ def test_cut_count_matches_sign_scan():
     _, signs = snapped_vertex_signs(mesh, ls)
     scan = sum(1 for tri in mesh.triangles if len(set(signs[tri].tolist())) > 1)
     assert scan == 50
-    for e in range(mesh.num_triangles):
-        is_cut = classify_element(mesh, ls, e) == ElementClass.CUT
-        assert is_cut == (len(set(signs[mesh.triangles[e]].tolist())) > 1)
-    # four elements only graze the circle at a snapped vertex and are
-    # reclassified as interior
+    # four sign-flagged elements only graze the circle at a snapped vertex
+    # and are reclassified as interior; every other element follows its signs
     info = build_cut_info(mesh, ls)
     assert len(info.cut_elements) == 46
     assert (info.classes == ElementClass.CUT).sum() == 46
+    for e in range(mesh.num_triangles):
+        s = signs[mesh.triangles[e]]
+        if (s == -1).all():
+            assert info.classes[e] == ElementClass.INTERIOR_1
+        elif (s == 1).all():
+            assert info.classes[e] == ElementClass.INTERIOR_2
+        else:
+            assert (info.classes[e] == ElementClass.CUT) == (e in info.cuts)
 
 
 def test_reference_cut_geometry():
@@ -150,19 +153,26 @@ def test_degenerate_grazing_cut_reclassified():
 def test_subtriangle_quadrature_partition_and_monomials():
     mesh = reference_cut_mesh()
     cg = compute_cut_geometry(mesh, FIG_LS, 0)
-    r1, r2 = subtriangle_quadrature(cg, 4)
-    assert np.all(r1.weights > 0) and np.all(r2.weights > 0)
-    assert r1.weights.sum() + r2.weights.sum() == pytest.approx(0.5, rel=1e-13)
+    bary, w = triangle_rule(4)
+    # one physical rule per element side, mapped over its sub-triangles
+    rules = []
+    for tris in (cg.tris1, cg.tris2):
+        mapped = [map_rule_to_triangle(t, bary, w) for t in tris]
+        rules.append((np.vstack([r.points for r in mapped]),
+                      np.hstack([r.weights for r in mapped])))
+    (p1, w1), (p2, w2) = rules
+    assert np.all(w1 > 0) and np.all(w2 > 0)
+    assert w1.sum() + w2.sum() == pytest.approx(0.5, rel=1e-13)
     # integral of x over the whole reference triangle via the two sides
-    ix = (r1.weights @ r1.points[:, 0]) + (r2.weights @ r2.points[:, 0])
+    ix = (w1 @ p1[:, 0]) + (w2 @ p2[:, 0])
     assert ix == pytest.approx(1.0 / 6.0, rel=1e-13)
     # degree-4 rule integrates x^2 y^2 exactly on a sub-triangle
     # (side-2 fragment [(1,0),(0.5,0),(0.75,0.25)]; reference value 17/46080
     # computed symbolically)
-    mono = r2.weights @ (r2.points[:, 0] ** 2 * r2.points[:, 1] ** 2)
+    mono = w2 @ (p2[:, 0] ** 2 * p2[:, 1] ** 2)
     assert mono == pytest.approx(17.0 / 46080.0, rel=1e-14)
     with pytest.raises(ConfigurationError):
-        subtriangle_quadrature(cg, 3)
+        triangle_rule(3)
 
 
 def test_triangle_rules_exactness():

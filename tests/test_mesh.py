@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nxfem_ocp.mesh import (ConfigurationError, Mesh, build_uniform_mesh,
-                            mesh_edges, triangle_area, write_mesh_csv)
+                            triangle_area, write_mesh_csv)
 
 
 def shoelace(coords):
@@ -45,6 +45,16 @@ def test_area_partition_and_positivity():
     mesh = build_uniform_mesh((-1, 2, 0.5, 3.5), 7)
     assert np.all(mesh.areas > 0)
     assert mesh.areas.sum() == pytest.approx(3.0 * 3.0, rel=1e-12)
+
+
+def mesh_edges(mesh):
+    """Map (vmin, vmax) -> list of incident triangle indices."""
+    edges = {}
+    for e, tri in enumerate(mesh.triangles):
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            key = (min(a, b), max(a, b))
+            edges.setdefault(key, []).append(e)
+    return edges
 
 
 def test_edge_incidence_and_euler():

@@ -1,0 +1,32 @@
+"""Every exported name resolves.
+
+The benchmark's tracer looks up each ``__all__`` entry of the layer
+modules, so a stale entry would otherwise surface only in a traced run.
+"""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import nxfem_ocp
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(nxfem_ocp.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_resolves(name):
+    module = importlib.import_module(f"nxfem_ocp.{name}")
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing, f"nxfem_ocp.{name}.__all__ lists missing {missing}"
+
+
+def test_package_imports_resolve():
+    tree = ast.parse(Path(nxfem_ocp.__file__).read_text())
+    names = [alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert names
+    missing = [n for n in names if not hasattr(nxfem_ocp, n)]
+    assert not missing, f"nxfem_ocp does not provide {missing}"

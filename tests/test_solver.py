@@ -1,25 +1,51 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from nxfem_ocp.assembly import assemble_load
 from nxfem_ocp.interface_geometry import build_cut_info, line_interface
 from nxfem_ocp.mesh import ConfigurationError, build_uniform_mesh
 from nxfem_ocp.problems import PiecewiseField, build_example, build_smooth_problem
-from nxfem_ocp.solver import (LinearSolverConfig, SolverError, project_control,
-                              solve_constrained_fixed_point,
-                              solve_constrained_ssn, solve_state,
-                              solve_unconstrained_ocp,
+from nxfem_ocp.solver import (LinearSolverConfig, ReducedSolver, SolverError,
+                              project_control, solve_constrained_fixed_point,
+                              solve_constrained_ssn, solve_unconstrained_ocp,
                               _control_at_quadrature)
 from nxfem_ocp.study import discretize, solve_discretized
-from nxfem_ocp.xfem_space import interpolate_two_sided
+from nxfem_ocp.xfem_space import ExtendedSpace, interpolate_two_sided
 from nxfem_ocp.interface_geometry import triangle_rule
+
+
+def full_control_system(A, M, F1, F2, a, dirichlet_dofs, ybc_values):
+    """Independent oracle: the unsymmetric 3x3 block system that keeps the
+    control as unknowns.  Unknowns (U, Y_f, P_f); rows: the projection
+    -aMU - MP = 0, then the eliminated co-state and state equations."""
+    S = A.shape[0]
+    free = np.setdiff1d(np.arange(S), dirichlet_dofs)
+    yb = np.asarray(ybc_values, dtype=float)
+    A_ff = A[free][:, free]
+    K = sp.bmat([
+        [-a * M, None, -M[:, free]],
+        [None, -M[free][:, free], A_ff],
+        [-M[free, :], A_ff, None]], format="csc")
+    rhs = np.concatenate([np.zeros(S),
+                          F2[free] + M[free][:, dirichlet_dofs] @ yb,
+                          F1[free] - A[free][:, dirichlet_dofs] @ yb])
+    x = spla.spsolve(K, rhs)
+    nf = len(free)
+    Y = np.zeros(S)
+    P = np.zeros(S)
+    Y[free] = x[S:S + nf]
+    P[free] = x[S + nf:]
+    Y[dirichlet_dofs] = yb
+    return Y, P
 
 
 def test_zero_rhs_gives_zero():
     problem = build_example(1)
     disc = discretize(problem, 8)
-    x = solve_state(disc.A, np.zeros(disc.space.n_dofs),
-                    disc.space.dirichlet_dofs)
+    x = ReducedSolver(disc.A, disc.space.dirichlet_dofs).solve(
+        np.zeros(disc.space.n_dofs))
     assert np.all(x == 0.0)
 
 
@@ -37,15 +63,14 @@ def test_piecewise_linear_exactness():
     g = lambda x, y: np.full_like(np.asarray(x, dtype=float), gval)
 
     from nxfem_ocp.assembly import NitscheParams, assemble_stiffness
-    from nxfem_ocp.xfem_space import build_extended_space
     mesh = build_uniform_mesh((0, 1, 0, 1), 16)
     info = build_cut_info(mesh, ls)
-    space = build_extended_space(mesh, info)
+    space = ExtendedSpace(mesh, info)
     A = assemble_stiffness(mesh, info, space, alpha1, alpha2,
                            NitscheParams(10.0))
     F = assemble_load(mesh, info, space, g=g)
     _, ybc = space.boundary_values(PiecewiseField(y1, y2))
-    Y = solve_state(A, F, space.dirichlet_dofs, ybc)
+    Y = ReducedSolver(A, space.dirichlet_dofs).solve(F, ybc)
     exact = interpolate_two_sided(space, info.vertex_sign, y1, y2)
     assert np.abs(Y - exact).max() <= 1e-10
 
@@ -54,8 +79,8 @@ def test_unconstrained_decoupled_limit():
     # target chosen as the plain state solution: co-state and control vanish
     problem = build_smooth_problem()
     disc = discretize(problem, 8)
-    Y0 = solve_state(disc.A, disc.F1, disc.space.dirichlet_dofs,
-                     disc.ybc_values)
+    Y0 = ReducedSolver(disc.A, disc.space.dirichlet_dofs).solve(
+        disc.F1, disc.ybc_values)
     F2 = -(disc.M @ Y0)
     sol = solve_unconstrained_ocp(disc.A, disc.M, disc.F1, F2, problem.a,
                                   disc.space.dirichlet_dofs, disc.ybc_values)
@@ -82,13 +107,11 @@ def test_full_and_reduced_block_forms_agree():
     disc = discretize(problem, 8)
     args = (disc.A, disc.M, disc.F1, disc.F2, problem.a,
             disc.space.dirichlet_dofs, disc.ybc_values)
-    red = solve_unconstrained_ocp(*args, form="reduced")
-    full = solve_unconstrained_ocp(*args, form="full")
+    red = solve_unconstrained_ocp(*args)
+    Y, P = full_control_system(*args)
     scale = np.abs(red.Y).max()
-    assert np.abs(red.Y - full.Y).max() <= 1e-9 * scale
-    assert np.abs(red.P - full.P).max() <= 1e-9 * scale
-    with pytest.raises(ConfigurationError):
-        solve_unconstrained_ocp(*args, form="cholesky")
+    assert np.abs(red.Y - Y).max() <= 1e-9 * scale
+    assert np.abs(red.P - P).max() <= 1e-9 * scale
 
 
 def test_project_control_values():
@@ -211,8 +234,6 @@ def test_solver_error_reports_residual():
     disc = discretize(problem, 8)
     with pytest.raises(SolverError):
         # CG on an incompatible singular system must flag non-convergence
-        from nxfem_ocp.solver import ReducedSolver
-        import scipy.sparse as sp
         S = disc.space.n_dofs
         singular = sp.csr_matrix((S, S))
         ReducedSolver(singular, disc.space.dirichlet_dofs,

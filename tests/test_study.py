@@ -149,6 +149,45 @@ def test_active_set_hausdorff_shrinks_with_refinement():
     assert hds[1] < hds[0]
 
 
+def contour_segments_all_elements(P, a, level, mesh, cut_info, space):
+    """Oracle: zero-level segments of -p/a - level, walking every element
+    side patch in element order."""
+    segments = []
+    for e in range(mesh.num_triangles):
+        cls = int(cut_info.classes[e])
+        if cls == 3:
+            cg = cut_info.cuts[e]
+            patches = [(1, t) for t in cg.tris1] + [(2, t) for t in cg.tris2]
+        else:
+            patches = [(cls, mesh.tri_coords(e))]
+        for side, tri in patches:
+            vals = mesh.barycentric(e, tri) @ (-P[space.element_dofs(e, side)]
+                                               / a) - level
+            seg = study_mod._triangle_contour(np.asarray(tri), vals)
+            if seg is not None:
+                segments.append(seg)
+    return segments
+
+
+def test_active_set_extraction_matches_full_element_walk():
+    problem = build_example(2)
+    disc = discretize(problem, 32)
+    sol = solve_discretized(problem, disc)
+    # a lower bound equal to a vertex value of -p/a is the edge case of the
+    # element preselection
+    uncut = np.flatnonzero(disc.cut_info.classes == 1)
+    u = -sol.P[disc.space.dof1[disc.mesh.triangles[uncut]]] / problem.a
+    bounds = (float(u.flat[np.abs(u + 0.7).argmin()]), -0.3)
+    curves = extract_active_set_boundary(sol, problem.a, bounds, disc.mesh,
+                                         disc.cut_info, disc.space)
+    for name, level in zip(("lower", "upper"), bounds):
+        expected = study_mod._chain_segments(contour_segments_all_elements(
+            sol.P, problem.a, level, disc.mesh, disc.cut_info, disc.space))
+        assert len(curves[name]) == len(expected) >= 1
+        for got, ref in zip(curves[name], expected):
+            assert np.array_equal(got, ref)
+
+
 def test_interface_polylines_closed_circle():
     problem = build_example(2)
     mesh = build_uniform_mesh(problem.domain, 32)
@@ -198,6 +237,20 @@ def test_cli_overrides_and_errors(tmp_path):
               "--out", str(tmp_path / "run4")])
     with pytest.raises(SystemExit):
         main(["solve", "--example", "7", "--n", "8"])
+
+
+@pytest.mark.parametrize("flag, value", [("--a", "-0.01"), ("--a", "0"),
+                                         ("--lambda-coef", "0"),
+                                         ("--lambda-coef", "inf")])
+def test_cli_rejects_nonpositive_weights(tmp_path, capsys, flag, value):
+    # a negative weight used to run to a wrong answer, a zero one to crash
+    # with a division by zero
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--example", "1", "--n-list", "8,16", flag, value,
+              "--out", str(tmp_path / "run6")])
+    assert exc.value.code == 2
+    assert "must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "run6").exists()
 
 
 def test_cli_n_list(tmp_path):

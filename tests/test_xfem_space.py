@@ -1,20 +1,37 @@
 import numpy as np
 import pytest
 
-from nxfem_ocp.interface_geometry import (GeometryError, LevelSet,
+from nxfem_ocp.interface_geometry import (ElementClass, LevelSet,
                                           build_cut_info, circle_interface,
                                           line_interface)
-from nxfem_ocp.mesh import Mesh, build_uniform_mesh
-from nxfem_ocp.xfem_space import (build_extended_space, interpolate_two_sided,
+from nxfem_ocp.mesh import build_uniform_mesh
+from nxfem_ocp.xfem_space import (ExtendedSpace, interpolate_two_sided,
                                   SIDE_BOTH)
 
 FAR_AWAY = circle_interface(1.0, center=(10.0, 10.0))
 
 
+def eval_basis(space, element, side, point):
+    """(dofs, values, gradients) of the local basis at a physical point of
+    one element side.  On cut elements all six dofs are reported; the ones
+    restricted to the other side evaluate to zero."""
+    mesh = space.mesh
+    lam = mesh.barycentric(element, np.asarray(point, dtype=float))[0]
+    grads = mesh.grad_bary[element]
+    if space.classes[element] != int(ElementClass.CUT):
+        return space.element_dofs(element), lam, grads
+    values = np.zeros(6)
+    g = np.zeros((6, 2))
+    sl = slice(0, 3) if side == 1 else slice(3, 6)
+    values[sl] = lam
+    g[sl] = grads
+    return space.cut_element_dofs(element), values, g
+
+
 def test_plain_space_without_cuts():
     mesh = build_uniform_mesh((0, 1, 0, 1), 8)
     info = build_cut_info(mesh, FAR_AWAY)
-    space = build_extended_space(mesh, info)
+    space = ExtendedSpace(mesh, info)
     assert space.n_dofs == mesh.num_vertices
     assert not space.doubled.any()
     assert len(space.dirichlet_dofs) == mesh.boundary_vertex.sum()
@@ -28,7 +45,7 @@ def test_single_cut_element_doubles_three_vertices():
                                      np.ones_like(np.asarray(y, dtype=float))))
     info = build_cut_info(mesh, ls)
     assert len(info.cut_elements) == 1
-    space = build_extended_space(mesh, info)
+    space = ExtendedSpace(mesh, info)
     assert space.n_dofs == mesh.num_vertices + 3
     assert space.doubled.sum() == 3
     assert set(np.flatnonzero(space.doubled)) == \
@@ -38,7 +55,7 @@ def test_single_cut_element_doubles_three_vertices():
 def test_dimension_formula_circle():
     mesh = build_uniform_mesh((-1, 1, -1, 1), 32)
     info = build_cut_info(mesh, circle_interface(0.5))
-    space = build_extended_space(mesh, info)
+    space = ExtendedSpace(mesh, info)
     enriched = set()
     for e in info.cut_elements:
         enriched.update(mesh.triangles[e].tolist())
@@ -54,13 +71,14 @@ def test_dimension_formula_circle():
 def test_lagrange_property_uncut():
     mesh = build_uniform_mesh((0, 1, 0, 1), 4)
     info = build_cut_info(mesh, FAR_AWAY)
-    space = build_extended_space(mesh, info)
+    space = ExtendedSpace(mesh, info)
     e = 7
     for i, v in enumerate(mesh.triangles[e]):
-        ev = space.eval_basis(e, None, mesh.vertices[v])
+        dofs, values, _ = eval_basis(space, e, None, mesh.vertices[v])
         expected = np.zeros(3)
         expected[i] = 1.0
-        assert np.allclose(ev.values, expected, atol=1e-13)
+        assert np.array_equal(dofs, mesh.triangles[e])
+        assert np.allclose(values, expected, atol=1e-13)
 
 
 def test_cut_element_side_restriction_and_unity():
@@ -68,7 +86,7 @@ def test_cut_element_side_restriction_and_unity():
     b = (6 + np.sqrt(6) - 2 * np.sqrt(3)) / 6
     mesh = build_uniform_mesh((0, 1, 0, 1), 8)
     info = build_cut_info(mesh, line_interface(k, b))
-    space = build_extended_space(mesh, info)
+    space = ExtendedSpace(mesh, info)
     rng = np.random.default_rng(11)
     e = int(info.cut_elements[2])
     coords = mesh.tri_coords(e)
@@ -77,80 +95,13 @@ def test_cut_element_side_restriction_and_unity():
         pt = lam @ coords
         for side, sl_active, sl_zero in ((1, slice(0, 3), slice(3, 6)),
                                          (2, slice(3, 6), slice(0, 3))):
-            ev = space.eval_basis(e, side, pt)
-            assert np.allclose(ev.values[sl_zero], 0.0)
-            assert np.allclose(ev.grads[sl_zero], 0.0)
-            assert ev.values[sl_active].sum() == pytest.approx(1.0, abs=1e-13)
-            assert np.allclose(ev.grads[sl_active].sum(axis=0), 0.0,
+            dofs, values, grads = eval_basis(space, e, side, pt)
+            assert np.array_equal(dofs[sl_active], space.element_dofs(e, side))
+            assert np.allclose(values[sl_zero], 0.0)
+            assert np.allclose(grads[sl_zero], 0.0)
+            assert values[sl_active].sum() == pytest.approx(1.0, abs=1e-13)
+            assert np.allclose(grads[sl_active].sum(axis=0), 0.0,
                                atol=1e-10)
-
-
-def test_point_outside_element_raises():
-    mesh = build_uniform_mesh((0, 1, 0, 1), 4)
-    info = build_cut_info(mesh, FAR_AWAY)
-    space = build_extended_space(mesh, info)
-    with pytest.raises(GeometryError):
-        space.eval_basis(0, None, (0.99, 0.99))
-
-
-def test_interface_traces():
-    mesh = Mesh.from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
-    ls = LevelSet(f=lambda x, y: x - y - 0.5,
-                  grad=lambda x, y: (np.ones_like(np.asarray(x, dtype=float)),
-                                     -np.ones_like(np.asarray(y, dtype=float))))
-    info = build_cut_info(mesh, ls)
-    space = build_extended_space(mesh, info)
-    cg = info.cuts[0]
-    mid = 0.5 * (cg.q1 + cg.q2)
-
-    # equal side copies -> continuous field, zero jump at every chord point
-    coeffs = np.zeros(space.n_dofs)
-    coeffs[space.dof1] = [1.0, 2.0, 3.0]
-    coeffs[space.dof2[space.doubled]] = \
-        coeffs[space.dof1[space.doubled]]
-    for t in (0.0, 0.3, 1.0):
-        pt = cg.q1 + t * (cg.q2 - cg.q1)
-        tr = space.eval_interface_traces(cg, pt, coeffs)
-        assert tr.jump == pytest.approx(0.0, abs=1e-13)
-
-    # weighted average with the reference fractions 0.875 / 0.125
-    coeffs2 = np.zeros(space.n_dofs)
-    c1, c2 = np.array([1.0, -2.0, 0.5]), np.array([3.0, 0.25, -1.0])
-    coeffs2[space.dof1] = c1
-    coeffs2[space.dof2] = c2
-    tr = space.eval_interface_traces(cg, mid, coeffs2)
-    g1 = c1 @ mesh.grad_bary[0]
-    g2 = c2 @ mesh.grad_bary[0]
-    manual = 0.875 * (g1 @ cg.normal) + 0.125 * (g2 @ cg.normal)
-    assert tr.avg_normal_grad == pytest.approx(manual, rel=1e-13)
-    lam = mesh.barycentric(0, mid)[0]
-    assert tr.jump == pytest.approx((c1 - c2) @ lam, rel=1e-13)
-
-    # equal fractions average the two gradients
-    from dataclasses import replace
-    half = replace(cg, k1=0.5, k2=0.5)
-    tr2 = space.eval_interface_traces(half, mid, coeffs2)
-    expected = 0.5 * (g1 @ cg.normal) + 0.5 * (g2 @ cg.normal)
-    assert tr2.avg_normal_grad == pytest.approx(expected, rel=1e-13)
-
-    # alpha scaling
-    tr3 = space.eval_interface_traces(cg, mid, coeffs2, alpha=(2.0, 5.0))
-    expected3 = 0.875 * 2.0 * (g1 @ cg.normal) + 0.125 * 5.0 * (g2 @ cg.normal)
-    assert tr3.avg_normal_grad == pytest.approx(expected3, rel=1e-13)
-
-
-def test_traces_require_cut_element():
-    mesh = build_uniform_mesh((0, 1, 0, 1), 8)
-    k = -np.sqrt(3) / 3
-    b = (6 + np.sqrt(6) - 2 * np.sqrt(3)) / 6
-    info = build_cut_info(mesh, line_interface(k, b))
-    space = build_extended_space(mesh, info)
-    cg = info.cuts[int(info.cut_elements[0])]
-    from dataclasses import replace
-    wrong = replace(cg, element=0)
-    assert info.classes[0] != 3
-    with pytest.raises(GeometryError):
-        space.eval_interface_traces(wrong, cg.q1, np.zeros(space.n_dofs))
 
 
 def test_doubled_boundary_vertices_fully_constrained():
@@ -160,7 +111,7 @@ def test_doubled_boundary_vertices_fully_constrained():
     b = (6 + np.sqrt(6) - 2 * np.sqrt(3)) / 6
     mesh = build_uniform_mesh((0, 1, 0, 1), 16)
     info = build_cut_info(mesh, line_interface(k, b))
-    space = build_extended_space(mesh, info)
+    space = ExtendedSpace(mesh, info)
     doubled_bnd = np.flatnonzero(space.doubled & mesh.boundary_vertex)
     assert len(doubled_bnd) > 0
     dset = set(space.dirichlet_dofs.tolist())
@@ -175,7 +126,7 @@ def test_interpolation_dispatches_sides():
     b = (6 + np.sqrt(6) - 2 * np.sqrt(3)) / 6
     mesh = build_uniform_mesh((0, 1, 0, 1), 8)
     info = build_cut_info(mesh, line_interface(k, b))
-    space = build_extended_space(mesh, info)
+    space = ExtendedSpace(mesh, info)
     f1 = lambda x, y: x + 10.0
     f2 = lambda x, y: x - 10.0
     vals = interpolate_two_sided(space, info.vertex_sign, f1, f2)
@@ -195,7 +146,7 @@ def test_condition_number_logged():
     from nxfem_ocp.assembly import NitscheParams, assemble_stiffness
     mesh = build_uniform_mesh((-1, 1, -1, 1), 16)
     info = build_cut_info(mesh, circle_interface(np.sqrt(3) / 4))
-    space = build_extended_space(mesh, info)
+    space = ExtendedSpace(mesh, info)
     A = assemble_stiffness(mesh, info, space, 1.0, 1000.0,
                            NitscheParams(5.0))
     mask = np.ones(space.n_dofs, dtype=bool)
