@@ -42,7 +42,8 @@ def build_parser():
                     help="control box 'lo,hi', or 'none' to drop the bounds")
     ps.add_argument("--solver", choices=("direct", "cg"), default="direct",
                     help="inner linear solver of the fixed-point iteration "
-                         "(the unconstrained saddle solve is always direct)")
+                         "(the unconstrained saddle solve is always "
+                         "preconditioned MINRES)")
     ps.add_argument("--tol", type=float, default=1e-10,
                     help="fixed-point stopping tolerance on the control update")
     ps.add_argument("--max-iter", type=int, default=200)
@@ -51,7 +52,8 @@ def build_parser():
     ps.add_argument("--dump-geometry", action="store_true",
                     help="also dump mesh and integration-cell tables")
     ps.add_argument("--verbose", action="store_true",
-                    help="write per-iteration logs and echo progress")
+                    help="write per-iteration logs and echo one progress "
+                         "line per mesh to stderr")
     return parser
 
 

@@ -5,6 +5,11 @@ The unconstrained problem is solved as one symmetric 2x2 block system in
 iteration (state solve, co-state solve, clamp update) or, alternatively, by
 a primal-dual active-set / semismooth Newton loop.  The control never gets
 its own unknowns: it is the pointwise clamp of -p/a.
+
+Every block system is solved by MINRES, preconditioned with
+blkdiag(a S^-1, S^-1), S = M + sqrt(a) A (Zulehner 2011; Pearson & Wathen
+2012).  The iteration count is bounded independently of h and a, and the
+one sparse factorization is that of S, the size of a single block.
 """
 
 from __future__ import annotations
@@ -55,14 +60,10 @@ class OcpSolution:
     residual_state: float = 0.0
     residual_costate: float = 0.0
     control_diffs: list = field(default_factory=list)
-
-    def control_dofs(self):
-        """Control evaluated at the dof level (exact in the unconstrained
-        case, vertex clamp otherwise)."""
-        if self.U is not None:
-            return self.U
-        lo, hi = self.bounds
-        return np.clip(-self.P / self.a, lo, hi)
+    # one entry per saddle solve (the unconstrained solve or a Newton step):
+    # MINRES iterations and the relative true residuals of both block rows
+    saddle_iterations: list = field(default_factory=list)
+    saddle_residuals: list = field(default_factory=list)
 
 
 class ReducedSolver:
@@ -79,6 +80,7 @@ class ReducedSolver:
         A_ff, self.A_fc = self._split(A)
         self.A_ff = A_ff.tocsc()
         self._lu = None
+        self._saddle_lu = None
 
     def _split(self, B):
         """Free/free and free/constrained blocks of a matrix on the dofs."""
@@ -118,6 +120,30 @@ class ReducedSolver:
             raise SolverError(f"linear solve residual {res:.3e} exceeds {tol:.1e}")
         return self._expand(x_f, vals)
 
+    def _saddle_preconditioner(self, M_ff, a):
+        """blkdiag(a S^-1, S^-1) on the free (p, y) dofs, S = M_ff + sqrt(a)
+        A_ff.  S is factored on first use and kept: M and a are fixed for
+        the optimality system this solver serves, and S does not depend on
+        the active set."""
+        if self._saddle_lu is None:
+            S = (M_ff + np.sqrt(a) * self.A_ff).tocsc()
+            try:
+                self._saddle_lu = spla.splu(
+                    S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True})
+            except RuntimeError as exc:
+                raise SolverError(f"factorization failed: {exc}") from exc
+        lu = self._saddle_lu
+        nf = len(self.free)
+
+        def apply(v):
+            z = lu.solve(v.reshape(2, nf).T)        # p and y as two columns
+            z[:, 0] *= a
+            return z.T.ravel()
+
+        return spla.LinearOperator((2 * nf, 2 * nf), matvec=apply,
+                                   dtype=float)
+
     def _expand(self, x_f, bc_values=0.0):
         x = np.zeros(self.A.shape[0])
         x[self.free] = x_f
@@ -125,26 +151,72 @@ class ReducedSolver:
         return x
 
 
+SADDLE_TOL = 1e-10        # true block residuals, relative, free rows
+SADDLE_RESTARTS = 3
+# scipy's MINRES tests its own estimate ||r|| / (||A|| ||x||), which is not
+# the block residual: the first pass runs to rounding level, and a
+# correction pass only has to shrink an already small defect.
+_MINRES_RTOL = 1e-13
+_CORRECTION_RTOL = 1e-6
+_MINRES_MAXITER = 500
+
+
 def _solve_saddle(red, MI_ff, M_ff, M_fc, load, F2, a, ybc_values):
-    """One direct solve of [[M_I/a, A], [A, -M]] (p, y) = (load, F2) on the
-    free dofs of ``red``, with y prescribed on the Dirichlet dofs.
+    """Solve [[M_I/a, A], [A, -M]] (p, y) = (load, F2) on the free dofs of
+    ``red``, with y prescribed on the Dirichlet dofs.
 
     M_I is the mass on the inactive set (all of M without bounds); the
-    control u = -p/a has no unknowns of its own.  Returns full-length P, Y.
+    control u = -p/a has no unknowns of its own.  MINRES with the
+    preconditioner of ``red._saddle_preconditioner`` runs until both block
+    rows have a true relative residual <= SADDLE_TOL; short of that, it is
+    restarted on the defect of its last iterate (defect correction) at most
+    SADDLE_RESTARTS times, then SolverError is raised.  Returns full-length
+    P, Y, the total MINRES iteration count and the two residuals.
     """
     yb = np.asarray(ybc_values, dtype=float)
     free = red.free
-    K = sp.bmat([[MI_ff / a, red.A_ff], [red.A_ff, -M_ff]], format="csc")
+    nf = len(free)
+    K = sp.bmat([[MI_ff / a, red.A_ff], [red.A_ff, -M_ff]], format="csr")
     rhs = np.concatenate([load[free] - red.A_fc @ yb,
                           F2[free] + M_fc @ yb])
-    try:
-        x = spla.spsolve(K, rhs)
-    except RuntimeError as exc:
-        raise SolverError(f"saddle solve failed: {exc}") from exc
-    if not np.isfinite(x).all():
-        raise SolverError("singular saddle system")
-    nf = len(free)
-    return red._expand(x[:nf]), red._expand(x[nf:], yb)
+    if not np.isfinite(rhs).all():
+        raise SolverError("non-finite right-hand side in the saddle system")
+    pre = red._saddle_preconditioner(M_ff, a)
+
+    def block_residuals(x):
+        # state row A y + M_I p/a = load and co-state row A p - M y = F2,
+        # y with its Dirichlet values, each relative to its largest term
+        p, y = x[:nf], x[nf:]
+        rows = ((red.A_ff @ y + red.A_fc @ yb, MI_ff @ p / a, -load[free]),
+                (red.A_ff @ p, -(M_ff @ y + M_fc @ yb), -F2[free]))
+        return tuple(float(np.linalg.norm(sum(terms))
+                           / max(*map(np.linalg.norm, terms), 1e-300))
+                     for terms in rows)
+
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    x = np.zeros(2 * nf)
+    defect = rhs
+    for _ in range(1 + SADDLE_RESTARTS):
+        rtol = _MINRES_RTOL if defect is rhs else _CORRECTION_RTOL
+        dx, _ = spla.minres(K, defect, rtol=rtol, maxiter=_MINRES_MAXITER,
+                            M=pre, callback=count)
+        x = x + dx
+        if not np.isfinite(x).all():
+            raise SolverError("singular saddle system")
+        residuals = block_residuals(x)
+        if max(residuals) <= SADDLE_TOL:
+            break
+        defect = rhs - K @ x
+    else:
+        raise SolverError(
+            "MINRES block residuals {:.3e}/{:.3e} exceed {:.0e} after {} "
+            "iterations".format(*residuals, SADDLE_TOL, iterations))
+    return red._expand(x[:nf]), red._expand(x[nf:], yb), iterations, residuals
 
 
 def _block_residuals(A, M, F1, F2, sol, control_term, free):
@@ -158,12 +230,14 @@ def _block_residuals(A, M, F1, F2, sol, control_term, free):
 def solve_unconstrained_ocp(A, M, F1, F2, a, dirichlet_dofs, ybc_values):
     """Coupled optimality system without control bounds: the control is
     eliminated via u = -p/a and the symmetric saddle system with M_I = M
-    is solved directly."""
+    is solved by preconditioned MINRES."""
     red = ReducedSolver(A, dirichlet_dofs)
     M_ff, M_fc = red._split(M)
-    P, Y = _solve_saddle(red, M_ff, M_ff, M_fc, F1, F2, a, ybc_values)
+    P, Y, its, res = _solve_saddle(red, M_ff, M_ff, M_fc, F1, F2, a,
+                                   ybc_values)
     U = -P / a
-    sol = OcpSolution(Y=Y, P=P, a=a, bounds=None, U=U)
+    sol = OcpSolution(Y=Y, P=P, a=a, bounds=None, U=U,
+                      saddle_iterations=[its], saddle_residuals=[res])
     sol.residual_state, sol.residual_costate = _block_residuals(
         A, M, F1, F2, sol, M @ U, red.free)
     return sol
@@ -387,13 +461,12 @@ def _active_mass_and_load(mesh, cut_info, space, P, a, bounds, quad_degree=4,
 
 
 def solve_constrained_ssn(mesh, cut_info, space, A, M, F1_base, F2_base, a,
-                          bounds, ybc_values, max_iter=30, tol=1e-12,
-                          log=None):
+                          bounds, ybc_values, max_iter=30, log=None):
     """Primal-dual active-set (semismooth Newton) solve of the clamped
     optimality system.
 
     Each step freezes the active set induced by the current co-state and
-    solves the resulting linear saddle system exactly; convergence is
+    solves the resulting linear saddle system to SADDLE_TOL; convergence is
     declared when the active set stops changing.
     """
     lo, hi = bounds
@@ -406,12 +479,16 @@ def solve_constrained_ssn(mesh, cut_info, space, A, M, F1_base, F2_base, a,
     converged = False
     iterations = 0
     Y = np.zeros(A.shape[0])
+    saddle_its, saddle_res = [], []
     for it in range(max_iter):
         iterations = it + 1
         M_inact, b_act = _active_mass_and_load(mesh, cut_info, space, P, a,
                                                bounds)
-        P, Y = _solve_saddle(red, M_inact[red.free][:, red.free], M_ff, M_fc,
-                             F1_base + b_act, F2_base, a, ybc_values)
+        P, Y, its, res = _solve_saddle(red, M_inact[red.free][:, red.free],
+                                       M_ff, M_fc, F1_base + b_act, F2_base,
+                                       a, ybc_values)
+        saddle_its.append(its)
+        saddle_res.append(res)
 
         z, _ = _control_at_quadrature(mesh, cut_info, space, P, a, None, bary)
         status = np.where(z <= lo, -1, np.where(z >= hi, 1, 0))
@@ -425,7 +502,8 @@ def solve_constrained_ssn(mesh, cut_info, space, A, M, F1_base, F2_base, a,
         status_prev = status
 
     sol = OcpSolution(Y=Y, P=P, a=a, bounds=bounds, iterations=iterations,
-                      converged=converged)
+                      converged=converged, saddle_iterations=saddle_its,
+                      saddle_residuals=saddle_res)
     control_term = _control_load(mesh, cut_info, space, P, a, bounds)
     sol.residual_state, sol.residual_costate = _block_residuals(
         A, M, F1_base, F2_base, sol, control_term, red.free)

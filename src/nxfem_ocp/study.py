@@ -5,6 +5,8 @@ tabulate refinement orders, extract active-set boundaries.
 from __future__ import annotations
 
 import os
+import sys
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,8 +103,9 @@ def discretize(problem, n, quad_degree=4, seg_points=3):
 def solve_discretized(problem, disc, solver="direct", tol=1e-10, max_iter=200,
                       log=None):
     """Dispatch to the block solve (no bounds) or the projected fixed-point
-    iteration (box constraints).  The saddle block solve is always direct;
-    the solver choice selects the inner SPD solves of the iteration."""
+    iteration (box constraints).  The saddle block solve is always
+    preconditioned MINRES; the solver choice selects the inner SPD solves
+    of the iteration."""
     if problem.bounds is None:
         return solve_unconstrained_ocp(disc.A, disc.M, disc.F1, disc.F2,
                                        problem.a, disc.space.dirichlet_dofs,
@@ -140,7 +143,8 @@ class StudyResult:
 def run_convergence_study(config):
     """Solve the configured benchmark on every mesh in the sweep and collect
     errors and refinement orders.  Output files are flushed row by row, so
-    a failing fine-mesh solve leaves the coarse rows on disk."""
+    a failing fine-mesh solve leaves the coarse rows on disk.  With
+    ``config.verbose`` one progress line per mesh goes to stderr."""
     problem = config.build_problem()
     result = StudyResult(problem=problem, n_values=config.n_values,
                          reports=[], solutions=[])
@@ -151,9 +155,14 @@ def run_convergence_study(config):
         for n in config.n_values:
             disc = discretize(problem, n)
             log = [] if config.verbose else None
+            start = time.perf_counter()
             sol = solve_discretized(problem, disc, solver=config.solver,
                                     tol=config.tol, max_iter=config.max_iter,
                                     log=log)
+            if config.verbose:
+                print(_progress_line(n, disc, sol,
+                                     time.perf_counter() - start),
+                      file=sys.stderr, flush=True)
             report = compute_errors(problem, sol, disc.mesh, disc.cut_info,
                                     disc.space)
             result.reports.append(report)
@@ -166,6 +175,19 @@ def run_convergence_study(config):
             write_errors_csv(os.path.join(out, "errors.csv"), result)
         raise
     return result
+
+
+def _progress_line(n, disc, sol, seconds):
+    """N, free dofs, solve wall time, and the MINRES iterations of each
+    saddle solve or the fixed-point sweeps."""
+    space = disc.space
+    free = space.n_dofs - len(space.dirichlet_dofs)
+    if sol.saddle_iterations:
+        work = "minres_iterations=" + ",".join(map(str,
+                                                   sol.saddle_iterations))
+    else:
+        work = f"fixed_point_sweeps={sol.iterations}"
+    return f"N={n} free_dofs={free} solve_s={seconds:.3f} {work}"
 
 
 def _write_outputs(config, problem, result, disc, sol, n, log):

@@ -239,3 +239,32 @@ def test_solver_error_reports_residual():
         ReducedSolver(singular, disc.space.dirichlet_dofs,
                       LinearSolverConfig(method="cg", cg_max_iter=5)) \
             .solve(np.ones(S))
+
+
+@pytest.mark.parametrize("example", [1, 3])
+def test_minres_iterations_do_not_grow_with_the_mesh(example):
+    problem = build_example(example)
+    for n in (16, 32, 64):
+        disc = discretize(problem, n)
+        sol = solve_discretized(problem, disc)
+        assert len(sol.saddle_iterations) == 1
+        assert sol.saddle_iterations[0] <= 30
+        assert max(sol.saddle_residuals[0]) <= 1e-10
+
+
+def test_unconstrained_solve_bitwise_repeatable():
+    problem = build_example(1)
+    sols = [solve_discretized(problem, discretize(problem, 16))
+            for _ in range(2)]
+    assert np.array_equal(sols[0].Y, sols[1].Y)
+    assert np.array_equal(sols[0].P, sols[1].P)
+
+
+def test_non_finite_load_raises():
+    problem = build_example(1)
+    disc = discretize(problem, 8)
+    F1 = disc.F1.copy()
+    F1[disc.space.n_dofs // 2] = np.nan
+    with pytest.raises(SolverError):
+        solve_unconstrained_ocp(disc.A, disc.M, F1, disc.F2, problem.a,
+                                disc.space.dirichlet_dofs, disc.ybc_values)

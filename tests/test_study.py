@@ -209,11 +209,29 @@ def test_cli_unconstrained(tmp_path, capsys):
     assert (tmp_path / "run1" / "table.txt").exists()
 
 
-def test_cli_constrained_with_dumps(tmp_path):
+def test_cli_verbose_echoes_one_line_per_mesh(tmp_path, capsys):
+    args = ["solve", "--example", "1", "--n-list", "8,16"]
+    assert main(args + ["--out", str(tmp_path / "quiet")]) == 0
+    quiet = capsys.readouterr()
+    assert quiet.err == ""
+    assert main(args + ["--out", str(tmp_path / "loud"), "--verbose"]) == 0
+    loud = capsys.readouterr()
+    assert loud.out == quiet.out
+    lines = loud.err.strip().splitlines()
+    assert [line.split()[0] for line in lines] == ["N=8", "N=16"]
+    for line in lines:
+        fields = dict(item.split("=") for item in line.split())
+        assert int(fields["free_dofs"]) > 0
+        assert float(fields["solve_s"]) >= 0.0
+        assert 0 < int(fields["minres_iterations"]) <= 30
+
+
+def test_cli_constrained_with_dumps(tmp_path, capsys):
     rc = main(["solve", "--example", "2", "--n", "8",
                "--out", str(tmp_path / "run2"), "--dump-geometry",
                "--verbose"])
     assert rc == 0
+    assert "fixed_point_sweeps=" in capsys.readouterr().err
     base = tmp_path / "run2"
     for name in ("errors.csv", "table.txt", "activeset_n8.csv",
                  "integration_mesh_n8.csv", "iterations_n8.csv",
