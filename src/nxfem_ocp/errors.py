@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interface_geometry import (refined_triangle_quadrature,
-                                 segment_quadrature, triangle_rule)
+from .interface_geometry import ElementClass
 
 __all__ = ["FieldErrors", "ErrorReport", "compute_errors"]
 
@@ -51,8 +50,7 @@ class ErrorReport:
 class _ClampedLinearField:
     """Discrete field representable as clip(C . lambda, lo, hi) per side."""
 
-    def __init__(self, space, coeff_vec, scale, bounds):
-        self.space = space
+    def __init__(self, coeff_vec, scale, bounds):
         self.vec = coeff_vec
         self.scale = scale
         self.lo, self.hi = (-np.inf, np.inf) if bounds is None else bounds
@@ -60,171 +58,136 @@ class _ClampedLinearField:
     def coeffs(self, dofs):
         return self.scale * self.vec[dofs]
 
-    def values_and_grads(self, mesh, e, side, lam_pts):
-        """Values (n,) and gradients (n, 2) at points given in barycentric
-        coordinates of element e."""
-        C = self.coeffs(self.space.element_dofs(e, side))
-        raw = lam_pts @ C
-        vals = np.clip(raw, self.lo, self.hi)
-        active = (raw > self.lo) & (raw < self.hi)
-        g = C @ mesh.grad_bary[e]
-        return vals, active[:, None] * g[None, :]
-
-    def status_varies(self, dofs_matrix):
-        """Per-element flag: does the clamp switch inside the element?"""
-        if not np.isfinite([self.lo, self.hi]).any():
-            return None
-        raw = self.scale * self.vec[dofs_matrix]
-        vmin, vmax = raw.min(axis=1), raw.max(axis=1)
-        return (((vmin < self.lo) & (self.lo < vmax))
-                | ((vmin < self.hi) & (self.hi < vmax)))
+    def evaluate(self, dofs, lam, grads):
+        """Clamped values (C, q), unclamped mask (C, q) and unclamped
+        gradients (C, 2) at barycentrics ``lam`` (C, q, 3) of cells with
+        dofs (C, 3) and hat gradients (C, 3, 2)."""
+        C = self.coeffs(dofs)
+        raw = np.einsum("cqi,ci->cq", lam, C)
+        return (np.clip(raw, self.lo, self.hi),
+                (raw > self.lo) & (raw < self.hi),
+                np.einsum("ci,cid->cd", C, grads))
 
 
-def _element_diameters(mesh, elements):
-    coords = mesh.vertices[mesh.triangles[elements]]
-    edges = coords - np.roll(coords, 1, axis=1)
-    return np.sqrt((edges ** 2).sum(axis=2)).max(axis=1)
+def _rule(mesh, space, cells, degree):
+    """Points, weights, barycentrics, dofs and hat gradients of cells,
+    shared by every field."""
+    pts, w, lam = cells.quadrature(mesh, degree)
+    return pts, w, lam, space.cell_dofs(cells), mesh.grad_bary[cells.parent]
 
 
-def _accumulate(acc, w, err_vals, err_grads, exact_vals, exact_grads):
-    acc[0] += np.sum(w * err_vals ** 2)
-    acc[1] += np.sum(w * (err_grads ** 2).sum(axis=-1))
-    acc[2] += np.sum(w * exact_vals ** 2)
-    acc[3] += np.sum(w * (exact_grads ** 2).sum(axis=-1))
+def _volume_sums(exact, exact_grad, disc, rule):
+    """Squared L2 and H1-seminorm integrals of the error and of the exact
+    field over a rule."""
+    pts, w, lam, dofs, grads = rule
+    vals, active, dg = disc.evaluate(dofs, lam, grads)
+    ev = exact(pts[..., 0], pts[..., 1])
+    egx, egy = exact_grad(pts[..., 0], pts[..., 1])
+    return np.array([
+        np.sum(w * (ev - vals) ** 2),
+        np.sum(w * ((egx - active * dg[:, None, 0]) ** 2
+                    + (egy - active * dg[:, None, 1]) ** 2)),
+        np.sum(w * ev ** 2),
+        np.sum(w * (egx ** 2 + egy ** 2))])
 
 
-def _field_errors(problem, field, disc, mesh, cut_info, space, quad_degree,
-                  seg_points, refine_depth):
-    exact = getattr(problem, field)
-    exact_grad = getattr(problem, f"grad_{field}")
-    bary, w = triangle_rule(quad_degree)
-    acc = [0.0, 0.0, 0.0, 0.0]          # err_l2^2, err_h1^2, exact versions
+def _kinked(disc, mesh, space, cells, exact_kinked):
+    """``exact_kinked``, or the discrete clamp switches inside the cell
+    (judged from its vertex values)."""
+    lam = mesh.barycentric(cells.parent, cells.coords)
+    raw = np.einsum("cvi,ci->cv", lam, disc.coeffs(space.cell_dofs(cells)))
+    rmin, rmax = raw.min(axis=1), raw.max(axis=1)
+    return (exact_kinked | ((rmin < disc.lo) & (disc.lo < rmax))
+            | ((rmin < disc.hi) & (disc.hi < rmax)))
 
-    exact_status = None
-    if field == "u" and problem.bounds is not None:
-        def exact_status(side, pts):
-            return problem.clamp_status(
-                problem.control_arg.side(side)(pts[:, 0], pts[:, 1]))
 
-    # --- volume terms, uncut elements -------------------------------------
+def _kink_refined(rule, cells, disc, spec, mesh, cut_info, space, side,
+                  degree):
+    """The rule with the cells that a kink of the clamped control crosses
+    replaced by the leaves of their refinement: exact kinks are those of
+    the load refinement ``spec``, judged at the vertices on uncut
+    elements; discrete kinks come from the cell's vertex values."""
+    cut = cut_info.classes[cells.parent] == int(ElementClass.CUT)
+    exact = spec.mask[cells.parent]
+    exact[cut] = spec.pred(cells.coords[cut], side)
+    flags = _kinked(disc, mesh, space, cells, exact)
+    leaves = cells[flags].refined(
+        np.ones(flags.sum(), dtype=bool),
+        lambda c: _kinked(disc, mesh, space, c, spec.pred(c.coords, side)),
+        spec.depth)
+    return [np.concatenate([a[~flags], b])
+            for a, b in zip(rule, _rule(mesh, space, leaves, degree))]
+
+
+def _interface_sums(exact, exact_grad, disc, chords, rule):
+    """h-weighted interface terms of the mesh-dependent norm (average
+    normal derivative times h_T, jump over h_T) for the error and for the
+    exact field; ``rule`` holds the chord points, weights, barycentrics,
+    the dofs of each side and the hat gradients."""
+    pts, w, lam, dofs, grads = rule
+    n = chords.normal
+    err, ex = {}, {}
     for side in (1, 2):
-        els = np.flatnonzero(cut_info.classes == side)
-        if len(els) == 0:
-            continue
-        dmap = space.dof1 if side == 1 else space.dof2
-        dofs = dmap[mesh.triangles[els]]
-        varies = disc.status_varies(dofs)
-        if varies is None:
-            varies = np.zeros(len(els), dtype=bool)
-        if exact_status is not None:
-            coords = mesh.vertices[mesh.triangles[els]]
-            st = exact_status(side, coords.reshape(-1, 2)).reshape(len(els), 3)
-            varies |= st.max(axis=1) != st.min(axis=1)
-
-        plain = els[~varies]
-        if len(plain):
-            C = disc.coeffs(dmap[mesh.triangles[plain]])
-            coords = mesh.vertices[mesh.triangles[plain]]
-            pts = np.einsum("qi,eik->eqk", bary, coords)
-            ev = exact.side(side)(pts[..., 0], pts[..., 1])
-            egx, egy = exact_grad.side(side)(pts[..., 0], pts[..., 1])
-            raw = C @ bary.T
-            dv = np.clip(raw, disc.lo, disc.hi)
-            active = (raw > disc.lo) & (raw < disc.hi)
-            dg = np.einsum("ei,eid->ed", C, mesh.grad_bary[plain])
-            wa = np.outer(mesh.areas[plain], w)
-            acc[0] += np.sum(wa * (ev - dv) ** 2)
-            acc[1] += np.sum(wa * ((egx - active * dg[:, None, 0]) ** 2
-                                   + (egy - active * dg[:, None, 1]) ** 2))
-            acc[2] += np.sum(wa * ev ** 2)
-            acc[3] += np.sum(wa * (egx ** 2 + egy ** 2))
-        for e in els[varies]:
-            _element_volume(acc, problem, exact, exact_grad, exact_status,
-                            disc, mesh, int(e), side,
-                            [mesh.tri_coords(int(e))], bary, w, refine_depth)
-
-    # --- volume terms, cut elements ----------------------------------------
-    for e in cut_info.cut_elements:
-        cg = cut_info.cuts[int(e)]
-        for side, tris in ((1, cg.tris1), (2, cg.tris2)):
-            _element_volume(acc, problem, exact, exact_grad, exact_status,
-                            disc, mesh, int(e), side, tris, bary, w,
-                            refine_depth)
-
-    # --- interface terms of the mesh-dependent norm ------------------------
-    iface_err = 0.0
-    iface_exact = 0.0
-    if len(cut_info.cut_elements):
-        h_T = _element_diameters(mesh, cut_info.cut_elements)
-        for ht, e in zip(h_T, cut_info.cut_elements):
-            cg = cut_info.cuts[int(e)]
-            rule = segment_quadrature(cg.q1, cg.q2, seg_points)
-            lam = mesh.barycentric(int(e), rule.points)
-            n = cg.normal
-            ev, eg, dv, dg = {}, {}, {}, {}
-            for side in (1, 2):
-                ev[side] = exact.side(side)(rule.points[:, 0], rule.points[:, 1])
-                gx, gy = exact_grad.side(side)(rule.points[:, 0],
-                                               rule.points[:, 1])
-                eg[side] = gx * n[0] + gy * n[1]
-                vals, grads = disc.values_and_grads(mesh, int(e), side, lam)
-                dv[side] = vals
-                dg[side] = grads @ n
-            jump_err = (ev[1] - dv[1]) - (ev[2] - dv[2])
-            avg_err = cg.k1 * (eg[1] - dg[1]) + cg.k2 * (eg[2] - dg[2])
-            jump_ex = ev[1] - ev[2]
-            avg_ex = cg.k1 * eg[1] + cg.k2 * eg[2]
-            iface_err += ht * np.sum(rule.weights * avg_err ** 2) \
-                + np.sum(rule.weights * jump_err ** 2) / ht
-            iface_exact += ht * np.sum(rule.weights * avg_ex ** 2) \
-                + np.sum(rule.weights * jump_ex ** 2) / ht
-
-    return FieldErrors(
-        l2=np.sqrt(acc[0]), h1=np.sqrt(acc[1]),
-        triple=np.sqrt(acc[1] + iface_err),
-        exact_l2=np.sqrt(acc[2]), exact_h1=np.sqrt(acc[3]),
-        exact_triple=np.sqrt(acc[3] + iface_exact))
-
-
-def _element_volume(acc, problem, exact, exact_grad, exact_status, disc,
-                    mesh, e, side, tris, bary, w, depth):
-    """Slow path: per-element integration with kink-adaptive refinement."""
-    dofs = disc.space.element_dofs(e, side)
-    C = disc.coeffs(dofs)
-
-    def needs_refine(tc):
-        raw = mesh.barycentric(e, tc) @ C
-        if (raw.min() < disc.lo < raw.max()) or (raw.min() < disc.hi < raw.max()):
-            return True
-        if exact_status is not None:
-            pts = np.vstack([tc, 0.5 * (tc + np.roll(tc, 1, axis=0)),
-                             tc.mean(axis=0)])
-            st = exact_status(side, pts)
-            return st.max() != st.min()
-        return False
-
-    for t in tris:
-        pts, wts = refined_triangle_quadrature(t, bary, w, needs_refine, depth)
-        lam = mesh.barycentric(e, pts)
-        ev = exact.side(side)(pts[:, 0], pts[:, 1])
-        egx, egy = exact_grad.side(side)(pts[:, 0], pts[:, 1])
-        dv, dg = disc.values_and_grads(mesh, e, side, lam)
-        err_g = np.column_stack([egx, egy]) - dg
-        ex_g = np.column_stack([egx, egy])
-        _accumulate(acc, wts, ev - dv, err_g, ev, ex_g)
+        vals, active, dg = disc.evaluate(dofs[side], lam, grads)
+        ev = exact.side(side)(pts[..., 0], pts[..., 1])
+        gx, gy = exact_grad.side(side)(pts[..., 0], pts[..., 1])
+        eg = gx * n[:, None, 0] + gy * n[:, None, 1]
+        dgn = active * np.einsum("kd,kd->k", dg, n)[:, None]
+        err[side], ex[side] = (ev - vals, eg - dgn), (ev, eg)
+    k1, k2 = chords.k1[:, None], chords.k2[:, None]
+    terms = []
+    for (v1, g1), (v2, g2) in ((err[1], err[2]), (ex[1], ex[2])):
+        avg, jump = k1 * g1 + k2 * g2, v1 - v2
+        terms.append(np.sum(chords.h * np.sum(w * avg ** 2, axis=1)
+                            + np.sum(w * jump ** 2, axis=1) / chords.h))
+    return terms
 
 
 def compute_errors(problem, solution, mesh, cut_info, space, quad_degree=4,
                    seg_points=3, refine_depth=3):
     """L2, broken H1 and mesh-dependent norms of the control/state/co-state
-    errors, plus the matching exact-field norms for relative reporting."""
-    bounds = problem.bounds
+    errors, plus the matching exact-field norms for relative reporting.
+
+    Every side's integration cells are integrated once for all three
+    fields, batch by batch; for box-constrained problems the control
+    integrates the leaves of kink-adaptive refinement in place of the
+    cells its kinks cross.
+    """
+    spec = problem.load_refine(mesh, cut_info, refine_depth)
     specs = {
-        "u": _ClampedLinearField(space, solution.P, -1.0 / problem.a, bounds),
-        "y": _ClampedLinearField(space, solution.Y, 1.0, None),
-        "p": _ClampedLinearField(space, solution.P, 1.0, None),
+        "u": _ClampedLinearField(solution.P, -1.0 / problem.a, problem.bounds),
+        "y": _ClampedLinearField(solution.Y, 1.0, None),
+        "p": _ClampedLinearField(solution.P, 1.0, None),
     }
-    fields = {name: _field_errors(problem, name, disc, mesh, cut_info, space,
-                                  quad_degree, seg_points, refine_depth)
-              for name, disc in specs.items()}
+    sums = {name: np.zeros(4) for name in FIELDS}
+    for side in (1, 2):
+        for cells in cut_info.integration_cells(mesh, side).batches():
+            rule = _rule(mesh, space, cells, quad_degree)
+            for name, disc in specs.items():
+                if name == "u" and spec is not None:
+                    field_rule = _kink_refined(rule, cells, disc, spec, mesh,
+                                               cut_info, space, side,
+                                               quad_degree)
+                else:
+                    field_rule = rule
+                sums[name] += _volume_sums(
+                    getattr(problem, name).side(side),
+                    getattr(problem, f"grad_{name}").side(side), disc,
+                    field_rule)
+
+    chords = cut_info.chords
+    tri = mesh.triangles[chords.element]
+    rule = (*chords.quadrature(mesh, seg_points),
+            {1: space.dof1[tri], 2: space.dof2[tri]},
+            mesh.grad_bary[chords.element])
+    fields = {}
+    for name, disc in specs.items():
+        err_if, ex_if = _interface_sums(getattr(problem, name),
+                                        getattr(problem, f"grad_{name}"),
+                                        disc, chords, rule)
+        err_l2, err_h1, ex_l2, ex_h1 = sums[name]
+        fields[name] = FieldErrors(
+            l2=np.sqrt(err_l2), h1=np.sqrt(err_h1),
+            triple=np.sqrt(err_h1 + err_if), exact_l2=np.sqrt(ex_l2),
+            exact_h1=np.sqrt(ex_h1), exact_triple=np.sqrt(ex_h1 + ex_if))
     return ErrorReport(fields=fields, relative=problem.relative_errors)

@@ -18,9 +18,8 @@ from .mesh import ConfigurationError, triangle_area
 __all__ = ["LevelSet", "line_interface", "circle_interface", "ElementClass",
            "CutGeometry", "CutInfo", "GeometryError", "QuadRule",
            "compute_cut_geometry", "build_cut_info", "triangle_rule",
-           "map_rule_to_triangle", "segment_quadrature",
-           "refined_triangle_quadrature",
-           "total_interface_length", "write_integration_mesh_csv"]
+           "map_rule_to_triangle", "refined_triangle_quadrature",
+           "CellTable", "ChordTable", "write_integration_mesh_csv"]
 
 # vertices closer to the zero set than SNAP_REL * h count as subdomain-2
 # vertices, so chords never pass through mesh nodes
@@ -245,14 +244,113 @@ def compute_cut_geometry(mesh, levelset, element, signs=None):
 
 
 @dataclass
+class CellTable:
+    """Integration triangles: parent element (C,), side 1 or 2 (C,) and
+    vertex coordinates (C, 3, 2)."""
+
+    parent: np.ndarray
+    side: np.ndarray
+    coords: np.ndarray
+    BATCH = 16384     # cells per batch: bounds the per-point temporaries
+
+    def __len__(self):
+        return len(self.parent)
+
+    def __getitem__(self, rows):
+        return CellTable(self.parent[rows], self.side[rows], self.coords[rows])
+
+    def batches(self):
+        """The table in consecutive pieces of at most ``BATCH`` cells."""
+        return (self[i:i + self.BATCH] for i in range(0, len(self), self.BATCH))
+
+    @staticmethod
+    def concat(*tables):
+        return CellTable(*(np.concatenate([getattr(t, name) for t in tables])
+                           for name in ("parent", "side", "coords")))
+
+    def quadrature(self, mesh, degree):
+        """Points (C, q, 2), weights (C, q) and parent barycentric
+        coordinates (C, q, 3) of the degree-``degree`` rule on every cell."""
+        bary, w = triangle_rule(degree)
+        c = self.coords
+        pts = bary @ c
+        e0, e1 = c[:, 1] - c[:, 0], c[:, 2] - c[:, 0]
+        area = 0.5 * np.abs(e0[:, 0] * e1[:, 1] - e0[:, 1] * e1[:, 0])
+        return pts, area[:, None] * w, mesh.barycentric(self.parent, pts)
+
+    def refined(self, flags, needs_refine, depth):
+        """The table with every flagged cell replaced by the leaves of its
+        4-way midpoint subdivision, split level by level: at each level
+        ``needs_refine(cells)`` picks, for all current triangles at once,
+        the ones to split; after ``depth`` levels the rest are leaves."""
+        done, todo = [self[~flags]], self[flags]
+        for _ in range(depth):
+            split = needs_refine(todo)
+            done.append(todo[~split])
+            todo = CellTable(np.repeat(todo.parent[split], 4),
+                             np.repeat(todo.side[split], 4),
+                             _children(todo.coords[split]))
+        return CellTable.concat(*done, todo)
+
+
+def _children(coords):
+    """The four midpoint children (4C, 3, 2) of triangles (C, 3, 2), in
+    the order of ``refined_triangle_quadrature``."""
+    c0, c1, c2 = coords[:, 0], coords[:, 1], coords[:, 2]
+    m01, m12, m20 = 0.5 * (c0 + c1), 0.5 * (c1 + c2), 0.5 * (c2 + c0)
+    kids = ((c0, m01, m20), (m01, c1, m12), (m20, m12, c2), (m01, m12, m20))
+    return np.stack([np.stack(k, axis=1) for k in kids], 1).reshape(-1, 3, 2)
+
+
+@dataclass
+class ChordTable:
+    """The interface chords of the cut elements, stacked in element order:
+    end points q1, q2 (K, 2), unit normals (K, 2), area fractions k1, k2
+    (K,) and element diameters h (K,)."""
+
+    element: np.ndarray
+    q1: np.ndarray
+    q2: np.ndarray
+    normal: np.ndarray
+    k1: np.ndarray
+    k2: np.ndarray
+    h: np.ndarray
+
+    def quadrature(self, mesh, n_points):
+        """Gauss-Legendre points (K, n, 2), weights (K, n) and element
+        barycentric coordinates (K, n, 3) on every chord."""
+        if n_points < 2:
+            raise ConfigurationError("segment quadrature needs at least 2 points")
+        t, w = gauss_segment(n_points)
+        d = self.q2 - self.q1
+        pts = self.q1[:, None, :] + t[None, :, None] * d[:, None, :]
+        weights = np.sqrt((d ** 2).sum(axis=1))[:, None] * w
+        return pts, weights, mesh.barycentric(self.element, pts)
+
+
+@dataclass
 class CutInfo:
-    """Classification of all elements plus geometry of the cut ones."""
+    """Classification of all elements plus geometry of the cut ones: their
+    sub-triangles (``cells``, side 1 first) and chords (``chords``)."""
 
     classes: np.ndarray          # (T,) ElementClass values
     vertex_phi: np.ndarray       # (V,) raw level-set values
     vertex_sign: np.ndarray      # (V,) snapped signs
     cut_elements: np.ndarray     # indices of cut elements, increasing
     cuts: dict                   # element -> CutGeometry
+    cells: CellTable
+    chords: ChordTable
+
+    def integration_cells(self, mesh, side=None):
+        """Every integration cell (of ``side`` only, if given) in element
+        order: uncut elements whole, cut elements as their sub-triangles."""
+        uncut = np.flatnonzero(self.classes != int(ElementClass.CUT)
+                               if side is None else self.classes == side)
+        cut = self.cells if side is None else self.cells[self.cells.side == side]
+        cells = CellTable.concat(
+            CellTable(uncut, self.classes[uncut],
+                      mesh.vertices[mesh.triangles[uncut]]), cut)
+        return cells[np.argsort(cells.parent, kind="stable")]
 
 
 def build_cut_info(mesh, levelset):
@@ -270,8 +368,21 @@ def build_cut_info(mesh, levelset):
         except DegenerateCutError as exc:
             classes[e] = exc.side
     cut_elements = np.array(sorted(cuts), dtype=np.int64)
-    return CutInfo(classes=classes, vertex_phi=phi, vertex_sign=signs,
-                   cut_elements=cut_elements, cuts=cuts)
+    geoms = [cuts[int(e)] for e in cut_elements]
+    tris = [(cg.element, side, t) for cg in geoms
+            for side, ts in ((1, cg.tris1), (2, cg.tris2)) for t in ts]
+    cells = CellTable(np.array([e for e, _, _ in tris], dtype=np.int64),
+                      np.array([s for _, s, _ in tris], dtype=np.int8),
+                      np.array([t for _, _, t in tris]).reshape(-1, 3, 2))
+    per_chord = lambda name: np.array([getattr(cg, name) for cg in geoms])
+    edges = mesh.vertices[mesh.triangles[cut_elements]]
+    edges -= np.roll(edges, 1, axis=1)
+    chords = ChordTable(
+        cut_elements, per_chord("q1").reshape(-1, 2),
+        per_chord("q2").reshape(-1, 2), per_chord("normal").reshape(-1, 2),
+        per_chord("k1"), per_chord("k2"),
+        np.sqrt((edges ** 2).sum(axis=2)).max(axis=1, initial=0.0))
+    return CutInfo(classes, phi, signs, cut_elements, cuts, cells, chords)
 
 
 # ---------------------------------------------------------------------------
@@ -325,17 +436,6 @@ def gauss_segment(n_points):
     return _GAUSS_CACHE[n_points]
 
 
-def segment_quadrature(p0, p1, n_points):
-    """Gauss-Legendre rule on the segment [p0, p1]; weights sum to its length."""
-    if n_points < 2:
-        raise ConfigurationError("segment quadrature needs at least 2 points")
-    t, w = gauss_segment(n_points)
-    p0 = np.asarray(p0, dtype=float)
-    d = np.asarray(p1, dtype=float) - p0
-    pts = p0 + np.outer(t, d)
-    return QuadRule(points=pts, weights=w * np.linalg.norm(d))
-
-
 def refined_triangle_quadrature(coords, bary, weights, needs_refine,
                                 max_depth, collect=None):
     """Composite rule obtained by recursive 4-way midpoint subdivision.
@@ -363,30 +463,13 @@ def refined_triangle_quadrature(coords, bary, weights, needs_refine,
     return np.vstack(pts), np.hstack(wts)
 
 
-def total_interface_length(cut_info):
-    """Sum of chord lengths over all cut elements."""
-    return float(sum(cg.chord_length for cg in cut_info.cuts.values()))
-
-
 def write_integration_mesh_csv(path, mesh, cut_info, extra_tris=()):
-    """Dump the integration cells: whole uncut elements, the cut-element
-    sub-triangles, and any extra refinement triangles."""
+    """Dump the integration cells in element order (whole uncut elements,
+    the cut-element sub-triangles), then any extra refinement triangles."""
+    cells = cut_info.integration_cells(mesh)
     with open(path, "w") as fh:
         fh.write("element,side,x0,y0,x1,y1,x2,y2\n")
-
-        def emit(e, side, t):
+        for e, side, t in [*zip(cells.parent, cells.side, cells.coords),
+                           *extra_tris]:
             vals = ",".join(f"{v:.17e}" for v in np.asarray(t).ravel())
             fh.write(f"{e},{side},{vals}\n")
-
-        for e in range(mesh.num_triangles):
-            cls = cut_info.classes[e]
-            if cls == int(ElementClass.CUT):
-                cg = cut_info.cuts[e]
-                for t in cg.tris1:
-                    emit(e, 1, t)
-                for t in cg.tris2:
-                    emit(e, 2, t)
-            else:
-                emit(e, int(cls), mesh.tri_coords(e))
-        for e, side, t in extra_tris:
-            emit(e, side, t)

@@ -99,13 +99,16 @@ class Mesh:
         return self.vertices[self.triangles[e]]
 
     def barycentric(self, e, points):
-        """Barycentric coordinates of physical points inside element e."""
-        points = np.atleast_2d(points)
-        p0 = self.vertices[self.triangles[e, 0]]
-        lam12 = (points - p0) @ np.stack(
-            [self.grad_bary[e, 1], self.grad_bary[e, 2]], axis=1)
-        lam0 = 1.0 - lam12.sum(axis=1)
-        return np.column_stack([lam0, lam12])
+        """Barycentric coordinates of physical points inside elements: one
+        element e and points (n, 2) give (n, 3); parents (C,) and points
+        (C, q, 2) give (C, q, 3)."""
+        points = np.asarray(points, dtype=float)
+        if np.ndim(e) == 0:
+            points = np.atleast_2d(points)
+        p0 = self.vertices[self.triangles[e, 0]][..., None, :]
+        lam12 = (points - p0) @ np.swapaxes(self.grad_bary[e, 1:], -1, -2)
+        lam0 = 1.0 - lam12.sum(axis=-1, keepdims=True)
+        return np.concatenate([lam0, lam12], axis=-1)
 
 
 def build_uniform_mesh(domain, n):

@@ -18,7 +18,7 @@ from .interface_geometry import ElementClass, LevelSet, circle_interface, line_i
 from .mesh import ConfigurationError
 
 __all__ = ["PiecewiseField", "ManufacturedProblem", "build_example",
-           "build_smooth_problem", "flux_jump"]
+           "flux_jump"]
 
 
 class PiecewiseField:
@@ -106,20 +106,18 @@ class ManufacturedProblem:
 
         coords = mesh.vertices[mesh.triangles]        # (T, 3, 2)
         mask = np.zeros(mesh.num_triangles, dtype=bool)
-        for side in (1, 2):
+        for side, other in ((1, ElementClass.INTERIOR_2),
+                            (2, ElementClass.INTERIOR_1)):
             st = status_side(side, coords[..., 0], coords[..., 1])
-            varies = (st.max(axis=1) != st.min(axis=1))
-            if side == 1:
-                applies = cut_info.classes != int(ElementClass.INTERIOR_2)
-            else:
-                applies = cut_info.classes != int(ElementClass.INTERIOR_1)
-            mask |= varies & applies
+            mask |= (st.max(axis=1) != st.min(axis=1)) \
+                & (cut_info.classes != int(other))
 
         def pred(tc, side):
-            pts = np.vstack([tc, 0.5 * (tc + np.roll(tc, 1, axis=0)),
-                             tc.mean(axis=0)])
-            st = status_side(side, pts[:, 0], pts[:, 1])
-            return st.max() != st.min()
+            # vertices, edge midpoints and centroid of each (C, 3, 2) triangle
+            pts = np.concatenate([tc, 0.5 * (tc + np.roll(tc, 1, axis=1)),
+                                  tc.mean(axis=1, keepdims=True)], axis=1)
+            st = status_side(side, pts[..., 0], pts[..., 1])
+            return st.max(axis=1) != st.min(axis=1)
 
         return RefineSpec(mask=mask, pred=pred, depth=depth)
 
@@ -424,36 +422,3 @@ def build_example(example_id):
         return builders[int(example_id)]()
     except (KeyError, TypeError, ValueError):
         raise ConfigurationError(f"unknown example id {example_id!r}") from None
-
-
-def build_smooth_problem(a=1.0):
-    """Interface-free control problem on the unit square (degradation guard):
-    all fields are sine bubbles, the level set never enters the domain."""
-    levelset = circle_interface(1.0, center=(10.0, 10.0))
-    pi = np.pi
-
-    sig = lambda x, y: np.sin(pi * x) * np.sin(pi * y)
-
-    def grad_sig(x, y):
-        return (pi * np.cos(pi * x) * np.sin(pi * y),
-                pi * np.sin(pi * x) * np.cos(pi * y))
-
-    def grad_p(x, y):
-        gx, gy = grad_sig(x, y)
-        return (-a * gx, -a * gy)
-
-    f = lambda x, y: (2.0 * pi ** 2 - 1.0) * sig(x, y)
-    y_d = lambda x, y: (1.0 + 2.0 * pi ** 2 * a) * sig(x, y)
-    p = lambda x, y: -a * sig(x, y)
-
-    def both(fn):
-        return PiecewiseField(fn, fn)
-
-    return ManufacturedProblem(
-        name="smooth", domain=(0.0, 1.0, 0.0, 1.0), levelset=levelset,
-        alpha1=1.0, alpha2=1.0, a=a, lambda_coef=100.0, bounds=None,
-        y=both(sig), p=both(p), u=both(sig),
-        grad_y=both(grad_sig), grad_p=both(grad_p), grad_u=both(grad_sig),
-        f=both(f), y_d=both(y_d),
-        g=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
-        g_adj=None, control_arg=both(sig), relative_errors=True)

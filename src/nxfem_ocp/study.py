@@ -178,16 +178,21 @@ def run_convergence_study(config):
 
 
 def _progress_line(n, disc, sol, seconds):
-    """N, free dofs, solve wall time, and the MINRES iterations of each
-    saddle solve or the fixed-point sweeps."""
-    space = disc.space
+    """N, free dofs, cut elements, integration cells, smallest cut fraction
+    min(k1, k2), solve wall time, and the MINRES iterations of each saddle
+    solve or the fixed-point sweeps."""
+    space, info = disc.space, disc.cut_info
     free = space.n_dofs - len(space.dirichlet_dofs)
+    cut = len(info.cut_elements)
+    cells = disc.mesh.num_triangles - cut + len(info.cells)
+    frac = np.minimum(info.chords.k1, info.chords.k2).min(initial=np.inf)
     if sol.saddle_iterations:
         work = "minres_iterations=" + ",".join(map(str,
                                                    sol.saddle_iterations))
     else:
         work = f"fixed_point_sweeps={sol.iterations}"
-    return f"N={n} free_dofs={free} solve_s={seconds:.3f} {work}"
+    return (f"N={n} free_dofs={free} cut_elements={cut} cells={cells} "
+            f"min_cut_fraction={frac:.3e} solve_s={seconds:.3f} {work}")
 
 
 def _write_outputs(config, problem, result, disc, sol, n, log):
@@ -323,6 +328,7 @@ def extract_active_set_boundary(solution, a, bounds, mesh, cut_info, space):
                         space.dof1[mesh.triangles], space.dof2[mesh.triangles])
     uv = -solution.P[tri_dofs] / a
     vmin, vmax = uv.min(axis=1), uv.max(axis=1)
+    cells = cut_info.integration_cells(mesh)
     curves = {}
     for name, level in (("lower", lo), ("upper", hi)):
         if not np.isfinite(level):
@@ -334,28 +340,22 @@ def extract_active_set_boundary(solution, a, bounds, mesh, cut_info, space):
         slack = 1e-9 * (np.abs(uv).max() + abs(level))
         straddles = (vmin - level < slack) & (vmax - level > -slack)
         segments = []
-        for e in np.flatnonzero(straddles | cut):
-            e = int(e)
-            if cut[e]:
-                cg = cut_info.cuts[e]
-                patches = [(1, t) for t in cg.tris1] + [(2, t) for t in cg.tris2]
-            else:
-                patches = [(int(classes[e]), mesh.tri_coords(e))]
-            for side, tri in patches:
-                dofs = space.element_dofs(e, side)
-                coeffs = -solution.P[dofs] / a
-                vals = mesh.barycentric(e, tri) @ coeffs - level
-                seg = _triangle_contour(np.asarray(tri), vals)
-                if seg is not None:
-                    segments.append(seg)
+        keep = (straddles | cut)[cells.parent]
+        for e, side, tri in zip(cells.parent[keep], cells.side[keep],
+                                cells.coords[keep]):
+            coeffs = -solution.P[space.element_dofs(e, side)] / a
+            seg = _triangle_contour(tri, mesh.barycentric(e, tri) @ coeffs
+                                    - level)
+            if seg is not None:
+                segments.append(seg)
         curves[name] = _chain_segments(segments)
     return curves
 
 
 def interface_polylines(cut_info):
     """The chord train of the discretized interface as polylines."""
-    segments = [np.array([cg.q1, cg.q2]) for cg in cut_info.cuts.values()]
-    return _chain_segments(segments)
+    ch = cut_info.chords
+    return _chain_segments([np.array(seg) for seg in zip(ch.q1, ch.q2)])
 
 
 def write_activeset_csv(path, curves):

@@ -1,0 +1,63 @@
+"""Helpers that only the tests use: a two-sided nodal interpolant, the
+total chord length, and an interface-free control problem."""
+
+import numpy as np
+
+from nxfem_ocp.interface_geometry import circle_interface
+from nxfem_ocp.problems import ManufacturedProblem, PiecewiseField
+from nxfem_ocp.xfem_space import SIDE_BOTH
+
+
+def interpolate_two_sided(space, vertex_signs, f1, f2):
+    """Dof vector interpolating a two-sided field: doubled vertices take the
+    matching side value on each copy, plain vertices the value of the side
+    their (snapped) sign selects."""
+    mesh = space.mesh
+    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    v1 = np.asarray(f1(x, y), dtype=float)
+    v2 = np.asarray(f2(x, y), dtype=float)
+    vals = np.empty(space.n_dofs)
+    vertex = space.dof_vertex
+    side = space.dof_side
+    pick1 = (side == 1) | ((side == SIDE_BOTH) & (vertex_signs[vertex] < 0))
+    vals[pick1] = v1[vertex[pick1]]
+    vals[~pick1] = v2[vertex[~pick1]]
+    return vals
+
+
+def total_interface_length(cut_info):
+    """Sum of chord lengths over all cut elements."""
+    return float(sum(cg.chord_length for cg in cut_info.cuts.values()))
+
+
+def build_smooth_problem(a=1.0):
+    """Interface-free control problem on the unit square (degradation guard):
+    all fields are sine bubbles, the level set never enters the domain."""
+    levelset = circle_interface(1.0, center=(10.0, 10.0))
+    pi = np.pi
+
+    sig = lambda x, y: np.sin(pi * x) * np.sin(pi * y)
+
+    def grad_sig(x, y):
+        return (pi * np.cos(pi * x) * np.sin(pi * y),
+                pi * np.sin(pi * x) * np.cos(pi * y))
+
+    def grad_p(x, y):
+        gx, gy = grad_sig(x, y)
+        return (-a * gx, -a * gy)
+
+    f = lambda x, y: (2.0 * pi ** 2 - 1.0) * sig(x, y)
+    y_d = lambda x, y: (1.0 + 2.0 * pi ** 2 * a) * sig(x, y)
+    p = lambda x, y: -a * sig(x, y)
+
+    def both(fn):
+        return PiecewiseField(fn, fn)
+
+    return ManufacturedProblem(
+        name="smooth", domain=(0.0, 1.0, 0.0, 1.0), levelset=levelset,
+        alpha1=1.0, alpha2=1.0, a=a, lambda_coef=100.0, bounds=None,
+        y=both(sig), p=both(p), u=both(sig),
+        grad_y=both(grad_sig), grad_p=both(grad_p), grad_u=both(grad_sig),
+        f=both(f), y_d=both(y_d),
+        g=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
+        g_adj=None, control_arg=both(sig), relative_errors=True)

@@ -1,0 +1,428 @@
+"""Per-element reference implementations of the assembly and error-norm
+integrals.
+
+They walk every cut element (and every kink-flagged element) in Python,
+one sub-triangle and one chord at a time, with recursive kink refinement.
+``test_cell_table.py`` compares the package's batched integration-cell
+tables against them.
+"""
+
+import numpy as np
+import scipy.sparse as sp
+
+from nxfem_ocp.assembly import _MASS_BARY
+from nxfem_ocp.errors import ErrorReport, FieldErrors
+from nxfem_ocp.interface_geometry import (ElementClass, QuadRule,
+                                          gauss_segment, map_rule_to_triangle,
+                                          refined_triangle_quadrature,
+                                          triangle_rule)
+
+
+def segment_quadrature(p0, p1, n_points):
+    """Gauss-Legendre rule on the segment [p0, p1]; weights sum to its length."""
+    t, w = gauss_segment(n_points)
+    p0 = np.asarray(p0, dtype=float)
+    d = np.asarray(p1, dtype=float) - p0
+    return QuadRule(points=p0 + np.outer(t, d), weights=w * np.linalg.norm(d))
+
+
+def _side_funcs(f):
+    """Normalize a load callable: plain callables act on both sides."""
+    if f is None:
+        return None, None
+    if hasattr(f, "side"):
+        return f.side(1), f.side(2)
+    return f, f
+
+
+def _uncut_elements_by_side(cut_info):
+    cls = cut_info.classes
+    return (np.flatnonzero(cls == int(ElementClass.INTERIOR_1)),
+            np.flatnonzero(cls == int(ElementClass.INTERIOR_2)))
+
+
+def _chord_hat_integrals(mesh, cg, seg_points):
+    """(J_i, P_ij) = integrals of hats and hat products over the chord."""
+    rule = segment_quadrature(cg.q1, cg.q2, seg_points)
+    lam = mesh.barycentric(cg.element, rule.points)        # (nq, 3)
+    J = rule.weights @ lam
+    P = (lam * rule.weights[:, None]).T @ lam
+    return J, P
+
+
+def cut_element_matrices(mesh, cg, alpha1, alpha2, lam_penalty,
+                         quad_degree=4, seg_points=3):
+    """Local 6x6 stiffness and mass blocks of one cut element.
+
+    Dof order: side-1 copies of the three hats, then side-2 copies.
+    """
+    e = cg.element
+    grads = mesh.grad_bary[e]                  # (3, 2)
+    gg = grads @ grads.T
+    area = mesh.areas[e]
+
+    A = np.zeros((6, 6))
+    A[:3, :3] = alpha1 * cg.k1 * area * gg
+    A[3:, 3:] = alpha2 * cg.k2 * area * gg
+
+    # flux average against jump, both ways, plus the jump penalty
+    n = cg.normal
+    gn = grads @ n
+    D = np.concatenate([cg.k1 * alpha1 * gn, cg.k2 * alpha2 * gn])
+    Jhat, Phat = _chord_hat_integrals(mesh, cg, seg_points)
+    sigma = np.array([1.0] * 3 + [-1.0] * 3)
+    J = sigma * np.concatenate([Jhat, Jhat])
+    P = np.outer(sigma, sigma) * np.tile(Phat, (2, 2))
+    A += -np.outer(D, J) - np.outer(J, D) + lam_penalty * P
+
+    bary, w = triangle_rule(quad_degree)
+    M = np.zeros((6, 6))
+    for sl, tris in ((slice(0, 3), cg.tris1), (slice(3, 6), cg.tris2)):
+        block = np.zeros((3, 3))
+        for t in tris:
+            r = map_rule_to_triangle(t, bary, w)
+            lamq = mesh.barycentric(e, r.points)
+            block += (lamq * r.weights[:, None]).T @ lamq
+        M[sl, sl] = block
+    return A, M
+
+
+def _accumulate_uncut(mesh, space, cut_info, local_of_element):
+    """Vectorized assembly of per-element 3x3 blocks over uncut elements."""
+    rows, cols, vals = [], [], []
+    for side, els in zip((1, 2), _uncut_elements_by_side(cut_info)):
+        if len(els) == 0:
+            continue
+        dofs = (space.dof1 if side == 1 else space.dof2)[mesh.triangles[els]]
+        loc = local_of_element(side, els)                  # (E, 3, 3)
+        rows.append(np.repeat(dofs, 3, axis=1).ravel())
+        cols.append(np.tile(dofs, (1, 3)).ravel())
+        vals.append(loc.reshape(len(els), 9).ravel())
+    return rows, cols, vals
+
+
+def _cut_element_dofs(mesh, space, e):
+    tri = mesh.triangles[e]
+    return np.concatenate([space.dof1[tri], space.dof2[tri]])
+
+
+def loop_stiffness(mesh, cut_info, space, alpha1, alpha2, params,
+                   quad_degree=4, seg_points=3):
+    """Global matrix of the penalized interface form."""
+    lam_penalty = params.lam(mesh.h, alpha1, alpha2)
+
+    def local(side, els):
+        alpha = alpha1 if side == 1 else alpha2
+        g = mesh.grad_bary[els]
+        gg = np.einsum("eid,ejd->eij", g, g)
+        return alpha * mesh.areas[els][:, None, None] * gg
+
+    rows, cols, vals = _accumulate_uncut(mesh, space, cut_info, local)
+    for e in cut_info.cut_elements:
+        cg = cut_info.cuts[int(e)]
+        A_loc, _ = cut_element_matrices(mesh, cg, alpha1, alpha2, lam_penalty,
+                                        quad_degree, seg_points)
+        dofs = _cut_element_dofs(mesh, space, e)
+        rows.append(np.repeat(dofs, 6))
+        cols.append(np.tile(dofs, 6))
+        vals.append(A_loc.ravel())
+    S = space.n_dofs
+    A = sp.coo_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(S, S))
+    return A.tocsr()
+
+
+def loop_mass(mesh, cut_info, space, quad_degree=4):
+    """Global L2 mass matrix of the extended space."""
+
+    def local(side, els):
+        return mesh.areas[els][:, None, None] * _MASS_BARY[None, :, :]
+
+    rows, cols, vals = _accumulate_uncut(mesh, space, cut_info, local)
+    for e in cut_info.cut_elements:
+        cg = cut_info.cuts[int(e)]
+        _, M_loc = cut_element_matrices(mesh, cg, 1.0, 1.0, 0.0, quad_degree)
+        dofs = _cut_element_dofs(mesh, space, e)
+        rows.append(np.repeat(dofs, 6))
+        cols.append(np.tile(dofs, 6))
+        vals.append(M_loc.ravel())
+    S = space.n_dofs
+    M = sp.coo_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(S, S))
+    return M.tocsr()
+
+
+def _volume_load(vec, mesh, cut_info, space, func, quad_degree, refine):
+    """Add the volume inner product of ``func`` with every basis function."""
+    f1, f2 = _side_funcs(func)
+    bary, w = triangle_rule(quad_degree)
+    mask = refine.mask if refine is not None else None
+
+    for side, fs, els in zip((1, 2), (f1, f2),
+                             _uncut_elements_by_side(cut_info)):
+        if len(els) == 0:
+            continue
+        plain = els if mask is None else els[~mask[els]]
+        if len(plain):
+            coords = mesh.vertices[mesh.triangles[plain]]
+            pts = np.einsum("qi,eik->eqk", bary, coords)
+            fv = fs(pts[..., 0], pts[..., 1])
+            loads = np.einsum("eq,q,qi->ei", fv, w, bary) \
+                * mesh.areas[plain][:, None]
+            dofs = (space.dof1 if side == 1 else space.dof2)[mesh.triangles[plain]]
+            np.add.at(vec, dofs, loads)
+        flagged = [] if mask is None else els[mask[els]]
+        for e in flagged:
+            pts, wts = refined_triangle_quadrature(
+                mesh.tri_coords(e), bary, w,
+                lambda c: refine.pred(c[None], side)[0], refine.depth)
+            lamq = mesh.barycentric(e, pts)
+            fv = fs(pts[:, 0], pts[:, 1])
+            dofs = (space.dof1 if side == 1 else space.dof2)[mesh.triangles[e]]
+            np.add.at(vec, dofs, (wts * fv) @ lamq)
+
+    for e in cut_info.cut_elements:
+        e = int(e)
+        cg = cut_info.cuts[e]
+        tri = mesh.triangles[e]
+        for side, fs, tris, dofs in ((1, f1, cg.tris1, space.dof1[tri]),
+                                     (2, f2, cg.tris2, space.dof2[tri])):
+            for t in tris:
+                if refine is not None and refine.mask[e]:
+                    pts, wts = refined_triangle_quadrature(
+                        t, bary, w,
+                        lambda c, s=side: refine.pred(c[None], s)[0],
+                        refine.depth)
+                else:
+                    r = map_rule_to_triangle(t, bary, w)
+                    pts, wts = r.points, r.weights
+                lamq = mesh.barycentric(e, pts)
+                fv = fs(pts[:, 0], pts[:, 1])
+                np.add.at(vec, dofs, (wts * fv) @ lamq)
+
+
+def _interface_load(vec, mesh, cut_info, space, g, seg_points):
+    """Add the interface flux data with cross weights: side-1 traces are
+    weighted by k2, side-2 traces by k1."""
+    for e in cut_info.cut_elements:
+        e = int(e)
+        cg = cut_info.cuts[e]
+        rule = segment_quadrature(cg.q1, cg.q2, seg_points)
+        lamq = mesh.barycentric(e, rule.points)
+        gv = np.asarray(g(rule.points[:, 0], rule.points[:, 1]), dtype=float)
+        base = (rule.weights * gv) @ lamq
+        tri = mesh.triangles[e]
+        np.add.at(vec, space.dof1[tri], cg.k2 * base)
+        np.add.at(vec, space.dof2[tri], cg.k1 * base)
+
+
+def loop_load(mesh, cut_info, space, f=None, g=None, quad_degree=4,
+              seg_points=3, refine=None):
+    """Right-hand side vector with volume source f and interface flux
+    data g."""
+    vec = np.zeros(space.n_dofs)
+    if f is not None:
+        _volume_load(vec, mesh, cut_info, space, f, quad_degree, refine)
+    if g is not None:
+        _interface_load(vec, mesh, cut_info, space, g, seg_points)
+    return vec
+
+
+class _ClampedLinearField:
+    """Discrete field representable as clip(C . lambda, lo, hi) per side."""
+
+    def __init__(self, space, coeff_vec, scale, bounds):
+        self.space = space
+        self.vec = coeff_vec
+        self.scale = scale
+        self.lo, self.hi = (-np.inf, np.inf) if bounds is None else bounds
+
+    def coeffs(self, dofs):
+        return self.scale * self.vec[dofs]
+
+    def values_and_grads(self, mesh, e, side, lam_pts):
+        """Values (n,) and gradients (n, 2) at points given in barycentric
+        coordinates of element e."""
+        C = self.coeffs(self.space.element_dofs(e, side))
+        raw = lam_pts @ C
+        vals = np.clip(raw, self.lo, self.hi)
+        active = (raw > self.lo) & (raw < self.hi)
+        g = C @ mesh.grad_bary[e]
+        return vals, active[:, None] * g[None, :]
+
+    def status_varies(self, dofs_matrix):
+        """Per-element flag: does the clamp switch inside the element?"""
+        if not np.isfinite([self.lo, self.hi]).any():
+            return None
+        raw = self.scale * self.vec[dofs_matrix]
+        vmin, vmax = raw.min(axis=1), raw.max(axis=1)
+        return (((vmin < self.lo) & (self.lo < vmax))
+                | ((vmin < self.hi) & (self.hi < vmax)))
+
+
+def _element_diameters(mesh, elements):
+    coords = mesh.vertices[mesh.triangles[elements]]
+    edges = coords - np.roll(coords, 1, axis=1)
+    return np.sqrt((edges ** 2).sum(axis=2)).max(axis=1)
+
+
+def _accumulate(acc, w, err_vals, err_grads, exact_vals, exact_grads):
+    acc[0] += np.sum(w * err_vals ** 2)
+    acc[1] += np.sum(w * (err_grads ** 2).sum(axis=-1))
+    acc[2] += np.sum(w * exact_vals ** 2)
+    acc[3] += np.sum(w * (exact_grads ** 2).sum(axis=-1))
+
+
+def _field_errors(problem, field, disc, mesh, cut_info, space, quad_degree,
+                  seg_points, refine_depth):
+    exact = getattr(problem, field)
+    exact_grad = getattr(problem, f"grad_{field}")
+    bary, w = triangle_rule(quad_degree)
+    acc = [0.0, 0.0, 0.0, 0.0]          # err_l2^2, err_h1^2, exact versions
+
+    exact_status = None
+    if field == "u" and problem.bounds is not None:
+        def exact_status(side, pts):
+            return problem.clamp_status(
+                problem.control_arg.side(side)(pts[:, 0], pts[:, 1]))
+
+    # --- volume terms, uncut elements -------------------------------------
+    for side in (1, 2):
+        els = np.flatnonzero(cut_info.classes == side)
+        if len(els) == 0:
+            continue
+        dmap = space.dof1 if side == 1 else space.dof2
+        dofs = dmap[mesh.triangles[els]]
+        varies = disc.status_varies(dofs)
+        if varies is None:
+            varies = np.zeros(len(els), dtype=bool)
+        if exact_status is not None:
+            coords = mesh.vertices[mesh.triangles[els]]
+            st = exact_status(side, coords.reshape(-1, 2)).reshape(len(els), 3)
+            varies |= st.max(axis=1) != st.min(axis=1)
+
+        plain = els[~varies]
+        if len(plain):
+            C = disc.coeffs(dmap[mesh.triangles[plain]])
+            coords = mesh.vertices[mesh.triangles[plain]]
+            pts = np.einsum("qi,eik->eqk", bary, coords)
+            ev = exact.side(side)(pts[..., 0], pts[..., 1])
+            egx, egy = exact_grad.side(side)(pts[..., 0], pts[..., 1])
+            raw = C @ bary.T
+            dv = np.clip(raw, disc.lo, disc.hi)
+            active = (raw > disc.lo) & (raw < disc.hi)
+            dg = np.einsum("ei,eid->ed", C, mesh.grad_bary[plain])
+            wa = np.outer(mesh.areas[plain], w)
+            acc[0] += np.sum(wa * (ev - dv) ** 2)
+            acc[1] += np.sum(wa * ((egx - active * dg[:, None, 0]) ** 2
+                                   + (egy - active * dg[:, None, 1]) ** 2))
+            acc[2] += np.sum(wa * ev ** 2)
+            acc[3] += np.sum(wa * (egx ** 2 + egy ** 2))
+        for e in els[varies]:
+            _element_volume(acc, problem, exact, exact_grad, exact_status,
+                            disc, mesh, int(e), side,
+                            [mesh.tri_coords(int(e))], bary, w, refine_depth)
+
+    # --- volume terms, cut elements ----------------------------------------
+    for e in cut_info.cut_elements:
+        cg = cut_info.cuts[int(e)]
+        for side, tris in ((1, cg.tris1), (2, cg.tris2)):
+            _element_volume(acc, problem, exact, exact_grad, exact_status,
+                            disc, mesh, int(e), side, tris, bary, w,
+                            refine_depth)
+
+    # --- interface terms of the mesh-dependent norm ------------------------
+    iface_err = 0.0
+    iface_exact = 0.0
+    if len(cut_info.cut_elements):
+        h_T = _element_diameters(mesh, cut_info.cut_elements)
+        for ht, e in zip(h_T, cut_info.cut_elements):
+            cg = cut_info.cuts[int(e)]
+            rule = segment_quadrature(cg.q1, cg.q2, seg_points)
+            lam = mesh.barycentric(int(e), rule.points)
+            n = cg.normal
+            ev, eg, dv, dg = {}, {}, {}, {}
+            for side in (1, 2):
+                ev[side] = exact.side(side)(rule.points[:, 0], rule.points[:, 1])
+                gx, gy = exact_grad.side(side)(rule.points[:, 0],
+                                               rule.points[:, 1])
+                eg[side] = gx * n[0] + gy * n[1]
+                vals, grads = disc.values_and_grads(mesh, int(e), side, lam)
+                dv[side] = vals
+                dg[side] = grads @ n
+            jump_err = (ev[1] - dv[1]) - (ev[2] - dv[2])
+            avg_err = cg.k1 * (eg[1] - dg[1]) + cg.k2 * (eg[2] - dg[2])
+            jump_ex = ev[1] - ev[2]
+            avg_ex = cg.k1 * eg[1] + cg.k2 * eg[2]
+            iface_err += ht * np.sum(rule.weights * avg_err ** 2) \
+                + np.sum(rule.weights * jump_err ** 2) / ht
+            iface_exact += ht * np.sum(rule.weights * avg_ex ** 2) \
+                + np.sum(rule.weights * jump_ex ** 2) / ht
+
+    return FieldErrors(
+        l2=np.sqrt(acc[0]), h1=np.sqrt(acc[1]),
+        triple=np.sqrt(acc[1] + iface_err),
+        exact_l2=np.sqrt(acc[2]), exact_h1=np.sqrt(acc[3]),
+        exact_triple=np.sqrt(acc[3] + iface_exact))
+
+
+def _element_volume(acc, problem, exact, exact_grad, exact_status, disc,
+                    mesh, e, side, tris, bary, w, depth):
+    """Slow path: per-element integration with kink-adaptive refinement."""
+    dofs = disc.space.element_dofs(e, side)
+    C = disc.coeffs(dofs)
+
+    def needs_refine(tc):
+        raw = mesh.barycentric(e, tc) @ C
+        if (raw.min() < disc.lo < raw.max()) or (raw.min() < disc.hi < raw.max()):
+            return True
+        if exact_status is not None:
+            pts = np.vstack([tc, 0.5 * (tc + np.roll(tc, 1, axis=0)),
+                             tc.mean(axis=0)])
+            st = exact_status(side, pts)
+            return st.max() != st.min()
+        return False
+
+    for t in tris:
+        pts, wts = refined_triangle_quadrature(t, bary, w, needs_refine, depth)
+        lam = mesh.barycentric(e, pts)
+        ev = exact.side(side)(pts[:, 0], pts[:, 1])
+        egx, egy = exact_grad.side(side)(pts[:, 0], pts[:, 1])
+        dv, dg = disc.values_and_grads(mesh, e, side, lam)
+        err_g = np.column_stack([egx, egy]) - dg
+        ex_g = np.column_stack([egx, egy])
+        _accumulate(acc, wts, ev - dv, err_g, ev, ex_g)
+
+
+def loop_errors(problem, solution, mesh, cut_info, space, quad_degree=4,
+                seg_points=3, refine_depth=3):
+    """L2, broken H1 and mesh-dependent norms of the control/state/co-state
+    errors, plus the matching exact-field norms for relative reporting."""
+    bounds = problem.bounds
+    specs = {
+        "u": _ClampedLinearField(space, solution.P, -1.0 / problem.a, bounds),
+        "y": _ClampedLinearField(space, solution.Y, 1.0, None),
+        "p": _ClampedLinearField(space, solution.P, 1.0, None),
+    }
+    fields = {name: _field_errors(problem, name, disc, mesh, cut_info, space,
+                                  quad_degree, seg_points, refine_depth)
+              for name, disc in specs.items()}
+    return ErrorReport(fields=fields, relative=problem.relative_errors)
+
+
+def loop_integration_cells(mesh, cut_info):
+    """(element, side, coords) of every integration cell, walking the
+    elements in order: uncut elements whole, cut elements as their side-1
+    then side-2 sub-triangles."""
+    cells = []
+    for e in range(mesh.num_triangles):
+        cls = cut_info.classes[e]
+        if cls == int(ElementClass.CUT):
+            cg = cut_info.cuts[e]
+            cells += [(e, 1, t) for t in cg.tris1]
+            cells += [(e, 2, t) for t in cg.tris2]
+        else:
+            cells.append((e, int(cls), mesh.tri_coords(e)))
+    return cells

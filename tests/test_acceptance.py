@@ -17,15 +17,17 @@ import pytest
 from nxfem_ocp.assembly import NitscheParams, assemble_mass, assemble_stiffness
 from nxfem_ocp.errors import compute_errors
 from nxfem_ocp.interface_geometry import (build_cut_info, circle_interface,
-                                          total_interface_length, triangle_rule)
+                                          triangle_rule)
 from nxfem_ocp.mesh import build_uniform_mesh, triangle_area
-from nxfem_ocp.problems import build_example, build_smooth_problem
+from nxfem_ocp.problems import build_example
 from nxfem_ocp.solver import (_control_at_quadrature, project_control,
                               solve_constrained_fixed_point,
                               solve_constrained_ssn)
 from nxfem_ocp.study import RunConfig, discretize, run_convergence_study, \
     solve_discretized
 from nxfem_ocp.xfem_space import ExtendedSpace
+
+from helpers import build_smooth_problem, total_interface_length
 
 FULL_SWEEP = (16, 32, 64, 128, 256)
 

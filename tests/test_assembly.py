@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from nxfem_ocp.assembly import (NitscheParams, assemble_load, assemble_mass,
-                                assemble_stiffness, cut_element_matrices)
+                                assemble_stiffness)
 from nxfem_ocp.interface_geometry import (LevelSet, build_cut_info,
                                           circle_interface, line_interface)
 from nxfem_ocp.mesh import Mesh, build_uniform_mesh
 from nxfem_ocp.problems import build_example
 from nxfem_ocp.solver import ReducedSolver
 from nxfem_ocp.xfem_space import ExtendedSpace
+
+from helpers import interpolate_two_sided
+from oracles import cut_element_matrices
 
 FAR_AWAY = circle_interface(1.0, center=(10.0, 10.0))
 SEG_LS = line_interface(-np.sqrt(3) / 3, (6 + np.sqrt(6) - 2 * np.sqrt(3)) / 6)
@@ -68,6 +71,17 @@ def test_single_cut_element_against_symbolic_assembly():
     cg = info.cuts[0]
     alpha1, alpha2, lam_pen = 1.0, 100.0, 37.0
     A_loc, M_loc = cut_element_matrices(mesh, cg, alpha1, alpha2, lam_pen)
+    # the package's batched assembly gives the same blocks on this element
+    space = ExtendedSpace(mesh, info)
+    dofs = np.concatenate([space.dof1[mesh.triangles[0]],
+                           space.dof2[mesh.triangles[0]]])
+    params = NitscheParams(lam_pen * mesh.h / max(alpha1, alpha2))
+    A = assemble_stiffness(mesh, info, space, alpha1, alpha2, params)
+    M = assemble_mass(mesh, info, space)
+    assert np.allclose(A.toarray()[np.ix_(dofs, dofs)], A_loc, rtol=0,
+                       atol=1e-12 * np.abs(A_loc).max())
+    assert np.allclose(M.toarray()[np.ix_(dofs, dofs)], M_loc, rtol=0,
+                       atol=1e-12 * np.abs(M_loc).max())
 
     c1 = np.array([1.0, 2.0, 3.0])
     c2 = np.array([4.0, 5.0, 6.0])
@@ -217,7 +231,6 @@ def test_load_dof_vector_and_function_paths_agree():
     assert np.allclose(F_vec, M @ U, rtol=1e-14)
     smooth = lambda x, y: np.sin(x) * np.cos(y)
     F_fun = assemble_load(mesh, info, space, u_field=smooth)
-    from nxfem_ocp.xfem_space import interpolate_two_sided
     UI = interpolate_two_sided(space, info.vertex_sign, smooth, smooth)
     F_int = assemble_load(mesh, info, space, u_field=UI, mass=M)
     # quadrature vs interpolation differ by the interpolation error only
@@ -243,10 +256,11 @@ def test_adaptive_load_quadrature_resolves_kinks():
     mask = st.max(axis=1) != st.min(axis=1)
 
     def pred(tc, side):
-        pts = np.vstack([tc, 0.5 * (tc + np.roll(tc, 1, axis=0)),
-                         tc.mean(axis=0)])
-        s = status(pts[:, 0])
-        return s.max() != s.min()
+        # tc: (C, 3, 2) triangles; sample vertices, edge midpoints, centroid
+        pts = np.concatenate([tc, 0.5 * (tc + np.roll(tc, 1, axis=1)),
+                              tc.mean(axis=1, keepdims=True)], axis=1)
+        s = status(pts[..., 0])
+        return s.max(axis=1) != s.min(axis=1)
 
     refined = assemble_load(mesh, info, space, f=f,
                             refine=RefineSpec(mask=mask, pred=pred, depth=3))

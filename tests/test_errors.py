@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from nxfem_ocp.errors import compute_errors
-from nxfem_ocp.problems import build_example, build_smooth_problem
+from nxfem_ocp.problems import build_example
 from nxfem_ocp.solver import OcpSolution
 from nxfem_ocp.study import discretize, solve_discretized
-from nxfem_ocp.xfem_space import interpolate_two_sided
+
+from helpers import build_smooth_problem, interpolate_two_sided
 
 
 def interpolant_solution(problem, disc):

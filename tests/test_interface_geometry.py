@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from nxfem_ocp.interface_geometry import (DegenerateCutError, ElementClass,
-                                          GeometryError, LevelSet,
+                                          GeometryError, LevelSet, QuadRule,
                                           build_cut_info, circle_interface,
                                           compute_cut_geometry, line_interface,
                                           map_rule_to_triangle,
                                           refined_triangle_quadrature,
-                                          segment_quadrature,
-                                          snapped_vertex_signs,
-                                          total_interface_length, triangle_rule)
+                                          snapped_vertex_signs, triangle_rule)
 from nxfem_ocp.mesh import ConfigurationError, Mesh, build_uniform_mesh, triangle_area
+
+from helpers import total_interface_length
 
 # the reference-triangle cut used throughout: phi = x - y - 1/2
 FIG_LS = LevelSet(f=lambda x, y: x - y - 0.5,
@@ -191,8 +191,14 @@ def test_triangle_rules_exactness():
 
 
 def test_segment_quadrature():
+    # the chord rule of the reference cut, through the stacked chord table
+    mesh = reference_cut_mesh()
+    chords = build_cut_info(mesh, FIG_LS).chords
     p0, p1 = np.array([0.5, 0.0]), np.array([0.75, 0.25])
-    rule = segment_quadrature(p0, p1, 3)
+    assert np.allclose(chords.q1[0], p0) and np.allclose(chords.q2[0], p1)
+    pts, weights, lam = chords.quadrature(mesh, 3)
+    rule = QuadRule(points=pts[0], weights=weights[0])
+    assert np.allclose(lam[0], mesh.barycentric(0, pts[0]), rtol=0, atol=1e-15)
     length = np.sqrt(0.125)
     assert rule.weights.sum() == pytest.approx(length, rel=1e-14)
     const = rule.weights @ np.ones(len(rule.weights))
@@ -208,7 +214,7 @@ def test_segment_quadrature():
     t = (rule.points[:, 0] - 0.5) / 0.25
     assert rule.weights @ (t ** 5) == pytest.approx(length / 6.0, rel=1e-12)
     with pytest.raises(ConfigurationError):
-        segment_quadrature(p0, p1, 1)
+        chords.quadrature(mesh, 1)
 
 
 def test_interface_length_second_order():

@@ -3,7 +3,9 @@ import pytest
 
 from nxfem_ocp.interface_geometry import build_cut_info
 from nxfem_ocp.mesh import ConfigurationError, build_uniform_mesh
-from nxfem_ocp.problems import build_example, build_smooth_problem
+from nxfem_ocp.problems import build_example
+
+from helpers import build_smooth_problem
 
 FD_STEP = 1e-6
 

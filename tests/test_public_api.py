@@ -30,3 +30,13 @@ def test_package_imports_resolve():
     assert names
     missing = [n for n in names if not hasattr(nxfem_ocp, n)]
     assert not missing, f"nxfem_ocp does not provide {missing}"
+
+
+@pytest.mark.parametrize("module, name", [
+    ("xfem_space", "interpolate_two_sided"),
+    ("interface_geometry", "total_interface_length"),
+    ("problems", "build_smooth_problem"),
+])
+def test_test_only_helpers_stay_in_tests(module, name):
+    # these live in tests/helpers.py; the package keeps what it runs
+    assert not hasattr(importlib.import_module(f"nxfem_ocp.{module}"), name)

@@ -6,14 +6,16 @@ import scipy.sparse.linalg as spla
 from nxfem_ocp.assembly import assemble_load
 from nxfem_ocp.interface_geometry import build_cut_info, line_interface
 from nxfem_ocp.mesh import ConfigurationError, build_uniform_mesh
-from nxfem_ocp.problems import PiecewiseField, build_example, build_smooth_problem
+from nxfem_ocp.problems import PiecewiseField, build_example
 from nxfem_ocp.solver import (LinearSolverConfig, ReducedSolver, SolverError,
                               project_control, solve_constrained_fixed_point,
                               solve_constrained_ssn, solve_unconstrained_ocp,
                               _control_at_quadrature)
 from nxfem_ocp.study import discretize, solve_discretized
-from nxfem_ocp.xfem_space import ExtendedSpace, interpolate_two_sided
+from nxfem_ocp.xfem_space import ExtendedSpace
 from nxfem_ocp.interface_geometry import triangle_rule
+
+from helpers import build_smooth_problem, interpolate_two_sided
 
 
 def full_control_system(A, M, F1, F2, a, dirichlet_dofs, ybc_values):

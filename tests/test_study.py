@@ -12,7 +12,8 @@ from nxfem_ocp.solver import OcpSolution
 from nxfem_ocp.study import (RunConfig, discretize, extract_active_set_boundary,
                              interface_polylines, run_convergence_study,
                              solve_discretized)
-from nxfem_ocp.xfem_space import interpolate_two_sided
+
+from helpers import interpolate_two_sided
 
 R2 = np.sqrt(3) / 4
 
@@ -219,11 +220,21 @@ def test_cli_verbose_echoes_one_line_per_mesh(tmp_path, capsys):
     assert loud.out == quiet.out
     lines = loud.err.strip().splitlines()
     assert [line.split()[0] for line in lines] == ["N=8", "N=16"]
-    for line in lines:
+    problem = build_example(1)
+    for n, line in zip((8, 16), lines):
         fields = dict(item.split("=") for item in line.split())
         assert int(fields["free_dofs"]) > 0
         assert float(fields["solve_s"]) >= 0.0
         assert 0 < int(fields["minres_iterations"]) <= 30
+        # problem sizes and the smallest cut fraction, read from the tables
+        info = build_cut_info(build_uniform_mesh(problem.domain, n),
+                              problem.levelset)
+        cut = len(info.cut_elements)
+        assert int(fields["cut_elements"]) == cut > 0
+        assert int(fields["cells"]) == 2 * n * n - cut + len(info.cells)
+        frac = min(min(cg.k1, cg.k2) for cg in info.cuts.values())
+        assert float(fields["min_cut_fraction"]) == pytest.approx(frac,
+                                                                  rel=1e-3)
 
 
 def test_cli_constrained_with_dumps(tmp_path, capsys):

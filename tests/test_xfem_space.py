@@ -5,8 +5,10 @@ from nxfem_ocp.interface_geometry import (ElementClass, LevelSet,
                                           build_cut_info, circle_interface,
                                           line_interface)
 from nxfem_ocp.mesh import build_uniform_mesh
-from nxfem_ocp.xfem_space import (ExtendedSpace, interpolate_two_sided,
-                                  SIDE_BOTH)
+from nxfem_ocp.problems import build_example
+from nxfem_ocp.xfem_space import ExtendedSpace, SIDE_BOTH
+
+from helpers import interpolate_two_sided
 
 FAR_AWAY = circle_interface(1.0, center=(10.0, 10.0))
 
@@ -25,7 +27,8 @@ def eval_basis(space, element, side, point):
     sl = slice(0, 3) if side == 1 else slice(3, 6)
     values[sl] = lam
     g[sl] = grads
-    return space.cut_element_dofs(element), values, g
+    tri = mesh.triangles[element]
+    return np.concatenate([space.dof1[tri], space.dof2[tri]]), values, g
 
 
 def test_plain_space_without_cuts():
@@ -155,3 +158,45 @@ def test_condition_number_logged():
     cond = np.linalg.cond(A_ff)
     print(f"\nreduced stiffness condition estimate (N=16, circle): {cond:.3e}")
     assert np.isfinite(cond)
+
+
+@pytest.mark.parametrize("example", [1, 3])
+def test_dof_numbering_matches_vertex_loop(example):
+    problem = build_example(example)
+    mesh = build_uniform_mesh(problem.domain, 16)
+    info = build_cut_info(mesh, problem.levelset)
+    space = ExtendedSpace(mesh, info)
+    # vertex-major numbering, side-1 copy before side-2 copy
+    doubled = np.zeros(mesh.num_vertices, dtype=bool)
+    for e in info.cut_elements:
+        doubled[mesh.triangles[e]] = True
+    dof1 = np.empty(mesh.num_vertices, dtype=np.int64)
+    dof2 = np.empty(mesh.num_vertices, dtype=np.int64)
+    next_dof = 0
+    for v in range(mesh.num_vertices):
+        dof1[v] = next_dof
+        next_dof += 1
+        dof2[v] = next_dof if doubled[v] else dof1[v]
+        next_dof += int(doubled[v])
+    bnd = np.flatnonzero(mesh.boundary_vertex)
+    dirichlet = sorted(set(dof1[bnd].tolist()) | set(dof2[bnd].tolist()))
+    assert np.array_equal(space.doubled, doubled)
+    assert np.array_equal(space.dof1, dof1)
+    assert np.array_equal(space.dof2, dof2)
+    assert space.n_dofs == next_dof
+    assert space.dirichlet_dofs.tolist() == dirichlet
+    for dof in range(space.n_dofs):
+        v = space.dof_vertex[dof]
+        assert dof in (dof1[v], dof2[v])
+        expected = SIDE_BOTH if not doubled[v] else (1 if dof == dof1[v] else 2)
+        assert space.dof_side[dof] == expected
+    # boundary data: each dof takes its side's trace
+    dofs, vals = space.boundary_values(problem.y)
+    for dof, val in zip(dofs, vals):
+        v = space.dof_vertex[dof]
+        side = space.dof_side[dof]
+        if side == SIDE_BOTH:
+            side = 1 if info.vertex_sign[v] < 0 else 2
+        x, y = mesh.vertices[v]
+        assert val == pytest.approx(problem.y.side(side)(x, y), rel=1e-14,
+                                    abs=0.0)
