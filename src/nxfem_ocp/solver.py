@@ -9,7 +9,13 @@ its own unknowns: it is the pointwise clamp of -p/a.
 Every block system is solved by MINRES, preconditioned with
 blkdiag(a S^-1, S^-1), S = M + sqrt(a) A (Zulehner 2011; Pearson & Wathen
 2012).  The iteration count is bounded independently of h and a, and the
-one sparse factorization is that of S, the size of a single block.
+one sparse factorization is that of S, the size of a single block; the
+block operator itself is applied from its blocks, never assembled.
+
+Every sparse factorization (S, or A for the inner solves of the fixed
+point) takes one path: a geometric nested-dissection order of the free
+dofs (George 1973), computed once per Dirichlet reduction, and a
+symmetric factor without pivoting, whose pivots give the inertia.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .interface_geometry import (map_rule_to_triangle,
+from .interface_geometry import (ElementClass, map_rule_to_triangle,
                                  refined_triangle_quadrature, triangle_rule)
 from .mesh import ConfigurationError
 
@@ -64,21 +70,121 @@ class OcpSolution:
     # MINRES iterations and the relative true residuals of both block rows
     saddle_iterations: list = field(default_factory=list)
     saddle_residuals: list = field(default_factory=list)
+    factor_nnz: int = 0               # L+U nonzeros of the sparse factor
+
+
+ND_LEAF = 8     # parts of at most this many dofs are not split further
+
+
+def _nested_dissection(B, xy):
+    """Geometric nested-dissection order of the dofs of the symmetric
+    matrix B at points xy: ``order[k]`` is the dof eliminated k-th.
+
+    Each part is split at the median coordinate of the longer side of its
+    bounding box; the median line goes to the lower half.  The separator,
+    the lower-half dofs with a matrix neighbour in the upper half, is
+    ordered after both halves, so no entry of B couples the two halves.
+    Parts of at most ND_LEAF dofs, or with all dofs at one point, are not
+    split and keep their (x, y) order.  All parts of a level are split at
+    once: the unplaced dofs are held in two lists, grouped by part and
+    sorted by x and by y within each, and a split keeps both sorted by a
+    stable partition instead of a sort.
+    """
+    n = len(xy)
+    x, y = xy[:, 0], xy[:, 1]
+    pairs = sp.triu(B, k=1, format="coo")   # matrix neighbours, within a part
+    r, c = pairs.row.astype(np.int64), pairs.col.astype(np.int64)
+    order = np.empty(n, dtype=np.int64)
+    by_x, by_y = np.lexsort((y, x)), np.lexsort((x, y))
+    seg = np.array([0, n])       # part q is by_x[seg[q]:seg[q + 1]], and by_y
+    first = np.array([0])        # position of part q's first dof in the order
+    part = np.zeros(n, dtype=np.int64)
+    child = np.empty(n, dtype=np.int64)
+    upper = np.zeros(n, dtype=bool)
+    sep = np.zeros(n, dtype=bool)
+    while len(by_x):
+        lo, hi = seg[:-1], seg[1:] - 1
+        size = hi - lo + 1
+        x0, x1 = x[by_x[lo]], x[by_x[hi]]
+        y0, y1 = y[by_y[lo]], y[by_y[hi]]
+        wide = x1 - x0 >= y1 - y0
+        split = (size > ND_LEAF) & ((x1 > x0) | (y1 > y0))
+        cut = np.where(wide, x[by_x[lo + size // 2]], y[by_y[lo + size // 2]])
+        top = np.where(wide, x1, y1)
+        # a median at the top of the part would leave the upper half empty
+        cut = np.where(cut < top, cut, np.nextafter(top, -np.inf))
+        cut[~split] = np.inf
+        pl = part[by_x]
+        up = np.where(wide[pl], x[by_x], y[by_x]) > cut[pl]
+        upper[by_x] = up
+        sep[by_x] = False
+        sep[r[upper[c] & ~upper[r]]] = True
+        sep[c[upper[r] & ~upper[c]]] = True
+        on_sep = sep[by_x]
+        low = split[pl] & ~up & ~on_sep
+        nlow, nup, nsep = (np.bincount(pl[m], minlength=len(lo))
+                           for m in (low, up, on_sep))
+        # unsplit parts in list order, separators after both halves
+        i = np.flatnonzero(~split[pl])
+        order[first[pl[i]] + i - lo[pl[i]]] = by_x[i]
+        i = np.flatnonzero(on_sep)
+        q = pl[i]
+        order[first[q] + nlow[q] + nup[q] + np.arange(len(i))
+              - (np.cumsum(nsep) - nsep)[q]] = by_x[i]
+        # the halves of part q become parts 2q and 2q+1, empty ones dropped
+        child[by_x] = -1
+        child[by_x[low]] = 2 * pl[low]
+        child[by_x[up]] = 2 * pl[up] + 1
+        sizes = np.stack([nlow, nup], axis=1).ravel()
+        starts = np.cumsum(sizes) - sizes
+        keep = sizes > 0
+        first = np.stack([first, first + nlow], axis=1).ravel()[keep]
+        seg = np.append(starts[keep], sizes.sum())
+        by_x, by_y = (_partition(dofs, child, starts, nup)
+                      for dofs in (by_x, by_y))
+        part[by_x] = (np.cumsum(keep) - 1)[child[by_x]]
+        cr = child[r]
+        inside = (cr >= 0) & (cr == child[c])
+        r, c = r[inside], c[inside]
+    return order
+
+
+def _partition(dofs, child, starts, nup):
+    """Stable partition of a list of dofs grouped by part into the lists of
+    the children (label 2q for the lower half of part q, 2q+1 for the
+    upper one, -1 for none), which start at ``starts``."""
+    dofs = dofs[child[dofs] >= 0]
+    label = child[dofs]
+    is_up = label & 1
+    # upper-half dofs of the same part met before each entry
+    ups = np.cumsum(is_up) - is_up - (np.cumsum(nup) - nup)[label >> 1]
+    out = np.empty_like(dofs)
+    out[np.where(is_up == 1, starts[label] + ups,
+                 np.arange(len(dofs)) - ups)] = dofs
+    return out
 
 
 class ReducedSolver:
-    """Dirichlet reduction: the one split of the dofs into free and
-    constrained ones, with a lazily built factorization for SPD solves."""
+    """Dirichlet reduction: the one split of the dofs of an extended space
+    into free and constrained ones, and the one sparse factorization path
+    for SPD matrices on the free dofs."""
 
-    def __init__(self, A, dirichlet_dofs, config=LinearSolverConfig()):
+    def __init__(self, A, space, config=LinearSolverConfig()):
         self.A = A
         self.config = config
+        self.constrained = np.asarray(space.dirichlet_dofs, dtype=np.int64)
         mask = np.zeros(A.shape[0], dtype=bool)
-        mask[dirichlet_dofs] = True
-        self.constrained = np.asarray(dirichlet_dofs, dtype=np.int64)
+        mask[self.constrained] = True
         self.free = np.flatnonzero(~mask)
-        A_ff, self.A_fc = self._split(A)
-        self.A_ff = A_ff.tocsc()
+        self._points = space.mesh.vertices[space.dof_vertex[self.free]]
+        position = np.full(A.shape[0], -1)         # among the free dofs
+        position[self.free] = np.arange(len(self.free))
+        cut = space.mesh.triangles[space.classes == int(ElementClass.CUT)]
+        self._cut_dofs = position[np.concatenate([space.dof1[cut],
+                                                  space.dof2[cut]], axis=1)]
+        self.A_ff, self.A_fc = self._split(A)
+        self.factor_nnz = 0
+        self._order = None
         self._lu = None
         self._saddle_lu = None
 
@@ -86,6 +192,63 @@ class ReducedSolver:
         """Free/free and free/constrained blocks of a matrix on the dofs."""
         rows = B[self.free]
         return rows[:, self.free], rows[:, self.constrained]
+
+    def _factor(self, B):
+        """Solve with the SPD matrix B on the free dofs (the pattern of
+        A_ff), for right-hand sides of one or more columns.
+
+        B is permuted symmetrically to the nested-dissection order and
+        factored without pivoting, so U's diagonal holds the pivots of
+        B = L D L^T, and by Sylvester's law of inertia the non-positive
+        pivots count B's non-positive eigenvalues.  Reading U makes scipy
+        keep CSC copies of L and U as large as the factor, so the pivots
+        are counted, and SolverError raised, only once B is shown not to
+        be positive definite: by its principal block on some cut element,
+        where a too small interface penalty shows.
+        """
+        if self._order is None:
+            self._order = _nested_dissection(self.A_ff, self._points)
+        p = self._order
+        try:
+            lu = spla.splu(B[p][:, p].tocsc(), permc_spec="NATURAL",
+                           diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True})
+        except RuntimeError as exc:
+            raise SolverError(f"factorization failed: {exc}") from exc
+        if not np.array_equal(lu.perm_r, lu.perm_c):
+            raise SolverError("matrix is not positive definite: the "
+                              "factorization left the diagonal")
+        if not self._cut_blocks_definite(B):
+            bad = np.count_nonzero(lu.U.diagonal() <= 0.0)
+            if bad:
+                raise SolverError(f"matrix is not positive definite: {bad} "
+                                  "non-positive pivots")
+        self.factor_nnz = lu.nnz
+
+        def solve(b):
+            x = np.empty_like(b)
+            x[p] = lu.solve(b[p])
+            return x
+
+        return solve
+
+    def _cut_blocks_definite(self, B):
+        """Whether the principal blocks of B on the free dofs of every cut
+        element are positive definite, as they are if B is."""
+        dofs = self._cut_dofs
+        if len(dofs) == 0:
+            return True
+        free = dofs >= 0
+        i = np.where(free, dofs, 0)
+        blocks = np.asarray(B[np.repeat(i, 6, axis=1).ravel(),
+                              np.tile(i, (1, 6)).ravel()]).reshape(-1, 6, 6)
+        blocks = np.where(free[:, :, None] & free[:, None, :], blocks,
+                          np.eye(6))
+        try:
+            np.linalg.cholesky(blocks)
+        except np.linalg.LinAlgError:
+            return False
+        return True
 
     def solve(self, b, bc_values=None):
         """Solve with full-length right-hand side; ``bc_values`` holds the
@@ -96,11 +259,8 @@ class ReducedSolver:
         direct = self.config.method == "direct"
         if direct:
             if self._lu is None:
-                try:
-                    self._lu = spla.splu(self.A_ff)
-                except RuntimeError as exc:
-                    raise SolverError(f"factorization failed: {exc}") from exc
-            x_f = self._lu.solve(b_f)
+                self._lu = self._factor(self.A_ff)
+            x_f = self._lu(b_f)
         else:
             diag = self.A_ff.diagonal()
             diag = np.where(diag > 0.0, diag, 1.0)
@@ -126,18 +286,12 @@ class ReducedSolver:
         the optimality system this solver serves, and S does not depend on
         the active set."""
         if self._saddle_lu is None:
-            S = (M_ff + np.sqrt(a) * self.A_ff).tocsc()
-            try:
-                self._saddle_lu = spla.splu(
-                    S, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                    options={"SymmetricMode": True})
-            except RuntimeError as exc:
-                raise SolverError(f"factorization failed: {exc}") from exc
-        lu = self._saddle_lu
+            self._saddle_lu = self._factor(M_ff + np.sqrt(a) * self.A_ff)
+        solve = self._saddle_lu
         nf = len(self.free)
 
         def apply(v):
-            z = lu.solve(v.reshape(2, nf).T)        # p and y as two columns
+            z = solve(v.reshape(2, nf).T)          # p and y as two columns
             z[:, 0] *= a
             return z.T.ravel()
 
@@ -161,6 +315,19 @@ _CORRECTION_RTOL = 1e-6
 _MINRES_MAXITER = 500
 
 
+def _saddle_operator(red, MI_ff, M_ff, a):
+    """[[M_I/a, A], [A, -M]] on the free (p, y) dofs of ``red``, applied
+    block by block."""
+    nf = len(red.free)
+
+    def apply(x):
+        p, y = x[:nf], x[nf:]
+        return np.concatenate([MI_ff @ p / a + red.A_ff @ y,
+                               red.A_ff @ p - M_ff @ y])
+
+    return spla.LinearOperator((2 * nf, 2 * nf), matvec=apply, dtype=float)
+
+
 def _solve_saddle(red, MI_ff, M_ff, M_fc, load, F2, a, ybc_values):
     """Solve [[M_I/a, A], [A, -M]] (p, y) = (load, F2) on the free dofs of
     ``red``, with y prescribed on the Dirichlet dofs.
@@ -176,7 +343,7 @@ def _solve_saddle(red, MI_ff, M_ff, M_fc, load, F2, a, ybc_values):
     yb = np.asarray(ybc_values, dtype=float)
     free = red.free
     nf = len(free)
-    K = sp.bmat([[MI_ff / a, red.A_ff], [red.A_ff, -M_ff]], format="csr")
+    K = _saddle_operator(red, MI_ff, M_ff, a)
     rhs = np.concatenate([load[free] - red.A_fc @ yb,
                           F2[free] + M_fc @ yb])
     if not np.isfinite(rhs).all():
@@ -227,17 +394,19 @@ def _block_residuals(A, M, F1, F2, sol, control_term, free):
     return (np.linalg.norm(r1[free]) / s1, np.linalg.norm(r2[free]) / s2)
 
 
-def solve_unconstrained_ocp(A, M, F1, F2, a, dirichlet_dofs, ybc_values):
+def solve_unconstrained_ocp(A, M, F1, F2, a, space, ybc_values):
     """Coupled optimality system without control bounds: the control is
     eliminated via u = -p/a and the symmetric saddle system with M_I = M
-    is solved by preconditioned MINRES."""
-    red = ReducedSolver(A, dirichlet_dofs)
+    is solved by preconditioned MINRES.  ``space`` is the ExtendedSpace of
+    the matrices: its Dirichlet dofs and dof positions."""
+    red = ReducedSolver(A, space)
     M_ff, M_fc = red._split(M)
     P, Y, its, res = _solve_saddle(red, M_ff, M_ff, M_fc, F1, F2, a,
                                    ybc_values)
     U = -P / a
     sol = OcpSolution(Y=Y, P=P, a=a, bounds=None, U=U,
-                      saddle_iterations=[its], saddle_residuals=[res])
+                      saddle_iterations=[its], saddle_residuals=[res],
+                      factor_nnz=red.factor_nnz)
     sol.residual_state, sol.residual_costate = _block_residuals(
         A, M, F1, F2, sol, M @ U, red.free)
     return sol
@@ -365,7 +534,7 @@ def solve_constrained_fixed_point(mesh, cut_info, space, A, M, F1_base,
     lo, hi = bounds
     if lo > hi:
         raise ConfigurationError(f"empty control box [{lo}, {hi}]")
-    solver = ReducedSolver(A, space.dirichlet_dofs, config)
+    solver = ReducedSolver(A, space, config)
     bary, _ = triangle_rule(4)
     x0, x1, y0, y1 = mesh.domain
     sqrt_area = np.sqrt((x1 - x0) * (y1 - y0))
@@ -407,7 +576,8 @@ def solve_constrained_fixed_point(mesh, cut_info, space, A, M, F1_base,
         load = new_load
 
     sol = OcpSolution(Y=Y, P=P, a=a, bounds=bounds, iterations=iterations,
-                      converged=converged, control_diffs=diffs)
+                      converged=converged, control_diffs=diffs,
+                      factor_nnz=solver.factor_nnz)
     sol.residual_state, sol.residual_costate = _block_residuals(
         A, M, F1_base, F2_base, sol, new_load, solver.free)
     return sol
@@ -470,7 +640,7 @@ def solve_constrained_ssn(mesh, cut_info, space, A, M, F1_base, F2_base, a,
     declared when the active set stops changing.
     """
     lo, hi = bounds
-    red = ReducedSolver(A, space.dirichlet_dofs)
+    red = ReducedSolver(A, space)
     M_ff, M_fc = red._split(M)
     bary, _ = triangle_rule(4)
 
@@ -503,7 +673,7 @@ def solve_constrained_ssn(mesh, cut_info, space, A, M, F1_base, F2_base, a,
 
     sol = OcpSolution(Y=Y, P=P, a=a, bounds=bounds, iterations=iterations,
                       converged=converged, saddle_iterations=saddle_its,
-                      saddle_residuals=saddle_res)
+                      saddle_residuals=saddle_res, factor_nnz=red.factor_nnz)
     control_term = _control_load(mesh, cut_info, space, P, a, bounds)
     sol.residual_state, sol.residual_costate = _block_residuals(
         A, M, F1_base, F2_base, sol, control_term, red.free)

@@ -17,8 +17,8 @@ from .interface_geometry import (ElementClass, build_cut_info,
                                  write_integration_mesh_csv)
 from .mesh import ConfigurationError, build_uniform_mesh, write_mesh_csv
 from .problems import PiecewiseField, build_example
-from .solver import (LinearSolverConfig, solve_constrained_fixed_point,
-                     solve_unconstrained_ocp)
+from .solver import (LinearSolverConfig, SolverError,
+                     solve_constrained_fixed_point, solve_unconstrained_ocp)
 from .xfem_space import ExtendedSpace
 
 __all__ = ["RunConfig", "Discretization", "discretize", "solve_discretized",
@@ -108,8 +108,7 @@ def solve_discretized(problem, disc, solver="direct", tol=1e-10, max_iter=200,
     of the iteration."""
     if problem.bounds is None:
         return solve_unconstrained_ocp(disc.A, disc.M, disc.F1, disc.F2,
-                                       problem.a, disc.space.dirichlet_dofs,
-                                       disc.ybc_values)
+                                       problem.a, disc.space, disc.ybc_values)
     config = LinearSolverConfig(method=solver)
     return solve_constrained_fixed_point(
         disc.mesh, disc.cut_info, disc.space, disc.A, disc.M, disc.F1,
@@ -156,9 +155,13 @@ def run_convergence_study(config):
             disc = discretize(problem, n)
             log = [] if config.verbose else None
             start = time.perf_counter()
-            sol = solve_discretized(problem, disc, solver=config.solver,
-                                    tol=config.tol, max_iter=config.max_iter,
-                                    log=log)
+            try:
+                sol = solve_discretized(problem, disc, solver=config.solver,
+                                        tol=config.tol,
+                                        max_iter=config.max_iter, log=log)
+            except SolverError as exc:
+                raise SolverError(f"N={n}, lambda_coef={problem.lambda_coef:g}"
+                                  f": {exc}") from exc
             if config.verbose:
                 print(_progress_line(n, disc, sol,
                                      time.perf_counter() - start),
@@ -179,8 +182,8 @@ def run_convergence_study(config):
 
 def _progress_line(n, disc, sol, seconds):
     """N, free dofs, cut elements, integration cells, smallest cut fraction
-    min(k1, k2), solve wall time, and the MINRES iterations of each saddle
-    solve or the fixed-point sweeps."""
+    min(k1, k2), solve wall time, L+U nonzeros of the sparse factor, and
+    the MINRES iterations of each saddle solve or the fixed-point sweeps."""
     space, info = disc.space, disc.cut_info
     free = space.n_dofs - len(space.dirichlet_dofs)
     cut = len(info.cut_elements)
@@ -192,7 +195,8 @@ def _progress_line(n, disc, sol, seconds):
     else:
         work = f"fixed_point_sweeps={sol.iterations}"
     return (f"N={n} free_dofs={free} cut_elements={cut} cells={cells} "
-            f"min_cut_fraction={frac:.3e} solve_s={seconds:.3f} {work}")
+            f"min_cut_fraction={frac:.3e} solve_s={seconds:.3f} "
+            f"factor_nnz={sol.factor_nnz} {work}")
 
 
 def _write_outputs(config, problem, result, disc, sol, n, log):

@@ -1,14 +1,19 @@
 """Per-element reference implementations of the assembly and error-norm
-integrals.
+integrals, and reference forms of the solver's ordering, factor and saddle
+operator.
 
-They walk every cut element (and every kink-flagged element) in Python,
-one sub-triangle and one chord at a time, with recursive kink refinement.
-``test_cell_table.py`` compares the package's batched integration-cell
-tables against them.
+The integrals walk every cut element (and every kink-flagged element) in
+Python, one sub-triangle and one chord at a time, with recursive kink
+refinement.  ``test_cell_table.py`` compares the package's batched
+integration-cell tables against them; ``test_solver.py`` compares the
+solver's level-by-level nested dissection, its matrix-free saddle operator
+and its factor against the recursion, the assembled block matrix and the
+COLAMD factor at the end of this module.
 """
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from nxfem_ocp.assembly import _MASS_BARY
 from nxfem_ocp.errors import ErrorReport, FieldErrors
@@ -16,6 +21,7 @@ from nxfem_ocp.interface_geometry import (ElementClass, QuadRule,
                                           gauss_segment, map_rule_to_triangle,
                                           refined_triangle_quadrature,
                                           triangle_rule)
+from nxfem_ocp.solver import ND_LEAF
 
 
 def segment_quadrature(p0, p1, n_points):
@@ -426,3 +432,44 @@ def loop_integration_cells(mesh, cut_info):
         else:
             cells.append((e, int(cls), mesh.tri_coords(e)))
     return cells
+
+
+def nested_dissection_splits(B, xy):
+    """The solver's nested-dissection order by per-part recursion, and every
+    split it makes as (lower half without its separator, upper half)."""
+    coo = sp.coo_matrix(B)
+    pattern = sp.csr_matrix((np.ones(coo.nnz), (coo.row, coo.col)),
+                            shape=B.shape)
+    pattern = pattern + pattern.T
+    x, y = xy[:, 0], xy[:, 1]
+    splits = []
+
+    def visit(dofs):
+        by_xy = dofs[np.lexsort((y[dofs], x[dofs]))]
+        if len(dofs) <= ND_LEAF:
+            return [by_xy]
+        dx, dy = np.ptp(x[dofs]), np.ptp(y[dofs])
+        if dx == dy == 0.0:
+            return [by_xy]
+        c = x[dofs] if dx >= dy else y[dofs]
+        cut = np.sort(c)[len(dofs) // 2]
+        upper = c >= cut if cut == c.max() else c > cut
+        low, up = dofs[~upper], dofs[upper]
+        touches = np.asarray(pattern[low][:, up].sum(axis=1)).ravel() > 0
+        sep = low[touches]
+        splits.append((low[~touches], up))
+        return (visit(low[~touches]) + visit(up)
+                + [by_xy[np.isin(by_xy, sep)]])
+
+    return np.concatenate(visit(np.arange(len(xy)))), splits
+
+
+def saddle_matrix(red, MI_ff, M_ff, a):
+    """The assembled block matrix [[M_I/a, A], [A, -M]] on the free dofs."""
+    return sp.bmat([[MI_ff / a, red.A_ff], [red.A_ff, -M_ff]], format="csr")
+
+
+def colamd_factor(red, B):
+    """``ReducedSolver._factor`` as it was before nested dissection: SuperLU
+    with its default COLAMD order and partial pivoting."""
+    return spla.splu(sp.csc_matrix(B)).solve

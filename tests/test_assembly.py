@@ -275,7 +275,7 @@ def test_dirichlet_zero_and_constant_consistency():
     # reproduces the constant (the form annihilates constants)
     problem = build_example(1)
     mesh, info, space, A = setup(problem, 8)
-    red = ReducedSolver(A, space.dirichlet_dofs)
+    red = ReducedSolver(A, space)
     zero = np.zeros(space.n_dofs)
     for cval, tol in ((0.0, 1e-12), (0.7, 1e-10)):
         x = red.solve(zero, np.full(len(space.dirichlet_dofs), cval))
@@ -298,7 +298,7 @@ def test_dirichlet_boundary_interpolation_matches_exact():
 def test_modified_system_keeps_symmetry():
     problem = build_example(2)
     mesh, info, space, A = setup(problem, 8)
-    A_ff = ReducedSolver(A, space.dirichlet_dofs).A_ff
+    A_ff = ReducedSolver(A, space).A_ff
     diff = (A_ff - A_ff.T).tocoo()
     assert (np.abs(diff.data).max() if diff.nnz else 0.0) \
         <= 1e-12 * np.abs(A_ff.data).max()
@@ -310,7 +310,7 @@ def test_galerkin_residual_of_state_solve():
     F = assemble_load(mesh, info, space, f=problem.f, g=problem.g,
                       u_field=problem.u)
     _, ybc = space.boundary_values(problem.y)
-    Y = ReducedSolver(A, space.dirichlet_dofs).solve(F, ybc)
+    Y = ReducedSolver(A, space).solve(F, ybc)
     mask = np.ones(space.n_dofs, dtype=bool)
     mask[space.dirichlet_dofs] = False
     # apply the boundary coupling before measuring the residual

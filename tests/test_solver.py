@@ -5,16 +5,18 @@ import scipy.sparse.linalg as spla
 
 from nxfem_ocp.assembly import assemble_load
 from nxfem_ocp.interface_geometry import build_cut_info, line_interface
-from nxfem_ocp.mesh import ConfigurationError, build_uniform_mesh
+from nxfem_ocp.mesh import ConfigurationError, Mesh, build_uniform_mesh
 from nxfem_ocp.problems import PiecewiseField, build_example
 from nxfem_ocp.solver import (LinearSolverConfig, ReducedSolver, SolverError,
                               project_control, solve_constrained_fixed_point,
                               solve_constrained_ssn, solve_unconstrained_ocp,
-                              _control_at_quadrature)
+                              _control_at_quadrature, _nested_dissection,
+                              _saddle_operator)
 from nxfem_ocp.study import discretize, solve_discretized
 from nxfem_ocp.xfem_space import ExtendedSpace
 from nxfem_ocp.interface_geometry import triangle_rule
 
+import oracles
 from helpers import build_smooth_problem, interpolate_two_sided
 
 
@@ -46,7 +48,7 @@ def full_control_system(A, M, F1, F2, a, dirichlet_dofs, ybc_values):
 def test_zero_rhs_gives_zero():
     problem = build_example(1)
     disc = discretize(problem, 8)
-    x = ReducedSolver(disc.A, disc.space.dirichlet_dofs).solve(
+    x = ReducedSolver(disc.A, disc.space).solve(
         np.zeros(disc.space.n_dofs))
     assert np.all(x == 0.0)
 
@@ -72,7 +74,7 @@ def test_piecewise_linear_exactness():
                            NitscheParams(10.0))
     F = assemble_load(mesh, info, space, g=g)
     _, ybc = space.boundary_values(PiecewiseField(y1, y2))
-    Y = ReducedSolver(A, space.dirichlet_dofs).solve(F, ybc)
+    Y = ReducedSolver(A, space).solve(F, ybc)
     exact = interpolate_two_sided(space, info.vertex_sign, y1, y2)
     assert np.abs(Y - exact).max() <= 1e-10
 
@@ -81,11 +83,11 @@ def test_unconstrained_decoupled_limit():
     # target chosen as the plain state solution: co-state and control vanish
     problem = build_smooth_problem()
     disc = discretize(problem, 8)
-    Y0 = ReducedSolver(disc.A, disc.space.dirichlet_dofs).solve(
+    Y0 = ReducedSolver(disc.A, disc.space).solve(
         disc.F1, disc.ybc_values)
     F2 = -(disc.M @ Y0)
     sol = solve_unconstrained_ocp(disc.A, disc.M, disc.F1, F2, problem.a,
-                                  disc.space.dirichlet_dofs, disc.ybc_values)
+                                  disc.space, disc.ybc_values)
     assert np.abs(sol.P).max() <= 1e-10 * max(1.0, np.abs(Y0).max())
     assert np.abs(sol.U).max() <= 1e-8
     assert np.abs(sol.Y - Y0).max() <= 1e-9 * max(1.0, np.abs(Y0).max())
@@ -95,8 +97,7 @@ def test_unconstrained_residuals_and_identity():
     problem = build_example(1)
     disc = discretize(problem, 16)
     sol = solve_unconstrained_ocp(disc.A, disc.M, disc.F1, disc.F2,
-                                  problem.a, disc.space.dirichlet_dofs,
-                                  disc.ybc_values)
+                                  problem.a, disc.space, disc.ybc_values)
     assert sol.residual_state <= 1e-9
     assert sol.residual_costate <= 1e-9
     assert np.array_equal(sol.U, -sol.P / problem.a)
@@ -107,10 +108,10 @@ def test_unconstrained_residuals_and_identity():
 def test_full_and_reduced_block_forms_agree():
     problem = build_example(1)
     disc = discretize(problem, 8)
-    args = (disc.A, disc.M, disc.F1, disc.F2, problem.a,
-            disc.space.dirichlet_dofs, disc.ybc_values)
-    red = solve_unconstrained_ocp(*args)
-    Y, P = full_control_system(*args)
+    args = (disc.A, disc.M, disc.F1, disc.F2, problem.a)
+    red = solve_unconstrained_ocp(*args, disc.space, disc.ybc_values)
+    Y, P = full_control_system(*args, disc.space.dirichlet_dofs,
+                               disc.ybc_values)
     scale = np.abs(red.Y).max()
     assert np.abs(red.Y - Y).max() <= 1e-9 * scale
     assert np.abs(red.P - P).max() <= 1e-9 * scale
@@ -136,8 +137,7 @@ def test_fixed_point_with_inactive_bounds_matches_unconstrained():
     problem = build_example(2)
     disc = discretize(problem, 16)
     unc = solve_unconstrained_ocp(disc.A, disc.M, disc.F1, disc.F2,
-                                  problem.a, disc.space.dirichlet_dofs,
-                                  disc.ybc_values)
+                                  problem.a, disc.space, disc.ybc_values)
     sol = solve_constrained_fixed_point(
         disc.mesh, disc.cut_info, disc.space, disc.A, disc.M, disc.F1,
         disc.F2, problem.a, (-1e6, 1e6), disc.ybc_values)
@@ -187,8 +187,7 @@ def test_ssn_inactive_bounds_reproduce_unconstrained():
     problem = build_example(2)
     disc = discretize(problem, 8)
     unc = solve_unconstrained_ocp(disc.A, disc.M, disc.F1, disc.F2,
-                                  problem.a, disc.space.dirichlet_dofs,
-                                  disc.ybc_values)
+                                  problem.a, disc.space, disc.ybc_values)
     sol = solve_constrained_ssn(disc.mesh, disc.cut_info, disc.space, disc.A,
                                 disc.M, disc.F1, disc.F2, problem.a,
                                 (-1e6, 1e6), disc.ybc_values)
@@ -238,7 +237,7 @@ def test_solver_error_reports_residual():
         # CG on an incompatible singular system must flag non-convergence
         S = disc.space.n_dofs
         singular = sp.csr_matrix((S, S))
-        ReducedSolver(singular, disc.space.dirichlet_dofs,
+        ReducedSolver(singular, disc.space,
                       LinearSolverConfig(method="cg", cg_max_iter=5)) \
             .solve(np.ones(S))
 
@@ -269,4 +268,109 @@ def test_non_finite_load_raises():
     F1[disc.space.n_dofs // 2] = np.nan
     with pytest.raises(SolverError):
         solve_unconstrained_ocp(disc.A, disc.M, F1, disc.F2, problem.a,
-                                disc.space.dirichlet_dofs, disc.ybc_values)
+                                disc.space, disc.ybc_values)
+
+
+def _perturbed_mesh(n, seed):
+    """A ``Mesh.from_arrays`` mesh: the uniform triangulation with every
+    interior vertex moved by up to 0.3 h, so no two share a coordinate."""
+    mesh = build_uniform_mesh((0.0, 1.0, 0.0, 1.0), n)
+    rng = np.random.default_rng(seed)
+    shift = rng.uniform(-0.3, 0.3, mesh.vertices.shape) / n
+    shift[mesh.boundary_vertex] = 0.0
+    return Mesh.from_arrays(mesh.vertices + shift, mesh.triangles)
+
+
+def _vertex_pattern(mesh):
+    """Vertex adjacency of a mesh, the pattern of its P1 matrices."""
+    tri = mesh.triangles
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    return sp.csr_matrix((np.ones(len(rows)), (rows, cols)),
+                         shape=(mesh.num_vertices,) * 2)
+
+
+def _nd_cases():
+    mesh = _perturbed_mesh(24, 5)
+    yield "from_arrays", _vertex_pattern(mesh), mesh.vertices
+    for example in (1, 3):
+        disc = discretize(build_example(example), 32)
+        red = ReducedSolver(disc.A, disc.space)
+        yield f"ex{example}", red.A_ff, red._points
+
+
+@pytest.mark.parametrize("case", list(_nd_cases()), ids=lambda c: c[0])
+def test_nested_dissection_separates_every_split(case):
+    _, B, xy = case
+    order = _nested_dissection(B, xy)
+    assert np.array_equal(np.sort(order), np.arange(B.shape[0]))
+    assert np.array_equal(order, _nested_dissection(B, xy))
+    ref, splits = oracles.nested_dissection_splits(B, xy)
+    assert np.array_equal(order, ref)
+    assert len(splits) > 20
+    for low, up in splits:
+        # no stored entry, not even an explicit zero, couples the halves
+        assert B[low][:, up].nnz == 0
+
+
+@pytest.mark.parametrize("example", [1, 3])
+def test_nested_dissection_fill_at_most_mmd(example):
+    problem = build_example(example)
+    disc = discretize(problem, 64)
+    red = ReducedSolver(disc.A, disc.space)
+    M_ff, _ = red._split(disc.M)
+    S = M_ff + np.sqrt(problem.a) * red.A_ff
+    red._factor(S)
+    mmd = spla.splu(S.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    assert 0 < red.factor_nnz <= mmd.nnz
+
+
+def test_saddle_operator_matches_assembled_blocks():
+    problem = build_example(2)
+    disc = discretize(problem, 16)
+    red = ReducedSolver(disc.A, disc.space)
+    M_ff, _ = red._split(disc.M)
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(2 * len(red.free))
+    # all of M (unconstrained), and M without a random half of the dofs as
+    # on an inactive set (Newton)
+    keep = sp.diags((rng.uniform(size=M_ff.shape[0]) < 0.5).astype(float))
+    for MI_ff in (M_ff, keep @ M_ff @ keep):
+        want = oracles.saddle_matrix(red, MI_ff, M_ff, problem.a) @ x
+        got = _saddle_operator(red, MI_ff, M_ff, problem.a) @ x
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_fixed_point_matches_the_colamd_factor(monkeypatch):
+    problem = build_example(2)
+    disc = discretize(problem, 32)
+    sol = solve_discretized(problem, disc)
+    assert sol.factor_nnz > 0
+    monkeypatch.setattr(ReducedSolver, "_factor", oracles.colamd_factor)
+    ref = solve_discretized(problem, disc)
+    assert sol.iterations == ref.iterations
+    for got, want in ((sol.Y, ref.Y), (sol.P, ref.P)):
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def test_inertia_guard_counts_negative_eigenvalues():
+    # a penalty far below the examples' makes the interface form indefinite
+    problem = build_example(3)
+    problem.lambda_coef = 10.0
+    disc = discretize(problem, 16)
+    red = ReducedSolver(disc.A, disc.space)
+    M_ff, _ = red._split(disc.M)
+    S = M_ff + np.sqrt(problem.a) * red.A_ff
+    for B in (S, red.A_ff):
+        neg = np.count_nonzero(np.linalg.eigvalsh(B.toarray()) <= 0.0)
+        assert neg == 4
+        with pytest.raises(SolverError,
+                           match=f"not positive definite: {neg} non-positive"):
+            ReducedSolver(disc.A, disc.space)._factor(B)
+    with pytest.raises(SolverError, match="not positive definite: 4 "):
+        solve_discretized(problem, disc)
+    with pytest.raises(SolverError, match="not positive definite: 4 "):
+        solve_constrained_fixed_point(
+            disc.mesh, disc.cut_info, disc.space, disc.A, disc.M, disc.F1,
+            disc.F2, problem.a, (-1e6, 1e6), disc.ybc_values)

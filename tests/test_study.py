@@ -226,6 +226,9 @@ def test_cli_verbose_echoes_one_line_per_mesh(tmp_path, capsys):
         assert int(fields["free_dofs"]) > 0
         assert float(fields["solve_s"]) >= 0.0
         assert 0 < int(fields["minres_iterations"]) <= 30
+        # L+U nonzeros of the factor of S, as the solution records them
+        sol = solve_discretized(problem, discretize(problem, n))
+        assert int(fields["factor_nnz"]) == sol.factor_nnz > 0
         # problem sizes and the smallest cut fraction, read from the tables
         info = build_cut_info(build_uniform_mesh(problem.domain, n),
                               problem.levelset)
@@ -253,6 +256,17 @@ def test_cli_constrained_with_dumps(tmp_path, capsys):
     itlines = (base / "iterations_n8.csv").read_text().strip().splitlines()
     assert itlines[0] == "iteration,control_diff,residual_state,residual_costate"
     assert len(itlines) >= 3
+
+
+def test_cli_rejects_an_indefinite_system(tmp_path, capsys):
+    # a penalty far below example 3's makes the interface form indefinite
+    # on the first mesh; the solve used to return its answer regardless
+    rc = main(["solve", "--example", "3", "--n-list", "16,32,64,128",
+               "--lambda-coef", "10", "--out", str(tmp_path / "run5")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    assert err == ("error: N=16, lambda_coef=10: matrix is not positive "
+                   "definite: 4 non-positive pivots")
 
 
 def test_cli_overrides_and_errors(tmp_path):
