@@ -5,7 +5,7 @@ from .assembly import (NitscheParams, assemble_load, assemble_mass,
                        assemble_stiffness)
 from .errors import ErrorReport, compute_errors
 from .interface_geometry import (CutGeometry, CutInfo, ElementClass, LevelSet,
-                                 QuadRule, build_cut_info, circle_interface,
+                                 build_cut_info, circle_interface,
                                  compute_cut_geometry, line_interface)
 from .mesh import Mesh, build_uniform_mesh, triangle_area
 from .problems import ManufacturedProblem, PiecewiseField, build_example

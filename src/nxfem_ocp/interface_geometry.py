@@ -16,10 +16,9 @@ import numpy as np
 from .mesh import ConfigurationError, triangle_area
 
 __all__ = ["LevelSet", "line_interface", "circle_interface", "ElementClass",
-           "CutGeometry", "CutInfo", "GeometryError", "QuadRule",
-           "compute_cut_geometry", "build_cut_info", "triangle_rule",
-           "map_rule_to_triangle", "refined_triangle_quadrature",
-           "CellTable", "ChordTable", "write_integration_mesh_csv"]
+           "CutGeometry", "CutInfo", "GeometryError", "compute_cut_geometry",
+           "build_cut_info", "triangle_rule", "CellTable", "ChordTable",
+           "write_integration_mesh_csv"]
 
 # vertices closer to the zero set than SNAP_REL * h count as subdomain-2
 # vertices, so chords never pass through mesh nodes
@@ -272,17 +271,23 @@ class CellTable:
         """Points (C, q, 2), weights (C, q) and parent barycentric
         coordinates (C, q, 3) of the degree-``degree`` rule on every cell."""
         bary, w = triangle_rule(degree)
+        pts = bary @ self.coords
+        return (pts, self.areas()[:, None] * w,
+                mesh.barycentric(self.parent, pts))
+
+    def areas(self):
+        """Area of every cell (C,)."""
         c = self.coords
-        pts = bary @ c
         e0, e1 = c[:, 1] - c[:, 0], c[:, 2] - c[:, 0]
-        area = 0.5 * np.abs(e0[:, 0] * e1[:, 1] - e0[:, 1] * e1[:, 0])
-        return pts, area[:, None] * w, mesh.barycentric(self.parent, pts)
+        return 0.5 * np.abs(e0[:, 0] * e1[:, 1] - e0[:, 1] * e1[:, 0])
 
     def refined(self, flags, needs_refine, depth):
         """The table with every flagged cell replaced by the leaves of its
         4-way midpoint subdivision, split level by level: at each level
         ``needs_refine(cells)`` picks, for all current triangles at once,
-        the ones to split; after ``depth`` levels the rest are leaves."""
+        the ones to split; after ``depth`` levels the rest are leaves.
+        This resolves the curved kinks of exact fields; the straight kinks
+        of the discrete clamp are cut exactly by ``clip``."""
         done, todo = [self[~flags]], self[flags]
         for _ in range(depth):
             split = needs_refine(todo)
@@ -292,10 +297,57 @@ class CellTable:
                              _children(todo.coords[split]))
         return CellTable.concat(*done, todo)
 
+    def clip(self, values, level):
+        """Split every cell along the zero line of the linear function with
+        vertex values ``values - level`` (C, 3).
+
+        A cell whose values straddle the level is cut at the two edges at
+        its lone vertex (the one on its side of the line alone) into the
+        triangle at that vertex and two triangles for the rest.  Any other
+        cell stays whole, above the level if one of its values is, so a
+        vertex at the level counts as below.  Returns the pieces in cell
+        order, their vertex values (the level at the new vertices), whether
+        each lies above the level, the cell each comes from, and the chords
+        (K, 2, 2), end points in edge order, of the cut cells without a
+        vertex at the level, in cell order.
+        """
+        v = values - level
+        split = (v.min(axis=1) < 0.0) & (v.max(axis=1) > 0.0)
+        rows = np.flatnonzero(split)
+        up = v[rows] > 0.0
+        lone_up = up.sum(axis=1) == 1
+        lone = (up == lone_up[:, None]).argmax(axis=1)
+        turn = (rows[:, None], (lone[:, None] + np.arange(3)) % 3)
+        a, b, d = np.moveaxis(self.coords[turn], 1, 0)    # lone vertex a
+        va, vb, vd = v[turn].T
+        # the crossings of the edges a -> b and d -> a, in the cell's order
+        qab = a + (va / (va - vb))[:, None] * (b - a)
+        qda = d + (vd / (vd - va))[:, None] * (a - d)
+        parts = np.stack([np.stack(t, axis=1) for t in
+                          ((a, qab, qda), (qab, b, d), (qab, d, qda))], 1)
+        wa, wb, wd = values[turn].T
+        lvl = np.full(len(rows), level)
+        vals = np.stack([np.stack(t, axis=1) for t in
+                         ((wa, lvl, lvl), (lvl, wb, wd), (lvl, wd, lvl))], 1)
+        whole = np.flatnonzero(~split)
+        source = np.concatenate([whole, np.repeat(rows, 3)])
+        order = np.argsort(source, kind="stable")
+        pieces = CellTable(self.parent[source], self.side[source],
+                           np.concatenate([self.coords[whole],
+                                           parts.reshape(-1, 3, 2)]))[order]
+        above = np.concatenate([v[whole].max(axis=1) > 0.0,
+                                np.stack([lone_up, ~lone_up, ~lone_up],
+                                         1).ravel()])[order]
+        vals = np.concatenate([values[whole], vals.reshape(-1, 3)])[order]
+        crossed = (v[rows] * v[rows][:, [1, 2, 0]] < 0.0).sum(axis=1) == 2
+        chords = np.where((lone == 0)[:, None, None], np.stack([qab, qda], 1),
+                          np.stack([qda, qab], 1))[crossed]
+        return pieces, vals, above, source[order], chords
+
 
 def _children(coords):
-    """The four midpoint children (4C, 3, 2) of triangles (C, 3, 2), in
-    the order of ``refined_triangle_quadrature``."""
+    """The four midpoint children (4C, 3, 2) of triangles (C, 3, 2): the
+    three corner triangles, then the middle one."""
     c0, c1, c2 = coords[:, 0], coords[:, 1], coords[:, 2]
     m01, m12, m20 = 0.5 * (c0 + c1), 0.5 * (c1 + c2), 0.5 * (c2 + c0)
     kids = ((c0, m01, m20), (m01, c1, m12), (m20, m12, c2), (m01, m12, m20))
@@ -389,14 +441,6 @@ def build_cut_info(mesh, levelset):
 # quadrature
 # ---------------------------------------------------------------------------
 
-@dataclass
-class QuadRule:
-    """Physical quadrature points and weights; weights sum to the measure."""
-
-    points: np.ndarray           # (n, 2)
-    weights: np.ndarray          # (n,)
-
-
 def triangle_rule(degree):
     """Symmetric reference rule in barycentric coordinates.
 
@@ -419,13 +463,6 @@ def triangle_rule(degree):
     return bary, w
 
 
-def map_rule_to_triangle(coords, bary, weights):
-    """Map a barycentric rule onto a physical triangle."""
-    coords = np.asarray(coords, dtype=float)
-    pts = bary @ coords
-    return QuadRule(points=pts, weights=weights * triangle_area(coords))
-
-
 _GAUSS_CACHE = {}
 
 
@@ -436,40 +473,14 @@ def gauss_segment(n_points):
     return _GAUSS_CACHE[n_points]
 
 
-def refined_triangle_quadrature(coords, bary, weights, needs_refine,
-                                max_depth, collect=None):
-    """Composite rule obtained by recursive 4-way midpoint subdivision.
-
-    ``needs_refine(coords)`` decides, per (sub-)triangle, whether to split
-    again; leaves receive the base rule.  ``collect`` optionally gathers the
-    leaf triangles.
-    """
-    coords = np.asarray(coords, dtype=float)
-    if max_depth <= 0 or not needs_refine(coords):
-        if collect is not None:
-            collect.append(coords)
-        r = map_rule_to_triangle(coords, bary, weights)
-        return r.points, r.weights
-    m01 = 0.5 * (coords[0] + coords[1])
-    m12 = 0.5 * (coords[1] + coords[2])
-    m20 = 0.5 * (coords[2] + coords[0])
-    pts, wts = [], []
-    for child in ([coords[0], m01, m20], [m01, coords[1], m12],
-                  [m20, m12, coords[2]], [m01, m12, m20]):
-        p, w = refined_triangle_quadrature(np.array(child), bary, weights,
-                                           needs_refine, max_depth - 1, collect)
-        pts.append(p)
-        wts.append(w)
-    return np.vstack(pts), np.hstack(wts)
-
-
-def write_integration_mesh_csv(path, mesh, cut_info, extra_tris=()):
+def write_integration_mesh_csv(path, mesh, cut_info, extra=None):
     """Dump the integration cells in element order (whole uncut elements,
-    the cut-element sub-triangles), then any extra refinement triangles."""
+    the cut-element sub-triangles), then the cells of the table ``extra``."""
     cells = cut_info.integration_cells(mesh)
+    if extra is not None:
+        cells = CellTable.concat(cells, extra)
     with open(path, "w") as fh:
         fh.write("element,side,x0,y0,x1,y1,x2,y2\n")
-        for e, side, t in [*zip(cells.parent, cells.side, cells.coords),
-                           *extra_tris]:
-            vals = ",".join(f"{v:.17e}" for v in np.asarray(t).ravel())
+        for e, side, t in zip(cells.parent, cells.side, cells.coords):
+            vals = ",".join(f"{v:.17e}" for v in t.ravel())
             fh.write(f"{e},{side},{vals}\n")

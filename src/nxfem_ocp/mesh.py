@@ -94,10 +94,6 @@ class Mesh:
     def num_triangles(self):
         return len(self.triangles)
 
-    def tri_coords(self, e):
-        """Coordinates of element e, shape (3, 2)."""
-        return self.vertices[self.triangles[e]]
-
     def barycentric(self, e, points):
         """Barycentric coordinates of physical points inside elements: one
         element e and points (n, 2) give (n, 3); parents (C,) and points

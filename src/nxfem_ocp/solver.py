@@ -4,7 +4,13 @@ The unconstrained problem is solved as one symmetric 2x2 block system in
 (co-state, state); the box-constrained problem by the projected fixed-point
 iteration (state solve, co-state solve, clamp update) or, alternatively, by
 a primal-dual active-set / semismooth Newton loop.  The control never gets
-its own unknowns: it is the pointwise clamp of -p/a.
+its own unknowns: it is the pointwise clamp of -p/a (Hinze's variational
+discretization).  For P1 co-states -p/a is linear on every integration
+cell, so the clamp's kinks are straight: the cells are clipped exactly at
+both bounds (``CellTable.clip``), and on every piece the control is a
+bound or -p/a, which a degree-2 rule integrates exactly against hats and
+hat products.  The control load, the Newton step's inactive mass and
+active load, and the integration-mesh dump all come from these pieces.
 
 Every block system is solved by MINRES, preconditioned with
 blkdiag(a S^-1, S^-1), S = M + sqrt(a) A (Zulehner 2011; Pearson & Wathen
@@ -26,8 +32,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .interface_geometry import (ElementClass, map_rule_to_triangle,
-                                 refined_triangle_quadrature, triangle_rule)
+from .assembly import _csr, _hat_products
+from .interface_geometry import CellTable, ElementClass, triangle_rule
 from .mesh import ConfigurationError
 
 __all__ = ["SolverError", "LinearSolverConfig", "OcpSolution", "ReducedSolver",
@@ -425,99 +431,56 @@ def project_control(p_values, a, u_a, u_b):
 # box-constrained drivers
 # ---------------------------------------------------------------------------
 
-def _clamp_crossing(vals, lo, hi):
-    vmin, vmax = vals.min(), vals.max()
-    return (vmin < lo < vmax) or (vmin < hi < vmax)
-
-
-def _control_load(mesh, cut_info, space, P, a, bounds, quad_degree=4,
-                  depth=3, collect=None):
-    """Inner products of clamp(-p/a) with all basis functions.
-
-    The clamped field is linear on every element side, so bound crossings
-    are detected exactly from the vertex values; crossing cells get the
-    recursively refined rule.
-    """
+def _clamped_pieces(mesh, cut_info, space, P, a, bounds):
+    """The integration cells clipped at both bounds, so that on every piece
+    the control clamp(-p/a) is lo, -p/a or hi: the pieces, the index of
+    the cell each comes from, and the control's status on each: -1 (lo),
+    0 (-p/a) or 1 (hi).  Where -p/a equals a bound the control counts as
+    clamped (the upper clip is of p/a at -hi)."""
     lo, hi = bounds
-    bary, w = triangle_rule(quad_degree)
-    vec = np.zeros(space.n_dofs)
-    classes = cut_info.classes
-    for side, dmap in ((1, space.dof1), (2, space.dof2)):
-        els = np.flatnonzero(classes == side)
-        if len(els) == 0:
-            continue
-        dofs = dmap[mesh.triangles[els]]
-        uv = -P[dofs] / a                                   # (E, 3) vertex values
-        vmin, vmax = uv.min(axis=1), uv.max(axis=1)
-        crossing = ((vmin < lo) & (lo < vmax)) | ((vmin < hi) & (hi < vmax))
-        plain = els[~crossing]
-        pdofs = dmap[mesh.triangles[plain]]
-        vals = np.clip((-P[pdofs] / a) @ bary.T, lo, hi)    # (E, nq)
-        loads = np.einsum("eq,q,qi->ei", vals, w, bary) \
-            * mesh.areas[plain][:, None]
-        np.add.at(vec, pdofs, loads)
-        for e in els[crossing]:
-            _control_load_element(vec, mesh, space, int(e), side, P, a, lo, hi,
-                                  bary, w, [mesh.tri_coords(e)], depth, collect)
-
-    for e in cut_info.cut_elements:
-        e = int(e)
-        cg = cut_info.cuts[e]
-        for side, tris in ((1, cg.tris1), (2, cg.tris2)):
-            _control_load_element(vec, mesh, space, e, side, P, a, lo, hi,
-                                  bary, w, tris, depth, collect)
-    return vec
+    cells = cut_info.integration_cells(mesh)
+    pieces, z, up, source, _ = cells.clip(space.cell_values(cells, -P / a),
+                                          lo)
+    rest, _, inside, src, _ = pieces[up].clip(-z[up], -hi)
+    return (CellTable.concat(pieces[~up], rest),
+            np.concatenate([source[~up], source[up][src]]),
+            np.concatenate([np.full(np.count_nonzero(~up), -1),
+                            np.where(inside, 0, 1)]))
 
 
-def _control_load_element(vec, mesh, space, e, side, P, a, lo, hi, bary, w,
-                          tris, depth, collect=None):
-    dofs = space.element_dofs(e, side)
-    coeffs = -P[dofs] / a
-
-    def linear_on(pts):
-        return mesh.barycentric(e, pts) @ coeffs
-
-    def needs_refine(tc):
-        return _clamp_crossing(linear_on(tc), lo, hi)
-
-    leaves = None if collect is None else []
-    for t in tris:
-        pts, wts = refined_triangle_quadrature(t, bary, w, needs_refine, depth,
-                                               collect=leaves)
-        lamq = mesh.barycentric(e, pts)
-        vals = np.clip(lamq @ coeffs, lo, hi)
-        np.add.at(vec, dofs, (wts * vals) @ lamq)
-    if collect is not None:
-        collect.extend((e, side, t) for t in leaves)
+def _clamped_rule(mesh, cut_info, space, P, a, bounds):
+    """Weights (P, 3), parent barycentrics (P, 3, 3), dofs (P, 3), control
+    values (P, 3) and status (P,) of the degree-2 rule on the clamped
+    pieces.  The control is linear or constant on each piece, so the rule
+    integrates it against a hat, and a hat product, exactly."""
+    lo, hi = bounds
+    pieces, _, status = _clamped_pieces(mesh, cut_info, space, P, a, bounds)
+    _, w, lam = pieces.quadrature(mesh, 2)
+    dofs = space.cell_dofs(pieces)
+    u = np.einsum("cqi,ci->cq", lam, -P[dofs] / a)
+    u[status < 0] = lo
+    u[status > 0] = hi
+    return w, lam, dofs, u, status
 
 
-def _control_at_quadrature(mesh, cut_info, space, P, a, bounds, bary):
-    """Control values at the standard volume quadrature points, together
-    with the quadrature weights (used for the stopping measure)."""
+def _control_load(mesh, cut_info, space, P, a, bounds):
+    """Inner products of clamp(-p/a) with all basis functions."""
+    w, lam, dofs, u, _ = _clamped_rule(mesh, cut_info, space, P, a, bounds)
+    return np.bincount(dofs.ravel(), np.einsum("cq,cqi->ci", w * u,
+                                               lam).ravel(),
+                       minlength=space.n_dofs)
+
+
+def _control_at_quadrature(mesh, cut_info, space, P, a, bounds):
+    """Control values and weights at the degree-4 points of every
+    integration cell (the fixed point's stopping measure and the Newton
+    status)."""
     lo, hi = (-np.inf, np.inf) if bounds is None else bounds
-    vals, wts = [], []
-    _, w = triangle_rule(4)
-    classes = cut_info.classes
-    for side, dmap in ((1, space.dof1), (2, space.dof2)):
-        els = np.flatnonzero(classes == side)
-        if len(els) == 0:
-            continue
-        dofs = dmap[mesh.triangles[els]]
-        v = np.clip((-P[dofs] / a) @ bary.T, lo, hi)
-        vals.append(v.ravel())
-        wts.append((np.outer(mesh.areas[els], w)).ravel())
-    for e in cut_info.cut_elements:
-        e = int(e)
-        cg = cut_info.cuts[e]
-        for side, tris in ((1, cg.tris1), (2, cg.tris2)):
-            dofs = space.element_dofs(e, side)
-            coeffs = -P[dofs] / a
-            for t in tris:
-                r = map_rule_to_triangle(t, bary, w)
-                lamq = mesh.barycentric(e, r.points)
-                vals.append(np.clip(lamq @ coeffs, lo, hi))
-                wts.append(r.weights)
-    return np.concatenate(vals), np.concatenate(wts)
+    cells = cut_info.integration_cells(mesh)
+    bary, w = triangle_rule(4)
+    # -p/a is linear on every cell: its vertex values give the samples
+    z = space.cell_values(cells, -P / a) @ bary.T
+    return np.clip(z, lo, hi).ravel(), np.outer(cells.areas(), w).ravel()
 
 
 def solve_constrained_fixed_point(mesh, cut_info, space, A, M, F1_base,
@@ -534,8 +497,9 @@ def solve_constrained_fixed_point(mesh, cut_info, space, A, M, F1_base,
     lo, hi = bounds
     if lo > hi:
         raise ConfigurationError(f"empty control box [{lo}, {hi}]")
+    if max_iter < 1:
+        raise ConfigurationError(f"max_iter must be at least 1, got {max_iter}")
     solver = ReducedSolver(A, space, config)
-    bary, _ = triangle_rule(4)
     x0, x1, y0, y1 = mesh.domain
     sqrt_area = np.sqrt((x1 - x0) * (y1 - y0))
 
@@ -556,7 +520,7 @@ def solve_constrained_fixed_point(mesh, cut_info, space, A, M, F1_base,
         # probe and as next sweep's state load
         new_load = _control_load(mesh, cut_info, space, P, a, bounds)
         u_now, w = _control_at_quadrature(mesh, cut_info, space, P, a,
-                                          bounds, bary)
+                                          bounds)
         if u_prev is None:
             diff = np.inf
         else:
@@ -583,50 +547,18 @@ def solve_constrained_fixed_point(mesh, cut_info, space, A, M, F1_base,
     return sol
 
 
-def _active_mass_and_load(mesh, cut_info, space, P, a, bounds, quad_degree=4,
-                          depth=3):
+def _active_mass_and_load(mesh, cut_info, space, P, a, bounds):
     """Mass matrix restricted to the inactive set plus the load carried by
     the active (clamped) region, classified from the current co-state."""
-    lo, hi = bounds
-    bary, w = triangle_rule(quad_degree)
-    S = space.n_dofs
-    rows, cols, vals = [], [], []
-    b_act = np.zeros(S)
-
-    def handle(e, side, tris):
-        dofs = space.element_dofs(e, side)
-        coeffs = -P[dofs] / a
-
-        def needs_refine(tc):
-            return _clamp_crossing(mesh.barycentric(e, tc) @ coeffs, lo, hi)
-
-        for t in tris:
-            pts, wts = refined_triangle_quadrature(t, bary, w, needs_refine,
-                                                   depth)
-            lamq = mesh.barycentric(e, pts)
-            z = lamq @ coeffs
-            inactive = (z > lo) & (z < hi)
-            wi = wts * inactive
-            loc = (lamq * wi[:, None]).T @ lamq
-            rows.append(np.repeat(dofs, 3))
-            cols.append(np.tile(dofs, 3))
-            vals.append(loc.ravel())
-            clamped = np.where(z <= lo, lo, np.where(z >= hi, hi, 0.0))
-            clamped[inactive] = 0.0
-            np.add.at(b_act, dofs, (wts * clamped) @ lamq)
-
-    classes = cut_info.classes
-    for side in (1, 2):
-        for e in np.flatnonzero(classes == side):
-            handle(int(e), side, [mesh.tri_coords(int(e))])
-    for e in cut_info.cut_elements:
-        cg = cut_info.cuts[int(e)]
-        handle(int(e), 1, cg.tris1)
-        handle(int(e), 2, cg.tris2)
-
-    M_inact = sp.coo_matrix((np.concatenate(vals),
-                             (np.concatenate(rows), np.concatenate(cols))),
-                            shape=(S, S)).tocsr()
+    w, lam, dofs, u, status = _clamped_rule(mesh, cut_info, space, P, a,
+                                            bounds)
+    free = status == 0
+    M_inact = _csr(space.n_dofs, [(dofs[free],
+                                   _hat_products(w[free], lam[free]))])
+    b_act = np.bincount(dofs[~free].ravel(),
+                        np.einsum("cq,cqi->ci", (w * u)[~free],
+                                  lam[~free]).ravel(),
+                        minlength=space.n_dofs)
     return M_inact, b_act
 
 
@@ -642,7 +574,6 @@ def solve_constrained_ssn(mesh, cut_info, space, A, M, F1_base, F2_base, a,
     lo, hi = bounds
     red = ReducedSolver(A, space)
     M_ff, M_fc = red._split(M)
-    bary, _ = triangle_rule(4)
 
     P = np.zeros(A.shape[0])
     status_prev = None
@@ -660,7 +591,7 @@ def solve_constrained_ssn(mesh, cut_info, space, A, M, F1_base, F2_base, a,
         saddle_its.append(its)
         saddle_res.append(res)
 
-        z, _ = _control_at_quadrature(mesh, cut_info, space, P, a, None, bary)
+        z, _ = _control_at_quadrature(mesh, cut_info, space, P, a, None)
         status = np.where(z <= lo, -1, np.where(z >= hi, 1, 0))
         if log is not None:
             changed = (-1 if status_prev is None

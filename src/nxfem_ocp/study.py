@@ -13,11 +13,10 @@ import numpy as np
 
 from .assembly import assemble_load, assemble_mass, assemble_stiffness
 from .errors import compute_errors, FIELDS, NORMS
-from .interface_geometry import (ElementClass, build_cut_info,
-                                 write_integration_mesh_csv)
+from .interface_geometry import build_cut_info, write_integration_mesh_csv
 from .mesh import ConfigurationError, build_uniform_mesh, write_mesh_csv
 from .problems import PiecewiseField, build_example
-from .solver import (LinearSolverConfig, SolverError,
+from .solver import (LinearSolverConfig, SolverError, _clamped_pieces,
                      solve_constrained_fixed_point, solve_unconstrained_ocp)
 from .xfem_space import ExtendedSpace
 
@@ -47,11 +46,14 @@ class RunConfig:
             raise ConfigurationError("mesh sizes must be >= 4")
         if any(b >= a for a, b in zip(ns[1:], ns)):
             raise ConfigurationError("mesh sizes must be strictly increasing")
-        for name in ("a", "lambda_coef"):
+        for name in ("a", "lambda_coef", "tol"):
             value = getattr(self, name)
             if value is not None and not (np.isfinite(value) and value > 0.0):
                 raise ConfigurationError(
                     f"{name} must be positive and finite, got {value}")
+        if self.max_iter < 1:
+            raise ConfigurationError(
+                f"max_iter must be at least 1, got {self.max_iter}")
         self.n_values = ns
 
     def build_problem(self):
@@ -215,11 +217,15 @@ def _write_outputs(config, problem, result, disc, sol, n, log):
         write_mesh_csv(disc.mesh,
                        os.path.join(out, f"mesh_vertices_n{n}.csv"),
                        os.path.join(out, f"mesh_triangles_n{n}.csv"))
-        extra = []
+        extra = None
         if problem.bounds is not None:
-            from .solver import _control_load
-            _control_load(disc.mesh, disc.cut_info, disc.space, sol.P,
-                          problem.a, problem.bounds, collect=extra)
+            # the pieces of every cell that a kink of the control crosses
+            pieces, source, _ = _clamped_pieces(
+                disc.mesh, disc.cut_info, disc.space, sol.P, problem.a,
+                problem.bounds)
+            crossed = np.flatnonzero(np.bincount(source)[source] > 1)
+            extra = pieces[crossed[np.argsort(source[crossed],
+                                              kind="stable")]]
         for name in (f"integration_mesh_n{n}.csv", "integration_mesh.csv"):
             write_integration_mesh_csv(os.path.join(out, name),
                                        disc.mesh, disc.cut_info, extra)
@@ -274,20 +280,6 @@ def format_table(result):
 # active-set boundary extraction
 # ---------------------------------------------------------------------------
 
-def _triangle_contour(coords, vals):
-    """Zero-level segment of a linear function on one triangle, or None."""
-    pts = []
-    for i in range(3):
-        j = (i + 1) % 3
-        vi, vj = vals[i], vals[j]
-        if vi * vj < 0.0:
-            t = vi / (vi - vj)
-            pts.append(coords[i] + t * (coords[j] - coords[i]))
-    if len(pts) == 2:
-        return np.array(pts)
-    return None
-
-
 def _chain_segments(segments, decimals=9):
     """Greedily join segments sharing endpoints into polylines."""
     if not segments:
@@ -323,37 +315,12 @@ def _chain_segments(segments, decimals=9):
 
 def extract_active_set_boundary(solution, a, bounds, mesh, cut_info, space):
     """Contours where the clamped control hits each finite bound, as chained
-    polylines keyed 'lower' / 'upper'."""
-    lo, hi = bounds
-    classes = cut_info.classes
-    cut = classes == int(ElementClass.CUT)
-    # vertex values of -p/a on every uncut element (cut rows are not used)
-    tri_dofs = np.where((classes == int(ElementClass.INTERIOR_1))[:, None],
-                        space.dof1[mesh.triangles], space.dof2[mesh.triangles])
-    uv = -solution.P[tri_dofs] / a
-    vmin, vmax = uv.min(axis=1), uv.max(axis=1)
+    polylines keyed 'lower' / 'upper': the chords of the integration cells
+    clipped at each bound."""
     cells = cut_info.integration_cells(mesh)
-    curves = {}
-    for name, level in (("lower", lo), ("upper", hi)):
-        if not np.isfinite(level):
-            curves[name] = []
-            continue
-        # an uncut element can carry a contour segment only if its vertex
-        # values straddle the level; the slack covers the rounding of the
-        # barycentric evaluation below
-        slack = 1e-9 * (np.abs(uv).max() + abs(level))
-        straddles = (vmin - level < slack) & (vmax - level > -slack)
-        segments = []
-        keep = (straddles | cut)[cells.parent]
-        for e, side, tri in zip(cells.parent[keep], cells.side[keep],
-                                cells.coords[keep]):
-            coeffs = -solution.P[space.element_dofs(e, side)] / a
-            seg = _triangle_contour(tri, mesh.barycentric(e, tri) @ coeffs
-                                    - level)
-            if seg is not None:
-                segments.append(seg)
-        curves[name] = _chain_segments(segments)
-    return curves
+    z = space.cell_values(cells, -solution.P / a)
+    return {name: _chain_segments(list(cells.clip(z, level)[-1]))
+            for name, level in zip(("lower", "upper"), bounds)}
 
 
 def interface_polylines(cut_info):

@@ -63,6 +63,13 @@ class ExtendedSpace:
         return np.where((cells.side == 1)[:, None], self.dof1[tri],
                         self.dof2[tri])
 
+    def cell_values(self, cells, vec):
+        """Values (C, 3) at the vertices of every cell of the field with dof
+        vector ``vec``, on each cell's side."""
+        lam = self.mesh.barycentric(cells.parent, cells.coords)
+        # one matrix-vector product per cell, rounded as for a single one
+        return (lam @ vec[self.cell_dofs(cells)][..., None])[..., 0]
+
     def boundary_values(self, func):
         """(dirichlet dofs, interpolated values) for boundary data.
 

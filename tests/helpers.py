@@ -1,11 +1,17 @@
-"""Helpers that only the tests use: a two-sided nodal interpolant, the
-total chord length, and an interface-free control problem."""
+"""Helpers that only the tests use: element coordinates, a two-sided nodal
+interpolant, the total chord length, and an interface-free control
+problem."""
 
 import numpy as np
 
 from nxfem_ocp.interface_geometry import circle_interface
 from nxfem_ocp.problems import ManufacturedProblem, PiecewiseField
 from nxfem_ocp.xfem_space import SIDE_BOTH
+
+
+def tri_coords(mesh, e):
+    """Coordinates of element e, shape (3, 2)."""
+    return mesh.vertices[mesh.triangles[e]]
 
 
 def interpolate_two_sided(space, vertex_signs, f1, f2):

@@ -1,27 +1,73 @@
-"""Per-element reference implementations of the assembly and error-norm
-integrals, and reference forms of the solver's ordering, factor and saddle
-operator.
+"""Per-element reference implementations of the assembly, error-norm and
+clamped-control integrals, and reference forms of the solver's ordering,
+factor and saddle operator.
 
 The integrals walk every cut element (and every kink-flagged element) in
 Python, one sub-triangle and one chord at a time, with recursive kink
 refinement.  ``test_cell_table.py`` compares the package's batched
-integration-cell tables against them; ``test_solver.py`` compares the
-solver's level-by-level nested dissection, its matrix-free saddle operator
-and its factor against the recursion, the assembled block matrix and the
-COLAMD factor at the end of this module.
+integration-cell tables against them, and the clipped clamp integrals
+against both the refined loops and an exact polygon clipping of each cell;
+``test_solver.py`` compares the solver's level-by-level nested dissection,
+its matrix-free saddle operator and its factor against the recursion, the
+assembled block matrix and the COLAMD factor at the end of this module.
 """
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from dataclasses import dataclass
+
 from nxfem_ocp.assembly import _MASS_BARY
 from nxfem_ocp.errors import ErrorReport, FieldErrors
-from nxfem_ocp.interface_geometry import (ElementClass, QuadRule,
-                                          gauss_segment, map_rule_to_triangle,
-                                          refined_triangle_quadrature,
+from nxfem_ocp.interface_geometry import (ElementClass, gauss_segment,
                                           triangle_rule)
+from nxfem_ocp.mesh import triangle_area
 from nxfem_ocp.solver import ND_LEAF
+
+from helpers import tri_coords
+
+
+@dataclass
+class QuadRule:
+    """Physical quadrature points and weights; weights sum to the measure."""
+
+    points: np.ndarray           # (n, 2)
+    weights: np.ndarray          # (n,)
+
+
+def map_rule_to_triangle(coords, bary, weights):
+    """Map a barycentric rule onto a physical triangle."""
+    coords = np.asarray(coords, dtype=float)
+    pts = bary @ coords
+    return QuadRule(points=pts, weights=weights * triangle_area(coords))
+
+
+def refined_triangle_quadrature(coords, bary, weights, needs_refine,
+                                max_depth, collect=None):
+    """Composite rule obtained by recursive 4-way midpoint subdivision.
+
+    ``needs_refine(coords)`` decides, per (sub-)triangle, whether to split
+    again; leaves receive the base rule.  ``collect`` optionally gathers the
+    leaf triangles.
+    """
+    coords = np.asarray(coords, dtype=float)
+    if max_depth <= 0 or not needs_refine(coords):
+        if collect is not None:
+            collect.append(coords)
+        r = map_rule_to_triangle(coords, bary, weights)
+        return r.points, r.weights
+    m01 = 0.5 * (coords[0] + coords[1])
+    m12 = 0.5 * (coords[1] + coords[2])
+    m20 = 0.5 * (coords[2] + coords[0])
+    pts, wts = [], []
+    for child in ([coords[0], m01, m20], [m01, coords[1], m12],
+                  [m20, m12, coords[2]], [m01, m12, m20]):
+        p, w = refined_triangle_quadrature(np.array(child), bary, weights,
+                                           needs_refine, max_depth - 1, collect)
+        pts.append(p)
+        wts.append(w)
+    return np.vstack(pts), np.hstack(wts)
 
 
 def segment_quadrature(p0, p1, n_points):
@@ -182,7 +228,7 @@ def _volume_load(vec, mesh, cut_info, space, func, quad_degree, refine):
         flagged = [] if mask is None else els[mask[els]]
         for e in flagged:
             pts, wts = refined_triangle_quadrature(
-                mesh.tri_coords(e), bary, w,
+                tri_coords(mesh, e), bary, w,
                 lambda c: refine.pred(c[None], side)[0], refine.depth)
             lamq = mesh.barycentric(e, pts)
             fv = fs(pts[:, 0], pts[:, 1])
@@ -329,7 +375,7 @@ def _field_errors(problem, field, disc, mesh, cut_info, space, quad_degree,
         for e in els[varies]:
             _element_volume(acc, problem, exact, exact_grad, exact_status,
                             disc, mesh, int(e), side,
-                            [mesh.tri_coords(int(e))], bary, w, refine_depth)
+                            [tri_coords(mesh, int(e))], bary, w, refine_depth)
 
     # --- volume terms, cut elements ----------------------------------------
     for e in cut_info.cut_elements:
@@ -430,7 +476,7 @@ def loop_integration_cells(mesh, cut_info):
             cells += [(e, 1, t) for t in cg.tris1]
             cells += [(e, 2, t) for t in cg.tris2]
         else:
-            cells.append((e, int(cls), mesh.tri_coords(e)))
+            cells.append((e, int(cls), tri_coords(mesh, e)))
     return cells
 
 
@@ -473,3 +519,204 @@ def colamd_factor(red, B):
     """``ReducedSolver._factor`` as it was before nested dissection: SuperLU
     with its default COLAMD order and partial pivoting."""
     return spla.splu(sp.csc_matrix(B)).solve
+
+
+# ---------------------------------------------------------------------------
+# the clamped control: depth-3 refined loops and exact polygon clipping
+# ---------------------------------------------------------------------------
+
+def _clamp_crossing(vals, lo, hi):
+    vmin, vmax = vals.min(), vals.max()
+    return (vmin < lo < vmax) or (vmin < hi < vmax)
+
+
+def loop_control_load(mesh, cut_info, space, P, a, bounds, quad_degree=4,
+                      depth=3):
+    """Inner products of clamp(-p/a) with all basis functions; cells a
+    bound crossing runs through get the recursively refined rule."""
+    lo, hi = bounds
+    bary, w = triangle_rule(quad_degree)
+    vec = np.zeros(space.n_dofs)
+    classes = cut_info.classes
+    for side, dmap in ((1, space.dof1), (2, space.dof2)):
+        els = np.flatnonzero(classes == side)
+        if len(els) == 0:
+            continue
+        dofs = dmap[mesh.triangles[els]]
+        uv = -P[dofs] / a                                   # (E, 3) vertex values
+        vmin, vmax = uv.min(axis=1), uv.max(axis=1)
+        crossing = ((vmin < lo) & (lo < vmax)) | ((vmin < hi) & (hi < vmax))
+        plain = els[~crossing]
+        pdofs = dmap[mesh.triangles[plain]]
+        vals = np.clip((-P[pdofs] / a) @ bary.T, lo, hi)    # (E, nq)
+        loads = np.einsum("eq,q,qi->ei", vals, w, bary) \
+            * mesh.areas[plain][:, None]
+        np.add.at(vec, pdofs, loads)
+        for e in els[crossing]:
+            _control_load_element(vec, mesh, space, int(e), side, P, a, lo, hi,
+                                  bary, w, [tri_coords(mesh, e)], depth)
+
+    for e in cut_info.cut_elements:
+        e = int(e)
+        cg = cut_info.cuts[e]
+        for side, tris in ((1, cg.tris1), (2, cg.tris2)):
+            _control_load_element(vec, mesh, space, e, side, P, a, lo, hi,
+                                  bary, w, tris, depth)
+    return vec
+
+
+def _control_load_element(vec, mesh, space, e, side, P, a, lo, hi, bary, w,
+                          tris, depth):
+    dofs = space.element_dofs(e, side)
+    coeffs = -P[dofs] / a
+
+    def needs_refine(tc):
+        return _clamp_crossing(mesh.barycentric(e, tc) @ coeffs, lo, hi)
+
+    for t in tris:
+        pts, wts = refined_triangle_quadrature(t, bary, w, needs_refine, depth)
+        lamq = mesh.barycentric(e, pts)
+        vals = np.clip(lamq @ coeffs, lo, hi)
+        np.add.at(vec, dofs, (wts * vals) @ lamq)
+
+
+def loop_control_at_quadrature(mesh, cut_info, space, P, a, bounds):
+    """Control values at the degree-4 points, uncut elements side by side,
+    then the cut-element sub-triangles, together with the weights."""
+    lo, hi = (-np.inf, np.inf) if bounds is None else bounds
+    bary, w = triangle_rule(4)
+    vals, wts = [], []
+    classes = cut_info.classes
+    for side, dmap in ((1, space.dof1), (2, space.dof2)):
+        els = np.flatnonzero(classes == side)
+        if len(els) == 0:
+            continue
+        dofs = dmap[mesh.triangles[els]]
+        v = np.clip((-P[dofs] / a) @ bary.T, lo, hi)
+        vals.append(v.ravel())
+        wts.append((np.outer(mesh.areas[els], w)).ravel())
+    for e in cut_info.cut_elements:
+        e = int(e)
+        cg = cut_info.cuts[e]
+        for side, tris in ((1, cg.tris1), (2, cg.tris2)):
+            dofs = space.element_dofs(e, side)
+            coeffs = -P[dofs] / a
+            for t in tris:
+                r = map_rule_to_triangle(t, bary, w)
+                lamq = mesh.barycentric(e, r.points)
+                vals.append(np.clip(lamq @ coeffs, lo, hi))
+                wts.append(r.weights)
+    return np.concatenate(vals), np.concatenate(wts)
+
+
+def loop_active_mass_and_load(mesh, cut_info, space, P, a, bounds,
+                              quad_degree=4, depth=3):
+    """Mass matrix restricted to the inactive set plus the load carried by
+    the active region, from refined rules on the cells bounds cross."""
+    lo, hi = bounds
+    bary, w = triangle_rule(quad_degree)
+    S = space.n_dofs
+    rows, cols, vals = [], [], []
+    b_act = np.zeros(S)
+
+    def handle(e, side, tris):
+        dofs = space.element_dofs(e, side)
+        coeffs = -P[dofs] / a
+
+        def needs_refine(tc):
+            return _clamp_crossing(mesh.barycentric(e, tc) @ coeffs, lo, hi)
+
+        for t in tris:
+            pts, wts = refined_triangle_quadrature(t, bary, w, needs_refine,
+                                                   depth)
+            lamq = mesh.barycentric(e, pts)
+            z = lamq @ coeffs
+            inactive = (z > lo) & (z < hi)
+            wi = wts * inactive
+            loc = (lamq * wi[:, None]).T @ lamq
+            rows.append(np.repeat(dofs, 3))
+            cols.append(np.tile(dofs, 3))
+            vals.append(loc.ravel())
+            clamped = np.where(z <= lo, lo, np.where(z >= hi, hi, 0.0))
+            clamped[inactive] = 0.0
+            np.add.at(b_act, dofs, (wts * clamped) @ lamq)
+
+    for e, side, tri in loop_integration_cells(mesh, cut_info):
+        handle(e, side, [tri])
+    M_inact = sp.coo_matrix((np.concatenate(vals),
+                             (np.concatenate(rows), np.concatenate(cols))),
+                            shape=(S, S)).tocsr()
+    return M_inact, b_act
+
+
+def _clip_polygon(poly, level, inside):
+    """Sutherland-Hodgman: the part of a convex polygon, a list of (point,
+    value of a linear function), where ``inside(value)`` holds, for a
+    comparison of the value with ``level``."""
+    out = []
+    for (p, vp), (q, vq) in zip(poly, poly[1:] + poly[:1]):
+        if inside(vp):
+            out.append((p, vp))
+        if inside(vp) != inside(vq):
+            t = (level - vp) / (vq - vp)
+            out.append((p + t * (q - p), level))
+    return out
+
+
+def _polygon_integrals(mesh, e, poly):
+    """Integrals over a polygon of the hats of element e (3,), of their
+    products (3, 3) and of the linear function times the hats (3,), by
+    exact formulas on a fan of triangles."""
+    hats, prods, lin = np.zeros(3), np.zeros((3, 3)), np.zeros(3)
+    for k in range(1, len(poly) - 1):
+        tri = [poly[0], poly[k], poly[k + 1]]
+        pts = np.array([p for p, _ in tri])
+        vals = np.array([v for _, v in tri])
+        area = triangle_area(pts)
+        lam = mesh.barycentric(e, pts)                      # (3 vertices, 3)
+        # int_T f g = |T| / 12 (sum f_k g_k + sum f_k sum g_k), f, g linear
+        hats += area / 3.0 * lam.sum(axis=0)
+        prods += area / 12.0 * (lam.T @ lam + np.outer(lam.sum(axis=0),
+                                                        lam.sum(axis=0)))
+        lin += area / 12.0 * (lam.T @ vals + lam.sum(axis=0) * vals.sum())
+    return hats, prods, lin
+
+
+def clipped_cell_integrals(mesh, e, tri, coeffs, lo, hi):
+    """Exact clamp integrals on one integration cell ``tri`` of element e,
+    where -p/a has hat coefficients ``coeffs``: the control load (3,), the
+    inactive mass (3, 3) and the active load (3,), by clipping the cell as
+    a polygon at both bounds."""
+    poly = [(np.asarray(p, dtype=float), float(v))
+            for p, v in zip(tri, mesh.barycentric(e, tri) @ coeffs)]
+    # a value at a bound counts as clamped, as in the Newton step's set
+    inactive = _clip_polygon(_clip_polygon(poly, lo, lambda v: v > lo), hi,
+                             lambda v: v < hi)
+    _, M_inact, inner = _polygon_integrals(mesh, e, inactive)
+    b_act = sum(bound * _polygon_integrals(
+        mesh, e, _clip_polygon(poly, bound, clamped))[0]
+        for bound, clamped in ((lo, lambda v: v <= lo),
+                               (hi, lambda v: v >= hi)))
+    return inner + b_act, M_inact, b_act
+
+
+def clipped_control_integrals(mesh, cut_info, space, P, a, bounds):
+    """``clipped_cell_integrals`` over every integration cell: the control
+    load, the inactive mass matrix and the active load."""
+    lo, hi = bounds
+    S = space.n_dofs
+    load, b_act = np.zeros(S), np.zeros(S)
+    rows, cols, vals = [], [], []
+    for e, side, tri in loop_integration_cells(mesh, cut_info):
+        dofs = space.element_dofs(e, side)
+        cell_load, cell_mass, cell_act = clipped_cell_integrals(
+            mesh, e, tri, -P[dofs] / a, lo, hi)
+        np.add.at(load, dofs, cell_load)
+        np.add.at(b_act, dofs, cell_act)
+        rows.append(np.repeat(dofs, 3))
+        cols.append(np.tile(dofs, 3))
+        vals.append(cell_mass.ravel())
+    M_inact = sp.coo_matrix((np.concatenate(vals),
+                             (np.concatenate(rows), np.concatenate(cols))),
+                            shape=(S, S)).tocsr()
+    return load, M_inact, b_act

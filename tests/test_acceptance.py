@@ -3,10 +3,12 @@ PASS/FAIL line (run with -s to see them on success).
 
 Criterion 2 compares against externally tabulated reference magnitudes
 whose control and co-state H1 columns are inconsistent with the benchmark's
-closed-form fields (they lie ~4x below the best-approximation error of
-those fields, which no conforming method can beat).  The check is
-implemented literally and is expected to stay red; the analysis lives in
-the reviewer notes outside the package.
+closed-form fields: they lie ~4x below the H1 error of the two-sided P1
+interpolant of those fields, which no conforming method can beat by that
+much.  The check is implemented literally and is expected to stay red; the
+test prints that floor next to its FAIL line (``interpolant_errors``
+measures it through the same ``compute_errors``; at N=256 the
+interpolant's u H1 error is 2.67e-2 against 6.85e-3 in the table).
 """
 
 import time
@@ -16,18 +18,18 @@ import pytest
 
 from nxfem_ocp.assembly import NitscheParams, assemble_mass, assemble_stiffness
 from nxfem_ocp.errors import compute_errors
-from nxfem_ocp.interface_geometry import (build_cut_info, circle_interface,
-                                          triangle_rule)
+from nxfem_ocp.interface_geometry import build_cut_info, circle_interface
 from nxfem_ocp.mesh import build_uniform_mesh, triangle_area
 from nxfem_ocp.problems import build_example
-from nxfem_ocp.solver import (_control_at_quadrature, project_control,
-                              solve_constrained_fixed_point,
+from nxfem_ocp.solver import (OcpSolution, _control_at_quadrature,
+                              project_control, solve_constrained_fixed_point,
                               solve_constrained_ssn)
 from nxfem_ocp.study import RunConfig, discretize, run_convergence_study, \
     solve_discretized
 from nxfem_ocp.xfem_space import ExtendedSpace
 
-from helpers import build_smooth_problem, total_interface_length
+from helpers import (build_smooth_problem, interpolate_two_sided,
+                     total_interface_length, tri_coords)
 
 FULL_SWEEP = (16, 32, 64, 128, 256)
 
@@ -106,6 +108,18 @@ def test_criterion_1_segment_benchmark_orders(ex1_sweep):
     assert not failures, "; ".join(failures)
 
 
+def interpolant_errors(problem, n):
+    """Errors of the two-sided P1 interpolants of the exact state and
+    co-state (the control is -p/a), measured by ``compute_errors``."""
+    mesh = build_uniform_mesh(problem.domain, n)
+    info = build_cut_info(mesh, problem.levelset)
+    space = ExtendedSpace(mesh, info)
+    Y, P = (interpolate_two_sided(space, info.vertex_sign, f.side(1),
+                                  f.side(2)) for f in (problem.y, problem.p))
+    sol = OcpSolution(Y=Y, P=P, a=problem.a, bounds=problem.bounds)
+    return compute_errors(problem, sol, mesh, info, space)
+
+
 def test_criterion_2_circle_benchmark_magnitudes(ex3_sweep):
     """Absolute errors within a factor of two of the reference table at
     every mesh, refinement orders within 0.15 of the printed ones.
@@ -138,6 +152,15 @@ def test_criterion_2_circle_benchmark_magnitudes(ex3_sweep):
                    "(reference u/p data inconsistent with the "
                    "benchmark fields; see module docstring)")
     report(2, not failures, detail)
+    print("criterion 2 floor: H1 errors u/y/p of the two-sided P1 "
+          "interpolant, computed, reference")
+    for i, n in enumerate(FULL_SWEEP):
+        floor = interpolant_errors(ex3_sweep.problem, n)
+        print(f"  N={n:>3}: " + "  ".join(
+            "/".join(f"{v:.3e}" for v in row) for row in (
+                [floor.value(f, "h1") for f in ("u", "y", "p")],
+                [ex3_sweep.error(i, f, "h1") for f in ("u", "y", "p")],
+                TABLE_H1[n])))
     assert not failures, "; ".join(failures)
 
 
@@ -221,7 +244,6 @@ def test_criterion_5_property_bundle():
     # partition of unity and area fractions on cut elements
     from test_xfem_space import eval_basis
     problem2, disc2 = discs[2]
-    bary, _ = triangle_rule(4)
     for e in disc2.cut_info.cut_elements[:20]:
         cg = disc2.cut_info.cuts[int(e)]
         if abs(cg.k1 + cg.k2 - 1.0) > 1e-12:
@@ -231,7 +253,7 @@ def test_criterion_5_property_bundle():
             + sum(triangle_area(t) for t in cg.tris2)
         if abs(tiled - area) > 1e-12 * area:
             failures.append(f"cut tiling off on element {e}")
-        coords = disc2.mesh.tri_coords(int(e))
+        coords = tri_coords(disc2.mesh, int(e))
         for side in (1, 2):
             pts = rng.dirichlet(np.ones(3), size=5) @ coords
             for pt in pts:
@@ -255,9 +277,9 @@ def test_criterion_5_property_bundle():
         failures.append("discrete KKT residuals exceed 1e-8")
     u_vals, _ = _control_at_quadrature(disc2.mesh, disc2.cut_info,
                                        disc2.space, sol2.P, problem2.a,
-                                       problem2.bounds, bary)
+                                       problem2.bounds)
     p_vals, _ = _control_at_quadrature(disc2.mesh, disc2.cut_info,
-                                       disc2.space, sol2.P, -1.0, None, bary)
+                                       disc2.space, sol2.P, -1.0, None)
     idx = rng.integers(0, len(u_vals), size=1000)
     v = rng.uniform(*problem2.bounds, size=1000)
     vi = ((p_vals[idx] + problem2.a * u_vals[idx]) * (v - u_vals[idx])).min()

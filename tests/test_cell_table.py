@@ -1,6 +1,9 @@
 """The batched integration-cell and chord tables against the per-element
 loops they replace (``oracles.py``): matrices, loads and every error norm
-agree to rounding, on the benchmark geometries and on awkward cuts."""
+agree to rounding, on the benchmark geometries and on awkward cuts.  The
+clamped-control integrals on the cells clipped at the bounds agree with an
+exact polygon clipping to rounding, and with the refined loops they
+replace to within those loops' own quadrature error."""
 
 import numpy as np
 import pytest
@@ -9,13 +12,16 @@ from nxfem_ocp.assembly import assemble_load, assemble_mass, assemble_stiffness
 from nxfem_ocp.errors import compute_errors
 from nxfem_ocp.interface_geometry import (ElementClass, build_cut_info,
                                           circle_interface, line_interface)
-from nxfem_ocp.mesh import build_uniform_mesh
+from nxfem_ocp.mesh import Mesh, build_uniform_mesh
 from nxfem_ocp.problems import PiecewiseField, build_example
-from nxfem_ocp.solver import OcpSolution
+from nxfem_ocp.solver import (OcpSolution, _active_mass_and_load,
+                              _control_at_quadrature, _control_load)
 from nxfem_ocp.xfem_space import ExtendedSpace
 
-from helpers import interpolate_two_sided
-from oracles import (loop_errors, loop_integration_cells, loop_load,
+from helpers import interpolate_two_sided, tri_coords
+from oracles import (clipped_control_integrals, loop_active_mass_and_load,
+                     loop_control_at_quadrature, loop_control_load,
+                     loop_errors, loop_integration_cells, loop_load,
                      loop_mass, loop_stiffness)
 
 RTOL = 1e-12
@@ -126,7 +132,7 @@ def test_chord_table_stacks_the_cut_geometry():
         assert np.array_equal(ch.q2[i], cg.q2)
         assert np.array_equal(ch.normal[i], cg.normal)
         assert (ch.k1[i], ch.k2[i]) == (cg.k1, cg.k2)
-        coords = mesh.tri_coords(int(e))
+        coords = tri_coords(mesh, int(e))
         assert ch.h[i] == max(np.linalg.norm(coords[j] - coords[j - 1])
                               for j in range(3))
 
@@ -141,3 +147,137 @@ def test_batched_barycentric_matches_single_element():
     for i, e in enumerate(parents):
         assert np.allclose(batched[i], mesh.barycentric(e, pts[i]),
                            rtol=0.0, atol=1e-14)
+
+
+# (vertex values of -p/a, bounds): where the bounds cut a single cell
+CLIP_CASES = {
+    "through-a-vertex": ((0.5, -1.0, 2.0), (0.5, 1.5)),
+    "along-an-edge": ((0.5, 0.5, 2.0), (0.5, 1.0)),
+    "touching-vertices": ((-1.0, 0.5, 2.0), (-1.0, 2.0)),
+    "through-edges": ((-1.0, 0.5, 2.0), (0.0, 1.0)),
+    "missing-inactive": ((-1.0, 0.5, 2.0), (-3.0, 3.0)),
+    "missing-below": ((-1.0, 0.5, 2.0), (3.0, 4.0)),
+    "missing-above": ((-1.0, 0.5, 2.0), (-5.0, -4.0)),
+}
+
+
+def single_cell(cut, z, a=0.5):
+    """One triangle, whole or cut by the line y = x - 1/2, and the co-state
+    whose -p/a takes the values z at its vertices (reversed on side 2)."""
+    mesh = Mesh.from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
+    levelset = (line_interface(1.0, -0.5) if cut
+                else circle_interface(1.0, center=(10.0, 10.0)))
+    info = build_cut_info(mesh, levelset)
+    assert (info.classes[0] == ElementClass.CUT) == cut
+    space = ExtendedSpace(mesh, info)
+    P = np.zeros(space.n_dofs)
+    P[space.dof2] = -a * np.asarray(z)[::-1]
+    P[space.dof1] = -a * np.asarray(z)
+    return mesh, info, space, P, a
+
+
+@pytest.mark.parametrize("cut", [False, True], ids=["whole", "cut"])
+@pytest.mark.parametrize("case", sorted(CLIP_CASES))
+def test_clamp_integrals_on_single_cells_match_polygon_clipping(case, cut):
+    z, bounds = CLIP_CASES[case]
+    mesh, info, space, P, a = single_cell(cut, z)
+    args = (mesh, info, space, P, a, bounds)
+    load, M_inact, b_act = clipped_control_integrals(*args)
+    M, b = _active_mass_and_load(*args)
+    assert np.abs(_control_load(*args) - load).max() <= 1e-13
+    assert np.abs(M.toarray() - M_inact.toarray()).max() <= 1e-13
+    assert np.abs(b - b_act).max() <= 1e-13
+
+
+def clamp_setup(example, n):
+    """An example's mesh and the interpolated exact co-state, clamped at
+    example 2's box (the upper bound only is reached on example 1)."""
+    problem = build_example(example)
+    mesh = build_uniform_mesh(problem.domain, n)
+    info = build_cut_info(mesh, problem.levelset)
+    space = ExtendedSpace(mesh, info)
+    P = interpolate_two_sided(space, info.vertex_sign, problem.p.side(1),
+                              problem.p.side(2))
+    return mesh, info, space, P, problem.a, (-0.5, 0.5)
+
+
+CLAMP_CASES = [(ex, n) for ex in (1, 2, 3) for n in (16, 32)]
+
+
+@pytest.mark.parametrize("example, n", CLAMP_CASES)
+def test_clamp_integrals_match_exact_clipping(example, n):
+    args = clamp_setup(example, n)
+    load, M_inact, b_act = clipped_control_integrals(*args)
+    M, b = _active_mass_and_load(*args)
+    assert_close(_control_load(*args), load)
+    assert_close(M.toarray(), M_inact.toarray())
+    assert_close(b, b_act)
+
+
+@pytest.mark.parametrize("example, n", CLAMP_CASES)
+def test_refined_clamp_loops_converge_to_the_clipped_integrals(example, n):
+    # the loops refine kink cells to a depth; their error shrinks with it
+    args = clamp_setup(example, n)
+    M, b = _active_mass_and_load(*args)
+    exact = (_control_load(*args), M.toarray(), b)
+    gaps = []
+    for depth in (2, 3):
+        M_d, b_d = loop_active_mass_and_load(*args, depth=depth)
+        loops = (loop_control_load(*args, depth=depth), M_d.toarray(), b_d)
+        gaps.append([np.linalg.norm(old - new) / np.linalg.norm(new)
+                     for old, new in zip(loops, exact)])
+    assert all(g3 < g2 / 1.5 for g2, g3 in zip(*gaps))
+    # the load: a kink of a continuous field; the inactive mass and the
+    # active load jump at the kink, so the loops' rule is first order there
+    assert gaps[1][0] <= 1e-5
+    assert max(gaps[1][1:]) <= 5e-3
+
+
+def test_control_samples_match_the_element_loop():
+    mesh, info, space, P, a, bounds = clamp_setup(3, 16)
+    for lim in (bounds, None):
+        vals, w = _control_at_quadrature(mesh, info, space, P, a, lim)
+        ref_vals, ref_w = loop_control_at_quadrature(mesh, info, space, P, a,
+                                                     lim)
+        # the same points, in element order rather than side by side
+        assert np.allclose(np.sort(vals), np.sort(ref_vals), rtol=0.0,
+                           atol=1e-14)
+        assert np.allclose(np.sort(w), np.sort(ref_w), rtol=1e-13, atol=0.0)
+        assert w.sum() == pytest.approx(4.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("label", sorted(GEOMETRIES))
+def test_clip_splits_cells_into_pieces_on_each_side(label):
+    _, mesh, info, space = setup(label, 16)
+    cells = info.integration_cells(mesh)
+    vec = np.random.default_rng(5).standard_normal(space.n_dofs)
+    z = space.cell_values(cells, vec)
+    # a level at a vertex value puts vertices exactly on the line, and
+    # at a cell's lowest value touches that cell at a vertex only
+    for level in (0.1, float(z[7, 1]), float(z[7].min()), np.inf):
+        pieces, values, above, source, chords = cells.clip(z, level)
+        assert np.array_equal(source, np.sort(source))
+        assert np.array_equal(pieces.parent, cells.parent[source])
+        assert np.array_equal(pieces.side, cells.side[source])
+        # the pieces tile every cell (slivers to the rounding of their
+        # element's area), and keep its orientation
+        area = np.bincount(source, pieces.areas(), minlength=len(cells))
+        assert np.abs(area - cells.areas()).max() \
+            <= 1e-12 * cells.areas().max()
+        c = pieces.coords
+        e0, e1 = c[:, 1] - c[:, 0], c[:, 2] - c[:, 0]
+        assert (e0[:, 0] * e1[:, 1] - e0[:, 1] * e1[:, 0]).min() >= 0.0
+        # the carried vertex values are those of the cell's linear function
+        scale = np.abs(z).max()
+        assert np.abs(values - space.cell_values(pieces, vec)).max() \
+            <= 1e-13 * scale
+        assert (values[above] >= level).all()
+        assert (values[~above] <= level).all()
+        split = np.bincount(source) > 1
+        straddles = (z.min(axis=1) < level) & (z.max(axis=1) > level)
+        assert np.array_equal(split, straddles)
+        assert np.array_equal(np.bincount(source)[split], np.full(
+            split.sum(), 3))
+        # one chord per split cell with no vertex at the level
+        assert len(chords) == np.count_nonzero(straddles
+                                               & (z != level).all(axis=1))

@@ -6,7 +6,8 @@ from nxfem_ocp.problems import build_example
 from nxfem_ocp.solver import OcpSolution
 from nxfem_ocp.study import discretize, solve_discretized
 
-from helpers import build_smooth_problem, interpolate_two_sided
+from helpers import (build_smooth_problem, interpolate_two_sided,
+                     tri_coords)
 
 
 def interpolant_solution(problem, disc):
@@ -33,7 +34,7 @@ def test_interpolant_error_on_uncut_mesh():
     bary, w = triangle_rule(4)
     acc = 0.0
     for e in range(mesh.num_triangles):
-        coords = mesh.tri_coords(e)
+        coords = tri_coords(mesh, e)
         nodal = problem.y.side(2)(coords[:, 0], coords[:, 1])
         dg = nodal @ mesh.grad_bary[e]
         pts = bary @ coords

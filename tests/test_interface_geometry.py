@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from nxfem_ocp.interface_geometry import (DegenerateCutError, ElementClass,
-                                          GeometryError, LevelSet, QuadRule,
+                                          GeometryError, LevelSet,
                                           build_cut_info, circle_interface,
                                           compute_cut_geometry, line_interface,
-                                          map_rule_to_triangle,
-                                          refined_triangle_quadrature,
                                           snapped_vertex_signs, triangle_rule)
 from nxfem_ocp.mesh import ConfigurationError, Mesh, build_uniform_mesh, triangle_area
 
 from helpers import total_interface_length
+from oracles import (QuadRule, map_rule_to_triangle,
+                     refined_triangle_quadrature)
 
 # the reference-triangle cut used throughout: phi = x - y - 1/2
 FIG_LS = LevelSet(f=lambda x, y: x - y - 0.5,

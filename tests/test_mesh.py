@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import tri_coords
 from nxfem_ocp.mesh import (ConfigurationError, Mesh, build_uniform_mesh,
                             triangle_area, write_mesh_csv)
 
@@ -36,7 +37,7 @@ def test_triangle_area_values():
     assert triangle_area([(0, 0), (1, 0), (0, 1)]) == pytest.approx(0.5)
     assert triangle_area([(0, 0), (1, 1), (2, 2)]) == 0.0
     mesh = build_uniform_mesh((0, 1, 0, 1), 16)
-    coords = mesh.tri_coords(7)
+    coords = tri_coords(mesh, 7)
     assert triangle_area(coords) == pytest.approx(1.0 / 512.0, rel=1e-14)
     assert triangle_area(coords) == pytest.approx(shoelace(coords), rel=1e-14)
 
@@ -88,7 +89,7 @@ def test_barycentric_roundtrip():
     mesh = build_uniform_mesh((0, 1, 0, 1), 4)
     rng = np.random.default_rng(3)
     for e in (0, 5, 17):
-        coords = mesh.tri_coords(e)
+        coords = tri_coords(mesh, e)
         lam = rng.dirichlet(np.ones(3), size=10)
         pts = lam @ coords
         back = mesh.barycentric(e, pts)

@@ -14,7 +14,6 @@ from nxfem_ocp.solver import (LinearSolverConfig, ReducedSolver, SolverError,
                               _saddle_operator)
 from nxfem_ocp.study import discretize, solve_discretized
 from nxfem_ocp.xfem_space import ExtendedSpace
-from nxfem_ocp.interface_geometry import triangle_rule
 
 import oracles
 from helpers import build_smooth_problem, interpolate_two_sided
@@ -214,11 +213,10 @@ def test_kkt_variational_inequality_proxy():
     problem = build_example(2)
     disc = discretize(problem, 16)
     sol = solve_discretized(problem, disc)
-    bary, _ = triangle_rule(4)
     u_vals, _ = _control_at_quadrature(disc.mesh, disc.cut_info, disc.space,
-                                       sol.P, problem.a, problem.bounds, bary)
+                                       sol.P, problem.a, problem.bounds)
     p_vals, _ = _control_at_quadrature(disc.mesh, disc.cut_info, disc.space,
-                                       sol.P, -1.0, None, bary)
+                                       sol.P, -1.0, None)
     rng = np.random.default_rng(23)
     lo, hi = problem.bounds
     idx = rng.integers(0, len(u_vals), size=1000)
@@ -226,6 +224,32 @@ def test_kkt_variational_inequality_proxy():
     residual = (p_vals[idx] + problem.a * u_vals[idx]) * (v - u_vals[idx])
     assert residual.min() >= -1e-8
     assert sol.residual_state <= 1e-8 and sol.residual_costate <= 1e-8
+
+
+def test_fixed_point_kkt_against_exact_clipping():
+    # the control load of the converged fixed point is the exactly clipped
+    # one: the state row holds against an independent polygon clipping
+    problem = build_example(2)
+    disc = discretize(problem, 16)
+    sol = solve_discretized(problem, disc)
+    assert sol.converged
+    load, _, _ = oracles.clipped_control_integrals(
+        disc.mesh, disc.cut_info, disc.space, sol.P, problem.a,
+        problem.bounds)
+    free = ReducedSolver(disc.A, disc.space).free
+    r = (disc.A @ sol.Y - load - disc.F1)[free]
+    assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm((load + disc.F1)[free])
+
+
+def test_fixed_point_rejects_no_sweeps():
+    problem = build_example(2)
+    disc = discretize(problem, 8)
+    for max_iter in (0, -3):
+        with pytest.raises(ConfigurationError, match="max_iter"):
+            solve_constrained_fixed_point(
+                disc.mesh, disc.cut_info, disc.space, disc.A, disc.M,
+                disc.F1, disc.F2, problem.a, problem.bounds, disc.ybc_values,
+                max_iter=max_iter)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

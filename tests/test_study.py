@@ -6,14 +6,14 @@ import nxfem_ocp.study as study_mod
 from nxfem_ocp.cli import main
 from nxfem_ocp.errors import compute_errors
 from nxfem_ocp.mesh import ConfigurationError, build_uniform_mesh
-from nxfem_ocp.interface_geometry import build_cut_info
+from nxfem_ocp.interface_geometry import CellTable, build_cut_info
 from nxfem_ocp.problems import build_example
 from nxfem_ocp.solver import OcpSolution
 from nxfem_ocp.study import (RunConfig, discretize, extract_active_set_boundary,
                              interface_polylines, run_convergence_study,
                              solve_discretized)
 
-from helpers import interpolate_two_sided
+from helpers import interpolate_two_sided, tri_coords
 
 R2 = np.sqrt(3) / 4
 
@@ -150,6 +150,20 @@ def test_active_set_hausdorff_shrinks_with_refinement():
     assert hds[1] < hds[0]
 
 
+def _triangle_contour(coords, vals):
+    """Zero-level segment of a linear function on one triangle, or None."""
+    pts = []
+    for i in range(3):
+        j = (i + 1) % 3
+        vi, vj = vals[i], vals[j]
+        if vi * vj < 0.0:
+            t = vi / (vi - vj)
+            pts.append(coords[i] + t * (coords[j] - coords[i]))
+    if len(pts) == 2:
+        return np.array(pts)
+    return None
+
+
 def contour_segments_all_elements(P, a, level, mesh, cut_info, space):
     """Oracle: zero-level segments of -p/a - level, walking every element
     side patch in element order."""
@@ -160,11 +174,11 @@ def contour_segments_all_elements(P, a, level, mesh, cut_info, space):
             cg = cut_info.cuts[e]
             patches = [(1, t) for t in cg.tris1] + [(2, t) for t in cg.tris2]
         else:
-            patches = [(cls, mesh.tri_coords(e))]
+            patches = [(cls, tri_coords(mesh, e))]
         for side, tri in patches:
             vals = mesh.barycentric(e, tri) @ (-P[space.element_dofs(e, side)]
                                                / a) - level
-            seg = study_mod._triangle_contour(np.asarray(tri), vals)
+            seg = _triangle_contour(np.asarray(tri), vals)
             if seg is not None:
                 segments.append(seg)
     return segments
@@ -294,6 +308,60 @@ def test_cli_rejects_nonpositive_weights(tmp_path, capsys, flag, value):
     assert exc.value.code == 2
     assert "must be positive and finite" in capsys.readouterr().err
     assert not (tmp_path / "run6").exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--max-iter", "0", "max_iter must be at least 1"),
+    ("--max-iter", "-3", "max_iter must be at least 1"),
+    ("--tol", "-1", "tol must be positive and finite"),
+    ("--tol", "0", "tol must be positive and finite"),
+    ("--tol", "nan", "tol must be positive and finite"),
+    ("--tol", "inf", "tol must be positive and finite")])
+def test_cli_rejects_bad_fixed_point_settings(tmp_path, capsys, flag, value,
+                                              message):
+    # no sweep used to crash on an unbound variable, and a tolerance no
+    # update can pass ran every sweep to report non-convergence
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--example", "2", "--n", "8", flag, value,
+              "--out", str(tmp_path / "run7")])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run7").exists()
+
+
+def test_dump_rows_after_the_cells_are_the_clipped_pieces(tmp_path):
+    cfg = RunConfig(example=2, n_values=(8,), out_dir=str(tmp_path),
+                    dump_geometry=True)
+    result = run_convergence_study(cfg)
+    problem, P = result.problem, result.solutions[0].P
+    lo, hi = problem.bounds
+    rows = np.loadtxt(tmp_path / "integration_mesh_n8.csv", delimiter=",",
+                      skiprows=1)
+    disc = discretize(problem, 8)
+    cells = disc.cut_info.integration_cells(disc.mesh)
+    assert np.array_equal(rows[:len(cells), 2:].reshape(-1, 3, 2),
+                          cells.coords)
+    extra = CellTable(rows[len(cells):, 0].astype(np.int64),
+                      rows[len(cells):, 1].astype(np.int8),
+                      rows[len(cells):, 2:].reshape(-1, 3, 2))
+    # the pieces tile the cells a bound runs through ...
+    z = disc.space.cell_values(cells, -P / problem.a)
+    crossed = ((z.min(axis=1) < lo) & (z.max(axis=1) > lo)) \
+        | ((z.min(axis=1) < hi) & (z.max(axis=1) > hi))
+    assert crossed.sum() > 0
+    for e, side in {(e, s) for e, s in zip(cells.parent[crossed],
+                                          cells.side[crossed])}:
+        mine = (extra.parent == e) & (extra.side == side)
+        theirs = (cells.parent == e) & (cells.side == side) & crossed
+        assert extra.areas()[mine].sum() == pytest.approx(
+            cells.areas()[theirs].sum(), rel=1e-12)
+    assert len(set(zip(extra.parent, extra.side))) == len(
+        set(zip(cells.parent[crossed], cells.side[crossed])))
+    # ... and the control is a bound or -p/a on each of them
+    v = disc.space.cell_values(extra, -P / problem.a)
+    tol = 1e-12
+    assert ((v <= lo + tol).all(axis=1) | (v >= hi - tol).all(axis=1)
+            | ((v >= lo - tol) & (v <= hi + tol)).all(axis=1)).all()
 
 
 def test_cli_n_list(tmp_path):

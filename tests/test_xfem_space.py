@@ -8,7 +8,7 @@ from nxfem_ocp.mesh import build_uniform_mesh
 from nxfem_ocp.problems import build_example
 from nxfem_ocp.xfem_space import ExtendedSpace, SIDE_BOTH
 
-from helpers import interpolate_two_sided
+from helpers import interpolate_two_sided, tri_coords
 
 FAR_AWAY = circle_interface(1.0, center=(10.0, 10.0))
 
@@ -92,7 +92,7 @@ def test_cut_element_side_restriction_and_unity():
     space = ExtendedSpace(mesh, info)
     rng = np.random.default_rng(11)
     e = int(info.cut_elements[2])
-    coords = mesh.tri_coords(e)
+    coords = tri_coords(mesh, e)
     for _ in range(100):
         lam = rng.dirichlet(np.ones(3))
         pt = lam @ coords
