@@ -4,10 +4,10 @@ with penalized extended P1 elements on unfitted uniform meshes."""
 from .assembly import (NitscheParams, assemble_load, assemble_mass,
                        assemble_stiffness)
 from .errors import ErrorReport, compute_errors
-from .interface_geometry import (CutGeometry, CutInfo, ElementClass, LevelSet,
+from .interface_geometry import (CutInfo, ElementClass, LevelSet,
                                  build_cut_info, circle_interface,
-                                 compute_cut_geometry, line_interface)
-from .mesh import Mesh, build_uniform_mesh, triangle_area
+                                 line_interface)
+from .mesh import Mesh, build_uniform_mesh
 from .problems import ManufacturedProblem, PiecewiseField, build_example
 from .solver import (LinearSolverConfig, OcpSolution, project_control,
                      solve_constrained_fixed_point, solve_constrained_ssn,

@@ -13,12 +13,11 @@ from enum import IntEnum
 
 import numpy as np
 
-from .mesh import ConfigurationError, triangle_area
+from .mesh import ConfigurationError
 
 __all__ = ["LevelSet", "line_interface", "circle_interface", "ElementClass",
-           "CutGeometry", "CutInfo", "GeometryError", "compute_cut_geometry",
-           "build_cut_info", "triangle_rule", "CellTable", "ChordTable",
-           "write_integration_mesh_csv"]
+           "CutInfo", "GeometryError", "build_cut_info", "triangle_rule",
+           "CellTable", "ChordTable", "write_integration_mesh_csv"]
 
 # vertices closer to the zero set than SNAP_REL * h count as subdomain-2
 # vertices, so chords never pass through mesh nodes
@@ -28,16 +27,6 @@ ROOT_TOL = 1e-14
 
 class GeometryError(RuntimeError):
     """Interface geometry violates the two-intersection-points assumption."""
-
-
-class DegenerateCutError(GeometryError):
-    """The chord of a sign-flagged element collapses (the interface only
-    grazes a snapped vertex); the element is effectively interior."""
-
-    def __init__(self, element, side, message):
-        super().__init__(message)
-        self.element = element
-        self.side = side
 
 
 @dataclass(frozen=True)
@@ -96,150 +85,53 @@ def _classes_from_signs(mesh, signs):
     return classes
 
 
-def _edge_root(levelset, pa, pb, fa, fb):
-    """Point on segment [pa, pb] where the level set vanishes.
+def _roots_on_edges(levelset, pa, pb, fa, fb):
+    """Points (R, 2) where the level set vanishes on the segments [pa, pb]
+    with end values fa, fb (R,), all at once, and the rows without a
+    bracketable root.
 
-    One secant step first, then bisection on the sign-preserving bracket
-    until |phi| <= ROOT_TOL.
+    An end value within ROOT_TOL gives that end; an edge without a sign
+    change (one end was snapped across the interface) gives the end nearer
+    the zero set.  Every other root takes one secant step, then bisection
+    on the sign-preserving bracket until |phi| <= ROOT_TOL.
     """
-    if abs(fa) <= ROOT_TOL:
-        return np.array(pa, dtype=float)
-    if abs(fb) <= ROOT_TOL:
-        return np.array(pb, dtype=float)
-    if (fa < 0.0) == (fb < 0.0):
-        # no true sign change: one endpoint was snapped across the interface
-        snap = np.array(pa, dtype=float) if abs(fa) < abs(fb) else \
-            np.array(pb, dtype=float)
-        if min(abs(fa), abs(fb)) > 1e-10:
-            raise GeometryError("sign-flagged edge without a bracketable root")
-        return snap
-    ta, tb = 0.0, 1.0
-    pa = np.asarray(pa, dtype=float)
-    d = np.asarray(pb, dtype=float) - pa
-
-    def eval_t(t):
-        p = pa + t * d
-        return float(levelset(p[0], p[1]))
-
-    t = ta - fa * (tb - ta) / (fb - fa)      # secant step
+    at_a = np.abs(fa) <= ROOT_TOL
+    at_b = ~at_a & (np.abs(fb) <= ROOT_TOL)
+    same = ~(at_a | at_b) & ((fa < 0.0) == (fb < 0.0))
+    end_a = at_a | (same & (np.abs(fa) < np.abs(fb)))
+    end_b = at_b | (same & ~end_a)
+    live = np.flatnonzero(~(end_a | end_b))
+    d = pb - pa
+    ta, tb, t = np.zeros(len(fa)), np.ones(len(fa)), np.zeros(len(fa))
+    t[live] = -fa[live] / (fb[live] - fa[live])      # secant step
     for _ in range(120):
-        t = min(max(t, ta), tb)
-        ft = eval_t(t)
-        if abs(ft) <= ROOT_TOL or tb - ta < 1e-17:
+        if not len(live):
             break
-        if (ft < 0.0) == (fa < 0.0):
-            ta = t
-        else:
-            tb = t
-        t = 0.5 * (ta + tb)
-    return pa + t * d
+        t[live] = np.minimum(np.maximum(t[live], ta[live]), tb[live])
+        p = pa[live] + t[live, None] * d[live]
+        ft = levelset(p[:, 0], p[:, 1])
+        go = ~((np.abs(ft) <= ROOT_TOL) | (tb[live] - ta[live] < 1e-17))
+        live, ft = live[go], ft[go]
+        like_a = (ft < 0.0) == (fa[live] < 0.0)
+        ta[live[like_a]] = t[live[like_a]]
+        tb[live[~like_a]] = t[live[~like_a]]
+        t[live] = 0.5 * (ta[live] + tb[live])
+    roots = np.where(end_a[:, None], pa, np.where(end_b[:, None], pb,
+                                                  pa + t[:, None] * d))
+    return roots, same & (np.minimum(np.abs(fa), np.abs(fb)) > 1e-10)
 
 
-def _oriented(tri):
-    """Return the triangle with positive orientation."""
-    e0 = tri[1] - tri[0]
-    e1 = tri[2] - tri[0]
-    if e0[0] * e1[1] - e0[1] * e1[0] < 0.0:
-        return np.array([tri[0], tri[2], tri[1]])
-    return np.asarray(tri, dtype=float)
+def _norms(v):
+    """Euclidean norms of the rows of v (R, 2), one dot product per row, so
+    they round as ``np.linalg.norm`` of each row does."""
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
-@dataclass
-class CutGeometry:
-    """Chord, area fractions and sub-triangulation of one cut element.
-
-    ``normal`` is the unit chord normal pointing from subdomain 1 into
-    subdomain 2; ``tris1``/``tris2`` are (m, 3, 2) coordinate arrays tiling
-    the two element fragments.
-    """
-
-    element: int
-    q1: np.ndarray
-    q2: np.ndarray
-    normal: np.ndarray
-    k1: float
-    k2: float
-    tris1: np.ndarray
-    tris2: np.ndarray
-
-    @property
-    def chord_length(self):
-        return float(np.linalg.norm(self.q2 - self.q1))
-
-
-def compute_cut_geometry(mesh, levelset, element, signs=None):
-    """Intersection points, chord normal, area fractions and sub-triangles
-    for a cut element."""
-    if signs is None:
-        _, signs = snapped_vertex_signs(mesh, levelset)
-    tri = mesh.triangles[element]
-    coords = mesh.vertices[tri]
-    s = signs[tri]
-    if (s == s[0]).all():
-        raise GeometryError(f"element {element} is not cut")
-
-    # minority-sign vertex; its two adjacent edges carry the intersections
-    lone = 0 if s[1] == s[2] else (1 if s[0] == s[2] else 2)
-    prev_l, next_l = (lone + 2) % 3, (lone + 1) % 3
-
-    phi_at = lambda p: float(levelset(p[0], p[1]))
-    roots = {}
-    for other in (prev_l, next_l):
-        va, vb = tri[lone], tri[other]
-        pa, pb = coords[lone], coords[other]
-        # canonical edge orientation so shared edges give identical points
-        if va > vb:
-            pa, pb = pb, pa
-        try:
-            roots[other] = _edge_root(levelset, pa, pb, phi_at(pa), phi_at(pb))
-        except GeometryError as exc:
-            raise GeometryError(f"element {element}: {exc}") from None
-    q1, q2 = roots[prev_l], roots[next_l]
-    if np.linalg.norm(q1 - q2) < 1e-12 * mesh.h:
-        # the interface only grazes the minority vertex; the rest of the
-        # element lies on the majority side
-        majority = 1 if s[prev_l] == -1 else 2
-        raise DegenerateCutError(
-            element, majority,
-            f"element {element}: coincident intersection points")
-
-    lone_tri = _oriented(np.array([coords[lone], q1, q2]))
-    quad = [coords[prev_l], coords[next_l], q2, q1]      # ccw cycle
-    d_prev_q2 = np.linalg.norm(quad[0] - quad[2])
-    d_next_q1 = np.linalg.norm(quad[1] - quad[3])
-    if d_prev_q2 <= d_next_q1:
-        quad_tris = [np.array([quad[0], quad[1], quad[2]]),
-                     np.array([quad[0], quad[2], quad[3]])]
-    else:
-        quad_tris = [np.array([quad[0], quad[1], quad[3]]),
-                     np.array([quad[1], quad[2], quad[3]])]
-    area = triangle_area(coords)
-    quad_tris = [_oriented(t) for t in quad_tris
-                 if triangle_area(t) > 1e-14 * area]
-
-    if s[lone] == -1:
-        tris1, tris2 = np.array([lone_tri]), np.array(quad_tris)
-    else:
-        tris1, tris2 = np.array(quad_tris), np.array([lone_tri])
-    k1 = sum(triangle_area(t) for t in tris1) / area
-    k2 = sum(triangle_area(t) for t in tris2) / area
-    if min(k1, k2) < 1e-12:
-        raise DegenerateCutError(
-            element, 1 if k1 > k2 else 2,
-            f"element {element}: degenerate cut (fractions {k1:.3e}, {k2:.3e})")
-
-    # chord normal pointing out of subdomain 1 (the negative level-set side);
-    # this orientation makes the cross-weighted flux data consistent
-    mid = 0.5 * (q1 + q2)
-    gx, gy = levelset.grad(mid[0], mid[1])
-    normal = np.array([float(gx), float(gy)])
-    norm = np.linalg.norm(normal)
-    if norm == 0.0:
-        raise GeometryError(f"element {element}: vanishing level-set gradient")
-    normal /= norm
-
-    return CutGeometry(element=element, q1=q1, q2=q2, normal=normal,
-                       k1=float(k1), k2=float(k2), tris1=tris1, tris2=tris2)
+def _cross(tris):
+    """Twice the signed areas (...) of triangles (..., 3, 2)."""
+    e0 = tris[..., 1, :] - tris[..., 0, :]
+    e1 = tris[..., 2, :] - tris[..., 0, :]
+    return e0[..., 0] * e1[..., 1] - e0[..., 1] * e1[..., 0]
 
 
 @dataclass
@@ -277,9 +169,7 @@ class CellTable:
 
     def areas(self):
         """Area of every cell (C,)."""
-        c = self.coords
-        e0, e1 = c[:, 1] - c[:, 0], c[:, 2] - c[:, 0]
-        return 0.5 * np.abs(e0[:, 0] * e1[:, 1] - e0[:, 1] * e1[:, 0])
+        return 0.5 * np.abs(_cross(self.coords))
 
     def refined(self, flags, needs_refine, depth):
         """The table with every flagged cell replaced by the leaves of its
@@ -308,8 +198,8 @@ class CellTable:
         vertex at the level counts as below.  Returns the pieces in cell
         order, their vertex values (the level at the new vertices), whether
         each lies above the level, the cell each comes from, and the chords
-        (K, 2, 2), end points in edge order, of the cut cells without a
-        vertex at the level, in cell order.
+        (K, 2, 2) of the cut cells, end points in edge order, in cell order;
+        a vertex at the level is a chord's end point.
         """
         v = values - level
         split = (v.min(axis=1) < 0.0) & (v.max(axis=1) > 0.0)
@@ -339,9 +229,8 @@ class CellTable:
                                 np.stack([lone_up, ~lone_up, ~lone_up],
                                          1).ravel()])[order]
         vals = np.concatenate([values[whole], vals.reshape(-1, 3)])[order]
-        crossed = (v[rows] * v[rows][:, [1, 2, 0]] < 0.0).sum(axis=1) == 2
         chords = np.where((lone == 0)[:, None, None], np.stack([qab, qda], 1),
-                          np.stack([qda, qab], 1))[crossed]
+                          np.stack([qda, qab], 1))
         return pieces, vals, above, source[order], chords
 
 
@@ -386,10 +275,8 @@ class CutInfo:
     sub-triangles (``cells``, side 1 first) and chords (``chords``)."""
 
     classes: np.ndarray          # (T,) ElementClass values
-    vertex_phi: np.ndarray       # (V,) raw level-set values
     vertex_sign: np.ndarray      # (V,) snapped signs
     cut_elements: np.ndarray     # indices of cut elements, increasing
-    cuts: dict                   # element -> CutGeometry
     cells: CellTable
     chords: ChordTable
 
@@ -406,35 +293,88 @@ class CutInfo:
 
 
 def build_cut_info(mesh, levelset):
-    """Classify every element and compute geometry of all cut elements.
+    """Classify every element and compute the geometry of all cut elements
+    at once.
 
-    Elements whose chord degenerates (interface grazing a snapped vertex)
-    are reclassified as interior.
+    Each cut element is split by the chord between the roots on the two
+    edges at its lone (minority-sign) vertex into the triangle at that
+    vertex and the rest, a quad cut along its shorter diagonal; quad
+    triangles of area <= 1e-14 times the element's are dropped.  Elements
+    whose chord degenerates (the interface grazes a snapped vertex, or a
+    side keeps a fraction below 1e-12) are reclassified as interior, on
+    their majority (larger) side.
     """
     phi, signs = snapped_vertex_signs(mesh, levelset)
     classes = _classes_from_signs(mesh, signs)
-    cuts = {}
-    for e in np.flatnonzero(classes == int(ElementClass.CUT)):
-        try:
-            cuts[int(e)] = compute_cut_geometry(mesh, levelset, int(e), signs)
-        except DegenerateCutError as exc:
-            classes[e] = exc.side
-    cut_elements = np.array(sorted(cuts), dtype=np.int64)
-    geoms = [cuts[int(e)] for e in cut_elements]
-    tris = [(cg.element, side, t) for cg in geoms
-            for side, ts in ((1, cg.tris1), (2, cg.tris2)) for t in ts]
-    cells = CellTable(np.array([e for e, _, _ in tris], dtype=np.int64),
-                      np.array([s for _, s, _ in tris], dtype=np.int8),
-                      np.array([t for _, _, t in tris]).reshape(-1, 3, 2))
-    per_chord = lambda name: np.array([getattr(cg, name) for cg in geoms])
+    flagged = np.flatnonzero(classes == int(ElementClass.CUT))
+    tri = mesh.triangles[flagged]
+    s = signs[tri]
+    lone = np.where(s[:, 1] == s[:, 2], 0, np.where(s[:, 0] == s[:, 2], 1, 2))
+    lone_side = np.where(s[np.arange(len(s)), lone] == -1, 1, 2)
+    # the lone vertex, then the one before and the one after it
+    tri = np.take_along_axis(tri, (lone[:, None] + [0, 2, 1]) % 3, axis=1)
+    corner = mesh.vertices[tri]
+    # one root per edge at the lone vertex, in canonical (lower vertex
+    # first) orientation so shared edges give identical points
+    va, vb = np.repeat(tri[:, :1], 2, axis=1).ravel(), tri[:, 1:].ravel()
+    lo, hi = np.minimum(va, vb), np.maximum(va, vb)
+    roots, bad = _roots_on_edges(levelset, mesh.vertices[lo],
+                                 mesh.vertices[hi], phi[lo], phi[hi])
+    if bad.any():
+        raise GeometryError(f"element {flagged[bad.argmax() // 2]}: "
+                            "sign-flagged edge without a bracketable root")
+    q1, q2 = roots[0::2], roots[1::2]
+
+    # the lone triangle, then the quad (ccw) cut along its shorter diagonal
+    quad = np.stack([corner[:, 1], corner[:, 2], q2, q1], axis=1)
+    short = _norms(corner[:, 1] - q2) <= _norms(corner[:, 2] - q1)
+    split = np.where(short[:, None, None], [[0, 1, 2], [0, 2, 3]],
+                     [[0, 1, 3], [1, 2, 3]])
+    parts = np.concatenate([np.stack([corner[:, 0], q1, q2], axis=1)[:, None],
+                            np.take_along_axis(quad[:, None], split[..., None],
+                                               axis=2)], axis=1)  # (K, 3, 3, 2)
+    cross = _cross(parts)
+    parts = np.where((cross < 0.0)[..., None, None], parts[:, :, [0, 2, 1]],
+                     parts)                            # positive orientation
+    areas = np.abs(0.5 * cross)
+    kept = areas > 1e-14 * mesh.areas[flagged, None]
+    kept[:, 0] = True
+    k_lone = areas[:, 0] / mesh.areas[flagged]
+    k_quad = np.where(kept, areas, 0.0)[:, 1:].sum(axis=1) / mesh.areas[flagged]
+    k1 = np.where(lone_side == 1, k_lone, k_quad)
+    k2 = np.where(lone_side == 1, k_quad, k_lone)
+    grazing = _norms(q1 - q2) < 1e-12 * mesh.h
+    degenerate = grazing | (np.minimum(k1, k2) < 1e-12)
+    larger = np.where(grazing, 3 - lone_side, np.where(k1 > k2, 1, 2))
+    classes[flagged[degenerate]] = larger[degenerate]
+    ok = ~degenerate
+    cut_elements = flagged[ok]
+
+    # chord normal pointing out of subdomain 1 (the negative level-set side);
+    # this orientation makes the cross-weighted flux data consistent
+    mid = 0.5 * (q1[ok] + q2[ok])
+    normal = np.empty_like(mid)
+    normal[:, 0], normal[:, 1] = levelset.grad(mid[:, 0], mid[:, 1])
+    norm = _norms(normal)
+    if (norm == 0.0).any():
+        raise GeometryError(f"element {cut_elements[(norm == 0.0).argmax()]}: "
+                            "vanishing level-set gradient")
+    normal /= norm[:, None]
+
+    # per element the cells of side 1 first
+    lone_side = lone_side[ok, None]
+    order = np.where(lone_side == 1, [0, 1, 2], [1, 2, 0])
+    kept = np.take_along_axis(kept[ok], order, axis=1)
+    side = np.where(order == 0, lone_side, 3 - lone_side)
+    cells = CellTable(
+        np.repeat(cut_elements, kept.sum(axis=1)), side[kept].astype(np.int8),
+        np.take_along_axis(parts[ok], order[..., None, None], axis=1)[kept])
     edges = mesh.vertices[mesh.triangles[cut_elements]]
     edges -= np.roll(edges, 1, axis=1)
-    chords = ChordTable(
-        cut_elements, per_chord("q1").reshape(-1, 2),
-        per_chord("q2").reshape(-1, 2), per_chord("normal").reshape(-1, 2),
-        per_chord("k1"), per_chord("k2"),
-        np.sqrt((edges ** 2).sum(axis=2)).max(axis=1, initial=0.0))
-    return CutInfo(classes, phi, signs, cut_elements, cuts, cells, chords)
+    chords = ChordTable(cut_elements, q1[ok], q2[ok], normal, k1[ok], k2[ok],
+                        np.sqrt((edges ** 2).sum(axis=2)).max(axis=1,
+                                                              initial=0.0))
+    return CutInfo(classes, signs, cut_elements, cells, chords)
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +419,7 @@ def write_integration_mesh_csv(path, mesh, cut_info, extra=None):
     cells = cut_info.integration_cells(mesh)
     if extra is not None:
         cells = CellTable.concat(cells, extra)
-    with open(path, "w") as fh:
-        fh.write("element,side,x0,y0,x1,y1,x2,y2\n")
-        for e, side, t in zip(cells.parent, cells.side, cells.coords):
-            vals = ",".join(f"{v:.17e}" for v in t.ravel())
-            fh.write(f"{e},{side},{vals}\n")
+    rows = np.column_stack([cells.parent, cells.side,
+                            cells.coords.reshape(-1, 6)])
+    np.savetxt(path, rows, fmt=["%d", "%d"] + ["%.17e"] * 6, delimiter=",",
+               header="element,side,x0,y0,x1,y1,x2,y2", comments="")

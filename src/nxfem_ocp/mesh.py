@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Mesh", "ConfigurationError", "build_uniform_mesh", "triangle_area",
-           "write_mesh_csv"]
+__all__ = ["Mesh", "ConfigurationError", "build_uniform_mesh", "write_mesh_csv"]
 
 
 class ConfigurationError(ValueError):
@@ -139,14 +138,6 @@ def build_uniform_mesh(domain, n):
     boundary = ((gx == 0) | (gx == n) | (gy == 0) | (gy == n)).ravel()
 
     return Mesh(vertices, triangles, boundary, n, tuple(domain))
-
-
-def triangle_area(coords):
-    """Area of a triangle from its (3, 2) vertex coordinates (shoelace)."""
-    coords = np.asarray(coords, dtype=float)
-    e0 = coords[1] - coords[0]
-    e1 = coords[2] - coords[0]
-    return 0.5 * abs(e0[0] * e1[1] - e0[1] * e1[0])
 
 
 def write_mesh_csv(mesh, vertex_path, triangle_path):

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .interface_geometry import ElementClass, GeometryError
-
 __all__ = ["ExtendedSpace"]
 
 SIDE_BOTH = 3
@@ -46,17 +44,6 @@ class ExtendedSpace:
         self.dirichlet_dofs = np.unique(dirichlet)
 
     # ------------------------------------------------------------------
-    def element_dofs(self, element, side=None):
-        """Global dofs of the hats active on ``side`` of the element (the
-        element's own subdomain if it is uncut)."""
-        tri = self.mesh.triangles[element]
-        if self.classes[element] != int(ElementClass.CUT):
-            side = int(self.classes[element])
-        elif side not in (1, 2):
-            raise GeometryError(
-                f"element {element} is cut; side must be 1 or 2")
-        return (self.dof1 if side == 1 else self.dof2)[tri]
-
     def cell_dofs(self, cells):
         """(C, 3) dofs of the hats active on the side of each cell."""
         tri = self.mesh.triangles[cells.parent]

@@ -1,10 +1,11 @@
-"""Helpers that only the tests use: element coordinates, a two-sided nodal
-interpolant, the total chord length, and an interface-free control
-problem."""
+"""Helpers that only the tests use: element coordinates, a triangle's
+area, one element's dofs, a two-sided nodal interpolant, the total chord
+length, and an interface-free control problem."""
 
 import numpy as np
 
-from nxfem_ocp.interface_geometry import circle_interface
+from nxfem_ocp.interface_geometry import (ElementClass, GeometryError,
+                                          circle_interface)
 from nxfem_ocp.problems import ManufacturedProblem, PiecewiseField
 from nxfem_ocp.xfem_space import SIDE_BOTH
 
@@ -12,6 +13,25 @@ from nxfem_ocp.xfem_space import SIDE_BOTH
 def tri_coords(mesh, e):
     """Coordinates of element e, shape (3, 2)."""
     return mesh.vertices[mesh.triangles[e]]
+
+
+def triangle_area(coords):
+    """Area of a triangle from its (3, 2) vertex coordinates (shoelace)."""
+    coords = np.asarray(coords, dtype=float)
+    e0 = coords[1] - coords[0]
+    e1 = coords[2] - coords[0]
+    return 0.5 * abs(e0[0] * e1[1] - e0[1] * e1[0])
+
+
+def element_dofs(space, element, side=None):
+    """Global dofs of the hats active on ``side`` of the element (the
+    element's own subdomain if it is uncut)."""
+    tri = space.mesh.triangles[element]
+    if space.classes[element] != int(ElementClass.CUT):
+        side = int(space.classes[element])
+    elif side not in (1, 2):
+        raise GeometryError(f"element {element} is cut; side must be 1 or 2")
+    return (space.dof1 if side == 1 else space.dof2)[tri]
 
 
 def interpolate_two_sided(space, vertex_signs, f1, f2):
@@ -33,7 +53,8 @@ def interpolate_two_sided(space, vertex_signs, f1, f2):
 
 def total_interface_length(cut_info):
     """Sum of chord lengths over all cut elements."""
-    return float(sum(cg.chord_length for cg in cut_info.cuts.values()))
+    d = cut_info.chords.q2 - cut_info.chords.q1
+    return float(np.sqrt((d ** 2).sum(axis=1)).sum())
 
 
 def build_smooth_problem(a=1.0):

@@ -1,12 +1,16 @@
-"""Per-element reference implementations of the assembly, error-norm and
-clamped-control integrals, and reference forms of the solver's ordering,
-factor and saddle operator.
+"""Per-element reference implementations of the cut geometry, the
+assembly, error-norm and clamped-control integrals, and reference forms of
+the solver's ordering, factor and saddle operator.
 
-The integrals walk every cut element (and every kink-flagged element) in
-Python, one sub-triangle and one chord at a time, with recursive kink
-refinement.  ``test_cell_table.py`` compares the package's batched
-integration-cell tables against them, and the clipped clamp integrals
-against both the refined loops and an exact polygon clipping of each cell;
+The geometry oracle cuts one element at a time with scalar secant and
+bisection roots; ``test_interface_geometry.py`` compares the package's
+batched ``build_cut_info`` against it.  The integrals walk every cut
+element (and every kink-flagged element) in Python, one sub-triangle and
+one chord at a time (read per element from the tables by
+``element_cuts``), with recursive kink refinement.  ``test_cell_table.py``
+compares the package's batched integration-cell tables against them, and
+the clipped clamp integrals against both the refined loops and an exact
+polygon clipping of each cell;
 ``test_solver.py`` compares the solver's level-by-level nested dissection,
 its matrix-free saddle operator and its factor against the recursion, the
 assembled block matrix and the COLAMD factor at the end of this module.
@@ -20,12 +24,219 @@ from dataclasses import dataclass
 
 from nxfem_ocp.assembly import _MASS_BARY
 from nxfem_ocp.errors import ErrorReport, FieldErrors
-from nxfem_ocp.interface_geometry import (ElementClass, gauss_segment,
-                                          triangle_rule)
-from nxfem_ocp.mesh import triangle_area
+from nxfem_ocp.interface_geometry import (ROOT_TOL, CellTable, ChordTable,
+                                          CutInfo, ElementClass, GeometryError,
+                                          _classes_from_signs, gauss_segment,
+                                          snapped_vertex_signs, triangle_rule)
 from nxfem_ocp.solver import ND_LEAF
 
-from helpers import tri_coords
+from helpers import element_dofs, tri_coords, triangle_area
+
+
+# ---------------------------------------------------------------------------
+# the cut geometry, one element at a time
+# ---------------------------------------------------------------------------
+
+class DegenerateCutError(GeometryError):
+    """The chord of a sign-flagged element collapses (the interface only
+    grazes a snapped vertex); the element is effectively interior."""
+
+    def __init__(self, element, side, message):
+        super().__init__(message)
+        self.element = element
+        self.side = side
+
+
+def _edge_root(levelset, pa, pb, fa, fb):
+    """Point on segment [pa, pb] where the level set vanishes.
+
+    One secant step first, then bisection on the sign-preserving bracket
+    until |phi| <= ROOT_TOL.
+    """
+    if abs(fa) <= ROOT_TOL:
+        return np.array(pa, dtype=float)
+    if abs(fb) <= ROOT_TOL:
+        return np.array(pb, dtype=float)
+    if (fa < 0.0) == (fb < 0.0):
+        # no true sign change: one endpoint was snapped across the interface
+        snap = np.array(pa, dtype=float) if abs(fa) < abs(fb) else \
+            np.array(pb, dtype=float)
+        if min(abs(fa), abs(fb)) > 1e-10:
+            raise GeometryError("sign-flagged edge without a bracketable root")
+        return snap
+    ta, tb = 0.0, 1.0
+    pa = np.asarray(pa, dtype=float)
+    d = np.asarray(pb, dtype=float) - pa
+
+    def eval_t(t):
+        p = pa + t * d
+        return float(levelset(p[0], p[1]))
+
+    t = ta - fa * (tb - ta) / (fb - fa)      # secant step
+    for _ in range(120):
+        t = min(max(t, ta), tb)
+        ft = eval_t(t)
+        if abs(ft) <= ROOT_TOL or tb - ta < 1e-17:
+            break
+        if (ft < 0.0) == (fa < 0.0):
+            ta = t
+        else:
+            tb = t
+        t = 0.5 * (ta + tb)
+    return pa + t * d
+
+
+def _oriented(tri):
+    """Return the triangle with positive orientation."""
+    e0 = tri[1] - tri[0]
+    e1 = tri[2] - tri[0]
+    if e0[0] * e1[1] - e0[1] * e1[0] < 0.0:
+        return np.array([tri[0], tri[2], tri[1]])
+    return np.asarray(tri, dtype=float)
+
+
+@dataclass
+class CutGeometry:
+    """Chord, area fractions and sub-triangulation of one cut element.
+
+    ``normal`` is the unit chord normal pointing from subdomain 1 into
+    subdomain 2; ``tris1``/``tris2`` are (m, 3, 2) coordinate arrays tiling
+    the two element fragments.
+    """
+
+    element: int
+    q1: np.ndarray
+    q2: np.ndarray
+    normal: np.ndarray
+    k1: float
+    k2: float
+    tris1: np.ndarray
+    tris2: np.ndarray
+
+    @property
+    def chord_length(self):
+        return float(np.linalg.norm(self.q2 - self.q1))
+
+
+def compute_cut_geometry(mesh, levelset, element, signs=None):
+    """Intersection points, chord normal, area fractions and sub-triangles
+    for a cut element."""
+    if signs is None:
+        _, signs = snapped_vertex_signs(mesh, levelset)
+    tri = mesh.triangles[element]
+    coords = mesh.vertices[tri]
+    s = signs[tri]
+    if (s == s[0]).all():
+        raise GeometryError(f"element {element} is not cut")
+
+    # minority-sign vertex; its two adjacent edges carry the intersections
+    lone = 0 if s[1] == s[2] else (1 if s[0] == s[2] else 2)
+    prev_l, next_l = (lone + 2) % 3, (lone + 1) % 3
+
+    phi_at = lambda p: float(levelset(p[0], p[1]))
+    roots = {}
+    for other in (prev_l, next_l):
+        va, vb = tri[lone], tri[other]
+        pa, pb = coords[lone], coords[other]
+        # canonical edge orientation so shared edges give identical points
+        if va > vb:
+            pa, pb = pb, pa
+        try:
+            roots[other] = _edge_root(levelset, pa, pb, phi_at(pa), phi_at(pb))
+        except GeometryError as exc:
+            raise GeometryError(f"element {element}: {exc}") from None
+    q1, q2 = roots[prev_l], roots[next_l]
+    if np.linalg.norm(q1 - q2) < 1e-12 * mesh.h:
+        # the interface only grazes the minority vertex; the rest of the
+        # element lies on the majority side
+        majority = 1 if s[prev_l] == -1 else 2
+        raise DegenerateCutError(
+            element, majority,
+            f"element {element}: coincident intersection points")
+
+    lone_tri = _oriented(np.array([coords[lone], q1, q2]))
+    quad = [coords[prev_l], coords[next_l], q2, q1]      # ccw cycle
+    d_prev_q2 = np.linalg.norm(quad[0] - quad[2])
+    d_next_q1 = np.linalg.norm(quad[1] - quad[3])
+    if d_prev_q2 <= d_next_q1:
+        quad_tris = [np.array([quad[0], quad[1], quad[2]]),
+                     np.array([quad[0], quad[2], quad[3]])]
+    else:
+        quad_tris = [np.array([quad[0], quad[1], quad[3]]),
+                     np.array([quad[1], quad[2], quad[3]])]
+    area = triangle_area(coords)
+    quad_tris = [_oriented(t) for t in quad_tris
+                 if triangle_area(t) > 1e-14 * area]
+
+    if s[lone] == -1:
+        tris1, tris2 = np.array([lone_tri]), np.array(quad_tris)
+    else:
+        tris1, tris2 = np.array(quad_tris), np.array([lone_tri])
+    k1 = sum(triangle_area(t) for t in tris1) / area
+    k2 = sum(triangle_area(t) for t in tris2) / area
+    if min(k1, k2) < 1e-12:
+        raise DegenerateCutError(
+            element, 1 if k1 > k2 else 2,
+            f"element {element}: degenerate cut (fractions {k1:.3e}, {k2:.3e})")
+
+    # chord normal pointing out of subdomain 1 (the negative level-set side);
+    # this orientation makes the cross-weighted flux data consistent
+    mid = 0.5 * (q1 + q2)
+    gx, gy = levelset.grad(mid[0], mid[1])
+    normal = np.array([float(gx), float(gy)])
+    norm = np.linalg.norm(normal)
+    if norm == 0.0:
+        raise GeometryError(f"element {element}: vanishing level-set gradient")
+    normal /= norm
+
+    return CutGeometry(element=element, q1=q1, q2=q2, normal=normal,
+                       k1=float(k1), k2=float(k2), tris1=tris1, tris2=tris2)
+
+
+def loop_cut_info(mesh, levelset):
+    """``build_cut_info`` one element at a time: the ``CutInfo`` stacked
+    from ``compute_cut_geometry`` of every sign-flagged element (degenerate
+    ones reclassified), and the per-element geometries by element."""
+    _, signs = snapped_vertex_signs(mesh, levelset)
+    classes = _classes_from_signs(mesh, signs)
+    cuts = {}
+    for e in np.flatnonzero(classes == int(ElementClass.CUT)):
+        try:
+            cuts[int(e)] = compute_cut_geometry(mesh, levelset, int(e), signs)
+        except DegenerateCutError as exc:
+            classes[e] = exc.side
+    cut_elements = np.array(sorted(cuts), dtype=np.int64)
+    geoms = [cuts[int(e)] for e in cut_elements]
+    tris = [(cg.element, side, t) for cg in geoms
+            for side, ts in ((1, cg.tris1), (2, cg.tris2)) for t in ts]
+    cells = CellTable(np.array([e for e, _, _ in tris], dtype=np.int64),
+                      np.array([s for _, s, _ in tris], dtype=np.int8),
+                      np.array([t for _, _, t in tris]).reshape(-1, 3, 2))
+    per_chord = lambda name: np.array([getattr(cg, name) for cg in geoms])
+    edges = mesh.vertices[mesh.triangles[cut_elements]]
+    edges -= np.roll(edges, 1, axis=1)
+    chords = ChordTable(
+        cut_elements, per_chord("q1").reshape(-1, 2),
+        per_chord("q2").reshape(-1, 2), per_chord("normal").reshape(-1, 2),
+        per_chord("k1"), per_chord("k2"),
+        np.sqrt((edges ** 2).sum(axis=2)).max(axis=1, initial=0.0))
+    return CutInfo(classes, signs, cut_elements, cells, chords), cuts
+
+
+def element_cuts(cut_info):
+    """The chord and cell tables read back as one ``CutGeometry`` per cut
+    element, keyed by element."""
+    ch, cells = cut_info.chords, cut_info.cells
+    first = np.searchsorted(cells.parent, ch.element)
+    last = np.searchsorted(cells.parent, ch.element, side="right")
+    cuts = {}
+    for i, e in enumerate(ch.element):
+        own = cells[first[i]:last[i]]
+        cuts[int(e)] = CutGeometry(
+            int(e), ch.q1[i], ch.q2[i], ch.normal[i], float(ch.k1[i]),
+            float(ch.k2[i]), own.coords[own.side == 1],
+            own.coords[own.side == 2])
+    return cuts
 
 
 @dataclass
@@ -170,8 +381,7 @@ def loop_stiffness(mesh, cut_info, space, alpha1, alpha2, params,
         return alpha * mesh.areas[els][:, None, None] * gg
 
     rows, cols, vals = _accumulate_uncut(mesh, space, cut_info, local)
-    for e in cut_info.cut_elements:
-        cg = cut_info.cuts[int(e)]
+    for e, cg in element_cuts(cut_info).items():
         A_loc, _ = cut_element_matrices(mesh, cg, alpha1, alpha2, lam_penalty,
                                         quad_degree, seg_points)
         dofs = _cut_element_dofs(mesh, space, e)
@@ -192,8 +402,7 @@ def loop_mass(mesh, cut_info, space, quad_degree=4):
         return mesh.areas[els][:, None, None] * _MASS_BARY[None, :, :]
 
     rows, cols, vals = _accumulate_uncut(mesh, space, cut_info, local)
-    for e in cut_info.cut_elements:
-        cg = cut_info.cuts[int(e)]
+    for e, cg in element_cuts(cut_info).items():
         _, M_loc = cut_element_matrices(mesh, cg, 1.0, 1.0, 0.0, quad_degree)
         dofs = _cut_element_dofs(mesh, space, e)
         rows.append(np.repeat(dofs, 6))
@@ -235,9 +444,7 @@ def _volume_load(vec, mesh, cut_info, space, func, quad_degree, refine):
             dofs = (space.dof1 if side == 1 else space.dof2)[mesh.triangles[e]]
             np.add.at(vec, dofs, (wts * fv) @ lamq)
 
-    for e in cut_info.cut_elements:
-        e = int(e)
-        cg = cut_info.cuts[e]
+    for e, cg in element_cuts(cut_info).items():
         tri = mesh.triangles[e]
         for side, fs, tris, dofs in ((1, f1, cg.tris1, space.dof1[tri]),
                                      (2, f2, cg.tris2, space.dof2[tri])):
@@ -258,9 +465,7 @@ def _volume_load(vec, mesh, cut_info, space, func, quad_degree, refine):
 def _interface_load(vec, mesh, cut_info, space, g, seg_points):
     """Add the interface flux data with cross weights: side-1 traces are
     weighted by k2, side-2 traces by k1."""
-    for e in cut_info.cut_elements:
-        e = int(e)
-        cg = cut_info.cuts[e]
+    for e, cg in element_cuts(cut_info).items():
         rule = segment_quadrature(cg.q1, cg.q2, seg_points)
         lamq = mesh.barycentric(e, rule.points)
         gv = np.asarray(g(rule.points[:, 0], rule.points[:, 1]), dtype=float)
@@ -297,7 +502,7 @@ class _ClampedLinearField:
     def values_and_grads(self, mesh, e, side, lam_pts):
         """Values (n,) and gradients (n, 2) at points given in barycentric
         coordinates of element e."""
-        C = self.coeffs(self.space.element_dofs(e, side))
+        C = self.coeffs(element_dofs(self.space, e, side))
         raw = lam_pts @ C
         vals = np.clip(raw, self.lo, self.hi)
         active = (raw > self.lo) & (raw < self.hi)
@@ -378,8 +583,8 @@ def _field_errors(problem, field, disc, mesh, cut_info, space, quad_degree,
                             [tri_coords(mesh, int(e))], bary, w, refine_depth)
 
     # --- volume terms, cut elements ----------------------------------------
-    for e in cut_info.cut_elements:
-        cg = cut_info.cuts[int(e)]
+    cuts = element_cuts(cut_info)
+    for e, cg in cuts.items():
         for side, tris in ((1, cg.tris1), (2, cg.tris2)):
             _element_volume(acc, problem, exact, exact_grad, exact_status,
                             disc, mesh, int(e), side, tris, bary, w,
@@ -391,7 +596,7 @@ def _field_errors(problem, field, disc, mesh, cut_info, space, quad_degree,
     if len(cut_info.cut_elements):
         h_T = _element_diameters(mesh, cut_info.cut_elements)
         for ht, e in zip(h_T, cut_info.cut_elements):
-            cg = cut_info.cuts[int(e)]
+            cg = cuts[int(e)]
             rule = segment_quadrature(cg.q1, cg.q2, seg_points)
             lam = mesh.barycentric(int(e), rule.points)
             n = cg.normal
@@ -423,7 +628,7 @@ def _field_errors(problem, field, disc, mesh, cut_info, space, quad_degree,
 def _element_volume(acc, problem, exact, exact_grad, exact_status, disc,
                     mesh, e, side, tris, bary, w, depth):
     """Slow path: per-element integration with kink-adaptive refinement."""
-    dofs = disc.space.element_dofs(e, side)
+    dofs = element_dofs(disc.space, e, side)
     C = disc.coeffs(dofs)
 
     def needs_refine(tc):
@@ -468,11 +673,12 @@ def loop_integration_cells(mesh, cut_info):
     """(element, side, coords) of every integration cell, walking the
     elements in order: uncut elements whole, cut elements as their side-1
     then side-2 sub-triangles."""
+    cuts = element_cuts(cut_info)
     cells = []
     for e in range(mesh.num_triangles):
         cls = cut_info.classes[e]
         if cls == int(ElementClass.CUT):
-            cg = cut_info.cuts[e]
+            cg = cuts[e]
             cells += [(e, 1, t) for t in cg.tris1]
             cells += [(e, 2, t) for t in cg.tris2]
         else:
@@ -556,9 +762,7 @@ def loop_control_load(mesh, cut_info, space, P, a, bounds, quad_degree=4,
             _control_load_element(vec, mesh, space, int(e), side, P, a, lo, hi,
                                   bary, w, [tri_coords(mesh, e)], depth)
 
-    for e in cut_info.cut_elements:
-        e = int(e)
-        cg = cut_info.cuts[e]
+    for e, cg in element_cuts(cut_info).items():
         for side, tris in ((1, cg.tris1), (2, cg.tris2)):
             _control_load_element(vec, mesh, space, e, side, P, a, lo, hi,
                                   bary, w, tris, depth)
@@ -567,7 +771,7 @@ def loop_control_load(mesh, cut_info, space, P, a, bounds, quad_degree=4,
 
 def _control_load_element(vec, mesh, space, e, side, P, a, lo, hi, bary, w,
                           tris, depth):
-    dofs = space.element_dofs(e, side)
+    dofs = element_dofs(space, e, side)
     coeffs = -P[dofs] / a
 
     def needs_refine(tc):
@@ -595,11 +799,9 @@ def loop_control_at_quadrature(mesh, cut_info, space, P, a, bounds):
         v = np.clip((-P[dofs] / a) @ bary.T, lo, hi)
         vals.append(v.ravel())
         wts.append((np.outer(mesh.areas[els], w)).ravel())
-    for e in cut_info.cut_elements:
-        e = int(e)
-        cg = cut_info.cuts[e]
+    for e, cg in element_cuts(cut_info).items():
         for side, tris in ((1, cg.tris1), (2, cg.tris2)):
-            dofs = space.element_dofs(e, side)
+            dofs = element_dofs(space, e, side)
             coeffs = -P[dofs] / a
             for t in tris:
                 r = map_rule_to_triangle(t, bary, w)
@@ -620,7 +822,7 @@ def loop_active_mass_and_load(mesh, cut_info, space, P, a, bounds,
     b_act = np.zeros(S)
 
     def handle(e, side, tris):
-        dofs = space.element_dofs(e, side)
+        dofs = element_dofs(space, e, side)
         coeffs = -P[dofs] / a
 
         def needs_refine(tc):
@@ -708,7 +910,7 @@ def clipped_control_integrals(mesh, cut_info, space, P, a, bounds):
     load, b_act = np.zeros(S), np.zeros(S)
     rows, cols, vals = [], [], []
     for e, side, tri in loop_integration_cells(mesh, cut_info):
-        dofs = space.element_dofs(e, side)
+        dofs = element_dofs(space, e, side)
         cell_load, cell_mass, cell_act = clipped_cell_integrals(
             mesh, e, tri, -P[dofs] / a, lo, hi)
         np.add.at(load, dofs, cell_load)

@@ -11,7 +11,7 @@ from nxfem_ocp.solver import ReducedSolver
 from nxfem_ocp.xfem_space import ExtendedSpace
 
 from helpers import interpolate_two_sided
-from oracles import cut_element_matrices
+from oracles import cut_element_matrices, element_cuts
 
 FAR_AWAY = circle_interface(1.0, center=(10.0, 10.0))
 SEG_LS = line_interface(-np.sqrt(3) / 3, (6 + np.sqrt(6) - 2 * np.sqrt(3)) / 6)
@@ -68,7 +68,7 @@ def test_single_cut_element_against_symbolic_assembly():
                   grad=lambda x, y: (np.ones_like(np.asarray(x, dtype=float)),
                                      -np.ones_like(np.asarray(y, dtype=float))))
     info = build_cut_info(mesh, ls)
-    cg = info.cuts[0]
+    cg = element_cuts(info)[0]
     alpha1, alpha2, lam_pen = 1.0, 100.0, 37.0
     A_loc, M_loc = cut_element_matrices(mesh, cg, alpha1, alpha2, lam_pen)
     # the package's batched assembly gives the same blocks on this element
@@ -212,7 +212,7 @@ def test_interface_load_cross_weights():
     space = ExtendedSpace(mesh, info)
     one = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
     F = assemble_load(mesh, info, space, g=one)
-    cg = info.cuts[0]
+    cg = element_cuts(info)[0]
     # a side-1 constant test function sums the side-1 entries: k2 * |chord|
     tri = mesh.triangles[0]
     side1 = F[space.dof1[tri]].sum()

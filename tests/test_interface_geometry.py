@@ -1,15 +1,20 @@
+"""The cut geometry: classification, chords, fractions and sub-triangles
+of the batched ``build_cut_info``, checked for their own properties and
+against the per-element oracle (``oracles.compute_cut_geometry``)."""
+
 import numpy as np
 import pytest
 
-from nxfem_ocp.interface_geometry import (DegenerateCutError, ElementClass,
-                                          GeometryError, LevelSet,
-                                          build_cut_info, circle_interface,
-                                          compute_cut_geometry, line_interface,
+from nxfem_ocp.interface_geometry import (ElementClass, GeometryError,
+                                          LevelSet, build_cut_info,
+                                          circle_interface, line_interface,
                                           snapped_vertex_signs, triangle_rule)
-from nxfem_ocp.mesh import ConfigurationError, Mesh, build_uniform_mesh, triangle_area
+from nxfem_ocp.mesh import ConfigurationError, Mesh, build_uniform_mesh
+from nxfem_ocp.problems import build_example
 
-from helpers import total_interface_length
-from oracles import (QuadRule, map_rule_to_triangle,
+from helpers import total_interface_length, triangle_area
+from oracles import (DegenerateCutError, QuadRule, compute_cut_geometry,
+                     element_cuts, loop_cut_info, map_rule_to_triangle,
                      refined_triangle_quadrature)
 
 # the reference-triangle cut used throughout: phi = x - y - 1/2
@@ -51,12 +56,13 @@ def test_cut_count_matches_sign_scan():
         elif (s == 1).all():
             assert info.classes[e] == ElementClass.INTERIOR_2
         else:
-            assert (info.classes[e] == ElementClass.CUT) == (e in info.cuts)
+            assert (info.classes[e] == ElementClass.CUT) == \
+                (e in info.cut_elements)
 
 
 def test_reference_cut_geometry():
     mesh = reference_cut_mesh()
-    cg = compute_cut_geometry(mesh, FIG_LS, 0)
+    cg = element_cuts(build_cut_info(mesh, FIG_LS))[0]
     qs = sorted([tuple(cg.q1), tuple(cg.q2)])
     assert np.allclose(qs[0], (0.5, 0.0), atol=1e-12)
     assert np.allclose(qs[1], (0.75, 0.25), atol=1e-12)
@@ -74,7 +80,7 @@ def test_partition_identities():
         mesh = build_uniform_mesh(domain, n)
         info = build_cut_info(mesh, ls)
         assert len(info.cut_elements) > 0
-        for e, cg in info.cuts.items():
+        for e, cg in element_cuts(info).items():
             area = mesh.areas[e]
             assert cg.k1 + cg.k2 == pytest.approx(1.0, abs=1e-12)
             assert 0.0 < cg.k1 < 1.0 and 0.0 < cg.k2 < 1.0
@@ -94,9 +100,9 @@ def test_sliver_cut_keeps_partition():
                                      np.ones_like(np.asarray(y, dtype=float))))
     info = build_cut_info(mesh, ls)
     fractions = []
-    for cg in info.cuts.values():
-        assert cg.k1 + cg.k2 == pytest.approx(1.0, abs=1e-12)
-        fractions.append(min(cg.k1, cg.k2))
+    for k1, k2 in zip(info.chords.k1, info.chords.k2):
+        assert k1 + k2 == pytest.approx(1.0, abs=1e-12)
+        fractions.append(min(k1, k2))
     # the clipped corner spreads over the two elements meeting at the vertex
     assert min(fractions) == pytest.approx(5e-7, rel=1e-6)
 
@@ -105,8 +111,9 @@ def test_chord_root_residuals():
     mesh = build_uniform_mesh((-1, 1, -1, 1), 16)
     ls = circle_interface(np.sqrt(3) / 4)
     info = build_cut_info(mesh, ls)
-    for e, cg in info.cuts.items():
-        for q in (cg.q1, cg.q2):
+    ch = info.chords
+    for e, q1, q2 in zip(ch.element, ch.q1, ch.q2):
+        for q in (q1, q2):
             assert abs(ls(q[0], q[1])) <= 1e-12
             lam = mesh.barycentric(e, q)[0]
             assert lam.min() >= -1e-10
@@ -122,16 +129,17 @@ def test_normal_orientation_and_unit_length():
                         (0, 1, 0, 1))):
         mesh = build_uniform_mesh(domain, 16)
         info = build_cut_info(mesh, ls)
-        for cg in info.cuts.values():
-            mid = 0.5 * (cg.q1 + cg.q2)
-            gx, gy = ls.grad(mid[0], mid[1])
-            assert cg.normal @ np.array([float(gx), float(gy)]) > 0.0
-            assert np.linalg.norm(cg.normal) == pytest.approx(1.0, abs=1e-13)
+        ch = info.chords
+        gx, gy = ls.grad(*(0.5 * (ch.q1 + ch.q2)).T)
+        assert (ch.normal[:, 0] * gx + ch.normal[:, 1] * gy > 0.0).all()
+        assert np.allclose(np.linalg.norm(ch.normal, axis=1), 1.0, rtol=0.0,
+                           atol=1e-13)
 
 
 def test_degenerate_grazing_cut_reclassified():
     # vertices ( +-1/2, 0), (0, +-1/2) lie exactly on the circle; elements
-    # touching it only there must be reclassified interior
+    # touching it only there must be reclassified interior (the oracle finds
+    # them one element at a time)
     mesh = build_uniform_mesh((-1, 1, -1, 1), 16)
     ls = circle_interface(0.5)
     _, signs = snapped_vertex_signs(mesh, ls)
@@ -147,16 +155,16 @@ def test_degenerate_grazing_cut_reclassified():
     info = build_cut_info(mesh, ls)
     for e, side in degenerate:
         assert info.classes[e] == side
-        assert e not in info.cuts
+        assert e not in info.cut_elements
 
 
 def test_subtriangle_quadrature_partition_and_monomials():
     mesh = reference_cut_mesh()
-    cg = compute_cut_geometry(mesh, FIG_LS, 0)
+    cells = build_cut_info(mesh, FIG_LS).cells
     bary, w = triangle_rule(4)
     # one physical rule per element side, mapped over its sub-triangles
     rules = []
-    for tris in (cg.tris1, cg.tris2):
+    for tris in (cells.coords[cells.side == 1], cells.coords[cells.side == 2]):
         mapped = [map_rule_to_triangle(t, bary, w) for t in tris]
         rules.append((np.vstack([r.points for r in mapped]),
                       np.hstack([r.weights for r in mapped])))
@@ -248,24 +256,22 @@ def test_endpoint_roots_at_snapped_vertices():
     mesh = build_uniform_mesh((-1, 1, -1, 1), 8)
     ls = circle_interface(0.5)
     info = build_cut_info(mesh, ls)
-    hits = 0
-    for cg in info.cuts.values():
-        for q in (cg.q1, cg.q2):
-            if np.allclose(q, (0.5, 0.0), atol=1e-13):
-                hits += 1
-        assert 0.0 < cg.k1 < 1.0
-    assert hits > 0
+    ends = np.concatenate([info.chords.q1, info.chords.q2])
+    assert (np.abs(ends - (0.5, 0.0)).max(axis=1) <= 1e-13).any()
+    assert ((0.0 < info.chords.k1) & (info.chords.k1 < 1.0)).all()
 
 
 def test_cut_geometry_error_on_uncut_element():
+    # the per-element oracle refuses an element the interface misses
     mesh = build_uniform_mesh((0, 1, 0, 1), 4)
     far = circle_interface(1.0, center=(10.0, 10.0))
     with pytest.raises(GeometryError):
         compute_cut_geometry(mesh, far, 0)
 
 
-def test_random_interfaces_keep_invariants():
-    # randomized lines and circles, including near-vertex crossings
+def random_interfaces():
+    """30 randomized lines and circles on small meshes of [-1, 1]^2,
+    including near-vertex crossings."""
     rng = np.random.default_rng(17)
     for trial in range(30):
         n = int(rng.integers(4, 13))
@@ -281,8 +287,13 @@ def test_random_interfaces_keep_invariants():
             if trial % 4 == 1:
                 cx, cy = round(cx * n) / n, round(cy * n) / n
             ls = circle_interface(r, center=(cx, cy))
+        yield mesh, ls
+
+
+def test_random_interfaces_keep_invariants():
+    for mesh, ls in random_interfaces():
         info = build_cut_info(mesh, ls)
-        for e, cg in info.cuts.items():
+        for e, cg in element_cuts(info).items():
             assert cg.k1 + cg.k2 == pytest.approx(1.0, abs=1e-12)
             assert 0.0 < cg.k1 < 1.0
             a1 = sum(triangle_area(t) for t in cg.tris1)
@@ -291,3 +302,106 @@ def test_random_interfaces_keep_invariants():
             for q in (cg.q1, cg.q2):
                 assert abs(ls(q[0], q[1])) <= 1e-10 * mesh.h
             assert np.linalg.norm(cg.normal) == pytest.approx(1.0, abs=1e-12)
+
+
+def assert_same_geometry(new, old, bitwise):
+    assert np.array_equal(new.classes, old.classes)
+    assert np.array_equal(new.cut_elements, old.cut_elements)
+    assert np.array_equal(new.vertex_sign, old.vertex_sign)
+    assert np.array_equal(new.cells.parent, old.cells.parent)
+    assert np.array_equal(new.cells.side, old.cells.side)
+    h = old.chords.h
+    if bitwise:
+        assert np.array_equal(new.cells.coords, old.cells.coords)
+        for name in ("element", "q1", "q2", "normal", "k1", "k2", "h"):
+            assert np.array_equal(getattr(new.chords, name),
+                                  getattr(old.chords, name)), name
+        return
+    for name in ("q1", "q2"):
+        gap = np.abs(getattr(new.chords, name) - getattr(old.chords, name))
+        assert (gap.max(axis=1, initial=0.0) <= 1e-14 * h).all(), name
+    for name in ("k1", "k2"):
+        gap = np.abs(getattr(new.chords, name) - getattr(old.chords, name))
+        assert gap.max(initial=0.0) <= 1e-14, name
+    gap = np.abs(new.cells.coords - old.cells.coords).max(axis=(1, 2),
+                                                          initial=0.0)
+    cell_h = h[np.searchsorted(old.chords.element, old.cells.parent)]
+    assert (gap <= 1e-14 * cell_h).all()
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128, 256])
+@pytest.mark.parametrize("example", [1, 2, 3])
+def test_batched_geometry_is_the_element_oracle_bitwise(example, n):
+    problem = build_example(example)
+    mesh = build_uniform_mesh(problem.domain, n)
+    old, _ = loop_cut_info(mesh, problem.levelset)
+    assert_same_geometry(build_cut_info(mesh, problem.levelset), old,
+                         bitwise=True)
+
+
+def awkward_geometries():
+    yield from random_interfaces()
+    # slivers: the circle passes 3e-4 from the vertex (1/2, 0), and a line
+    # clips a corner of a 2 x 2 mesh with fraction 5e-7
+    yield (build_uniform_mesh((-1, 1, -1, 1), 16),
+           circle_interface(0.5, center=(3e-4, 0.0)))
+    yield (build_uniform_mesh((0, 1, 0, 1), 2),
+           LevelSet(f=lambda x, y: x + y - (1.5 - 5e-4),
+                    grad=lambda x, y: (np.ones_like(np.asarray(x, dtype=float)),
+                                       np.ones_like(np.asarray(y, dtype=float)))))
+    # grazing: the line y = x runs along mesh edges, and circles through
+    # mesh vertices touch elements only there
+    yield build_uniform_mesh((0, 1, 0, 1), 16), line_interface(1.0, 0.0)
+    for n in (8, 16):
+        yield build_uniform_mesh((-1, 1, -1, 1), n), circle_interface(0.5)
+
+
+def test_batched_geometry_matches_the_element_oracle_on_awkward_cuts():
+    for mesh, ls in awkward_geometries():
+        old, _ = loop_cut_info(mesh, ls)
+        assert_same_geometry(build_cut_info(mesh, ls), old, bitwise=False)
+
+
+def test_edge_without_a_bracketable_root_names_the_element():
+    # on a mesh this coarse the snap distance (1e-12 h) exceeds the 1e-10
+    # root tolerance: the vertex at x = 500 is snapped to side 2 although
+    # phi is -5e-10 there, so its edges to x = 0 carry no sign change
+    mesh = build_uniform_mesh((0, 1000, 0, 1000), 2)
+    ls = LevelSet(f=lambda x, y: (x - 500.0) - 5e-10,
+                  grad=lambda x, y: (np.ones_like(np.asarray(x, dtype=float)),
+                                     np.zeros_like(np.asarray(y, dtype=float))))
+    with pytest.raises(GeometryError, match="bracketable") as oracle:
+        loop_cut_info(mesh, ls)
+    with pytest.raises(GeometryError) as batched:
+        build_cut_info(mesh, ls)
+    assert str(batched.value) == str(oracle.value)
+    assert str(batched.value).startswith("element ")
+
+
+def test_vanishing_gradient_at_a_chord_names_the_element():
+    flat = LevelSet(f=lambda x, y: x - y - 0.3,
+                    grad=lambda x, y: (np.zeros_like(np.asarray(x, dtype=float)),
+                                       np.zeros_like(np.asarray(y, dtype=float))))
+    mesh = build_uniform_mesh((0, 1, 0, 1), 4)
+    with pytest.raises(GeometryError, match="vanishing") as oracle:
+        loop_cut_info(mesh, flat)
+    with pytest.raises(GeometryError) as batched:
+        build_cut_info(mesh, flat)
+    assert str(batched.value) == str(oracle.value)
+    assert str(batched.value).startswith("element ")
+
+
+def test_level_set_evaluations_do_not_grow_with_the_mesh():
+    # all roots advance together: one level-set call per root iteration
+    # (at most 120), plus the vertex values and the chord normals
+    problem = build_example(3)
+    counts = []
+    for n in (32, 256):
+        calls = []
+        counted = LevelSet(
+            f=lambda x, y: calls.append(1) or problem.levelset(x, y),
+            grad=lambda x, y: calls.append(1) or problem.levelset.grad(x, y))
+        info = build_cut_info(build_uniform_mesh(problem.domain, n), counted)
+        assert len(info.cut_elements) > 0
+        counts.append(len(calls))
+    assert counts[1] <= counts[0] <= 120 + 2

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import tri_coords
+from helpers import tri_coords, triangle_area
 from nxfem_ocp.mesh import (ConfigurationError, Mesh, build_uniform_mesh,
-                            triangle_area, write_mesh_csv)
+                            write_mesh_csv)
 
 
 def shoelace(coords):

@@ -98,11 +98,7 @@ def gamma_sample_points(problem, n):
     (interior chord points are O(h^2) off a curved interface)."""
     mesh = build_uniform_mesh(problem.domain, n)
     info = build_cut_info(mesh, problem.levelset)
-    pts = []
-    for cg in info.cuts.values():
-        pts.append(cg.q1)
-        pts.append(cg.q2)
-    return np.array(pts)
+    return np.concatenate([info.chords.q1, info.chords.q2])
 
 
 @pytest.mark.parametrize("example_id", [1, 2, 3])

@@ -13,7 +13,8 @@ from nxfem_ocp.study import (RunConfig, discretize, extract_active_set_boundary,
                              interface_polylines, run_convergence_study,
                              solve_discretized)
 
-from helpers import interpolate_two_sided, tri_coords
+from helpers import element_dofs, interpolate_two_sided
+from oracles import loop_integration_cells
 
 R2 = np.sqrt(3) / 4
 
@@ -151,36 +152,31 @@ def test_active_set_hausdorff_shrinks_with_refinement():
 
 
 def _triangle_contour(coords, vals):
-    """Zero-level segment of a linear function on one triangle, or None."""
+    """Zero-level segment of a linear function on one triangle whose values
+    straddle zero, or None.  A vertex at zero counts as below it, so it is
+    the crossing point of the edge to the vertex above."""
+    if not vals.min() < 0.0 < vals.max():
+        return None
     pts = []
     for i in range(3):
         j = (i + 1) % 3
         vi, vj = vals[i], vals[j]
-        if vi * vj < 0.0:
+        if (vi > 0.0) != (vj > 0.0):
             t = vi / (vi - vj)
             pts.append(coords[i] + t * (coords[j] - coords[i]))
-    if len(pts) == 2:
-        return np.array(pts)
-    return None
+    return np.array(pts)
 
 
 def contour_segments_all_elements(P, a, level, mesh, cut_info, space):
     """Oracle: zero-level segments of -p/a - level, walking every element
     side patch in element order."""
     segments = []
-    for e in range(mesh.num_triangles):
-        cls = int(cut_info.classes[e])
-        if cls == 3:
-            cg = cut_info.cuts[e]
-            patches = [(1, t) for t in cg.tris1] + [(2, t) for t in cg.tris2]
-        else:
-            patches = [(cls, tri_coords(mesh, e))]
-        for side, tri in patches:
-            vals = mesh.barycentric(e, tri) @ (-P[space.element_dofs(e, side)]
-                                               / a) - level
-            seg = _triangle_contour(np.asarray(tri), vals)
-            if seg is not None:
-                segments.append(seg)
+    for e, side, tri in loop_integration_cells(mesh, cut_info):
+        vals = mesh.barycentric(e, tri) @ (-P[element_dofs(space, e, side)]
+                                           / a) - level
+        seg = _triangle_contour(np.asarray(tri), vals)
+        if seg is not None:
+            segments.append(seg)
     return segments
 
 
@@ -201,6 +197,10 @@ def test_active_set_extraction_matches_full_element_walk():
         assert len(curves[name]) == len(expected) >= 1
         for got, ref in zip(curves[name], expected):
             assert np.array_equal(got, ref)
+    # the lower level runs through a mesh vertex, and the curve closes there
+    lower = max(curves["lower"], key=len)
+    assert len(lower) > 3
+    assert np.abs(lower[0] - lower[-1]).max() <= 1e-12
 
 
 def test_interface_polylines_closed_circle():
@@ -249,7 +249,7 @@ def test_cli_verbose_echoes_one_line_per_mesh(tmp_path, capsys):
         cut = len(info.cut_elements)
         assert int(fields["cut_elements"]) == cut > 0
         assert int(fields["cells"]) == 2 * n * n - cut + len(info.cells)
-        frac = min(min(cg.k1, cg.k2) for cg in info.cuts.values())
+        frac = np.minimum(info.chords.k1, info.chords.k2).min()
         assert float(fields["min_cut_fraction"]) == pytest.approx(frac,
                                                                   rel=1e-3)
 
