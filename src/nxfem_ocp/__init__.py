@@ -9,7 +9,7 @@ from .interface_geometry import (CutInfo, ElementClass, LevelSet,
                                  line_interface)
 from .mesh import Mesh, build_uniform_mesh
 from .problems import ManufacturedProblem, PiecewiseField, build_example
-from .solver import (LinearSolverConfig, OcpSolution, project_control,
+from .solver import (OcpSolution, project_control,
                      solve_constrained_fixed_point, solve_constrained_ssn,
                      solve_unconstrained_ocp)
 from .study import (RunConfig, discretize, extract_active_set_boundary,

@@ -14,17 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["NitscheParams", "RefineSpec", "AssemblyError",
-           "assemble_stiffness", "assemble_mass", "assemble_load"]
+from .interface_geometry import VOLUME_DEGREE
+
+__all__ = ["NitscheParams", "RefineSpec", "assemble_stiffness",
+           "assemble_mass", "assemble_load"]
 
 # exact local P1 mass matrix, to be scaled by the area
 _MASS_BARY = np.array([[2.0, 1.0, 1.0],
                        [1.0, 2.0, 1.0],
                        [1.0, 1.0, 2.0]]) / 12.0
-
-
-class AssemblyError(RuntimeError):
-    """Internal inconsistency between classification and cut geometry."""
 
 
 @dataclass(frozen=True)
@@ -45,20 +43,10 @@ class NitscheParams:
 class RefineSpec:
     """Adaptive volume quadrature: cells of elements flagged in ``mask``
     are split recursively while ``pred(coords, side)`` holds, up to
-    ``depth`` levels; ``pred`` maps (C, 3, 2) triangles to (C,) flags."""
+    KINK_DEPTH levels; ``pred`` maps (C, 3, 2) triangles to (C,) flags."""
 
     mask: np.ndarray
     pred: callable
-    depth: int = 3
-
-
-def _side_funcs(f):
-    """Normalize a load callable: plain callables act on both sides."""
-    if f is None:
-        return None, None
-    if hasattr(f, "side"):
-        return f.side(1), f.side(2)
-    return f, f
 
 
 def _csr(n, blocks):
@@ -85,8 +73,7 @@ def _hat_products(weights, lam):
     return np.einsum("cq,cqi,cqj->cij", weights, lam, lam)
 
 
-def assemble_stiffness(mesh, cut_info, space, alpha1, alpha2, params,
-                       quad_degree=4, seg_points=3):
+def assemble_stiffness(mesh, cut_info, space, alpha1, alpha2, params):
     """Global matrix of the penalized interface form.  Cut elements carry
     six dofs: the side-1 copies of their hats, then the side-2 copies."""
     lam_penalty = params.lam(mesh.h, alpha1, alpha2)
@@ -101,7 +88,7 @@ def assemble_stiffness(mesh, cut_info, space, alpha1, alpha2, params,
     g = mesh.grad_bary[ch.element]                      # (K, 3, 2)
     vol = mesh.areas[ch.element][:, None, None] * np.einsum("kid,kjd->kij", g, g)
     gn = np.einsum("kid,kd->ki", g, ch.normal)
-    _, w, lam = ch.quadrature(mesh, seg_points)
+    _, w, lam = ch.quadrature(mesh)
     Jhat = np.einsum("kq,kqi->ki", w, lam)
     sigma = np.repeat([1.0, -1.0], 3)
     D = np.concatenate([(ch.k1 * alpha1)[:, None] * gn,
@@ -118,39 +105,39 @@ def assemble_stiffness(mesh, cut_info, space, alpha1, alpha2, params,
                 + [(dofs, A)])
 
 
-def assemble_mass(mesh, cut_info, space, quad_degree=4):
+def assemble_mass(mesh, cut_info, space):
     """Global L2 mass matrix of the extended space."""
 
     def local(side, els):
         return mesh.areas[els][:, None, None] * _MASS_BARY[None, :, :]
 
     cells = cut_info.cells
-    _, w, lam = cells.quadrature(mesh, quad_degree)
+    _, w, lam = cells.quadrature(mesh, VOLUME_DEGREE)
     return _csr(space.n_dofs, _uncut_blocks(mesh, cut_info, space, local)
                 + [(space.cell_dofs(cells), _hat_products(w, lam))])
 
 
-def _volume_load(vec, mesh, cut_info, space, func, quad_degree, refine):
-    """Add the volume inner product of ``func`` with every basis function."""
-    for side, fs in zip((1, 2), _side_funcs(func)):
+def _volume_load(vec, mesh, cut_info, space, func, refine):
+    """Add the volume inner product of the two-sided ``func`` with every
+    basis function."""
+    for side in (1, 2):
         cells = cut_info.integration_cells(mesh, side)
         if refine is not None:
             cells = cells.refined(refine.mask[cells.parent],
-                                  lambda c: refine.pred(c.coords, side),
-                                  refine.depth)
+                                  lambda c: refine.pred(c.coords, side))
         for part in cells.batches():
-            pts, w, lam = part.quadrature(mesh, quad_degree)
-            loads = np.einsum("cq,cqi->ci", w * fs(pts[..., 0], pts[..., 1]),
-                              lam)
+            pts, w, lam = part.quadrature(mesh, VOLUME_DEGREE)
+            fv = func.side(side)(pts[..., 0], pts[..., 1])
+            loads = np.einsum("cq,cqi->ci", w * fv, lam)
             vec += np.bincount(space.cell_dofs(part).ravel(),
                                loads.ravel(), minlength=len(vec))
 
 
-def _interface_load(vec, mesh, cut_info, space, g, seg_points):
+def _interface_load(vec, mesh, cut_info, space, g):
     """Add the interface flux data with cross weights: side-1 traces are
     weighted by k2, side-2 traces by k1."""
     ch = cut_info.chords
-    pts, w, lam = ch.quadrature(mesh, seg_points)
+    pts, w, lam = ch.quadrature(mesh)
     gv = np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float)
     base = np.einsum("kq,kqi->ki", w * gv, lam)
     tri = mesh.triangles[ch.element]
@@ -159,24 +146,12 @@ def _interface_load(vec, mesh, cut_info, space, g, seg_points):
                            minlength=len(vec))
 
 
-def assemble_load(mesh, cut_info, space, f=None, g=None, u_field=None,
-                  mass=None, quad_degree=4, seg_points=3, refine=None):
-    """Right-hand side vector with volume source f, interface flux data g
-    and control term u.
-
-    ``u_field`` is either a dof vector (requires ``mass``) or a callable /
-    two-sided field integrated by quadrature like ``f``.
-    """
+def assemble_load(mesh, cut_info, space, f=None, g=None, refine=None):
+    """Right-hand side vector with the volume source f (a PiecewiseField)
+    and the interface flux data g (a callable on the chords)."""
     vec = np.zeros(space.n_dofs)
     if f is not None:
-        _volume_load(vec, mesh, cut_info, space, f, quad_degree, refine)
-    if u_field is not None:
-        if isinstance(u_field, np.ndarray):
-            if mass is None:
-                raise AssemblyError("dof-vector control term needs the mass matrix")
-            vec += mass @ u_field
-        else:
-            _volume_load(vec, mesh, cut_info, space, u_field, quad_degree, refine)
+        _volume_load(vec, mesh, cut_info, space, f, refine)
     if g is not None:
-        _interface_load(vec, mesh, cut_info, space, g, seg_points)
+        _interface_load(vec, mesh, cut_info, space, g)
     return vec

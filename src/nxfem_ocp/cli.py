@@ -40,10 +40,6 @@ def build_parser():
                     help="override the control regularization weight")
     ps.add_argument("--bounds", type=str, default=None,
                     help="control box 'lo,hi', or 'none' to drop the bounds")
-    ps.add_argument("--solver", choices=("direct", "cg"), default="direct",
-                    help="inner linear solver of the fixed-point iteration "
-                         "(the unconstrained saddle solve is always "
-                         "preconditioned MINRES)")
     ps.add_argument("--tol", type=float, default=1e-10,
                     help="fixed-point stopping tolerance on the control update")
     ps.add_argument("--max-iter", type=int, default=200)
@@ -68,8 +64,8 @@ def main(argv=None):
         config = RunConfig(
             example=args.example, n_values=n_values,
             lambda_coef=args.lambda_coef, a=args.a,
-            bounds=_parse_bounds(args.bounds), solver=args.solver,
-            tol=args.tol, max_iter=args.max_iter, out_dir=args.out,
+            bounds=_parse_bounds(args.bounds), tol=args.tol,
+            max_iter=args.max_iter, out_dir=args.out,
             dump_geometry=args.dump_geometry, verbose=args.verbose)
         result = run_convergence_study(config)
     except ConfigurationError as exc:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interface_geometry import ElementClass
+from .interface_geometry import VOLUME_DEGREE, ElementClass
 
 __all__ = ["FieldErrors", "ErrorReport", "compute_errors"]
 
@@ -69,10 +69,10 @@ class _ClampedLinearField:
                 np.einsum("ci,cid->cd", C, grads))
 
 
-def _rule(mesh, space, cells, degree):
+def _rule(mesh, space, cells):
     """Points, weights, barycentrics, dofs and hat gradients of cells,
     shared by every field."""
-    pts, w, lam = cells.quadrature(mesh, degree)
+    pts, w, lam = cells.quadrature(mesh, VOLUME_DEGREE)
     return pts, w, lam, space.cell_dofs(cells), mesh.grad_bary[cells.parent]
 
 
@@ -101,8 +101,7 @@ def _kinked(disc, mesh, space, cells, exact_kinked):
             | ((rmin < disc.hi) & (disc.hi < rmax)))
 
 
-def _kink_refined(rule, cells, disc, spec, mesh, cut_info, space, side,
-                  degree):
+def _kink_refined(rule, cells, disc, spec, mesh, cut_info, space, side):
     """The rule with the cells that a kink of the clamped control crosses
     replaced by the leaves of their refinement: exact kinks are those of
     the load refinement ``spec``, judged at the vertices on uncut
@@ -113,10 +112,9 @@ def _kink_refined(rule, cells, disc, spec, mesh, cut_info, space, side,
     flags = _kinked(disc, mesh, space, cells, exact)
     leaves = cells[flags].refined(
         np.ones(flags.sum(), dtype=bool),
-        lambda c: _kinked(disc, mesh, space, c, spec.pred(c.coords, side)),
-        spec.depth)
+        lambda c: _kinked(disc, mesh, space, c, spec.pred(c.coords, side)))
     return [np.concatenate([a[~flags], b])
-            for a, b in zip(rule, _rule(mesh, space, leaves, degree))]
+            for a, b in zip(rule, _rule(mesh, space, leaves))]
 
 
 def _interface_sums(exact, exact_grad, disc, chords, rule):
@@ -143,8 +141,7 @@ def _interface_sums(exact, exact_grad, disc, chords, rule):
     return terms
 
 
-def compute_errors(problem, solution, mesh, cut_info, space, quad_degree=4,
-                   seg_points=3, refine_depth=3):
+def compute_errors(problem, solution, mesh, cut_info, space):
     """L2, broken H1 and mesh-dependent norms of the control/state/co-state
     errors, plus the matching exact-field norms for relative reporting.
 
@@ -153,7 +150,7 @@ def compute_errors(problem, solution, mesh, cut_info, space, quad_degree=4,
     integrates the leaves of kink-adaptive refinement in place of the
     cells its kinks cross.
     """
-    spec = problem.load_refine(mesh, cut_info, refine_depth)
+    spec = problem.load_refine(mesh, cut_info)
     specs = {
         "u": _ClampedLinearField(solution.P, -1.0 / problem.a, problem.bounds),
         "y": _ClampedLinearField(solution.Y, 1.0, None),
@@ -162,12 +159,11 @@ def compute_errors(problem, solution, mesh, cut_info, space, quad_degree=4,
     sums = {name: np.zeros(4) for name in FIELDS}
     for side in (1, 2):
         for cells in cut_info.integration_cells(mesh, side).batches():
-            rule = _rule(mesh, space, cells, quad_degree)
+            rule = _rule(mesh, space, cells)
             for name, disc in specs.items():
                 if name == "u" and spec is not None:
                     field_rule = _kink_refined(rule, cells, disc, spec, mesh,
-                                               cut_info, space, side,
-                                               quad_degree)
+                                               cut_info, space, side)
                 else:
                     field_rule = rule
                 sums[name] += _volume_sums(
@@ -177,7 +173,7 @@ def compute_errors(problem, solution, mesh, cut_info, space, quad_degree=4,
 
     chords = cut_info.chords
     tri = mesh.triangles[chords.element]
-    rule = (*chords.quadrature(mesh, seg_points),
+    rule = (*chords.quadrature(mesh),
             {1: space.dof1[tri], 2: space.dof2[tri]},
             mesh.grad_bary[chords.element])
     fields = {}

@@ -24,6 +24,13 @@ __all__ = ["LevelSet", "line_interface", "circle_interface", "ElementClass",
 SNAP_REL = 1e-12
 ROOT_TOL = 1e-14
 
+# The quadrature of every volume and interface integral: the degree of the
+# triangle rule, the Gauss points per chord, and the levels of midpoint
+# refinement of the cells that a curved kink of an exact field crosses.
+VOLUME_DEGREE = 4
+CHORD_POINTS = 3
+KINK_DEPTH = 3
+
 
 class GeometryError(RuntimeError):
     """Interface geometry violates the two-intersection-points assumption."""
@@ -171,15 +178,15 @@ class CellTable:
         """Area of every cell (C,)."""
         return 0.5 * np.abs(_cross(self.coords))
 
-    def refined(self, flags, needs_refine, depth):
+    def refined(self, flags, needs_refine):
         """The table with every flagged cell replaced by the leaves of its
         4-way midpoint subdivision, split level by level: at each level
         ``needs_refine(cells)`` picks, for all current triangles at once,
-        the ones to split; after ``depth`` levels the rest are leaves.
+        the ones to split; after KINK_DEPTH levels the rest are leaves.
         This resolves the curved kinks of exact fields; the straight kinks
         of the discrete clamp are cut exactly by ``clip``."""
         done, todo = [self[~flags]], self[flags]
-        for _ in range(depth):
+        for _ in range(KINK_DEPTH):
             split = needs_refine(todo)
             done.append(todo[~split])
             todo = CellTable(np.repeat(todo.parent[split], 4),
@@ -257,12 +264,10 @@ class ChordTable:
     k2: np.ndarray
     h: np.ndarray
 
-    def quadrature(self, mesh, n_points):
+    def quadrature(self, mesh):
         """Gauss-Legendre points (K, n, 2), weights (K, n) and element
-        barycentric coordinates (K, n, 3) on every chord."""
-        if n_points < 2:
-            raise ConfigurationError("segment quadrature needs at least 2 points")
-        t, w = gauss_segment(n_points)
+        barycentric coordinates (K, n, 3) on every chord, n = CHORD_POINTS."""
+        t, w = gauss_segment(CHORD_POINTS)
         d = self.q2 - self.q1
         pts = self.q1[:, None, :] + t[None, :, None] * d[:, None, :]
         weights = np.sqrt((d ** 2).sum(axis=1))[:, None] * w

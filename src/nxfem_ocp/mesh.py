@@ -65,26 +65,6 @@ class Mesh:
                     self.areas, self.grad_bary):
             arr.setflags(write=False)
 
-    @classmethod
-    def from_arrays(cls, vertices, triangles, domain=None):
-        """Build a mesh from raw arrays; boundary vertices are taken from
-        edges incident to a single triangle."""
-        vertices = np.asarray(vertices, dtype=float)
-        triangles = np.asarray(triangles, dtype=np.int64)
-        counts = {}
-        for tri in triangles:
-            for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                key = (min(a, b), max(a, b))
-                counts[key] = counts.get(key, 0) + 1
-        boundary = np.zeros(len(vertices), dtype=bool)
-        for (a, b), c in counts.items():
-            if c == 1:
-                boundary[a] = boundary[b] = True
-        if domain is None:
-            domain = (vertices[:, 0].min(), vertices[:, 0].max(),
-                      vertices[:, 1].min(), vertices[:, 1].max())
-        return cls(vertices, triangles, boundary, 0, tuple(domain))
-
     @property
     def num_vertices(self):
         return len(self.vertices)
@@ -142,11 +122,12 @@ def build_uniform_mesh(domain, n):
 
 def write_mesh_csv(mesh, vertex_path, triangle_path):
     """Dump vertex and triangle tables for external plotting."""
-    with open(vertex_path, "w") as fh:
-        fh.write("vertex,x,y,boundary\n")
-        for i, (x, y) in enumerate(mesh.vertices):
-            fh.write(f"{i},{x:.17e},{y:.17e},{int(mesh.boundary_vertex[i])}\n")
-    with open(triangle_path, "w") as fh:
-        fh.write("triangle,v0,v1,v2\n")
-        for e, tri in enumerate(mesh.triangles):
-            fh.write(f"{e},{tri[0]},{tri[1]},{tri[2]}\n")
+    np.savetxt(vertex_path, np.column_stack([np.arange(mesh.num_vertices),
+                                             mesh.vertices,
+                                             mesh.boundary_vertex]),
+               fmt=["%d", "%.17e", "%.17e", "%d"], delimiter=",",
+               header="vertex,x,y,boundary", comments="")
+    np.savetxt(triangle_path, np.column_stack([np.arange(mesh.num_triangles),
+                                               mesh.triangles]),
+               fmt="%d", delimiter=",", header="triangle,v0,v1,v2",
+               comments="")

@@ -78,16 +78,6 @@ class ManufacturedProblem:
         """Penalty parameters reproducing lambda = lambda_coef / h."""
         return NitscheParams(self.lambda_coef / max(self.alpha1, self.alpha2))
 
-    def side_at(self, x, y):
-        """Subdomain of a point, with the near-interface tie going to 2."""
-        phi = self.levelset(x, y)
-        return np.where(phi < 0.0, 1, 2)
-
-    def boundary_value(self, x, y):
-        """Exact state trace, used as Dirichlet data."""
-        side = self.side_at(x, y)
-        return np.where(side == 1, self.y.side(1)(x, y), self.y.side(2)(x, y))
-
     def clamp_status(self, z):
         """-1 / 0 / +1 for below-box / inside / above-box values."""
         if self.bounds is None:
@@ -95,7 +85,7 @@ class ManufacturedProblem:
         lo, hi = self.bounds
         return np.where(z <= lo, -1, np.where(z >= hi, 1, 0))
 
-    def load_refine(self, mesh, cut_info, depth=3):
+    def load_refine(self, mesh, cut_info):
         """Adaptive-quadrature spec for loads whose integrand kinks along
         the exact active-set boundary (box-constrained problems only)."""
         if self.bounds is None:
@@ -119,7 +109,7 @@ class ManufacturedProblem:
             st = status_side(side, pts[..., 0], pts[..., 1])
             return st.max(axis=1) != st.min(axis=1)
 
-        return RefineSpec(mask=mask, pred=pred, depth=depth)
+        return RefineSpec(mask=mask, pred=pred)
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,11 @@ blkdiag(a S^-1, S^-1), S = M + sqrt(a) A (Zulehner 2011; Pearson & Wathen
 one sparse factorization is that of S, the size of a single block; the
 block operator itself is applied from its blocks, never assembled.
 
-Every sparse factorization (S, or A for the inner solves of the fixed
-point) takes one path: a geometric nested-dissection order of the free
-dofs (George 1973), computed once per Dirichlet reduction, and a
-symmetric factor without pivoting, whose pivots give the inertia.
+Every sparse factorization (S, or A, whose one factor every inner solve
+of the fixed point shares) takes one path: a geometric nested-dissection
+order of the free dofs (George 1973), computed once per Dirichlet
+reduction, and a symmetric factor without pivoting, whose pivots give the
+inertia.
 """
 
 from __future__ import annotations
@@ -33,29 +34,17 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import _csr, _hat_products
-from .interface_geometry import CellTable, ElementClass, triangle_rule
+from .interface_geometry import (VOLUME_DEGREE, CellTable, ElementClass,
+                                 triangle_rule)
 from .mesh import ConfigurationError
 
-__all__ = ["SolverError", "LinearSolverConfig", "OcpSolution", "ReducedSolver",
+__all__ = ["SolverError", "OcpSolution", "ReducedSolver",
            "solve_unconstrained_ocp", "project_control",
            "solve_constrained_fixed_point", "solve_constrained_ssn"]
 
 
 class SolverError(RuntimeError):
     """Factorization failure or iterative non-convergence."""
-
-
-@dataclass(frozen=True)
-class LinearSolverConfig:
-    method: str = "direct"            # "direct" or "cg"
-    cg_tol: float = 1e-12
-    cg_max_iter: int = 20000
-
-    def __post_init__(self):
-        if self.method not in ("direct", "cg"):
-            raise ConfigurationError(f"unknown linear solver {self.method!r}")
-        if self.cg_tol <= 0.0:
-            raise ConfigurationError("cg tolerance must be positive")
 
 
 @dataclass
@@ -170,14 +159,16 @@ def _partition(dofs, child, starts, nup):
     return out
 
 
+SOLVE_TOL = 1e-10         # relative residual of a direct solve, free rows
+
+
 class ReducedSolver:
     """Dirichlet reduction: the one split of the dofs of an extended space
     into free and constrained ones, and the one sparse factorization path
     for SPD matrices on the free dofs."""
 
-    def __init__(self, A, space, config=LinearSolverConfig()):
+    def __init__(self, A, space):
         self.A = A
-        self.config = config
         self.constrained = np.asarray(space.dirichlet_dofs, dtype=np.int64)
         mask = np.zeros(A.shape[0], dtype=bool)
         mask[self.constrained] = True
@@ -262,28 +253,14 @@ class ReducedSolver:
         vals = (np.zeros(len(self.constrained)) if bc_values is None
                 else np.asarray(bc_values, dtype=float))
         b_f = b[self.free] - self.A_fc @ vals
-        direct = self.config.method == "direct"
-        if direct:
-            if self._lu is None:
-                self._lu = self._factor(self.A_ff)
-            x_f = self._lu(b_f)
-        else:
-            diag = self.A_ff.diagonal()
-            diag = np.where(diag > 0.0, diag, 1.0)
-            pre = spla.LinearOperator(self.A_ff.shape,
-                                      matvec=lambda v: v / diag)
-            x_f, info = spla.cg(self.A_ff, b_f, rtol=self.config.cg_tol,
-                                atol=0.0, maxiter=self.config.cg_max_iter,
-                                M=pre)
-            if info != 0:
-                res = np.linalg.norm(self.A_ff @ x_f - b_f)
-                raise SolverError(
-                    f"cg failed to converge (info={info}, residual={res:.3e})")
+        if self._lu is None:
+            self._lu = self._factor(self.A_ff)
+        x_f = self._lu(b_f)
         scale = max(np.linalg.norm(b_f), 1e-300)
         res = np.linalg.norm(self.A_ff @ x_f - b_f) / scale
-        tol = 1e-10 if direct else 10.0 * self.config.cg_tol
-        if res > max(tol, 1e-14):
-            raise SolverError(f"linear solve residual {res:.3e} exceeds {tol:.1e}")
+        if not res <= SOLVE_TOL:                    # a NaN residual fails too
+            raise SolverError(f"linear solve residual {res:.3e} exceeds "
+                              f"{SOLVE_TOL:.1e}")
         return self._expand(x_f, vals)
 
     def _saddle_preconditioner(self, M_ff, a):
@@ -431,84 +408,107 @@ def project_control(p_values, a, u_a, u_b):
 # box-constrained drivers
 # ---------------------------------------------------------------------------
 
-def _clamped_pieces(mesh, cut_info, space, P, a, bounds):
-    """The integration cells clipped at both bounds, so that on every piece
-    the control clamp(-p/a) is lo, -p/a or hi: the pieces, the index of
-    the cell each comes from, and the control's status on each: -1 (lo),
-    0 (-p/a) or 1 (hi).  Where -p/a equals a bound the control counts as
-    clamped (the upper clip is of p/a at -hi)."""
+def _clip_at_bounds(cells, z, bounds):
+    """The cells clipped at both bounds, given the vertex values z (C, 3)
+    of -p/a, so that on every piece the control clamp(-p/a) is lo, -p/a or
+    hi: the pieces, the index of the cell each comes from, and the
+    control's status on each: -1 (lo), 0 (-p/a) or 1 (hi).  Where -p/a
+    equals a bound the control counts as clamped (the upper clip is of p/a
+    at -hi)."""
     lo, hi = bounds
-    cells = cut_info.integration_cells(mesh)
-    pieces, z, up, source, _ = cells.clip(space.cell_values(cells, -P / a),
-                                          lo)
-    rest, _, inside, src, _ = pieces[up].clip(-z[up], -hi)
+    pieces, zp, up, source, _ = cells.clip(z, lo)
+    rest, _, inside, src, _ = pieces[up].clip(-zp[up], -hi)
     return (CellTable.concat(pieces[~up], rest),
             np.concatenate([source[~up], source[up][src]]),
             np.concatenate([np.full(np.count_nonzero(~up), -1),
                             np.where(inside, 0, 1)]))
 
 
-def _clamped_rule(mesh, cut_info, space, P, a, bounds):
-    """Weights (P, 3), parent barycentrics (P, 3, 3), dofs (P, 3), control
-    values (P, 3) and status (P,) of the degree-2 rule on the clamped
-    pieces.  The control is linear or constant on each piece, so the rule
-    integrates it against a hat, and a hat product, exactly."""
+def _clamped_pieces(mesh, cut_info, space, P, a, bounds):
+    """``_clip_at_bounds`` of the integration cells."""
+    cells = cut_info.integration_cells(mesh)
+    return _clip_at_bounds(cells, space.cell_sampler(cells)(-P / a), bounds)
+
+
+def _clamped_rule(mesh, space, P, a, bounds, pieces, status):
+    """Weights (P, 3), parent barycentrics (P, 3, 3), dofs (P, 3) and
+    control values (P, 3) of the degree-2 rule on the clamped pieces.  The
+    control is linear or constant on each piece, so the rule integrates it
+    against a hat, and a hat product, exactly."""
     lo, hi = bounds
-    pieces, _, status = _clamped_pieces(mesh, cut_info, space, P, a, bounds)
     _, w, lam = pieces.quadrature(mesh, 2)
     dofs = space.cell_dofs(pieces)
     u = np.einsum("cqi,ci->cq", lam, -P[dofs] / a)
     u[status < 0] = lo
     u[status > 0] = hi
-    return w, lam, dofs, u, status
+    return w, lam, dofs, u
 
 
-def _control_load(mesh, cut_info, space, P, a, bounds):
-    """Inner products of clamp(-p/a) with all basis functions."""
-    w, lam, dofs, u, _ = _clamped_rule(mesh, cut_info, space, P, a, bounds)
+def _pieces_load(mesh, space, P, a, bounds, pieces, status):
+    """Inner products of clamp(-p/a) with all basis functions, from the
+    clamped pieces."""
+    w, lam, dofs, u = _clamped_rule(mesh, space, P, a, bounds, pieces,
+                                    status)
     return np.bincount(dofs.ravel(), np.einsum("cq,cqi->ci", w * u,
                                                lam).ravel(),
                        minlength=space.n_dofs)
 
 
-def _control_at_quadrature(mesh, cut_info, space, P, a, bounds):
-    """Control values and weights at the degree-4 points of every
-    integration cell (the fixed point's stopping measure and the Newton
-    status)."""
+def _control_load(mesh, cut_info, space, P, a, bounds):
+    """Inner products of clamp(-p/a) with all basis functions."""
+    pieces, _, status = _clamped_pieces(mesh, cut_info, space, P, a, bounds)
+    return _pieces_load(mesh, space, P, a, bounds, pieces, status)
+
+
+def _sampled_control(z, bounds):
+    """clamp(-p/a) at the degree-VOLUME_DEGREE points of every cell, from
+    the vertex values z (C, 3) of -p/a, which is linear on every cell."""
     lo, hi = (-np.inf, np.inf) if bounds is None else bounds
+    bary, _ = triangle_rule(VOLUME_DEGREE)
+    return np.clip(z @ bary.T, lo, hi).ravel()
+
+
+def _sample_weights(cells):
+    """The weights of the samples of ``_sampled_control``."""
+    _, w = triangle_rule(VOLUME_DEGREE)
+    return np.outer(cells.areas(), w).ravel()
+
+
+def _control_at_quadrature(mesh, cut_info, space, P, a, bounds):
+    """Control values and weights at the degree-VOLUME_DEGREE points of
+    every integration cell (the fixed point's stopping measure and the
+    Newton status)."""
     cells = cut_info.integration_cells(mesh)
-    bary, w = triangle_rule(4)
-    # -p/a is linear on every cell: its vertex values give the samples
-    z = space.cell_values(cells, -P / a) @ bary.T
-    return np.clip(z, lo, hi).ravel(), np.outer(cells.areas(), w).ravel()
+    return (_sampled_control(space.cell_sampler(cells)(-P / a), bounds),
+            _sample_weights(cells))
 
 
 def solve_constrained_fixed_point(mesh, cut_info, space, A, M, F1_base,
                                   F2_base, a, bounds, ybc_values, tol=1e-10,
-                                  max_iter=200, u0=None,
-                                  config=LinearSolverConfig(), log=None):
+                                  max_iter=200, log=None):
     """Projected fixed-point iteration for box-constrained control.
 
-    Per sweep: state solve with the current control, co-state solve, clamp
-    update.  Stops when the quadrature-sampled L2 norm of the control
-    update, normalized by sqrt(domain area), drops below ``tol``.  Returns
-    a flagged (not raised) result when ``max_iter`` is exhausted.
+    Per sweep: state solve with the current control, co-state solve (both
+    with the one factor of A), clamp update.  Stops when the
+    quadrature-sampled L2 norm of the control update, normalized by
+    sqrt(domain area), drops below ``tol``.  Returns a flagged (not raised)
+    result when ``max_iter`` is exhausted.
     """
     lo, hi = bounds
     if lo > hi:
         raise ConfigurationError(f"empty control box [{lo}, {hi}]")
     if max_iter < 1:
         raise ConfigurationError(f"max_iter must be at least 1, got {max_iter}")
-    solver = ReducedSolver(A, space, config)
+    solver = ReducedSolver(A, space)
     x0, x1, y0, y1 = mesh.domain
     sqrt_area = np.sqrt((x1 - x0) * (y1 - y0))
+    # the cells, their barycentrics and the sample weights do not depend on P
+    cells = cut_info.integration_cells(mesh)
+    vertex_values = space.cell_sampler(cells)
+    w = _sample_weights(cells)
 
-    if u0 is None:
-        load = np.zeros(space.n_dofs)
-        u_prev = 0.0
-    else:
-        load = M @ u0
-        u_prev = None               # sampled after the first co-state solve
+    load = np.zeros(space.n_dofs)
+    u_prev = 0.0
     diffs = []
     converged = False
     iterations = 0
@@ -518,13 +518,11 @@ def solve_constrained_fixed_point(mesh, cut_info, space, A, M, F1_base,
         P = solver.solve(F2_base + M @ Y)
         # the load induced by the updated control doubles as the residual
         # probe and as next sweep's state load
-        new_load = _control_load(mesh, cut_info, space, P, a, bounds)
-        u_now, w = _control_at_quadrature(mesh, cut_info, space, P, a,
-                                          bounds)
-        if u_prev is None:
-            diff = np.inf
-        else:
-            diff = np.sqrt(np.sum(w * (u_now - u_prev) ** 2)) / sqrt_area
+        z = vertex_values(-P / a)
+        pieces, _, status = _clip_at_bounds(cells, z, bounds)
+        new_load = _pieces_load(mesh, space, P, a, bounds, pieces, status)
+        u_now = _sampled_control(z, bounds)
+        diff = np.sqrt(np.sum(w * (u_now - u_prev) ** 2)) / sqrt_area
         diffs.append(diff)
         if log is not None:
             free = solver.free
@@ -550,8 +548,9 @@ def solve_constrained_fixed_point(mesh, cut_info, space, A, M, F1_base,
 def _active_mass_and_load(mesh, cut_info, space, P, a, bounds):
     """Mass matrix restricted to the inactive set plus the load carried by
     the active (clamped) region, classified from the current co-state."""
-    w, lam, dofs, u, status = _clamped_rule(mesh, cut_info, space, P, a,
-                                            bounds)
+    pieces, _, status = _clamped_pieces(mesh, cut_info, space, P, a, bounds)
+    w, lam, dofs, u = _clamped_rule(mesh, space, P, a, bounds, pieces,
+                                    status)
     free = status == 0
     M_inact = _csr(space.n_dofs, [(dofs[free],
                                    _hat_products(w[free], lam[free]))])

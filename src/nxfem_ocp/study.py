@@ -16,7 +16,7 @@ from .errors import compute_errors, FIELDS, NORMS
 from .interface_geometry import build_cut_info, write_integration_mesh_csv
 from .mesh import ConfigurationError, build_uniform_mesh, write_mesh_csv
 from .problems import PiecewiseField, build_example
-from .solver import (LinearSolverConfig, SolverError, _clamped_pieces,
+from .solver import (SolverError, _clamped_pieces,
                      solve_constrained_fixed_point, solve_unconstrained_ocp)
 from .xfem_space import ExtendedSpace
 
@@ -33,7 +33,6 @@ class RunConfig:
     lambda_coef: float | None = None
     a: float | None = None
     bounds: object = "default"            # "default", None, or (lo, hi)
-    solver: str = "direct"
     tol: float = 1e-10
     max_iter: int = 200
     out_dir: str | None = None
@@ -79,43 +78,38 @@ class Discretization:
     ybc_values: np.ndarray
 
 
-def discretize(problem, n, quad_degree=4, seg_points=3):
+def discretize(problem, n):
     """Mesh, cut geometry, extended space, matrices and base loads."""
     mesh = build_uniform_mesh(problem.domain, n)
     cut_info = build_cut_info(mesh, problem.levelset)
     space = ExtendedSpace(mesh, cut_info)
     params = problem.nitsche_params()
     A = assemble_stiffness(mesh, cut_info, space, problem.alpha1,
-                           problem.alpha2, params, quad_degree, seg_points)
-    M = assemble_mass(mesh, cut_info, space, quad_degree)
+                           problem.alpha2, params)
+    M = assemble_mass(mesh, cut_info, space)
     refine = problem.load_refine(mesh, cut_info)
     F1 = assemble_load(mesh, cut_info, space, f=problem.f, g=problem.g,
-                       quad_degree=quad_degree, seg_points=seg_points,
                        refine=refine)
     neg_yd = PiecewiseField(
         lambda x, y: -problem.y_d.side(1)(x, y),
         lambda x, y: -problem.y_d.side(2)(x, y))
-    F2 = assemble_load(mesh, cut_info, space, f=neg_yd, g=problem.g_adj,
-                       quad_degree=quad_degree, seg_points=seg_points)
+    F2 = assemble_load(mesh, cut_info, space, f=neg_yd, g=problem.g_adj)
     _, ybc = space.boundary_values(problem.y)
     return Discretization(mesh=mesh, cut_info=cut_info, space=space, A=A,
                           M=M, F1=F1, F2=F2, ybc_values=ybc)
 
 
-def solve_discretized(problem, disc, solver="direct", tol=1e-10, max_iter=200,
-                      log=None):
-    """Dispatch to the block solve (no bounds) or the projected fixed-point
-    iteration (box constraints).  The saddle block solve is always
-    preconditioned MINRES; the solver choice selects the inner SPD solves
-    of the iteration."""
+def solve_discretized(problem, disc, tol=1e-10, max_iter=200, log=None):
+    """Dispatch to the block solve by preconditioned MINRES (no bounds) or
+    to the projected fixed-point iteration (box constraints), whose inner
+    solves share one factor of A."""
     if problem.bounds is None:
         return solve_unconstrained_ocp(disc.A, disc.M, disc.F1, disc.F2,
                                        problem.a, disc.space, disc.ybc_values)
-    config = LinearSolverConfig(method=solver)
     return solve_constrained_fixed_point(
         disc.mesh, disc.cut_info, disc.space, disc.A, disc.M, disc.F1,
         disc.F2, problem.a, problem.bounds, disc.ybc_values, tol=tol,
-        max_iter=max_iter, config=config, log=log)
+        max_iter=max_iter, log=log)
 
 
 @dataclass
@@ -158,8 +152,7 @@ def run_convergence_study(config):
             log = [] if config.verbose else None
             start = time.perf_counter()
             try:
-                sol = solve_discretized(problem, disc, solver=config.solver,
-                                        tol=config.tol,
+                sol = solve_discretized(problem, disc, tol=config.tol,
                                         max_iter=config.max_iter, log=log)
             except SolverError as exc:
                 raise SolverError(f"N={n}, lambda_coef={problem.lambda_coef:g}"
@@ -313,14 +306,35 @@ def _chain_segments(segments, decimals=9):
     return polylines
 
 
+# Contour points closer than this are one point: where a vertex value of
+# -p/a differs from a bound by rounding only, the clip leaves chords of
+# rounding length there.
+CONTOUR_GAP = 1e-12
+
+
+def _drop_repeats(poly):
+    """The polyline without the points closer than CONTOUR_GAP to the last
+    point kept before them."""
+    keep = [0]
+    for i in range(1, len(poly)):
+        if np.linalg.norm(poly[i] - poly[keep[-1]]) >= CONTOUR_GAP:
+            keep.append(i)
+    return poly[keep]
+
+
 def extract_active_set_boundary(solution, a, bounds, mesh, cut_info, space):
     """Contours where the clamped control hits each finite bound, as chained
     polylines keyed 'lower' / 'upper': the chords of the integration cells
-    clipped at each bound."""
+    clipped at each bound, without repeated points; a polyline that
+    shrinks to one point is dropped."""
     cells = cut_info.integration_cells(mesh)
-    z = space.cell_values(cells, -solution.P / a)
-    return {name: _chain_segments(list(cells.clip(z, level)[-1]))
-            for name, level in zip(("lower", "upper"), bounds)}
+    z = space.cell_sampler(cells)(-solution.P / a)
+    curves = {}
+    for name, level in zip(("lower", "upper"), bounds):
+        polys = map(_drop_repeats,
+                    _chain_segments(list(cells.clip(z, level)[-1])))
+        curves[name] = [poly for poly in polys if len(poly) > 1]
+    return curves
 
 
 def interface_polylines(cut_info):

@@ -50,30 +50,25 @@ class ExtendedSpace:
         return np.where((cells.side == 1)[:, None], self.dof1[tri],
                         self.dof2[tri])
 
-    def cell_values(self, cells, vec):
-        """Values (C, 3) at the vertices of every cell of the field with dof
-        vector ``vec``, on each cell's side."""
+    def cell_sampler(self, cells):
+        """The map from a dof vector to the values (C, 3) of its field at
+        the vertices of every cell, on each cell's side.  The cells'
+        barycentric coordinates are computed once, here."""
         lam = self.mesh.barycentric(cells.parent, cells.coords)
+        dofs = self.cell_dofs(cells)
         # one matrix-vector product per cell, rounded as for a single one
-        return (lam @ vec[self.cell_dofs(cells)][..., None])[..., 0]
+        return lambda vec: (lam @ vec[dofs][..., None])[..., 0]
 
     def boundary_values(self, func):
-        """(dirichlet dofs, interpolated values) for boundary data.
-
-        Two-sided data (anything with a ``side`` accessor) gives each copy
-        of a doubled boundary vertex its own side's trace; a plain callable
-        is used for both copies.
-        """
+        """(dirichlet dofs, interpolated values) for two-sided boundary
+        data (a PiecewiseField): each copy of a doubled boundary vertex
+        takes its own side's trace."""
         dofs = self.dirichlet_dofs
         v = self.dof_vertex[dofs]
         x, y = self.mesh.vertices[v, 0], self.mesh.vertices[v, 1]
         vals = np.empty(len(dofs))
-        if hasattr(func, "side"):
-            side = self.dof_side[dofs]
-            side1 = (side == 1) | ((side == SIDE_BOTH)
-                                   & (self.vertex_sign[v] < 0))
-            vals[side1] = func.side(1)(x[side1], y[side1])
-            vals[~side1] = func.side(2)(x[~side1], y[~side1])
-        else:
-            vals[:] = func(x, y)
+        side = self.dof_side[dofs]
+        side1 = (side == 1) | ((side == SIDE_BOTH) & (self.vertex_sign[v] < 0))
+        vals[side1] = func.side(1)(x[side1], y[side1])
+        vals[~side1] = func.side(2)(x[~side1], y[~side1])
         return dofs, vals

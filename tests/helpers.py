@@ -1,13 +1,35 @@
-"""Helpers that only the tests use: element coordinates, a triangle's
-area, one element's dofs, a two-sided nodal interpolant, the total chord
-length, and an interface-free control problem."""
+"""Helpers that only the tests use: a mesh from raw arrays, element
+coordinates, a triangle's area, one element's dofs, a two-sided nodal
+interpolant, the total chord length, the subdomain of a point and the
+exact state trace there, and an interface-free control problem."""
 
 import numpy as np
 
 from nxfem_ocp.interface_geometry import (ElementClass, GeometryError,
                                           circle_interface)
+from nxfem_ocp.mesh import Mesh
 from nxfem_ocp.problems import ManufacturedProblem, PiecewiseField
 from nxfem_ocp.xfem_space import SIDE_BOTH
+
+
+def mesh_from_arrays(vertices, triangles, domain=None):
+    """A mesh from raw arrays; boundary vertices are taken from edges
+    incident to a single triangle."""
+    vertices = np.asarray(vertices, dtype=float)
+    triangles = np.asarray(triangles, dtype=np.int64)
+    counts = {}
+    for tri in triangles:
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            key = (min(a, b), max(a, b))
+            counts[key] = counts.get(key, 0) + 1
+    boundary = np.zeros(len(vertices), dtype=bool)
+    for (a, b), c in counts.items():
+        if c == 1:
+            boundary[a] = boundary[b] = True
+    if domain is None:
+        domain = (vertices[:, 0].min(), vertices[:, 0].max(),
+                  vertices[:, 1].min(), vertices[:, 1].max())
+    return Mesh(vertices, triangles, boundary, 0, tuple(domain))
 
 
 def tri_coords(mesh, e):
@@ -55,6 +77,17 @@ def total_interface_length(cut_info):
     """Sum of chord lengths over all cut elements."""
     d = cut_info.chords.q2 - cut_info.chords.q1
     return float(np.sqrt((d ** 2).sum(axis=1)).sum())
+
+
+def side_at(problem, x, y):
+    """Subdomain of a point, with the near-interface tie going to 2."""
+    return np.where(problem.levelset(x, y) < 0.0, 1, 2)
+
+
+def boundary_value(problem, x, y):
+    """Exact state trace of the problem at a point of the boundary."""
+    return np.where(side_at(problem, x, y) == 1, problem.y.side(1)(x, y),
+                    problem.y.side(2)(x, y))
 
 
 def build_smooth_problem(a=1.0):

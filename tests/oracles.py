@@ -24,10 +24,11 @@ from dataclasses import dataclass
 
 from nxfem_ocp.assembly import _MASS_BARY
 from nxfem_ocp.errors import ErrorReport, FieldErrors
-from nxfem_ocp.interface_geometry import (ROOT_TOL, CellTable, ChordTable,
-                                          CutInfo, ElementClass, GeometryError,
-                                          _classes_from_signs, gauss_segment,
-                                          snapped_vertex_signs, triangle_rule)
+from nxfem_ocp.interface_geometry import (KINK_DEPTH, ROOT_TOL, CellTable,
+                                          ChordTable, CutInfo, ElementClass,
+                                          GeometryError, _classes_from_signs,
+                                          gauss_segment, snapped_vertex_signs,
+                                          triangle_rule)
 from nxfem_ocp.solver import ND_LEAF
 
 from helpers import element_dofs, tri_coords, triangle_area
@@ -438,7 +439,7 @@ def _volume_load(vec, mesh, cut_info, space, func, quad_degree, refine):
         for e in flagged:
             pts, wts = refined_triangle_quadrature(
                 tri_coords(mesh, e), bary, w,
-                lambda c: refine.pred(c[None], side)[0], refine.depth)
+                lambda c: refine.pred(c[None], side)[0], KINK_DEPTH)
             lamq = mesh.barycentric(e, pts)
             fv = fs(pts[:, 0], pts[:, 1])
             dofs = (space.dof1 if side == 1 else space.dof2)[mesh.triangles[e]]
@@ -453,7 +454,7 @@ def _volume_load(vec, mesh, cut_info, space, func, quad_degree, refine):
                     pts, wts = refined_triangle_quadrature(
                         t, bary, w,
                         lambda c, s=side: refine.pred(c[None], s)[0],
-                        refine.depth)
+                        KINK_DEPTH)
                 else:
                     r = map_rule_to_triangle(t, bary, w)
                     pts, wts = r.points, r.weights

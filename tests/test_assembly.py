@@ -5,12 +5,12 @@ from nxfem_ocp.assembly import (NitscheParams, assemble_load, assemble_mass,
                                 assemble_stiffness)
 from nxfem_ocp.interface_geometry import (LevelSet, build_cut_info,
                                           circle_interface, line_interface)
-from nxfem_ocp.mesh import Mesh, build_uniform_mesh
-from nxfem_ocp.problems import build_example
+from nxfem_ocp.mesh import build_uniform_mesh
+from nxfem_ocp.problems import PiecewiseField, build_example
 from nxfem_ocp.solver import ReducedSolver
 from nxfem_ocp.xfem_space import ExtendedSpace
 
-from helpers import interpolate_two_sided
+from helpers import boundary_value, interpolate_two_sided, mesh_from_arrays
 from oracles import cut_element_matrices, element_cuts
 
 FAR_AWAY = circle_interface(1.0, center=(10.0, 10.0))
@@ -63,7 +63,7 @@ def test_no_interface_matches_plain_p1():
 def test_single_cut_element_against_symbolic_assembly():
     import sympy
 
-    mesh = Mesh.from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
+    mesh = mesh_from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
     ls = LevelSet(f=lambda x, y: x - y - 0.5,
                   grad=lambda x, y: (np.ones_like(np.asarray(x, dtype=float)),
                                      -np.ones_like(np.asarray(y, dtype=float))))
@@ -204,7 +204,7 @@ def test_zero_load():
 
 
 def test_interface_load_cross_weights():
-    mesh = Mesh.from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
+    mesh = mesh_from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
     ls = LevelSet(f=lambda x, y: x - y - 0.5,
                   grad=lambda x, y: (np.ones_like(np.asarray(x, dtype=float)),
                                      -np.ones_like(np.asarray(y, dtype=float))))
@@ -225,16 +225,12 @@ def test_load_dof_vector_and_function_paths_agree():
     problem = build_example(1)
     mesh, info, space, _ = setup(problem, 8)
     M = assemble_mass(mesh, info, space)
-    rng = np.random.default_rng(2)
-    U = rng.standard_normal(space.n_dofs)
-    F_vec = assemble_load(mesh, info, space, u_field=U, mass=M)
-    assert np.allclose(F_vec, M @ U, rtol=1e-14)
     smooth = lambda x, y: np.sin(x) * np.cos(y)
-    F_fun = assemble_load(mesh, info, space, u_field=smooth)
+    F_fun = assemble_load(mesh, info, space, f=PiecewiseField(smooth, smooth))
     UI = interpolate_two_sided(space, info.vertex_sign, smooth, smooth)
-    F_int = assemble_load(mesh, info, space, u_field=UI, mass=M)
-    # quadrature vs interpolation differ by the interpolation error only
-    assert np.abs(F_fun - F_int).max() <= 1e-2 * np.abs(F_fun).max()
+    # quadrature vs the mass matrix on the interpolant differ by the
+    # interpolation error only
+    assert np.abs(F_fun - M @ UI).max() <= 1e-2 * np.abs(F_fun).max()
 
 
 def test_adaptive_load_quadrature_resolves_kinks():
@@ -244,7 +240,8 @@ def test_adaptive_load_quadrature_resolves_kinks():
     mesh = build_uniform_mesh((0, 1, 0, 1), 8)
     info = build_cut_info(mesh, FAR_AWAY)
     space = ExtendedSpace(mesh, info)
-    f = lambda x, y: np.clip(10.0 * (x - 0.3), -1.0, 1.0)
+    ramp = lambda x, y: np.clip(10.0 * (x - 0.3), -1.0, 1.0)
+    f = PiecewiseField(ramp, ramp)
     plain = assemble_load(mesh, info, space, f=f)
 
     def status(x):
@@ -263,7 +260,7 @@ def test_adaptive_load_quadrature_resolves_kinks():
         return s.max(axis=1) != s.min(axis=1)
 
     refined = assemble_load(mesh, info, space, f=f,
-                            refine=RefineSpec(mask=mask, pred=pred, depth=3))
+                            refine=RefineSpec(mask=mask, pred=pred))
     err_plain = abs(plain.sum() - 0.4)
     err_refined = abs(refined.sum() - 0.4)
     assert err_refined < 2e-5
@@ -291,7 +288,7 @@ def test_dirichlet_boundary_interpolation_matches_exact():
     dofs, vals = space.boundary_values(problem.y)
     for dof, val in zip(dofs, vals):
         x, y = mesh.vertices[space.dof_vertex[dof]]
-        assert val == pytest.approx(float(problem.boundary_value(x, y)),
+        assert val == pytest.approx(float(boundary_value(problem, x, y)),
                                     rel=1e-14)
 
 
@@ -307,8 +304,10 @@ def test_modified_system_keeps_symmetry():
 def test_galerkin_residual_of_state_solve():
     problem = build_example(1)
     mesh, info, space, A = setup(problem, 16)
-    F = assemble_load(mesh, info, space, f=problem.f, g=problem.g,
-                      u_field=problem.u)
+    f_plus_u = PiecewiseField(*(
+        lambda x, y, s=s: problem.f.side(s)(x, y) + problem.u.side(s)(x, y)
+        for s in (1, 2)))
+    F = assemble_load(mesh, info, space, f=f_plus_u, g=problem.g)
     _, ybc = space.boundary_values(problem.y)
     Y = ReducedSolver(A, space).solve(F, ybc)
     mask = np.ones(space.n_dofs, dtype=bool)

@@ -1,0 +1,94 @@
+"""The benchmark's hold on the package.
+
+``perfbench/spans.py`` wraps the layer functions, and the methods it
+names, by name; ``perfbench/workloads.py`` calls the package with fixed
+argument lists and reads fixed attributes of what it gets back.  A
+deletion or a signature change that breaks either would otherwise show up
+only in a benchmark run.
+"""
+
+import ast
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import nxfem_ocp
+from nxfem_ocp import problems, solver, study, xfem_space
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# names that hold the package's results in the workloads, and their types
+RESULTS = {"disc": study.Discretization, "sol": solver.OcpSolution,
+           "ref": solver.OcpSolution, "result": study.StudyResult}
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _has(cls, attr):
+    return attr in getattr(cls, "__dataclass_fields__", {}) \
+        or hasattr(cls, attr)
+
+
+def test_tracer_installs_and_uninstalls():
+    spans = _load("spans")
+    originals = {name: getattr(study, name)
+                 for name in ("discretize", "solve_discretized")}
+    methods = dict(vars(xfem_space.ExtendedSpace))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.open("sweep")
+        problem = problems.build_example(2)
+        study.solve_discretized(problem, study.discretize(problem, 8))
+        tracer.close()
+    finally:
+        tracer.uninstall()
+    names = {span[0] for span in tracer.spans}
+    assert {"study.discretize", "study.solve_discretized",
+            "xfem_space.ExtendedSpace",
+            "xfem_space.ExtendedSpace.boundary_values",
+            "assembly.assemble_stiffness", "assembly.assemble_load",
+            "solver.solve_constrained_fixed_point", "scipy.splu"} <= names
+    layers = spans.summarize(tracer.spans)
+    assert layers["solver.sparse_direct_calls"] >= 1
+    assert 0.0 <= layers["trace.uncovered_share"] <= 1.0
+    assert all(getattr(study, name) is fn for name, fn in originals.items())
+    assert dict(vars(xfem_space.ExtendedSpace)) == methods
+
+
+def test_workload_calls_match_the_package():
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    layers = {name for name in dir(nxfem_ocp)
+              if inspect.ismodule(getattr(nxfem_ocp, name))}
+    checked = set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)):
+            continue
+        owner, attr = node.value.id, node.attr
+        if owner in RESULTS:
+            assert _has(RESULTS[owner], attr), f"{owner}.{attr}"
+        elif owner in layers:
+            module = importlib.import_module(f"nxfem_ocp.{owner}")
+            assert hasattr(module, attr), f"nxfem_ocp.{owner}.{attr}"
+            checked.add(f"{owner}.{attr}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in layers):
+            fn = getattr(importlib.import_module(
+                f"nxfem_ocp.{node.func.value.id}"), node.func.attr)
+            inspect.signature(fn).bind(
+                *[None] * len(node.args),
+                **{kw.arg: None for kw in node.keywords})
+    assert {"study.discretize", "study.RunConfig", "solver._control_load",
+            "solver.solve_constrained_fixed_point",
+            "solver.solve_constrained_ssn", "errors.compute_errors",
+            "study.extract_active_set_boundary"} <= checked

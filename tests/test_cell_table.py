@@ -12,13 +12,13 @@ from nxfem_ocp.assembly import assemble_load, assemble_mass, assemble_stiffness
 from nxfem_ocp.errors import compute_errors
 from nxfem_ocp.interface_geometry import (ElementClass, build_cut_info,
                                           circle_interface, line_interface)
-from nxfem_ocp.mesh import Mesh, build_uniform_mesh
+from nxfem_ocp.mesh import build_uniform_mesh
 from nxfem_ocp.problems import PiecewiseField, build_example
 from nxfem_ocp.solver import (OcpSolution, _active_mass_and_load,
                               _control_at_quadrature, _control_load)
 from nxfem_ocp.xfem_space import ExtendedSpace
 
-from helpers import interpolate_two_sided, tri_coords
+from helpers import interpolate_two_sided, mesh_from_arrays, tri_coords
 from oracles import (clipped_control_integrals, loop_active_mass_and_load,
                      loop_control_at_quadrature, loop_control_load,
                      loop_cut_info, loop_errors, loop_integration_cells,
@@ -165,7 +165,7 @@ CLIP_CASES = {
 def single_cell(cut, z, a=0.5):
     """One triangle, whole or cut by the line y = x - 1/2, and the co-state
     whose -p/a takes the values z at its vertices (reversed on side 2)."""
-    mesh = Mesh.from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
+    mesh = mesh_from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
     levelset = (line_interface(1.0, -0.5) if cut
                 else circle_interface(1.0, center=(10.0, 10.0)))
     info = build_cut_info(mesh, levelset)
@@ -252,7 +252,7 @@ def test_clip_splits_cells_into_pieces_on_each_side(label):
     _, mesh, info, space = setup(label, 16)
     cells = info.integration_cells(mesh)
     vec = np.random.default_rng(5).standard_normal(space.n_dofs)
-    z = space.cell_values(cells, vec)
+    z = space.cell_sampler(cells)(vec)
     # a level at a vertex value puts vertices exactly on the line, and
     # at a cell's lowest value touches that cell at a vertex only
     for level in (0.1, float(z[7, 1]), float(z[7].min()), np.inf):
@@ -270,7 +270,7 @@ def test_clip_splits_cells_into_pieces_on_each_side(label):
         assert (e0[:, 0] * e1[:, 1] - e0[:, 1] * e1[:, 0]).min() >= 0.0
         # the carried vertex values are those of the cell's linear function
         scale = np.abs(z).max()
-        assert np.abs(values - space.cell_values(pieces, vec)).max() \
+        assert np.abs(values - space.cell_sampler(pieces)(vec)).max() \
             <= 1e-13 * scale
         assert (values[above] >= level).all()
         assert (values[~above] <= level).all()

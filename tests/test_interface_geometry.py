@@ -5,14 +5,15 @@ against the per-element oracle (``oracles.compute_cut_geometry``)."""
 import numpy as np
 import pytest
 
-from nxfem_ocp.interface_geometry import (ElementClass, GeometryError,
-                                          LevelSet, build_cut_info,
-                                          circle_interface, line_interface,
+from nxfem_ocp.interface_geometry import (CHORD_POINTS, ElementClass,
+                                          GeometryError, LevelSet,
+                                          build_cut_info, circle_interface,
+                                          line_interface,
                                           snapped_vertex_signs, triangle_rule)
-from nxfem_ocp.mesh import ConfigurationError, Mesh, build_uniform_mesh
+from nxfem_ocp.mesh import ConfigurationError, build_uniform_mesh
 from nxfem_ocp.problems import build_example
 
-from helpers import total_interface_length, triangle_area
+from helpers import mesh_from_arrays, total_interface_length, triangle_area
 from oracles import (DegenerateCutError, QuadRule, compute_cut_geometry,
                      element_cuts, loop_cut_info, map_rule_to_triangle,
                      refined_triangle_quadrature)
@@ -24,7 +25,7 @@ FIG_LS = LevelSet(f=lambda x, y: x - y - 0.5,
 
 
 def reference_cut_mesh():
-    return Mesh.from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
+    return mesh_from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
 
 
 def test_classify_trivial_signs():
@@ -204,7 +205,8 @@ def test_segment_quadrature():
     chords = build_cut_info(mesh, FIG_LS).chords
     p0, p1 = np.array([0.5, 0.0]), np.array([0.75, 0.25])
     assert np.allclose(chords.q1[0], p0) and np.allclose(chords.q2[0], p1)
-    pts, weights, lam = chords.quadrature(mesh, 3)
+    pts, weights, lam = chords.quadrature(mesh)
+    assert weights.shape == (1, CHORD_POINTS) and CHORD_POINTS == 3
     rule = QuadRule(points=pts[0], weights=weights[0])
     assert np.allclose(lam[0], mesh.barycentric(0, pts[0]), rtol=0, atol=1e-15)
     length = np.sqrt(0.125)
@@ -221,8 +223,6 @@ def test_segment_quadrature():
     # Gauss rule with n points is exact to degree 2n-1
     t = (rule.points[:, 0] - 0.5) / 0.25
     assert rule.weights @ (t ** 5) == pytest.approx(length / 6.0, rel=1e-12)
-    with pytest.raises(ConfigurationError):
-        chords.quadrature(mesh, 1)
 
 
 def test_interface_length_second_order():

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import tri_coords, triangle_area
-from nxfem_ocp.mesh import (ConfigurationError, Mesh, build_uniform_mesh,
+from helpers import mesh_from_arrays, tri_coords, triangle_area
+from nxfem_ocp.mesh import (ConfigurationError, build_uniform_mesh,
                             write_mesh_csv)
 
 
@@ -97,7 +97,7 @@ def test_barycentric_roundtrip():
 
 
 def test_from_arrays_boundary_detection():
-    mesh = Mesh.from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
+    mesh = mesh_from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
     assert mesh.boundary_vertex.all()
     assert mesh.areas[0] == pytest.approx(0.5)
 
@@ -112,3 +112,17 @@ def test_mesh_csv_dump(tmp_path):
     assert vlines[0] == "vertex,x,y,boundary"
     assert len(vlines) == mesh.num_vertices + 1
     assert len(tlines) == mesh.num_triangles + 1
+
+
+def test_mesh_csv_dump_matches_row_rendering(tmp_path):
+    # the dump is byte-identical to rendering every row with an f-string
+    mesh = build_uniform_mesh((-1.0, np.pi / 3, -0.7, 1.1), 5)
+    vp, tp = tmp_path / "v.csv", tmp_path / "t.csv"
+    write_mesh_csv(mesh, vp, tp)
+    vertices = "vertex,x,y,boundary\n" + "".join(
+        f"{i},{x:.17e},{y:.17e},{int(mesh.boundary_vertex[i])}\n"
+        for i, (x, y) in enumerate(mesh.vertices))
+    triangles = "triangle,v0,v1,v2\n" + "".join(
+        f"{e},{t[0]},{t[1]},{t[2]}\n" for e, t in enumerate(mesh.triangles))
+    assert vp.read_bytes() == vertices.encode()
+    assert tp.read_bytes() == triangles.encode()

@@ -5,7 +5,7 @@ from nxfem_ocp.interface_geometry import build_cut_info
 from nxfem_ocp.mesh import ConfigurationError, build_uniform_mesh
 from nxfem_ocp.problems import build_example
 
-from helpers import build_smooth_problem
+from helpers import boundary_value, build_smooth_problem, side_at
 
 FD_STEP = 1e-6
 
@@ -191,9 +191,9 @@ def test_boundary_value_dispatches_sides():
     problem = build_example(1)
     xs = np.linspace(0, 1, 33)
     for x, y in [(x, 0.0) for x in xs] + [(x, 1.0) for x in xs]:
-        side = int(problem.side_at(x, y))
+        side = int(side_at(problem, x, y))
         expected = problem.y.side(side)(x, y)
-        assert float(problem.boundary_value(x, y)) == pytest.approx(expected)
+        assert float(boundary_value(problem, x, y)) == pytest.approx(expected)
 
 
 def test_smooth_problem_consistency():

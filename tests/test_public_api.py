@@ -46,6 +46,9 @@ def test_package_imports_resolve():
     ("interface_geometry", "compute_cut_geometry"),
     ("interface_geometry", "DegenerateCutError"),
     ("interface_geometry", "CutInfo.cuts"),
+    ("mesh", "Mesh.from_arrays"),
+    ("problems", "ManufacturedProblem.side_at"),
+    ("problems", "ManufacturedProblem.boundary_value"),
 ])
 def test_test_only_helpers_stay_in_tests(module, name):
     # these live in tests/helpers.py or tests/oracles.py; the package keeps

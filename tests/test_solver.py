@@ -5,10 +5,10 @@ import scipy.sparse.linalg as spla
 
 from nxfem_ocp.assembly import assemble_load
 from nxfem_ocp.interface_geometry import build_cut_info, line_interface
-from nxfem_ocp.mesh import ConfigurationError, Mesh, build_uniform_mesh
+from nxfem_ocp.mesh import ConfigurationError, build_uniform_mesh
 from nxfem_ocp.problems import PiecewiseField, build_example
-from nxfem_ocp.solver import (LinearSolverConfig, ReducedSolver, SolverError,
-                              project_control, solve_constrained_fixed_point,
+from nxfem_ocp.solver import (ReducedSolver, SolverError, project_control,
+                              solve_constrained_fixed_point,
                               solve_constrained_ssn, solve_unconstrained_ocp,
                               _control_at_quadrature, _nested_dissection,
                               _saddle_operator)
@@ -16,7 +16,8 @@ from nxfem_ocp.study import discretize, solve_discretized
 from nxfem_ocp.xfem_space import ExtendedSpace
 
 import oracles
-from helpers import build_smooth_problem, interpolate_two_sided
+from helpers import (build_smooth_problem, interpolate_two_sided,
+                     mesh_from_arrays)
 
 
 def full_control_system(A, M, F1, F2, a, dirichlet_dofs, ybc_values):
@@ -171,17 +172,6 @@ def test_fixed_point_max_iter_flag():
     assert sol.iterations == 2
 
 
-def test_direct_and_cg_paths_agree():
-    problem = build_example(2)
-    disc = discretize(problem, 32)
-    direct = solve_discretized(problem, disc, solver="direct")
-    cg = solve_discretized(problem, disc, solver="cg")
-    assert np.abs(direct.P - cg.P).max() <= 1e-7
-    assert np.abs(direct.Y - cg.Y).max() <= 1e-7
-    with pytest.raises(ConfigurationError):
-        LinearSolverConfig(method="gmres")
-
-
 def test_ssn_inactive_bounds_reproduce_unconstrained():
     problem = build_example(2)
     disc = discretize(problem, 8)
@@ -252,18 +242,19 @@ def test_fixed_point_rejects_no_sweeps():
                 max_iter=max_iter)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_solver_error_reports_residual():
-    # a singular reduced system (no Dirichlet dofs at all, pure Neumann-like)
     problem = build_example(1)
     disc = discretize(problem, 8)
-    with pytest.raises(SolverError):
-        # CG on an incompatible singular system must flag non-convergence
-        S = disc.space.n_dofs
-        singular = sp.csr_matrix((S, S))
-        ReducedSolver(singular, disc.space,
-                      LinearSolverConfig(method="cg", cg_max_iter=5)) \
-            .solve(np.ones(S))
+    S = disc.space.n_dofs
+    # a singular system stops the factorization
+    with pytest.raises(SolverError, match="factorization failed"):
+        ReducedSolver(sp.csr_matrix((S, S)), disc.space).solve(np.ones(S))
+    # a solve whose residual is not small is reported, a NaN one included
+    red = ReducedSolver(disc.A, disc.space)
+    b = np.ones(S)
+    b[red.free[0]] = np.nan
+    with pytest.raises(SolverError, match="linear solve residual nan"):
+        red.solve(b)
 
 
 @pytest.mark.parametrize("example", [1, 3])
@@ -296,13 +287,13 @@ def test_non_finite_load_raises():
 
 
 def _perturbed_mesh(n, seed):
-    """A ``Mesh.from_arrays`` mesh: the uniform triangulation with every
+    """A ``mesh_from_arrays`` mesh: the uniform triangulation with every
     interior vertex moved by up to 0.3 h, so no two share a coordinate."""
     mesh = build_uniform_mesh((0.0, 1.0, 0.0, 1.0), n)
     rng = np.random.default_rng(seed)
     shift = rng.uniform(-0.3, 0.3, mesh.vertices.shape) / n
     shift[mesh.boundary_vertex] = 0.0
-    return Mesh.from_arrays(mesh.vertices + shift, mesh.triangles)
+    return mesh_from_arrays(mesh.vertices + shift, mesh.triangles)
 
 
 def _vertex_pattern(mesh):
