@@ -9,8 +9,8 @@ discretization).  For P1 co-states -p/a is linear on every integration
 cell, so the clamp's kinks are straight: the cells are clipped exactly at
 both bounds (``CellTable.clip``), and on every piece the control is a
 bound or -p/a, which a degree-2 rule integrates exactly against hats and
-hat products.  The control load, the Newton step's inactive mass and
-active load, and the integration-mesh dump all come from these pieces.
+hat products.  Every reader of the control goes through one
+``ControlClamp``, which holds the cells and is built once per solve.
 
 Every block system is solved by MINRES, preconditioned with
 blkdiag(a S^-1, S^-1), S = M + sqrt(a) A (Zulehner 2011; Pearson & Wathen
@@ -38,7 +38,7 @@ from .interface_geometry import (VOLUME_DEGREE, CellTable, ElementClass,
                                  triangle_rule)
 from .mesh import ConfigurationError
 
-__all__ = ["SolverError", "OcpSolution", "ReducedSolver",
+__all__ = ["SolverError", "OcpSolution", "ReducedSolver", "ControlClamp",
            "solve_unconstrained_ocp", "project_control",
            "solve_constrained_fixed_point", "solve_constrained_ssn"]
 
@@ -61,6 +61,9 @@ class OcpSolution:
     residual_state: float = 0.0
     residual_costate: float = 0.0
     control_diffs: list = field(default_factory=list)
+    # one row per iteration: (sweep, control_diff, residual_state,
+    # residual_costate), or for Newton (step, status changes, -1 at first)
+    history: list = field(default_factory=list)
     # one entry per saddle solve (the unconstrained solve or a Newton step):
     # MINRES iterations and the relative true residuals of both block rows
     saddle_iterations: list = field(default_factory=list)
@@ -311,6 +314,15 @@ def _saddle_operator(red, MI_ff, M_ff, a):
     return spla.LinearOperator((2 * nf, 2 * nf), matvec=apply, dtype=float)
 
 
+def _relative_residuals(rows):
+    """The residual of every row of the optimality system, given as its
+    terms (which sum to zero at the solution), relative to its largest
+    term: the one residual measure of every solve."""
+    return tuple(float(np.linalg.norm(sum(terms))
+                       / max(*map(np.linalg.norm, terms), 1e-300))
+                 for terms in rows)
+
+
 def _solve_saddle(red, MI_ff, M_ff, M_fc, load, F2, a, ybc_values):
     """Solve [[M_I/a, A], [A, -M]] (p, y) = (load, F2) on the free dofs of
     ``red``, with y prescribed on the Dirichlet dofs.
@@ -335,13 +347,11 @@ def _solve_saddle(red, MI_ff, M_ff, M_fc, load, F2, a, ybc_values):
 
     def block_residuals(x):
         # state row A y + M_I p/a = load and co-state row A p - M y = F2,
-        # y with its Dirichlet values, each relative to its largest term
+        # y with its Dirichlet values
         p, y = x[:nf], x[nf:]
-        rows = ((red.A_ff @ y + red.A_fc @ yb, MI_ff @ p / a, -load[free]),
-                (red.A_ff @ p, -(M_ff @ y + M_fc @ yb), -F2[free]))
-        return tuple(float(np.linalg.norm(sum(terms))
-                           / max(*map(np.linalg.norm, terms), 1e-300))
-                     for terms in rows)
+        return _relative_residuals(
+            ((red.A_ff @ y + red.A_fc @ yb, MI_ff @ p / a, -load[free]),
+             (red.A_ff @ p, -(M_ff @ y + M_fc @ yb), -F2[free])))
 
     iterations = 0
 
@@ -369,12 +379,27 @@ def _solve_saddle(red, MI_ff, M_ff, M_fc, load, F2, a, ybc_values):
     return red._expand(x[:nf]), red._expand(x[nf:], yb), iterations, residuals
 
 
-def _block_residuals(A, M, F1, F2, sol, control_term, free):
-    r1 = A @ sol.Y - control_term - F1
-    r2 = A @ sol.P - M @ sol.Y - F2
-    s1 = max(np.linalg.norm(F1[free]), 1e-300)
-    s2 = max(np.linalg.norm((M @ sol.Y + F2)[free]), 1e-300)
-    return (np.linalg.norm(r1[free]) / s1, np.linalg.norm(r2[free]) / s2)
+def _block_residuals(A, M, F1, F2, Y, P, control_term, free):
+    """Residuals of the state row A Y = control_term + F1 and the co-state
+    row A P = M Y + F2 on the free dofs, by the rule of the MINRES stop."""
+    return _relative_residuals(
+        (((A @ Y)[free], -control_term[free], -F1[free]),
+         ((A @ P)[free], -(M @ Y)[free], -F2[free])))
+
+
+def _check_control(a, bounds, max_iter=1):
+    """Raise ConfigurationError unless the regularization weight is
+    positive and finite, the control box (lo, hi) is not empty and at least
+    one iteration is allowed: the one check of every driver's input."""
+    lo, hi = bounds
+    if not (np.isfinite(a) and a > 0.0):
+        raise ConfigurationError(
+            f"regularization weight must be positive and finite, got {a}")
+    if not lo <= hi:
+        raise ConfigurationError(f"empty control box [{lo}, {hi}]")
+    if not max_iter >= 1:
+        raise ConfigurationError(
+            f"max_iter must be at least 1, got {max_iter}")
 
 
 def solve_unconstrained_ocp(A, M, F1, F2, a, space, ybc_values):
@@ -382,25 +407,20 @@ def solve_unconstrained_ocp(A, M, F1, F2, a, space, ybc_values):
     eliminated via u = -p/a and the symmetric saddle system with M_I = M
     is solved by preconditioned MINRES.  ``space`` is the ExtendedSpace of
     the matrices: its Dirichlet dofs and dof positions."""
+    _check_control(a, (-np.inf, np.inf))
     red = ReducedSolver(A, space)
     M_ff, M_fc = red._split(M)
     P, Y, its, res = _solve_saddle(red, M_ff, M_ff, M_fc, F1, F2, a,
                                    ybc_values)
-    U = -P / a
-    sol = OcpSolution(Y=Y, P=P, a=a, bounds=None, U=U,
-                      saddle_iterations=[its], saddle_residuals=[res],
-                      factor_nnz=red.factor_nnz)
-    sol.residual_state, sol.residual_costate = _block_residuals(
-        A, M, F1, F2, sol, M @ U, red.free)
-    return sol
+    return OcpSolution(Y=Y, P=P, a=a, bounds=None, U=-P / a,
+                       residual_state=res[0], residual_costate=res[1],
+                       saddle_iterations=[its], saddle_residuals=[res],
+                       factor_nnz=red.factor_nnz)
 
 
 def project_control(p_values, a, u_a, u_b):
     """Pointwise clamp of -p/a onto the admissible box."""
-    if a <= 0.0:
-        raise ConfigurationError("regularization weight must be positive")
-    if u_a > u_b:
-        raise ConfigurationError(f"empty control box [{u_a}, {u_b}]")
+    _check_control(a, (u_a, u_b))
     return np.clip(-np.asarray(p_values, dtype=float) / a, u_a, u_b)
 
 
@@ -408,84 +428,106 @@ def project_control(p_values, a, u_a, u_b):
 # box-constrained drivers
 # ---------------------------------------------------------------------------
 
-def _clip_at_bounds(cells, z, bounds):
-    """The cells clipped at both bounds, given the vertex values z (C, 3)
-    of -p/a, so that on every piece the control clamp(-p/a) is lo, -p/a or
-    hi: the pieces, the index of the cell each comes from, and the
-    control's status on each: -1 (lo), 0 (-p/a) or 1 (hi).  Where -p/a
-    equals a bound the control counts as clamped (the upper clip is of p/a
-    at -hi)."""
-    lo, hi = bounds
-    pieces, zp, up, source, _ = cells.clip(z, lo)
-    rest, _, inside, src, _ = pieces[up].clip(-zp[up], -hi)
-    return (CellTable.concat(pieces[~up], rest),
-            np.concatenate([source[~up], source[up][src]]),
-            np.concatenate([np.full(np.count_nonzero(~up), -1),
-                            np.where(inside, 0, 1)]))
+class ControlClamp:
+    """The control clamp(-p/a) for co-states P of an extended space: the
+    one reader of it, built once per solve.
 
+    It holds what does not depend on P: the integration cells, the map
+    from a dof vector to its values at the cells' vertices and the weights
+    of the degree-VOLUME_DEGREE points of the cells.  -p/a is linear on
+    every cell, so the cells are clipped exactly at both bounds
+    (``pieces``), and on every piece the control is lo, -p/a or hi, which
+    the degree-2 rule integrates exactly against hats and hat products
+    (``load``, ``newton_terms``).
+    """
 
-def _clamped_pieces(mesh, cut_info, space, P, a, bounds):
-    """``_clip_at_bounds`` of the integration cells."""
-    cells = cut_info.integration_cells(mesh)
-    return _clip_at_bounds(cells, space.cell_sampler(cells)(-P / a), bounds)
+    def __init__(self, mesh, cut_info, space, a, bounds):
+        _check_control(a, bounds)
+        self.mesh, self.space, self.a, self.bounds = mesh, space, a, bounds
+        self.cells = cut_info.integration_cells(mesh)
+        self._sampler = space.cell_sampler(self.cells)
+        self._bary, w = triangle_rule(VOLUME_DEGREE)
+        self.weights = np.outer(self.cells.areas(), w).ravel()
+        self._P = self._z = None
 
+    def vertex_values(self, P):
+        """-P/a at the vertices (C, 3) of every cell.  The pieces and the
+        samples of a co-state read the same values, so those of the last P
+        are kept; P is never changed in place."""
+        if P is not self._P:
+            self._P, self._z = P, self._sampler(-P / self.a)
+        return self._z
 
-def _clamped_rule(mesh, space, P, a, bounds, pieces, status):
-    """Weights (P, 3), parent barycentrics (P, 3, 3), dofs (P, 3) and
-    control values (P, 3) of the degree-2 rule on the clamped pieces.  The
-    control is linear or constant on each piece, so the rule integrates it
-    against a hat, and a hat product, exactly."""
-    lo, hi = bounds
-    _, w, lam = pieces.quadrature(mesh, 2)
-    dofs = space.cell_dofs(pieces)
-    u = np.einsum("cqi,ci->cq", lam, -P[dofs] / a)
-    u[status < 0] = lo
-    u[status > 0] = hi
-    return w, lam, dofs, u
+    def pieces(self, P):
+        """The cells clipped at both bounds: the pieces, the index of the
+        cell each comes from, and the control's status on each: -1 (lo),
+        0 (-p/a) or 1 (hi).  Where -p/a equals a bound the control counts
+        as clamped (the upper clip is of p/a at -hi)."""
+        lo, hi = self.bounds
+        pieces, zp, up, source, _ = self.cells.clip(self.vertex_values(P), lo)
+        rest, _, inside, src, _ = pieces[up].clip(-zp[up], -hi)
+        return (CellTable.concat(pieces[~up], rest),
+                np.concatenate([source[~up], source[up][src]]),
+                np.concatenate([np.full(np.count_nonzero(~up), -1),
+                                np.where(inside, 0, 1)]))
 
+    def _rule(self, P):
+        """Weights (K, 3), parent barycentrics (K, 3, 3), dofs (K, 3) and
+        control values (K, 3) of the degree-2 rule on the K pieces, and
+        their status."""
+        lo, hi = self.bounds
+        pieces, _, status = self.pieces(P)
+        _, w, lam = pieces.quadrature(self.mesh, 2)
+        dofs = self.space.cell_dofs(pieces)
+        u = np.einsum("cqi,ci->cq", lam, -P[dofs] / self.a)
+        u[status < 0] = lo
+        u[status > 0] = hi
+        return w, lam, dofs, u, status
 
-def _pieces_load(mesh, space, P, a, bounds, pieces, status):
-    """Inner products of clamp(-p/a) with all basis functions, from the
-    clamped pieces."""
-    w, lam, dofs, u = _clamped_rule(mesh, space, P, a, bounds, pieces,
-                                    status)
-    return np.bincount(dofs.ravel(), np.einsum("cq,cqi->ci", w * u,
-                                               lam).ravel(),
-                       minlength=space.n_dofs)
+    def _hat_load(self, w, lam, dofs, u):
+        return np.bincount(dofs.ravel(),
+                           np.einsum("cq,cqi->ci", w * u, lam).ravel(),
+                           minlength=self.space.n_dofs)
+
+    def load(self, P):
+        """Inner products of the control with all basis functions."""
+        w, lam, dofs, u, _ = self._rule(P)
+        return self._hat_load(w, lam, dofs, u)
+
+    def newton_terms(self, P):
+        """The mass matrix on the inactive set (status 0) and the load of
+        the control on the active set."""
+        w, lam, dofs, u, status = self._rule(P)
+        free = status == 0
+        M_inact = _csr(self.space.n_dofs,
+                       [(dofs[free], _hat_products(w[free], lam[free]))])
+        return M_inact, self._hat_load(w[~free], lam[~free], dofs[~free],
+                                       u[~free])
+
+    def _at_points(self, P):
+        return (self.vertex_values(P) @ self._bary.T).ravel()
+
+    def samples(self, P):
+        """The control at the degree-VOLUME_DEGREE points of every cell,
+        whose weights are ``weights``."""
+        return np.clip(self._at_points(P), *self.bounds)
+
+    def status(self, P):
+        """The control's status at the points of ``samples``: -1 (lo), 0
+        (-p/a) or 1 (hi)."""
+        lo, hi = self.bounds
+        z = self._at_points(P)
+        return np.where(z <= lo, -1, np.where(z >= hi, 1, 0))
 
 
 def _control_load(mesh, cut_info, space, P, a, bounds):
     """Inner products of clamp(-p/a) with all basis functions."""
-    pieces, _, status = _clamped_pieces(mesh, cut_info, space, P, a, bounds)
-    return _pieces_load(mesh, space, P, a, bounds, pieces, status)
-
-
-def _sampled_control(z, bounds):
-    """clamp(-p/a) at the degree-VOLUME_DEGREE points of every cell, from
-    the vertex values z (C, 3) of -p/a, which is linear on every cell."""
-    lo, hi = (-np.inf, np.inf) if bounds is None else bounds
-    bary, _ = triangle_rule(VOLUME_DEGREE)
-    return np.clip(z @ bary.T, lo, hi).ravel()
-
-
-def _sample_weights(cells):
-    """The weights of the samples of ``_sampled_control``."""
-    _, w = triangle_rule(VOLUME_DEGREE)
-    return np.outer(cells.areas(), w).ravel()
-
-
-def _control_at_quadrature(mesh, cut_info, space, P, a, bounds):
-    """Control values and weights at the degree-VOLUME_DEGREE points of
-    every integration cell (the fixed point's stopping measure and the
-    Newton status)."""
-    cells = cut_info.integration_cells(mesh)
-    return (_sampled_control(space.cell_sampler(cells)(-P / a), bounds),
-            _sample_weights(cells))
+    return ControlClamp(mesh, cut_info, space, a, bounds).load(P)
 
 
 def solve_constrained_fixed_point(mesh, cut_info, space, A, M, F1_base,
                                   F2_base, a, bounds, ybc_values, tol=1e-10,
-                                  max_iter=200, log=None):
+                                  max_iter=200):
     """Projected fixed-point iteration for box-constrained control.
 
     Per sweep: state solve with the current control, co-state solve (both
@@ -494,117 +536,73 @@ def solve_constrained_fixed_point(mesh, cut_info, space, A, M, F1_base,
     sqrt(domain area), drops below ``tol``.  Returns a flagged (not raised)
     result when ``max_iter`` is exhausted.
     """
-    lo, hi = bounds
-    if lo > hi:
-        raise ConfigurationError(f"empty control box [{lo}, {hi}]")
-    if max_iter < 1:
-        raise ConfigurationError(f"max_iter must be at least 1, got {max_iter}")
+    _check_control(a, bounds, max_iter)
+    clamp = ControlClamp(mesh, cut_info, space, a, bounds)
     solver = ReducedSolver(A, space)
     x0, x1, y0, y1 = mesh.domain
     sqrt_area = np.sqrt((x1 - x0) * (y1 - y0))
-    # the cells, their barycentrics and the sample weights do not depend on P
-    cells = cut_info.integration_cells(mesh)
-    vertex_values = space.cell_sampler(cells)
-    w = _sample_weights(cells)
 
     load = np.zeros(space.n_dofs)
     u_prev = 0.0
-    diffs = []
-    converged = False
-    iterations = 0
+    history = []
     for it in range(max_iter):
-        iterations = it + 1
         Y = solver.solve(F1_base + load, ybc_values)
         P = solver.solve(F2_base + M @ Y)
         # the load induced by the updated control doubles as the residual
         # probe and as next sweep's state load
-        z = vertex_values(-P / a)
-        pieces, _, status = _clip_at_bounds(cells, z, bounds)
-        new_load = _pieces_load(mesh, space, P, a, bounds, pieces, status)
-        u_now = _sampled_control(z, bounds)
-        diff = np.sqrt(np.sum(w * (u_now - u_prev) ** 2)) / sqrt_area
-        diffs.append(diff)
-        if log is not None:
-            free = solver.free
-            r1 = np.linalg.norm((A @ Y - new_load - F1_base)[free]) \
-                / max(np.linalg.norm((new_load + F1_base)[free]), 1e-300)
-            r2 = np.linalg.norm((A @ P - M @ Y - F2_base)[free]) \
-                / max(np.linalg.norm((M @ Y + F2_base)[free]), 1e-300)
-            log.append((iterations, diff, r1, r2))
+        load = clamp.load(P)
+        u_now = clamp.samples(P)
+        diff = np.sqrt(np.sum(clamp.weights * (u_now - u_prev) ** 2)) \
+            / sqrt_area
+        history.append((it + 1, diff, *_block_residuals(
+            A, M, F1_base, F2_base, Y, P, load, solver.free)))
         if diff < tol:
-            converged = True
             break
         u_prev = u_now
-        load = new_load
 
-    sol = OcpSolution(Y=Y, P=P, a=a, bounds=bounds, iterations=iterations,
-                      converged=converged, control_diffs=diffs,
-                      factor_nnz=solver.factor_nnz)
-    sol.residual_state, sol.residual_costate = _block_residuals(
-        A, M, F1_base, F2_base, sol, new_load, solver.free)
-    return sol
-
-
-def _active_mass_and_load(mesh, cut_info, space, P, a, bounds):
-    """Mass matrix restricted to the inactive set plus the load carried by
-    the active (clamped) region, classified from the current co-state."""
-    pieces, _, status = _clamped_pieces(mesh, cut_info, space, P, a, bounds)
-    w, lam, dofs, u = _clamped_rule(mesh, space, P, a, bounds, pieces,
-                                    status)
-    free = status == 0
-    M_inact = _csr(space.n_dofs, [(dofs[free],
-                                   _hat_products(w[free], lam[free]))])
-    b_act = np.bincount(dofs[~free].ravel(),
-                        np.einsum("cq,cqi->ci", (w * u)[~free],
-                                  lam[~free]).ravel(),
-                        minlength=space.n_dofs)
-    return M_inact, b_act
+    return OcpSolution(Y=Y, P=P, a=a, bounds=bounds, iterations=len(history),
+                       converged=diff < tol, residual_state=history[-1][2],
+                       residual_costate=history[-1][3],
+                       control_diffs=[row[1] for row in history],
+                       history=history, factor_nnz=solver.factor_nnz)
 
 
 def solve_constrained_ssn(mesh, cut_info, space, A, M, F1_base, F2_base, a,
-                          bounds, ybc_values, max_iter=30, log=None):
+                          bounds, ybc_values, max_iter=30):
     """Primal-dual active-set (semismooth Newton) solve of the clamped
     optimality system.
 
     Each step freezes the active set induced by the current co-state and
     solves the resulting linear saddle system to SADDLE_TOL; convergence is
-    declared when the active set stops changing.
+    declared when the control's status at the quadrature points stops
+    changing.
     """
-    lo, hi = bounds
+    _check_control(a, bounds, max_iter)
+    clamp = ControlClamp(mesh, cut_info, space, a, bounds)
     red = ReducedSolver(A, space)
     M_ff, M_fc = red._split(M)
 
     P = np.zeros(A.shape[0])
-    status_prev = None
-    converged = False
-    iterations = 0
-    Y = np.zeros(A.shape[0])
-    saddle_its, saddle_res = [], []
+    status = None
+    saddle_its, saddle_res, history = [], [], []
     for it in range(max_iter):
-        iterations = it + 1
-        M_inact, b_act = _active_mass_and_load(mesh, cut_info, space, P, a,
-                                               bounds)
+        M_inact, b_act = clamp.newton_terms(P)
         P, Y, its, res = _solve_saddle(red, M_inact[red.free][:, red.free],
                                        M_ff, M_fc, F1_base + b_act, F2_base,
                                        a, ybc_values)
         saddle_its.append(its)
         saddle_res.append(res)
-
-        z, _ = _control_at_quadrature(mesh, cut_info, space, P, a, None)
-        status = np.where(z <= lo, -1, np.where(z >= hi, 1, 0))
-        if log is not None:
-            changed = (-1 if status_prev is None
-                       else int(np.count_nonzero(status != status_prev)))
-            log.append((iterations, changed))
-        if status_prev is not None and np.array_equal(status, status_prev):
-            converged = True
+        prev, status = status, clamp.status(P)
+        changed = (-1 if prev is None
+                   else int(np.count_nonzero(status != prev)))
+        history.append((it + 1, changed))
+        if changed == 0:
             break
-        status_prev = status
 
-    sol = OcpSolution(Y=Y, P=P, a=a, bounds=bounds, iterations=iterations,
-                      converged=converged, saddle_iterations=saddle_its,
-                      saddle_residuals=saddle_res, factor_nnz=red.factor_nnz)
-    control_term = _control_load(mesh, cut_info, space, P, a, bounds)
-    sol.residual_state, sol.residual_costate = _block_residuals(
-        A, M, F1_base, F2_base, sol, control_term, red.free)
-    return sol
+    r1, r2 = _block_residuals(A, M, F1_base, F2_base, Y, P, clamp.load(P),
+                              red.free)
+    return OcpSolution(Y=Y, P=P, a=a, bounds=bounds, iterations=len(history),
+                       converged=changed == 0, residual_state=r1,
+                       residual_costate=r2, history=history,
+                       saddle_iterations=saddle_its,
+                       saddle_residuals=saddle_res, factor_nnz=red.factor_nnz)

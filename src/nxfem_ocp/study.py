@@ -16,8 +16,8 @@ from .errors import compute_errors, FIELDS, NORMS
 from .interface_geometry import build_cut_info, write_integration_mesh_csv
 from .mesh import ConfigurationError, build_uniform_mesh, write_mesh_csv
 from .problems import PiecewiseField, build_example
-from .solver import (SolverError, _clamped_pieces,
-                     solve_constrained_fixed_point, solve_unconstrained_ocp)
+from .solver import (ControlClamp, SolverError, solve_constrained_fixed_point,
+                     solve_unconstrained_ocp)
 from .xfem_space import ExtendedSpace
 
 __all__ = ["RunConfig", "Discretization", "discretize", "solve_discretized",
@@ -99,7 +99,7 @@ def discretize(problem, n):
                           M=M, F1=F1, F2=F2, ybc_values=ybc)
 
 
-def solve_discretized(problem, disc, tol=1e-10, max_iter=200, log=None):
+def solve_discretized(problem, disc, tol=1e-10, max_iter=200):
     """Dispatch to the block solve by preconditioned MINRES (no bounds) or
     to the projected fixed-point iteration (box constraints), whose inner
     solves share one factor of A."""
@@ -109,7 +109,7 @@ def solve_discretized(problem, disc, tol=1e-10, max_iter=200, log=None):
     return solve_constrained_fixed_point(
         disc.mesh, disc.cut_info, disc.space, disc.A, disc.M, disc.F1,
         disc.F2, problem.a, problem.bounds, disc.ybc_values, tol=tol,
-        max_iter=max_iter, log=log)
+        max_iter=max_iter)
 
 
 @dataclass
@@ -149,11 +149,10 @@ def run_convergence_study(config):
     try:
         for n in config.n_values:
             disc = discretize(problem, n)
-            log = [] if config.verbose else None
             start = time.perf_counter()
             try:
                 sol = solve_discretized(problem, disc, tol=config.tol,
-                                        max_iter=config.max_iter, log=log)
+                                        max_iter=config.max_iter)
             except SolverError as exc:
                 raise SolverError(f"N={n}, lambda_coef={problem.lambda_coef:g}"
                                   f": {exc}") from exc
@@ -167,7 +166,7 @@ def run_convergence_study(config):
             result.solutions.append(sol)
             result.compute_eoc()
             if out:
-                _write_outputs(config, problem, result, disc, sol, n, log)
+                _write_outputs(config, problem, result, disc, sol, n)
     except Exception:
         if out and result.reports:
             write_errors_csv(os.path.join(out, "errors.csv"), result)
@@ -194,7 +193,7 @@ def _progress_line(n, disc, sol, seconds):
             f"factor_nnz={sol.factor_nnz} {work}")
 
 
-def _write_outputs(config, problem, result, disc, sol, n, log):
+def _write_outputs(config, problem, result, disc, sol, n):
     out = config.out_dir
     write_errors_csv(os.path.join(out, "errors.csv"), result)
     with open(os.path.join(out, "table.txt"), "w") as fh:
@@ -213,19 +212,19 @@ def _write_outputs(config, problem, result, disc, sol, n, log):
         extra = None
         if problem.bounds is not None:
             # the pieces of every cell that a kink of the control crosses
-            pieces, source, _ = _clamped_pieces(
-                disc.mesh, disc.cut_info, disc.space, sol.P, problem.a,
-                problem.bounds)
+            pieces, source, _ = ControlClamp(
+                disc.mesh, disc.cut_info, disc.space, problem.a,
+                problem.bounds).pieces(sol.P)
             crossed = np.flatnonzero(np.bincount(source)[source] > 1)
             extra = pieces[crossed[np.argsort(source[crossed],
                                               kind="stable")]]
         for name in (f"integration_mesh_n{n}.csv", "integration_mesh.csv"):
             write_integration_mesh_csv(os.path.join(out, name),
                                        disc.mesh, disc.cut_info, extra)
-    if log is not None:
+    if config.verbose:
         with open(os.path.join(out, f"iterations_n{n}.csv"), "w") as fh:
             fh.write("iteration,control_diff,residual_state,residual_costate\n")
-            for it, diff, r1, r2 in log:
+            for it, diff, r1, r2 in sol.history:
                 fh.write(f"{it},{diff:.17e},{r1:.17e},{r2:.17e}\n")
 
 
@@ -327,12 +326,12 @@ def extract_active_set_boundary(solution, a, bounds, mesh, cut_info, space):
     polylines keyed 'lower' / 'upper': the chords of the integration cells
     clipped at each bound, without repeated points; a polyline that
     shrinks to one point is dropped."""
-    cells = cut_info.integration_cells(mesh)
-    z = space.cell_sampler(cells)(-solution.P / a)
+    clamp = ControlClamp(mesh, cut_info, space, a, bounds)
+    z = clamp.vertex_values(solution.P)
     curves = {}
     for name, level in zip(("lower", "upper"), bounds):
         polys = map(_drop_repeats,
-                    _chain_segments(list(cells.clip(z, level)[-1])))
+                    _chain_segments(list(clamp.cells.clip(z, level)[-1])))
         curves[name] = [poly for poly in polys if len(poly) > 1]
     return curves
 

@@ -21,8 +21,8 @@ from nxfem_ocp.errors import compute_errors
 from nxfem_ocp.interface_geometry import build_cut_info, circle_interface
 from nxfem_ocp.mesh import build_uniform_mesh
 from nxfem_ocp.problems import build_example
-from nxfem_ocp.solver import (OcpSolution, _control_at_quadrature,
-                              project_control, solve_constrained_fixed_point,
+from nxfem_ocp.solver import (ControlClamp, OcpSolution, project_control,
+                              solve_constrained_fixed_point,
                               solve_constrained_ssn)
 from nxfem_ocp.study import RunConfig, discretize, run_convergence_study, \
     solve_discretized
@@ -277,11 +277,10 @@ def test_criterion_5_property_bundle():
     sol2 = solve_discretized(problem2, disc2)
     if max(sol2.residual_state, sol2.residual_costate) > 1e-8:
         failures.append("discrete KKT residuals exceed 1e-8")
-    u_vals, _ = _control_at_quadrature(disc2.mesh, disc2.cut_info,
-                                       disc2.space, sol2.P, problem2.a,
-                                       problem2.bounds)
-    p_vals, _ = _control_at_quadrature(disc2.mesh, disc2.cut_info,
-                                       disc2.space, sol2.P, -1.0, None)
+    args = (disc2.mesh, disc2.cut_info, disc2.space)
+    u_vals = ControlClamp(*args, problem2.a, problem2.bounds).samples(sol2.P)
+    # the co-state itself: the unbounded clamp of -(-P)/1
+    p_vals = ControlClamp(*args, 1.0, (-np.inf, np.inf)).samples(-sol2.P)
     idx = rng.integers(0, len(u_vals), size=1000)
     v = rng.uniform(*problem2.bounds, size=1000)
     vi = ((p_vals[idx] + problem2.a * u_vals[idx]) * (v - u_vals[idx])).min()

@@ -14,8 +14,7 @@ from nxfem_ocp.interface_geometry import (ElementClass, build_cut_info,
                                           circle_interface, line_interface)
 from nxfem_ocp.mesh import build_uniform_mesh
 from nxfem_ocp.problems import PiecewiseField, build_example
-from nxfem_ocp.solver import (OcpSolution, _active_mass_and_load,
-                              _control_at_quadrature, _control_load)
+from nxfem_ocp.solver import ControlClamp, OcpSolution
 from nxfem_ocp.xfem_space import ExtendedSpace
 
 from helpers import interpolate_two_sided, mesh_from_arrays, tri_coords
@@ -184,15 +183,17 @@ def test_clamp_integrals_on_single_cells_match_polygon_clipping(case, cut):
     mesh, info, space, P, a = single_cell(cut, z)
     args = (mesh, info, space, P, a, bounds)
     load, M_inact, b_act = clipped_control_integrals(*args)
-    M, b = _active_mass_and_load(*args)
-    assert np.abs(_control_load(*args) - load).max() <= 1e-13
+    clamp = ControlClamp(mesh, info, space, a, bounds)
+    M, b = clamp.newton_terms(P)
+    assert np.abs(clamp.load(P) - load).max() <= 1e-13
     assert np.abs(M.toarray() - M_inact.toarray()).max() <= 1e-13
     assert np.abs(b - b_act).max() <= 1e-13
 
 
 def clamp_setup(example, n):
     """An example's mesh and the interpolated exact co-state, clamped at
-    example 2's box (the upper bound only is reached on example 1)."""
+    example 2's box (the upper bound only is reached on example 1): the
+    arguments of the oracles."""
     problem = build_example(example)
     mesh = build_uniform_mesh(problem.domain, n)
     info = build_cut_info(mesh, problem.levelset)
@@ -202,6 +203,11 @@ def clamp_setup(example, n):
     return mesh, info, space, P, problem.a, (-0.5, 0.5)
 
 
+def clamp_of(mesh, info, space, P, a, bounds):
+    """The clamp of the oracles' arguments, and their co-state."""
+    return ControlClamp(mesh, info, space, a, bounds), P
+
+
 CLAMP_CASES = [(ex, n) for ex in (1, 2, 3) for n in (16, 32)]
 
 
@@ -209,8 +215,9 @@ CLAMP_CASES = [(ex, n) for ex in (1, 2, 3) for n in (16, 32)]
 def test_clamp_integrals_match_exact_clipping(example, n):
     args = clamp_setup(example, n)
     load, M_inact, b_act = clipped_control_integrals(*args)
-    M, b = _active_mass_and_load(*args)
-    assert_close(_control_load(*args), load)
+    clamp, P = clamp_of(*args)
+    M, b = clamp.newton_terms(P)
+    assert_close(clamp.load(P), load)
     assert_close(M.toarray(), M_inact.toarray())
     assert_close(b, b_act)
 
@@ -219,8 +226,9 @@ def test_clamp_integrals_match_exact_clipping(example, n):
 def test_refined_clamp_loops_converge_to_the_clipped_integrals(example, n):
     # the loops refine kink cells to a depth; their error shrinks with it
     args = clamp_setup(example, n)
-    M, b = _active_mass_and_load(*args)
-    exact = (_control_load(*args), M.toarray(), b)
+    clamp, P = clamp_of(*args)
+    M, b = clamp.newton_terms(P)
+    exact = (clamp.load(P), M.toarray(), b)
     gaps = []
     for depth in (2, 3):
         M_d, b_d = loop_active_mass_and_load(*args, depth=depth)
@@ -236,10 +244,15 @@ def test_refined_clamp_loops_converge_to_the_clipped_integrals(example, n):
 
 def test_control_samples_match_the_element_loop():
     mesh, info, space, P, a, bounds = clamp_setup(3, 16)
-    for lim in (bounds, None):
-        vals, w = _control_at_quadrature(mesh, info, space, P, a, lim)
+    for lim in (bounds, (-np.inf, np.inf)):
+        clamp = ControlClamp(mesh, info, space, a, lim)
+        vals, w = clamp.samples(P), clamp.weights
         ref_vals, ref_w = loop_control_at_quadrature(mesh, info, space, P, a,
                                                      lim)
+        # the status marks the samples at a bound
+        status = clamp.status(P)
+        assert np.array_equal(status < 0, vals == lim[0])
+        assert np.array_equal(status > 0, vals == lim[1])
         # the same points, in element order rather than side by side
         assert np.allclose(np.sort(vals), np.sort(ref_vals), rtol=0.0,
                            atol=1e-14)

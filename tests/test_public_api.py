@@ -49,6 +49,14 @@ def test_package_imports_resolve():
     ("mesh", "Mesh.from_arrays"),
     ("problems", "ManufacturedProblem.side_at"),
     ("problems", "ManufacturedProblem.boundary_value"),
+    ("solver", "_clip_at_bounds"),
+    ("solver", "_clamped_pieces"),
+    ("solver", "_clamped_rule"),
+    ("solver", "_pieces_load"),
+    ("solver", "_sampled_control"),
+    ("solver", "_sample_weights"),
+    ("solver", "_control_at_quadrature"),
+    ("solver", "_active_mass_and_load"),
 ])
 def test_test_only_helpers_stay_in_tests(module, name):
     # these live in tests/helpers.py or tests/oracles.py; the package keeps

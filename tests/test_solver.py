@@ -4,14 +4,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from nxfem_ocp.assembly import assemble_load
-from nxfem_ocp.interface_geometry import build_cut_info, line_interface
+from nxfem_ocp.interface_geometry import (CutInfo, build_cut_info,
+                                          line_interface)
 from nxfem_ocp.mesh import ConfigurationError, build_uniform_mesh
 from nxfem_ocp.problems import PiecewiseField, build_example
-from nxfem_ocp.solver import (ReducedSolver, SolverError, project_control,
-                              solve_constrained_fixed_point,
+from nxfem_ocp.solver import (ControlClamp, ReducedSolver, SolverError,
+                              project_control, solve_constrained_fixed_point,
                               solve_constrained_ssn, solve_unconstrained_ocp,
-                              _control_at_quadrature, _nested_dissection,
-                              _saddle_operator)
+                              _nested_dissection, _saddle_operator)
 from nxfem_ocp.study import discretize, solve_discretized
 from nxfem_ocp.xfem_space import ExtendedSpace
 
@@ -129,8 +129,9 @@ def test_project_control_values():
     assert np.array_equal(once, twice)
     with pytest.raises(ConfigurationError):
         project_control(p, 1.0, 0.5, -0.5)
-    with pytest.raises(ConfigurationError):
-        project_control(p, -1.0, -0.5, 0.5)
+    for a in (-1.0, 0.0, np.inf, np.nan):
+        with pytest.raises(ConfigurationError):
+            project_control(p, a, -0.5, 0.5)
 
 
 def test_fixed_point_with_inactive_bounds_matches_unconstrained():
@@ -150,12 +151,15 @@ def test_fixed_point_with_inactive_bounds_matches_unconstrained():
 def test_fixed_point_contraction_and_logging():
     problem = build_example(2)
     disc = discretize(problem, 16)
-    log = []
     sol = solve_constrained_fixed_point(
         disc.mesh, disc.cut_info, disc.space, disc.A, disc.M, disc.F1,
-        disc.F2, problem.a, problem.bounds, disc.ybc_values, log=log)
+        disc.F2, problem.a, problem.bounds, disc.ybc_values)
     assert sol.converged
-    assert sol.iterations == len(log)
+    assert sol.iterations == len(sol.history)
+    assert [row[:2] for row in sol.history] == \
+        list(enumerate(sol.control_diffs, 1))
+    # the last row's residuals are the solution's
+    assert sol.history[-1][2:] == (sol.residual_state, sol.residual_costate)
     diffs = sol.control_diffs
     for i in range(1, len(diffs) - 1):
         assert diffs[i + 1] < diffs[i]
@@ -203,10 +207,10 @@ def test_kkt_variational_inequality_proxy():
     problem = build_example(2)
     disc = discretize(problem, 16)
     sol = solve_discretized(problem, disc)
-    u_vals, _ = _control_at_quadrature(disc.mesh, disc.cut_info, disc.space,
-                                       sol.P, problem.a, problem.bounds)
-    p_vals, _ = _control_at_quadrature(disc.mesh, disc.cut_info, disc.space,
-                                       sol.P, -1.0, None)
+    args = (disc.mesh, disc.cut_info, disc.space)
+    u_vals = ControlClamp(*args, problem.a, problem.bounds).samples(sol.P)
+    # the co-state itself: the unbounded clamp of -(-P)/1
+    p_vals = ControlClamp(*args, 1.0, (-np.inf, np.inf)).samples(-sol.P)
     rng = np.random.default_rng(23)
     lo, hi = problem.bounds
     idx = rng.integers(0, len(u_vals), size=1000)
@@ -240,6 +244,64 @@ def test_fixed_point_rejects_no_sweeps():
                 disc.mesh, disc.cut_info, disc.space, disc.A, disc.M,
                 disc.F1, disc.F2, problem.a, problem.bounds, disc.ybc_values,
                 max_iter=max_iter)
+
+
+# each of these returned a wrong answer (a converged Newton solve on an
+# empty box, all-zero fields without a step, fixed-point sweeps that
+# "converge" for a < 0 or run on NaN for a = 0) or a misleading error (a
+# failed factorization for a < 0)
+BAD_INPUT = {
+    "ssn-empty-box": ("ssn", {"bounds": (0.5, -0.5)}, "empty control box"),
+    "ssn-no-steps": ("ssn", {"max_iter": 0}, "max_iter must be at least 1"),
+    "fixed-point-negative-a": ("fixed-point", {"a": -1.0},
+                               "regularization weight"),
+    "fixed-point-zero-a": ("fixed-point", {"a": 0.0},
+                           "regularization weight"),
+    "unconstrained-negative-a": ("unconstrained", {"a": -1.0},
+                                 "regularization weight"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT))
+def test_drivers_reject_bad_input(case):
+    driver, change, message = BAD_INPUT[case]
+    problem = build_example(2)
+    disc = discretize(problem, 8)
+    a = change.get("a", problem.a)
+    with pytest.raises(ConfigurationError, match=message):
+        if driver == "unconstrained":
+            solve_unconstrained_ocp(disc.A, disc.M, disc.F1, disc.F2, a,
+                                    disc.space, disc.ybc_values)
+        else:
+            solve = (solve_constrained_ssn if driver == "ssn"
+                     else solve_constrained_fixed_point)
+            solve(disc.mesh, disc.cut_info, disc.space, disc.A, disc.M,
+                  disc.F1, disc.F2, a, change.get("bounds", problem.bounds),
+                  disc.ybc_values, max_iter=change.get("max_iter", 1))
+
+
+@pytest.mark.parametrize("driver", [solve_constrained_ssn,
+                                    solve_constrained_fixed_point],
+                         ids=["ssn", "fixed-point"])
+def test_constrained_drivers_build_the_cells_once(driver, monkeypatch):
+    problem = build_example(2)
+    disc = discretize(problem, 16)
+    calls = {"integration_cells": 0, "cell_sampler": 0}
+
+    def counted(cls, name):
+        method = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(CutInfo, "integration_cells")
+    counted(ExtendedSpace, "cell_sampler")
+    sol = driver(disc.mesh, disc.cut_info, disc.space, disc.A, disc.M,
+                 disc.F1, disc.F2, problem.a, problem.bounds, disc.ybc_values)
+    assert sol.converged and sol.iterations >= 2
+    assert calls == {"integration_cells": 1, "cell_sampler": 1}
 
 
 def test_solver_error_reports_residual():
