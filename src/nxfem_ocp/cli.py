@@ -74,11 +74,11 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(format_table(result))
-    for n, sol in zip(result.n_values, result.solutions):
-        if not sol.converged:
-            print(f"warning: iteration did not converge at N={n}",
-                  file=sys.stderr)
-            return 2
+    if not result.solutions[-1].converged:
+        n = result.n_values[len(result.solutions) - 1]
+        print(f"warning: iteration did not converge at N={n}",
+              file=sys.stderr)
+        return 3
     return 0
 
 

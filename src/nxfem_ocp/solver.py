@@ -1,7 +1,7 @@
 """Linear solves and optimal-control drivers.
 
-The unconstrained problem is solved as one symmetric 2x2 block system in
-(co-state, state); the box-constrained problem by the projected fixed-point
+The unconstrained problem is solved as one 2x2 block system in (state,
+co-state); the box-constrained problem by the projected fixed-point
 iteration (state solve, co-state solve, clamp update) or, alternatively, by
 a primal-dual active-set / semismooth Newton loop.  The control never gets
 its own unknowns: it is the pointwise clamp of -p/a (Hinze's variational
@@ -12,11 +12,12 @@ bound or -p/a, which a degree-2 rule integrates exactly against hats and
 hat products.  Every reader of the control goes through one
 ``ControlClamp``, which holds the cells and is built once per solve.
 
-Every block system is solved by MINRES, preconditioned with
-blkdiag(a S^-1, S^-1), S = M + sqrt(a) A (Zulehner 2011; Pearson & Wathen
-2012).  The iteration count is bounded independently of h and a, and the
-one sparse factorization is that of S, the size of a single block; the
-block operator itself is applied from its blocks, never assembled.
+Every block system is solved in q = p/sqrt(a), where it has the square
+form [[M, -sqrt(a) A], [sqrt(a) A, M_I]], by GMRES preconditioned by PRESB
+(Axelsson, Farouq & Neytcheva 2016): two solves with S = M + sqrt(a) A.
+The iteration count is bounded independently of h and a, the one sparse
+factor is that of S, the size of a single block, and the block operator
+is applied from its blocks, never assembled.
 
 Every sparse factorization (S, or A, whose one factor every inner solve
 of the fixed point shares) takes one path: a geometric nested-dissection
@@ -65,7 +66,7 @@ class OcpSolution:
     # residual_costate), or for Newton (step, status changes, -1 at first)
     history: list = field(default_factory=list)
     # one entry per saddle solve (the unconstrained solve or a Newton step):
-    # MINRES iterations and the relative true residuals of both block rows
+    # GMRES iterations and the relative true residuals of both block rows
     saddle_iterations: list = field(default_factory=list)
     saddle_residuals: list = field(default_factory=list)
     factor_nnz: int = 0               # L+U nonzeros of the sparse factor
@@ -266,24 +267,6 @@ class ReducedSolver:
                               f"{SOLVE_TOL:.1e}")
         return self._expand(x_f, vals)
 
-    def _saddle_preconditioner(self, M_ff, a):
-        """blkdiag(a S^-1, S^-1) on the free (p, y) dofs, S = M_ff + sqrt(a)
-        A_ff.  S is factored on first use and kept: M and a are fixed for
-        the optimality system this solver serves, and S does not depend on
-        the active set."""
-        if self._saddle_lu is None:
-            self._saddle_lu = self._factor(M_ff + np.sqrt(a) * self.A_ff)
-        solve = self._saddle_lu
-        nf = len(self.free)
-
-        def apply(v):
-            z = solve(v.reshape(2, nf).T)          # p and y as two columns
-            z[:, 0] *= a
-            return z.T.ravel()
-
-        return spla.LinearOperator((2 * nf, 2 * nf), matvec=apply,
-                                   dtype=float)
-
     def _expand(self, x_f, bc_values=0.0):
         x = np.zeros(self.A.shape[0])
         x[self.free] = x_f
@@ -293,23 +276,39 @@ class ReducedSolver:
 
 SADDLE_TOL = 1e-10        # true block residuals, relative, free rows
 SADDLE_RESTARTS = 3
-# scipy's MINRES tests its own estimate ||r|| / (||A|| ||x||), which is not
-# the block residual: the first pass runs to rounding level, and a
-# correction pass only has to shrink an already small defect.
-_MINRES_RTOL = 1e-13
-_CORRECTION_RTOL = 1e-6
-_MINRES_MAXITER = 500
+# A pass is one GMRES cycle, until its preconditioned residual falls by
+# GMRES_RTOL; a basis longer than GMRES_RESTART would need fresh memory.
+GMRES_RTOL = 1e-12
+GMRES_RESTART = 20
 
 
 def _saddle_operator(red, MI_ff, M_ff, a):
-    """[[M_I/a, A], [A, -M]] on the free (p, y) dofs of ``red``, applied
-    block by block."""
-    nf = len(red.free)
+    """[[M, -sqrt(a) A], [sqrt(a) A, M_I]] on the free (y, q) dofs of
+    ``red``, q = p/sqrt(a), applied block by block."""
+    nf, s = len(red.free), np.sqrt(a)
 
     def apply(x):
-        p, y = x[:nf], x[nf:]
-        return np.concatenate([MI_ff @ p / a + red.A_ff @ y,
-                               red.A_ff @ p - M_ff @ y])
+        y, q = x[:nf], x[nf:]
+        return np.concatenate([M_ff @ y - s * (red.A_ff @ q),
+                               s * (red.A_ff @ y) + MI_ff @ q])
+
+    return spla.LinearOperator((2 * nf, 2 * nf), matvec=apply, dtype=float)
+
+
+def _presb(red, M_ff, a):
+    """The inverse of the PRESB preconditioner [[M, -sqrt(a) A], [sqrt(a) A,
+    M + 2 sqrt(a) A]] on the free (y, q) dofs: two solves with S = M +
+    sqrt(a) A.  S is factored on first use and kept, for M and a are fixed
+    for the system that ``red`` serves and S is blind to the active set."""
+    if red._saddle_lu is None:
+        red._saddle_lu = red._factor(M_ff + np.sqrt(a) * red.A_ff)
+    solve, nf = red._saddle_lu, len(red.free)
+
+    def apply(r):
+        r1, r2 = r[:nf], r[nf:]
+        z = solve(r1 + r2)
+        w = solve(M_ff @ z - r1)
+        return np.concatenate([z - w, w])
 
     return spla.LinearOperator((2 * nf, 2 * nf), matvec=apply, dtype=float)
 
@@ -328,43 +327,39 @@ def _solve_saddle(red, MI_ff, M_ff, M_fc, load, F2, a, ybc_values):
     ``red``, with y prescribed on the Dirichlet dofs.
 
     M_I is the mass on the inactive set (all of M without bounds); the
-    control u = -p/a has no unknowns of its own.  MINRES with the
-    preconditioner of ``red._saddle_preconditioner`` runs until both block
-    rows have a true relative residual <= SADDLE_TOL; short of that, it is
-    restarted on the defect of its last iterate (defect correction) at most
-    SADDLE_RESTARTS times, then SolverError is raised.  Returns full-length
-    P, Y, the total MINRES iteration count and the two residuals.
+    control u = -p/a has no unknowns of its own.  In q = p/sqrt(a) the
+    system is ``_saddle_operator`` (y, q) = (-g, sqrt(a) f), f and g the
+    right-hand sides with the Dirichlet values moved over, and GMRES
+    preconditioned by ``_presb`` solves it.  Passes run until both block
+    rows have a true relative residual <= SADDLE_TOL; short of that, GMRES
+    is restarted on the defect of the last iterate (defect correction) at
+    most SADDLE_RESTARTS times, then SolverError is raised.  Returns
+    full-length P, Y, the total GMRES iteration count and the residuals.
     """
     yb = np.asarray(ybc_values, dtype=float)
-    free = red.free
-    nf = len(free)
+    free, nf, s = red.free, len(red.free), np.sqrt(a)
     K = _saddle_operator(red, MI_ff, M_ff, a)
-    rhs = np.concatenate([load[free] - red.A_fc @ yb,
-                          F2[free] + M_fc @ yb])
+    rhs = np.concatenate([-(F2[free] + M_fc @ yb),
+                          s * (load[free] - red.A_fc @ yb)])
     if not np.isfinite(rhs).all():
         raise SolverError("non-finite right-hand side in the saddle system")
-    pre = red._saddle_preconditioner(M_ff, a)
+    pre = _presb(red, M_ff, a)
 
     def block_residuals(x):
         # state row A y + M_I p/a = load and co-state row A p - M y = F2,
         # y with its Dirichlet values
-        p, y = x[:nf], x[nf:]
+        y, p = x[:nf], s * x[nf:]
         return _relative_residuals(
             ((red.A_ff @ y + red.A_fc @ yb, MI_ff @ p / a, -load[free]),
              (red.A_ff @ p, -(M_ff @ y + M_fc @ yb), -F2[free])))
 
-    iterations = 0
-
-    def count(_):
-        nonlocal iterations
-        iterations += 1
-
+    steps = []                  # one entry per GMRES iteration
     x = np.zeros(2 * nf)
     defect = rhs
     for _ in range(1 + SADDLE_RESTARTS):
-        rtol = _MINRES_RTOL if defect is rhs else _CORRECTION_RTOL
-        dx, _ = spla.minres(K, defect, rtol=rtol, maxiter=_MINRES_MAXITER,
-                            M=pre, callback=count)
+        dx, _ = spla.gmres(K, defect, rtol=GMRES_RTOL,
+                           restart=GMRES_RESTART, maxiter=1, M=pre,
+                           callback=steps.append, callback_type="pr_norm")
         x = x + dx
         if not np.isfinite(x).all():
             raise SolverError("singular saddle system")
@@ -374,14 +369,15 @@ def _solve_saddle(red, MI_ff, M_ff, M_fc, load, F2, a, ybc_values):
         defect = rhs - K @ x
     else:
         raise SolverError(
-            "MINRES block residuals {:.3e}/{:.3e} exceed {:.0e} after {} "
-            "iterations".format(*residuals, SADDLE_TOL, iterations))
-    return red._expand(x[:nf]), red._expand(x[nf:], yb), iterations, residuals
+            "GMRES block residuals {:.3e}/{:.3e} exceed {:.0e} after {} "
+            "iterations".format(*residuals, SADDLE_TOL, len(steps)))
+    P, Y = red._expand(s * x[nf:]), red._expand(x[:nf], yb)
+    return P, Y, len(steps), residuals
 
 
 def _block_residuals(A, M, F1, F2, Y, P, control_term, free):
     """Residuals of the state row A Y = control_term + F1 and the co-state
-    row A P = M Y + F2 on the free dofs, by the rule of the MINRES stop."""
+    row A P = M Y + F2 on the free dofs, by the rule of the saddle stop."""
     return _relative_residuals(
         (((A @ Y)[free], -control_term[free], -F1[free]),
          ((A @ P)[free], -(M @ Y)[free], -F2[free])))
@@ -404,9 +400,9 @@ def _check_control(a, bounds, max_iter=1):
 
 def solve_unconstrained_ocp(A, M, F1, F2, a, space, ybc_values):
     """Coupled optimality system without control bounds: the control is
-    eliminated via u = -p/a and the symmetric saddle system with M_I = M
-    is solved by preconditioned MINRES.  ``space`` is the ExtendedSpace of
-    the matrices: its Dirichlet dofs and dof positions."""
+    eliminated via u = -p/a and the saddle system with M_I = M is solved
+    by PRESB-preconditioned GMRES.  ``space`` is the ExtendedSpace of the
+    matrices: its Dirichlet dofs and dof positions."""
     _check_control(a, (-np.inf, np.inf))
     red = ReducedSolver(A, space)
     M_ff, M_fc = red._split(M)

@@ -100,9 +100,9 @@ def discretize(problem, n):
 
 
 def solve_discretized(problem, disc, tol=1e-10, max_iter=200):
-    """Dispatch to the block solve by preconditioned MINRES (no bounds) or
-    to the projected fixed-point iteration (box constraints), whose inner
-    solves share one factor of A."""
+    """Dispatch to the block solve by PRESB-preconditioned GMRES (no
+    bounds) or to the projected fixed-point iteration (box constraints),
+    whose inner solves share one factor of A."""
     if problem.bounds is None:
         return solve_unconstrained_ocp(disc.A, disc.M, disc.F1, disc.F2,
                                        problem.a, disc.space, disc.ybc_values)
@@ -138,7 +138,8 @@ class StudyResult:
 def run_convergence_study(config):
     """Solve the configured benchmark on every mesh in the sweep and collect
     errors and refinement orders.  Output files are flushed row by row, so
-    a failing fine-mesh solve leaves the coarse rows on disk.  With
+    a failing fine-mesh solve leaves the coarse rows on disk; the sweep
+    stops after the first mesh whose iteration did not converge.  With
     ``config.verbose`` one progress line per mesh goes to stderr."""
     problem = config.build_problem()
     result = StudyResult(problem=problem, n_values=config.n_values,
@@ -167,6 +168,8 @@ def run_convergence_study(config):
             result.compute_eoc()
             if out:
                 _write_outputs(config, problem, result, disc, sol, n)
+            if not sol.converged:
+                break
     except Exception:
         if out and result.reports:
             write_errors_csv(os.path.join(out, "errors.csv"), result)
@@ -177,14 +180,14 @@ def run_convergence_study(config):
 def _progress_line(n, disc, sol, seconds):
     """N, free dofs, cut elements, integration cells, smallest cut fraction
     min(k1, k2), solve wall time, L+U nonzeros of the sparse factor, and
-    the MINRES iterations of each saddle solve or the fixed-point sweeps."""
+    the GMRES iterations of each saddle solve or the fixed-point sweeps."""
     space, info = disc.space, disc.cut_info
     free = space.n_dofs - len(space.dirichlet_dofs)
     cut = len(info.cut_elements)
     cells = disc.mesh.num_triangles - cut + len(info.cells)
     frac = np.minimum(info.chords.k1, info.chords.k2).min(initial=np.inf)
     if sol.saddle_iterations:
-        work = "minres_iterations=" + ",".join(map(str,
+        work = "krylov_iterations=" + ",".join(map(str,
                                                    sol.saddle_iterations))
     else:
         work = f"fixed_point_sweeps={sol.iterations}"
@@ -199,9 +202,9 @@ def _write_outputs(config, problem, result, disc, sol, n):
     with open(os.path.join(out, "table.txt"), "w") as fh:
         fh.write(format_table(result))
     if problem.bounds is not None:
-        curves = extract_active_set_boundary(sol, problem.a, problem.bounds,
-                                             disc.mesh, disc.cut_info,
-                                             disc.space)
+        clamp = ControlClamp(disc.mesh, disc.cut_info, disc.space, problem.a,
+                             problem.bounds)
+        curves = _active_set_curves(clamp, sol.P)
         curves["interface"] = interface_polylines(disc.cut_info)
         for name in (f"activeset_n{n}.csv", "activeset.csv"):
             write_activeset_csv(os.path.join(out, name), curves)
@@ -212,9 +215,7 @@ def _write_outputs(config, problem, result, disc, sol, n):
         extra = None
         if problem.bounds is not None:
             # the pieces of every cell that a kink of the control crosses
-            pieces, source, _ = ControlClamp(
-                disc.mesh, disc.cut_info, disc.space, problem.a,
-                problem.bounds).pieces(sol.P)
+            pieces, source, _ = clamp.pieces(sol.P)
             crossed = np.flatnonzero(np.bincount(source)[source] > 1)
             extra = pieces[crossed[np.argsort(source[crossed],
                                               kind="stable")]]
@@ -326,12 +327,15 @@ def extract_active_set_boundary(solution, a, bounds, mesh, cut_info, space):
     polylines keyed 'lower' / 'upper': the chords of the integration cells
     clipped at each bound, without repeated points; a polyline that
     shrinks to one point is dropped."""
-    clamp = ControlClamp(mesh, cut_info, space, a, bounds)
-    z = clamp.vertex_values(solution.P)
+    return _active_set_curves(ControlClamp(mesh, cut_info, space, a, bounds),
+                              solution.P)
+
+
+def _active_set_curves(clamp, P):
     curves = {}
-    for name, level in zip(("lower", "upper"), bounds):
-        polys = map(_drop_repeats,
-                    _chain_segments(list(clamp.cells.clip(z, level)[-1])))
+    for name, level in zip(("lower", "upper"), clamp.bounds):
+        chords = clamp.cells.clip(clamp.vertex_values(P), level)[-1]
+        polys = map(_drop_repeats, _chain_segments(list(chords)))
         curves[name] = [poly for poly in polys if len(poly) > 1]
     return curves
 

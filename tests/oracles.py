@@ -12,8 +12,9 @@ compares the package's batched integration-cell tables against them, and
 the clipped clamp integrals against both the refined loops and an exact
 polygon clipping of each cell;
 ``test_solver.py`` compares the solver's level-by-level nested dissection,
-its matrix-free saddle operator and its factor against the recursion, the
-assembled block matrix and the COLAMD factor at the end of this module.
+its matrix-free saddle operator and preconditioner, its saddle solve and
+its factor against the recursion, the assembled block matrices, a direct
+solve and the COLAMD factor at the end of this module.
 """
 
 import numpy as np
@@ -720,6 +721,15 @@ def nested_dissection_splits(B, xy):
 def saddle_matrix(red, MI_ff, M_ff, a):
     """The assembled block matrix [[M_I/a, A], [A, -M]] on the free dofs."""
     return sp.bmat([[MI_ff / a, red.A_ff], [red.A_ff, -M_ff]], format="csr")
+
+
+def scaled_saddle_matrices(red, MI_ff, M_ff, a):
+    """The assembled square-block matrix [[M, -sqrt(a) A], [sqrt(a) A,
+    M_I]] in (y, q = p/sqrt(a)) on the free dofs, and its PRESB
+    preconditioner, whose (2, 2) block is M + 2 sqrt(a) A."""
+    sA = np.sqrt(a) * red.A_ff
+    return (sp.bmat([[M_ff, -sA], [sA, MI_ff]], format="csr"),
+            sp.bmat([[M_ff, -sA], [sA, M_ff + 2 * sA]], format="csc"))
 
 
 def colamd_factor(red, B):

@@ -11,7 +11,8 @@ from nxfem_ocp.problems import PiecewiseField, build_example
 from nxfem_ocp.solver import (ControlClamp, ReducedSolver, SolverError,
                               project_control, solve_constrained_fixed_point,
                               solve_constrained_ssn, solve_unconstrained_ocp,
-                              _nested_dissection, _saddle_operator)
+                              _nested_dissection, _presb, _saddle_operator,
+                              _solve_saddle)
 from nxfem_ocp.study import discretize, solve_discretized
 from nxfem_ocp.xfem_space import ExtendedSpace
 
@@ -319,15 +320,65 @@ def test_solver_error_reports_residual():
         red.solve(b)
 
 
-@pytest.mark.parametrize("example", [1, 3])
-def test_minres_iterations_do_not_grow_with_the_mesh(example):
+@pytest.mark.parametrize("example, meshes, bound", [
+    (1, (16, 32, 64), 12), (3, (16, 32, 64), 12),
+    # Newton steps on the inactive-set mass: 6 iterations each at N = 16, 32
+    (2, (16, 32), 8)], ids=["1", "3", "2-newton"])
+def test_saddle_iterations_do_not_grow_with_the_mesh(example, meshes, bound):
+    # PRESB-preconditioned GMRES: 10 iterations at every N on ex1 and ex3
     problem = build_example(example)
-    for n in (16, 32, 64):
+    for n in meshes:
         disc = discretize(problem, n)
-        sol = solve_discretized(problem, disc)
-        assert len(sol.saddle_iterations) == 1
-        assert sol.saddle_iterations[0] <= 30
-        assert max(sol.saddle_residuals[0]) <= 1e-10
+        if example == 2:
+            sol = solve_constrained_ssn(
+                disc.mesh, disc.cut_info, disc.space, disc.A, disc.M,
+                disc.F1, disc.F2, problem.a, problem.bounds, disc.ybc_values)
+            assert sol.converged and len(sol.saddle_iterations) >= 2
+        else:
+            sol = solve_discretized(problem, disc)
+            assert len(sol.saddle_iterations) == 1
+        assert 0 < max(sol.saddle_iterations) <= bound
+        assert max(map(max, sol.saddle_residuals)) <= 1e-10
+
+
+def _saddle_case(example, n=16):
+    """The arguments of ``_solve_saddle`` for the unconstrained system of
+    examples 1 and 3 (M_I = M), or for the second Newton step of example 2
+    (M_I the mass on the inactive set of the first step's co-state)."""
+    problem = build_example(example)
+    disc = discretize(problem, n)
+    red = ReducedSolver(disc.A, disc.space)
+    M_ff, M_fc = red._split(disc.M)
+    MI_ff, load = M_ff, disc.F1
+    if example == 2:
+        first = solve_constrained_ssn(
+            disc.mesh, disc.cut_info, disc.space, disc.A, disc.M, disc.F1,
+            disc.F2, problem.a, problem.bounds, disc.ybc_values, max_iter=1)
+        clamp = ControlClamp(disc.mesh, disc.cut_info, disc.space, problem.a,
+                             problem.bounds)
+        M_inact, b_act = clamp.newton_terms(first.P)
+        MI_ff, load = M_inact[red.free][:, red.free], disc.F1 + b_act
+        assert 0 < MI_ff.nnz < M_ff.nnz
+    return red, MI_ff, M_ff, M_fc, load, disc.F2, problem.a, disc.ybc_values
+
+
+@pytest.mark.parametrize("example", [1, 3, 2], ids=["ex1", "ex3",
+                                                    "ex2-newton-step-2"])
+def test_saddle_solve_matches_a_direct_solve(example):
+    # the assembled (p, y) system [[M_I/a, A], [A, -M]] solved directly
+    # pins the substitution q = p/sqrt(a) and the signs of the right side
+    red, MI_ff, M_ff, M_fc, load, F2, a, yb = _saddle_case(example)
+    K = oracles.saddle_matrix(red, MI_ff, M_ff, a)
+    rhs = np.concatenate([load[red.free] - red.A_fc @ yb,
+                          F2[red.free] + M_fc @ yb])
+    x = spla.spsolve(K.tocsc(), rhs)
+    nf = len(red.free)
+    P, Y, _, res = _solve_saddle(red, MI_ff, M_ff, M_fc, load, F2, a, yb)
+    assert max(res) <= 1e-10
+    for got, want in ((P[red.free], x[:nf]), (Y[red.free], x[nf:])):
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+    assert np.array_equal(Y[red.constrained], yb)
+    assert np.all(P[red.constrained] == 0.0)
 
 
 def test_unconstrained_solve_bitwise_repeatable():
@@ -414,9 +465,24 @@ def test_saddle_operator_matches_assembled_blocks():
     # on an inactive set (Newton)
     keep = sp.diags((rng.uniform(size=M_ff.shape[0]) < 0.5).astype(float))
     for MI_ff in (M_ff, keep @ M_ff @ keep):
-        want = oracles.saddle_matrix(red, MI_ff, M_ff, problem.a) @ x
+        K, _ = oracles.scaled_saddle_matrices(red, MI_ff, M_ff, problem.a)
+        want = K @ x
         got = _saddle_operator(red, MI_ff, M_ff, problem.a) @ x
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("example", [1, 3])
+def test_presb_inverts_the_assembled_preconditioner(example):
+    problem = build_example(example)
+    disc = discretize(problem, 16)
+    red = ReducedSolver(disc.A, disc.space)
+    M_ff, _ = red._split(disc.M)
+    _, pre = oracles.scaled_saddle_matrices(red, M_ff, M_ff, problem.a)
+    r = np.random.default_rng(5).standard_normal(2 * len(red.free))
+    z = _presb(red, M_ff, problem.a) @ r
+    assert np.linalg.norm(pre @ z - r) <= 1e-12 * np.linalg.norm(r)
+    assert np.linalg.norm(z - spla.spsolve(pre, r)) \
+        <= 1e-10 * np.linalg.norm(z)
 
 
 def test_fixed_point_matches_the_colamd_factor(monkeypatch):

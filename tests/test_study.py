@@ -6,9 +6,10 @@ import nxfem_ocp.study as study_mod
 from nxfem_ocp.cli import main
 from nxfem_ocp.errors import compute_errors
 from nxfem_ocp.mesh import ConfigurationError, build_uniform_mesh
-from nxfem_ocp.interface_geometry import CellTable, build_cut_info
+from nxfem_ocp.interface_geometry import CellTable, CutInfo, build_cut_info
 from nxfem_ocp.problems import build_example
 from nxfem_ocp.solver import OcpSolution
+from nxfem_ocp.xfem_space import ExtendedSpace
 from nxfem_ocp.study import (RunConfig, discretize, extract_active_set_boundary,
                              interface_polylines, run_convergence_study,
                              solve_discretized)
@@ -253,7 +254,7 @@ def test_cli_verbose_echoes_one_line_per_mesh(tmp_path, capsys):
         fields = dict(item.split("=") for item in line.split())
         assert int(fields["free_dofs"]) > 0
         assert float(fields["solve_s"]) >= 0.0
-        assert 0 < int(fields["minres_iterations"]) <= 30
+        assert 0 < int(fields["krylov_iterations"]) <= 12
         # L+U nonzeros of the factor of S, as the solution records them
         sol = solve_discretized(problem, discretize(problem, n))
         assert int(fields["factor_nnz"]) == sol.factor_nnz > 0
@@ -284,6 +285,61 @@ def test_cli_constrained_with_dumps(tmp_path, capsys):
     itlines = (base / "iterations_n8.csv").read_text().strip().splitlines()
     assert itlines[0] == "iteration,control_diff,residual_state,residual_costate"
     assert len(itlines) >= 3
+
+
+def test_cli_stops_at_the_first_unconverged_mesh(tmp_path, capsys):
+    # the fixed point does not contract for this small a; the run used to
+    # go on to solve and write every later mesh and then exit with
+    # argparse's usage-error status 2
+    out = tmp_path / "run8"
+    rc = main(["solve", "--example", "1", "--bounds=-100,100", "--a", "1e-4",
+               "--n-list", "16,32", "--max-iter", "5", "--out", str(out)])
+    assert rc == 3
+    assert "did not converge at N=16" in capsys.readouterr().err
+    rows = (out / "errors.csv").read_text().strip().splitlines()[1:]
+    assert len(rows) == 9
+    assert {row.split(",")[0] for row in rows} == {"16"}
+    assert (out / "activeset_n16.csv").exists()
+    assert not (out / "activeset_n32.csv").exists()
+
+
+def test_cli_dump_builds_one_clamp_per_mesh(tmp_path, monkeypatch):
+    # the outputs of a constrained run read the control through one clamp
+    # per mesh, for the contours and the dump's pieces alike; they used to
+    # build a second one
+    calls = {"integration_cells": 0, "cell_sampler": 0}
+    stage = {"outputs": False, "dump": False}
+
+    def within(name, key):
+        function = getattr(study_mod, name)
+
+        def wrapper(*args, **kwargs):
+            stage[key] = True
+            try:
+                return function(*args, **kwargs)
+            finally:
+                stage[key] = False
+        monkeypatch.setattr(study_mod, name, wrapper)
+
+    def counted(cls, name):
+        method = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            # in the outputs stage, but not in the dump writer, which reads
+            # the whole-mesh cells itself
+            calls[name] += stage["outputs"] and not stage["dump"]
+            return method(*args, **kwargs)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    within("_write_outputs", "outputs")
+    within("write_integration_mesh_csv", "dump")
+    counted(CutInfo, "integration_cells")
+    counted(ExtendedSpace, "cell_sampler")
+    rc = main(["solve", "--example", "2", "--n-list", "8,16",
+               "--dump-geometry", "--out", str(tmp_path / "run9")])
+    assert rc == 0
+    assert (tmp_path / "run9" / "integration_mesh_n16.csv").exists()
+    assert calls == {"integration_cells": 2, "cell_sampler": 2}
 
 
 @pytest.mark.parametrize("example, meshes, pivots", [
