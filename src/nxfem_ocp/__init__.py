@@ -1,7 +1,7 @@
 """Optimal control of elliptic PDEs with internal interfaces, discretized
 with penalized extended P1 elements on unfitted uniform meshes."""
 
-from .assembly import (NitscheParams, assemble_load, assemble_mass,
+from .assembly import (Load, NitscheParams, assemble_load, assemble_mass,
                        assemble_stiffness)
 from .errors import ErrorReport, compute_errors
 from .interface_geometry import (CutInfo, ElementClass, LevelSet,

@@ -4,19 +4,22 @@ The bilinear form contains the broken diffusion term, the two consistency
 terms coupling flux averages with jumps across the interface chord, and the
 stabilizing jump penalty.  Volume contributions on cut elements are
 integrated side by side over the sub-triangulation, interface contributions
-with Gauss rules on the chords.
+with Gauss rules on the chords.  All right-hand sides of a mesh come from
+one pass over the integration cells: each batch builds its quadrature
+rule once and every volume source is contracted against it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .interface_geometry import VOLUME_DEGREE
 
-__all__ = ["NitscheParams", "RefineSpec", "assemble_stiffness",
+__all__ = ["NitscheParams", "RefineSpec", "Load", "assemble_stiffness",
            "assemble_mass", "assemble_load"]
 
 # exact local P1 mass matrix, to be scaled by the area
@@ -47,6 +50,19 @@ class RefineSpec:
 
     mask: np.ndarray
     pred: callable
+
+
+class Load(NamedTuple):
+    """One right-hand side: ``sign`` (+1 or -1) times the inner products of
+    the volume source f (a PiecewiseField or None) with every basis
+    function, integrated adaptively where ``refine`` (a RefineSpec or None)
+    says, plus the interface flux data g (a callable on the chords or
+    None)."""
+
+    f: object
+    g: object
+    refine: RefineSpec | None
+    sign: float
 
 
 def _csr(n, blocks):
@@ -117,20 +133,50 @@ def assemble_mass(mesh, cut_info, space):
                 + [(space.cell_dofs(cells), _hat_products(w, lam))])
 
 
-def _volume_load(vec, mesh, cut_info, space, func, refine):
-    """Add the volume inner product of the two-sided ``func`` with every
-    basis function."""
+def _load_rule(mesh, space, cells):
+    """Points, weights, parent barycentrics and dofs of the degree-4 rule
+    on cells, shared by every volume source."""
+    return (*cells.quadrature(mesh, VOLUME_DEGREE), space.cell_dofs(cells))
+
+
+def _contract(vec, func, rule):
+    """Add the inner products of ``func`` with every basis function over a
+    rule."""
+    pts, w, lam, dofs = rule
+    fv = func(pts[..., 0], pts[..., 1])
+    vec += np.bincount(dofs.ravel(),
+                       np.einsum("cq,cqi->ci", w * fv, lam).ravel(),
+                       minlength=len(vec))
+
+
+def _volume_loads(vecs, mesh, cut_info, space, loads):
+    """Add the volume inner products of every load's source with every
+    basis function.  Each batch of integration cells gets its rule once,
+    for all sources; a load with a RefineSpec skips the cells of the
+    elements it flags there and integrates the leaves of their refinement
+    in an extra pass of its own."""
+    live = [(vec, load) for vec, load in zip(vecs, loads)
+            if load.f is not None]
     for side in (1, 2):
         cells = cut_info.integration_cells(mesh, side)
-        if refine is not None:
-            cells = cells.refined(refine.mask[cells.parent],
-                                  lambda c: refine.pred(c.coords, side))
         for part in cells.batches():
-            pts, w, lam = part.quadrature(mesh, VOLUME_DEGREE)
-            fv = func.side(side)(pts[..., 0], pts[..., 1])
-            loads = np.einsum("cq,cqi->ci", w * fv, lam)
-            vec += np.bincount(space.cell_dofs(part).ravel(),
-                               loads.ravel(), minlength=len(vec))
+            rule = _load_rule(mesh, space, part)
+            for vec, load in live:
+                if load.refine is None:
+                    _contract(vec, load.f.side(side), rule)
+                else:
+                    plain = ~load.refine.mask[part.parent]
+                    _contract(vec, load.f.side(side), [r[plain] for r in rule])
+        for vec, load in live:
+            spec = load.refine
+            if spec is None:
+                continue
+            flagged = cells[spec.mask[cells.parent]]
+            leaves = flagged.refined(np.ones(len(flagged), dtype=bool),
+                                     lambda c: spec.pred(c.coords, side))
+            for part in leaves.batches():
+                _contract(vec, load.f.side(side),
+                          _load_rule(mesh, space, part))
 
 
 def _interface_load(vec, mesh, cut_info, space, g):
@@ -146,12 +192,15 @@ def _interface_load(vec, mesh, cut_info, space, g):
                            minlength=len(vec))
 
 
-def assemble_load(mesh, cut_info, space, f=None, g=None, refine=None):
-    """Right-hand side vector with the volume source f (a PiecewiseField)
-    and the interface flux data g (a callable on the chords)."""
-    vec = np.zeros(space.n_dofs)
-    if f is not None:
-        _volume_load(vec, mesh, cut_info, space, f, refine)
-    if g is not None:
-        _interface_load(vec, mesh, cut_info, space, g)
-    return vec
+def assemble_load(mesh, cut_info, space, *loads):
+    """One right-hand side vector per Load, all from one pass over the
+    integration cells.  The volume part is scaled by the load's sign before
+    the interface part is added, so a sign of -1 gives the same vector as
+    the negated source would."""
+    vecs = [np.zeros(space.n_dofs) for _ in loads]
+    _volume_loads(vecs, mesh, cut_info, space, loads)
+    for vec, load in zip(vecs, loads):
+        vec *= load.sign
+        if load.g is not None:
+            _interface_load(vec, mesh, cut_info, space, load.g)
+    return vecs

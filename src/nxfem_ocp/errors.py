@@ -53,6 +53,7 @@ class _ClampedLinearField:
     def __init__(self, coeff_vec, scale, bounds):
         self.vec = coeff_vec
         self.scale = scale
+        self.bounds = bounds
         self.lo, self.hi = (-np.inf, np.inf) if bounds is None else bounds
 
     def coeffs(self, dofs):
@@ -61,12 +62,15 @@ class _ClampedLinearField:
     def evaluate(self, dofs, lam, grads):
         """Clamped values (C, q), unclamped mask (C, q) and unclamped
         gradients (C, 2) at barycentrics ``lam`` (C, q, 3) of cells with
-        dofs (C, 3) and hat gradients (C, 3, 2)."""
+        dofs (C, 3) and hat gradients (C, 3, 2); an unbounded field is
+        unclamped everywhere, so it skips the clip and the mask."""
         C = self.coeffs(dofs)
         raw = np.einsum("cqi,ci->cq", lam, C)
+        grad = np.einsum("ci,cid->cd", C, grads)
+        if self.bounds is None:
+            return raw, True, grad
         return (np.clip(raw, self.lo, self.hi),
-                (raw > self.lo) & (raw < self.hi),
-                np.einsum("ci,cid->cd", C, grads))
+                (raw > self.lo) & (raw < self.hi), grad)
 
 
 def _rule(mesh, space, cells):

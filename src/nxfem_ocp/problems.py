@@ -167,7 +167,11 @@ def _example_segment():
         C, S, ee = np.cos(x * y), np.sin(x * y), ell(x, y)
         return 2.0 * (-k * (-y * S) + (-x * S)) + ee * (-(y * y + x * x) * C)
 
-    y1 = lambda x, y: ell(x, y) * np.cos(x * y) / 200.0 + ell(x, y) ** 3
+    def y1(x, y):
+        ee = ell(x, y)
+        # products: numpy's ee ** 3 takes a slow pow path on negative bases
+        return ee * np.cos(x * y) / 200.0 + ee * ee * ee
+
     y2 = lambda x, y: ell(x, y) * np.cos(x * y) / 2.0
 
     def grad_y1(x, y):

@@ -5,17 +5,18 @@ tabulate refinement orders, extract active-set boundaries.
 from __future__ import annotations
 
 import os
+import shutil
 import sys
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import assemble_load, assemble_mass, assemble_stiffness
+from .assembly import Load, assemble_load, assemble_mass, assemble_stiffness
 from .errors import compute_errors, FIELDS, NORMS
 from .interface_geometry import build_cut_info, write_integration_mesh_csv
 from .mesh import ConfigurationError, build_uniform_mesh, write_mesh_csv
-from .problems import PiecewiseField, build_example
+from .problems import build_example
 from .solver import (ControlClamp, SolverError, solve_constrained_fixed_point,
                      solve_unconstrained_ocp)
 from .xfem_space import ExtendedSpace
@@ -87,13 +88,10 @@ def discretize(problem, n):
     A = assemble_stiffness(mesh, cut_info, space, problem.alpha1,
                            problem.alpha2, params)
     M = assemble_mass(mesh, cut_info, space)
-    refine = problem.load_refine(mesh, cut_info)
-    F1 = assemble_load(mesh, cut_info, space, f=problem.f, g=problem.g,
-                       refine=refine)
-    neg_yd = PiecewiseField(
-        lambda x, y: -problem.y_d.side(1)(x, y),
-        lambda x, y: -problem.y_d.side(2)(x, y))
-    F2 = assemble_load(mesh, cut_info, space, f=neg_yd, g=problem.g_adj)
+    F1, F2 = assemble_load(
+        mesh, cut_info, space,
+        Load(problem.f, problem.g, problem.load_refine(mesh, cut_info), 1.0),
+        Load(problem.y_d, problem.g_adj, None, -1.0))
     _, ybc = space.boundary_values(problem.y)
     return Discretization(mesh=mesh, cut_info=cut_info, space=space, A=A,
                           M=M, F1=F1, F2=F2, ybc_values=ybc)
@@ -206,8 +204,10 @@ def _write_outputs(config, problem, result, disc, sol, n):
                              problem.bounds)
         curves = _active_set_curves(clamp, sol.P)
         curves["interface"] = interface_polylines(disc.cut_info)
-        for name in (f"activeset_n{n}.csv", "activeset.csv"):
-            write_activeset_csv(os.path.join(out, name), curves)
+        # the plain name holds a byte copy of the last mesh's table
+        path = os.path.join(out, f"activeset_n{n}.csv")
+        write_activeset_csv(path, curves)
+        shutil.copyfile(path, os.path.join(out, "activeset.csv"))
     if config.dump_geometry:
         write_mesh_csv(disc.mesh,
                        os.path.join(out, f"mesh_vertices_n{n}.csv"),
@@ -219,9 +219,9 @@ def _write_outputs(config, problem, result, disc, sol, n):
             crossed = np.flatnonzero(np.bincount(source)[source] > 1)
             extra = pieces[crossed[np.argsort(source[crossed],
                                               kind="stable")]]
-        for name in (f"integration_mesh_n{n}.csv", "integration_mesh.csv"):
-            write_integration_mesh_csv(os.path.join(out, name),
-                                       disc.mesh, disc.cut_info, extra)
+        path = os.path.join(out, f"integration_mesh_n{n}.csv")
+        write_integration_mesh_csv(path, disc.mesh, disc.cut_info, extra)
+        shutil.copyfile(path, os.path.join(out, "integration_mesh.csv"))
     if config.verbose:
         with open(os.path.join(out, f"iterations_n{n}.csv"), "w") as fh:
             fh.write("iteration,control_diff,residual_state,residual_costate\n")

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from nxfem_ocp.assembly import (NitscheParams, assemble_load, assemble_mass,
-                                assemble_stiffness)
+from nxfem_ocp.assembly import (Load, NitscheParams, assemble_load,
+                                assemble_mass, assemble_stiffness)
 from nxfem_ocp.interface_geometry import (LevelSet, build_cut_info,
                                           circle_interface, line_interface)
 from nxfem_ocp.mesh import build_uniform_mesh
@@ -199,7 +199,7 @@ def test_penalty_scaling():
 def test_zero_load():
     problem = build_example(1)
     mesh, info, space, _ = setup(problem, 8)
-    F = assemble_load(mesh, info, space)
+    F, = assemble_load(mesh, info, space, Load(None, None, None, 1.0))
     assert np.all(F == 0.0)
 
 
@@ -211,7 +211,7 @@ def test_interface_load_cross_weights():
     info = build_cut_info(mesh, ls)
     space = ExtendedSpace(mesh, info)
     one = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
-    F = assemble_load(mesh, info, space, g=one)
+    F, = assemble_load(mesh, info, space, Load(None, one, None, 1.0))
     cg = element_cuts(info)[0]
     # a side-1 constant test function sums the side-1 entries: k2 * |chord|
     tri = mesh.triangles[0]
@@ -226,7 +226,8 @@ def test_load_dof_vector_and_function_paths_agree():
     mesh, info, space, _ = setup(problem, 8)
     M = assemble_mass(mesh, info, space)
     smooth = lambda x, y: np.sin(x) * np.cos(y)
-    F_fun = assemble_load(mesh, info, space, f=PiecewiseField(smooth, smooth))
+    smooth_load = Load(PiecewiseField(smooth, smooth), None, None, 1.0)
+    F_fun, = assemble_load(mesh, info, space, smooth_load)
     UI = interpolate_two_sided(space, info.vertex_sign, smooth, smooth)
     # quadrature vs the mass matrix on the interpolant differ by the
     # interpolation error only
@@ -242,7 +243,7 @@ def test_adaptive_load_quadrature_resolves_kinks():
     space = ExtendedSpace(mesh, info)
     ramp = lambda x, y: np.clip(10.0 * (x - 0.3), -1.0, 1.0)
     f = PiecewiseField(ramp, ramp)
-    plain = assemble_load(mesh, info, space, f=f)
+    plain, = assemble_load(mesh, info, space, Load(f, None, None, 1.0))
 
     def status(x):
         z = 10.0 * (x - 0.3)
@@ -259,8 +260,8 @@ def test_adaptive_load_quadrature_resolves_kinks():
         s = status(pts[..., 0])
         return s.max(axis=1) != s.min(axis=1)
 
-    refined = assemble_load(mesh, info, space, f=f,
-                            refine=RefineSpec(mask=mask, pred=pred))
+    spec = RefineSpec(mask=mask, pred=pred)
+    refined, = assemble_load(mesh, info, space, Load(f, None, spec, 1.0))
     err_plain = abs(plain.sum() - 0.4)
     err_refined = abs(refined.sum() - 0.4)
     assert err_refined < 2e-5
@@ -307,7 +308,7 @@ def test_galerkin_residual_of_state_solve():
     f_plus_u = PiecewiseField(*(
         lambda x, y, s=s: problem.f.side(s)(x, y) + problem.u.side(s)(x, y)
         for s in (1, 2)))
-    F = assemble_load(mesh, info, space, f=f_plus_u, g=problem.g)
+    F, = assemble_load(mesh, info, space, Load(f_plus_u, problem.g, None, 1.0))
     _, ybc = space.boundary_values(problem.y)
     Y = ReducedSolver(A, space).solve(F, ybc)
     mask = np.ones(space.n_dofs, dtype=bool)

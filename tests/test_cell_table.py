@@ -8,7 +8,8 @@ replace to within those loops' own quadrature error."""
 import numpy as np
 import pytest
 
-from nxfem_ocp.assembly import assemble_load, assemble_mass, assemble_stiffness
+from nxfem_ocp.assembly import (Load, assemble_load, assemble_mass,
+                                assemble_stiffness)
 from nxfem_ocp.errors import compute_errors
 from nxfem_ocp.interface_geometry import (ElementClass, build_cut_info,
                                           circle_interface, line_interface)
@@ -66,14 +67,41 @@ def test_matrices_and_loads_match_element_loops(label, n):
                  loop_mass(mesh, info, space).toarray())
     refine = problem.load_refine(mesh, info)
     assert (refine is not None) == (problem.bounds is not None)
+    # both right-hand sides of the mesh from one pass over its cells
+    F1, F2 = assemble_load(mesh, info, space, *base_loads(problem, refine))
     assert_close(
-        assemble_load(mesh, info, space, f=problem.f, g=problem.g,
-                      refine=refine),
-        loop_load(mesh, info, space, f=problem.f, g=problem.g, refine=refine))
-    neg_yd = PiecewiseField(lambda x, y: -problem.y_d.side(1)(x, y),
-                            lambda x, y: -problem.y_d.side(2)(x, y))
-    assert_close(assemble_load(mesh, info, space, f=neg_yd, g=problem.g_adj),
-                 loop_load(mesh, info, space, f=neg_yd, g=problem.g_adj))
+        F1, loop_load(mesh, info, space, f=problem.f, g=problem.g,
+                      refine=refine))
+    assert_close(F2, loop_load(mesh, info, space, f=negated(problem.y_d),
+                               g=problem.g_adj))
+
+
+def base_loads(problem, refine):
+    """The state and adjoint right-hand sides, as ``discretize`` asks."""
+    return (Load(problem.f, problem.g, refine, 1.0),
+            Load(problem.y_d, problem.g_adj, None, -1.0))
+
+
+def negated(field):
+    return PiecewiseField(lambda x, y: -field.side(1)(x, y),
+                          lambda x, y: -field.side(2)(x, y))
+
+
+@pytest.mark.parametrize("label, n", [(g, n) for g in ("ex1", "ex2", "ex3")
+                                      for n in (16, 32)])
+def test_one_pass_loads_equal_one_load_calls(label, n):
+    # each right-hand side of the shared pass is bitwise the one its own
+    # pass gives; the signed adjoint load is bitwise the load of the
+    # negated target, negation being exact
+    problem, mesh, info, space = setup(label, n)
+    loads = base_loads(problem, problem.load_refine(mesh, info))
+    together = assemble_load(mesh, info, space, *loads)
+    for vec, load in zip(together, loads):
+        alone, = assemble_load(mesh, info, space, load)
+        assert np.array_equal(vec, alone)
+    plain, = assemble_load(mesh, info, space, Load(
+        negated(problem.y_d), problem.g_adj, None, 1.0))
+    assert np.array_equal(together[1], plain)
 
 
 @pytest.mark.parametrize("label, n", CASES)

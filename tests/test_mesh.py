@@ -96,6 +96,35 @@ def test_barycentric_roundtrip():
         assert np.allclose(back, lam, atol=1e-12)
 
 
+EPS = np.finfo(float).eps
+
+
+def test_barycentric_matches_the_matmul_form():
+    # the coordinates are spelled out as dot products; the stacked matmul
+    # they replace agrees to rounding, for one element and for a batch:
+    # lambda_1 and lambda_2 to half an ulp of 1 each, lambda_0 = 1 - their
+    # sum to the sum of both, one ulp of 1
+    mesh = build_uniform_mesh((-1.0, np.pi / 3, -0.7, 1.1), 9)
+    rng = np.random.default_rng(5)
+
+    def matmul_form(e, points):
+        p0 = mesh.vertices[mesh.triangles[e, 0]][..., None, :]
+        lam12 = (points - p0) @ np.swapaxes(mesh.grad_bary[e, 1:], -1, -2)
+        return np.concatenate([1.0 - lam12.sum(axis=-1, keepdims=True),
+                               lam12], axis=-1)
+
+    parents = rng.integers(mesh.num_triangles, size=200)
+    lam = rng.dirichlet(np.ones(3), size=(200, 6))
+    pts = lam @ mesh.vertices[mesh.triangles[parents]]
+    got = mesh.barycentric(parents, pts)
+    assert got.shape == (200, 6, 3)
+    assert np.abs(got - matmul_form(parents, pts)).max() <= EPS
+    one = mesh.barycentric(int(parents[0]), pts[0])
+    assert one.shape == (6, 3)
+    assert np.abs(one - matmul_form(int(parents[0]), pts[0])).max() <= EPS
+    assert np.array_equal(one, got[0])
+
+
 def test_from_arrays_boundary_detection():
     mesh = mesh_from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
     assert mesh.boundary_vertex.all()

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from nxfem_ocp.assembly import assemble_load
+from nxfem_ocp.assembly import Load, assemble_load
 from nxfem_ocp.interface_geometry import (CutInfo, build_cut_info,
                                           line_interface)
 from nxfem_ocp.mesh import ConfigurationError, build_uniform_mesh
@@ -73,7 +73,7 @@ def test_piecewise_linear_exactness():
     space = ExtendedSpace(mesh, info)
     A = assemble_stiffness(mesh, info, space, alpha1, alpha2,
                            NitscheParams(10.0))
-    F = assemble_load(mesh, info, space, g=g)
+    F, = assemble_load(mesh, info, space, Load(None, g, None, 1.0))
     _, ybc = space.boundary_values(PiecewiseField(y1, y2))
     Y = ReducedSolver(A, space).solve(F, ybc)
     exact = interpolate_two_sided(space, info.vertex_sign, y1, y2)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -340,6 +342,56 @@ def test_cli_dump_builds_one_clamp_per_mesh(tmp_path, monkeypatch):
     assert rc == 0
     assert (tmp_path / "run9" / "integration_mesh_n16.csv").exists()
     assert calls == {"integration_cells": 2, "cell_sampler": 2}
+
+
+def test_cli_writes_each_mesh_table_once(tmp_path, monkeypatch):
+    # the plain-named tables are byte copies of the last mesh's; they used
+    # to be formatted and written a second time
+    written = []
+
+    def logged(name):
+        function = getattr(study_mod, name)
+
+        def wrapper(path, *args):
+            written.append(Path(path).name)
+            return function(path, *args)
+        monkeypatch.setattr(study_mod, name, wrapper)
+
+    logged("write_activeset_csv")
+    logged("write_integration_mesh_csv")
+    out = tmp_path / "run10"
+    rc = main(["solve", "--example", "2", "--n-list", "8,16",
+               "--dump-geometry", "--out", str(out)])
+    assert rc == 0
+    assert written == [f"{stem}_n{n}.csv" for n in (8, 16)
+                       for stem in ("activeset", "integration_mesh")]
+    for stem in ("activeset", "integration_mesh"):
+        assert (out / f"{stem}.csv").read_bytes() \
+            == (out / f"{stem}_n16.csv").read_bytes()
+
+
+@pytest.mark.parametrize("example", [1, 2, 3])
+def test_discretize_assembles_the_loads_in_one_pass(example, monkeypatch):
+    # one assemble_load call per mesh gives F1 and F2, from one table of
+    # integration cells per side; there used to be one call per load
+    calls = []
+    load = study_mod.assemble_load
+    cells = CutInfo.integration_cells
+
+    def counted_load(*args):
+        calls.append("assemble_load")
+        return load(*args)
+
+    def counted_cells(self, mesh, side=None):
+        calls.append(("integration_cells", side))
+        return cells(self, mesh, side)
+
+    monkeypatch.setattr(study_mod, "assemble_load", counted_load)
+    monkeypatch.setattr(CutInfo, "integration_cells", counted_cells)
+    disc = discretize(build_example(example), 8)
+    assert calls == ["assemble_load", ("integration_cells", 1),
+                     ("integration_cells", 2)]
+    assert np.abs(disc.F1).max() > 0.0 and np.abs(disc.F2).max() > 0.0
 
 
 @pytest.mark.parametrize("example, meshes, pivots", [
