@@ -1,15 +1,17 @@
 """Built-in benchmark problems with closed-form optimal solutions.
 
-Each problem prescribes analytic state and co-state fields per subdomain;
-the source, target and interface flux data are derived from them by
-hand-coded differentiation (products of elementary factors, so every
+Each problem prescribes its geometry, its coefficients, the exact state y
+and the pre-clamp control z = -p/a per subdomain, with hand-coded
+gradients and Laplacians (products of elementary factors, so every
 derivative is spelled out explicitly and cross-checked by finite
-differences in the test suite).
+differences in the test suite).  ``ManufacturedProblem`` derives the rest
+of the optimal triple and the data that make it optimal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -30,9 +32,6 @@ class PiecewiseField:
     def side(self, m):
         return self._f[m - 1]
 
-    def __call__(self, x, y, side):
-        return self._f[side - 1](x, y)
-
 
 def flux_jump(grad_field, levelset, alpha1, alpha2):
     """[alpha dn v] = alpha1 dn v1 - alpha2 dn v2 with the normal pointing
@@ -49,9 +48,32 @@ def flux_jump(grad_field, levelset, alpha1, alpha2):
     return g
 
 
+class _per_side:
+    """A derived field: the method ``rule(problem, m, x, y)`` read as the
+    PiecewiseField whose side-m closure is ``rule(problem, m, ., .)``."""
+
+    def __init__(self, rule):
+        self.rule = rule
+        self.__doc__ = rule.__doc__
+
+    def __get__(self, problem, owner=None):
+        if problem is None:
+            return self
+        return PiecewiseField(partial(self.rule, problem, 1),
+                              partial(self.rule, problem, 2))
+
+    def __set__(self, problem, value):
+        # read-only: a stored field would not follow a or the box
+        raise AttributeError(f"{self.rule.__name__} is derived")
+
+
 @dataclass
 class ManufacturedProblem:
-    """Benchmark data: geometry, coefficients and exact optimal triple."""
+    """Benchmark data: geometry, coefficients, the exact state y and the
+    pre-clamp control z = -p/a.  The rest of the exact optimal triple and
+    the source, target and interface flux data are derived from the
+    current ``a`` and ``bounds``, so an override of either still describes
+    an optimum (Hinze's projection u = clamp(-p/a))."""
 
     name: str
     domain: tuple
@@ -62,17 +84,66 @@ class ManufacturedProblem:
     lambda_coef: float            # penalty scale: lambda = lambda_coef / h
     bounds: tuple | None
     y: PiecewiseField
-    p: PiecewiseField
-    u: PiecewiseField
     grad_y: PiecewiseField
-    grad_p: PiecewiseField
-    grad_u: PiecewiseField
-    f: PiecewiseField
-    y_d: PiecewiseField
-    g: callable
-    g_adj: callable | None
-    control_arg: PiecewiseField   # the pre-clamp control field -p/a
+    lap_y: PiecewiseField
+    z: PiecewiseField             # the pre-clamp control -p/a
+    grad_z: PiecewiseField
+    lap_z: PiecewiseField
     relative_errors: bool
+
+    @property
+    def control_arg(self):
+        return self.z
+
+    def _alpha(self, m):
+        return self.alpha1 if m == 1 else self.alpha2
+
+    @_per_side
+    def u(self, m, x, y):
+        """u = clamp(z)."""
+        z = self.z.side(m)(x, y)
+        return z if self.bounds is None else np.clip(z, *self.bounds)
+
+    @_per_side
+    def grad_u(self, m, x, y):
+        """grad z off the active set, zero on it."""
+        gx, gy = self.grad_z.side(m)(x, y)
+        if self.bounds is None:
+            return gx, gy
+        z = self.z.side(m)(x, y)
+        free = (z > self.bounds[0]) & (z < self.bounds[1])
+        return np.where(free, gx, 0.0), np.where(free, gy, 0.0)
+
+    @_per_side
+    def p(self, m, x, y):
+        """p = -a z."""
+        return -self.a * self.z.side(m)(x, y)
+
+    @_per_side
+    def grad_p(self, m, x, y):
+        gx, gy = self.grad_z.side(m)(x, y)
+        return -self.a * gx, -self.a * gy
+
+    @_per_side
+    def f(self, m, x, y):
+        """f = -alpha lap(y) - u."""
+        return -self._alpha(m) * self.lap_y.side(m)(x, y) - self.u.side(m)(x, y)
+
+    @_per_side
+    def y_d(self, m, x, y):
+        """y_d = y + alpha lap(p) = y - a alpha lap(z)."""
+        return self.y.side(m)(x, y) \
+            - self.a * self._alpha(m) * self.lap_z.side(m)(x, y)
+
+    @property
+    def g(self):
+        """The state's interface flux jump [alpha dn y]."""
+        return flux_jump(self.grad_y, self.levelset, self.alpha1, self.alpha2)
+
+    @property
+    def g_adj(self):
+        """The co-state's interface flux jump [alpha dn p]."""
+        return flux_jump(self.grad_p, self.levelset, self.alpha1, self.alpha2)
 
     def nitsche_params(self):
         """Penalty parameters reproducing lambda = lambda_coef / h."""
@@ -92,7 +163,7 @@ class ManufacturedProblem:
             return None
 
         def status_side(side, x, y):
-            return self.clamp_status(self.control_arg.side(side)(x, y))
+            return self.clamp_status(self.z.side(side)(x, y))
 
         coords = mesh.vertices[mesh.triangles]        # (T, 3, 2)
         mask = np.zeros(mesh.num_triangles, dtype=bool)
@@ -116,12 +187,10 @@ class ManufacturedProblem:
 # example 1: straight interface, strong coefficient contrast, no bounds
 # ---------------------------------------------------------------------------
 
-def _example_segment():
+def _example_line():
     k = -np.sqrt(3.0) / 3.0
     b = (6.0 + np.sqrt(6.0) - 2.0 * np.sqrt(3.0)) / 6.0
     alpha1, alpha2 = 1.0, 100.0
-    a = 0.01
-    levelset = line_interface(k, b)
     gl2 = k * k + 1.0                       # |grad ell|^2
 
     ell = lambda x, y: y - k * x - b
@@ -142,17 +211,18 @@ def _example_segment():
         qyy = 2 * A * S + 2 * A * (2 * y - 1) * x * C - A * B * x * x * S
         return qxx + qyy
 
-    def u_side(c):
+    # z = c * ell * q with c = 1 in subdomain 1 and c = 100 in subdomain 2
+    def z_side(c):
         return lambda x, y: c * ell(x, y) * q(x, y)
 
-    def grad_u_side(c):
+    def grad_z_side(c):
         def grad(x, y):
             qx, qy = q_grad(x, y)
             qq, ee = q(x, y), ell(x, y)
             return (c * (-k * qq + ee * qx), c * (qq + ee * qy))
         return grad
 
-    def lap_u_side(c):
+    def lap_z_side(c):
         def lap(x, y):
             qx, qy = q_grad(x, y)
             return c * (2.0 * (-k * qx + qy) + ell(x, y) * q_lap(x, y))
@@ -186,54 +256,68 @@ def _example_segment():
     lap_y1 = lambda x, y: w_lap(x, y) / 200.0 + 6.0 * ell(x, y) * gl2
     lap_y2 = lambda x, y: w_lap(x, y) / 2.0
 
-    c1, c2 = 1.0, 100.0
-    u = PiecewiseField(u_side(c1), u_side(c2))
-    grad_u = PiecewiseField(grad_u_side(c1), grad_u_side(c2))
+    both = lambda make: PiecewiseField(make(1.0), make(100.0))
+    return ManufacturedProblem(
+        name="example1", domain=(0.0, 1.0, 0.0, 1.0),
+        levelset=line_interface(k, b), alpha1=alpha1, alpha2=alpha2, a=0.01,
+        lambda_coef=1000.0, bounds=None, y=PiecewiseField(y1, y2),
+        grad_y=PiecewiseField(grad_y1, grad_y2),
+        lap_y=PiecewiseField(lap_y1, lap_y2), z=both(z_side),
+        grad_z=both(grad_z_side), lap_z=both(lap_z_side),
+        relative_errors=True)
 
-    def p_side(c):
-        us = u_side(c)
-        return lambda x, y: -a * us(x, y)
 
-    def grad_p_side(c):
-        gu = grad_u_side(c)
+# ---------------------------------------------------------------------------
+# examples 2 and 3: circular interface about the origin in [-1, 1]^2
+# ---------------------------------------------------------------------------
 
+def _example_circle(name, r, alpha2, a, lambda_coef, bounds, sine,
+                    relative_errors):
+    """alpha1 = 1.  The state is y = rho^3/alpha per side plus the constant
+    outside that makes it continuous across the circle, and, with
+    ``sine``, minus 10 (rho^2 - r^2) sin(xy) inside.  The pre-clamp
+    control is z = 5 W/alpha with the quartic bubble
+    W = (rho^2 - r^2)(x^2 - 1)(y^2 - 1)."""
+    alpha1 = 1.0
+    r2 = r * r
+    shift = (1.0 / alpha1 - 1.0 / alpha2) * r ** 3
+
+    def y_side(al, c):
+        return lambda x, y: (x * x + y * y) ** 1.5 / al + c
+
+    def grad_y_side(al):
         def grad(x, y):
-            gx, gy = gu(x, y)
-            return (-a * gx, -a * gy)
+            s = 3.0 * np.sqrt(x * x + y * y) / al
+            return (s * x, s * y)
         return grad
 
-    p = PiecewiseField(p_side(c1), p_side(c2))
-    grad_p = PiecewiseField(grad_p_side(c1), grad_p_side(c2))
+    def lap_y_side(al):
+        return lambda x, y: 9.0 * np.sqrt(x * x + y * y) / al
 
-    def f_side(al, lap_y, us):
-        return lambda x, y: -al * lap_y(x, y) - us(x, y)
+    ys = [y_side(alpha1, 0.0), y_side(alpha2, shift)]
+    grads = [grad_y_side(alpha1), grad_y_side(alpha2)]
+    laps = [lap_y_side(alpha1), lap_y_side(alpha2)]
+    if sine:
+        y1r, grad_y1r, lap_y1r = ys[0], grads[0], laps[0]
 
-    # y_d = y + alpha * lap(p), with lap p = -a * lap u
-    def y_d_side(al, ys, lap_u):
-        return lambda x, y: ys(x, y) - a * al * lap_u(x, y)
+        def y1(x, y):
+            G = x * x + y * y - r2
+            return y1r(x, y) - 10.0 * G * np.sin(x * y)
 
-    f = PiecewiseField(f_side(alpha1, lap_y1, u_side(c1)),
-                       f_side(alpha2, lap_y2, u_side(c2)))
-    y_d = PiecewiseField(y_d_side(alpha1, y1, lap_u_side(c1)),
-                         y_d_side(alpha2, y2, lap_u_side(c2)))
-    grad_y = PiecewiseField(grad_y1, grad_y2)
-    return ManufacturedProblem(
-        name="example1", domain=(0.0, 1.0, 0.0, 1.0), levelset=levelset,
-        alpha1=alpha1, alpha2=alpha2, a=a, lambda_coef=1000.0, bounds=None,
-        y=PiecewiseField(y1, y2), p=p, u=u,
-        grad_y=grad_y, grad_p=grad_p, grad_u=grad_u,
-        f=f, y_d=y_d,
-        g=flux_jump(grad_y, levelset, alpha1, alpha2),
-        g_adj=flux_jump(grad_p, levelset, alpha1, alpha2),
-        control_arg=u, relative_errors=True)
+        def grad_y1(x, y):
+            gx, gy = grad_y1r(x, y)
+            G = x * x + y * y - r2
+            S, C = np.sin(x * y), np.cos(x * y)
+            return (gx - 10.0 * (2.0 * x * S + G * y * C),
+                    gy - 10.0 * (2.0 * y * S + G * x * C))
 
+        def lap_y1(x, y):
+            G = x * x + y * y - r2
+            S, C = np.sin(x * y), np.cos(x * y)
+            return lap_y1r(x, y) - 10.0 * (4.0 * S + 8.0 * x * y * C
+                                           - G * (x * x + y * y) * S)
 
-# ---------------------------------------------------------------------------
-# examples 2 and 3 share the circle geometry and the quartic bubble
-# ---------------------------------------------------------------------------
-
-def _bubble(r2):
-    """W = (x^2+y^2-r^2)(x^2-1)(y^2-1) with gradient and Laplacian."""
+        ys[0], grads[0], laps[0] = y1, grad_y1, lap_y1
 
     def W(x, y):
         return (x * x + y * y - r2) * (x * x - 1.0) * (y * y - 1.0)
@@ -249,169 +333,38 @@ def _bubble(r2):
         return (2.0 * F * (E + G) + 8.0 * x * x * F
                 + 2.0 * E * (F + G) + 8.0 * y * y * E)
 
-    return W, W_grad, W_lap
-
-
-def _radial_state(alpha1, alpha2, r):
-    """y = rho^{3/2}/alpha per side (+ matching constant outside)."""
-    shift = (1.0 / alpha1 - 1.0 / alpha2) * r ** 3
-
-    def y1(x, y):
-        return (x * x + y * y) ** 1.5 / alpha1
-
-    def y2(x, y):
-        return (x * x + y * y) ** 1.5 / alpha2 + shift
-
-    def grad_side(alpha):
-        def grad(x, y):
-            s = 3.0 * np.sqrt(x * x + y * y) / alpha
-            return (s * x, s * y)
-        return grad
-
-    def lap_side(alpha):
-        return lambda x, y: 9.0 * np.sqrt(x * x + y * y) / alpha
-
-    return (y1, y2), (grad_side(alpha1), grad_side(alpha2)), \
-        (lap_side(alpha1), lap_side(alpha2))
-
-
-def _example_circle_constrained():
-    r = np.sqrt(3.0) / 4.0
-    alpha1, alpha2 = 1.0, 1000.0
-    a = 1.0
-    bounds = (-0.5, 0.5)
-    levelset = circle_interface(r)
-    W, W_grad, W_lap = _bubble(r * r)
-
-    def phi_side(al):
+    def z_side(al):
         return lambda x, y: 5.0 * W(x, y) / al
 
-    def u_side(al):
-        ps = phi_side(al)
-        return lambda x, y: np.clip(ps(x, y), bounds[0], bounds[1])
-
-    def grad_u_side(al):
-        def grad(x, y):
-            z = 5.0 * W(x, y) / al
-            active = (z > bounds[0]) & (z < bounds[1])
-            wx, wy = W_grad(x, y)
-            return (np.where(active, 5.0 * wx / al, 0.0),
-                    np.where(active, 5.0 * wy / al, 0.0))
-        return grad
-
-    def p_side(al):
-        return lambda x, y: -5.0 * a * W(x, y) / al
-
-    def grad_p_side(al):
-        def grad(x, y):
-            wx, wy = W_grad(x, y)
-            return (-5.0 * a * wx / al, -5.0 * a * wy / al)
-        return grad
-
-    phi = PiecewiseField(phi_side(alpha1), phi_side(alpha2))
-    u = PiecewiseField(u_side(alpha1), u_side(alpha2))
-    p = PiecewiseField(p_side(alpha1), p_side(alpha2))
-
-    (y1r, y2r), (gy1r, gy2r), (ly1r, ly2r) = _radial_state(alpha1, alpha2, r)
-
-    def y1(x, y):
-        G = x * x + y * y - r * r
-        return y1r(x, y) - 10.0 * G * np.sin(x * y)
-
-    def grad_y1(x, y):
-        gx, gy = gy1r(x, y)
-        G = x * x + y * y - r * r
-        S, C = np.sin(x * y), np.cos(x * y)
-        return (gx - 10.0 * (2.0 * x * S + G * y * C),
-                gy - 10.0 * (2.0 * y * S + G * x * C))
-
-    def lap_y1(x, y):
-        G = x * x + y * y - r * r
-        S, C = np.sin(x * y), np.cos(x * y)
-        return ly1r(x, y) - 10.0 * (4.0 * S + 8.0 * x * y * C
-                                    - G * (x * x + y * y) * S)
-
-    def f_side(al, lap_y, us):
-        return lambda x, y: -al * lap_y(x, y) - us(x, y)
-
-    # alpha * lap(p) = -5 a lap(W) on both sides
-    def y_d_side(ys):
-        return lambda x, y: ys(x, y) - 5.0 * a * W_lap(x, y)
-
-    f = PiecewiseField(f_side(alpha1, lap_y1, u.side(1)),
-                       f_side(alpha2, ly2r, u.side(2)))
-    y_d = PiecewiseField(y_d_side(y1), y_d_side(y2r))
-    grad_y = PiecewiseField(grad_y1, gy2r)
-    grad_p = PiecewiseField(grad_p_side(alpha1), grad_p_side(alpha2))
-    return ManufacturedProblem(
-        name="example2", domain=(-1.0, 1.0, -1.0, 1.0), levelset=levelset,
-        alpha1=alpha1, alpha2=alpha2, a=a, lambda_coef=5000.0, bounds=bounds,
-        y=PiecewiseField(y1, y2r), p=p, u=u,
-        grad_y=grad_y, grad_p=grad_p,
-        grad_u=PiecewiseField(grad_u_side(alpha1), grad_u_side(alpha2)),
-        f=f, y_d=y_d,
-        g=flux_jump(grad_y, levelset, alpha1, alpha2),
-        g_adj=flux_jump(grad_p, levelset, alpha1, alpha2),
-        control_arg=phi, relative_errors=True)
-
-
-def _example_circle_unconstrained():
-    r = 0.5
-    alpha1, alpha2 = 1.0, 10.0
-    a = 0.01
-    levelset = circle_interface(r)
-    W, W_grad, W_lap = _bubble(r * r)
-
-    def u_side(al):
-        return lambda x, y: 5.0 * W(x, y) / al
-
-    def grad_u_side(al):
+    def grad_z_side(al):
         def grad(x, y):
             wx, wy = W_grad(x, y)
             return (5.0 * wx / al, 5.0 * wy / al)
         return grad
 
-    def p_side(al):
-        return lambda x, y: -5.0 * a * W(x, y) / al
+    def lap_z_side(al):
+        return lambda x, y: 5.0 * W_lap(x, y) / al
 
-    def grad_p_side(al):
-        def grad(x, y):
-            wx, wy = W_grad(x, y)
-            return (-5.0 * a * wx / al, -5.0 * a * wy / al)
-        return grad
-
-    u = PiecewiseField(u_side(alpha1), u_side(alpha2))
-    p = PiecewiseField(p_side(alpha1), p_side(alpha2))
-
-    (y1, y2), (gy1, gy2), (ly1, ly2) = _radial_state(alpha1, alpha2, r)
-
-    def f_side(al, lap_y, us):
-        return lambda x, y: -al * lap_y(x, y) - us(x, y)
-
-    def y_d_side(ys):
-        return lambda x, y: ys(x, y) - 5.0 * a * W_lap(x, y)
-
-    f = PiecewiseField(f_side(alpha1, ly1, u.side(1)),
-                       f_side(alpha2, ly2, u.side(2)))
-    y_d = PiecewiseField(y_d_side(y1), y_d_side(y2))
-    grad_y = PiecewiseField(gy1, gy2)
-    grad_p = PiecewiseField(grad_p_side(alpha1), grad_p_side(alpha2))
+    both = lambda make: PiecewiseField(make(alpha1), make(alpha2))
     return ManufacturedProblem(
-        name="example3", domain=(-1.0, 1.0, -1.0, 1.0), levelset=levelset,
-        alpha1=alpha1, alpha2=alpha2, a=a, lambda_coef=10000.0, bounds=None,
-        y=PiecewiseField(y1, y2), p=p, u=u,
-        grad_y=grad_y, grad_p=grad_p,
-        grad_u=PiecewiseField(grad_u_side(alpha1), grad_u_side(alpha2)),
-        f=f, y_d=y_d,
-        g=flux_jump(grad_y, levelset, alpha1, alpha2),
-        g_adj=flux_jump(grad_p, levelset, alpha1, alpha2),
-        control_arg=u, relative_errors=False)
+        name=name, domain=(-1.0, 1.0, -1.0, 1.0), levelset=circle_interface(r),
+        alpha1=alpha1, alpha2=alpha2, a=a, lambda_coef=lambda_coef,
+        bounds=bounds, y=PiecewiseField(*ys), grad_y=PiecewiseField(*grads),
+        lap_y=PiecewiseField(*laps), z=both(z_side), grad_z=both(grad_z_side),
+        lap_z=both(lap_z_side), relative_errors=relative_errors)
 
 
 def build_example(example_id):
     """One of the three built-in benchmark problems."""
-    builders = {1: _example_segment, 2: _example_circle_constrained,
-                3: _example_circle_unconstrained}
+    builders = {
+        1: _example_line,
+        2: partial(_example_circle, "example2", r=np.sqrt(3.0) / 4.0,
+                   alpha2=1000.0, a=1.0, lambda_coef=5000.0,
+                   bounds=(-0.5, 0.5), sine=True, relative_errors=True),
+        3: partial(_example_circle, "example3", r=0.5, alpha2=10.0, a=0.01,
+                   lambda_coef=10000.0, bounds=None, sine=False,
+                   relative_errors=False),
+    }
     try:
         return builders[int(example_id)]()
     except (KeyError, TypeError, ValueError):

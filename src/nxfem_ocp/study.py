@@ -121,6 +121,12 @@ class StudyResult:
     def error(self, i, fld, norm):
         return self.reports[i].value(fld, norm)
 
+    def order(self, i, fld, norm, fmt):
+        """The refinement order from mesh i-1 to mesh i in ``fmt``, or ''
+        on the first mesh and where it is not finite."""
+        eoc = self.eoc[(fld, norm)][i] if i > 0 else None
+        return "" if eoc is None or not np.isfinite(eoc) else fmt.format(eoc)
+
     def compute_eoc(self):
         for fld in FIELDS:
             for norm in NORMS:
@@ -236,10 +242,7 @@ def write_errors_csv(path, result):
             for fld in FIELDS:
                 for norm in NORMS:
                     err = result.error(i, fld, norm)
-                    eoc = result.eoc.get((fld, norm), [None] * (i + 1))[i] \
-                        if i > 0 else None
-                    eoc_s = "" if eoc is None or not np.isfinite(eoc) \
-                        else f"{eoc:.4f}"
+                    eoc_s = result.order(i, fld, norm, "{:.4f}")
                     fh.write(f"{n},{fld},{norm},{err:.17e},{eoc_s}\n")
 
 
@@ -259,10 +262,7 @@ def format_table(result):
             row = f"{n:>5}"
             for fld in FIELDS:
                 err = result.error(i, fld, norm)
-                eoc = result.eoc.get((fld, norm), [None] * (i + 1))[i] \
-                    if i > 0 else None
-                eoc_s = "" if eoc is None or not np.isfinite(eoc) \
-                    else f"{eoc:.2f}"
+                eoc_s = result.order(i, fld, norm, "{:.2f}")
                 row += f" {err:13.4e} {eoc_s:>6}"
             lines.append(row)
         lines.append("")

@@ -92,8 +92,8 @@ def boundary_value(problem, x, y):
 
 def build_smooth_problem(a=1.0):
     """Interface-free control problem on the unit square (degradation guard):
-    all fields are sine bubbles, the level set never enters the domain."""
-    levelset = circle_interface(1.0, center=(10.0, 10.0))
+    state and pre-clamp control are one sine bubble, the level set never
+    enters the domain."""
     pi = np.pi
 
     sig = lambda x, y: np.sin(pi * x) * np.sin(pi * y)
@@ -102,22 +102,14 @@ def build_smooth_problem(a=1.0):
         return (pi * np.cos(pi * x) * np.sin(pi * y),
                 pi * np.sin(pi * x) * np.cos(pi * y))
 
-    def grad_p(x, y):
-        gx, gy = grad_sig(x, y)
-        return (-a * gx, -a * gy)
-
-    f = lambda x, y: (2.0 * pi ** 2 - 1.0) * sig(x, y)
-    y_d = lambda x, y: (1.0 + 2.0 * pi ** 2 * a) * sig(x, y)
-    p = lambda x, y: -a * sig(x, y)
+    lap_sig = lambda x, y: -2.0 * pi ** 2 * sig(x, y)
 
     def both(fn):
         return PiecewiseField(fn, fn)
 
     return ManufacturedProblem(
-        name="smooth", domain=(0.0, 1.0, 0.0, 1.0), levelset=levelset,
-        alpha1=1.0, alpha2=1.0, a=a, lambda_coef=100.0, bounds=None,
-        y=both(sig), p=both(p), u=both(sig),
-        grad_y=both(grad_sig), grad_p=both(grad_p), grad_u=both(grad_sig),
-        f=both(f), y_d=both(y_d),
-        g=lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
-        g_adj=None, control_arg=both(sig), relative_errors=True)
+        name="smooth", domain=(0.0, 1.0, 0.0, 1.0),
+        levelset=circle_interface(1.0, center=(10.0, 10.0)), alpha1=1.0,
+        alpha2=1.0, a=a, lambda_coef=100.0, bounds=None, y=both(sig),
+        grad_y=both(grad_sig), lap_y=both(lap_sig), z=both(sig),
+        grad_z=both(grad_sig), lap_z=both(lap_sig), relative_errors=True)

@@ -2,7 +2,8 @@
 
 ``perfbench/spans.py`` wraps the layer functions, and the methods it
 names, by name; ``perfbench/workloads.py`` calls the package with fixed
-argument lists and reads fixed attributes of what it gets back.  A
+argument lists and reads fixed attributes of what it gets back, and it
+and ``perfbench/checks.py`` read fixed attributes of the problem.  A
 deletion or a signature change that breaks either would otherwise show up
 only in a benchmark run.
 """
@@ -92,3 +93,20 @@ def test_workload_calls_match_the_package():
             "solver.solve_constrained_fixed_point",
             "solver.solve_constrained_ssn", "errors.compute_errors",
             "study.extract_active_set_boundary"} <= checked
+
+
+def test_problem_reads_match_the_problem_class():
+    """Every ``problem.<attr>`` that the workloads and the checks read is a
+    field or a derived attribute of ManufacturedProblem."""
+    read = set()
+    for name in ("workloads", "checks"):
+        tree = ast.parse((PERFBENCH / f"{name}.py").read_text())
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name)
+                 and node.value.id == "problem"}
+    problem = problems.build_example(2)
+    for attr in read:
+        assert _has(problems.ManufacturedProblem, attr), f"problem.{attr}"
+        getattr(problem, attr)
+    assert {"a", "bounds", "domain", "levelset", "y", "p", "grad_p"} <= read

@@ -4,6 +4,7 @@ import pytest
 from nxfem_ocp.interface_geometry import build_cut_info
 from nxfem_ocp.mesh import ConfigurationError, build_uniform_mesh
 from nxfem_ocp.problems import build_example
+from nxfem_ocp.study import RunConfig
 
 from helpers import boundary_value, build_smooth_problem, side_at
 
@@ -67,12 +68,20 @@ def test_control_gradient_away_from_kinks(example_id):
         assert rel(gy[mask], fy[mask]).max() < 1e-5
 
 
-@pytest.mark.parametrize("example_id", [1, 2, 3])
-def test_optimality_relations_pointwise(example_id):
+@pytest.mark.parametrize("example_id, override", [
+    pytest.param(1, {}, id="1"), pytest.param(2, {}, id="2"),
+    pytest.param(3, {}, id="3"),
+    pytest.param(1, {"a": 1e-4}, id="1-a=1e-4"),
+    pytest.param(2, {"bounds": (-0.3, 0.3)}, id="2-bounds=0.3"),
+    pytest.param(2, {"bounds": None}, id="2-bounds=none"),
+    pytest.param(3, {"bounds": (-0.1, 0.1)}, id="3-bounds=0.1"),
+])
+def test_optimality_relations_pointwise(example_id, override):
     """State and co-state equations plus the projection identity at random
     points, with the divergence taken by finite differences of the
-    hand-coded gradients."""
-    problem = build_example(example_id)
+    hand-coded gradients; an override of a or of the box yields the
+    optimum of the overridden problem."""
+    problem = RunConfig(example_id, (16,), **override).build_problem()
     x, y = interior_points(problem, 10000, seed=example_id)
     alphas = (problem.alpha1, problem.alpha2)
     for side in (1, 2):
