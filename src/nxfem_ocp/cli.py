@@ -22,6 +22,17 @@ def _parse_bounds(text):
     return (lo, hi)
 
 
+def _parse_n_list(text):
+    sizes = []
+    for entry in text.split(","):
+        try:
+            sizes.append(int(entry))
+        except ValueError:
+            raise ConfigurationError(
+                f"--n-list entry {entry!r} is not an integer") from None
+    return tuple(sizes)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="nxfem-ocp",
@@ -60,7 +71,7 @@ def main(argv=None):
         if args.n is not None:
             n_values = (args.n,)
         else:
-            n_values = tuple(int(v) for v in args.n_list.split(","))
+            n_values = _parse_n_list(args.n_list)
         config = RunConfig(
             example=args.example, n_values=n_values,
             lambda_coef=args.lambda_coef, a=args.a,

@@ -45,22 +45,23 @@ class Mesh:
 
     def __post_init__(self):
         coords = self.vertices[self.triangles]          # (T, 3, 2)
-        e0 = coords[:, 1] - coords[:, 0]
-        e1 = coords[:, 2] - coords[:, 0]
-        det = e0[:, 0] * e1[:, 1] - e0[:, 1] * e1[:, 0]
-        if np.any(det <= 0.0):
-            raise ConfigurationError("mesh contains a non-positively oriented triangle")
-        self.areas = 0.5 * det
-        # gradient of hat i is the inward perpendicular of the opposite edge / (2A)
+        # gradient of hat i is the inward perpendicular of the opposite edge
+        # / (2A); that edge's length enters h
         grads = np.empty((len(self.triangles), 3, 2))
         for i in range(3):
             pj = coords[:, (i + 1) % 3]
             pk = coords[:, (i + 2) % 3]
             grads[:, i, 0] = pj[:, 1] - pk[:, 1]
             grads[:, i, 1] = pk[:, 0] - pj[:, 0]
-        self.grad_bary = grads / (2.0 * self.areas)[:, None, None]
-        edges = coords - np.roll(coords, 1, axis=1)
-        self.h = float(np.sqrt((edges ** 2).sum(axis=2)).max())
+        # twice the signed area, the cross product of the edges at vertex 0
+        det = grads[:, 2, 1] * grads[:, 1, 0] - grads[:, 2, 0] * grads[:, 1, 1]
+        if np.any(det <= 0.0):
+            raise ConfigurationError("mesh contains a non-positively oriented triangle")
+        self.areas = 0.5 * det
+        self.h = float(np.sqrt(max(
+            (grads[:, i, 0] ** 2 + grads[:, i, 1] ** 2).max() for i in range(3))))
+        grads /= det[:, None, None]
+        self.grad_bary = grads
         for arr in (self.vertices, self.triangles, self.boundary_vertex,
                     self.areas, self.grad_bary):
             arr.setflags(write=False)
@@ -108,16 +109,15 @@ def build_uniform_mesh(domain, n):
     X, Y = np.meshgrid(xs, ys)                 # row-major in y
     vertices = np.column_stack([X.ravel(), Y.ravel()])
 
-    ix, iy = np.meshgrid(np.arange(n), np.arange(n))
-    v00 = (iy * (n + 1) + ix).ravel()
-    v10 = v00 + 1
-    v01 = v00 + (n + 1)
-    v11 = v01 + 1
-    lower = np.column_stack([v00, v10, v11])
-    upper = np.column_stack([v00, v11, v01])
-    triangles = np.empty((2 * n * n, 3), dtype=np.int64)
-    triangles[0::2] = lower
-    triangles[1::2] = upper
+    # the cell at lower-left vertex v00 holds the lower triangle (v00,
+    # v00 + 1, v00 + n + 2), then the upper one (v00, v00 + n + 2, v00 + n + 1)
+    v00 = (np.arange(n) + (n + 1) * np.arange(n)[:, None]).ravel()
+    triangles = np.empty((n * n, 2, 3), dtype=np.int64)
+    triangles[:, :, 0] = v00[:, None]
+    triangles[:, 0, 1] = v00 + 1
+    triangles[:, :, 2] = v00[:, None] + [n + 2, n + 1]
+    triangles[:, 1, 1] = v00 + n + 2
+    triangles = triangles.reshape(-1, 3)
 
     gx, gy = np.meshgrid(np.arange(n + 1), np.arange(n + 1))
     boundary = ((gx == 0) | (gx == n) | (gy == 0) | (gy == n)).ravel()

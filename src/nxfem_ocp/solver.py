@@ -34,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import _csr, _hat_products
+from .assembly import _assemble, _hat_blocks
 from .interface_geometry import (VOLUME_DEGREE, CellTable, ElementClass,
                                  triangle_rule)
 from .mesh import ConfigurationError
@@ -169,15 +169,29 @@ SOLVE_TOL = 1e-10         # relative residual of a direct solve, free rows
 class ReducedSolver:
     """Dirichlet reduction: the one split of the dofs of an extended space
     into free and constrained ones, and the one sparse factorization path
-    for SPD matrices on the free dofs."""
+    for SPD matrices on the free dofs.
+
+    The free dofs are numbered in the geometric nested-dissection order of
+    A's free/free block from the start, so every block and vector on them
+    is already in the order in which the factor eliminates them.  Matrices
+    on the sparsity pattern of A (every matrix assembled on the space) are
+    split by a gather of their data."""
 
     def __init__(self, A, space):
         self.A = A
         self.constrained = np.asarray(space.dirichlet_dofs, dtype=np.int64)
         mask = np.zeros(A.shape[0], dtype=bool)
         mask[self.constrained] = True
-        self.free = np.flatnonzero(~mask)
-        self._points = space.mesh.vertices[space.dof_vertex[self.free]]
+        free = np.flatnonzero(~mask)
+        # the place of every entry of A in its data array
+        place = sp.csr_matrix((np.arange(len(A.indices)), A.indices,
+                               A.indptr), shape=A.shape)
+        order = _nested_dissection(place[free][:, free],
+                                   space.mesh.vertices[space.dof_vertex[free]])
+        self.free = free[order]
+        rows = place[self.free]
+        self._places = [rows[:, cols].sorted_indices()
+                        for cols in (self.free, self.constrained)]
         position = np.full(A.shape[0], -1)         # among the free dofs
         position[self.free] = np.arange(len(self.free))
         cut = space.mesh.triangles[space.classes == int(ElementClass.CUT)]
@@ -185,34 +199,35 @@ class ReducedSolver:
                                                   space.dof2[cut]], axis=1)]
         self.A_ff, self.A_fc = self._split(A)
         self.factor_nnz = 0
-        self._order = None
         self._lu = None
         self._saddle_lu = None
 
     def _split(self, B):
-        """Free/free and free/constrained blocks of a matrix on the dofs."""
-        rows = B[self.free]
-        return rows[:, self.free], rows[:, self.constrained]
+        """Free/free and free/constrained blocks of a matrix on the pattern
+        of A.  The blocks of all such matrices share their index arrays."""
+        if not (np.array_equal(B.indptr, self.A.indptr)
+                and np.array_equal(B.indices, self.A.indices)):
+            raise ValueError("matrix is not on the sparsity pattern of A")
+        return tuple(sp.csr_matrix((B.data[p.data], p.indices, p.indptr),
+                                   shape=p.shape) for p in self._places)
 
     def _factor(self, B):
         """Solve with the SPD matrix B on the free dofs (the pattern of
         A_ff), for right-hand sides of one or more columns.
 
-        B is permuted symmetrically to the nested-dissection order and
-        factored without pivoting, so U's diagonal holds the pivots of
-        B = L D L^T, and by Sylvester's law of inertia the non-positive
-        pivots count B's non-positive eigenvalues.  Reading U makes scipy
-        keep CSC copies of L and U as large as the factor, so the pivots
-        are counted, and SolverError raised, only once B is shown not to
-        be positive definite: by its principal block on some cut element,
-        where a too small interface penalty shows.
+        The free dofs are in nested-dissection order already, so B is
+        factored as it is, without pivoting: its transpose is the CSC
+        matrix on B's own arrays, its factor is used by transposed solves,
+        and no permuted copy of B or of a vector is made.  U's diagonal
+        holds the pivots of B = L D L^T, and by Sylvester's law of inertia
+        the non-positive pivots count B's non-positive eigenvalues.  Reading
+        U makes scipy keep CSC copies of L and U as large as the factor, so
+        the pivots are counted, and SolverError raised, only once B is
+        shown not to be positive definite: by its principal block on some
+        cut element, where a too small interface penalty shows.
         """
-        if self._order is None:
-            self._order = _nested_dissection(self.A_ff, self._points)
-        p = self._order
         try:
-            lu = spla.splu(B[p][:, p].tocsc(), permc_spec="NATURAL",
-                           diag_pivot_thresh=0.0,
+            lu = spla.splu(B.T, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                            options={"SymmetricMode": True})
         except RuntimeError as exc:
             raise SolverError(f"factorization failed: {exc}") from exc
@@ -225,13 +240,7 @@ class ReducedSolver:
                 raise SolverError(f"matrix is not positive definite: {bad} "
                                   "non-positive pivots")
         self.factor_nnz = lu.nnz
-
-        def solve(b):
-            x = np.empty_like(b)
-            x[p] = lu.solve(b[p])
-            return x
-
-        return solve
+        return lambda b: lu.solve(b, trans="T")
 
     def _cut_blocks_definite(self, B):
         """Whether the principal blocks of B on the free dofs of every cut
@@ -301,7 +310,10 @@ def _presb(red, M_ff, a):
     sqrt(a) A.  S is factored on first use and kept, for M and a are fixed
     for the system that ``red`` serves and S is blind to the active set."""
     if red._saddle_lu is None:
-        red._saddle_lu = red._factor(M_ff + np.sqrt(a) * red.A_ff)
+        A_ff = red.A_ff
+        red._saddle_lu = red._factor(sp.csr_matrix(
+            (M_ff.data + np.sqrt(a) * A_ff.data, A_ff.indices, A_ff.indptr),
+            shape=A_ff.shape))
     solve, nf = red._saddle_lu, len(red.free)
 
     def apply(r):
@@ -495,8 +507,8 @@ class ControlClamp:
         the control on the active set."""
         w, lam, dofs, u, status = self._rule(P)
         free = status == 0
-        M_inact = _csr(self.space.n_dofs,
-                       [(dofs[free], _hat_products(w[free], lam[free]))])
+        M_inact = _assemble(self.space,
+                            _hat_blocks(dofs[free], w[free], lam[free]))
         return M_inact, self._hat_load(w[~free], lam[~free], dofs[~free],
                                        u[~free])
 
@@ -583,7 +595,7 @@ def solve_constrained_ssn(mesh, cut_info, space, A, M, F1_base, F2_base, a,
     saddle_its, saddle_res, history = [], [], []
     for it in range(max_iter):
         M_inact, b_act = clamp.newton_terms(P)
-        P, Y, its, res = _solve_saddle(red, M_inact[red.free][:, red.free],
+        P, Y, its, res = _solve_saddle(red, red._split(M_inact)[0],
                                        M_ff, M_fc, F1_base + b_act, F2_base,
                                        a, ybc_values)
         saddle_its.append(its)

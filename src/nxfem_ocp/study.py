@@ -5,6 +5,7 @@ tabulate refinement orders, extract active-set boundaries.
 from __future__ import annotations
 
 import os
+import resource
 import shutil
 import sys
 import time
@@ -42,6 +43,9 @@ class RunConfig:
 
     def __post_init__(self):
         ns = tuple(int(n) for n in self.n_values)
+        if ns != tuple(self.n_values):
+            raise ConfigurationError(
+                f"mesh sizes must be integers, got {tuple(self.n_values)}")
         if len(ns) == 0 or any(n < 4 for n in ns):
             raise ConfigurationError("mesh sizes must be >= 4")
         if any(b >= a for a, b in zip(ns[1:], ns)):
@@ -183,13 +187,16 @@ def run_convergence_study(config):
 
 def _progress_line(n, disc, sol, seconds):
     """N, free dofs, cut elements, integration cells, smallest cut fraction
-    min(k1, k2), solve wall time, L+U nonzeros of the sparse factor, and
-    the GMRES iterations of each saddle solve or the fixed-point sweeps."""
+    min(k1, k2), solve wall time, L+U nonzeros of the sparse factor, the
+    GMRES iterations of each saddle solve or the fixed-point sweeps, and
+    the process's resident-set high-water mark so far."""
     space, info = disc.space, disc.cut_info
     free = space.n_dofs - len(space.dirichlet_dofs)
     cut = len(info.cut_elements)
     cells = disc.mesh.num_triangles - cut + len(info.cells)
     frac = np.minimum(info.chords.k1, info.chords.k2).min(initial=np.inf)
+    # the process's high-water mark, which Linux reports in KiB
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     if sol.saddle_iterations:
         work = "krylov_iterations=" + ",".join(map(str,
                                                    sol.saddle_iterations))
@@ -197,7 +204,7 @@ def _progress_line(n, disc, sol, seconds):
         work = f"fixed_point_sweeps={sol.iterations}"
     return (f"N={n} free_dofs={free} cut_elements={cut} cells={cells} "
             f"min_cut_fraction={frac:.3e} solve_s={seconds:.3f} "
-            f"factor_nnz={sol.factor_nnz} {work}")
+            f"factor_nnz={sol.factor_nnz} {work} peak_rss_mb={rss:.1f}")
 
 
 def _write_outputs(config, problem, result, disc, sol, n):

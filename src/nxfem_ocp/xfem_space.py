@@ -9,6 +9,7 @@ the enriched space).  All other vertices keep a single standard hat.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = ["ExtendedSpace"]
 
@@ -42,6 +43,34 @@ class ExtendedSpace:
         bnd = np.flatnonzero(mesh.boundary_vertex)
         dirichlet = np.concatenate([dof1[bnd], dof2[bnd[doubled[bnd]]]])
         self.dirichlet_dofs = np.unique(dirichlet)
+        self.pattern = self._pattern(mesh.triangles, cut_info.cut_elements)
+
+    def _pattern(self, tri, cut):
+        """The sparsity pattern (indptr, indices) shared by every matrix on
+        the space, rows with sorted columns: the dofs of an uncut element
+        couple with each other, and the six of a cut element (both sides'
+        copies) all with each other.  That is the pattern of E^T E, E the
+        incidence of elements and their dofs; it is symmetric, so the CSC
+        arrays of E^T E are its CSR arrays."""
+        E = self._incidence(tri, cut)
+        P = E.T @ E
+        P.sort_indices()
+        return P.indptr, P.indices
+
+    def _incidence(self, tri, cut):
+        """E: one row per element with the dofs active on it, and one more
+        per cut element with the dofs of both sides."""
+        rows = self.dof1[tri]
+        # side-2 elements hold the side-2 copies of their doubled vertices
+        rows += (self.classes == 2)[:, None] & self.doubled[tri]
+        six = np.concatenate([self.dof1[tri[cut]], self.dof2[tri[cut]]],
+                             axis=1)
+        indptr = np.concatenate([np.arange(0, rows.size, 3),
+                                 rows.size + np.arange(0, six.size + 1, 6)])
+        return sp.csr_matrix(
+            (np.ones(indptr[-1], dtype=bool),
+             np.concatenate([rows.ravel(), six.ravel()]), indptr),
+            shape=(len(indptr) - 1, self.n_dofs))
 
     # ------------------------------------------------------------------
     def cell_dofs(self, cells):

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from nxfem_ocp.assembly import (Load, NitscheParams, assemble_load,
                                 assemble_mass, assemble_stiffness)
-from nxfem_ocp.interface_geometry import (LevelSet, build_cut_info,
-                                          circle_interface, line_interface)
+from nxfem_ocp.interface_geometry import (CellTable, LevelSet,
+                                          build_cut_info, circle_interface,
+                                          line_interface)
 from nxfem_ocp.mesh import build_uniform_mesh
 from nxfem_ocp.problems import PiecewiseField, build_example
 from nxfem_ocp.solver import ReducedSolver
@@ -319,3 +322,48 @@ def test_galerkin_residual_of_state_solve():
     resid = (A @ Y - F)[mask]
     assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(F[mask] - (A @ full)[mask])
 
+
+
+def _traced_peak(call):
+    """What ``call()`` returns, and the peak of the memory it allocated
+    while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def _nbytes(*arrays):
+    return sum(arr.nbytes for arr in arrays)
+
+
+# The work arrays of one batch of CellTable.BATCH elements: at most 64
+# eight-byte numbers per element (its local matrix, and the rows, columns
+# and places in the pattern of that matrix's entries, among others).
+ONE_BATCH = CellTable.BATCH * 64 * 8
+
+
+def test_discretization_transients_stay_within_one_batch():
+    # the mesh holds one (T, 3, 2) temporary besides what it keeps, and the
+    # matrices build no whole-mesh local-matrix or COO arrays (a whole-mesh
+    # COO sum peaks at about 12 times the matrix here)
+    problem = build_example(1)
+    n = 128
+    mesh, peak = _traced_peak(lambda: build_uniform_mesh(problem.domain, n))
+    kept = _nbytes(mesh.vertices, mesh.triangles, mesh.boundary_vertex,
+                   mesh.areas, mesh.grad_bary)
+    assert peak <= 2.5 * kept
+    info = build_cut_info(mesh, problem.levelset)
+    space = ExtendedSpace(mesh, info)
+    assert len(mesh.triangles) > CellTable.BATCH     # more than one batch
+    for assemble in (
+            lambda: assemble_stiffness(mesh, info, space, problem.alpha1,
+                                       problem.alpha2,
+                                       problem.nitsche_params()),
+            lambda: assemble_mass(mesh, info, space)):
+        matrix, peak = _traced_peak(assemble)
+        size = _nbytes(matrix.data, matrix.indices, matrix.indptr)
+        assert peak <= 2 * size + ONE_BATCH

@@ -56,15 +56,31 @@ def assert_close(new, old):
     assert np.abs(new - old).max() <= RTOL * np.abs(old).max()
 
 
+def assert_on_space_pattern(matrix, space):
+    """The matrix shares the index arrays of the space's one pattern."""
+    indptr, indices = space.pattern
+    assert np.shares_memory(matrix.indptr, indptr)
+    assert np.shares_memory(matrix.indices, indices)
+
+
 @pytest.mark.parametrize("label, n", CASES)
 def test_matrices_and_loads_match_element_loops(label, n):
     problem, mesh, info, space = setup(label, n)
     args = (mesh, info, space, problem.alpha1, problem.alpha2,
             problem.nitsche_params())
-    assert_close(assemble_stiffness(*args).toarray(),
-                 loop_stiffness(*args).toarray())
-    assert_close(assemble_mass(mesh, info, space).toarray(),
-                 loop_mass(mesh, info, space).toarray())
+    A, M = assemble_stiffness(*args), assemble_mass(mesh, info, space)
+    assert_close(A.toarray(), loop_stiffness(*args).toarray())
+    assert_close(M.toarray(), loop_mass(mesh, info, space).toarray())
+    # one pattern: M stores zeros where A couples the two sides' copies of
+    # a cut element's dofs, and nowhere else
+    for matrix in (A, M):
+        assert_on_space_pattern(matrix, space)
+    rows = np.repeat(np.arange(space.n_dofs), np.diff(M.indptr))
+    zero = M.data == 0.0
+    sides = np.sort([space.dof_side[rows[zero]],
+                     space.dof_side[M.indices[zero]]], axis=0)
+    assert (zero.any() == (len(info.cut_elements) > 0)
+            and (sides == [[1], [2]]).all())
     refine = problem.load_refine(mesh, info)
     assert (refine is not None) == (problem.bounds is not None)
     # both right-hand sides of the mesh from one pass over its cells
@@ -245,6 +261,7 @@ def test_clamp_integrals_match_exact_clipping(example, n):
     load, M_inact, b_act = clipped_control_integrals(*args)
     clamp, P = clamp_of(*args)
     M, b = clamp.newton_terms(P)
+    assert_on_space_pattern(M, args[2])
     assert_close(clamp.load(P), load)
     assert_close(M.toarray(), M_inact.toarray())
     assert_close(b, b_act)

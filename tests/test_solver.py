@@ -357,8 +357,12 @@ def _saddle_case(example, n=16):
         clamp = ControlClamp(disc.mesh, disc.cut_info, disc.space, problem.a,
                              problem.bounds)
         M_inact, b_act = clamp.newton_terms(first.P)
-        MI_ff, load = M_inact[red.free][:, red.free], disc.F1 + b_act
-        assert 0 < MI_ff.nnz < M_ff.nnz
+        MI_ff, load = red._split(M_inact)[0], disc.F1 + b_act
+        # all three share one pattern; M_I has fewer nonzeros than M
+        for B in (MI_ff, M_ff):
+            assert np.shares_memory(B.indices, red.A_ff.indices)
+            assert np.shares_memory(B.indptr, red.A_ff.indptr)
+        assert 0 < MI_ff.count_nonzero() < M_ff.count_nonzero()
     return red, MI_ff, M_ff, M_fc, load, disc.F2, problem.a, disc.ybc_values
 
 
@@ -422,9 +426,13 @@ def _nd_cases():
     mesh = _perturbed_mesh(24, 5)
     yield "from_arrays", _vertex_pattern(mesh), mesh.vertices
     for example in (1, 3):
+        # the free/free block of A and the dof positions in dof order, as
+        # the solver orders them
         disc = discretize(build_example(example), 32)
-        red = ReducedSolver(disc.A, disc.space)
-        yield f"ex{example}", red.A_ff, red._points
+        space = disc.space
+        free = np.setdiff1d(np.arange(space.n_dofs), space.dirichlet_dofs)
+        yield (f"ex{example}", disc.A[free][:, free],
+               space.mesh.vertices[space.dof_vertex[free]])
 
 
 @pytest.mark.parametrize("case", list(_nd_cases()), ids=lambda c: c[0])
@@ -452,6 +460,51 @@ def test_nested_dissection_fill_at_most_mmd(example):
     mmd = spla.splu(S.tocsc(), permc_spec="MMD_AT_PLUS_A",
                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     assert 0 < red.factor_nnz <= mmd.nnz
+
+
+@pytest.mark.parametrize("example", [1, 2], ids=["block-S", "fixed-point-A"])
+def test_the_factored_matrix_is_the_block_itself(example, monkeypatch):
+    # S = M_ff + sqrt(a) A_ff (and A_ff, for the fixed point) reach SuperLU
+    # as the CSC view of their own arrays: no permuted or converted copy
+    problem = build_example(example)
+    disc = discretize(problem, 16)
+    factored, handed = [], []
+    factor, splu = ReducedSolver._factor, spla.splu
+
+    def spy_factor(red, B):
+        factored.append((red, B))
+        return factor(red, B)
+
+    def spy_splu(matrix, **kwargs):
+        handed.append(matrix)
+        return splu(matrix, **kwargs)
+
+    monkeypatch.setattr(ReducedSolver, "_factor", spy_factor)
+    monkeypatch.setattr(spla, "splu", spy_splu)
+    solve_discretized(problem, disc)
+    assert len(factored) == len(handed) == 1
+    (red, B), (F,) = factored[0], handed
+    assert F.format == "csc" and F.shape == B.shape
+    for name in ("data", "indices", "indptr"):
+        assert np.shares_memory(getattr(F, name), getattr(B, name))
+    assert np.shares_memory(B.indices, red.A_ff.indices)
+    assert np.shares_memory(B.indptr, red.A_ff.indptr)
+    if example == 2:
+        assert B is red.A_ff
+    else:
+        M_ff, _ = red._split(disc.M)
+        assert np.array_equal(B.data,
+                              M_ff.data + np.sqrt(problem.a) * red.A_ff.data)
+
+
+def test_split_refuses_a_matrix_off_the_pattern():
+    # a gather of another pattern's data would give a wrong block silently
+    disc = discretize(build_example(1), 8)
+    red = ReducedSolver(disc.A, disc.space)
+    dropped = sp.csr_matrix(disc.M.toarray())      # without M's stored zeros
+    assert dropped.nnz < disc.M.nnz
+    with pytest.raises(ValueError, match="not on the sparsity pattern"):
+        red._split(dropped)
 
 
 def test_saddle_operator_matches_assembled_blocks():

@@ -1,3 +1,4 @@
+import resource
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,10 @@ def curve_points(curves, per_segment=6):
 def test_run_config_validation():
     with pytest.raises(ConfigurationError):
         RunConfig(example=1, n_values=(2,))
+    # int() would have turned 16.5 into 16
+    with pytest.raises(ConfigurationError, match="must be integers"):
+        RunConfig(example=1, n_values=(16.5, 32))
+    assert RunConfig(example=1, n_values=(16.0, 32)).n_values == (16, 32)
     with pytest.raises(ConfigurationError):
         RunConfig(example=1, n_values=(16, 8))
     cfg = RunConfig(example=1, n_values=(8, 16))
@@ -252,6 +257,12 @@ def test_cli_verbose_echoes_one_line_per_mesh(tmp_path, capsys):
     lines = loud.err.strip().splitlines()
     assert [line.split()[0] for line in lines] == ["N=8", "N=16"]
     problem = build_example(1)
+    rss = [float(dict(item.split("=") for item in line.split())
+                 ["peak_rss_mb"]) for line in lines]
+    # the process high-water mark: positive, never falling, and at most
+    # what the process reports after the run (the line rounds to 0.1 MB)
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    assert 0.0 < rss[0] <= rss[1] <= after + 0.05
     for n, line in zip((8, 16), lines):
         fields = dict(item.split("=") for item in line.split())
         assert int(fields["free_dofs"]) > 0
@@ -435,6 +446,21 @@ def test_cli_rejects_nonpositive_weights(tmp_path, capsys, flag, value):
     assert exc.value.code == 2
     assert "must be positive and finite" in capsys.readouterr().err
     assert not (tmp_path / "run6").exists()
+
+
+@pytest.mark.parametrize("entries, bad", [("16,abc", "'abc'"),
+                                          ("16,,32", "''"),
+                                          ("16.5,32", "'16.5'")])
+def test_cli_rejects_a_bad_n_list_entry(tmp_path, capsys, entries, bad):
+    # these exited 1 with int()'s own message; a bad size is a usage error
+    # like --n 3
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--example", "1", "--n-list", entries,
+              "--out", str(tmp_path / "run9")])
+    assert exc.value.code == 2
+    assert f"--n-list entry {bad} is not an integer" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "run9").exists()
 
 
 @pytest.mark.parametrize("flag, value, message", [
