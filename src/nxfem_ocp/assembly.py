@@ -105,8 +105,9 @@ def _uncut_blocks(mesh, cut_info, space, local_of_element):
 
 
 def _hat_products(weights, lam):
-    """Integrals of hat products, (C, 3, 3), from a batched rule."""
-    return np.einsum("cq,cqi,cqj->cij", weights, lam, lam)
+    """Integrals of hat products, (C, 3, 3), from a batched rule, as one
+    batched matrix product (einsum takes 3x as long)."""
+    return (weights[..., None] * lam).transpose(0, 2, 1) @ lam
 
 
 def _hat_blocks(dofs, weights, lam):

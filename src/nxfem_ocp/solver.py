@@ -13,11 +13,15 @@ hat products.  Every reader of the control goes through one
 ``ControlClamp``, which holds the cells and is built once per solve.
 
 Every block system is solved in q = p/sqrt(a), where it has the square
-form [[M, -sqrt(a) A], [sqrt(a) A, M_I]], by GMRES preconditioned by PRESB
-(Axelsson, Farouq & Neytcheva 2016): two solves with S = M + sqrt(a) A.
-The iteration count is bounded independently of h and a, the one sparse
-factor is that of S, the size of a single block, and the block operator
-is applied from its blocks, never assembled.
+form [[M, -sqrt(a) A], [sqrt(a) A, M_I]], by flexible GMRES preconditioned
+by PRESB (Axelsson, Farouq & Neytcheva 2016): per iteration, two solves
+with S = M + sqrt(a) A.  The iteration count is bounded independently of
+h and a, the one sparse factor is that of S, the size of a single block,
+and the block operator is applied from its blocks, never assembled.  S is
+factored in single precision: flexible GMRES keeps the preconditioned
+vectors, so the true residual still falls to the double-precision stop.
+GMRES stops on the judged block residuals, and each Newton step starts
+from the last one's solution.
 
 Every sparse factorization (S, or A, whose one factor every inner solve
 of the fixed point shares) takes one path: a geometric nested-dissection
@@ -213,7 +217,8 @@ class ReducedSolver:
 
     def _factor(self, B):
         """Solve with the SPD matrix B on the free dofs (the pattern of
-        A_ff), for right-hand sides of one or more columns.
+        A_ff), for right-hand sides of one or more columns, in the
+        precision of B's data: a right-hand side is rounded to it.
 
         The free dofs are in nested-dissection order already, so B is
         factored as it is, without pivoting: its transpose is the CSC
@@ -240,7 +245,8 @@ class ReducedSolver:
                 raise SolverError(f"matrix is not positive definite: {bad} "
                                   "non-positive pivots")
         self.factor_nnz = lu.nnz
-        return lambda b: lu.solve(b, trans="T")
+        dtype = B.dtype
+        return lambda b: lu.solve(b.astype(dtype, copy=False), trans="T")
 
     def _cut_blocks_definite(self, B):
         """Whether the principal blocks of B on the free dofs of every cut
@@ -284,11 +290,10 @@ class ReducedSolver:
 
 
 SADDLE_TOL = 1e-10        # true block residuals, relative, free rows
-SADDLE_RESTARTS = 3
-# A pass is one GMRES cycle, until its preconditioned residual falls by
-# GMRES_RTOL; a basis longer than GMRES_RESTART would need fresh memory.
-GMRES_RTOL = 1e-12
+# GMRES keeps at most GMRES_RESTART basis vectors, then restarts from the
+# true defect; a saddle solve takes at most SADDLE_MAXITER iterations
 GMRES_RESTART = 20
+SADDLE_MAXITER = 80
 
 
 def _saddle_operator(red, MI_ff, M_ff, a):
@@ -308,12 +313,17 @@ def _presb(red, M_ff, a):
     """The inverse of the PRESB preconditioner [[M, -sqrt(a) A], [sqrt(a) A,
     M + 2 sqrt(a) A]] on the free (y, q) dofs: two solves with S = M +
     sqrt(a) A.  S is factored on first use and kept, for M and a are fixed
-    for the system that ``red`` serves and S is blind to the active set."""
+    for the system that ``red`` serves and S is blind to the active set.
+    The factor is in single precision: S's data are M + sqrt(a) A rounded
+    once to float32, on the index arrays of A_ff, and the inverse returns
+    float32 vectors, which flexible GMRES takes as they are."""
     if red._saddle_lu is None:
         A_ff = red.A_ff
+        data = np.empty(len(A_ff.data), dtype=np.float32)
+        np.add(M_ff.data, np.sqrt(a) * A_ff.data, out=data,
+               casting="same_kind")
         red._saddle_lu = red._factor(sp.csr_matrix(
-            (M_ff.data + np.sqrt(a) * A_ff.data, A_ff.indices, A_ff.indptr),
-            shape=A_ff.shape))
+            (data, A_ff.indices, A_ff.indptr), shape=A_ff.shape))
     solve, nf = red._saddle_lu, len(red.free)
 
     def apply(r):
@@ -325,66 +335,105 @@ def _presb(red, M_ff, a):
     return spla.LinearOperator((2 * nf, 2 * nf), matvec=apply, dtype=float)
 
 
+def _largest(terms):
+    """The norm of a row's largest term, the scale of its residual."""
+    return max(*map(np.linalg.norm, terms), 1e-300)
+
+
 def _relative_residuals(rows):
     """The residual of every row of the optimality system, given as its
     terms (which sum to zero at the solution), relative to its largest
     term: the one residual measure of every solve."""
-    return tuple(float(np.linalg.norm(sum(terms))
-                       / max(*map(np.linalg.norm, terms), 1e-300))
+    return tuple(float(np.linalg.norm(sum(terms)) / _largest(terms))
                  for terms in rows)
 
 
-def _solve_saddle(red, MI_ff, M_ff, M_fc, load, F2, a, ybc_values):
+def _fgmres(K, pre, b, x, judge):
+    """Solve K x = b from the start x by flexible GMRES (Saad, SIAM J. Sci.
+    Comput. 14, 1993), right-preconditioned by ``pre``.
+
+    Every iteration applies ``pre`` once and keeps the vector it returns,
+    so the iterate is x + Z c for the kept vectors Z, and K Z = V H holds
+    in double precision whatever the precision of ``pre`` (Arioli & Duff,
+    ETNA 33, 2009).  The basis grows by one vector per iteration, up to
+    GMRES_RESTART; then the next cycle starts from the true defect.
+    ``judge(x)`` gives the judged residuals of x and the 2-norm of b - K x
+    above which they cannot all be <= SADDLE_TOL.  An iterate is judged
+    whenever its least-squares residual is under that norm, and at the end
+    of every cycle.  Returns x, the iteration count and the judged
+    residuals; raises SolverError after SADDLE_MAXITER iterations.
+    """
+    its = 0
+    residuals, bound = judge(x)
+    while not max(residuals) <= SADDLE_TOL:         # a NaN residual fails
+        if its == SADDLE_MAXITER:
+            raise SolverError(
+                "GMRES block residuals {:.3e}/{:.3e} exceed {:.0e} after {} "
+                "iterations".format(*residuals, SADDLE_TOL, its))
+        r = b - K @ x
+        g = np.zeros(GMRES_RESTART + 1)
+        g[0] = np.linalg.norm(r)
+        H = np.zeros((GMRES_RESTART + 1, GMRES_RESTART))
+        V, Z = [r / g[0]], []
+        cycle = min(GMRES_RESTART, SADDLE_MAXITER - its)
+        for j in range(cycle):
+            Z.append(pre @ V[j])
+            w = K @ Z[j]
+            for i, v in enumerate(V):               # modified Gram-Schmidt
+                H[i, j] = v @ w
+                w -= H[i, j] * v
+            H[j + 1, j] = np.linalg.norm(w)
+            if not np.isfinite(H[:j + 2, j]).all():
+                raise SolverError("singular saddle system")
+            its += 1
+            h, e = H[:j + 2, :j + 1], g[:j + 2]
+            c = np.linalg.lstsq(h, e)[0]
+            end = j + 1 == cycle or H[j + 1, j] == 0.0
+            if end or np.linalg.norm(e - h @ c) <= bound:
+                x_j = x + sum(cj * z for cj, z in zip(c, Z))
+                residuals, bound = judge(x_j)
+                if end or max(residuals) <= SADDLE_TOL:
+                    break
+            V.append(w / H[j + 1, j])
+        x = x_j
+    return x, its, residuals
+
+
+def _solve_saddle(red, MI_ff, M_ff, M_fc, load, F2, a, ybc_values, x0=None):
     """Solve [[M_I/a, A], [A, -M]] (p, y) = (load, F2) on the free dofs of
     ``red``, with y prescribed on the Dirichlet dofs.
 
     M_I is the mass on the inactive set (all of M without bounds); the
     control u = -p/a has no unknowns of its own.  In q = p/sqrt(a) the
     system is ``_saddle_operator`` (y, q) = (-g, sqrt(a) f), f and g the
-    right-hand sides with the Dirichlet values moved over, and GMRES
-    preconditioned by ``_presb`` solves it.  Passes run until both block
-    rows have a true relative residual <= SADDLE_TOL; short of that, GMRES
-    is restarted on the defect of the last iterate (defect correction) at
-    most SADDLE_RESTARTS times, then SolverError is raised.  Returns
-    full-length P, Y, the total GMRES iteration count and the residuals.
+    right-hand sides with the Dirichlet values moved over, and flexible
+    GMRES preconditioned by ``_presb`` solves it from x0, the free (y, q)
+    (zero if omitted), until both block rows have a true relative residual
+    <= SADDLE_TOL.  Returns full-length P, Y, the GMRES iteration count
+    and the residuals.
     """
     yb = np.asarray(ybc_values, dtype=float)
     free, nf, s = red.free, len(red.free), np.sqrt(a)
-    K = _saddle_operator(red, MI_ff, M_ff, a)
     rhs = np.concatenate([-(F2[free] + M_fc @ yb),
                           s * (load[free] - red.A_fc @ yb)])
     if not np.isfinite(rhs).all():
         raise SolverError("non-finite right-hand side in the saddle system")
-    pre = _presb(red, M_ff, a)
 
-    def block_residuals(x):
+    def judge(x):
         # state row A y + M_I p/a = load and co-state row A p - M y = F2,
-        # y with its Dirichlet values
+        # y with its Dirichlet values; the defect of the (y, q) system is
+        # (minus the co-state row, sqrt(a) times the state row)
         y, p = x[:nf], s * x[nf:]
-        return _relative_residuals(
-            ((red.A_ff @ y + red.A_fc @ yb, MI_ff @ p / a, -load[free]),
-             (red.A_ff @ p, -(M_ff @ y + M_fc @ yb), -F2[free])))
+        rows = ((red.A_ff @ y + red.A_fc @ yb, MI_ff @ p / a, -load[free]),
+                (red.A_ff @ p, -(M_ff @ y + M_fc @ yb), -F2[free]))
+        return _relative_residuals(rows), SADDLE_TOL * np.hypot(
+            s * _largest(rows[0]), _largest(rows[1]))
 
-    steps = []                  # one entry per GMRES iteration
-    x = np.zeros(2 * nf)
-    defect = rhs
-    for _ in range(1 + SADDLE_RESTARTS):
-        dx, _ = spla.gmres(K, defect, rtol=GMRES_RTOL,
-                           restart=GMRES_RESTART, maxiter=1, M=pre,
-                           callback=steps.append, callback_type="pr_norm")
-        x = x + dx
-        if not np.isfinite(x).all():
-            raise SolverError("singular saddle system")
-        residuals = block_residuals(x)
-        if max(residuals) <= SADDLE_TOL:
-            break
-        defect = rhs - K @ x
-    else:
-        raise SolverError(
-            "GMRES block residuals {:.3e}/{:.3e} exceed {:.0e} after {} "
-            "iterations".format(*residuals, SADDLE_TOL, len(steps)))
+    x, its, residuals = _fgmres(
+        _saddle_operator(red, MI_ff, M_ff, a), _presb(red, M_ff, a), rhs,
+        np.zeros(2 * nf) if x0 is None else x0, judge)
     P, Y = red._expand(s * x[nf:]), red._expand(x[:nf], yb)
-    return P, Y, len(steps), residuals
+    return P, Y, its, residuals
 
 
 def _block_residuals(A, M, F1, F2, Y, P, control_term, free):
@@ -591,13 +640,15 @@ def solve_constrained_ssn(mesh, cut_info, space, A, M, F1_base, F2_base, a,
     M_ff, M_fc = red._split(M)
 
     P = np.zeros(A.shape[0])
-    status = None
+    x = status = None
     saddle_its, saddle_res, history = [], [], []
     for it in range(max_iter):
         M_inact, b_act = clamp.newton_terms(P)
         P, Y, its, res = _solve_saddle(red, red._split(M_inact)[0],
                                        M_ff, M_fc, F1_base + b_act, F2_base,
-                                       a, ybc_values)
+                                       a, ybc_values, x)
+        # the next step starts from this one's (y, q)
+        x = np.concatenate([Y[red.free], P[red.free] / np.sqrt(a)])
         saddle_its.append(its)
         saddle_res.append(res)
         prev, status = status, clamp.status(P)
