@@ -16,18 +16,19 @@ Every block system is solved in q = p/sqrt(a), where it has the square
 form [[M, -sqrt(a) A], [sqrt(a) A, M_I]], by flexible GMRES preconditioned
 by PRESB (Axelsson, Farouq & Neytcheva 2016): per iteration, two solves
 with S = M + sqrt(a) A.  The iteration count is bounded independently of
-h and a, the one sparse factor is that of S, the size of a single block,
-and the block operator is applied from its blocks, never assembled.  S is
-factored in single precision: flexible GMRES keeps the preconditioned
-vectors, so the true residual still falls to the double-precision stop.
+h and a, and the one sparse factor is that of S, the size of a single
+block.  The block operator is never assembled: A, M and M_I act as they
+were assembled, on free vectors scattered to full length.  S is factored
+in single precision: flexible GMRES keeps the preconditioned vectors, so
+the true residual still falls to the double-precision stop.
 GMRES stops on the judged block residuals, and each Newton step starts
 from the last one's solution.
 
 Every sparse factorization (S, or A, whose one factor every inner solve
 of the fixed point shares) takes one path: a geometric nested-dissection
 order of the free dofs (George 1973), computed once per Dirichlet
-reduction, and a symmetric factor without pivoting, whose pivots give the
-inertia.
+reduction, the matrix's free/free block (the one block ever split), and
+a symmetric factor without pivoting, whose pivots give the inertia.
 """
 
 from __future__ import annotations
@@ -176,10 +177,11 @@ class ReducedSolver:
     for SPD matrices on the free dofs.
 
     The free dofs are numbered in the geometric nested-dissection order of
-    A's free/free block from the start, so every block and vector on them
-    is already in the order in which the factor eliminates them.  Matrices
-    on the sparsity pattern of A (every matrix assembled on the space) are
-    split by a gather of their data."""
+    A's free/free block, the order in which the factor eliminates them.
+    Every matrix stays as it was assembled, on the space's pattern: a
+    vector on the free dofs is scattered to full length (``_expand``),
+    multiplied, and gathered back by indexing with ``free``.  The one
+    matrix that is split is the one that is factored (``_free_block``)."""
 
     def __init__(self, A, space):
         self.A = A
@@ -187,38 +189,34 @@ class ReducedSolver:
         mask = np.zeros(A.shape[0], dtype=bool)
         mask[self.constrained] = True
         free = np.flatnonzero(~mask)
-        # the place of every entry of A in its data array
-        place = sp.csr_matrix((np.arange(len(A.indices)), A.indices,
-                               A.indptr), shape=A.shape)
-        order = _nested_dissection(place[free][:, free],
+        order = _nested_dissection(A[free][:, free],
                                    space.mesh.vertices[space.dof_vertex[free]])
         self.free = free[order]
-        rows = place[self.free]
-        self._places = [rows[:, cols].sorted_indices()
-                        for cols in (self.free, self.constrained)]
         position = np.full(A.shape[0], -1)         # among the free dofs
         position[self.free] = np.arange(len(self.free))
         cut = space.mesh.triangles[space.classes == int(ElementClass.CUT)]
         self._cut_dofs = position[np.concatenate([space.dof1[cut],
                                                   space.dof2[cut]], axis=1)]
-        self.A_ff, self.A_fc = self._split(A)
         self.factor_nnz = 0
         self._lu = None
         self._saddle_lu = None
 
-    def _split(self, B):
-        """Free/free and free/constrained blocks of a matrix on the pattern
-        of A.  The blocks of all such matrices share their index arrays."""
-        if not (np.array_equal(B.indptr, self.A.indptr)
-                and np.array_equal(B.indices, self.A.indices)):
-            raise ValueError("matrix is not on the sparsity pattern of A")
-        return tuple(sp.csr_matrix((B.data[p.data], p.indices, p.indptr),
-                                   shape=p.shape) for p in self._places)
+    def _free_block(self, data):
+        """The free/free block, in elimination order, of the matrix on A's
+        pattern whose entries at the places k of A's data array are
+        ``data(k)``.  The places live only while the block is built."""
+        A, free = self.A, self.free
+        places = sp.csr_matrix((np.arange(len(A.data), dtype=A.indices.dtype),
+                                A.indices, A.indptr), shape=A.shape)
+        places = places[free][:, free]
+        places.sort_indices()
+        return sp.csr_matrix((data(places.data), places.indices,
+                              places.indptr), shape=places.shape)
 
     def _factor(self, B):
-        """Solve with the SPD matrix B on the free dofs (the pattern of
-        A_ff), for right-hand sides of one or more columns, in the
-        precision of B's data: a right-hand side is rounded to it.
+        """Solve with the SPD matrix B on the free dofs (a ``_free_block``),
+        for right-hand sides of one or more columns, in the precision of
+        B's data: a right-hand side is rounded to it.
 
         The free dofs are in nested-dissection order already, so B is
         factored as it is, without pivoting: its transpose is the CSC
@@ -269,18 +267,18 @@ class ReducedSolver:
     def solve(self, b, bc_values=None):
         """Solve with full-length right-hand side; ``bc_values`` holds the
         prescribed entries at the constrained dofs (zero if omitted)."""
-        vals = (np.zeros(len(self.constrained)) if bc_values is None
-                else np.asarray(bc_values, dtype=float))
-        b_f = b[self.free] - self.A_fc @ vals
+        A, free = self.A, self.free
+        x = self._expand(0.0, 0.0 if bc_values is None else bc_values)
+        b_f = (b - A @ x)[free]
         if self._lu is None:
-            self._lu = self._factor(self.A_ff)
-        x_f = self._lu(b_f)
+            self._lu = self._factor(self._free_block(lambda k: A.data[k]))
+        x[free] = self._lu(b_f)
         scale = max(np.linalg.norm(b_f), 1e-300)
-        res = np.linalg.norm(self.A_ff @ x_f - b_f) / scale
+        res = np.linalg.norm((A @ x - b)[free]) / scale
         if not res <= SOLVE_TOL:                    # a NaN residual fails too
             raise SolverError(f"linear solve residual {res:.3e} exceeds "
                               f"{SOLVE_TOL:.1e}")
-        return self._expand(x_f, vals)
+        return x
 
     def _expand(self, x_f, bc_values=0.0):
         x = np.zeros(self.A.shape[0])
@@ -296,40 +294,43 @@ GMRES_RESTART = 20
 SADDLE_MAXITER = 80
 
 
-def _saddle_operator(red, MI_ff, M_ff, a):
+def _saddle_operator(red, M_I, M, a):
     """[[M, -sqrt(a) A], [sqrt(a) A, M_I]] on the free (y, q) dofs of
-    ``red``, q = p/sqrt(a), applied block by block."""
-    nf, s = len(red.free), np.sqrt(a)
+    ``red``, q = p/sqrt(a), applied with the assembled matrices to y and q
+    scattered to full length."""
+    A, free, nf, s = red.A, red.free, len(red.free), np.sqrt(a)
 
     def apply(x):
-        y, q = x[:nf], x[nf:]
-        return np.concatenate([M_ff @ y - s * (red.A_ff @ q),
-                               s * (red.A_ff @ y) + MI_ff @ q])
+        y, q = red._expand(x[:nf]), red._expand(x[nf:])
+        return np.concatenate([(M @ y - s * (A @ q))[free],
+                               (s * (A @ y) + M_I @ q)[free]])
 
     return spla.LinearOperator((2 * nf, 2 * nf), matvec=apply, dtype=float)
 
 
-def _presb(red, M_ff, a):
+def _presb(red, M, a):
     """The inverse of the PRESB preconditioner [[M, -sqrt(a) A], [sqrt(a) A,
     M + 2 sqrt(a) A]] on the free (y, q) dofs: two solves with S = M +
     sqrt(a) A.  S is factored on first use and kept, for M and a are fixed
     for the system that ``red`` serves and S is blind to the active set.
-    The factor is in single precision: S's data are M + sqrt(a) A rounded
-    once to float32, on the index arrays of A_ff, and the inverse returns
-    float32 vectors, which flexible GMRES takes as they are."""
+    The factor is in single precision: S is the free block of M + sqrt(a) A
+    (M on A's pattern), its data summed in double and rounded once to
+    float32, and the inverse returns float32 vectors, which flexible GMRES
+    takes as they are."""
+    A, s = red.A, np.sqrt(a)
     if red._saddle_lu is None:
-        A_ff = red.A_ff
-        data = np.empty(len(A_ff.data), dtype=np.float32)
-        np.add(M_ff.data, np.sqrt(a) * A_ff.data, out=data,
-               casting="same_kind")
-        red._saddle_lu = red._factor(sp.csr_matrix(
-            (data, A_ff.indices, A_ff.indptr), shape=A_ff.shape))
-    solve, nf = red._saddle_lu, len(red.free)
+        if not (np.array_equal(M.indptr, A.indptr)
+                and np.array_equal(M.indices, A.indices)):
+            raise ValueError("M is not on the sparsity pattern of A")
+        red._saddle_lu = red._factor(red._free_block(lambda k: np.add(
+            M.data[k], s * A.data[k], out=np.empty(len(k), np.float32),
+            casting="same_kind")))
+    solve, free, nf = red._saddle_lu, red.free, len(red.free)
 
     def apply(r):
         r1, r2 = r[:nf], r[nf:]
         z = solve(r1 + r2)
-        w = solve(M_ff @ z - r1)
+        w = solve((M @ red._expand(z))[free] - r1)
         return np.concatenate([z - w, w])
 
     return spla.LinearOperator((2 * nf, 2 * nf), matvec=apply, dtype=float)
@@ -346,6 +347,13 @@ def _relative_residuals(rows):
     term: the one residual measure of every solve."""
     return tuple(float(np.linalg.norm(sum(terms)) / _largest(terms))
                  for terms in rows)
+
+
+def _block_rows(A, M, F1, F2, Y, P, control_term, free):
+    """The terms of the state row A Y = control_term + F1 and of the
+    co-state row A P = M Y + F2 on the free dofs."""
+    return (((A @ Y)[free], -control_term[free], -F1[free]),
+            ((A @ P)[free], -(M @ Y)[free], -F2[free]))
 
 
 def _fgmres(K, pre, b, x, judge):
@@ -390,7 +398,9 @@ def _fgmres(K, pre, b, x, judge):
             c = np.linalg.lstsq(h, e)[0]
             end = j + 1 == cycle or H[j + 1, j] == 0.0
             if end or np.linalg.norm(e - h @ c) <= bound:
-                x_j = x + sum(cj * z for cj, z in zip(c, Z))
+                x_j = x.copy()              # x + Z c, one term at a time
+                for cj, z in zip(c, Z):
+                    x_j += cj * z
                 residuals, bound = judge(x_j)
                 if end or max(residuals) <= SADDLE_TOL:
                     break
@@ -399,7 +409,7 @@ def _fgmres(K, pre, b, x, judge):
     return x, its, residuals
 
 
-def _solve_saddle(red, MI_ff, M_ff, M_fc, load, F2, a, ybc_values, x0=None):
+def _solve_saddle(red, M_I, M, load, F2, a, ybc_values, x0=None):
     """Solve [[M_I/a, A], [A, -M]] (p, y) = (load, F2) on the free dofs of
     ``red``, with y prescribed on the Dirichlet dofs.
 
@@ -413,9 +423,9 @@ def _solve_saddle(red, MI_ff, M_ff, M_fc, load, F2, a, ybc_values, x0=None):
     and the residuals.
     """
     yb = np.asarray(ybc_values, dtype=float)
-    free, nf, s = red.free, len(red.free), np.sqrt(a)
-    rhs = np.concatenate([-(F2[free] + M_fc @ yb),
-                          s * (load[free] - red.A_fc @ yb)])
+    A, free, nf, s = red.A, red.free, len(red.free), np.sqrt(a)
+    Yb = red._expand(0.0, yb)
+    rhs = np.concatenate([-(F2 + M @ Yb)[free], s * (load - A @ Yb)[free]])
     if not np.isfinite(rhs).all():
         raise SolverError("non-finite right-hand side in the saddle system")
 
@@ -423,31 +433,24 @@ def _solve_saddle(red, MI_ff, M_ff, M_fc, load, F2, a, ybc_values, x0=None):
         # state row A y + M_I p/a = load and co-state row A p - M y = F2,
         # y with its Dirichlet values; the defect of the (y, q) system is
         # (minus the co-state row, sqrt(a) times the state row)
-        y, p = x[:nf], s * x[nf:]
-        rows = ((red.A_ff @ y + red.A_fc @ yb, MI_ff @ p / a, -load[free]),
-                (red.A_ff @ p, -(M_ff @ y + M_fc @ yb), -F2[free]))
+        Y, P = red._expand(x[:nf], yb), red._expand(s * x[nf:])
+        rows = _block_rows(A, M, load, F2, Y, P, -(M_I @ P) / a, free)
         return _relative_residuals(rows), SADDLE_TOL * np.hypot(
             s * _largest(rows[0]), _largest(rows[1]))
 
     x, its, residuals = _fgmres(
-        _saddle_operator(red, MI_ff, M_ff, a), _presb(red, M_ff, a), rhs,
+        _saddle_operator(red, M_I, M, a), _presb(red, M, a), rhs,
         np.zeros(2 * nf) if x0 is None else x0, judge)
     P, Y = red._expand(s * x[nf:]), red._expand(x[:nf], yb)
     return P, Y, its, residuals
-
-
-def _block_residuals(A, M, F1, F2, Y, P, control_term, free):
-    """Residuals of the state row A Y = control_term + F1 and the co-state
-    row A P = M Y + F2 on the free dofs, by the rule of the saddle stop."""
-    return _relative_residuals(
-        (((A @ Y)[free], -control_term[free], -F1[free]),
-         ((A @ P)[free], -(M @ Y)[free], -F2[free])))
 
 
 def _check_control(a, bounds, max_iter=1):
     """Raise ConfigurationError unless the regularization weight is
     positive and finite, the control box (lo, hi) is not empty and at least
     one iteration is allowed: the one check of every driver's input."""
+    if bounds is None:
+        raise ConfigurationError("no control box (lo, hi): bounds=None")
     lo, hi = bounds
     if not (np.isfinite(a) and a > 0.0):
         raise ConfigurationError(
@@ -466,9 +469,7 @@ def solve_unconstrained_ocp(A, M, F1, F2, a, space, ybc_values):
     matrices: its Dirichlet dofs and dof positions."""
     _check_control(a, (-np.inf, np.inf))
     red = ReducedSolver(A, space)
-    M_ff, M_fc = red._split(M)
-    P, Y, its, res = _solve_saddle(red, M_ff, M_ff, M_fc, F1, F2, a,
-                                   ybc_values)
+    P, Y, its, res = _solve_saddle(red, M, M, F1, F2, a, ybc_values)
     return OcpSolution(Y=Y, P=P, a=a, bounds=None, U=-P / a,
                        residual_state=res[0], residual_costate=res[1],
                        saddle_iterations=[its], saddle_residuals=[res],
@@ -611,8 +612,8 @@ def solve_constrained_fixed_point(mesh, cut_info, space, A, M, F1_base,
         u_now = clamp.samples(P)
         diff = np.sqrt(np.sum(clamp.weights * (u_now - u_prev) ** 2)) \
             / sqrt_area
-        history.append((it + 1, diff, *_block_residuals(
-            A, M, F1_base, F2_base, Y, P, load, solver.free)))
+        history.append((it + 1, diff, *_relative_residuals(_block_rows(
+            A, M, F1_base, F2_base, Y, P, load, solver.free))))
         if diff < tol:
             break
         u_prev = u_now
@@ -637,16 +638,14 @@ def solve_constrained_ssn(mesh, cut_info, space, A, M, F1_base, F2_base, a,
     _check_control(a, bounds, max_iter)
     clamp = ControlClamp(mesh, cut_info, space, a, bounds)
     red = ReducedSolver(A, space)
-    M_ff, M_fc = red._split(M)
 
     P = np.zeros(A.shape[0])
     x = status = None
     saddle_its, saddle_res, history = [], [], []
     for it in range(max_iter):
         M_inact, b_act = clamp.newton_terms(P)
-        P, Y, its, res = _solve_saddle(red, red._split(M_inact)[0],
-                                       M_ff, M_fc, F1_base + b_act, F2_base,
-                                       a, ybc_values, x)
+        P, Y, its, res = _solve_saddle(red, M_inact, M, F1_base + b_act,
+                                       F2_base, a, ybc_values, x)
         # the next step starts from this one's (y, q)
         x = np.concatenate([Y[red.free], P[red.free] / np.sqrt(a)])
         saddle_its.append(its)
@@ -658,8 +657,8 @@ def solve_constrained_ssn(mesh, cut_info, space, A, M, F1_base, F2_base, a,
         if changed == 0:
             break
 
-    r1, r2 = _block_residuals(A, M, F1_base, F2_base, Y, P, clamp.load(P),
-                              red.free)
+    r1, r2 = _relative_residuals(_block_rows(
+        A, M, F1_base, F2_base, Y, P, clamp.load(P), red.free))
     return OcpSolution(Y=Y, P=P, a=a, bounds=bounds, iterations=len(history),
                        converged=changed == 0, residual_state=r1,
                        residual_costate=r2, history=history,

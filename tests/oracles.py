@@ -718,17 +718,25 @@ def nested_dissection_splits(B, xy):
     return np.concatenate(visit(np.arange(len(xy)))), splits
 
 
-def saddle_matrix(red, MI_ff, M_ff, a):
+def free_block(red, B):
+    """The free/free block of an assembled matrix B, in the order of the
+    free dofs of ``red``."""
+    return B[red.free][:, red.free].sorted_indices()
+
+
+def saddle_matrix(red, M_I, M, a):
     """The assembled block matrix [[M_I/a, A], [A, -M]] on the free dofs."""
-    return sp.bmat([[MI_ff / a, red.A_ff], [red.A_ff, -M_ff]], format="csr")
+    A_ff = free_block(red, red.A)
+    return sp.bmat([[free_block(red, M_I) / a, A_ff],
+                    [A_ff, -free_block(red, M)]], format="csr")
 
 
-def scaled_saddle_matrices(red, MI_ff, M_ff, a):
+def scaled_saddle_matrices(red, M_I, M, a):
     """The assembled square-block matrix [[M, -sqrt(a) A], [sqrt(a) A,
     M_I]] in (y, q = p/sqrt(a)) on the free dofs, and its PRESB
     preconditioner, whose (2, 2) block is M + 2 sqrt(a) A."""
-    sA = np.sqrt(a) * red.A_ff
-    return (sp.bmat([[M_ff, -sA], [sA, MI_ff]], format="csr"),
+    sA, M_ff = np.sqrt(a) * free_block(red, red.A), free_block(red, M)
+    return (sp.bmat([[M_ff, -sA], [sA, free_block(red, M_I)]], format="csr"),
             sp.bmat([[M_ff, -sA], [sA, M_ff + 2 * sA]], format="csc"))
 
 

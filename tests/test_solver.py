@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -248,6 +250,24 @@ def test_fixed_point_rejects_no_sweeps():
                 max_iter=max_iter)
 
 
+@pytest.mark.parametrize("entry", ["ssn", "fixed-point", "clamp"])
+def test_a_missing_box_is_named(entry):
+    # example 3 has no box; bounds=None used to fail in unpacking it, with
+    # a TypeError that did not say what was missing
+    problem = build_example(3)
+    assert problem.bounds is None
+    disc = discretize(problem, 8)
+    geometry = (disc.mesh, disc.cut_info, disc.space)
+    with pytest.raises(ConfigurationError, match="control box"):
+        if entry == "clamp":
+            ControlClamp(*geometry, problem.a, problem.bounds)
+        else:
+            solve = (solve_constrained_ssn if entry == "ssn"
+                     else solve_constrained_fixed_point)
+            solve(*geometry, disc.A, disc.M, disc.F1, disc.F2, problem.a,
+                  problem.bounds, disc.ybc_values)
+
+
 # each of these returned a wrong answer (a converged Newton solve on an
 # empty box, all-zero fields without a step, fixed-point sweeps that
 # "converge" for a < 0 or run on NaN for a = 0) or a misleading error (a
@@ -411,8 +431,7 @@ def _saddle_case(example, n=16):
     problem = build_example(example)
     disc = discretize(problem, n)
     red = ReducedSolver(disc.A, disc.space)
-    M_ff, M_fc = red._split(disc.M)
-    MI_ff, load = M_ff, disc.F1
+    M_I, load = disc.M, disc.F1
     if example == 2:
         first = solve_constrained_ssn(
             disc.mesh, disc.cut_info, disc.space, disc.A, disc.M, disc.F1,
@@ -420,13 +439,13 @@ def _saddle_case(example, n=16):
         clamp = ControlClamp(disc.mesh, disc.cut_info, disc.space, problem.a,
                              problem.bounds)
         M_inact, b_act = clamp.newton_terms(first.P)
-        MI_ff, load = red._split(M_inact)[0], disc.F1 + b_act
+        M_I, load = M_inact, disc.F1 + b_act
         # all three share one pattern; M_I has fewer nonzeros than M
-        for B in (MI_ff, M_ff):
-            assert np.shares_memory(B.indices, red.A_ff.indices)
-            assert np.shares_memory(B.indptr, red.A_ff.indptr)
-        assert 0 < MI_ff.count_nonzero() < M_ff.count_nonzero()
-    return red, MI_ff, M_ff, M_fc, load, disc.F2, problem.a, disc.ybc_values
+        for B in (M_I, disc.M):
+            assert np.shares_memory(B.indices, disc.A.indices)
+            assert np.shares_memory(B.indptr, disc.A.indptr)
+        assert 0 < M_I.count_nonzero() < disc.M.count_nonzero()
+    return red, M_I, disc.M, load, disc.F2, problem.a, disc.ybc_values
 
 
 @pytest.mark.parametrize("example", [1, 3, 2], ids=["ex1", "ex3",
@@ -434,13 +453,14 @@ def _saddle_case(example, n=16):
 def test_saddle_solve_matches_a_direct_solve(example):
     # the assembled (p, y) system [[M_I/a, A], [A, -M]] solved directly
     # pins the substitution q = p/sqrt(a) and the signs of the right side
-    red, MI_ff, M_ff, M_fc, load, F2, a, yb = _saddle_case(example)
-    K = oracles.saddle_matrix(red, MI_ff, M_ff, a)
-    rhs = np.concatenate([load[red.free] - red.A_fc @ yb,
-                          F2[red.free] + M_fc @ yb])
+    red, M_I, M, load, F2, a, yb = _saddle_case(example)
+    K = oracles.saddle_matrix(red, M_I, M, a)
+    free, fixed = red.free, red.constrained
+    rhs = np.concatenate([load[free] - red.A[free][:, fixed] @ yb,
+                          F2[free] + M[free][:, fixed] @ yb])
     x = spla.spsolve(K.tocsc(), rhs)
     nf = len(red.free)
-    P, Y, _, res = _solve_saddle(red, MI_ff, M_ff, M_fc, load, F2, a, yb)
+    P, Y, _, res = _solve_saddle(red, M_I, M, load, F2, a, yb)
     assert max(res) <= 1e-10
     for got, want in ((P[red.free], x[:nf]), (Y[red.free], x[nf:])):
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
@@ -450,18 +470,65 @@ def test_saddle_solve_matches_a_direct_solve(example):
 
 def test_saddle_solve_starts_from_x0():
     # x0 is the start of GMRES: its own solution passes the stop at once
-    red, MI_ff, M_ff, M_fc, load, F2, a, yb = _saddle_case(1)
-    P, Y, its, res = _solve_saddle(red, MI_ff, M_ff, M_fc, load, F2, a, yb)
+    red, M_I, M, load, F2, a, yb = _saddle_case(1)
+    P, Y, its, res = _solve_saddle(red, M_I, M, load, F2, a, yb)
     x0 = np.concatenate([Y[red.free], P[red.free] / np.sqrt(a)])
-    P0, Y0, its0, res0 = _solve_saddle(red, MI_ff, M_ff, M_fc, load, F2, a,
-                                       yb, x0)
+    P0, Y0, its0, res0 = _solve_saddle(red, M_I, M, load, F2, a, yb, x0)
     assert its > 0 and its0 == 0 and max(res0) <= 1e-10
     assert np.array_equal(Y0, Y)
     assert np.abs(P0 - P).max() <= 4e-16 * np.abs(P).max()
     # a NaN start is not judged converged
     x0[0] = np.nan
     with pytest.raises(SolverError, match="singular saddle system"):
-        _solve_saddle(red, MI_ff, M_ff, M_fc, load, F2, a, yb, x0)
+        _solve_saddle(red, M_I, M, load, F2, a, yb, x0)
+
+
+def _traced_peak(run):
+    """What ``run()`` returns, and the most numpy and Python memory it held
+    at once above what was held when it started (SuperLU's own buffers,
+    the factor among them, are not traced)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = run()
+        return out, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+FOOTPRINT_SLACK = 20      # full-length float64 vectors
+
+
+@pytest.mark.parametrize("example", [1, 2], ids=["1", "2-newton"])
+def test_solve_footprint_is_the_basis_and_S(example):
+    # a solve holds, above its inputs, the Krylov basis of its longest
+    # saddle solve (k + 1 float64 and k float32 vectors of length 2 n_f),
+    # S's float32 data and int32 index arrays, for Newton what the clamp
+    # holds on its own on the first step (cells, rule, M_I), and a slack of
+    # FOOTPRINT_SLACK full-length float64 vectors.  Measured at N=128, in
+    # full-length vectors above the bound's other terms: 12.4 (ex1) and 6.4
+    # (ex2 Newton); with split copies of A and M on the free dofs beside
+    # them, 35.8 and 31.8
+    problem = build_example(example)
+    disc = discretize(problem, 128)
+    n = disc.space.n_dofs
+    red = ReducedSolver(disc.A, disc.space)
+    nf, nnz = len(red.free), oracles.free_block(red, disc.A).nnz
+    clamp = 0
+    if example == 1:
+        sol, peak = _traced_peak(lambda: solve_discretized(problem, disc))
+    else:
+        geometry = (disc.mesh, disc.cut_info, disc.space)
+        _, clamp = _traced_peak(lambda: ControlClamp(
+            *geometry, problem.a, problem.bounds).newton_terms(np.zeros(n)))
+        sol, peak = _traced_peak(lambda: solve_constrained_ssn(
+            *geometry, disc.A, disc.M, disc.F1, disc.F2, problem.a,
+            problem.bounds, disc.ybc_values))
+    assert sol.converged
+    k = max(sol.saddle_iterations)
+    basis = 2 * nf * ((k + 1) * 8 + k * 4)
+    S = 8 * nnz + 4 * (nf + 1)
+    assert peak <= basis + S + clamp + FOOTPRINT_SLACK * 8 * n
 
 
 def test_unconstrained_solve_bitwise_repeatable():
@@ -533,8 +600,7 @@ def test_nested_dissection_fill_at_most_mmd(example):
     problem = build_example(example)
     disc = discretize(problem, 64)
     red = ReducedSolver(disc.A, disc.space)
-    M_ff, _ = red._split(disc.M)
-    S = M_ff + np.sqrt(problem.a) * red.A_ff
+    S = oracles.free_block(red, disc.M + np.sqrt(problem.a) * disc.A)
     red._factor(S)
     mmd = spla.splu(S.tocsc(), permc_spec="MMD_AT_PLUS_A",
                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
@@ -543,10 +609,11 @@ def test_nested_dissection_fill_at_most_mmd(example):
 
 @pytest.mark.parametrize("example", [1, 2], ids=["block-S", "fixed-point-A"])
 def test_the_factored_matrix_is_the_block_itself(example, monkeypatch):
-    # S = M_ff + sqrt(a) A_ff (and A_ff, for the fixed point) reach SuperLU
-    # as the CSC view of their own arrays: no permuted copy.  S is held in
-    # single precision on A_ff's index arrays, its data rounded once from
-    # the double sum; A_ff is factored in double precision as it is
+    # S = M + sqrt(a) A (and A, for the fixed point) reach SuperLU as their
+    # free/free blocks on the space's pattern, in elimination order, and as
+    # the CSC view of the block's own arrays: no permuted copy.  S is held
+    # in single precision, its data rounded once from the double sum; A's
+    # block is factored in double precision as it is
     problem = build_example(example)
     disc = discretize(problem, 16)
     factored, handed = [], []
@@ -568,41 +635,42 @@ def test_the_factored_matrix_is_the_block_itself(example, monkeypatch):
     assert F.format == "csc" and F.shape == B.shape
     for name in ("data", "indices", "indptr"):
         assert np.shares_memory(getattr(F, name), getattr(B, name))
-    assert np.shares_memory(B.indices, red.A_ff.indices)
-    assert np.shares_memory(B.indptr, red.A_ff.indptr)
+    A_ff = oracles.free_block(red, disc.A)
+    assert np.array_equal(B.indices, A_ff.indices)
+    assert np.array_equal(B.indptr, A_ff.indptr)
     if example == 2:
-        assert B is red.A_ff and B.dtype == np.float64
+        assert B.dtype == np.float64 and np.array_equal(B.data, A_ff.data)
     else:
-        M_ff, _ = red._split(disc.M)
-        S = M_ff.data + np.sqrt(problem.a) * red.A_ff.data
+        M_ff = oracles.free_block(red, disc.M)
+        S = M_ff.data + np.sqrt(problem.a) * A_ff.data
         assert B.dtype == np.float32
         assert np.array_equal(B.data, S.astype(np.float32))
 
 
-def test_split_refuses_a_matrix_off_the_pattern():
-    # a gather of another pattern's data would give a wrong block silently
+def test_presb_refuses_a_mass_off_the_pattern():
+    # S's data are gathered from M's and A's data at the same places, so M
+    # on another pattern would give a wrong S silently
     disc = discretize(build_example(1), 8)
     red = ReducedSolver(disc.A, disc.space)
     dropped = sp.csr_matrix(disc.M.toarray())      # without M's stored zeros
     assert dropped.nnz < disc.M.nnz
     with pytest.raises(ValueError, match="not on the sparsity pattern"):
-        red._split(dropped)
+        _presb(red, dropped, 0.01)
 
 
 def test_saddle_operator_matches_assembled_blocks():
     problem = build_example(2)
     disc = discretize(problem, 16)
-    red = ReducedSolver(disc.A, disc.space)
-    M_ff, _ = red._split(disc.M)
+    red, M = ReducedSolver(disc.A, disc.space), disc.M
     rng = np.random.default_rng(3)
     x = rng.standard_normal(2 * len(red.free))
     # all of M (unconstrained), and M without a random half of the dofs as
     # on an inactive set (Newton)
-    keep = sp.diags((rng.uniform(size=M_ff.shape[0]) < 0.5).astype(float))
-    for MI_ff in (M_ff, keep @ M_ff @ keep):
-        K, _ = oracles.scaled_saddle_matrices(red, MI_ff, M_ff, problem.a)
+    keep = sp.diags((rng.uniform(size=M.shape[0]) < 0.5).astype(float))
+    for M_I in (M, keep @ M @ keep):
+        K, _ = oracles.scaled_saddle_matrices(red, M_I, M, problem.a)
         want = K @ x
-        got = _saddle_operator(red, MI_ff, M_ff, problem.a) @ x
+        got = _saddle_operator(red, M_I, M, problem.a) @ x
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
@@ -618,12 +686,11 @@ def test_presb_inverts_the_assembled_preconditioner(example):
     problem = build_example(example)
     disc = discretize(problem, 16)
     red = ReducedSolver(disc.A, disc.space)
-    M_ff, _ = red._split(disc.M)
-    _, pre = oracles.scaled_saddle_matrices(red, M_ff, M_ff, problem.a)
+    _, pre = oracles.scaled_saddle_matrices(red, disc.M, disc.M, problem.a)
     sigma = np.linalg.svd(pre.toarray(), compute_uv=False)
     eps32 = np.finfo(np.float32).eps
     r = np.random.default_rng(5).standard_normal(2 * len(red.free))
-    z = _presb(red, M_ff, problem.a) @ r
+    z = _presb(red, disc.M, problem.a) @ r
     assert z.dtype == np.float32
     eta = np.linalg.norm(pre @ z - r) \
         / (sigma[0] * np.linalg.norm(z) + np.linalg.norm(r))
@@ -651,9 +718,9 @@ def test_inertia_guard_counts_negative_eigenvalues():
     problem.lambda_coef = 10.0
     disc = discretize(problem, 16)
     red = ReducedSolver(disc.A, disc.space)
-    M_ff, _ = red._split(disc.M)
-    S = M_ff + np.sqrt(problem.a) * red.A_ff
-    for B in (S, red.A_ff):
+    A_ff = oracles.free_block(red, disc.A)
+    S = oracles.free_block(red, disc.M) + np.sqrt(problem.a) * A_ff
+    for B in (S, A_ff):
         neg = np.count_nonzero(np.linalg.eigvalsh(B.toarray()) <= 0.0)
         assert neg == 4
         with pytest.raises(SolverError,
