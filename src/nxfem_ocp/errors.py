@@ -76,8 +76,9 @@ class _ClampedLinearField:
 def _rule(mesh, space, cells):
     """Points, weights, barycentrics, dofs and hat gradients of cells,
     shared by every field."""
-    pts, w, lam = cells.quadrature(mesh, VOLUME_DEGREE)
-    return pts, w, lam, space.cell_dofs(cells), mesh.grad_bary[cells.parent]
+    grads = mesh.geometry(cells.parent)[1]
+    pts, w, lam = cells.quadrature(mesh, VOLUME_DEGREE, grads)
+    return pts, w, lam, space.cell_dofs(cells), grads
 
 
 def _volume_sums(exact, exact_grad, disc, rule):
@@ -95,10 +96,11 @@ def _volume_sums(exact, exact_grad, disc, rule):
         np.sum(w * (egx ** 2 + egy ** 2))])
 
 
-def _kinked(disc, mesh, space, cells, exact_kinked):
+def _kinked(disc, mesh, space, cells, exact_kinked, grads=None):
     """``exact_kinked``, or the discrete clamp switches inside the cell
-    (judged from its vertex values)."""
-    lam = mesh.barycentric(cells.parent, cells.coords)
+    (judged from its vertex values); ``grads`` are the parents' hat
+    gradients, if the caller has them."""
+    lam = mesh.barycentric(cells.parent, cells.coords, grads)
     raw = np.einsum("cvi,ci->cv", lam, disc.coeffs(space.cell_dofs(cells)))
     rmin, rmax = raw.min(axis=1), raw.max(axis=1)
     return (exact_kinked | ((rmin < disc.lo) & (disc.lo < rmax))
@@ -113,7 +115,7 @@ def _kink_refined(rule, cells, disc, spec, mesh, cut_info, space, side):
     cut = cut_info.classes[cells.parent] == int(ElementClass.CUT)
     exact = spec.mask[cells.parent]
     exact[cut] = spec.pred(cells.coords[cut], side)
-    flags = _kinked(disc, mesh, space, cells, exact)
+    flags = _kinked(disc, mesh, space, cells, exact, rule[4])
     leaves = cells[flags].refined(
         np.ones(flags.sum(), dtype=bool),
         lambda c: _kinked(disc, mesh, space, c, spec.pred(c.coords, side)))
@@ -177,9 +179,9 @@ def compute_errors(problem, solution, mesh, cut_info, space):
 
     chords = cut_info.chords
     tri = mesh.triangles[chords.element]
-    rule = (*chords.quadrature(mesh),
-            {1: space.dof1[tri], 2: space.dof2[tri]},
-            mesh.grad_bary[chords.element])
+    grads = mesh.geometry(chords.element)[1]
+    rule = (*chords.quadrature(mesh, grads),
+            {1: space.dof1[tri], 2: space.dof2[tri]}, grads)
     fields = {}
     for name, disc in specs.items():
         err_if, ex_if = _interface_sums(getattr(problem, name),

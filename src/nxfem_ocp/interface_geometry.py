@@ -13,7 +13,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .mesh import ConfigurationError
+from .mesh import ConfigurationError, cross
 
 __all__ = ["LevelSet", "line_interface", "circle_interface", "ElementClass",
            "CutInfo", "GeometryError", "build_cut_info", "triangle_rule",
@@ -134,13 +134,6 @@ def _norms(v):
     return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
-def _cross(tris):
-    """Twice the signed areas (...) of triangles (..., 3, 2)."""
-    e0 = tris[..., 1, :] - tris[..., 0, :]
-    e1 = tris[..., 2, :] - tris[..., 0, :]
-    return e0[..., 0] * e1[..., 1] - e0[..., 1] * e1[..., 0]
-
-
 @dataclass
 class CellTable:
     """Integration triangles: parent element (C,), side 1 or 2 (C,) and
@@ -166,17 +159,18 @@ class CellTable:
         return CellTable(*(np.concatenate([getattr(t, name) for t in tables])
                            for name in ("parent", "side", "coords")))
 
-    def quadrature(self, mesh, degree):
+    def quadrature(self, mesh, degree, grads=None):
         """Points (C, q, 2), weights (C, q) and parent barycentric
-        coordinates (C, q, 3) of the degree-``degree`` rule on every cell."""
+        coordinates (C, q, 3) of the degree-``degree`` rule on every cell;
+        ``grads`` are the parents' hat gradients, if the caller has them."""
         bary, w = triangle_rule(degree)
         pts = bary @ self.coords
         return (pts, self.areas()[:, None] * w,
-                mesh.barycentric(self.parent, pts))
+                mesh.barycentric(self.parent, pts, grads))
 
     def areas(self):
         """Area of every cell (C,)."""
-        return 0.5 * np.abs(_cross(self.coords))
+        return 0.5 * np.abs(cross(self.coords))
 
     def refined(self, flags, needs_refine):
         """The table with every flagged cell replaced by the leaves of its
@@ -264,14 +258,15 @@ class ChordTable:
     k2: np.ndarray
     h: np.ndarray
 
-    def quadrature(self, mesh):
+    def quadrature(self, mesh, grads=None):
         """Gauss-Legendre points (K, n, 2), weights (K, n) and element
-        barycentric coordinates (K, n, 3) on every chord, n = CHORD_POINTS."""
+        barycentric coordinates (K, n, 3) on every chord, n = CHORD_POINTS;
+        ``grads`` are the elements' hat gradients, if the caller has them."""
         t, w = gauss_segment(CHORD_POINTS)
         d = self.q2 - self.q1
         pts = self.q1[:, None, :] + t[None, :, None] * d[:, None, :]
         weights = np.sqrt((d ** 2).sum(axis=1))[:, None] * w
-        return pts, weights, mesh.barycentric(self.element, pts)
+        return pts, weights, mesh.barycentric(self.element, pts, grads)
 
 
 @dataclass
@@ -292,8 +287,7 @@ class CutInfo:
                                if side is None else self.classes == side)
         cut = self.cells if side is None else self.cells[self.cells.side == side]
         cells = CellTable.concat(
-            CellTable(uncut, self.classes[uncut],
-                      mesh.vertices[mesh.triangles[uncut]]), cut)
+            CellTable(uncut, self.classes[uncut], mesh.coords(uncut)), cut)
         return cells[np.argsort(cells.parent, kind="stable")]
 
 
@@ -338,14 +332,15 @@ def build_cut_info(mesh, levelset):
     parts = np.concatenate([np.stack([corner[:, 0], q1, q2], axis=1)[:, None],
                             np.take_along_axis(quad[:, None], split[..., None],
                                                axis=2)], axis=1)  # (K, 3, 3, 2)
-    cross = _cross(parts)
-    parts = np.where((cross < 0.0)[..., None, None], parts[:, :, [0, 2, 1]],
+    twice = cross(parts)
+    parts = np.where((twice < 0.0)[..., None, None], parts[:, :, [0, 2, 1]],
                      parts)                            # positive orientation
-    areas = np.abs(0.5 * cross)
-    kept = areas > 1e-14 * mesh.areas[flagged, None]
+    areas = np.abs(0.5 * twice)
+    whole = mesh.areas(flagged)
+    kept = areas > 1e-14 * whole[:, None]
     kept[:, 0] = True
-    k_lone = areas[:, 0] / mesh.areas[flagged]
-    k_quad = np.where(kept, areas, 0.0)[:, 1:].sum(axis=1) / mesh.areas[flagged]
+    k_lone = areas[:, 0] / whole
+    k_quad = np.where(kept, areas, 0.0)[:, 1:].sum(axis=1) / whole
     k1 = np.where(lone_side == 1, k_lone, k_quad)
     k2 = np.where(lone_side == 1, k_quad, k_lone)
     grazing = _norms(q1 - q2) < 1e-12 * mesh.h
@@ -374,7 +369,7 @@ def build_cut_info(mesh, levelset):
     cells = CellTable(
         np.repeat(cut_elements, kept.sum(axis=1)), side[kept].astype(np.int8),
         np.take_along_axis(parts[ok], order[..., None, None], axis=1)[kept])
-    edges = mesh.vertices[mesh.triangles[cut_elements]]
+    edges = mesh.coords(cut_elements)
     edges -= np.roll(edges, 1, axis=1)
     chords = ChordTable(cut_elements, q1[ok], q2[ok], normal, k1[ok], k2[ok],
                         np.sqrt((edges ** 2).sum(axis=2)).max(axis=1,

@@ -187,7 +187,8 @@ def run_convergence_study(config):
 
 def _progress_line(n, disc, sol, seconds):
     """N, free dofs, cut elements, integration cells, smallest cut fraction
-    min(k1, k2), solve wall time, L+U nonzeros of the sparse factor, the
+    min(k1, k2), solve wall time and the part of it spent in the sparse
+    factorization, L+U nonzeros of the sparse factor, the
     GMRES iterations of each saddle solve or the fixed-point sweeps, and
     the process's resident-set high-water mark so far."""
     space, info = disc.space, disc.cut_info
@@ -204,7 +205,8 @@ def _progress_line(n, disc, sol, seconds):
         work = f"fixed_point_sweeps={sol.iterations}"
     return (f"N={n} free_dofs={free} cut_elements={cut} cells={cells} "
             f"min_cut_fraction={frac:.3e} solve_s={seconds:.3f} "
-            f"factor_nnz={sol.factor_nnz} {work} peak_rss_mb={rss:.1f}")
+            f"factor_s={sol.factor_s:.3f} factor_nnz={sol.factor_nnz} {work} "
+            f"peak_rss_mb={rss:.1f}")
 
 
 def _write_outputs(config, problem, result, disc, sol, n):

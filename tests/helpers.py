@@ -1,7 +1,8 @@
 """Helpers that only the tests use: a mesh from raw arrays, element
-coordinates, a triangle's area, one element's dofs, a two-sided nodal
-interpolant, the total chord length, the subdomain of a point and the
-exact state trace there, and an interface-free control problem."""
+coordinates, areas and hat gradients, a triangle's area, one element's
+dofs, a two-sided nodal interpolant, the total chord length, the subdomain
+of a point and the exact state trace there, and an interface-free control
+problem."""
 
 import numpy as np
 
@@ -35,6 +36,30 @@ def mesh_from_arrays(vertices, triangles, domain=None):
 def tri_coords(mesh, e):
     """Coordinates of element e, shape (3, 2)."""
     return mesh.vertices[mesh.triangles[e]]
+
+
+def element_areas(mesh, e):
+    """Areas of elements e, from their vertex coordinates."""
+    return element_geometry(mesh, e)[0]
+
+
+def hat_gradients(mesh, e):
+    """Hat gradients (..., 3, 2) of elements e, from their vertex
+    coordinates."""
+    return element_geometry(mesh, e)[1]
+
+
+def element_geometry(mesh, e):
+    """Areas (...) and hat gradients (..., 3, 2) of elements e: those of
+    hats 1 and 2 are the perpendiculars of the edges from vertex 0 over
+    twice the area, that of hat 0 is minus their sum."""
+    c = mesh.vertices[mesh.triangles[e]]
+    d1 = c[..., 1, :] - c[..., 0, :]
+    d2 = c[..., 2, :] - c[..., 0, :]
+    det = d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0]
+    g1 = np.stack([d2[..., 1], -d2[..., 0]], axis=-1) / det[..., None]
+    g2 = np.stack([-d1[..., 1], d1[..., 0]], axis=-1) / det[..., None]
+    return 0.5 * det, np.stack([-g1 - g2, g1, g2], axis=-2)
 
 
 def triangle_area(coords):

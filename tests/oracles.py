@@ -32,7 +32,8 @@ from nxfem_ocp.interface_geometry import (KINK_DEPTH, ROOT_TOL, CellTable,
                                           triangle_rule)
 from nxfem_ocp.solver import ND_LEAF
 
-from helpers import element_dofs, tri_coords, triangle_area
+from helpers import (element_areas, element_dofs, hat_gradients, tri_coords,
+                     triangle_area)
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +323,9 @@ def cut_element_matrices(mesh, cg, alpha1, alpha2, lam_penalty,
     Dof order: side-1 copies of the three hats, then side-2 copies.
     """
     e = cg.element
-    grads = mesh.grad_bary[e]                  # (3, 2)
+    grads = hat_gradients(mesh, e)             # (3, 2)
     gg = grads @ grads.T
-    area = mesh.areas[e]
+    area = element_areas(mesh, e)
 
     A = np.zeros((6, 6))
     A[:3, :3] = alpha1 * cg.k1 * area * gg
@@ -378,9 +379,9 @@ def loop_stiffness(mesh, cut_info, space, alpha1, alpha2, params,
 
     def local(side, els):
         alpha = alpha1 if side == 1 else alpha2
-        g = mesh.grad_bary[els]
+        g = hat_gradients(mesh, els)
         gg = np.einsum("eid,ejd->eij", g, g)
-        return alpha * mesh.areas[els][:, None, None] * gg
+        return alpha * element_areas(mesh, els)[:, None, None] * gg
 
     rows, cols, vals = _accumulate_uncut(mesh, space, cut_info, local)
     for e, cg in element_cuts(cut_info).items():
@@ -401,7 +402,8 @@ def loop_mass(mesh, cut_info, space, quad_degree=4):
     """Global L2 mass matrix of the extended space."""
 
     def local(side, els):
-        return mesh.areas[els][:, None, None] * _MASS_BARY[None, :, :]
+        return (element_areas(mesh, els)[:, None, None]
+                * _MASS_BARY[None, :, :])
 
     rows, cols, vals = _accumulate_uncut(mesh, space, cut_info, local)
     for e, cg in element_cuts(cut_info).items():
@@ -433,7 +435,7 @@ def _volume_load(vec, mesh, cut_info, space, func, quad_degree, refine):
             pts = np.einsum("qi,eik->eqk", bary, coords)
             fv = fs(pts[..., 0], pts[..., 1])
             loads = np.einsum("eq,q,qi->ei", fv, w, bary) \
-                * mesh.areas[plain][:, None]
+                * element_areas(mesh, plain)[:, None]
             dofs = (space.dof1 if side == 1 else space.dof2)[mesh.triangles[plain]]
             np.add.at(vec, dofs, loads)
         flagged = [] if mask is None else els[mask[els]]
@@ -508,7 +510,7 @@ class _ClampedLinearField:
         raw = lam_pts @ C
         vals = np.clip(raw, self.lo, self.hi)
         active = (raw > self.lo) & (raw < self.hi)
-        g = C @ mesh.grad_bary[e]
+        g = C @ hat_gradients(mesh, e)
         return vals, active[:, None] * g[None, :]
 
     def status_varies(self, dofs_matrix):
@@ -572,8 +574,8 @@ def _field_errors(problem, field, disc, mesh, cut_info, space, quad_degree,
             raw = C @ bary.T
             dv = np.clip(raw, disc.lo, disc.hi)
             active = (raw > disc.lo) & (raw < disc.hi)
-            dg = np.einsum("ei,eid->ed", C, mesh.grad_bary[plain])
-            wa = np.outer(mesh.areas[plain], w)
+            dg = np.einsum("ei,eid->ed", C, hat_gradients(mesh, plain))
+            wa = np.outer(element_areas(mesh, plain), w)
             acc[0] += np.sum(wa * (ev - dv) ** 2)
             acc[1] += np.sum(wa * ((egx - active * dg[:, None, 0]) ** 2
                                    + (egy - active * dg[:, None, 1]) ** 2))
@@ -775,7 +777,7 @@ def loop_control_load(mesh, cut_info, space, P, a, bounds, quad_degree=4,
         pdofs = dmap[mesh.triangles[plain]]
         vals = np.clip((-P[pdofs] / a) @ bary.T, lo, hi)    # (E, nq)
         loads = np.einsum("eq,q,qi->ei", vals, w, bary) \
-            * mesh.areas[plain][:, None]
+            * element_areas(mesh, plain)[:, None]
         np.add.at(vec, pdofs, loads)
         for e in els[crossing]:
             _control_load_element(vec, mesh, space, int(e), side, P, a, lo, hi,
@@ -817,7 +819,7 @@ def loop_control_at_quadrature(mesh, cut_info, space, P, a, bounds):
         dofs = dmap[mesh.triangles[els]]
         v = np.clip((-P[dofs] / a) @ bary.T, lo, hi)
         vals.append(v.ravel())
-        wts.append((np.outer(mesh.areas[els], w)).ravel())
+        wts.append((np.outer(element_areas(mesh, els), w)).ravel())
     for e, cg in element_cuts(cut_info).items():
         for side, tris in ((1, cg.tris1), (2, cg.tris2)):
             dofs = element_dofs(space, e, side)

@@ -28,8 +28,9 @@ from nxfem_ocp.study import RunConfig, discretize, run_convergence_study, \
     solve_discretized
 from nxfem_ocp.xfem_space import ExtendedSpace
 
-from helpers import (build_smooth_problem, interpolate_two_sided,
-                     total_interface_length, tri_coords, triangle_area)
+from helpers import (build_smooth_problem, element_areas,
+                     interpolate_two_sided, total_interface_length,
+                     tri_coords, triangle_area)
 from oracles import element_cuts
 
 FULL_SWEEP = (16, 32, 64, 128, 256)
@@ -250,7 +251,7 @@ def test_criterion_5_property_bundle():
         cg = cuts[int(e)]
         if abs(cg.k1 + cg.k2 - 1.0) > 1e-12:
             failures.append(f"k1+k2 != 1 on element {e}")
-        area = disc2.mesh.areas[e]
+        area = element_areas(disc2.mesh, e)
         tiled = sum(triangle_area(t) for t in cg.tris1) \
             + sum(triangle_area(t) for t in cg.tris2)
         if abs(tiled - area) > 1e-12 * area:

@@ -348,14 +348,13 @@ ONE_BATCH = CellTable.BATCH * 64 * 8
 
 
 def test_discretization_transients_stay_within_one_batch():
-    # the mesh holds one (T, 3, 2) temporary besides what it keeps, and the
+    # the mesh builds no (T, 3, 2) temporary besides what it keeps, and the
     # matrices build no whole-mesh local-matrix or COO arrays (a whole-mesh
     # COO sum peaks at about 12 times the matrix here)
     problem = build_example(1)
     n = 128
     mesh, peak = _traced_peak(lambda: build_uniform_mesh(problem.domain, n))
-    kept = _nbytes(mesh.vertices, mesh.triangles, mesh.boundary_vertex,
-                   mesh.areas, mesh.grad_bary)
+    kept = _nbytes(mesh.vertices, mesh.triangles, mesh.boundary_vertex)
     assert peak <= 2.5 * kept
     info = build_cut_info(mesh, problem.levelset)
     space = ExtendedSpace(mesh, info)

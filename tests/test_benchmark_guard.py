@@ -3,9 +3,9 @@
 ``perfbench/spans.py`` wraps the layer functions, and the methods it
 names, by name; ``perfbench/workloads.py`` calls the package with fixed
 argument lists and reads fixed attributes of what it gets back, and it
-and ``perfbench/checks.py`` read fixed attributes of the problem.  A
-deletion or a signature change that breaks either would otherwise show up
-only in a benchmark run.
+and ``perfbench/checks.py`` read fixed attributes of the problem, the
+mesh and the space.  A deletion or a signature change that breaks either
+would otherwise show up only in a benchmark run.
 """
 
 import ast
@@ -110,3 +110,27 @@ def test_problem_reads_match_the_problem_class():
         assert _has(problems.ManufacturedProblem, attr), f"problem.{attr}"
         getattr(problem, attr)
     assert {"a", "bounds", "domain", "levelset", "y", "p", "grad_p"} <= read
+
+
+def test_mesh_and_space_reads_match_the_package():
+    """Every ``mesh.<attr>`` and ``space.<attr>`` that the workloads and
+    the checks read, also through ``disc.mesh`` or ``disc.space``, exists
+    on a Mesh and an ExtendedSpace."""
+    read = {"mesh": set(), "space": set()}
+    for name in ("workloads", "checks"):
+        tree = ast.parse((PERFBENCH / f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            owner = node.value
+            owner = (owner.id if isinstance(owner, ast.Name)
+                     else owner.attr if isinstance(owner, ast.Attribute)
+                     else None)
+            if owner in read:
+                read[owner].add(node.attr)
+    disc = study.discretize(problems.build_example(2), 8)
+    for owner, attrs in read.items():
+        for attr in attrs:
+            assert hasattr(getattr(disc, owner), attr), f"{owner}.{attr}"
+    assert {"vertices", "triangles"} <= read["mesh"]
+    assert {"dof1", "dof2", "doubled", "dirichlet_dofs"} <= read["space"]

@@ -13,7 +13,8 @@ from nxfem_ocp.interface_geometry import (CHORD_POINTS, ElementClass,
 from nxfem_ocp.mesh import ConfigurationError, build_uniform_mesh
 from nxfem_ocp.problems import build_example
 
-from helpers import mesh_from_arrays, total_interface_length, triangle_area
+from helpers import (element_areas, mesh_from_arrays, total_interface_length,
+                     triangle_area)
 from oracles import (DegenerateCutError, QuadRule, compute_cut_geometry,
                      element_cuts, loop_cut_info, map_rule_to_triangle,
                      refined_triangle_quadrature)
@@ -82,7 +83,7 @@ def test_partition_identities():
         info = build_cut_info(mesh, ls)
         assert len(info.cut_elements) > 0
         for e, cg in element_cuts(info).items():
-            area = mesh.areas[e]
+            area = element_areas(mesh, e)
             assert cg.k1 + cg.k2 == pytest.approx(1.0, abs=1e-12)
             assert 0.0 < cg.k1 < 1.0 and 0.0 < cg.k2 < 1.0
             a1 = sum(triangle_area(t) for t in cg.tris1)
@@ -298,7 +299,8 @@ def test_random_interfaces_keep_invariants():
             assert 0.0 < cg.k1 < 1.0
             a1 = sum(triangle_area(t) for t in cg.tris1)
             a2 = sum(triangle_area(t) for t in cg.tris2)
-            assert a1 + a2 == pytest.approx(mesh.areas[e], rel=1e-12)
+            assert a1 + a2 == pytest.approx(element_areas(mesh, e),
+                                            rel=1e-12)
             for q in (cg.q1, cg.q2):
                 assert abs(ls(q[0], q[1])) <= 1e-10 * mesh.h
             assert np.linalg.norm(cg.normal) == pytest.approx(1.0, abs=1e-12)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import mesh_from_arrays, tri_coords, triangle_area
+from helpers import hat_gradients, mesh_from_arrays, tri_coords, triangle_area
 from nxfem_ocp.mesh import (ConfigurationError, build_uniform_mesh,
                             write_mesh_csv)
 
@@ -44,8 +44,9 @@ def test_triangle_area_values():
 
 def test_area_partition_and_positivity():
     mesh = build_uniform_mesh((-1, 2, 0.5, 3.5), 7)
-    assert np.all(mesh.areas > 0)
-    assert mesh.areas.sum() == pytest.approx(3.0 * 3.0, rel=1e-12)
+    areas = mesh.areas(np.arange(mesh.num_triangles))
+    assert np.all(areas > 0)
+    assert areas.sum() == pytest.approx(3.0 * 3.0, rel=1e-12)
 
 
 def mesh_edges(mesh):
@@ -109,7 +110,8 @@ def test_barycentric_matches_the_matmul_form():
 
     def matmul_form(e, points):
         p0 = mesh.vertices[mesh.triangles[e, 0]][..., None, :]
-        lam12 = (points - p0) @ np.swapaxes(mesh.grad_bary[e, 1:], -1, -2)
+        g12 = hat_gradients(mesh, e)[..., 1:, :]
+        lam12 = (points - p0) @ np.swapaxes(g12, -1, -2)
         return np.concatenate([1.0 - lam12.sum(axis=-1, keepdims=True),
                                lam12], axis=-1)
 
@@ -125,10 +127,95 @@ def test_barycentric_matches_the_matmul_form():
     assert np.array_equal(one, got[0])
 
 
+def test_mesh_keeps_no_per_element_geometry():
+    # a mesh keeps its vertices, an int32 triangle table and the boundary
+    # flags, and nothing per element that could be computed from them
+    for mesh in (build_uniform_mesh((0.0, 1.0, 0.0, 1.0), 64),
+                 mesh_from_arrays([(0, 0), (1, 0), (0, 1), (1, 1)],
+                                  [(0, 1, 3), (0, 3, 2)])):
+        V, T = mesh.num_vertices, mesh.num_triangles
+        arrays = [v for v in vars(mesh).values() if isinstance(v, np.ndarray)]
+        assert mesh.triangles.dtype == np.int32
+        assert sum(a.nbytes for a in arrays) <= V * 2 * 8 + T * 3 * 4 + V
+        for a in arrays:
+            assert not (a.dtype.kind == "f" and a.shape in ((T,), (T, 3, 2)))
+
+
+def _stored_geometry(mesh):
+    """Whole-mesh areas and hat gradients, by the formulas the mesh used
+    when it stored them: hat i's gradient is the inward perpendicular of
+    the opposite edge, divided by twice the area."""
+    coords = mesh.vertices[mesh.triangles]
+    grads = np.empty((mesh.num_triangles, 3, 2))
+    for i in range(3):
+        pj = coords[:, (i + 1) % 3]
+        pk = coords[:, (i + 2) % 3]
+        grads[:, i, 0] = pj[:, 1] - pk[:, 1]
+        grads[:, i, 1] = pk[:, 0] - pj[:, 0]
+    det = grads[:, 2, 1] * grads[:, 1, 0] - grads[:, 2, 0] * grads[:, 1, 1]
+    return 0.5 * det, grads / det[:, None, None]
+
+
+def _stored_barycentric(mesh, grads, e, points):
+    p0 = mesh.vertices[mesh.triangles[e, 0]][..., None, :]
+    g = grads[e][..., None, :, :]
+    x = points[..., 0] - p0[..., 0]
+    y = points[..., 1] - p0[..., 1]
+    lam1 = x * g[..., 1, 0] + y * g[..., 1, 1]
+    lam2 = x * g[..., 2, 0] + y * g[..., 2, 1]
+    return np.stack([1.0 - (lam1 + lam2), lam1, lam2], axis=-1)
+
+
+def _batch_geometry_errors(mesh, seed):
+    """Largest differences of the mesh's per-batch areas, gradients and
+    barycentrics from the stored formulas, over random batches and one
+    single element, each relative to the largest reference value."""
+    areas, grads = _stored_geometry(mesh)
+    rng = np.random.default_rng(seed)
+    batch = rng.integers(mesh.num_triangles, size=500)
+    pts = rng.dirichlet(np.ones(3), size=(500, 6)) \
+        @ mesh.vertices[mesh.triangles[batch]]
+    got_areas, got_grads = mesh.geometry(batch)
+    lam = _stored_barycentric(mesh, grads, batch, pts)
+    one = int(batch[0])
+
+    def rel(got, ref):
+        return np.abs(got - ref).max() / np.abs(ref).max()
+
+    return [rel(got_areas, areas[batch]), rel(mesh.areas(batch), areas[batch]),
+            rel(got_grads, grads[batch]),
+            rel(mesh.barycentric(batch, pts), lam),
+            rel(mesh.barycentric(batch, pts, got_grads), lam),
+            rel(mesh.barycentric(one, pts[0]),
+                _stored_barycentric(mesh, grads, one, pts[0])),
+            rel(np.array(mesh.geometry(one)[0]), areas[one])]
+
+
+@pytest.mark.parametrize("n", [4, 16, 64, 256])
+@pytest.mark.parametrize("domain", [(0.0, 1.0, 0.0, 1.0),
+                                    (-1.0, 1.0, -1.0, 1.0),
+                                    (-1.0, np.pi / 3, -0.7, 1.1)])
+def test_batch_geometry_matches_the_stored_formulas(domain, n):
+    # computed per batch, the geometry of a uniform mesh is bit for bit
+    # what the mesh used to store
+    assert max(_batch_geometry_errors(build_uniform_mesh(domain, n), n)) == 0.0
+
+
+def test_batch_geometry_on_an_irregular_mesh():
+    # interior vertices moved by up to a quarter of the spacing
+    uniform = build_uniform_mesh((0.0, 1.0, 0.0, 1.0), 12)
+    rng = np.random.default_rng(7)
+    vertices = uniform.vertices.copy()
+    inner = ~uniform.boundary_vertex
+    vertices[inner] += rng.uniform(-0.25, 0.25, (inner.sum(), 2)) / 12
+    mesh = mesh_from_arrays(vertices, uniform.triangles)
+    assert max(_batch_geometry_errors(mesh, 7)) <= 1e-15
+
+
 def test_from_arrays_boundary_detection():
     mesh = mesh_from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
     assert mesh.boundary_vertex.all()
-    assert mesh.areas[0] == pytest.approx(0.5)
+    assert mesh.areas(0) == pytest.approx(0.5)
 
 
 def test_mesh_csv_dump(tmp_path):

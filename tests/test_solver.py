@@ -613,7 +613,8 @@ def test_the_factored_matrix_is_the_block_itself(example, monkeypatch):
     # free/free blocks on the space's pattern, in elimination order, and as
     # the CSC view of the block's own arrays: no permuted copy.  S is held
     # in single precision, its data rounded once from the double sum; A's
-    # block is factored in double precision as it is
+    # block is factored in double precision as it is.  Both are factored
+    # in one-column panels, whose SuperLU workspace is the smallest
     problem = build_example(example)
     disc = discretize(problem, 16)
     factored, handed = [], []
@@ -624,14 +625,15 @@ def test_the_factored_matrix_is_the_block_itself(example, monkeypatch):
         return factor(red, B)
 
     def spy_splu(matrix, **kwargs):
-        handed.append(matrix)
+        handed.append((matrix, kwargs))
         return splu(matrix, **kwargs)
 
     monkeypatch.setattr(ReducedSolver, "_factor", spy_factor)
     monkeypatch.setattr(spla, "splu", spy_splu)
     solve_discretized(problem, disc)
     assert len(factored) == len(handed) == 1
-    (red, B), (F,) = factored[0], handed
+    (red, B), ((F, options),) = factored[0], handed
+    assert options["panel_size"] == 1
     assert F.format == "csc" and F.shape == B.shape
     for name in ("data", "indices", "indptr"):
         assert np.shares_memory(getattr(F, name), getattr(B, name))

@@ -1,4 +1,5 @@
 import resource
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -267,10 +268,13 @@ def test_cli_verbose_echoes_one_line_per_mesh(tmp_path, capsys):
         fields = dict(item.split("=") for item in line.split())
         assert int(fields["free_dofs"]) > 0
         assert float(fields["solve_s"]) >= 0.0
+        # the factorization is one part of the solve
+        assert 0.0 <= float(fields["factor_s"]) <= float(fields["solve_s"])
         assert 0 < int(fields["krylov_iterations"]) <= 12
         # L+U nonzeros of the factor of S, as the solution records them
         sol = solve_discretized(problem, discretize(problem, n))
         assert int(fields["factor_nnz"]) == sol.factor_nnz > 0
+        assert sol.factor_s > 0.0
         # problem sizes and the smallest cut fraction, read from the tables
         info = build_cut_info(build_uniform_mesh(problem.domain, n),
                               problem.levelset)
@@ -419,6 +423,22 @@ def test_cli_rejects_an_indefinite_system(tmp_path, capsys, example, meshes,
     err = capsys.readouterr().err.strip()
     assert err == ("error: N=16, lambda_coef=10: matrix is not positive "
                    f"definite: {pivots} non-positive pivots")
+
+
+@pytest.mark.parametrize("example, a, lam, root", [
+    ("1", "1e100", "1000", "1.000e+50"), ("3", "1e80", "10000", "1.000e+40")])
+def test_cli_rejects_a_weight_beyond_single_precision(tmp_path, capsys,
+                                                      example, a, lam, root):
+    # S = M + sqrt(a) A is factored in float32, where sqrt(a) A overflows;
+    # the solve used to warn and then report an exactly singular factor
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["solve", "--example", example, "--n", "8", "--a", a,
+                   "--out", str(tmp_path / "huge")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip()
+    assert err == (f"error: N=8, lambda_coef={lam}: S = M + sqrt(a) A "
+                   f"overflows single precision at sqrt(a) = {root}")
 
 
 def test_cli_overrides_and_errors(tmp_path):

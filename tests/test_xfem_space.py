@@ -8,7 +8,8 @@ from nxfem_ocp.mesh import build_uniform_mesh
 from nxfem_ocp.problems import build_example
 from nxfem_ocp.xfem_space import ExtendedSpace, SIDE_BOTH
 
-from helpers import element_dofs, interpolate_two_sided, tri_coords
+from helpers import (element_dofs, hat_gradients, interpolate_two_sided,
+                     tri_coords)
 
 FAR_AWAY = circle_interface(1.0, center=(10.0, 10.0))
 
@@ -19,7 +20,7 @@ def eval_basis(space, element, side, point):
     restricted to the other side evaluate to zero."""
     mesh = space.mesh
     lam = mesh.barycentric(element, np.asarray(point, dtype=float))[0]
-    grads = mesh.grad_bary[element]
+    grads = hat_gradients(mesh, element)
     if space.classes[element] != int(ElementClass.CUT):
         return element_dofs(space, element), lam, grads
     values = np.zeros(6)
