@@ -20,27 +20,13 @@ import scipy.sparse as sp
 
 from .interface_geometry import VOLUME_DEGREE, CellTable
 
-__all__ = ["NitscheParams", "RefineSpec", "Load", "assemble_stiffness",
-           "assemble_mass", "assemble_load"]
+__all__ = ["RefineSpec", "Load", "assemble_stiffness", "assemble_mass",
+           "assemble_load"]
 
 # exact local P1 mass matrix, to be scaled by the area
 _MASS_BARY = np.array([[2.0, 1.0, 1.0],
                        [1.0, 2.0, 1.0],
                        [1.0, 1.0, 2.0]]) / 12.0
-
-
-@dataclass(frozen=True)
-class NitscheParams:
-    """Jump penalty lambda = c_tilde * max(alpha1, alpha2) / h."""
-
-    c_tilde: float
-
-    def __post_init__(self):
-        if self.c_tilde <= 0.0:
-            raise ValueError("penalty coefficient must be positive")
-
-    def lam(self, h, alpha1, alpha2):
-        return self.c_tilde * max(alpha1, alpha2) / h
 
 
 @dataclass
@@ -104,6 +90,13 @@ def _uncut_blocks(mesh, cut_info, space, local_of_element):
                                                                     els[part])
 
 
+def _grad_products(area, g):
+    """``area`` times the products of hat gradients g g^T, (K, 3, 3); g g^T
+    is spelled out, as einsum rounds it alike but takes 2.7x as long."""
+    return area[:, None, None] * (g[:, :, None, 0] * g[:, None, :, 0]
+                                  + g[:, :, None, 1] * g[:, None, :, 1])
+
+
 def _hat_products(weights, lam):
     """Integrals of hat products, (C, 3, 3), from a batched rule, as one
     batched matrix product (einsum takes 3x as long)."""
@@ -117,22 +110,22 @@ def _hat_blocks(dofs, weights, lam):
         yield dofs[part], _hat_products(weights[part], lam[part])
 
 
-def assemble_stiffness(mesh, cut_info, space, alpha1, alpha2, params):
-    """Global matrix of the penalized interface form.  Cut elements carry
-    six dofs: the side-1 copies of their hats, then the side-2 copies."""
-    lam_penalty = params.lam(mesh.h, alpha1, alpha2)
+def assemble_stiffness(mesh, cut_info, space, alpha1, alpha2, lambda_coef):
+    """Global matrix of the penalized interface form, with the jump penalty
+    lambda = lambda_coef / h.  Cut elements carry six dofs: the side-1
+    copies of their hats, then the side-2 copies."""
+    if not lambda_coef > 0.0:
+        raise ValueError(f"penalty coefficient must be positive, got "
+                         f"{lambda_coef}")
+    lam_penalty = lambda_coef / mesh.h
 
     def local(side, els):
-        alpha = alpha1 if side == 1 else alpha2
         area, g = mesh.geometry(els)
-        # g g^T spelled out, as einsum rounds it but takes 2.7x as long
-        gg = g[:, :, None, 0] * g[:, None, :, 0] \
-            + g[:, :, None, 1] * g[:, None, :, 1]
-        return alpha * area[:, None, None] * gg
+        return _grad_products((alpha1 if side == 1 else alpha2) * area, g)
 
     ch = cut_info.chords
     area, g = mesh.geometry(ch.element)                 # (K,), (K, 3, 2)
-    vol = area[:, None, None] * np.einsum("kid,kjd->kij", g, g)
+    vol = _grad_products(area, g)
     gn = np.einsum("kid,kd->ki", g, ch.normal)
     _, w, lam = ch.quadrature(mesh, g)
     Jhat = np.einsum("kq,kqi->ki", w, lam)
@@ -160,27 +153,25 @@ def assemble_mass(mesh, cut_info, space):
     def local(side, els):
         return mesh.areas(els)[:, None, None] * _MASS_BARY[None, :, :]
 
-    cells = cut_info.cells
-    _, w, lam = cells.quadrature(mesh, VOLUME_DEGREE)
+    _, w, lam, dofs, _ = space.rule(cut_info.cells, VOLUME_DEGREE)
     return _assemble(space, itertools.chain(
         _uncut_blocks(mesh, cut_info, space, local),
-        _hat_blocks(space.cell_dofs(cells), w, lam)))
+        _hat_blocks(dofs, w, lam)))
 
 
-def _load_rule(mesh, space, cells):
-    """Points, weights, parent barycentrics and dofs of the degree-4 rule
-    on cells, shared by every volume source."""
-    return (*cells.quadrature(mesh, VOLUME_DEGREE), space.cell_dofs(cells))
+def _hat_load(n, dofs, w, lam, values):
+    """Inner products (n,) with every hat of a field given by its
+    ``values`` at the points of a batched rule (weights w, barycentrics lam
+    of the cells with dofs ``dofs``)."""
+    return np.bincount(dofs.ravel(),
+                       np.einsum("cq,cqi->ci", w * values, lam).ravel(),
+                       minlength=n)
 
 
 def _contract(vec, func, rule):
-    """Add the inner products of ``func`` with every basis function over a
-    rule."""
-    pts, w, lam, dofs = rule
-    fv = func(pts[..., 0], pts[..., 1])
-    vec += np.bincount(dofs.ravel(),
-                       np.einsum("cq,cqi->ci", w * fv, lam).ravel(),
-                       minlength=len(vec))
+    """Add the inner products of ``func`` with every hat over a rule."""
+    pts, w, lam, dofs = rule[:4]
+    vec += _hat_load(len(vec), dofs, w, lam, func(pts[..., 0], pts[..., 1]))
 
 
 def _volume_loads(vecs, mesh, cut_info, space, loads):
@@ -194,23 +185,23 @@ def _volume_loads(vecs, mesh, cut_info, space, loads):
     for side in (1, 2):
         cells = cut_info.integration_cells(mesh, side)
         for part in cells.batches():
-            rule = _load_rule(mesh, space, part)
+            rule = space.rule(part, VOLUME_DEGREE)
             for vec, load in live:
                 if load.refine is None:
                     _contract(vec, load.f.side(side), rule)
                 else:
                     plain = ~load.refine.mask[part.parent]
-                    _contract(vec, load.f.side(side), [r[plain] for r in rule])
+                    _contract(vec, load.f.side(side),
+                              [r[plain] for r in rule[:4]])
         for vec, load in live:
             spec = load.refine
             if spec is None:
                 continue
             flagged = cells[spec.mask[cells.parent]]
-            leaves = flagged.refined(np.ones(len(flagged), dtype=bool),
-                                     lambda c: spec.pred(c.coords, side))
+            leaves = flagged.refined(lambda c: spec.pred(c.coords, side))
             for part in leaves.batches():
                 _contract(vec, load.f.side(side),
-                          _load_rule(mesh, space, part))
+                          space.rule(part, VOLUME_DEGREE))
 
 
 def _interface_load(vec, mesh, cut_info, space, g):

@@ -50,9 +50,8 @@ def build_parser():
     ps.add_argument("--a", type=float, default=None,
                     help="override the control regularization weight")
     ps.add_argument("--bounds", type=str, default=None,
-                    help="control box 'lo,hi', or 'none' to drop the bounds")
-    ps.add_argument("--tol", type=float, default=1e-10,
-                    help="fixed-point stopping tolerance on the control update")
+                    help="control box 'lo,hi', or 'none' to drop the bounds; "
+                         "write a negative lower bound as --bounds=-0.3,0.3")
     ps.add_argument("--max-iter", type=int, default=200)
     ps.add_argument("--out", type=str, default="out",
                     help="output directory for csv/tables")
@@ -73,9 +72,8 @@ def main(argv=None):
         else:
             n_values = _parse_n_list(args.n_list)
         config = RunConfig(
-            example=args.example, n_values=n_values,
-            lambda_coef=args.lambda_coef, a=args.a,
-            bounds=_parse_bounds(args.bounds), tol=args.tol,
+            example=args.example, n_values=n_values, a=args.a,
+            lambda_coef=args.lambda_coef, bounds=_parse_bounds(args.bounds),
             max_iter=args.max_iter, out_dir=args.out,
             dump_geometry=args.dump_geometry, verbose=args.verbose)
         result = run_convergence_study(config)

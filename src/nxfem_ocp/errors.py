@@ -73,14 +73,6 @@ class _ClampedLinearField:
                 (raw > self.lo) & (raw < self.hi), grad)
 
 
-def _rule(mesh, space, cells):
-    """Points, weights, barycentrics, dofs and hat gradients of cells,
-    shared by every field."""
-    grads = mesh.geometry(cells.parent)[1]
-    pts, w, lam = cells.quadrature(mesh, VOLUME_DEGREE, grads)
-    return pts, w, lam, space.cell_dofs(cells), grads
-
-
 def _volume_sums(exact, exact_grad, disc, rule):
     """Squared L2 and H1-seminorm integrals of the error and of the exact
     field over a rule."""
@@ -117,10 +109,9 @@ def _kink_refined(rule, cells, disc, spec, mesh, cut_info, space, side):
     exact[cut] = spec.pred(cells.coords[cut], side)
     flags = _kinked(disc, mesh, space, cells, exact, rule[4])
     leaves = cells[flags].refined(
-        np.ones(flags.sum(), dtype=bool),
         lambda c: _kinked(disc, mesh, space, c, spec.pred(c.coords, side)))
     return [np.concatenate([a[~flags], b])
-            for a, b in zip(rule, _rule(mesh, space, leaves))]
+            for a, b in zip(rule, space.rule(leaves, VOLUME_DEGREE))]
 
 
 def _interface_sums(exact, exact_grad, disc, chords, rule):
@@ -165,7 +156,7 @@ def compute_errors(problem, solution, mesh, cut_info, space):
     sums = {name: np.zeros(4) for name in FIELDS}
     for side in (1, 2):
         for cells in cut_info.integration_cells(mesh, side).batches():
-            rule = _rule(mesh, space, cells)
+            rule = space.rule(cells, VOLUME_DEGREE)
             for name, disc in specs.items():
                 if name == "u" and spec is not None:
                     field_rule = _kink_refined(rule, cells, disc, spec, mesh,

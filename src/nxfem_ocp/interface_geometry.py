@@ -159,27 +159,18 @@ class CellTable:
         return CellTable(*(np.concatenate([getattr(t, name) for t in tables])
                            for name in ("parent", "side", "coords")))
 
-    def quadrature(self, mesh, degree, grads=None):
-        """Points (C, q, 2), weights (C, q) and parent barycentric
-        coordinates (C, q, 3) of the degree-``degree`` rule on every cell;
-        ``grads`` are the parents' hat gradients, if the caller has them."""
-        bary, w = triangle_rule(degree)
-        pts = bary @ self.coords
-        return (pts, self.areas()[:, None] * w,
-                mesh.barycentric(self.parent, pts, grads))
-
     def areas(self):
         """Area of every cell (C,)."""
         return 0.5 * np.abs(cross(self.coords))
 
-    def refined(self, flags, needs_refine):
-        """The table with every flagged cell replaced by the leaves of its
-        4-way midpoint subdivision, split level by level: at each level
-        ``needs_refine(cells)`` picks, for all current triangles at once,
-        the ones to split; after KINK_DEPTH levels the rest are leaves.
-        This resolves the curved kinks of exact fields; the straight kinks
-        of the discrete clamp are cut exactly by ``clip``."""
-        done, todo = [self[~flags]], self[flags]
+    def refined(self, needs_refine):
+        """The leaves of the 4-way midpoint subdivision of every cell, split
+        level by level: at each level ``needs_refine(cells)`` picks, for all
+        current triangles at once, the ones to split; after KINK_DEPTH
+        levels the rest are leaves.  This resolves the curved kinks of
+        exact fields; the straight kinks of the discrete clamp are cut
+        exactly by ``clip``."""
+        done, todo = [], self
         for _ in range(KINK_DEPTH):
             split = needs_refine(todo)
             done.append(todo[~split])
@@ -403,14 +394,10 @@ def triangle_rule(degree):
     return bary, w
 
 
-_GAUSS_CACHE = {}
-
-
 def gauss_segment(n_points):
-    if n_points not in _GAUSS_CACHE:
-        x, w = np.polynomial.legendre.leggauss(n_points)
-        _GAUSS_CACHE[n_points] = (0.5 * (x + 1.0), 0.5 * w)
-    return _GAUSS_CACHE[n_points]
+    """Gauss-Legendre points and weights on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n_points)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 def write_integration_mesh_csv(path, mesh, cut_info, extra=None):

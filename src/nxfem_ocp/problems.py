@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .assembly import NitscheParams, RefineSpec
+from .assembly import RefineSpec
 from .interface_geometry import ElementClass, LevelSet, circle_interface, line_interface
 from .mesh import ConfigurationError
 
@@ -91,10 +91,6 @@ class ManufacturedProblem:
     lap_z: PiecewiseField
     relative_errors: bool
 
-    @property
-    def control_arg(self):
-        return self.z
-
     def _alpha(self, m):
         return self.alpha1 if m == 1 else self.alpha2
 
@@ -145,10 +141,6 @@ class ManufacturedProblem:
         """The co-state's interface flux jump [alpha dn p]."""
         return flux_jump(self.grad_p, self.levelset, self.alpha1, self.alpha2)
 
-    def nitsche_params(self):
-        """Penalty parameters reproducing lambda = lambda_coef / h."""
-        return NitscheParams(self.lambda_coef / max(self.alpha1, self.alpha2))
-
     def clamp_status(self, z):
         """-1 / 0 / +1 for below-box / inside / above-box values."""
         if self.bounds is None:
@@ -165,11 +157,12 @@ class ManufacturedProblem:
         def status_side(side, x, y):
             return self.clamp_status(self.z.side(side)(x, y))
 
-        coords = mesh.vertices[mesh.triangles]        # (T, 3, 2)
+        # the status once per vertex (not at 3T points), gathered per element
+        x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
         mask = np.zeros(mesh.num_triangles, dtype=bool)
         for side, other in ((1, ElementClass.INTERIOR_2),
                             (2, ElementClass.INTERIOR_1)):
-            st = status_side(side, coords[..., 0], coords[..., 1])
+            st = status_side(side, x, y)[mesh.triangles]
             mask |= (st.max(axis=1) != st.min(axis=1)) \
                 & (cut_info.classes != int(other))
 

@@ -40,14 +40,14 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import _assemble, _hat_blocks
+from .assembly import _assemble, _hat_blocks, _hat_load
 from .interface_geometry import (VOLUME_DEGREE, CellTable, ElementClass,
                                  triangle_rule)
 from .mesh import ConfigurationError
 
 __all__ = ["SolverError", "OcpSolution", "ReducedSolver", "ControlClamp",
-           "solve_unconstrained_ocp", "project_control",
-           "solve_constrained_fixed_point", "solve_constrained_ssn"]
+           "solve_unconstrained_ocp", "solve_constrained_fixed_point",
+           "solve_constrained_ssn"]
 
 
 class SolverError(RuntimeError):
@@ -457,15 +457,18 @@ def _solve_saddle(red, M_I, M, load, F2, a, ybc_values, x0=None):
 
 
 def _check_control(a, bounds, max_iter=1):
-    """Raise ConfigurationError unless the regularization weight is
-    positive and finite, the control box (lo, hi) is not empty and at least
-    one iteration is allowed: the one check of every driver's input."""
+    """Raise ConfigurationError unless the regularization weight is positive
+    and finite, the box (lo, hi) holds a finite control and at least one
+    iteration is allowed: the one check of every driver's input."""
     if bounds is None:
         raise ConfigurationError("no control box (lo, hi): bounds=None")
     lo, hi = bounds
     if not (np.isfinite(a) and a > 0.0):
         raise ConfigurationError(
             f"regularization weight must be positive and finite, got {a}")
+    if np.isnan(lo) or np.isnan(hi) or lo == np.inf or hi == -np.inf:
+        raise ConfigurationError(
+            f"control box [{lo}, {hi}] admits no finite control")
     if not lo <= hi:
         raise ConfigurationError(f"empty control box [{lo}, {hi}]")
     if not max_iter >= 1:
@@ -485,12 +488,6 @@ def solve_unconstrained_ocp(A, M, F1, F2, a, space, ybc_values):
                        residual_state=res[0], residual_costate=res[1],
                        saddle_iterations=[its], saddle_residuals=[res],
                        factor_nnz=red.factor_nnz, factor_s=red.factor_s)
-
-
-def project_control(p_values, a, u_a, u_b):
-    """Pointwise clamp of -p/a onto the admissible box."""
-    _check_control(a, (u_a, u_b))
-    return np.clip(-np.asarray(p_values, dtype=float) / a, u_a, u_b)
 
 
 # ---------------------------------------------------------------------------
@@ -546,22 +543,16 @@ class ControlClamp:
         their status."""
         lo, hi = self.bounds
         pieces, _, status = self.pieces(P)
-        _, w, lam = pieces.quadrature(self.mesh, 2)
-        dofs = self.space.cell_dofs(pieces)
+        _, w, lam, dofs, _ = self.space.rule(pieces, 2)
         u = np.einsum("cqi,ci->cq", lam, -P[dofs] / self.a)
         u[status < 0] = lo
         u[status > 0] = hi
         return w, lam, dofs, u, status
 
-    def _hat_load(self, w, lam, dofs, u):
-        return np.bincount(dofs.ravel(),
-                           np.einsum("cq,cqi->ci", w * u, lam).ravel(),
-                           minlength=self.space.n_dofs)
-
     def load(self, P):
         """Inner products of the control with all basis functions."""
         w, lam, dofs, u, _ = self._rule(P)
-        return self._hat_load(w, lam, dofs, u)
+        return _hat_load(self.space.n_dofs, dofs, w, lam, u)
 
     def newton_terms(self, P):
         """The mass matrix on the inactive set (status 0) and the load of
@@ -570,8 +561,8 @@ class ControlClamp:
         free = status == 0
         M_inact = _assemble(self.space,
                             _hat_blocks(dofs[free], w[free], lam[free]))
-        return M_inact, self._hat_load(w[~free], lam[~free], dofs[~free],
-                                       u[~free])
+        return M_inact, _hat_load(self.space.n_dofs, dofs[~free], w[~free],
+                                  lam[~free], u[~free])
 
     def _at_points(self, P):
         return (self.vertex_values(P) @ self._bary.T).ravel()
@@ -594,16 +585,19 @@ def _control_load(mesh, cut_info, space, P, a, bounds):
     return ControlClamp(mesh, cut_info, space, a, bounds).load(P)
 
 
+FIXED_POINT_TOL = 1e-10   # the fixed point's stop on the control update
+
+
 def solve_constrained_fixed_point(mesh, cut_info, space, A, M, F1_base,
-                                  F2_base, a, bounds, ybc_values, tol=1e-10,
+                                  F2_base, a, bounds, ybc_values,
                                   max_iter=200):
     """Projected fixed-point iteration for box-constrained control.
 
     Per sweep: state solve with the current control, co-state solve (both
     with the one factor of A), clamp update.  Stops when the
     quadrature-sampled L2 norm of the control update, normalized by
-    sqrt(domain area), drops below ``tol``.  Returns a flagged (not raised)
-    result when ``max_iter`` is exhausted.
+    sqrt(domain area), drops below FIXED_POINT_TOL.  Returns a flagged (not
+    raised) result when ``max_iter`` is exhausted.
     """
     _check_control(a, bounds, max_iter)
     clamp = ControlClamp(mesh, cut_info, space, a, bounds)
@@ -625,12 +619,13 @@ def solve_constrained_fixed_point(mesh, cut_info, space, A, M, F1_base,
             / sqrt_area
         history.append((it + 1, diff, *_relative_residuals(_block_rows(
             A, M, F1_base, F2_base, Y, P, load, solver.free))))
-        if diff < tol:
+        if diff < FIXED_POINT_TOL:
             break
         u_prev = u_now
 
     return OcpSolution(Y=Y, P=P, a=a, bounds=bounds, iterations=len(history),
-                       converged=diff < tol, residual_state=history[-1][2],
+                       converged=diff < FIXED_POINT_TOL,
+                       residual_state=history[-1][2],
                        residual_costate=history[-1][3],
                        control_diffs=[row[1] for row in history],
                        history=history, factor_nnz=solver.factor_nnz,

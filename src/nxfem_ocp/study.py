@@ -35,7 +35,6 @@ class RunConfig:
     lambda_coef: float | None = None
     a: float | None = None
     bounds: object = "default"            # "default", None, or (lo, hi)
-    tol: float = 1e-10
     max_iter: int = 200
     out_dir: str | None = None
     dump_geometry: bool = False
@@ -50,7 +49,7 @@ class RunConfig:
             raise ConfigurationError("mesh sizes must be >= 4")
         if any(b >= a for a, b in zip(ns[1:], ns)):
             raise ConfigurationError("mesh sizes must be strictly increasing")
-        for name in ("a", "lambda_coef", "tol"):
+        for name in ("a", "lambda_coef"):
             value = getattr(self, name)
             if value is not None and not (np.isfinite(value) and value > 0.0):
                 raise ConfigurationError(
@@ -88,9 +87,8 @@ def discretize(problem, n):
     mesh = build_uniform_mesh(problem.domain, n)
     cut_info = build_cut_info(mesh, problem.levelset)
     space = ExtendedSpace(mesh, cut_info)
-    params = problem.nitsche_params()
     A = assemble_stiffness(mesh, cut_info, space, problem.alpha1,
-                           problem.alpha2, params)
+                           problem.alpha2, problem.lambda_coef)
     M = assemble_mass(mesh, cut_info, space)
     F1, F2 = assemble_load(
         mesh, cut_info, space,
@@ -101,7 +99,7 @@ def discretize(problem, n):
                           M=M, F1=F1, F2=F2, ybc_values=ybc)
 
 
-def solve_discretized(problem, disc, tol=1e-10, max_iter=200):
+def solve_discretized(problem, disc, max_iter=200):
     """Dispatch to the block solve by PRESB-preconditioned GMRES (no
     bounds) or to the projected fixed-point iteration (box constraints),
     whose inner solves share one factor of A."""
@@ -110,8 +108,7 @@ def solve_discretized(problem, disc, tol=1e-10, max_iter=200):
                                        problem.a, disc.space, disc.ybc_values)
     return solve_constrained_fixed_point(
         disc.mesh, disc.cut_info, disc.space, disc.A, disc.M, disc.F1,
-        disc.F2, problem.a, problem.bounds, disc.ybc_values, tol=tol,
-        max_iter=max_iter)
+        disc.F2, problem.a, problem.bounds, disc.ybc_values, max_iter=max_iter)
 
 
 @dataclass
@@ -160,7 +157,7 @@ def run_convergence_study(config):
             disc = discretize(problem, n)
             start = time.perf_counter()
             try:
-                sol = solve_discretized(problem, disc, tol=config.tol,
+                sol = solve_discretized(problem, disc,
                                         max_iter=config.max_iter)
             except SolverError as exc:
                 raise SolverError(f"N={n}, lambda_coef={problem.lambda_coef:g}"

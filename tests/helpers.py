@@ -1,8 +1,8 @@
 """Helpers that only the tests use: a mesh from raw arrays, element
 coordinates, areas and hat gradients, a triangle's area, one element's
 dofs, a two-sided nodal interpolant, the total chord length, the subdomain
-of a point and the exact state trace there, and an interface-free control
-problem."""
+of a point and the exact state trace there, an interface-free control
+problem and the pointwise projection of a co-state onto the control box."""
 
 import numpy as np
 
@@ -10,6 +10,7 @@ from nxfem_ocp.interface_geometry import (ElementClass, GeometryError,
                                           circle_interface)
 from nxfem_ocp.mesh import Mesh
 from nxfem_ocp.problems import ManufacturedProblem, PiecewiseField
+from nxfem_ocp.solver import _check_control
 from nxfem_ocp.xfem_space import SIDE_BOTH
 
 
@@ -138,3 +139,9 @@ def build_smooth_problem(a=1.0):
         alpha2=1.0, a=a, lambda_coef=100.0, bounds=None, y=both(sig),
         grad_y=both(grad_sig), lap_y=both(lap_sig), z=both(sig),
         grad_z=both(grad_sig), lap_z=both(lap_sig), relative_errors=True)
+
+
+def project_control(p_values, a, u_a, u_b):
+    """Pointwise clamp of -p/a onto the admissible box."""
+    _check_control(a, (u_a, u_b))
+    return np.clip(-np.asarray(p_values, dtype=float) / a, u_a, u_b)

@@ -372,10 +372,10 @@ def _cut_element_dofs(mesh, space, e):
     return np.concatenate([space.dof1[tri], space.dof2[tri]])
 
 
-def loop_stiffness(mesh, cut_info, space, alpha1, alpha2, params,
+def loop_stiffness(mesh, cut_info, space, alpha1, alpha2, lambda_coef,
                    quad_degree=4, seg_points=3):
     """Global matrix of the penalized interface form."""
-    lam_penalty = params.lam(mesh.h, alpha1, alpha2)
+    lam_penalty = lambda_coef / mesh.h
 
     def local(side, els):
         alpha = alpha1 if side == 1 else alpha2
@@ -547,7 +547,7 @@ def _field_errors(problem, field, disc, mesh, cut_info, space, quad_degree,
     if field == "u" and problem.bounds is not None:
         def exact_status(side, pts):
             return problem.clamp_status(
-                problem.control_arg.side(side)(pts[:, 0], pts[:, 1]))
+                problem.z.side(side)(pts[:, 0], pts[:, 1]))
 
     # --- volume terms, uncut elements -------------------------------------
     for side in (1, 2):

@@ -16,12 +16,12 @@ import time
 import numpy as np
 import pytest
 
-from nxfem_ocp.assembly import NitscheParams, assemble_mass, assemble_stiffness
+from nxfem_ocp.assembly import assemble_mass, assemble_stiffness
 from nxfem_ocp.errors import compute_errors
 from nxfem_ocp.interface_geometry import build_cut_info, circle_interface
 from nxfem_ocp.mesh import build_uniform_mesh
 from nxfem_ocp.problems import build_example
-from nxfem_ocp.solver import (ControlClamp, OcpSolution, project_control,
+from nxfem_ocp.solver import (ControlClamp, OcpSolution,
                               solve_constrained_fixed_point,
                               solve_constrained_ssn)
 from nxfem_ocp.study import RunConfig, discretize, run_convergence_study, \
@@ -29,8 +29,8 @@ from nxfem_ocp.study import RunConfig, discretize, run_convergence_study, \
 from nxfem_ocp.xfem_space import ExtendedSpace
 
 from helpers import (build_smooth_problem, element_areas,
-                     interpolate_two_sided, total_interface_length,
-                     tri_coords, triangle_area)
+                     interpolate_two_sided, project_control,
+                     total_interface_length, tri_coords, triangle_area)
 from oracles import element_cuts
 
 FULL_SWEEP = (16, 32, 64, 128, 256)
@@ -348,7 +348,7 @@ def test_criterion_6_degradation_guard():
     mesh = build_uniform_mesh(problem.domain, 8)
     info = build_cut_info(mesh, problem.levelset)
     space = ExtendedSpace(mesh, info)
-    A = assemble_stiffness(mesh, info, space, 1.0, 1.0, NitscheParams(10.0))
+    A = assemble_stiffness(mesh, info, space, 1.0, 1.0, 10.0)
     M = assemble_mass(mesh, info, space)
 
     from test_assembly import plain_p1_matrices

@@ -1,10 +1,11 @@
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from nxfem_ocp.assembly import (Load, NitscheParams, assemble_load,
-                                assemble_mass, assemble_stiffness)
+from nxfem_ocp.assembly import (Load, assemble_load, assemble_mass,
+                                assemble_stiffness)
 from nxfem_ocp.interface_geometry import (CellTable, LevelSet,
                                           build_cut_info, circle_interface,
                                           line_interface)
@@ -13,7 +14,8 @@ from nxfem_ocp.problems import PiecewiseField, build_example
 from nxfem_ocp.solver import ReducedSolver
 from nxfem_ocp.xfem_space import ExtendedSpace
 
-from helpers import boundary_value, interpolate_two_sided, mesh_from_arrays
+from helpers import (boundary_value, interpolate_two_sided, mesh_from_arrays,
+                     total_interface_length)
 from oracles import cut_element_matrices, element_cuts
 
 FAR_AWAY = circle_interface(1.0, center=(10.0, 10.0))
@@ -47,7 +49,7 @@ def setup(problem, n):
     info = build_cut_info(mesh, problem.levelset)
     space = ExtendedSpace(mesh, info)
     A = assemble_stiffness(mesh, info, space, problem.alpha1, problem.alpha2,
-                           problem.nitsche_params())
+                           problem.lambda_coef)
     return mesh, info, space, A
 
 
@@ -56,7 +58,7 @@ def test_no_interface_matches_plain_p1():
     info = build_cut_info(mesh, FAR_AWAY)
     space = ExtendedSpace(mesh, info)
     alpha = 2.3
-    A = assemble_stiffness(mesh, info, space, alpha, alpha, NitscheParams(10.0))
+    A = assemble_stiffness(mesh, info, space, alpha, alpha, 10.0 * alpha)
     M = assemble_mass(mesh, info, space)
     A_ref, M_ref = plain_p1_matrices(mesh, alpha)
     assert np.abs(A.toarray() - A_ref).max() <= 1e-12 * np.abs(A_ref).max()
@@ -78,8 +80,8 @@ def test_single_cut_element_against_symbolic_assembly():
     space = ExtendedSpace(mesh, info)
     dofs = np.concatenate([space.dof1[mesh.triangles[0]],
                            space.dof2[mesh.triangles[0]]])
-    params = NitscheParams(lam_pen * mesh.h / max(alpha1, alpha2))
-    A = assemble_stiffness(mesh, info, space, alpha1, alpha2, params)
+    A = assemble_stiffness(mesh, info, space, alpha1, alpha2,
+                           lam_pen * mesh.h)
     M = assemble_mass(mesh, info, space)
     assert np.allclose(A.toarray()[np.ix_(dofs, dofs)], A_loc, rtol=0,
                        atol=1e-12 * np.abs(A_loc).max())
@@ -190,13 +192,24 @@ def test_mass_row_sums_give_area():
 
 
 def test_penalty_scaling():
-    params = NitscheParams(10.0)
-    h = 0.125
-    assert params.lam(h / 2, 1.0, 100.0) == pytest.approx(
-        2.0 * params.lam(h, 1.0, 100.0), rel=1e-15)
-    assert params.lam(h, 1.0, 100.0) * h == pytest.approx(1000.0 * h / h)
-    with pytest.raises(ValueError):
-        NitscheParams(-1.0)
+    """The jump penalty is lambda = lambda_coef / h, whatever the alphas:
+    the field that is 1 on side 1 and 0 on side 2 jumps by 1 on every
+    chord, so raising lambda_coef by c adds c / h times the chord length
+    to its energy.  Checked at every example's own coefficients."""
+    for example, n in itertools.product((1, 2, 3), (8, 16)):
+        problem = build_example(example)
+        mesh, info, space, A = setup(problem, n)
+        A2 = assemble_stiffness(mesh, info, space, problem.alpha1,
+                                problem.alpha2, 2.0 * problem.lambda_coef)
+        v = interpolate_two_sided(space, info.vertex_sign,
+                                  lambda x, y: np.ones_like(x),
+                                  lambda x, y: np.zeros_like(x))
+        assert v @ (A2 - A) @ v == pytest.approx(
+            problem.lambda_coef / mesh.h * total_interface_length(info),
+            rel=1e-10)
+    for bad in (-1.0, 0.0, np.nan):
+        with pytest.raises(ValueError, match="penalty coefficient"):
+            assemble_stiffness(mesh, info, space, 1.0, 1.0, bad)
 
 
 def test_zero_load():
@@ -361,8 +374,7 @@ def test_discretization_transients_stay_within_one_batch():
     assert len(mesh.triangles) > CellTable.BATCH     # more than one batch
     for assemble in (
             lambda: assemble_stiffness(mesh, info, space, problem.alpha1,
-                                       problem.alpha2,
-                                       problem.nitsche_params()),
+                                       problem.alpha2, problem.lambda_coef),
             lambda: assemble_mass(mesh, info, space)):
         matrix, peak = _traced_peak(assemble)
         size = _nbytes(matrix.data, matrix.indices, matrix.indptr)

@@ -68,7 +68,7 @@ def assert_on_space_pattern(matrix, space):
 def test_matrices_and_loads_match_element_loops(label, n):
     problem, mesh, info, space = setup(label, n)
     args = (mesh, info, space, problem.alpha1, problem.alpha2,
-            problem.nitsche_params())
+            problem.lambda_coef)
     A, M = assemble_stiffness(*args), assemble_mass(mesh, info, space)
     assert_close(A.toarray(), loop_stiffness(*args).toarray())
     assert_close(M.toarray(), loop_mass(mesh, info, space).toarray())

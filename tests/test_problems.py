@@ -58,7 +58,7 @@ def test_control_gradient_away_from_kinks(example_id):
         gx, gy = problem.grad_u.side(side)(x, y)
         if problem.bounds is not None:
             # keep clear of the clamp kink where the gradient jumps
-            z = problem.control_arg.side(side)(x, y)
+            z = problem.z.side(side)(x, y)
             lo, hi = problem.bounds
             mask = (np.abs(z - lo) > 1e-3) & (np.abs(z - hi) > 1e-3)
         else:
@@ -146,7 +146,7 @@ def test_example2_clamp_structure():
     problem = build_example(2)
     x, y = interior_points(problem, 2000, seed=4)
     for side in (1, 2):
-        z = problem.control_arg.side(side)(x, y)
+        z = problem.z.side(side)(x, y)
         u = problem.u.side(side)(x, y)
         assert np.all(u[z >= 0.5] == 0.5)
         assert np.all(u[z <= -0.5] == -0.5)
@@ -156,7 +156,7 @@ def test_example2_clamp_structure():
         p = problem.p.side(side)(x, y)
         assert np.allclose(p, -problem.a * z, rtol=1e-13)
     # the lower bound is active near the origin
-    assert problem.control_arg.side(1)(0.0, 0.0) < -0.5
+    assert problem.z.side(1)(0.0, 0.0) < -0.5
 
 
 def test_example_parameters():
@@ -168,10 +168,6 @@ def test_example_parameters():
         assert problem.lambda_coef == lam[i]
         assert (problem.alpha1, problem.alpha2) == alphas[i]
         assert problem.a == a[i]
-        params = problem.nitsche_params()
-        h = 0.125
-        assert params.lam(h, problem.alpha1, problem.alpha2) \
-            == pytest.approx(lam[i] / h, rel=1e-14)
     assert build_example(2).bounds == (-0.5, 0.5)
     assert build_example(1).bounds is None
     assert build_example(3).bounds is None
@@ -212,3 +208,24 @@ def test_smooth_problem_consistency():
     rhs = problem.u.side(1)(x, y) + problem.f.side(1)(x, y)
     assert rel(-lap_y, rhs).max() < 1e-8
     assert np.abs(problem.g(x, y)).max() == 0.0
+
+
+@pytest.mark.parametrize("bounds", [(-0.5, 0.5), (-0.3, 0.3)])
+def test_load_refine_mask_matches_per_triangle_status(bounds):
+    """The kink mask, from the status at each vertex gathered per element,
+    is the one the status at every element's own corners gives (the
+    default box and a narrower one)."""
+    problem = build_example(2)
+    problem.bounds = bounds
+    mesh = build_uniform_mesh(problem.domain, 32)
+    info = build_cut_info(mesh, problem.levelset)
+    coords = mesh.vertices[mesh.triangles]
+    expected = np.zeros(mesh.num_triangles, dtype=bool)
+    for side, other in ((1, 2), (2, 1)):
+        st = problem.clamp_status(problem.z.side(side)(coords[..., 0],
+                                                       coords[..., 1]))
+        expected |= (st.max(axis=1) != st.min(axis=1)) \
+            & (info.classes != other)
+    mask = problem.load_refine(mesh, info).mask
+    assert expected.any()
+    assert np.array_equal(mask, expected)

@@ -1,4 +1,4 @@
-"""Every exported name resolves.
+"""Every exported name resolves, and the program uses it.
 
 The benchmark's tracer looks up each ``__all__`` entry of the layer
 modules, so a stale entry would otherwise surface only in a traced run.
@@ -14,6 +14,12 @@ import pytest
 import nxfem_ocp
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(nxfem_ocp.__path__))
+LAYERS = [m for m in MODULES
+          if hasattr(importlib.import_module(f"nxfem_ocp.{m}"), "__all__")]
+PACKAGE = Path(nxfem_ocp.__file__).parent
+# the program: the package and the benchmark that drives it
+PROGRAM = {path: ast.parse(path.read_text()) for path in sorted(
+    [*PACKAGE.glob("*.py"), *(PACKAGE.parents[1] / "perfbench").glob("*.py")])}
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -57,10 +63,15 @@ def test_package_imports_resolve():
     ("solver", "_sample_weights"),
     ("solver", "_control_at_quadrature"),
     ("solver", "_active_mass_and_load"),
+    ("solver", "project_control"),
+    ("problems", "ManufacturedProblem.control_arg"),
+    ("assembly", "NitscheParams"),
+    ("problems", "ManufacturedProblem.nitsche_params"),
+    ("study", "RunConfig.tol"),
 ])
 def test_test_only_helpers_stay_in_tests(module, name):
-    # these live in tests/helpers.py or tests/oracles.py; the package keeps
-    # what it runs
+    # these live in tests/helpers.py or tests/oracles.py, or are gone; the
+    # package keeps what it runs
     def provides(obj):
         for part in name.split("."):
             # a dataclass field without a default is no class attribute
@@ -73,3 +84,32 @@ def test_test_only_helpers_stay_in_tests(module, name):
 
     assert not provides(importlib.import_module(f"nxfem_ocp.{module}"))
     assert not provides(nxfem_ocp)
+
+
+def _names_read(tree, skip):
+    """The identifiers (names and attributes) a module reads outside its
+    top-level definition of ``skip``.  ``__all__`` entries are strings and
+    re-exports are import aliases, so neither counts."""
+    names = set()
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name == skip):
+            continue
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
+    return names
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_every_export_is_used_by_the_program(name):
+    # an export that only tests read belongs in tests/helpers.py
+    module = importlib.import_module(f"nxfem_ocp.{name}")
+    own = PACKAGE / f"{name}.py"
+    unused = [export for export in module.__all__
+              if not any(export in _names_read(tree,
+                                               export if path == own else None)
+                         for path, tree in PROGRAM.items())]
+    assert not unused, f"only tests use nxfem_ocp.{name}: {unused}"

@@ -485,21 +485,38 @@ def test_cli_rejects_a_bad_n_list_entry(tmp_path, capsys, entries, bad):
 
 @pytest.mark.parametrize("flag, value, message", [
     ("--max-iter", "0", "max_iter must be at least 1"),
-    ("--max-iter", "-3", "max_iter must be at least 1"),
-    ("--tol", "-1", "tol must be positive and finite"),
-    ("--tol", "0", "tol must be positive and finite"),
-    ("--tol", "nan", "tol must be positive and finite"),
-    ("--tol", "inf", "tol must be positive and finite")])
+    ("--max-iter", "-3", "max_iter must be at least 1")])
 def test_cli_rejects_bad_fixed_point_settings(tmp_path, capsys, flag, value,
                                               message):
-    # no sweep used to crash on an unbound variable, and a tolerance no
-    # update can pass ran every sweep to report non-convergence
+    # no sweep used to crash on an unbound variable
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--example", "2", "--n", "8", flag, value,
               "--out", str(tmp_path / "run7")])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "run7").exists()
+
+
+@pytest.mark.parametrize("bounds", ["inf,inf", "-inf,-inf", "nan,nan"])
+def test_cli_rejects_a_box_without_a_finite_control(tmp_path, capsys,
+                                                    bounds):
+    # these passed lo <= hi (or were called empty) and the first two ended
+    # in a NaN linear-solve residual, exit 1
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--example", "2", "--n", "8", f"--bounds={bounds}",
+              "--out", str(tmp_path / "run10")])
+    assert exc.value.code == 2
+    lo, hi = bounds.split(",")
+    assert f"control box [{lo}, {hi}] admits no finite control" \
+        in capsys.readouterr().err
+
+
+def test_cli_solves_a_one_sided_box(tmp_path):
+    assert main(["solve", "--example", "2", "--n", "8", "--bounds=-inf,0.3",
+                 "--out", str(tmp_path / "run11")]) == 0
+    rows = np.loadtxt(tmp_path / "run11" / "errors.csv", delimiter=",",
+                      skiprows=1, usecols=3)
+    assert len(rows) == 9 and np.isfinite(rows).all()
 
 
 def test_dump_rows_after_the_cells_are_the_clipped_pieces(tmp_path):

@@ -148,12 +148,11 @@ def test_interpolation_dispatches_sides():
 def test_condition_number_logged():
     # no assertion on magnitude: tiny cut fractions are allowed to degrade
     # conditioning, the penalty formulation is used as published
-    from nxfem_ocp.assembly import NitscheParams, assemble_stiffness
+    from nxfem_ocp.assembly import assemble_stiffness
     mesh = build_uniform_mesh((-1, 1, -1, 1), 16)
     info = build_cut_info(mesh, circle_interface(np.sqrt(3) / 4))
     space = ExtendedSpace(mesh, info)
-    A = assemble_stiffness(mesh, info, space, 1.0, 1000.0,
-                           NitscheParams(5.0))
+    A = assemble_stiffness(mesh, info, space, 1.0, 1000.0, 5000.0)
     mask = np.ones(space.n_dofs, dtype=bool)
     mask[space.dirichlet_dofs] = False
     A_ff = A[mask][:, mask].toarray()
