@@ -26,9 +26,10 @@ from the last one's solution.
 
 Every sparse factorization (S, or A, whose one factor every inner solve
 of the fixed point shares) takes one path: a geometric nested-dissection
-order of the free dofs (George 1973), computed once per Dirichlet
-reduction, the matrix's free/free block (the one block ever split), and
-a symmetric factor without pivoting, whose pivots give the inertia.
+order of the free dofs (George 1973) on fixed halving boxes, computed by
+one sort once per Dirichlet reduction from A's own pattern, the matrix's
+free/free block (the one block ever split), and a symmetric factor
+without pivoting, whose pivots give the inertia.
 """
 
 from __future__ import annotations
@@ -77,97 +78,59 @@ class OcpSolution:
     saddle_residuals: list = field(default_factory=list)
     factor_nnz: int = 0               # L+U nonzeros of the sparse factor
     factor_s: float = 0.0             # wall time of the sparse factorization
+    order_s: float = 0.0              # wall time of its elimination order
 
 
-ND_LEAF = 8     # parts of at most this many dofs are not split further
+ND_LEAF = 8     # boxes are halved until n / 2^depth <= ND_LEAF
 
 
-def _nested_dissection(B, xy):
-    """Geometric nested-dissection order of the dofs of the symmetric
-    matrix B at points xy: ``order[k]`` is the dof eliminated k-th.
+def _nested_dissection(r, c, xy):
+    """Geometric nested-dissection order (George 1973) of the dofs at points
+    xy of a symmetric matrix with off-diagonal entries at (r, c) and (c, r):
+    ``order[k]`` is the dof eliminated k-th.
 
-    Each part is split at the median coordinate of the longer side of its
-    bounding box; the median line goes to the lower half.  The separator,
-    the lower-half dofs with a matrix neighbour in the upper half, is
-    ordered after both halves, so no entry of B couples the two halves.
-    Parts of at most ND_LEAF dofs, or with all dofs at one point, are not
-    split and keep their (x, y) order.  All parts of a level are split at
-    once: the unplaced dofs are held in two lists, grouped by part and
-    sorted by x and by y within each, and a split keeps both sorted by a
-    stable partition instead of a sort.
+    The bounding box of xy is halved across its longer side (x on ties),
+    and so are both halves, to the depth ceil(log2(n / ND_LEAF)).  A dof
+    on a halving line is in the lower half.  Each dof's path is the bit
+    string of the boxes it falls in, and an entry is first split at the
+    depth where its ends' paths part.  Depth by depth, the lower end of
+    every entry split there whose ends are both unplaced joins that box's
+    separator.  Separators follow both halves of their box (post-order),
+    so no entry couples the halves of any split; within a separator or a
+    leaf box the dofs keep their (x, y) order.
     """
     n = len(xy)
-    x, y = xy[:, 0], xy[:, 1]
-    pairs = sp.triu(B, k=1, format="coo")   # matrix neighbours, within a part
-    r, c = pairs.row.astype(np.int64), pairs.col.astype(np.int64)
-    order = np.empty(n, dtype=np.int64)
-    by_x, by_y = np.lexsort((y, x)), np.lexsort((x, y))
-    seg = np.array([0, n])       # part q is by_x[seg[q]:seg[q + 1]], and by_y
-    first = np.array([0])        # position of part q's first dof in the order
-    part = np.zeros(n, dtype=np.int64)
-    child = np.empty(n, dtype=np.int64)
-    upper = np.zeros(n, dtype=bool)
-    sep = np.zeros(n, dtype=bool)
-    while len(by_x):
-        lo, hi = seg[:-1], seg[1:] - 1
-        size = hi - lo + 1
-        x0, x1 = x[by_x[lo]], x[by_x[hi]]
-        y0, y1 = y[by_y[lo]], y[by_y[hi]]
-        wide = x1 - x0 >= y1 - y0
-        split = (size > ND_LEAF) & ((x1 > x0) | (y1 > y0))
-        cut = np.where(wide, x[by_x[lo + size // 2]], y[by_y[lo + size // 2]])
-        top = np.where(wide, x1, y1)
-        # a median at the top of the part would leave the upper half empty
-        cut = np.where(cut < top, cut, np.nextafter(top, -np.inf))
-        cut[~split] = np.inf
-        pl = part[by_x]
-        up = np.where(wide[pl], x[by_x], y[by_x]) > cut[pl]
-        upper[by_x] = up
-        sep[by_x] = False
-        sep[r[upper[c] & ~upper[r]]] = True
-        sep[c[upper[r] & ~upper[c]]] = True
-        on_sep = sep[by_x]
-        low = split[pl] & ~up & ~on_sep
-        nlow, nup, nsep = (np.bincount(pl[m], minlength=len(lo))
-                           for m in (low, up, on_sep))
-        # unsplit parts in list order, separators after both halves
-        i = np.flatnonzero(~split[pl])
-        order[first[pl[i]] + i - lo[pl[i]]] = by_x[i]
-        i = np.flatnonzero(on_sep)
-        q = pl[i]
-        order[first[q] + nlow[q] + nup[q] + np.arange(len(i))
-              - (np.cumsum(nsep) - nsep)[q]] = by_x[i]
-        # the halves of part q become parts 2q and 2q+1, empty ones dropped
-        child[by_x] = -1
-        child[by_x[low]] = 2 * pl[low]
-        child[by_x[up]] = 2 * pl[up] + 1
-        sizes = np.stack([nlow, nup], axis=1).ravel()
-        starts = np.cumsum(sizes) - sizes
-        keep = sizes > 0
-        first = np.stack([first, first + nlow], axis=1).ravel()[keep]
-        seg = np.append(starts[keep], sizes.sum())
-        by_x, by_y = (_partition(dofs, child, starts, nup)
-                      for dofs in (by_x, by_y))
-        part[by_x] = (np.cumsum(keep) - 1)[child[by_x]]
-        cr = child[r]
-        inside = (cr >= 0) & (cr == child[c])
-        r, c = r[inside], c[inside]
-    return order
-
-
-def _partition(dofs, child, starts, nup):
-    """Stable partition of a list of dofs grouped by part into the lists of
-    the children (label 2q for the lower half of part q, 2q+1 for the
-    upper one, -1 for none), which start at ``starts``."""
-    dofs = dofs[child[dofs] >= 0]
-    label = child[dofs]
-    is_up = label & 1
-    # upper-half dofs of the same part met before each entry
-    ups = np.cumsum(is_up) - is_up - (np.cumsum(nup) - nup)[label >> 1]
-    out = np.empty_like(dofs)
-    out[np.where(is_up == 1, starts[label] + ups,
-                 np.arange(len(dofs)) - ups)] = dofs
-    return out
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+    levels = ((n - 1) // ND_LEAF).bit_length()
+    width = np.ptp(xy, axis=0)
+    axes, w = [], width.copy()      # the axis halved at each depth
+    for _ in range(levels):
+        axes.append(int(w[1] > w[0]))
+        w[axes[-1]] /= 2
+    k = np.bincount(axes, minlength=2)
+    # each coordinate's bin among the 2^k of its axis, quantized once
+    t = (xy - xy.min(axis=0)) / np.where(width > 0, width, 1.0)
+    bins = np.clip(np.ceil(t * 2.0 ** k) - 1, 0, 2 ** k - 1).astype(np.int64)
+    path, seen = np.zeros(n, dtype=np.int64), [0, 0]
+    for a in axes:
+        seen[a] += 1
+        path = 2 * path + ((bins[:, a] >> (k[a] - seen[a])) & 1)
+    # the depth at which each entry's ends part (levels: never)
+    split = levels - np.frexp((path[r] ^ path[c]).astype(float))[1]
+    sep = np.full(n, levels)        # the depth of each dof's separator
+    for d in range(levels):
+        at = split == d
+        i, j = r[at], c[at]
+        both = (sep[i] == levels) & (sep[j] == levels)
+        i_upper = (path[i] >> (levels - 1 - d)) & 1
+        sep[np.where(i_upper == 1, j, i)[both]] = d
+    # post-order: the box of a dof's separator (or its leaf) holds the leaf
+    # paths below ``end``, and it follows them and the deeper boxes that
+    # end there too
+    above = levels - sep
+    end = ((path >> above) + 1) << above
+    return np.lexsort((xy[:, 1], xy[:, 0], above, end))
 
 
 SOLVE_TOL = 1e-10         # relative residual of a direct solve, free rows
@@ -179,8 +142,9 @@ class ReducedSolver:
     for SPD matrices on the free dofs.
 
     The free dofs are numbered in the geometric nested-dissection order of
-    A's free/free block, the order in which the factor eliminates them.
-    Every matrix stays as it was assembled, on the space's pattern: a
+    the entries of A's own pattern between free dofs, the order in which
+    the factor eliminates them; ``order_s`` is the time it took.  Every
+    matrix stays as it was assembled, on the space's pattern: a
     vector on the free dofs is scattered to full length (``_expand``),
     multiplied, and gathered back by indexing with ``free``.  The one
     matrix that is split is the one that is factored (``_free_block``)."""
@@ -191,11 +155,18 @@ class ReducedSolver:
         mask = np.zeros(A.shape[0], dtype=bool)
         mask[self.constrained] = True
         free = np.flatnonzero(~mask)
-        order = _nested_dissection(A[free][:, free],
+        start = time.perf_counter()
+        # the upper-triangle entries of A's own pattern between free dofs
+        r = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+        pair = (r < A.indices) & ~mask[r] & ~mask[A.indices]
+        position = np.cumsum(~mask) - 1             # among the free dofs
+        order = _nested_dissection(position[r[pair]],
+                                   position[A.indices[pair]],
                                    space.mesh.vertices[space.dof_vertex[free]])
+        self.order_s = time.perf_counter() - start
         self.free = free[order]
-        position = np.full(A.shape[0], -1)         # among the free dofs
         position[self.free] = np.arange(len(self.free))
+        position[self.constrained] = -1
         cut = space.mesh.triangles[space.classes == int(ElementClass.CUT)]
         self._cut_dofs = position[np.concatenate([space.dof1[cut],
                                                   space.dof2[cut]], axis=1)]
@@ -487,7 +458,8 @@ def solve_unconstrained_ocp(A, M, F1, F2, a, space, ybc_values):
     return OcpSolution(Y=Y, P=P, a=a, bounds=None, U=-P / a,
                        residual_state=res[0], residual_costate=res[1],
                        saddle_iterations=[its], saddle_residuals=[res],
-                       factor_nnz=red.factor_nnz, factor_s=red.factor_s)
+                       factor_nnz=red.factor_nnz, factor_s=red.factor_s,
+                       order_s=red.order_s)
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +601,7 @@ def solve_constrained_fixed_point(mesh, cut_info, space, A, M, F1_base,
                        residual_costate=history[-1][3],
                        control_diffs=[row[1] for row in history],
                        history=history, factor_nnz=solver.factor_nnz,
-                       factor_s=solver.factor_s)
+                       factor_s=solver.factor_s, order_s=solver.order_s)
 
 
 def solve_constrained_ssn(mesh, cut_info, space, A, M, F1_base, F2_base, a,
@@ -671,4 +643,4 @@ def solve_constrained_ssn(mesh, cut_info, space, A, M, F1_base, F2_base, a,
                        residual_costate=r2, history=history,
                        saddle_iterations=saddle_its,
                        saddle_residuals=saddle_res, factor_nnz=red.factor_nnz,
-                       factor_s=red.factor_s)
+                       factor_s=red.factor_s, order_s=red.order_s)

@@ -18,8 +18,8 @@ from .errors import compute_errors, FIELDS, NORMS
 from .interface_geometry import build_cut_info, write_integration_mesh_csv
 from .mesh import ConfigurationError, build_uniform_mesh, write_mesh_csv
 from .problems import build_example
-from .solver import (ControlClamp, SolverError, solve_constrained_fixed_point,
-                     solve_unconstrained_ocp)
+from .solver import (ControlClamp, SolverError, _check_control,
+                     solve_constrained_fixed_point, solve_unconstrained_ocp)
 from .xfem_space import ExtendedSpace
 
 __all__ = ["RunConfig", "Discretization", "discretize", "solve_discretized",
@@ -149,6 +149,9 @@ def run_convergence_study(config):
     problem = config.build_problem()
     result = StudyResult(problem=problem, n_values=config.n_values,
                          reports=[], solutions=[])
+    if problem.bounds is not None:
+        # a box the drivers reject is rejected before any output or work
+        _check_control(problem.a, problem.bounds, config.max_iter)
     out = config.out_dir
     if out:
         os.makedirs(out, exist_ok=True)
@@ -184,10 +187,11 @@ def run_convergence_study(config):
 
 def _progress_line(n, disc, sol, seconds):
     """N, free dofs, cut elements, integration cells, smallest cut fraction
-    min(k1, k2), solve wall time and the part of it spent in the sparse
-    factorization, L+U nonzeros of the sparse factor, the
-    GMRES iterations of each saddle solve or the fixed-point sweeps, and
-    the process's resident-set high-water mark so far."""
+    min(k1, k2), solve wall time and the parts of it spent in the
+    elimination order and in the sparse factorization, L+U nonzeros of the
+    sparse factor, the GMRES iterations of each saddle solve or the
+    fixed-point sweeps, and the process's resident-set high-water mark so
+    far."""
     space, info = disc.space, disc.cut_info
     free = space.n_dofs - len(space.dirichlet_dofs)
     cut = len(info.cut_elements)
@@ -202,7 +206,8 @@ def _progress_line(n, disc, sol, seconds):
         work = f"fixed_point_sweeps={sol.iterations}"
     return (f"N={n} free_dofs={free} cut_elements={cut} cells={cells} "
             f"min_cut_fraction={frac:.3e} solve_s={seconds:.3f} "
-            f"factor_s={sol.factor_s:.3f} factor_nnz={sol.factor_nnz} {work} "
+            f"order_s={sol.order_s:.3f} factor_s={sol.factor_s:.3f} "
+            f"factor_nnz={sol.factor_nnz} {work} "
             f"peak_rss_mb={rss:.1f}")
 
 

@@ -11,10 +11,10 @@ one chord at a time (read per element from the tables by
 compares the package's batched integration-cell tables against them, and
 the clipped clamp integrals against both the refined loops and an exact
 polygon clipping of each cell;
-``test_solver.py`` compares the solver's level-by-level nested dissection,
-its matrix-free saddle operator and preconditioner, its saddle solve and
-its factor against the recursion, the assembled block matrices, a direct
-solve and the COLAMD factor at the end of this module.
+``test_solver.py`` compares the solver's one-sort nested dissection, its
+matrix-free saddle operator and preconditioner, its saddle solve and its
+factor against the per-box recursion, the assembled block matrices, a
+direct solve and the COLAMD factor at the end of this module.
 """
 
 import numpy as np
@@ -691,33 +691,54 @@ def loop_integration_cells(mesh, cut_info):
 
 
 def nested_dissection_splits(B, xy):
-    """The solver's nested-dissection order by per-part recursion, and every
-    split it makes as (lower half without its separator, upper half)."""
+    """The solver's nested-dissection order by per-box recursion, and every
+    split of a non-empty box as (lower half without its separator, upper
+    half).  The boxes halve the bounding box of xy across the longer side,
+    x on ties, to depth ceil(log2(n / ND_LEAF)); they are ranges of bins,
+    for every coordinate is quantized once to the finest bins of its axis,
+    a point on a halving line in the lower one."""
     coo = sp.coo_matrix(B)
     pattern = sp.csr_matrix((np.ones(coo.nnz), (coo.row, coo.col)),
                             shape=B.shape)
     pattern = pattern + pattern.T
+    n = len(xy)
+    if n == 0:
+        return np.zeros(0, dtype=int), []
+    levels = max(int(np.ceil(np.log2(n / ND_LEAF))), 0)
+    width = np.ptp(xy, axis=0)
+    axes, w = [], width.copy()
+    for _ in range(levels):
+        axes.append(0 if w[0] >= w[1] else 1)
+        w[axes[-1]] /= 2
+    bins = []
+    for a in (0, 1):
+        k = 2 ** axes.count(a)
+        t = (xy[:, a] - xy[:, a].min()) / (width[a] if width[a] > 0 else 1.0)
+        bins.append(np.clip(np.ceil(t * k) - 1, 0, k - 1).astype(int))
     x, y = xy[:, 0], xy[:, 1]
     splits = []
 
-    def visit(dofs):
+    def visit(dofs, depth, box):
         by_xy = dofs[np.lexsort((y[dofs], x[dofs]))]
-        if len(dofs) <= ND_LEAF:
+        if depth == levels:
             return [by_xy]
-        dx, dy = np.ptp(x[dofs]), np.ptp(y[dofs])
-        if dx == dy == 0.0:
-            return [by_xy]
-        c = x[dofs] if dx >= dy else y[dofs]
-        cut = np.sort(c)[len(dofs) // 2]
-        upper = c >= cut if cut == c.max() else c > cut
+        a = axes[depth]
+        lo, hi = box[a]
+        mid = (lo + hi) // 2
+        upper = bins[a][dofs] >= mid
         low, up = dofs[~upper], dofs[upper]
         touches = np.asarray(pattern[low][:, up].sum(axis=1)).ravel() > 0
         sep = low[touches]
-        splits.append((low[~touches], up))
-        return (visit(low[~touches]) + visit(up)
+        if len(dofs):
+            splits.append((low[~touches], up))
+        halves = [list(box), list(box)]
+        halves[0][a], halves[1][a] = (lo, mid), (mid, hi)
+        return (visit(low[~touches], depth + 1, halves[0])
+                + visit(up, depth + 1, halves[1])
                 + [by_xy[np.isin(by_xy, sep)]])
 
-    return np.concatenate(visit(np.arange(len(xy)))), splits
+    box = [(0, 2 ** axes.count(a)) for a in (0, 1)]
+    return np.concatenate(visit(np.arange(n), 0, box)), splits
 
 
 def free_block(red, B):

@@ -571,6 +571,13 @@ def _vertex_pattern(mesh):
 def _nd_cases():
     mesh = _perturbed_mesh(24, 5)
     yield "from_arrays", _vertex_pattern(mesh), mesh.vertices
+    # non-square boxes, whose halving axes do not alternate, and a square
+    # whose halving lines fall between grid lines
+    for name, domain, n in (("4x1", (0.0, 4.0, 0.0, 1.0), 24),
+                            ("2x3", (-1.0, 1.0, 0.0, 3.0), 20),
+                            ("unit37", (0.0, 1.0, 0.0, 1.0), 37)):
+        mesh = build_uniform_mesh(domain, n)
+        yield name, _vertex_pattern(mesh), mesh.vertices
     for example in (1, 3):
         # the free/free block of A and the dof positions in dof order, as
         # the solver orders them
@@ -579,17 +586,21 @@ def _nd_cases():
         free = np.setdiff1d(np.arange(space.n_dofs), space.dirichlet_dofs)
         yield (f"ex{example}", disc.A[free][:, free],
                space.mesh.vertices[space.dof_vertex[free]])
+    for k in (0, 1, 5):
+        yield f"coincident{k}", sp.csr_matrix(np.ones((k, k))), \
+            np.full((k, 2), 0.25)
 
 
 @pytest.mark.parametrize("case", list(_nd_cases()), ids=lambda c: c[0])
 def test_nested_dissection_separates_every_split(case):
     _, B, xy = case
-    order = _nested_dissection(B, xy)
+    upper = sp.triu(B, k=1, format="coo")
+    order = _nested_dissection(upper.row, upper.col, xy)
     assert np.array_equal(np.sort(order), np.arange(B.shape[0]))
-    assert np.array_equal(order, _nested_dissection(B, xy))
+    assert np.array_equal(order, _nested_dissection(upper.row, upper.col, xy))
     ref, splits = oracles.nested_dissection_splits(B, xy)
     assert np.array_equal(order, ref)
-    assert len(splits) > 20
+    assert len(splits) > 20 or B.shape[0] <= solver.ND_LEAF
     for low, up in splits:
         # no stored entry, not even an explicit zero, couples the halves
         assert B[low][:, up].nnz == 0
@@ -598,13 +609,15 @@ def test_nested_dissection_separates_every_split(case):
 @pytest.mark.parametrize("example", [1, 3])
 def test_nested_dissection_fill_at_most_mmd(example):
     problem = build_example(example)
-    disc = discretize(problem, 64)
-    red = ReducedSolver(disc.A, disc.space)
-    S = oracles.free_block(red, disc.M + np.sqrt(problem.a) * disc.A)
-    red._factor(S)
-    mmd = spla.splu(S.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                    diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    assert 0 < red.factor_nnz <= mmd.nnz
+    for n in (64, 128):
+        disc = discretize(problem, n)
+        red = ReducedSolver(disc.A, disc.space)
+        S = oracles.free_block(red, disc.M + np.sqrt(problem.a) * disc.A)
+        red._factor(S)
+        mmd = spla.splu(S.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                        diag_pivot_thresh=0.0,
+                        options={"SymmetricMode": True})
+        assert 0 < red.factor_nnz <= mmd.nnz
 
 
 @pytest.mark.parametrize("example", [1, 2], ids=["block-S", "fixed-point-A"])

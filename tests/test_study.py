@@ -268,13 +268,14 @@ def test_cli_verbose_echoes_one_line_per_mesh(tmp_path, capsys):
         fields = dict(item.split("=") for item in line.split())
         assert int(fields["free_dofs"]) > 0
         assert float(fields["solve_s"]) >= 0.0
-        # the factorization is one part of the solve
+        # the elimination order and the factorization are parts of the solve
+        assert 0.0 <= float(fields["order_s"]) <= float(fields["solve_s"])
         assert 0.0 <= float(fields["factor_s"]) <= float(fields["solve_s"])
         assert 0 < int(fields["krylov_iterations"]) <= 12
         # L+U nonzeros of the factor of S, as the solution records them
         sol = solve_discretized(problem, discretize(problem, n))
         assert int(fields["factor_nnz"]) == sol.factor_nnz > 0
-        assert sol.factor_s > 0.0
+        assert sol.factor_s > 0.0 and sol.order_s > 0.0
         # problem sizes and the smallest cut fraction, read from the tables
         info = build_cut_info(build_uniform_mesh(problem.domain, n),
                               problem.levelset)
@@ -509,6 +510,23 @@ def test_cli_rejects_a_box_without_a_finite_control(tmp_path, capsys,
     lo, hi = bounds.split(",")
     assert f"control box [{lo}, {hi}] admits no finite control" \
         in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bounds", ["inf,inf", "0.5,-0.5", "nan,nan"])
+def test_cli_rejects_a_bad_box_before_any_output(tmp_path, capsys, bounds,
+                                                 monkeypatch):
+    # the box is checked before the output directory is made or any mesh
+    # is discretized
+    def no_work(*args):
+        raise AssertionError("discretized before the box was checked")
+
+    monkeypatch.setattr(study_mod, "discretize", no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--example", "2", "--n-list", "16,32",
+              f"--bounds={bounds}", "--out", str(tmp_path / "run12")])
+    assert exc.value.code == 2
+    assert "control box" in capsys.readouterr().err
+    assert not (tmp_path / "run12").exists()
 
 
 def test_cli_solves_a_one_sided_box(tmp_path):
