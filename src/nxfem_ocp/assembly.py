@@ -168,31 +168,40 @@ def _hat_load(n, dofs, w, lam, values):
                        minlength=n)
 
 
-def _contract(vec, func, rule):
-    """Add the inner products of ``func`` with every hat over a rule."""
-    pts, w, lam, dofs = rule[:4]
-    vec += _hat_load(len(vec), dofs, w, lam, func(pts[..., 0], pts[..., 1]))
+def _batch_loads(live, space, side, part):
+    """Add the inner products of every (vector, load) in ``live`` over a
+    batch of one side's cells: the batch gets its rule once, and the
+    sources that view one jet (see ``problems.PiecewiseField``) read it
+    evaluated once, with Laplacians; a load with a RefineSpec skips the
+    cells of the elements it flags.  Nothing of the batch outlives the
+    call."""
+    pts, w, lam, dofs, _ = space.rule(part, VOLUME_DEGREE)
+    jets = {}
+    for vec, load in live:
+        f = load.f
+        if f.jet is None:
+            values = f.side(side)(pts[..., 0], pts[..., 1])
+        else:
+            if f.jet not in jets:
+                jets[f.jet] = f.jet.side(side)(pts[..., 0], pts[..., 1], True)
+            values = f.read(side, jets[f.jet])
+        plain = slice(None) if load.refine is None \
+            else ~load.refine.mask[part.parent]
+        vec += _hat_load(len(vec), dofs[plain], w[plain], lam[plain],
+                         values[plain])
 
 
 def _volume_loads(vecs, mesh, cut_info, space, loads):
     """Add the volume inner products of every load's source with every
-    basis function.  Each batch of integration cells gets its rule once,
-    for all sources; a load with a RefineSpec skips the cells of the
-    elements it flags there and integrates the leaves of their refinement
-    in an extra pass of its own."""
+    basis function, a batch of integration cells at a time; a load with a
+    RefineSpec integrates the leaves of the refinement of the elements it
+    flags in an extra pass of its own."""
     live = [(vec, load) for vec, load in zip(vecs, loads)
             if load.f is not None]
     for side in (1, 2):
         cells = cut_info.integration_cells(mesh, side)
         for part in cells.batches():
-            rule = space.rule(part, VOLUME_DEGREE)
-            for vec, load in live:
-                if load.refine is None:
-                    _contract(vec, load.f.side(side), rule)
-                else:
-                    plain = ~load.refine.mask[part.parent]
-                    _contract(vec, load.f.side(side),
-                              [r[plain] for r in rule[:4]])
+            _batch_loads(live, space, side, part)
         for vec, load in live:
             spec = load.refine
             if spec is None:
@@ -200,8 +209,8 @@ def _volume_loads(vecs, mesh, cut_info, space, loads):
             flagged = cells[spec.mask[cells.parent]]
             leaves = flagged.refined(lambda c: spec.pred(c.coords, side))
             for part in leaves.batches():
-                _contract(vec, load.f.side(side),
-                          space.rule(part, VOLUME_DEGREE))
+                _batch_loads([(vec, load._replace(refine=None))], space,
+                             side, part)
 
 
 def _interface_load(vec, mesh, cut_info, space, g):

@@ -75,16 +75,15 @@ class _ClampedLinearField:
 
 def _volume_sums(exact, exact_grad, disc, rule):
     """Squared L2 and H1-seminorm integrals of the error and of the exact
-    field over a rule."""
-    pts, w, lam, dofs, grads = rule
+    field, given by its values and gradient at the points of a rule."""
+    _, w, lam, dofs, grads = rule
     vals, active, dg = disc.evaluate(dofs, lam, grads)
-    ev = exact(pts[..., 0], pts[..., 1])
-    egx, egy = exact_grad(pts[..., 0], pts[..., 1])
+    egx, egy = exact_grad
     return np.array([
-        np.sum(w * (ev - vals) ** 2),
+        np.sum(w * (exact - vals) ** 2),
         np.sum(w * ((egx - active * dg[:, None, 0]) ** 2
                     + (egy - active * dg[:, None, 1]) ** 2)),
-        np.sum(w * ev ** 2),
+        np.sum(w * exact ** 2),
         np.sum(w * (egx ** 2 + egy ** 2))])
 
 
@@ -114,18 +113,18 @@ def _kink_refined(rule, cells, disc, spec, mesh, cut_info, space, side):
             for a, b in zip(rule, space.rule(leaves, VOLUME_DEGREE))]
 
 
-def _interface_sums(exact, exact_grad, disc, chords, rule):
+def _interface_sums(exact, disc, chords, rule):
     """h-weighted interface terms of the mesh-dependent norm (average
     normal derivative times h_T, jump over h_T) for the error and for the
-    exact field; ``rule`` holds the chord points, weights, barycentrics,
-    the dofs of each side and the hat gradients."""
-    pts, w, lam, dofs, grads = rule
+    exact field, whose values and gradient on each side are ``exact[side]``;
+    ``rule`` holds the chord points, weights, barycentrics, the dofs of
+    each side and the hat gradients."""
+    _, w, lam, dofs, grads = rule
     n = chords.normal
     err, ex = {}, {}
     for side in (1, 2):
         vals, active, dg = disc.evaluate(dofs[side], lam, grads)
-        ev = exact.side(side)(pts[..., 0], pts[..., 1])
-        gx, gy = exact_grad.side(side)(pts[..., 0], pts[..., 1])
+        ev, (gx, gy) = exact[side]
         eg = gx * n[:, None, 0] + gy * n[:, None, 1]
         dgn = active * np.einsum("kd,kd->k", dg, n)[:, None]
         err[side], ex[side] = (ev - vals, eg - dgn), (ev, eg)
@@ -138,47 +137,65 @@ def _interface_sums(exact, exact_grad, disc, chords, rule):
     return terms
 
 
+def _exact(problem, side, pts, names):
+    """{name: (values, gradient)} of the exact fields ``names`` at points
+    (..., 2) of one side, read off one evaluation of the side's jet."""
+    j = problem.jet.side(side)(pts[..., 0], pts[..., 1])
+    return {name: (getattr(problem, name).read(side, j),
+                   getattr(problem, f"grad_{name}").read(side, j))
+            for name in names}
+
+
 def compute_errors(problem, solution, mesh, cut_info, space):
     """L2, broken H1 and mesh-dependent norms of the control/state/co-state
     errors, plus the matching exact-field norms for relative reporting.
 
     Every side's integration cells are integrated once for all three
-    fields, batch by batch; for box-constrained problems the control
-    integrates the leaves of kink-adaptive refinement in place of the
-    cells its kinks cross.
+    fields, batch by batch, on one evaluation of the side's jet per batch;
+    for box-constrained problems the control integrates the leaves of
+    kink-adaptive refinement in place of the cells its kinks cross, on a
+    jet of its own.  Without bounds u - u_h = -(p - p_h)/a, so the
+    control's sums are the co-state's over a^2.
     """
     spec = problem.load_refine(mesh, cut_info)
-    specs = {
-        "u": _ClampedLinearField(solution.P, -1.0 / problem.a, problem.bounds),
-        "y": _ClampedLinearField(solution.Y, 1.0, None),
-        "p": _ClampedLinearField(solution.P, 1.0, None),
-    }
-    sums = {name: np.zeros(4) for name in FIELDS}
+    discs = {"y": _ClampedLinearField(solution.Y, 1.0, None),
+             "p": _ClampedLinearField(solution.P, 1.0, None)}
+    if spec is not None:
+        discs["u"] = _ClampedLinearField(solution.P, -1.0 / problem.a,
+                                         problem.bounds)
+    # per field: the error's and the exact field's squared L2 norm, H1
+    # seminorm and interface terms
+    sums = {name: np.zeros(6) for name in discs}
     for side in (1, 2):
         for cells in cut_info.integration_cells(mesh, side).batches():
             rule = space.rule(cells, VOLUME_DEGREE)
-            for name, disc in specs.items():
-                if name == "u" and spec is not None:
+            exact = _exact(problem, side, rule[0], ("y", "p"))
+            for name, disc in discs.items():
+                if name == "u":
                     field_rule = _kink_refined(rule, cells, disc, spec, mesh,
                                                cut_info, space, side)
+                    exact["u"] = _exact(problem, side, field_rule[0],
+                                        ("u",))["u"]
                 else:
                     field_rule = rule
-                sums[name] += _volume_sums(
-                    getattr(problem, name).side(side),
-                    getattr(problem, f"grad_{name}").side(side), disc,
-                    field_rule)
+                sums[name][:4] += _volume_sums(*exact[name], disc, field_rule)
 
     chords = cut_info.chords
     tri = mesh.triangles[chords.element]
     grads = mesh.geometry(chords.element)[1]
     rule = (*chords.quadrature(mesh, grads),
             {1: space.dof1[tri], 2: space.dof2[tri]}, grads)
+    on_chords = {side: _exact(problem, side, rule[0], discs)
+                 for side in (1, 2)}
+    for name, disc in discs.items():
+        sums[name][4:] = _interface_sums(
+            {side: on_chords[side][name] for side in (1, 2)}, disc, chords,
+            rule)
+    if spec is None:
+        sums["u"] = sums["p"] / problem.a ** 2
     fields = {}
-    for name, disc in specs.items():
-        err_if, ex_if = _interface_sums(getattr(problem, name),
-                                        getattr(problem, f"grad_{name}"),
-                                        disc, chords, rule)
-        err_l2, err_h1, ex_l2, ex_h1 = sums[name]
+    for name in FIELDS:
+        err_l2, err_h1, ex_l2, ex_h1, err_if, ex_if = sums[name]
         fields[name] = FieldErrors(
             l2=np.sqrt(err_l2), h1=np.sqrt(err_h1),
             triple=np.sqrt(err_h1 + err_if), exact_l2=np.sqrt(ex_l2),

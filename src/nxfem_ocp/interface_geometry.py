@@ -142,7 +142,9 @@ class CellTable:
     parent: np.ndarray
     side: np.ndarray
     coords: np.ndarray
-    BATCH = 16384     # cells per batch: bounds the per-point temporaries
+    # cells per batch: bounds the per-point temporaries, of which an exact
+    # data jet holds about twenty at once
+    BATCH = 8192
 
     def __len__(self):
         return len(self.parent)

@@ -1,17 +1,23 @@
 """Built-in benchmark problems with closed-form optimal solutions.
 
-Each problem prescribes its geometry, its coefficients, the exact state y
-and the pre-clamp control z = -p/a per subdomain, with hand-coded
-gradients and Laplacians (products of elementary factors, so every
-derivative is spelled out explicitly and cross-checked by finite
-differences in the test suite).  ``ManufacturedProblem`` derives the rest
-of the optimal triple and the data that make it optimal.
+Each problem prescribes its geometry, its coefficients and one jet per
+subdomain: a function of points that returns the exact state y and the
+pre-clamp control z = -p/a with their gradients, and their Laplacians when
+asked (a ``Jet``).  A jet computes each factor its quantities share once
+per point (example 1's sin(xy), cos(xy), the line's offset and the
+polynomial factors; the circles' rho and bubble factors), so a pass that
+needs several fields evaluates it once.  The derivatives are spelled out
+by hand and cross-checked by finite differences in the test suite.
+``ManufacturedProblem`` derives the rest of the optimal triple and the
+data that make it optimal; every field is a ``PiecewiseField`` view that
+reads its values off the jet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,12 +25,30 @@ from .assembly import RefineSpec
 from .interface_geometry import ElementClass, LevelSet, circle_interface, line_interface
 from .mesh import ConfigurationError
 
-__all__ = ["PiecewiseField", "ManufacturedProblem", "build_example",
+__all__ = ["Jet", "PiecewiseField", "ManufacturedProblem", "build_example",
            "flux_jump"]
 
 
+class Jet(NamedTuple):
+    """One side's exact data at points: the state y and the pre-clamp
+    control z, their gradients as (x, y) pairs, and their Laplacians
+    (None unless asked)."""
+
+    y: np.ndarray
+    grad_y: tuple
+    z: np.ndarray
+    grad_z: tuple
+    lap_y: np.ndarray | None = None
+    lap_z: np.ndarray | None = None
+
+
 class PiecewiseField:
-    """A pair of per-subdomain closures (scalar- or vector-valued)."""
+    """A pair of per-subdomain closures (scalar- or vector-valued).  A view
+    of a problem's jets also reads its values off side m's jet j evaluated
+    already, as ``read(m, j)``; its ``jet`` is the PiecewiseField of the
+    jets (None for a plain field)."""
+
+    jet = None
 
     def __init__(self, f1, f2):
         self._f = (f1, f2)
@@ -48,30 +72,40 @@ def flux_jump(grad_field, levelset, alpha1, alpha2):
     return g
 
 
-class _per_side:
-    """A derived field: the method ``rule(problem, m, x, y)`` read as the
-    PiecewiseField whose side-m closure is ``rule(problem, m, ., .)``."""
+class _view:
+    """A field of the problem: ``rule(problem, m, j)`` reads it off side
+    m's jet j, and the attribute is the PiecewiseField view whose side-m
+    closure evaluates that jet (with Laplacians where ``lap``) and reads
+    it."""
 
-    def __init__(self, rule):
-        self.rule = rule
+    def __init__(self, rule, lap=False):
+        self.rule, self.lap = rule, lap
         self.__doc__ = rule.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
 
     def __get__(self, problem, owner=None):
         if problem is None:
             return self
-        return PiecewiseField(partial(self.rule, problem, 1),
-                              partial(self.rule, problem, 2))
+        jet, read = problem.jet, partial(self.rule, problem)
+        field = PiecewiseField(
+            *(lambda x, y, m=m: read(m, jet.side(m)(x, y, self.lap))
+              for m in (1, 2)))
+        field.jet, field.read = jet, read
+        return field
 
     def __set__(self, problem, value):
-        # read-only: a stored field would not follow a or the box
-        raise AttributeError(f"{self.rule.__name__} is derived")
+        # read-only: a stored field would not follow the jet, a or the box
+        raise AttributeError(f"{self.name} is derived")
 
 
 @dataclass
 class ManufacturedProblem:
-    """Benchmark data: geometry, coefficients, the exact state y and the
-    pre-clamp control z = -p/a.  The rest of the exact optimal triple and
-    the source, target and interface flux data are derived from the
+    """Benchmark data: geometry, coefficients and the jets of the exact
+    state y and the pre-clamp control z = -p/a (``jet.side(m)(x, y,
+    lap=False)`` gives a ``Jet``).  The rest of the exact optimal triple
+    and the source, target and interface flux data are derived from the
     current ``a`` and ``bounds``, so an override of either still describes
     an optimum (Hinze's projection u = clamp(-p/a))."""
 
@@ -83,53 +117,50 @@ class ManufacturedProblem:
     a: float
     lambda_coef: float            # penalty scale: lambda = lambda_coef / h
     bounds: tuple | None
-    y: PiecewiseField
-    grad_y: PiecewiseField
-    lap_y: PiecewiseField
-    z: PiecewiseField             # the pre-clamp control -p/a
-    grad_z: PiecewiseField
-    lap_z: PiecewiseField
+    jet: PiecewiseField
     relative_errors: bool
 
     def _alpha(self, m):
         return self.alpha1 if m == 1 else self.alpha2
 
-    @_per_side
-    def u(self, m, x, y):
+    y = _view(lambda self, m, j: j.y)
+    grad_y = _view(lambda self, m, j: j.grad_y)
+    lap_y = _view(lambda self, m, j: j.lap_y, lap=True)
+    z = _view(lambda self, m, j: j.z)
+    grad_z = _view(lambda self, m, j: j.grad_z)
+    lap_z = _view(lambda self, m, j: j.lap_z, lap=True)
+
+    @_view
+    def u(self, m, j):
         """u = clamp(z)."""
-        z = self.z.side(m)(x, y)
-        return z if self.bounds is None else np.clip(z, *self.bounds)
+        return j.z if self.bounds is None else np.clip(j.z, *self.bounds)
 
-    @_per_side
-    def grad_u(self, m, x, y):
+    @_view
+    def grad_u(self, m, j):
         """grad z off the active set, zero on it."""
-        gx, gy = self.grad_z.side(m)(x, y)
         if self.bounds is None:
-            return gx, gy
-        z = self.z.side(m)(x, y)
-        free = (z > self.bounds[0]) & (z < self.bounds[1])
-        return np.where(free, gx, 0.0), np.where(free, gy, 0.0)
+            return j.grad_z
+        free = (j.z > self.bounds[0]) & (j.z < self.bounds[1])
+        return tuple(np.where(free, g, 0.0) for g in j.grad_z)
 
-    @_per_side
-    def p(self, m, x, y):
+    @_view
+    def p(self, m, j):
         """p = -a z."""
-        return -self.a * self.z.side(m)(x, y)
+        return -self.a * j.z
 
-    @_per_side
-    def grad_p(self, m, x, y):
-        gx, gy = self.grad_z.side(m)(x, y)
-        return -self.a * gx, -self.a * gy
+    @_view
+    def grad_p(self, m, j):
+        return tuple(-self.a * g for g in j.grad_z)
 
-    @_per_side
-    def f(self, m, x, y):
+    @partial(_view, lap=True)
+    def f(self, m, j):
         """f = -alpha lap(y) - u."""
-        return -self._alpha(m) * self.lap_y.side(m)(x, y) - self.u.side(m)(x, y)
+        return -self._alpha(m) * j.lap_y - self.u.read(m, j)
 
-    @_per_side
-    def y_d(self, m, x, y):
+    @partial(_view, lap=True)
+    def y_d(self, m, j):
         """y_d = y + alpha lap(p) = y - a alpha lap(z)."""
-        return self.y.side(m)(x, y) \
-            - self.a * self._alpha(m) * self.lap_z.side(m)(x, y)
+        return j.y - self.a * self._alpha(m) * j.lap_z
 
     @property
     def g(self):
@@ -181,82 +212,43 @@ class ManufacturedProblem:
 # ---------------------------------------------------------------------------
 
 def _example_line():
+    """z = c ell q per side, c = 1 in subdomain 1 and 100 in subdomain 2,
+    with the line's offset ell = y - kx - b and q = (x^2 - x)(y^2 - y)
+    sin(xy); y = w/200 + ell^3 in subdomain 1 and w/2 in subdomain 2, with
+    w = ell cos(xy)."""
     k = -np.sqrt(3.0) / 3.0
     b = (6.0 + np.sqrt(6.0) - 2.0 * np.sqrt(3.0)) / 6.0
-    alpha1, alpha2 = 1.0, 100.0
     gl2 = k * k + 1.0                       # |grad ell|^2
 
-    ell = lambda x, y: y - k * x - b
-
-    def q(x, y):
-        return (x * x - x) * (y * y - y) * np.sin(x * y)
-
-    def q_grad(x, y):
-        A, B, S = x * x - x, y * y - y, np.sin(x * y)
-        C = np.cos(x * y)
-        return ((2 * x - 1) * B * S + A * B * y * C,
-                A * (2 * y - 1) * S + A * B * x * C)
-
-    def q_lap(x, y):
-        A, B, S = x * x - x, y * y - y, np.sin(x * y)
-        C = np.cos(x * y)
+    def jet(c, d, cubic, x, y, lap=False):
+        S, C = np.sin(x * y), np.cos(x * y)
+        A, B, ee = x * x - x, y * y - y, y - k * x - b
+        q = A * B * S
+        qx = (2 * x - 1) * B * S + A * B * y * C
+        qy = A * (2 * y - 1) * S + A * B * x * C
+        wx, wy = -k * C + ee * (-y * S), C + ee * (-x * S)
+        yv, gy = ee * C / d, (wx / d, wy / d)
+        if cubic:
+            # products: numpy's ee ** 3 takes a slow pow path on negative bases
+            s = 3.0 * ee ** 2
+            yv, gy = yv + ee * ee * ee, (gy[0] + s * (-k), gy[1] + s)
+        z, gz = c * ee * q, (c * (-k * q + ee * qx), c * (q + ee * qy))
+        if not lap:
+            return Jet(yv, gy, z, gz)
         qxx = 2 * B * S + 2 * (2 * x - 1) * B * y * C - A * B * y * y * S
         qyy = 2 * A * S + 2 * A * (2 * y - 1) * x * C - A * B * x * x * S
-        return qxx + qyy
+        w_lap = 2.0 * (-k * (-y * S) + (-x * S)) \
+            + ee * (-(y * y + x * x) * C)
+        ly = w_lap / d + 6.0 * ee * gl2 if cubic else w_lap / d
+        return Jet(yv, gy, z, gz, ly,
+                   c * (2.0 * (-k * qx + qy) + ee * (qxx + qyy)))
 
-    # z = c * ell * q with c = 1 in subdomain 1 and c = 100 in subdomain 2
-    def z_side(c):
-        return lambda x, y: c * ell(x, y) * q(x, y)
-
-    def grad_z_side(c):
-        def grad(x, y):
-            qx, qy = q_grad(x, y)
-            qq, ee = q(x, y), ell(x, y)
-            return (c * (-k * qq + ee * qx), c * (qq + ee * qy))
-        return grad
-
-    def lap_z_side(c):
-        def lap(x, y):
-            qx, qy = q_grad(x, y)
-            return c * (2.0 * (-k * qx + qy) + ell(x, y) * q_lap(x, y))
-        return lap
-
-    # w = ell * cos(xy); y1 = w/200 + ell^3, y2 = w/2
-    def w_grad(x, y):
-        C, S, ee = np.cos(x * y), np.sin(x * y), ell(x, y)
-        return (-k * C + ee * (-y * S), C + ee * (-x * S))
-
-    def w_lap(x, y):
-        C, S, ee = np.cos(x * y), np.sin(x * y), ell(x, y)
-        return 2.0 * (-k * (-y * S) + (-x * S)) + ee * (-(y * y + x * x) * C)
-
-    def y1(x, y):
-        ee = ell(x, y)
-        # products: numpy's ee ** 3 takes a slow pow path on negative bases
-        return ee * np.cos(x * y) / 200.0 + ee * ee * ee
-
-    y2 = lambda x, y: ell(x, y) * np.cos(x * y) / 2.0
-
-    def grad_y1(x, y):
-        wx, wy = w_grad(x, y)
-        s = 3.0 * ell(x, y) ** 2
-        return (wx / 200.0 + s * (-k), wy / 200.0 + s)
-
-    def grad_y2(x, y):
-        wx, wy = w_grad(x, y)
-        return (wx / 2.0, wy / 2.0)
-
-    lap_y1 = lambda x, y: w_lap(x, y) / 200.0 + 6.0 * ell(x, y) * gl2
-    lap_y2 = lambda x, y: w_lap(x, y) / 2.0
-
-    both = lambda make: PiecewiseField(make(1.0), make(100.0))
     return ManufacturedProblem(
         name="example1", domain=(0.0, 1.0, 0.0, 1.0),
-        levelset=line_interface(k, b), alpha1=alpha1, alpha2=alpha2, a=0.01,
-        lambda_coef=1000.0, bounds=None, y=PiecewiseField(y1, y2),
-        grad_y=PiecewiseField(grad_y1, grad_y2),
-        lap_y=PiecewiseField(lap_y1, lap_y2), z=both(z_side),
-        grad_z=both(grad_z_side), lap_z=both(lap_z_side),
+        levelset=line_interface(k, b), alpha1=1.0, alpha2=100.0, a=0.01,
+        lambda_coef=1000.0, bounds=None,
+        jet=PiecewiseField(partial(jet, 1.0, 200.0, True),
+                           partial(jet, 100.0, 2.0, False)),
         relative_errors=True)
 
 
@@ -268,83 +260,44 @@ def _example_circle(name, r, alpha2, a, lambda_coef, bounds, sine,
                     relative_errors):
     """alpha1 = 1.  The state is y = rho^3/alpha per side plus the constant
     outside that makes it continuous across the circle, and, with
-    ``sine``, minus 10 (rho^2 - r^2) sin(xy) inside.  The pre-clamp
-    control is z = 5 W/alpha with the quartic bubble
-    W = (rho^2 - r^2)(x^2 - 1)(y^2 - 1)."""
+    ``sine``, minus 10 G sin(xy) inside, G = rho^2 - r^2.  The pre-clamp
+    control is z = 5 W/alpha with the quartic bubble W = G E F,
+    E = x^2 - 1, F = y^2 - 1."""
     alpha1 = 1.0
     r2 = r * r
     shift = (1.0 / alpha1 - 1.0 / alpha2) * r ** 3
 
-    def y_side(al, c):
-        return lambda x, y: (x * x + y * y) ** 1.5 / al + c
-
-    def grad_y_side(al):
-        def grad(x, y):
-            s = 3.0 * np.sqrt(x * x + y * y) / al
-            return (s * x, s * y)
-        return grad
-
-    def lap_y_side(al):
-        return lambda x, y: 9.0 * np.sqrt(x * x + y * y) / al
-
-    ys = [y_side(alpha1, 0.0), y_side(alpha2, shift)]
-    grads = [grad_y_side(alpha1), grad_y_side(alpha2)]
-    laps = [lap_y_side(alpha1), lap_y_side(alpha2)]
-    if sine:
-        y1r, grad_y1r, lap_y1r = ys[0], grads[0], laps[0]
-
-        def y1(x, y):
-            G = x * x + y * y - r2
-            return y1r(x, y) - 10.0 * G * np.sin(x * y)
-
-        def grad_y1(x, y):
-            gx, gy = grad_y1r(x, y)
-            G = x * x + y * y - r2
+    def jet(al, c, sine, x, y, lap=False):
+        R2 = x * x + y * y
+        rho = np.sqrt(R2)
+        G, E, F = R2 - r2, x * x - 1.0, y * y - 1.0
+        s = 3.0 * rho / al
+        # rho^3 as R2 ** 1.5: R2 * rho rounds apart and moves example 3's
+        # errors by ~1e-12
+        yv, gy = R2 ** 1.5 / al + c, (s * x, s * y)
+        wx, wy = 2.0 * x * F * (E + G), 2.0 * y * E * (F + G)
+        z, gz = 5.0 * (G * E * F) / al, (5.0 * wx / al, 5.0 * wy / al)
+        if sine:
             S, C = np.sin(x * y), np.cos(x * y)
-            return (gx - 10.0 * (2.0 * x * S + G * y * C),
-                    gy - 10.0 * (2.0 * y * S + G * x * C))
+            yv = yv - 10.0 * G * S
+            gy = (gy[0] - 10.0 * (2.0 * x * S + G * y * C),
+                  gy[1] - 10.0 * (2.0 * y * S + G * x * C))
+        if not lap:
+            return Jet(yv, gy, z, gz)
+        ly = 9.0 * rho / al
+        if sine:
+            ly = ly - 10.0 * (4.0 * S + 8.0 * x * y * C - G * R2 * S)
+        w_lap = (2.0 * F * (E + G) + 8.0 * x * x * F
+                 + 2.0 * E * (F + G) + 8.0 * y * y * E)
+        return Jet(yv, gy, z, gz, ly, 5.0 * w_lap / al)
 
-        def lap_y1(x, y):
-            G = x * x + y * y - r2
-            S, C = np.sin(x * y), np.cos(x * y)
-            return lap_y1r(x, y) - 10.0 * (4.0 * S + 8.0 * x * y * C
-                                           - G * (x * x + y * y) * S)
-
-        ys[0], grads[0], laps[0] = y1, grad_y1, lap_y1
-
-    def W(x, y):
-        return (x * x + y * y - r2) * (x * x - 1.0) * (y * y - 1.0)
-
-    def W_grad(x, y):
-        G = x * x + y * y - r2
-        E, F = x * x - 1.0, y * y - 1.0
-        return (2.0 * x * F * (E + G), 2.0 * y * E * (F + G))
-
-    def W_lap(x, y):
-        G = x * x + y * y - r2
-        E, F = x * x - 1.0, y * y - 1.0
-        return (2.0 * F * (E + G) + 8.0 * x * x * F
-                + 2.0 * E * (F + G) + 8.0 * y * y * E)
-
-    def z_side(al):
-        return lambda x, y: 5.0 * W(x, y) / al
-
-    def grad_z_side(al):
-        def grad(x, y):
-            wx, wy = W_grad(x, y)
-            return (5.0 * wx / al, 5.0 * wy / al)
-        return grad
-
-    def lap_z_side(al):
-        return lambda x, y: 5.0 * W_lap(x, y) / al
-
-    both = lambda make: PiecewiseField(make(alpha1), make(alpha2))
     return ManufacturedProblem(
         name=name, domain=(-1.0, 1.0, -1.0, 1.0), levelset=circle_interface(r),
         alpha1=alpha1, alpha2=alpha2, a=a, lambda_coef=lambda_coef,
-        bounds=bounds, y=PiecewiseField(*ys), grad_y=PiecewiseField(*grads),
-        lap_y=PiecewiseField(*laps), z=both(z_side), grad_z=both(grad_z_side),
-        lap_z=both(lap_z_side), relative_errors=relative_errors)
+        bounds=bounds,
+        jet=PiecewiseField(partial(jet, alpha1, 0.0, sine),
+                           partial(jet, alpha2, shift, False)),
+        relative_errors=relative_errors)
 
 
 def build_example(example_id):

@@ -223,14 +223,15 @@ class ReducedSolver:
         dtype = B.dtype
         return lambda b: lu.solve(b.astype(dtype, copy=False), trans="T")
 
-    def _cut_blocks_definite(self, B):
+    def _cut_blocks_definite(self, B, on_free=True):
         """Whether the principal blocks of B on the free dofs of every cut
-        element are positive definite, as they are if B is."""
+        element are positive definite, as they are if B is: B on the free
+        dofs in elimination order or, unless ``on_free``, on all dofs (A)."""
         dofs = self._cut_dofs
         if len(dofs) == 0:
             return True
         free = dofs >= 0
-        i = np.where(free, dofs, 0)
+        i = np.where(free, dofs if on_free else self.free[dofs], 0)
         blocks = np.asarray(B[np.repeat(i, 6, axis=1).ravel(),
                               np.tile(i, (1, 6)).ravel()]).reshape(-1, 6, 6)
         blocks = np.where(free[:, :, None] & free[:, None, :], blocks,
@@ -250,8 +251,8 @@ class ReducedSolver:
         if self._lu is None:
             self._lu = self._factor(self._free_block(lambda k: A.data[k]))
         x[free] = self._lu(b_f)
-        scale = max(np.linalg.norm(b_f), 1e-300)
-        res = np.linalg.norm((A @ x - b)[free]) / scale
+        scale = max(_norm(b_f), 1e-300)
+        res = _norm((A @ x - b)[free]) / scale
         if not res <= SOLVE_TOL:                    # a NaN residual fails too
             raise SolverError(f"linear solve residual {res:.3e} exceeds "
                               f"{SOLVE_TOL:.1e}")
@@ -307,6 +308,11 @@ def _presb(red, M, a):
             raise SolverError(f"S = M + sqrt(a) A overflows single precision "
                               f"at sqrt(a) = {s:.3e}")
         red._saddle_lu = red._factor(S)
+        # at small a, S can be definite where A is not
+        if not red._cut_blocks_definite(A, on_free=False):
+            raise SolverError("stiffness matrix is not positive definite on "
+                              "the cut elements: the interface penalty "
+                              "lambda_coef / h is too small")
     solve, free, nf = red._saddle_lu, red.free, len(red.free)
 
     def apply(r):
@@ -318,16 +324,23 @@ def _presb(red, M, a):
     return spla.LinearOperator((2 * nf, 2 * nf), matvec=apply, dtype=float)
 
 
+def _norm(v):
+    """The 2-norm by numpy's own reduction, as every inner product of the
+    Krylov loop: BLAS threads them on long vectors, slower and rounding by
+    the thread count."""
+    return np.sqrt(np.einsum("i,i->", v, v))
+
+
 def _largest(terms):
     """The norm of a row's largest term, the scale of its residual."""
-    return max(*map(np.linalg.norm, terms), 1e-300)
+    return max(*map(_norm, terms), 1e-300)
 
 
 def _relative_residuals(rows):
     """The residual of every row of the optimality system, given as its
     terms (which sum to zero at the solution), relative to its largest
     term: the one residual measure of every solve."""
-    return tuple(float(np.linalg.norm(sum(terms)) / _largest(terms))
+    return tuple(float(_norm(sum(terms)) / _largest(terms))
                  for terms in rows)
 
 
@@ -362,7 +375,7 @@ def _fgmres(K, pre, b, x, judge):
                 "iterations".format(*residuals, SADDLE_TOL, its))
         r = b - K @ x
         g = np.zeros(GMRES_RESTART + 1)
-        g[0] = np.linalg.norm(r)
+        g[0] = _norm(r)
         H = np.zeros((GMRES_RESTART + 1, GMRES_RESTART))
         V, Z = [r / g[0]], []
         cycle = min(GMRES_RESTART, SADDLE_MAXITER - its)
@@ -370,9 +383,9 @@ def _fgmres(K, pre, b, x, judge):
             Z.append(pre @ V[j])
             w = K @ Z[j]
             for i, v in enumerate(V):               # modified Gram-Schmidt
-                H[i, j] = v @ w
+                H[i, j] = np.einsum("i,i->", v, w)
                 w -= H[i, j] * v
-            H[j + 1, j] = np.linalg.norm(w)
+            H[j + 1, j] = _norm(w)
             if not np.isfinite(H[:j + 2, j]).all():
                 raise SolverError("singular saddle system")
             its += 1

@@ -157,20 +157,22 @@ def run_convergence_study(config):
         os.makedirs(out, exist_ok=True)
     try:
         for n in config.n_values:
+            clock = [time.perf_counter()]
             disc = discretize(problem, n)
-            start = time.perf_counter()
+            clock.append(time.perf_counter())
             try:
                 sol = solve_discretized(problem, disc,
                                         max_iter=config.max_iter)
             except SolverError as exc:
                 raise SolverError(f"N={n}, lambda_coef={problem.lambda_coef:g}"
                                   f": {exc}") from exc
-            if config.verbose:
-                print(_progress_line(n, disc, sol,
-                                     time.perf_counter() - start),
-                      file=sys.stderr, flush=True)
+            clock.append(time.perf_counter())
             report = compute_errors(problem, sol, disc.mesh, disc.cut_info,
                                     disc.space)
+            clock.append(time.perf_counter())
+            if config.verbose:
+                print(_progress_line(n, disc, sol, np.diff(clock)),
+                      file=sys.stderr, flush=True)
             result.reports.append(report)
             result.solutions.append(sol)
             result.compute_eoc()
@@ -185,13 +187,13 @@ def run_convergence_study(config):
     return result
 
 
-def _progress_line(n, disc, sol, seconds):
+def _progress_line(n, disc, sol, stages):
     """N, free dofs, cut elements, integration cells, smallest cut fraction
-    min(k1, k2), solve wall time and the parts of it spent in the
-    elimination order and in the sparse factorization, L+U nonzeros of the
-    sparse factor, the GMRES iterations of each saddle solve or the
-    fixed-point sweeps, and the process's resident-set high-water mark so
-    far."""
+    min(k1, k2), the wall times of the ``stages`` (discretize, solve,
+    errors) and the parts of the solve spent in the elimination order and
+    in the sparse factorization, L+U nonzeros of the sparse factor, the
+    GMRES iterations of each saddle solve or the fixed-point sweeps, and
+    the process's resident-set high-water mark so far."""
     space, info = disc.space, disc.cut_info
     free = space.n_dofs - len(space.dirichlet_dofs)
     cut = len(info.cut_elements)
@@ -204,9 +206,11 @@ def _progress_line(n, disc, sol, seconds):
                                                    sol.saddle_iterations))
     else:
         work = f"fixed_point_sweeps={sol.iterations}"
+    discretize_s, solve_s, errors_s = stages
     return (f"N={n} free_dofs={free} cut_elements={cut} cells={cells} "
-            f"min_cut_fraction={frac:.3e} solve_s={seconds:.3f} "
-            f"order_s={sol.order_s:.3f} factor_s={sol.factor_s:.3f} "
+            f"min_cut_fraction={frac:.3e} discretize_s={discretize_s:.3f} "
+            f"solve_s={solve_s:.3f} order_s={sol.order_s:.3f} "
+            f"factor_s={sol.factor_s:.3f} errors_s={errors_s:.3f} "
             f"factor_nnz={sol.factor_nnz} {work} "
             f"peak_rss_mb={rss:.1f}")
 

@@ -9,7 +9,7 @@ import numpy as np
 from nxfem_ocp.interface_geometry import (ElementClass, GeometryError,
                                           circle_interface)
 from nxfem_ocp.mesh import Mesh
-from nxfem_ocp.problems import ManufacturedProblem, PiecewiseField
+from nxfem_ocp.problems import Jet, ManufacturedProblem, PiecewiseField
 from nxfem_ocp.solver import _check_control
 from nxfem_ocp.xfem_space import SIDE_BOTH
 
@@ -122,23 +122,18 @@ def build_smooth_problem(a=1.0):
     enters the domain."""
     pi = np.pi
 
-    sig = lambda x, y: np.sin(pi * x) * np.sin(pi * y)
-
-    def grad_sig(x, y):
-        return (pi * np.cos(pi * x) * np.sin(pi * y),
-                pi * np.sin(pi * x) * np.cos(pi * y))
-
-    lap_sig = lambda x, y: -2.0 * pi ** 2 * sig(x, y)
-
-    def both(fn):
-        return PiecewiseField(fn, fn)
+    def jet(x, y, lap=False):
+        sx, sy, cx, cy = (np.sin(pi * x), np.sin(pi * y), np.cos(pi * x),
+                          np.cos(pi * y))
+        sig, grad = sx * sy, (pi * cx * sy, pi * sx * cy)
+        lap_sig = -2.0 * pi ** 2 * sig if lap else None
+        return Jet(sig, grad, sig, grad, lap_sig, lap_sig)
 
     return ManufacturedProblem(
         name="smooth", domain=(0.0, 1.0, 0.0, 1.0),
         levelset=circle_interface(1.0, center=(10.0, 10.0)), alpha1=1.0,
-        alpha2=1.0, a=a, lambda_coef=100.0, bounds=None, y=both(sig),
-        grad_y=both(grad_sig), lap_y=both(lap_sig), z=both(sig),
-        grad_z=both(grad_sig), lap_z=both(lap_sig), relative_errors=True)
+        alpha2=1.0, a=a, lambda_coef=100.0, bounds=None,
+        jet=PiecewiseField(jet, jet), relative_errors=True)
 
 
 def project_control(p_values, a, u_a, u_b):

@@ -11,8 +11,9 @@ import pytest
 from nxfem_ocp.assembly import (Load, assemble_load, assemble_mass,
                                 assemble_stiffness)
 from nxfem_ocp.errors import compute_errors
-from nxfem_ocp.interface_geometry import (ElementClass, build_cut_info,
-                                          circle_interface, line_interface)
+from nxfem_ocp.interface_geometry import (CellTable, ElementClass,
+                                          build_cut_info, circle_interface,
+                                          line_interface)
 from nxfem_ocp.mesh import build_uniform_mesh
 from nxfem_ocp.problems import PiecewiseField, build_example
 from nxfem_ocp.solver import ControlClamp, OcpSolution
@@ -38,15 +39,20 @@ GEOMETRIES = {
     # the line y = x runs along mesh edges through every diagonal vertex
     "ex1-along-edges": (1, line_interface(1.0, 0.0)),
 }
-CASES = [(g, n) for g in ("ex1", "ex2", "ex3") for n in (16, 32)] + \
-    [("ex2-near-vertex", 16), ("ex1-along-edges", 16)]
+# a control box laid on an unbounded example: (geometry, box)
+BOXED = {"ex1-box": ("ex1", (-0.3, 0.3))}
+CASES = [(g, n) for g in ("ex1", "ex2", "ex3", "ex1-box") for n in (16, 32)] \
+    + [("ex2-near-vertex", 16), ("ex1-along-edges", 16)]
 
 
 def setup(label, n):
+    label, bounds = BOXED.get(label, (label, None))
     example, levelset = GEOMETRIES[label]
     problem = build_example(example)
     if levelset is not None:
         problem.levelset = levelset
+    if bounds is not None:
+        problem.bounds = bounds
     mesh = build_uniform_mesh(problem.domain, n)
     info = build_cut_info(mesh, problem.levelset)
     return problem, mesh, info, ExtendedSpace(mesh, info)
@@ -119,6 +125,39 @@ def test_one_pass_loads_equal_one_load_calls(label, n):
     plain, = assemble_load(mesh, info, space, Load(
         negated(problem.y_d), problem.g_adj, None, 1.0))
     assert np.array_equal(together[1], plain)
+
+
+@pytest.mark.parametrize("label", ["ex1", "ex3"])
+def test_one_jet_per_batch_and_side(label, monkeypatch):
+    # small batches, so that each side has several
+    monkeypatch.setattr(CellTable, "BATCH", 200)
+    problem, mesh, info, space = setup(label, 32)
+    calls, jets = [], problem.jet
+
+    def counted(m):
+        def jet(x, y, lap=False):
+            calls.append((m, x.shape, lap))
+            return jets.side(m)(x, y, lap)
+        return jet
+
+    problem.jet = PiecewiseField(counted(1), counted(2))
+    batches = [(side, (len(part), 6)) for side in (1, 2)
+               for part in info.integration_cells(mesh, side).batches()]
+    assert len(batches) >= 6
+    chords = info.chords.quadrature(mesh)[0].shape[:2]
+    # the loads read f and y_d off one jet with Laplacians per batch; each
+    # interface flux evaluates both sides' gradients on the chords
+    assemble_load(mesh, info, space, *base_loads(problem, None))
+    assert calls == [(m, shape, True) for m, shape in batches] \
+        + [(m, chords, False) for m in (1, 2, 1, 2)]
+    # the norms of u, y and p read one jet per batch, and one per side on
+    # the chords
+    calls.clear()
+    sol = OcpSolution(Y=np.zeros(space.n_dofs), P=np.zeros(space.n_dofs),
+                      a=problem.a, bounds=None)
+    compute_errors(problem, sol, mesh, info, space)
+    assert calls == [(m, shape, False) for m, shape in batches] \
+        + [(m, chords, False) for m in (1, 2)]
 
 
 @pytest.mark.parametrize("label, n", CASES)

@@ -37,17 +37,29 @@ def fd_divergence(grad, x, y, h=FD_STEP):
 
 
 @pytest.mark.parametrize("example_id", [1, 2, 3])
-def test_hand_gradients_match_finite_differences(example_id):
+def test_jet_derivatives_match_finite_differences(example_id):
+    """Every side's jet: the gradients of y and z against central
+    differences of the values, the Laplacians against central differences
+    of the gradients; the values and gradients do not depend on whether
+    the Laplacians were asked for."""
     problem = build_example(example_id)
     x, y = interior_points(problem, 400, seed=example_id)
-    for field in ("y", "p"):
-        pf = getattr(problem, field)
-        gf = getattr(problem, f"grad_{field}")
-        for side in (1, 2):
-            gx, gy = gf.side(side)(x, y)
-            fx, fy = fd_gradient(pf.side(side), x, y)
-            assert rel(gx, fx).max() < 1e-5
-            assert rel(gy, fy).max() < 1e-5
+    for side in (1, 2):
+        jet = problem.jet.side(side)
+        plain, full = jet(x, y), jet(x, y, True)
+        assert plain.lap_y is None and plain.lap_z is None
+        for name in ("y", "z"):
+            value = lambda px, py, name=name: getattr(jet(px, py), name)
+            grad = lambda px, py, name=name: getattr(jet(px, py),
+                                                     f"grad_{name}")
+            assert np.array_equal(getattr(plain, name), getattr(full, name))
+            for got, other, want in zip(grad(x, y),
+                                        getattr(full, f"grad_{name}"),
+                                        fd_gradient(value, x, y)):
+                assert np.array_equal(got, other)
+                assert rel(got, want).max() < 1e-5
+            lap = getattr(full, f"lap_{name}")
+            assert rel(lap, fd_divergence(grad, x, y)).max() < 1e-5
 
 
 @pytest.mark.parametrize("example_id", [1, 2, 3])

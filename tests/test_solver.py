@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from nxfem_ocp.solver import (ControlClamp, ReducedSolver, SolverError,
                               solve_constrained_ssn, solve_unconstrained_ocp,
                               _nested_dissection, _presb, _saddle_operator,
                               _solve_saddle)
+import nxfem_ocp
 from nxfem_ocp import solver
 from nxfem_ocp.study import RunConfig, discretize, solve_discretized
 from nxfem_ocp.xfem_space import ExtendedSpace
@@ -725,6 +730,52 @@ def test_fixed_point_matches_the_colamd_factor(monkeypatch):
     assert sol.iterations == ref.iterations
     for got, want in ((sol.Y, ref.Y), (sol.P, ref.P)):
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+_DIGEST = """
+import hashlib
+from nxfem_ocp.problems import build_example
+from nxfem_ocp.study import discretize, solve_discretized
+problem = build_example(1)
+sol = solve_discretized(problem, discretize(problem, 128))
+print(hashlib.sha256(sol.Y.tobytes() + sol.P.tobytes()).hexdigest(),
+      sol.saddle_iterations)
+"""
+
+
+def test_solution_does_not_depend_on_the_blas_thread_count():
+    # OpenBLAS threads level-1 calls on vectors this long, and its threaded
+    # sums round differently; the Krylov loop and its judge take their
+    # inner products and norms with numpy's own reductions
+    src = str(Path(nxfem_ocp.__file__).resolve().parents[1])
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", _DIGEST], env=env,
+                             capture_output=True, text=True, timeout=300,
+                             check=True)
+        out.append(run.stdout)
+    assert out[0] == out[1]
+    assert out[0].split(maxsplit=1)[1].strip() == "[8]"
+
+
+@pytest.mark.parametrize("example, lambda_coef, definite", [
+    (1, None, True), (2, None, True), (3, None, True), (3, 10.0, False)])
+def test_stiffness_guard_reads_a_on_the_cut_elements(example, lambda_coef,
+                                                     definite):
+    # A's own entries, gathered per cut element at the global dofs, give the
+    # verdict of its free block's cut blocks
+    problem = build_example(example)
+    if lambda_coef is not None:
+        problem.lambda_coef = lambda_coef
+    for n in (16, 32, 64):
+        disc = discretize(problem, n)
+        red = ReducedSolver(disc.A, disc.space)
+        assert red._cut_blocks_definite(disc.A, on_free=False) == definite
+        assert red._cut_blocks_definite(oracles.free_block(red, disc.A)) \
+            == definite
 
 
 def test_inertia_guard_counts_negative_eigenvalues():

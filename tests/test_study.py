@@ -1,4 +1,5 @@
 import resource
+import sys
 import warnings
 from pathlib import Path
 
@@ -247,16 +248,27 @@ def test_cli_unconstrained(tmp_path, capsys):
     assert (tmp_path / "run1" / "table.txt").exists()
 
 
-def test_cli_verbose_echoes_one_line_per_mesh(tmp_path, capsys):
+def test_cli_verbose_echoes_one_line_per_mesh(tmp_path, capsys,
+                                              monkeypatch):
     args = ["solve", "--example", "1", "--n-list", "8,16"]
     assert main(args + ["--out", str(tmp_path / "quiet")]) == 0
     quiet = capsys.readouterr()
     assert quiet.err == ""
+    errors = study_mod.compute_errors
+
+    def marked(*args):
+        print("errors", file=sys.stderr)
+        return errors(*args)
+
+    monkeypatch.setattr(study_mod, "compute_errors", marked)
     assert main(args + ["--out", str(tmp_path / "loud"), "--verbose"]) == 0
     loud = capsys.readouterr()
     assert loud.out == quiet.out
+    # each mesh's line follows its error norms, whose time it reports
     lines = loud.err.strip().splitlines()
-    assert [line.split()[0] for line in lines] == ["N=8", "N=16"]
+    assert [line.split()[0] for line in lines] == ["errors", "N=8",
+                                                   "errors", "N=16"]
+    lines = lines[1::2]
     problem = build_example(1)
     rss = [float(dict(item.split("=") for item in line.split())
                  ["peak_rss_mb"]) for line in lines]
@@ -268,6 +280,10 @@ def test_cli_verbose_echoes_one_line_per_mesh(tmp_path, capsys):
         fields = dict(item.split("=") for item in line.split())
         assert int(fields["free_dofs"]) > 0
         assert float(fields["solve_s"]) >= 0.0
+        assert float(fields["discretize_s"]) > 0.0
+        assert float(fields["errors_s"]) > 0.0
+        assert list(fields).index("discretize_s") \
+            < list(fields).index("solve_s") < list(fields).index("errors_s")
         # the elimination order and the factorization are parts of the solve
         assert 0.0 <= float(fields["order_s"]) <= float(fields["solve_s"])
         assert 0.0 <= float(fields["factor_s"]) <= float(fields["solve_s"])
@@ -424,6 +440,19 @@ def test_cli_rejects_an_indefinite_system(tmp_path, capsys, example, meshes,
     err = capsys.readouterr().err.strip()
     assert err == ("error: N=16, lambda_coef=10: matrix is not positive "
                    f"definite: {pivots} non-positive pivots")
+
+
+def test_cli_rejects_an_indefinite_stiffness_at_a_small_weight(tmp_path,
+                                                                capsys):
+    # at a = 1e-8, S = M + sqrt(a) A is definite although A's blocks on the
+    # cut elements are not, so only the check of A itself stops this run
+    rc = main(["solve", "--example", "3", "--n-list", "16,32", "--a", "1e-8",
+               "--lambda-coef", "10", "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err.strip() == (
+        "error: N=16, lambda_coef=10: stiffness matrix is not positive "
+        "definite on the cut elements: the interface penalty lambda_coef / h "
+        "is too small")
 
 
 @pytest.mark.parametrize("example, a, lam, root", [
