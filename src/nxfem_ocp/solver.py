@@ -24,6 +24,12 @@ the true residual still falls to the double-precision stop.
 GMRES stops on the judged block residuals, and each Newton step starts
 from the last one's solution.
 
+Both drivers of the CLI take a start (Y0, P0), full-length dof vectors on
+the space of the system, in a convergence sweep the last mesh's solution
+prolonged to the next (``xfem_space.prolong``): the unconstrained solve
+starts GMRES from it, and the fixed point takes clamp(-P0/a) as its first
+control.  Without one, both start from zero.
+
 Every sparse factorization (S, or A, whose one factor every inner solve
 of the fixed point shares) takes one path: a geometric nested-dissection
 order of the free dofs (George 1973) on fixed halving boxes, computed by
@@ -460,14 +466,22 @@ def _check_control(a, bounds, max_iter=1):
             f"max_iter must be at least 1, got {max_iter}")
 
 
-def solve_unconstrained_ocp(A, M, F1, F2, a, space, ybc_values):
+def _free_pair(red, Y, P, a):
+    """The free (y, q) of full-length Y and P, q = p/sqrt(a): the start of
+    a saddle solve."""
+    return np.concatenate([Y[red.free], P[red.free] / np.sqrt(a)])
+
+
+def solve_unconstrained_ocp(A, M, F1, F2, a, space, ybc_values, start=None):
     """Coupled optimality system without control bounds: the control is
     eliminated via u = -p/a and the saddle system with M_I = M is solved
-    by PRESB-preconditioned GMRES.  ``space`` is the ExtendedSpace of the
-    matrices: its Dirichlet dofs and dof positions."""
+    by PRESB-preconditioned GMRES, from the free y and p/sqrt(a) of
+    ``start`` = (Y0, P0) if given, else from zero.  ``space`` is the
+    ExtendedSpace of the matrices: its Dirichlet dofs and dof positions."""
     _check_control(a, (-np.inf, np.inf))
     red = ReducedSolver(A, space)
-    P, Y, its, res = _solve_saddle(red, M, M, F1, F2, a, ybc_values)
+    x0 = None if start is None else _free_pair(red, *start, a)
+    P, Y, its, res = _solve_saddle(red, M, M, F1, F2, a, ybc_values, x0)
     return OcpSolution(Y=Y, P=P, a=a, bounds=None, U=-P / a,
                        residual_state=res[0], residual_costate=res[1],
                        saddle_iterations=[its], saddle_residuals=[res],
@@ -575,11 +589,12 @@ FIXED_POINT_TOL = 1e-10   # the fixed point's stop on the control update
 
 def solve_constrained_fixed_point(mesh, cut_info, space, A, M, F1_base,
                                   F2_base, a, bounds, ybc_values,
-                                  max_iter=200):
+                                  max_iter=200, start=None):
     """Projected fixed-point iteration for box-constrained control.
 
     Per sweep: state solve with the current control, co-state solve (both
-    with the one factor of A), clamp update.  Stops when the
+    with the one factor of A), clamp update.  The first control is
+    clamp(-P0/a) for ``start`` = (Y0, P0), else zero.  Stops when the
     quadrature-sampled L2 norm of the control update, normalized by
     sqrt(domain area), drops below FIXED_POINT_TOL.  Returns a flagged (not
     raised) result when ``max_iter`` is exhausted.
@@ -592,6 +607,8 @@ def solve_constrained_fixed_point(mesh, cut_info, space, A, M, F1_base,
 
     load = np.zeros(space.n_dofs)
     u_prev = 0.0
+    if start is not None:
+        load, u_prev = clamp.load(start[1]), clamp.samples(start[1])
     history = []
     for it in range(max_iter):
         Y = solver.solve(F1_base + load, ybc_values)
@@ -639,7 +656,7 @@ def solve_constrained_ssn(mesh, cut_info, space, A, M, F1_base, F2_base, a,
         P, Y, its, res = _solve_saddle(red, M_inact, M, F1_base + b_act,
                                        F2_base, a, ybc_values, x)
         # the next step starts from this one's (y, q)
-        x = np.concatenate([Y[red.free], P[red.free] / np.sqrt(a)])
+        x = _free_pair(red, Y, P, a)
         saddle_its.append(its)
         saddle_res.append(res)
         prev, status = status, clamp.status(P)

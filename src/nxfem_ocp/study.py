@@ -20,7 +20,7 @@ from .mesh import ConfigurationError, build_uniform_mesh, write_mesh_csv
 from .problems import build_example
 from .solver import (ControlClamp, SolverError, _check_control,
                      solve_constrained_fixed_point, solve_unconstrained_ocp)
-from .xfem_space import ExtendedSpace
+from .xfem_space import ExtendedSpace, prolong
 
 __all__ = ["RunConfig", "Discretization", "discretize", "solve_discretized",
            "run_convergence_study", "StudyResult", "extract_active_set_boundary",
@@ -99,16 +99,19 @@ def discretize(problem, n):
                           M=M, F1=F1, F2=F2, ybc_values=ybc)
 
 
-def solve_discretized(problem, disc, max_iter=200):
+def solve_discretized(problem, disc, max_iter=200, start=None):
     """Dispatch to the block solve by PRESB-preconditioned GMRES (no
     bounds) or to the projected fixed-point iteration (box constraints),
-    whose inner solves share one factor of A."""
+    whose inner solves share one factor of A; either starts from ``start``
+    = (Y0, P0), dof vectors of ``disc.space``, if given."""
     if problem.bounds is None:
         return solve_unconstrained_ocp(disc.A, disc.M, disc.F1, disc.F2,
-                                       problem.a, disc.space, disc.ybc_values)
+                                       problem.a, disc.space, disc.ybc_values,
+                                       start=start)
     return solve_constrained_fixed_point(
         disc.mesh, disc.cut_info, disc.space, disc.A, disc.M, disc.F1,
-        disc.F2, problem.a, problem.bounds, disc.ybc_values, max_iter=max_iter)
+        disc.F2, problem.a, problem.bounds, disc.ybc_values, max_iter=max_iter,
+        start=start)
 
 
 @dataclass
@@ -145,7 +148,13 @@ def run_convergence_study(config):
     errors and refinement orders.  Output files are flushed row by row, so
     a failing fine-mesh solve leaves the coarse rows on disk; the sweep
     stops after the first mesh whose iteration did not converge.  With
-    ``config.verbose`` one progress line per mesh goes to stderr."""
+    ``config.verbose`` one progress line per mesh goes to stderr.
+
+    Nested iteration: a mesh whose N is twice the last one's starts its
+    solve from the last solution prolonged to it (``prolong``); every
+    other mesh starts from zero.  Of the last mesh only the values of its
+    Y and P on each side at every vertex are kept for that, not its
+    discretization."""
     problem = config.build_problem()
     result = StudyResult(problem=problem, n_values=config.n_values,
                          reports=[], solutions=[])
@@ -155,14 +164,20 @@ def run_convergence_study(config):
     out = config.out_dir
     if out:
         os.makedirs(out, exist_ok=True)
+    last = None             # N and the side values of Y and P of the last mesh
     try:
         for n in config.n_values:
             clock = [time.perf_counter()]
             disc = discretize(problem, n)
             clock.append(time.perf_counter())
+            start = None
+            if last is not None and n == 2 * last[0]:
+                start = tuple(prolong(sides, last[0], problem.domain,
+                                      disc.space) for sides in last[1:])
+            last = None         # not held under the solve's memory peak
             try:
                 sol = solve_discretized(problem, disc,
-                                        max_iter=config.max_iter)
+                                        max_iter=config.max_iter, start=start)
             except SolverError as exc:
                 raise SolverError(f"N={n}, lambda_coef={problem.lambda_coef:g}"
                                   f": {exc}") from exc
@@ -171,7 +186,8 @@ def run_convergence_study(config):
                                     disc.space)
             clock.append(time.perf_counter())
             if config.verbose:
-                print(_progress_line(n, disc, sol, np.diff(clock)),
+                print(_progress_line(n, disc, sol, np.diff(clock),
+                                     start is not None),
                       file=sys.stderr, flush=True)
             result.reports.append(report)
             result.solutions.append(sol)
@@ -180,6 +196,7 @@ def run_convergence_study(config):
                 _write_outputs(config, problem, result, disc, sol, n)
             if not sol.converged:
                 break
+            last = (n, *map(disc.space.vertex_sides, (sol.Y, sol.P)))
     except Exception:
         if out and result.reports:
             write_errors_csv(os.path.join(out, "errors.csv"), result)
@@ -187,13 +204,15 @@ def run_convergence_study(config):
     return result
 
 
-def _progress_line(n, disc, sol, stages):
+def _progress_line(n, disc, sol, stages, started):
     """N, free dofs, cut elements, integration cells, smallest cut fraction
     min(k1, k2), the wall times of the ``stages`` (discretize, solve,
     errors) and the parts of the solve spent in the elimination order and
     in the sparse factorization, L+U nonzeros of the sparse factor, the
-    GMRES iterations of each saddle solve or the fixed-point sweeps, and
-    the process's resident-set high-water mark so far."""
+    start of the solve (``coarse`` if ``started`` from the last mesh's
+    solution, else ``zero``), the GMRES iterations of each saddle solve or
+    the fixed-point sweeps, and the process's resident-set high-water mark
+    so far."""
     space, info = disc.space, disc.cut_info
     free = space.n_dofs - len(space.dirichlet_dofs)
     cut = len(info.cut_elements)
@@ -211,7 +230,8 @@ def _progress_line(n, disc, sol, stages):
             f"min_cut_fraction={frac:.3e} discretize_s={discretize_s:.3f} "
             f"solve_s={solve_s:.3f} order_s={sol.order_s:.3f} "
             f"factor_s={sol.factor_s:.3f} errors_s={errors_s:.3f} "
-            f"factor_nnz={sol.factor_nnz} {work} "
+            f"factor_nnz={sol.factor_nnz} "
+            f"start={'coarse' if started else 'zero'} {work} "
             f"peak_rss_mb={rss:.1f}")
 
 

@@ -4,6 +4,10 @@ interface.
 Every vertex incident to a cut element carries two degrees of freedom, one
 active on each subdomain fragment (the side-restricted representation of
 the enriched space).  All other vertices keep a single standard hat.
+
+A field of the space on the uniform n-mesh is carried to the uniform
+2n-mesh of the same rectangle by ``prolong``, from its values on each side
+at every vertex (``vertex_sides``).
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import scipy.sparse as sp
 
 from .interface_geometry import triangle_rule
 
-__all__ = ["ExtendedSpace"]
+__all__ = ["ExtendedSpace", "prolong"]
 
 SIDE_BOTH = 3
 
@@ -102,6 +106,19 @@ class ExtendedSpace:
         # one matrix-vector product per cell, rounded as for a single one
         return lambda vec: (lam @ vec[dofs][..., None])[..., 0]
 
+    def on_side2(self, dofs):
+        """Whether each of the dofs reads a two-sided field on side 2: a
+        copy of a doubled vertex its own side, a single dof the side of its
+        vertex's snapped sign."""
+        side = self.dof_side[dofs]
+        return (side == 2) | ((side == SIDE_BOTH)
+                              & (self.vertex_sign[self.dof_vertex[dofs]] > 0))
+
+    def vertex_sides(self, x):
+        """The values (2, V) of the dof vector x on side 1 and on side 2 at
+        every vertex; a single dof gives both."""
+        return x[np.stack([self.dof1, self.dof2])]
+
     def boundary_values(self, func):
         """(dirichlet dofs, interpolated values) for two-sided boundary
         data (a PiecewiseField): each copy of a doubled boundary vertex
@@ -110,8 +127,35 @@ class ExtendedSpace:
         v = self.dof_vertex[dofs]
         x, y = self.mesh.vertices[v, 0], self.mesh.vertices[v, 1]
         vals = np.empty(len(dofs))
-        side = self.dof_side[dofs]
-        side1 = (side == 1) | ((side == SIDE_BOTH) & (self.vertex_sign[v] < 0))
+        side1 = ~self.on_side2(dofs)
         vals[side1] = func.side(1)(x[side1], y[side1])
         vals[~side1] = func.side(2)(x[~side1], y[~side1])
         return dofs, vals
+
+
+def prolong(sides, n, domain, space):
+    """The field of the extended space on the uniform n-mesh of ``domain``
+    whose values on each side at every vertex are ``sides`` (2, (n+1)^2)
+    (``vertex_sides``), at every dof of ``space``, whose mesh must be the
+    uniform 2n-mesh of the same domain: ValueError otherwise.
+
+    Each fine vertex is found in its coarse cell by index arithmetic: it is
+    a vertex of the cell or the midpoint of one of its edges, the diagonal
+    shared by the lower and the upper triangle among them.  Every side's
+    field is linear along that edge, so a dof takes the mean of its side's
+    values at the edge's two ends (the same vertex twice at a coarse
+    vertex), and a field linear on a coarse element is prolonged exactly
+    at every fine vertex in it.  A dof of both sides reads the side of its
+    vertex's snapped sign, as ``boundary_values`` does."""
+    mesh = space.mesh
+    if not (n >= 1 and mesh.n == 2 * n and tuple(domain) == mesh.domain
+            and np.shape(sides) == (2, (n + 1) ** 2)):
+        raise ValueError(
+            f"no prolongation from the uniform {n}-mesh of {tuple(domain)} "
+            f"to the {mesh.n}-mesh of {mesh.domain} (hand-built: 0): the "
+            "fine mesh must be the uniform 2n-mesh of the same domain")
+    row, col = np.divmod(space.dof_vertex, 2 * n + 1)
+    lo = (row // 2) * (n + 1) + col // 2
+    hi = ((row + 1) // 2) * (n + 1) + (col + 1) // 2
+    side = space.on_side2(np.arange(space.n_dofs)).astype(np.intp)
+    return 0.5 * (sides[side, lo] + sides[side, hi])

@@ -1,14 +1,21 @@
 """Acceptance suite: one test per shipping criterion, each printing a
 PASS/FAIL line (run with -s to see them on success).
 
-Criterion 2 compares against externally tabulated reference magnitudes
-whose control and co-state H1 columns are inconsistent with the benchmark's
-closed-form fields: they lie ~4x below the H1 error of the two-sided P1
-interpolant of those fields, which no conforming method can beat by that
-much.  The check is implemented literally and is expected to stay red; the
-test prints that floor next to its FAIL line (``interpolant_errors``
-measures it through the same ``compute_errors``; at N=256 the
-interpolant's u H1 error is 2.67e-2 against 6.85e-3 in the table).
+Criterion 2 compares against externally tabulated reference magnitudes.
+The check is implemented literally and is expected to stay red, for two
+separate reasons:
+
+- The control and co-state H1 columns are inconsistent with the
+  benchmark's closed-form fields: they lie ~4x below the H1 error of the
+  two-sided P1 interpolant of those fields, which no conforming method can
+  beat by that much.  The test prints that floor next to its FAIL line
+  (``interpolant_errors`` measures it through the same ``compute_errors``;
+  at N=256 the interpolant's u H1 error is 2.67e-2 against 6.85e-3 in the
+  table).
+- The four u and p L2 order cells at N=64 (1.76 against 2.01) and N=128
+  (2.23 against 2.04) follow where this mesh sequence cuts the circle, not
+  the rate: over sequences that start at other N the same steps read other
+  orders around 2 (ROADMAP.md, the account of example 3's L2 orders).
 """
 
 import time
@@ -127,8 +134,9 @@ def test_criterion_2_circle_benchmark_magnitudes(ex3_sweep):
     every mesh, refinement orders within 0.15 of the printed ones.
 
     Expected red: the reference control/co-state H1 columns sit ~4x below
-    the best-approximation floor of the benchmark's closed-form fields (see
-    the module docstring)."""
+    the best-approximation floor of the benchmark's closed-form fields, and
+    the u/p L2 orders at N=64 and N=128 follow where the mesh sequence cuts
+    the circle (see the module docstring)."""
     failures = []
     for norm, table in (("l2", TABLE_L2), ("h1", TABLE_H1)):
         for i, n in enumerate(FULL_SWEEP):
@@ -151,8 +159,10 @@ def test_criterion_2_circle_benchmark_magnitudes(ex3_sweep):
                         f"{ours:.2f} vs {ref:.2f}")
     detail = ("all cells within factor 2 and EOC within 0.15" if not failures
               else f"{len(failures)} cell(s) out of tolerance "
-                   "(reference u/p data inconsistent with the "
-                   "benchmark fields; see module docstring)")
+                   "(reference u/p H1 data inconsistent with the "
+                   "benchmark fields; u/p L2 orders at N=64 and N=128 "
+                   "set by where the mesh sequence cuts the circle; see "
+                   "module docstring)")
     report(2, not failures, detail)
     print("criterion 2 floor: H1 errors u/y/p of the two-sided P1 "
           "interpolant, computed, reference")
@@ -163,7 +173,7 @@ def test_criterion_2_circle_benchmark_magnitudes(ex3_sweep):
                 [floor.value(f, "h1") for f in ("u", "y", "p")],
                 [ex3_sweep.error(i, f, "h1") for f in ("u", "y", "p")],
                 TABLE_H1[n])))
-    assert not failures, "; ".join(failures)
+    assert not failures, detail + ": " + "; ".join(failures)
 
 
 def test_criterion_3_constrained_convergence(ex2_sweep):

@@ -22,7 +22,7 @@ from nxfem_ocp.solver import (ControlClamp, ReducedSolver, SolverError,
 import nxfem_ocp
 from nxfem_ocp import solver
 from nxfem_ocp.study import RunConfig, discretize, solve_discretized
-from nxfem_ocp.xfem_space import ExtendedSpace
+from nxfem_ocp.xfem_space import ExtendedSpace, prolong
 
 import oracles
 from helpers import (build_smooth_problem, interpolate_two_sided,
@@ -155,6 +155,26 @@ def test_fixed_point_with_inactive_bounds_matches_unconstrained():
     scale = np.abs(unc.P).max()
     assert np.abs(sol.P - unc.P).max() <= 1e-7 * scale
     assert np.abs(sol.Y - unc.Y).max() <= 1e-7 * max(1.0, np.abs(unc.Y).max())
+
+
+def test_fixed_point_starts_from_the_control_of_a_start():
+    # the start's control clamp(-P0/a) is the first sweep's, and the first
+    # update is measured from it: the prolonged N=16 solution saves the N=32
+    # solve a sweep and leaves its answer where the stop puts it
+    problem = build_example(2)
+    coarse = discretize(problem, 16)
+    sol16 = solve_discretized(problem, coarse)
+    disc = discretize(problem, 32)
+    start = tuple(prolong(coarse.space.vertex_sides(v), 16, problem.domain,
+                          disc.space) for v in (sol16.Y, sol16.P))
+    cold = solve_discretized(problem, disc)
+    warm = solve_discretized(problem, disc, start=start)
+    assert cold.converged and warm.converged
+    assert warm.iterations < cold.iterations
+    assert np.abs(warm.P - cold.P).max() <= 1e-12 * np.abs(cold.P).max()
+    # a solution's own co-state is a fixed point: one sweep confirms it
+    again = solve_discretized(problem, disc, start=(cold.Y, cold.P))
+    assert again.iterations == 1 and again.control_diffs[0] < 1e-10
 
 
 def test_fixed_point_contraction_and_logging():
@@ -453,19 +473,42 @@ def _saddle_case(example, n=16):
     return red, M_I, disc.M, load, disc.F2, problem.a, disc.ybc_values
 
 
-@pytest.mark.parametrize("example", [1, 3, 2], ids=["ex1", "ex3",
-                                                    "ex2-newton-step-2"])
-def test_saddle_solve_matches_a_direct_solve(example):
+def _started_case(example, n):
+    """The free (y, q) of the unconstrained solution of example 1 or 3 on
+    the n/2-mesh prolonged to the n-mesh, and the arguments of
+    ``_solve_saddle`` for the unconstrained system there."""
+    problem = build_example(example)
+    coarse = discretize(problem, n // 2)
+    sol = solve_discretized(problem, coarse)
+    disc = discretize(problem, n)
+    red = ReducedSolver(disc.A, disc.space)
+    Y0, P0 = (prolong(coarse.space.vertex_sides(v), n // 2, problem.domain,
+                      disc.space) for v in (sol.Y, sol.P))
+    return solver._free_pair(red, Y0, P0, problem.a), (
+        red, disc.M, disc.M, disc.F1, disc.F2, problem.a, disc.ybc_values)
+
+
+@pytest.mark.parametrize("example, started", [
+    (1, False), (3, False), (2, False), (1, True), (3, True)],
+    ids=["ex1", "ex3", "ex2-newton-step-2", "ex1-started", "ex3-started"])
+def test_saddle_solve_matches_a_direct_solve(example, started):
     # the assembled (p, y) system [[M_I/a, A], [A, -M]] solved directly
-    # pins the substitution q = p/sqrt(a) and the signs of the right side
-    red, M_I, M, load, F2, a, yb = _saddle_case(example)
+    # pins the substitution q = p/sqrt(a) and the signs of the right side;
+    # a start (N=32 from the prolonged N=16 solution) is held to the same
+    # bound, for the stop is the same
+    x0, case = _started_case(example, 32) if started else (
+        None, _saddle_case(example))
+    red, M_I, M, load, F2, a, yb = case
     K = oracles.saddle_matrix(red, M_I, M, a)
     free, fixed = red.free, red.constrained
     rhs = np.concatenate([load[free] - red.A[free][:, fixed] @ yb,
                           F2[free] + M[free][:, fixed] @ yb])
     x = spla.spsolve(K.tocsc(), rhs)
     nf = len(red.free)
-    P, Y, _, res = _solve_saddle(red, M_I, M, load, F2, a, yb)
+    P, Y, its, res = _solve_saddle(red, M_I, M, load, F2, a, yb, x0)
+    if started:
+        # the start is closer than zero: fewer iterations than from zero
+        assert its < _solve_saddle(red, M_I, M, load, F2, a, yb)[2]
     assert max(res) <= 1e-10
     for got, want in ((P[red.free], x[:nf]), (Y[red.free], x[nf:])):
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
@@ -734,10 +777,9 @@ def test_fixed_point_matches_the_colamd_factor(monkeypatch):
 
 _DIGEST = """
 import hashlib
-from nxfem_ocp.problems import build_example
-from nxfem_ocp.study import discretize, solve_discretized
-problem = build_example(1)
-sol = solve_discretized(problem, discretize(problem, 128))
+from nxfem_ocp.study import RunConfig, run_convergence_study
+sol = run_convergence_study(RunConfig(example=1, n_values=(64, 128))
+                            ).solutions[-1]
 print(hashlib.sha256(sol.Y.tobytes() + sol.P.tobytes()).hexdigest(),
       sol.saddle_iterations)
 """
@@ -746,7 +788,8 @@ print(hashlib.sha256(sol.Y.tobytes() + sol.P.tobytes()).hexdigest(),
 def test_solution_does_not_depend_on_the_blas_thread_count():
     # OpenBLAS threads level-1 calls on vectors this long, and its threaded
     # sums round differently; the Krylov loop and its judge take their
-    # inner products and norms with numpy's own reductions
+    # inner products and norms with numpy's own reductions; the N=128 solve
+    # starts from the N=64 solution, prolonged
     src = str(Path(nxfem_ocp.__file__).resolve().parents[1])
     out = []
     for threads in ("1", "2"):
@@ -758,7 +801,7 @@ def test_solution_does_not_depend_on_the_blas_thread_count():
                              check=True)
         out.append(run.stdout)
     assert out[0] == out[1]
-    assert out[0].split(maxsplit=1)[1].strip() == "[8]"
+    assert out[0].split(maxsplit=1)[1].strip() == "[6]"
 
 
 @pytest.mark.parametrize("example, lambda_coef, definite", [

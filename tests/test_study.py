@@ -87,6 +87,17 @@ def test_determinism_bitwise():
                 repr(reps[1].value(fld, norm))
 
 
+@pytest.mark.parametrize("example", [1, 3])
+def test_a_carried_start_is_bitwise_repeatable(example):
+    # every mesh after the first starts from the last one's solution
+    runs = [run_convergence_study(RunConfig(example=example,
+                                            n_values=(16, 32, 64)))
+            for _ in range(2)]
+    for first, second in zip(*(run.solutions for run in runs)):
+        assert np.array_equal(first.Y, second.Y)
+        assert np.array_equal(first.P, second.P)
+
+
 def test_convergence_study_outputs(tmp_path):
     cfg = RunConfig(example=1, n_values=(8, 16), out_dir=str(tmp_path))
     result = run_convergence_study(cfg)
@@ -301,6 +312,24 @@ def test_cli_verbose_echoes_one_line_per_mesh(tmp_path, capsys,
         frac = np.minimum(info.chords.k1, info.chords.k2).min()
         assert float(fields["min_cut_fraction"]) == pytest.approx(frac,
                                                                   rel=1e-3)
+    # the start of each solve: a mesh twice the last one starts from the
+    # last solution, any other from zero
+    assert starts(lines) == ["zero", "coarse"]
+    args[-1] = "16,24"
+    assert main(args + ["--out", str(tmp_path / "other"), "--verbose"]) == 0
+    assert starts(capsys.readouterr().err.splitlines()[1::2]) == ["zero",
+                                                                  "zero"]
+
+
+def starts(lines):
+    """The start of every progress line, named just before its work."""
+    names = []
+    for line in lines:
+        keys = [item.split("=")[0] for item in line.split()]
+        assert keys[keys.index("start") + 1] in ("krylov_iterations",
+                                                 "fixed_point_sweeps")
+        names.append(dict(item.split("=") for item in line.split())["start"])
+    return names
 
 
 def test_cli_constrained_with_dumps(tmp_path, capsys):

@@ -6,10 +6,10 @@ from nxfem_ocp.interface_geometry import (ElementClass, LevelSet,
                                           line_interface)
 from nxfem_ocp.mesh import build_uniform_mesh
 from nxfem_ocp.problems import build_example
-from nxfem_ocp.xfem_space import ExtendedSpace, SIDE_BOTH
+from nxfem_ocp.xfem_space import ExtendedSpace, SIDE_BOTH, prolong
 
 from helpers import (element_dofs, hat_gradients, interpolate_two_sided,
-                     tri_coords)
+                     mesh_from_arrays, tri_coords)
 
 FAR_AWAY = circle_interface(1.0, center=(10.0, 10.0))
 
@@ -201,3 +201,63 @@ def test_dof_numbering_matches_vertex_loop(example):
         x, y = mesh.vertices[v]
         assert val == pytest.approx(problem.y.side(side)(x, y), rel=1e-14,
                                     abs=0.0)
+
+
+def _space(problem, n):
+    mesh = build_uniform_mesh(problem.domain, n)
+    info = build_cut_info(mesh, problem.levelset)
+    return ExtendedSpace(mesh, info), info
+
+
+LINEAR = (lambda x, y: 0.3 + 1.7 * x - 0.6 * y,
+          lambda x, y: -2.1 + 0.4 * x + 1.3 * y)
+
+
+@pytest.mark.parametrize("n", [8, 9])
+@pytest.mark.parametrize("example", [1, 3])
+def test_prolong_is_exact_for_linear_fields(example, n):
+    problem = build_example(example)
+    coarse, coarse_info = _space(problem, n)
+    fine, fine_info = _space(problem, 2 * n)
+    xc, yc = coarse.mesh.vertices.T
+    xf, yf = fine.mesh.vertices[fine.dof_vertex].T
+    # one linear function on both copies of every vertex, cut elements too
+    f = LINEAR[0]
+    X = f(xc, yc)[coarse.dof_vertex]
+    got = prolong(coarse.vertex_sides(X), n, problem.domain, fine)
+    want = f(xf, yf)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.any(fine.doubled)
+    # a different linear function per side: exact wherever the coarse
+    # elements holding the fine vertex include a cut one, for all three of
+    # its vertices carry both sides' values there
+    # (a dof shared by both sides reads its vertex's snapped sign)
+    X = interpolate_two_sided(coarse, coarse_info.vertex_sign, *LINEAR)
+    got = prolong(coarse.vertex_sides(X), n, problem.domain, fine)
+    want = interpolate_two_sided(fine, fine_info.vertex_sign, *LINEAR)
+    lam = np.stack([coarse.mesh.barycentric(e, fine.mesh.vertices)
+                    for e in range(coarse.mesh.num_triangles)])
+    holds = (lam >= -1e-12).all(axis=2)         # (elements, fine vertices)
+    cut = coarse.classes == int(ElementClass.CUT)
+    near = holds[cut].any(axis=0)[fine.dof_vertex]
+    assert np.any(near & (fine.dof_side != SIDE_BOTH))
+    assert np.abs(got - want)[near].max() <= 1e-13 * np.abs(want).max()
+
+
+def test_prolong_refuses_meshes_that_are_not_nested():
+    problem = build_example(1)
+    coarse, _ = _space(problem, 8)
+    sides = coarse.vertex_sides(np.zeros(coarse.n_dofs))
+    fine, _ = _space(problem, 16)
+    other, _ = _space(problem, 18)
+    mesh = mesh_from_arrays(fine.mesh.vertices, fine.mesh.triangles)
+    hand = ExtendedSpace(mesh, build_cut_info(mesh, problem.levelset))
+    assert prolong(sides, 8, problem.domain, fine).shape == (fine.n_dofs,)
+    for args in ((sides, 8, problem.domain, hand),          # hand-built
+                 (sides, 0, problem.domain, hand),
+                 (sides, 8, (0.0, 1.0, 0.0, 2.0), fine),    # other domain
+                 (sides, 8, problem.domain, other),         # 18 != 2 * 8
+                 (sides, 9, problem.domain, other),         # sides of n = 8
+                 (sides[:1], 8, problem.domain, fine)):
+        with pytest.raises(ValueError, match="no prolongation"):
+            prolong(*args)
