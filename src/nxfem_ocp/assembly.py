@@ -5,14 +5,14 @@ terms coupling flux averages with jumps across the interface chord, and the
 stabilizing jump penalty.  Volume contributions on cut elements are
 integrated side by side over the sub-triangulation, interface contributions
 with Gauss rules on the chords.  All right-hand sides of a mesh come from
-one pass over the integration cells: each batch builds its quadrature
-rule once and every volume source is contracted against it.
+one pass over the integration cells: each batch (or the leaves that a
+kink rule makes of it) builds its quadrature rule once and every volume
+source is contracted against it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -20,8 +20,7 @@ import scipy.sparse as sp
 
 from .interface_geometry import VOLUME_DEGREE, CellTable
 
-__all__ = ["RefineSpec", "Load", "assemble_stiffness", "assemble_mass",
-           "assemble_load"]
+__all__ = ["Load", "assemble_stiffness", "assemble_mass", "assemble_load"]
 
 # exact local P1 mass matrix, to be scaled by the area
 _MASS_BARY = np.array([[2.0, 1.0, 1.0],
@@ -29,26 +28,14 @@ _MASS_BARY = np.array([[2.0, 1.0, 1.0],
                        [1.0, 1.0, 2.0]]) / 12.0
 
 
-@dataclass
-class RefineSpec:
-    """Adaptive volume quadrature: cells of elements flagged in ``mask``
-    are split recursively while ``pred(coords, side)`` holds, up to
-    KINK_DEPTH levels; ``pred`` maps (C, 3, 2) triangles to (C,) flags."""
-
-    mask: np.ndarray
-    pred: callable
-
-
 class Load(NamedTuple):
     """One right-hand side: ``sign`` (+1 or -1) times the inner products of
     the volume source f (a PiecewiseField or None) with every basis
-    function, integrated adaptively where ``refine`` (a RefineSpec or None)
-    says, plus the interface flux data g (a callable on the chords or
+    function, plus the interface flux data g (a callable on the chords or
     None)."""
 
     f: object
     g: object
-    refine: RefineSpec | None
     sign: float
 
 
@@ -172,8 +159,7 @@ def _batch_loads(live, space, side, part):
     """Add the inner products of every (vector, load) in ``live`` over a
     batch of one side's cells: the batch gets its rule once, and the
     sources that view one jet (see ``problems.PiecewiseField``) read it
-    evaluated once, with Laplacians; a load with a RefineSpec skips the
-    cells of the elements it flags.  Nothing of the batch outlives the
+    evaluated once, with Laplacians.  Nothing of the batch outlives the
     call."""
     pts, w, lam, dofs, _ = space.rule(part, VOLUME_DEGREE)
     jets = {}
@@ -185,32 +171,19 @@ def _batch_loads(live, space, side, part):
             if f.jet not in jets:
                 jets[f.jet] = f.jet.side(side)(pts[..., 0], pts[..., 1], True)
             values = f.read(side, jets[f.jet])
-        plain = slice(None) if load.refine is None \
-            else ~load.refine.mask[part.parent]
-        vec += _hat_load(len(vec), dofs[plain], w[plain], lam[plain],
-                         values[plain])
+        vec += _hat_load(len(vec), dofs, w, lam, values)
 
 
-def _volume_loads(vecs, mesh, cut_info, space, loads):
+def _volume_loads(vecs, mesh, cut_info, space, loads, kinks):
     """Add the volume inner products of every load's source with every
-    basis function, a batch of integration cells at a time; a load with a
-    RefineSpec integrates the leaves of the refinement of the elements it
-    flags in an extra pass of its own."""
+    basis function, a batch of integration cells at a time; with a kink
+    rule, over the leaves it makes of each batch."""
     live = [(vec, load) for vec, load in zip(vecs, loads)
             if load.f is not None]
     for side in (1, 2):
-        cells = cut_info.integration_cells(mesh, side)
-        for part in cells.batches():
-            _batch_loads(live, space, side, part)
-        for vec, load in live:
-            spec = load.refine
-            if spec is None:
-                continue
-            flagged = cells[spec.mask[cells.parent]]
-            leaves = flagged.refined(lambda c: spec.pred(c.coords, side))
-            for part in leaves.batches():
-                _batch_loads([(vec, load._replace(refine=None))], space,
-                             side, part)
+        for part in cut_info.integration_cells(mesh, side).batches():
+            _batch_loads(live, space, side,
+                         part if kinks is None else kinks(part, side))
 
 
 def _interface_load(vec, mesh, cut_info, space, g):
@@ -226,13 +199,15 @@ def _interface_load(vec, mesh, cut_info, space, g):
                            minlength=len(vec))
 
 
-def assemble_load(mesh, cut_info, space, *loads):
+def assemble_load(mesh, cut_info, space, *loads, kinks=None):
     """One right-hand side vector per Load, all from one pass over the
-    integration cells.  The volume part is scaled by the load's sign before
-    the interface part is added, so a sign of -1 gives the same vector as
-    the negated source would."""
+    integration cells, or over the leaves that the problem's kink rule
+    ``kinks`` (``ManufacturedProblem.kink_rule``) makes of them.  The
+    volume part is scaled by the load's sign before the interface part is
+    added, so a sign of -1 gives the same vector as the negated source
+    would."""
     vecs = [np.zeros(space.n_dofs) for _ in loads]
-    _volume_loads(vecs, mesh, cut_info, space, loads)
+    _volume_loads(vecs, mesh, cut_info, space, loads, kinks)
     for vec, load in zip(vecs, loads):
         vec *= load.sign
         if load.g is not None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interface_geometry import VOLUME_DEGREE, ElementClass
+from .interface_geometry import VOLUME_DEGREE
 
 __all__ = ["FieldErrors", "ErrorReport", "compute_errors"]
 
@@ -72,6 +72,15 @@ class _ClampedLinearField:
         return (np.clip(raw, self.lo, self.hi),
                 (raw > self.lo) & (raw < self.hi), grad)
 
+    def straddles(self, space, cells):
+        """Whether the clamp switches inside each cell of a CellTable,
+        judged from the unclamped values at its vertices."""
+        lam = space.mesh.barycentric(cells.parent, cells.coords)
+        raw = np.einsum("cvi,ci->cv", lam, self.coeffs(space.cell_dofs(cells)))
+        rmin, rmax = raw.min(axis=1), raw.max(axis=1)
+        return (((rmin < self.lo) & (self.lo < rmax))
+                | ((rmin < self.hi) & (self.hi < rmax)))
+
 
 def _volume_sums(exact, exact_grad, disc, rule):
     """Squared L2 and H1-seminorm integrals of the error and of the exact
@@ -85,32 +94,6 @@ def _volume_sums(exact, exact_grad, disc, rule):
                     + (egy - active * dg[:, None, 1]) ** 2)),
         np.sum(w * exact ** 2),
         np.sum(w * (egx ** 2 + egy ** 2))])
-
-
-def _kinked(disc, mesh, space, cells, exact_kinked, grads=None):
-    """``exact_kinked``, or the discrete clamp switches inside the cell
-    (judged from its vertex values); ``grads`` are the parents' hat
-    gradients, if the caller has them."""
-    lam = mesh.barycentric(cells.parent, cells.coords, grads)
-    raw = np.einsum("cvi,ci->cv", lam, disc.coeffs(space.cell_dofs(cells)))
-    rmin, rmax = raw.min(axis=1), raw.max(axis=1)
-    return (exact_kinked | ((rmin < disc.lo) & (disc.lo < rmax))
-            | ((rmin < disc.hi) & (disc.hi < rmax)))
-
-
-def _kink_refined(rule, cells, disc, spec, mesh, cut_info, space, side):
-    """The rule with the cells that a kink of the clamped control crosses
-    replaced by the leaves of their refinement: exact kinks are those of
-    the load refinement ``spec``, judged at the vertices on uncut
-    elements; discrete kinks come from the cell's vertex values."""
-    cut = cut_info.classes[cells.parent] == int(ElementClass.CUT)
-    exact = spec.mask[cells.parent]
-    exact[cut] = spec.pred(cells.coords[cut], side)
-    flags = _kinked(disc, mesh, space, cells, exact, rule[4])
-    leaves = cells[flags].refined(
-        lambda c: _kinked(disc, mesh, space, c, spec.pred(c.coords, side)))
-    return [np.concatenate([a[~flags], b])
-            for a, b in zip(rule, space.rule(leaves, VOLUME_DEGREE))]
 
 
 def _interface_sums(exact, disc, chords, rule):
@@ -152,33 +135,37 @@ def compute_errors(problem, solution, mesh, cut_info, space):
 
     Every side's integration cells are integrated once for all three
     fields, batch by batch, on one evaluation of the side's jet per batch;
-    for box-constrained problems the control integrates the leaves of
-    kink-adaptive refinement in place of the cells its kinks cross, on a
-    jet of its own.  Without bounds u - u_h = -(p - p_h)/a, so the
-    control's sums are the co-state's over a^2.
+    for box-constrained problems the control integrates the leaves that
+    the problem's kink rule makes of the batch, where the clamp of the
+    exact or of the discrete control switches, on a jet of its own.
+    Without bounds u - u_h = -(p - p_h)/a, so the control's sums are the
+    co-state's over a^2.
     """
-    spec = problem.load_refine(mesh, cut_info)
+    kinks = problem.kink_rule(mesh)
     discs = {"y": _ClampedLinearField(solution.Y, 1.0, None),
              "p": _ClampedLinearField(solution.P, 1.0, None)}
-    if spec is not None:
-        discs["u"] = _ClampedLinearField(solution.P, -1.0 / problem.a,
-                                         problem.bounds)
+    if kinks is not None:
+        control = discs["u"] = _ClampedLinearField(
+            solution.P, -1.0 / problem.a, problem.bounds)
     # per field: the error's and the exact field's squared L2 norm, H1
     # seminorm and interface terms
     sums = {name: np.zeros(6) for name in discs}
     for side in (1, 2):
         for cells in cut_info.integration_cells(mesh, side).batches():
-            rule = space.rule(cells, VOLUME_DEGREE)
-            exact = _exact(problem, side, rule[0], ("y", "p"))
+            rule = u_rule = space.rule(cells, VOLUME_DEGREE)
+            if kinks is not None:
+                leaves = kinks(cells, side,
+                               lambda c: control.straddles(space, c))
+                if leaves is not cells:
+                    u_rule = space.rule(leaves, VOLUME_DEGREE)
+            exact = _exact(problem, side, rule[0],
+                           [name for name in discs
+                            if name != "u" or u_rule is rule])
+            if u_rule is not rule:
+                exact.update(_exact(problem, side, u_rule[0], ("u",)))
             for name, disc in discs.items():
-                if name == "u":
-                    field_rule = _kink_refined(rule, cells, disc, spec, mesh,
-                                               cut_info, space, side)
-                    exact["u"] = _exact(problem, side, field_rule[0],
-                                        ("u",))["u"]
-                else:
-                    field_rule = rule
-                sums[name][:4] += _volume_sums(*exact[name], disc, field_rule)
+                sums[name][:4] += _volume_sums(
+                    *exact[name], disc, u_rule if name == "u" else rule)
 
     chords = cut_info.chords
     tri = mesh.triangles[chords.element]
@@ -191,7 +178,7 @@ def compute_errors(problem, solution, mesh, cut_info, space):
         sums[name][4:] = _interface_sums(
             {side: on_chords[side][name] for side in (1, 2)}, disc, chords,
             rule)
-    if spec is None:
+    if kinks is None:
         sums["u"] = sums["p"] / problem.a ** 2
     fields = {}
     for name in FIELDS:

@@ -169,17 +169,20 @@ class CellTable:
         """The leaves of the 4-way midpoint subdivision of every cell, split
         level by level: at each level ``needs_refine(cells)`` picks, for all
         current triangles at once, the ones to split; after KINK_DEPTH
-        levels the rest are leaves.  This resolves the curved kinks of
-        exact fields; the straight kinks of the discrete clamp are cut
+        levels the rest are leaves.  A table of which nothing is split is
+        its own leaves, the same object.  This resolves the curved kinks
+        of exact fields; the straight kinks of the discrete clamp are cut
         exactly by ``clip``."""
         done, todo = [], self
         for _ in range(KINK_DEPTH):
             split = needs_refine(todo)
+            if not split.any():
+                break
             done.append(todo[~split])
             todo = CellTable(np.repeat(todo.parent[split], 4),
                              np.repeat(todo.side[split], 4),
                              _children(todo.coords[split]))
-        return CellTable.concat(*done, todo)
+        return CellTable.concat(*done, todo) if done else self
 
     def clip(self, values, level):
         """Split every cell along the zero line of the linear function with

@@ -21,8 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .assembly import RefineSpec
-from .interface_geometry import ElementClass, LevelSet, circle_interface, line_interface
+from .interface_geometry import LevelSet, circle_interface, line_interface
 from .mesh import ConfigurationError
 
 __all__ = ["Jet", "PiecewiseField", "ManufacturedProblem", "build_example",
@@ -172,39 +171,38 @@ class ManufacturedProblem:
         """The co-state's interface flux jump [alpha dn p]."""
         return flux_jump(self.grad_p, self.levelset, self.alpha1, self.alpha2)
 
-    def clamp_status(self, z):
-        """-1 / 0 / +1 for below-box / inside / above-box values."""
-        if self.bounds is None:
-            return np.zeros_like(np.asarray(z))
-        lo, hi = self.bounds
-        return np.where(z <= lo, -1, np.where(z >= hi, 1, 0))
-
-    def load_refine(self, mesh, cut_info):
-        """Adaptive-quadrature spec for loads whose integrand kinks along
-        the exact active-set boundary (box-constrained problems only)."""
+    def kink_rule(self, mesh):
+        """The one rule of the cells that the kink of clamp(z) crosses
+        (None without bounds): ``rule(cells, side, straddles=None)`` gives
+        the leaves of a batch of one side's integration cells, split up to
+        KINK_DEPTH levels while the status of z (below, inside or above the
+        box) differs among a cell's vertices, edge midpoints and centroid,
+        or where ``straddles(cells)`` flags.  Only the cells of elements
+        whose own vertices see the status change are sampled."""
         if self.bounds is None:
             return None
+        lo, hi = self.bounds
 
-        def status_side(side, x, y):
-            return self.clamp_status(self.z.side(side)(x, y))
+        def status(side, pts):
+            z = self.z.side(side)(pts[..., 0], pts[..., 1])
+            return (z > lo).astype(np.int8) + (z >= hi)
 
         # the status once per vertex (not at 3T points), gathered per element
-        x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
-        mask = np.zeros(mesh.num_triangles, dtype=bool)
-        for side, other in ((1, ElementClass.INTERIOR_2),
-                            (2, ElementClass.INTERIOR_1)):
-            st = status_side(side, x, y)[mesh.triangles]
-            mask |= (st.max(axis=1) != st.min(axis=1)) \
-                & (cut_info.classes != int(other))
+        changes = {side: np.ptp(status(side, mesh.vertices)[mesh.triangles],
+                                axis=1) > 0 for side in (1, 2)}
 
-        def pred(tc, side):
-            # vertices, edge midpoints and centroid of each (C, 3, 2) triangle
-            pts = np.concatenate([tc, 0.5 * (tc + np.roll(tc, 1, axis=1)),
-                                  tc.mean(axis=1, keepdims=True)], axis=1)
-            st = status_side(side, pts[..., 0], pts[..., 1])
-            return st.max(axis=1) != st.min(axis=1)
+        def rule(cells, side, straddles=None):
+            def split(c):
+                flags = changes[side][c.parent]
+                tc = c.coords[flags]
+                pts = np.concatenate([tc, 0.5 * (tc + np.roll(tc, 1, axis=1)),
+                                      tc.mean(axis=1, keepdims=True)], axis=1)
+                flags[flags] = np.ptp(status(side, pts), axis=1) > 0
+                return flags if straddles is None else flags | straddles(c)
 
-        return RefineSpec(mask=mask, pred=pred)
+            return cells.refined(split)
+
+        return rule
 
 
 # ---------------------------------------------------------------------------

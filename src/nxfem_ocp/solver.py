@@ -9,8 +9,11 @@ discretization).  For P1 co-states -p/a is linear on every integration
 cell, so the clamp's kinks are straight: the cells are clipped exactly at
 both bounds (``CellTable.clip``), and on every piece the control is a
 bound or -p/a, which a degree-2 rule integrates exactly against hats and
-hat products.  Every reader of the control goes through one
-``ControlClamp``, which holds the cells and is built once per solve.
+hat products.  The box-constrained solvers and the active-set output
+read the control through one ``ControlClamp``, which holds the cells and
+is built once per solve.  The error norms clamp -p_h/a themselves
+(``errors._ClampedLinearField``), at their quadrature points and, for the
+kink rule's straddle test, at the vertices of the cells.
 
 Every block system is solved in q = p/sqrt(a), where it has the square
 form [[M, -sqrt(a) A], [sqrt(a) A, M_I]], by flexible GMRES preconditioned
@@ -69,7 +72,6 @@ class OcpSolution:
     P: np.ndarray
     a: float
     bounds: tuple | None
-    U: np.ndarray | None = None       # explicit dofs, unconstrained case only
     iterations: int = 1
     converged: bool = True
     residual_state: float = 0.0
@@ -482,7 +484,7 @@ def solve_unconstrained_ocp(A, M, F1, F2, a, space, ybc_values, start=None):
     red = ReducedSolver(A, space)
     x0 = None if start is None else _free_pair(red, *start, a)
     P, Y, its, res = _solve_saddle(red, M, M, F1, F2, a, ybc_values, x0)
-    return OcpSolution(Y=Y, P=P, a=a, bounds=None, U=-P / a,
+    return OcpSolution(Y=Y, P=P, a=a, bounds=None,
                        residual_state=res[0], residual_costate=res[1],
                        saddle_iterations=[its], saddle_residuals=[res],
                        factor_nnz=red.factor_nnz, factor_s=red.factor_s,
@@ -494,8 +496,9 @@ def solve_unconstrained_ocp(A, M, F1, F2, a, space, ybc_values, start=None):
 # ---------------------------------------------------------------------------
 
 class ControlClamp:
-    """The control clamp(-p/a) for co-states P of an extended space: the
-    one reader of it, built once per solve.
+    """The control clamp(-p/a) for co-states P of an extended space, as the
+    box-constrained solvers and the active-set output read it, built once
+    per solve.
 
     It holds what does not depend on P: the integration cells, the map
     from a dof vector to its values at the cells' vertices and the weights

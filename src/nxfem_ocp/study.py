@@ -92,8 +92,8 @@ def discretize(problem, n):
     M = assemble_mass(mesh, cut_info, space)
     F1, F2 = assemble_load(
         mesh, cut_info, space,
-        Load(problem.f, problem.g, problem.load_refine(mesh, cut_info), 1.0),
-        Load(problem.y_d, problem.g_adj, None, -1.0))
+        Load(problem.f, problem.g, 1.0), Load(problem.y_d, problem.g_adj, -1.0),
+        kinks=problem.kink_rule(mesh))
     _, ybc = space.boundary_values(problem.y)
     return Discretization(mesh=mesh, cut_info=cut_info, space=space, A=A,
                           M=M, F1=F1, F2=F2, ybc_values=ybc)

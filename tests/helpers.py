@@ -1,8 +1,8 @@
 """Helpers that only the tests use: a mesh from raw arrays, element
 coordinates, areas and hat gradients, a triangle's area, one element's
 dofs, a two-sided nodal interpolant, the total chord length, the subdomain
-of a point and the exact state trace there, an interface-free control
-problem and the pointwise projection of a co-state onto the control box."""
+of a point and the exact state trace there, two interface-free control
+problems and the pointwise projection of a co-state onto the control box."""
 
 import numpy as np
 
@@ -133,6 +133,24 @@ def build_smooth_problem(a=1.0):
         name="smooth", domain=(0.0, 1.0, 0.0, 1.0),
         levelset=circle_interface(1.0, center=(10.0, 10.0)), alpha1=1.0,
         alpha2=1.0, a=a, lambda_coef=100.0, bounds=None,
+        jet=PiecewiseField(jet, jet), relative_errors=True)
+
+
+def boxed_control_problem(z, grad_z, bounds):
+    """Interface-free problem on the unit square with zero state and the
+    pre-clamp control ``z`` (x, y) with gradient ``grad_z`` (x, y) -> (gx,
+    gy), in the box ``bounds``: the kinks of u = clamp(z) are where z meets
+    the bounds.  Laplacians are left zero."""
+
+    def jet(x, y, lap=False):
+        zero = np.zeros_like(x)
+        return Jet(zero, (zero, zero), z(x, y), grad_z(x, y),
+                   *((zero, zero) if lap else ()))
+
+    return ManufacturedProblem(
+        name="boxed", domain=(0.0, 1.0, 0.0, 1.0),
+        levelset=circle_interface(1.0, center=(10.0, 10.0)), alpha1=1.0,
+        alpha2=1.0, a=1.0, lambda_coef=100.0, bounds=bounds,
         jet=PiecewiseField(jet, jet), relative_errors=True)
 
 

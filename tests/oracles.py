@@ -419,17 +419,49 @@ def loop_mass(mesh, cut_info, space, quad_degree=4):
     return M.tocsr()
 
 
-def _volume_load(vec, mesh, cut_info, space, func, quad_degree, refine):
-    """Add the volume inner product of ``func`` with every basis function."""
+class KinkLoops:
+    """The kink rule of a box-constrained problem (``ManufacturedProblem.
+    kink_rule``) one element at a time: whether the status of z changes at
+    the vertices of elements (``changes``), and whether a triangle of an
+    element's side is split again (``split``)."""
+
+    def __init__(self, problem, mesh):
+        self.problem, self.mesh = problem, mesh
+
+    def _varies(self, side, pts):
+        """Whether z lies below, inside or above the box at some but not
+        all of the points (..., k, 2)."""
+        z = self.problem.z.side(side)(pts[..., 0], pts[..., 1])
+        lo, hi = self.problem.bounds
+        st = np.where(z <= lo, -1, np.where(z >= hi, 1, 0))
+        return st.max(axis=-1) != st.min(axis=-1)
+
+    def changes(self, side, elements):
+        return self._varies(side,
+                            self.mesh.vertices[self.mesh.triangles[elements]])
+
+    def split(self, e, side, tc):
+        """The status changes at element e's vertices and among the
+        vertices, edge midpoints and centroid of its triangle tc (3, 2)."""
+        pts = np.vstack([tc, 0.5 * (tc + np.roll(tc, 1, axis=0)),
+                         tc.mean(axis=0)])
+        return bool(self.changes(side, e) and self._varies(side, pts))
+
+
+def _volume_load(vec, mesh, cut_info, space, func, quad_degree, kinks):
+    """Add the volume inner product of ``func`` with every basis function,
+    integrated over the leaves of the kink rule ``kinks`` (a KinkLoops or
+    None)."""
     f1, f2 = _side_funcs(func)
     bary, w = triangle_rule(quad_degree)
-    mask = refine.mask if refine is not None else None
 
     for side, fs, els in zip((1, 2), (f1, f2),
                              _uncut_elements_by_side(cut_info)):
         if len(els) == 0:
             continue
-        plain = els if mask is None else els[~mask[els]]
+        changes = np.zeros(len(els), dtype=bool) if kinks is None \
+            else kinks.changes(side, els)
+        plain = els[~changes]
         if len(plain):
             coords = mesh.vertices[mesh.triangles[plain]]
             pts = np.einsum("qi,eik->eqk", bary, coords)
@@ -438,11 +470,10 @@ def _volume_load(vec, mesh, cut_info, space, func, quad_degree, refine):
                 * element_areas(mesh, plain)[:, None]
             dofs = (space.dof1 if side == 1 else space.dof2)[mesh.triangles[plain]]
             np.add.at(vec, dofs, loads)
-        flagged = [] if mask is None else els[mask[els]]
-        for e in flagged:
+        for e in els[changes]:
             pts, wts = refined_triangle_quadrature(
                 tri_coords(mesh, e), bary, w,
-                lambda c: refine.pred(c[None], side)[0], KINK_DEPTH)
+                lambda c: kinks.split(e, side, c), KINK_DEPTH)
             lamq = mesh.barycentric(e, pts)
             fv = fs(pts[:, 0], pts[:, 1])
             dofs = (space.dof1 if side == 1 else space.dof2)[mesh.triangles[e]]
@@ -453,14 +484,10 @@ def _volume_load(vec, mesh, cut_info, space, func, quad_degree, refine):
         for side, fs, tris, dofs in ((1, f1, cg.tris1, space.dof1[tri]),
                                      (2, f2, cg.tris2, space.dof2[tri])):
             for t in tris:
-                if refine is not None and refine.mask[e]:
-                    pts, wts = refined_triangle_quadrature(
-                        t, bary, w,
-                        lambda c, s=side: refine.pred(c[None], s)[0],
-                        KINK_DEPTH)
-                else:
-                    r = map_rule_to_triangle(t, bary, w)
-                    pts, wts = r.points, r.weights
+                pts, wts = refined_triangle_quadrature(
+                    t, bary, w, lambda c, s=side: (kinks is not None
+                                                   and kinks.split(e, s, c)),
+                    KINK_DEPTH)
                 lamq = mesh.barycentric(e, pts)
                 fv = fs(pts[:, 0], pts[:, 1])
                 np.add.at(vec, dofs, (wts * fv) @ lamq)
@@ -480,12 +507,13 @@ def _interface_load(vec, mesh, cut_info, space, g, seg_points):
 
 
 def loop_load(mesh, cut_info, space, f=None, g=None, quad_degree=4,
-              seg_points=3, refine=None):
-    """Right-hand side vector with volume source f and interface flux
-    data g."""
+              seg_points=3, kinks=None):
+    """Right-hand side vector with volume source f, integrated over the
+    leaves of the kink rule ``kinks`` (a KinkLoops or None), and interface
+    flux data g."""
     vec = np.zeros(space.n_dofs)
     if f is not None:
-        _volume_load(vec, mesh, cut_info, space, f, quad_degree, refine)
+        _volume_load(vec, mesh, cut_info, space, f, quad_degree, kinks)
     if g is not None:
         _interface_load(vec, mesh, cut_info, space, g, seg_points)
     return vec
@@ -537,17 +565,14 @@ def _accumulate(acc, w, err_vals, err_grads, exact_vals, exact_grads):
 
 
 def _field_errors(problem, field, disc, mesh, cut_info, space, quad_degree,
-                  seg_points, refine_depth):
+                  seg_points):
     exact = getattr(problem, field)
     exact_grad = getattr(problem, f"grad_{field}")
     bary, w = triangle_rule(quad_degree)
     acc = [0.0, 0.0, 0.0, 0.0]          # err_l2^2, err_h1^2, exact versions
 
-    exact_status = None
-    if field == "u" and problem.bounds is not None:
-        def exact_status(side, pts):
-            return problem.clamp_status(
-                problem.z.side(side)(pts[:, 0], pts[:, 1]))
+    kinks = KinkLoops(problem, mesh) \
+        if field == "u" and problem.bounds is not None else None
 
     # --- volume terms, uncut elements -------------------------------------
     for side in (1, 2):
@@ -559,10 +584,8 @@ def _field_errors(problem, field, disc, mesh, cut_info, space, quad_degree,
         varies = disc.status_varies(dofs)
         if varies is None:
             varies = np.zeros(len(els), dtype=bool)
-        if exact_status is not None:
-            coords = mesh.vertices[mesh.triangles[els]]
-            st = exact_status(side, coords.reshape(-1, 2)).reshape(len(els), 3)
-            varies |= st.max(axis=1) != st.min(axis=1)
+        if kinks is not None:
+            varies |= kinks.changes(side, els)
 
         plain = els[~varies]
         if len(plain):
@@ -582,17 +605,16 @@ def _field_errors(problem, field, disc, mesh, cut_info, space, quad_degree,
             acc[2] += np.sum(wa * ev ** 2)
             acc[3] += np.sum(wa * (egx ** 2 + egy ** 2))
         for e in els[varies]:
-            _element_volume(acc, problem, exact, exact_grad, exact_status,
-                            disc, mesh, int(e), side,
-                            [tri_coords(mesh, int(e))], bary, w, refine_depth)
+            _element_volume(acc, exact, exact_grad, kinks, disc, mesh,
+                            int(e), side, [tri_coords(mesh, int(e))], bary,
+                            w)
 
     # --- volume terms, cut elements ----------------------------------------
     cuts = element_cuts(cut_info)
     for e, cg in cuts.items():
         for side, tris in ((1, cg.tris1), (2, cg.tris2)):
-            _element_volume(acc, problem, exact, exact_grad, exact_status,
-                            disc, mesh, int(e), side, tris, bary, w,
-                            refine_depth)
+            _element_volume(acc, exact, exact_grad, kinks, disc, mesh,
+                            int(e), side, tris, bary, w)
 
     # --- interface terms of the mesh-dependent norm ------------------------
     iface_err = 0.0
@@ -629,9 +651,11 @@ def _field_errors(problem, field, disc, mesh, cut_info, space, quad_degree,
         exact_triple=np.sqrt(acc[3] + iface_exact))
 
 
-def _element_volume(acc, problem, exact, exact_grad, exact_status, disc,
-                    mesh, e, side, tris, bary, w, depth):
-    """Slow path: per-element integration with kink-adaptive refinement."""
+def _element_volume(acc, exact, exact_grad, kinks, disc, mesh, e, side,
+                    tris, bary, w):
+    """Slow path: per-element integration over the leaves of the kink rule
+    ``kinks`` (a KinkLoops or None), which also splits where the discrete
+    clamp switches inside a triangle."""
     dofs = element_dofs(disc.space, e, side)
     C = disc.coeffs(dofs)
 
@@ -639,15 +663,11 @@ def _element_volume(acc, problem, exact, exact_grad, exact_status, disc,
         raw = mesh.barycentric(e, tc) @ C
         if (raw.min() < disc.lo < raw.max()) or (raw.min() < disc.hi < raw.max()):
             return True
-        if exact_status is not None:
-            pts = np.vstack([tc, 0.5 * (tc + np.roll(tc, 1, axis=0)),
-                             tc.mean(axis=0)])
-            st = exact_status(side, pts)
-            return st.max() != st.min()
-        return False
+        return kinks is not None and kinks.split(e, side, tc)
 
     for t in tris:
-        pts, wts = refined_triangle_quadrature(t, bary, w, needs_refine, depth)
+        pts, wts = refined_triangle_quadrature(t, bary, w, needs_refine,
+                                               KINK_DEPTH)
         lam = mesh.barycentric(e, pts)
         ev = exact.side(side)(pts[:, 0], pts[:, 1])
         egx, egy = exact_grad.side(side)(pts[:, 0], pts[:, 1])
@@ -658,7 +678,7 @@ def _element_volume(acc, problem, exact, exact_grad, exact_status, disc,
 
 
 def loop_errors(problem, solution, mesh, cut_info, space, quad_degree=4,
-                seg_points=3, refine_depth=3):
+                seg_points=3):
     """L2, broken H1 and mesh-dependent norms of the control/state/co-state
     errors, plus the matching exact-field norms for relative reporting."""
     bounds = problem.bounds
@@ -668,7 +688,7 @@ def loop_errors(problem, solution, mesh, cut_info, space, quad_degree=4,
         "p": _ClampedLinearField(space, solution.P, 1.0, None),
     }
     fields = {name: _field_errors(problem, name, disc, mesh, cut_info, space,
-                                  quad_degree, seg_points, refine_depth)
+                                  quad_degree, seg_points)
               for name, disc in specs.items()}
     return ErrorReport(fields=fields, relative=problem.relative_errors)
 

@@ -14,7 +14,8 @@ from nxfem_ocp.problems import PiecewiseField, build_example
 from nxfem_ocp.solver import ReducedSolver
 from nxfem_ocp.xfem_space import ExtendedSpace
 
-from helpers import (boundary_value, interpolate_two_sided, mesh_from_arrays,
+from helpers import (boundary_value, boxed_control_problem,
+                     interpolate_two_sided, mesh_from_arrays,
                      total_interface_length)
 from oracles import cut_element_matrices, element_cuts
 
@@ -215,7 +216,7 @@ def test_penalty_scaling():
 def test_zero_load():
     problem = build_example(1)
     mesh, info, space, _ = setup(problem, 8)
-    F, = assemble_load(mesh, info, space, Load(None, None, None, 1.0))
+    F, = assemble_load(mesh, info, space, Load(None, None, 1.0))
     assert np.all(F == 0.0)
 
 
@@ -227,7 +228,7 @@ def test_interface_load_cross_weights():
     info = build_cut_info(mesh, ls)
     space = ExtendedSpace(mesh, info)
     one = lambda x, y: np.ones_like(np.asarray(x, dtype=float))
-    F, = assemble_load(mesh, info, space, Load(None, one, None, 1.0))
+    F, = assemble_load(mesh, info, space, Load(None, one, 1.0))
     cg = element_cuts(info)[0]
     # a side-1 constant test function sums the side-1 entries: k2 * |chord|
     tri = mesh.triangles[0]
@@ -242,7 +243,7 @@ def test_load_dof_vector_and_function_paths_agree():
     mesh, info, space, _ = setup(problem, 8)
     M = assemble_mass(mesh, info, space)
     smooth = lambda x, y: np.sin(x) * np.cos(y)
-    smooth_load = Load(PiecewiseField(smooth, smooth), None, None, 1.0)
+    smooth_load = Load(PiecewiseField(smooth, smooth), None, 1.0)
     F_fun, = assemble_load(mesh, info, space, smooth_load)
     UI = interpolate_two_sided(space, info.vertex_sign, smooth, smooth)
     # quadrature vs the mass matrix on the interpolant differ by the
@@ -251,33 +252,19 @@ def test_load_dof_vector_and_function_paths_agree():
 
 
 def test_adaptive_load_quadrature_resolves_kinks():
-    # integral of clip(10(x-0.3), -1, 1) over the unit square is exactly 0.4
-    # (by partition of unity the load entries sum to the integral)
-    from nxfem_ocp.assembly import RefineSpec
-    mesh = build_uniform_mesh((0, 1, 0, 1), 8)
-    info = build_cut_info(mesh, FAR_AWAY)
+    # u = clip(10(x-0.3), -1, 1): its integral over the unit square is
+    # exactly 0.4 (by partition of unity the load entries sum to the
+    # integral); the kink rule refines where it kinks, at x = 0.2 and 0.4
+    problem = boxed_control_problem(
+        lambda x, y: 10.0 * (x - 0.3),
+        lambda x, y: (np.full_like(x, 10.0), np.zeros_like(y)), (-1.0, 1.0))
+    mesh = build_uniform_mesh(problem.domain, 8)
+    info = build_cut_info(mesh, problem.levelset)
     space = ExtendedSpace(mesh, info)
-    ramp = lambda x, y: np.clip(10.0 * (x - 0.3), -1.0, 1.0)
-    f = PiecewiseField(ramp, ramp)
-    plain, = assemble_load(mesh, info, space, Load(f, None, None, 1.0))
-
-    def status(x):
-        z = 10.0 * (x - 0.3)
-        return np.where(z <= -1.0, -1, np.where(z >= 1.0, 1, 0))
-
-    coords = mesh.vertices[mesh.triangles]
-    st = status(coords[..., 0])
-    mask = st.max(axis=1) != st.min(axis=1)
-
-    def pred(tc, side):
-        # tc: (C, 3, 2) triangles; sample vertices, edge midpoints, centroid
-        pts = np.concatenate([tc, 0.5 * (tc + np.roll(tc, 1, axis=1)),
-                              tc.mean(axis=1, keepdims=True)], axis=1)
-        s = status(pts[..., 0])
-        return s.max(axis=1) != s.min(axis=1)
-
-    spec = RefineSpec(mask=mask, pred=pred)
-    refined, = assemble_load(mesh, info, space, Load(f, None, spec, 1.0))
+    load = Load(problem.u, None, 1.0)
+    plain, = assemble_load(mesh, info, space, load)
+    refined, = assemble_load(mesh, info, space, load,
+                             kinks=problem.kink_rule(mesh))
     err_plain = abs(plain.sum() - 0.4)
     err_refined = abs(refined.sum() - 0.4)
     assert err_refined < 2e-5
@@ -325,7 +312,7 @@ def test_galerkin_residual_of_state_solve():
     f_plus_u = PiecewiseField(*(
         lambda x, y, s=s: problem.f.side(s)(x, y) + problem.u.side(s)(x, y)
         for s in (1, 2)))
-    F, = assemble_load(mesh, info, space, Load(f_plus_u, problem.g, None, 1.0))
+    F, = assemble_load(mesh, info, space, Load(f_plus_u, problem.g, 1.0))
     _, ybc = space.boundary_values(problem.y)
     Y = ReducedSolver(A, space).solve(F, ybc)
     mask = np.ones(space.n_dofs, dtype=bool)

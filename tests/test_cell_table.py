@@ -21,10 +21,11 @@ from nxfem_ocp.xfem_space import ExtendedSpace
 
 from helpers import (element_areas, interpolate_two_sided, mesh_from_arrays,
                      tri_coords)
-from oracles import (clipped_control_integrals, loop_active_mass_and_load,
-                     loop_control_at_quadrature, loop_control_load,
-                     loop_cut_info, loop_errors, loop_integration_cells,
-                     loop_load, loop_mass, loop_stiffness)
+from oracles import (KinkLoops, clipped_control_integrals,
+                     loop_active_mass_and_load, loop_control_at_quadrature,
+                     loop_control_load, loop_cut_info, loop_errors,
+                     loop_integration_cells, loop_load, loop_mass,
+                     loop_stiffness)
 
 RTOL = 1e-12
 
@@ -88,21 +89,23 @@ def test_matrices_and_loads_match_element_loops(label, n):
                      space.dof_side[M.indices[zero]]], axis=0)
     assert (zero.any() == (len(info.cut_elements) > 0)
             and (sides == [[1], [2]]).all())
-    refine = problem.load_refine(mesh, info)
-    assert (refine is not None) == (problem.bounds is not None)
-    # both right-hand sides of the mesh from one pass over its cells
-    F1, F2 = assemble_load(mesh, info, space, *base_loads(problem, refine))
-    assert_close(
-        F1, loop_load(mesh, info, space, f=problem.f, g=problem.g,
-                      refine=refine))
+    kinks = problem.kink_rule(mesh)
+    assert (kinks is not None) == (problem.bounds is not None)
+    loops = None if kinks is None else KinkLoops(problem, mesh)
+    # both right-hand sides of the mesh from one pass over its cells, both
+    # over the leaves of the kink rule
+    F1, F2 = assemble_load(mesh, info, space, *base_loads(problem),
+                           kinks=kinks)
+    assert_close(F1, loop_load(mesh, info, space, f=problem.f, g=problem.g,
+                               kinks=loops))
     assert_close(F2, loop_load(mesh, info, space, f=negated(problem.y_d),
-                               g=problem.g_adj))
+                               g=problem.g_adj, kinks=loops))
 
 
-def base_loads(problem, refine):
+def base_loads(problem):
     """The state and adjoint right-hand sides, as ``discretize`` asks."""
-    return (Load(problem.f, problem.g, refine, 1.0),
-            Load(problem.y_d, problem.g_adj, None, -1.0))
+    return (Load(problem.f, problem.g, 1.0),
+            Load(problem.y_d, problem.g_adj, -1.0))
 
 
 def negated(field):
@@ -117,13 +120,13 @@ def test_one_pass_loads_equal_one_load_calls(label, n):
     # pass gives; the signed adjoint load is bitwise the load of the
     # negated target, negation being exact
     problem, mesh, info, space = setup(label, n)
-    loads = base_loads(problem, problem.load_refine(mesh, info))
-    together = assemble_load(mesh, info, space, *loads)
+    loads, kinks = base_loads(problem), problem.kink_rule(mesh)
+    together = assemble_load(mesh, info, space, *loads, kinks=kinks)
     for vec, load in zip(together, loads):
-        alone, = assemble_load(mesh, info, space, load)
+        alone, = assemble_load(mesh, info, space, load, kinks=kinks)
         assert np.array_equal(vec, alone)
     plain, = assemble_load(mesh, info, space, Load(
-        negated(problem.y_d), problem.g_adj, None, 1.0))
+        negated(problem.y_d), problem.g_adj, 1.0), kinks=kinks)
     assert np.array_equal(together[1], plain)
 
 
@@ -147,7 +150,7 @@ def test_one_jet_per_batch_and_side(label, monkeypatch):
     chords = info.chords.quadrature(mesh)[0].shape[:2]
     # the loads read f and y_d off one jet with Laplacians per batch; each
     # interface flux evaluates both sides' gradients on the chords
-    assemble_load(mesh, info, space, *base_loads(problem, None))
+    assemble_load(mesh, info, space, *base_loads(problem))
     assert calls == [(m, shape, True) for m, shape in batches] \
         + [(m, chords, False) for m in (1, 2, 1, 2)]
     # the norms of u, y and p read one jet per batch, and one per side on

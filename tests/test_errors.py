@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nxfem_ocp.errors import compute_errors
+from nxfem_ocp.interface_geometry import CellTable
 from nxfem_ocp.problems import build_example
 from nxfem_ocp.solver import OcpSolution
 from nxfem_ocp.study import discretize, solve_discretized
@@ -109,3 +110,47 @@ def test_absolute_vs_relative_convention():
     fe = rep.fields["y"]
     assert rep.value("y", "l2") == fe.l2          # absolute convention
     assert rel_problem.relative_errors and not abs_problem.relative_errors
+
+
+def test_loads_and_error_norms_share_the_kink_rule(monkeypatch):
+    # small batches, so that each side has several
+    monkeypatch.setattr(CellTable, "BATCH", 256)
+    problem = build_example(2)
+    rule_of, calls = problem.kink_rule, []
+
+    def recording(mesh):
+        rule = rule_of(mesh)
+
+        def record(cells, side, straddles=None):
+            leaves = rule(cells, side, straddles)
+            calls.append((side, len(cells), straddles is not None, leaves))
+            return leaves
+        return record
+
+    monkeypatch.setattr(problem, "kink_rule", recording)
+    disc = discretize(problem, 32)
+    loads = calls[:]
+    batches = [(side, len(part)) for side in (1, 2) for part in
+               disc.cut_info.integration_cells(disc.mesh, side).batches()]
+    assert len(batches) >= 6
+    args = (disc.mesh, disc.cut_info, disc.space)
+    zero = np.zeros(disc.space.n_dofs)
+    runs = {}
+    for name, sol in (("solution", solve_discretized(problem, disc)),
+                      ("zero", OcpSolution(Y=zero, P=zero, a=problem.a,
+                                           bounds=problem.bounds))):
+        calls.clear()
+        compute_errors(problem, sol, *args)
+        runs[name] = calls[:]
+    # one call per batch and side; the error norms also split where the
+    # discrete control straddles a bound
+    assert [c[:3] for c in loads] == [(*b, False) for b in batches]
+    for run in runs.values():
+        assert [c[:3] for c in run] == [(*b, True) for b in batches]
+    # -0/a lies inside the box everywhere: the same leaves as the loads'
+    for (*_, mine), (*_, theirs) in zip(runs["zero"], loads):
+        assert np.array_equal(mine.parent, theirs.parent)
+        assert np.array_equal(mine.coords, theirs.coords)
+    # the computed control's kink is not the exact one: more leaves
+    assert sum(len(c[3]) for c in runs["solution"]) \
+        > sum(len(c[3]) for c in loads)

@@ -6,7 +6,8 @@ from nxfem_ocp.mesh import ConfigurationError, build_uniform_mesh
 from nxfem_ocp.problems import build_example
 from nxfem_ocp.study import RunConfig
 
-from helpers import boundary_value, build_smooth_problem, side_at
+from helpers import (boundary_value, boxed_control_problem, build_smooth_problem,
+                     side_at)
 
 FD_STEP = 1e-6
 
@@ -222,22 +223,61 @@ def test_smooth_problem_consistency():
     assert np.abs(problem.g(x, y)).max() == 0.0
 
 
-@pytest.mark.parametrize("bounds", [(-0.5, 0.5), (-0.3, 0.3)])
-def test_load_refine_mask_matches_per_triangle_status(bounds):
-    """The kink mask, from the status at each vertex gathered per element,
-    is the one the status at every element's own corners gives (the
-    default box and a narrower one)."""
+def _status_varies(problem, side, pts):
+    """Whether z lies below, inside or above the box at some but not all
+    of the points (..., k, 2)."""
+    z = problem.z.side(side)(pts[..., 0], pts[..., 1])
+    lo, hi = problem.bounds
+    st = np.where(z <= lo, -1, np.where(z >= hi, 1, 0))
+    return st.max(axis=-1) != st.min(axis=-1)
+
+
+def _bump_setup():
+    """A disc of active set, radius 0.02, about the centroid of one element
+    of the 8 x 8 unit-square mesh: it holds none of the element's vertices
+    and edge midpoints, so only the centroid sees the kink."""
+    mesh = build_uniform_mesh((0.0, 1.0, 0.0, 1.0), 8)
+    c = mesh.vertices[mesh.triangles[77]].mean(axis=0)
+    problem = boxed_control_problem(
+        lambda x, y: 1.0 - ((x - c[0]) ** 2 + (y - c[1]) ** 2) / 0.02 ** 2,
+        lambda x, y: (-2.0 * (x - c[0]) / 0.02 ** 2,
+                      -2.0 * (y - c[1]) / 0.02 ** 2), (-1e6, 0.0))
+    return problem, mesh
+
+
+def _boxed_ex2_setup(bounds):
     problem = build_example(2)
     problem.bounds = bounds
-    mesh = build_uniform_mesh(problem.domain, 32)
+    return problem, build_uniform_mesh(problem.domain, 32)
+
+
+@pytest.mark.parametrize("case", ["ex2", "ex2-narrow-box", "bump"])
+def test_kink_rule_splits_where_the_element_vertices_see_the_kink(case):
+    """The kink rule splits a cell at the first level exactly when the
+    clamp status of z on its side changes at its element's vertices (the
+    prefilter) and among the cell's vertices, edge midpoints and centroid;
+    a batch of which nothing is split comes back as itself."""
+    problem, mesh = {"ex2": lambda: _boxed_ex2_setup((-0.5, 0.5)),
+                     "ex2-narrow-box": lambda: _boxed_ex2_setup((-0.3, 0.3)),
+                     "bump": _bump_setup}[case]()
     info = build_cut_info(mesh, problem.levelset)
-    coords = mesh.vertices[mesh.triangles]
-    expected = np.zeros(mesh.num_triangles, dtype=bool)
-    for side, other in ((1, 2), (2, 1)):
-        st = problem.clamp_status(problem.z.side(side)(coords[..., 0],
-                                                       coords[..., 1]))
-        expected |= (st.max(axis=1) != st.min(axis=1)) \
-            & (info.classes != other)
-    mask = problem.load_refine(mesh, info).mask
-    assert expected.any()
-    assert np.array_equal(mask, expected)
+    rule = problem.kink_rule(mesh)
+    sampled = 0
+    for side in (1, 2):
+        cells = info.integration_cells(mesh, side)
+        tc = cells.coords
+        seven = _status_varies(problem, side, np.concatenate(
+            [tc, 0.5 * (tc + np.roll(tc, 1, axis=1)),
+             tc.mean(axis=1, keepdims=True)], axis=1))
+        corners = _status_varies(problem, side,
+                                 mesh.vertices[mesh.triangles])[cells.parent]
+        sampled += np.count_nonzero(seven & ~corners)
+        leaves = rule(cells, side)
+        n = mesh.num_triangles
+        split = np.bincount(leaves.parent, minlength=n) \
+            > np.bincount(cells.parent, minlength=n)
+        expected = np.bincount(cells.parent[seven & corners], minlength=n) > 0
+        assert np.array_equal(split, expected)
+        assert (leaves is cells) == (not expected.any())
+    # the bump's element is kept whole by the prefilter alone
+    assert (sampled > 0) == (case == "bump")

@@ -68,6 +68,12 @@ def test_package_imports_resolve():
     ("assembly", "NitscheParams"),
     ("problems", "ManufacturedProblem.nitsche_params"),
     ("study", "RunConfig.tol"),
+    ("solver", "OcpSolution.U"),
+    ("assembly", "RefineSpec"),
+    ("assembly", "Load.refine"),
+    ("problems", "ManufacturedProblem.load_refine"),
+    ("errors", "_kink_refined"),
+    ("problems", "ManufacturedProblem.clamp_status"),
 ])
 def test_test_only_helpers_stay_in_tests(module, name):
     # these live in tests/helpers.py or tests/oracles.py, or are gone; the

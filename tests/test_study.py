@@ -439,9 +439,9 @@ def test_discretize_assembles_the_loads_in_one_pass(example, monkeypatch):
     load = study_mod.assemble_load
     cells = CutInfo.integration_cells
 
-    def counted_load(*args):
+    def counted_load(*args, **kwargs):
         calls.append("assemble_load")
-        return load(*args)
+        return load(*args, **kwargs)
 
     def counted_cells(self, mesh, side=None):
         calls.append(("integration_cells", side))
