@@ -5,9 +5,9 @@ terms coupling flux averages with jumps across the interface chord, and the
 stabilizing jump penalty.  Volume contributions on cut elements are
 integrated side by side over the sub-triangulation, interface contributions
 with Gauss rules on the chords.  All right-hand sides of a mesh come from
-one pass over the integration cells: each batch (or the leaves that a
-kink rule makes of it) builds its quadrature rule once and every volume
-source is contracted against it.
+one pass over the integration cells (``CutInfo.batches``, the leaves of
+a kink rule included): each batch builds its quadrature rule once and
+every volume source is contracted against it.
 """
 
 from __future__ import annotations
@@ -176,14 +176,12 @@ def _batch_loads(live, space, side, part):
 
 def _volume_loads(vecs, mesh, cut_info, space, loads, kinks):
     """Add the volume inner products of every load's source with every
-    basis function, a batch of integration cells at a time; with a kink
-    rule, over the leaves it makes of each batch."""
+    basis function, a batch of ``CutInfo.batches`` at a time."""
     live = [(vec, load) for vec, load in zip(vecs, loads)
             if load.f is not None]
     for side in (1, 2):
-        for part in cut_info.integration_cells(mesh, side).batches():
-            _batch_loads(live, space, side,
-                         part if kinks is None else kinks(part, side))
+        for part in cut_info.batches(mesh, side, kinks):
+            _batch_loads(live, space, side, part)
 
 
 def _interface_load(vec, mesh, cut_info, space, g):

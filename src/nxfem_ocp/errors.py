@@ -2,14 +2,19 @@
 
 All integrals are evaluated side by side: on cut elements the exact
 per-subdomain formulas are integrated over the matching sub-triangles of
-the chord-based geometry.  The mesh-dependent norm augments the broken H1
-seminorm with the h-weighted interface terms (average normal derivative
-scaled by h_T, jump scaled by 1/h_T).
+the chord-based geometry, and with a control box over the leaves of the
+kink rule, in the bounded batches of ``CutInfo.batches`` that the loads
+walk too.  Each batch takes one quadrature rule and one evaluation of the
+exact data for the control, the state and the co-state alike.  The
+mesh-dependent norm augments the broken H1 seminorm with the h-weighted
+interface terms (average normal derivative scaled by h_T, jump scaled by
+1/h_T).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -48,23 +53,20 @@ class ErrorReport:
 
 
 class _ClampedLinearField:
-    """Discrete field representable as clip(C . lambda, lo, hi) per side."""
+    """Discrete field representable as clip(C . lambda, lo, hi) per side,
+    with C the dof vector ``coeff_vec`` times ``scale``."""
 
     def __init__(self, coeff_vec, scale, bounds):
-        self.vec = coeff_vec
-        self.scale = scale
+        self.vec = scale * coeff_vec
         self.bounds = bounds
         self.lo, self.hi = (-np.inf, np.inf) if bounds is None else bounds
-
-    def coeffs(self, dofs):
-        return self.scale * self.vec[dofs]
 
     def evaluate(self, dofs, lam, grads):
         """Clamped values (C, q), unclamped mask (C, q) and unclamped
         gradients (C, 2) at barycentrics ``lam`` (C, q, 3) of cells with
         dofs (C, 3) and hat gradients (C, 3, 2); an unbounded field is
         unclamped everywhere, so it skips the clip and the mask."""
-        C = self.coeffs(dofs)
+        C = self.vec[dofs]
         raw = np.einsum("cqi,ci->cq", lam, C)
         grad = np.einsum("ci,cid->cd", C, grads)
         if self.bounds is None:
@@ -75,8 +77,7 @@ class _ClampedLinearField:
     def straddles(self, space, cells):
         """Whether the clamp switches inside each cell of a CellTable,
         judged from the unclamped values at its vertices."""
-        lam = space.mesh.barycentric(cells.parent, cells.coords)
-        raw = np.einsum("cvi,ci->cv", lam, self.coeffs(space.cell_dofs(cells)))
+        raw = space.cell_sampler(cells)(self.vec)
         rmin, rmax = raw.min(axis=1), raw.max(axis=1)
         return (((rmin < self.lo) & (self.lo < rmax))
                 | ((rmin < self.hi) & (self.hi < rmax)))
@@ -133,39 +134,30 @@ def compute_errors(problem, solution, mesh, cut_info, space):
     """L2, broken H1 and mesh-dependent norms of the control/state/co-state
     errors, plus the matching exact-field norms for relative reporting.
 
-    Every side's integration cells are integrated once for all three
-    fields, batch by batch, on one evaluation of the side's jet per batch;
-    for box-constrained problems the control integrates the leaves that
-    the problem's kink rule makes of the batch, where the clamp of the
-    exact or of the discrete control switches, on a jet of its own.
-    Without bounds u - u_h = -(p - p_h)/a, so the control's sums are the
+    Every side's cells are integrated once for all three fields, a batch
+    of ``CutInfo.batches`` at a time, on one rule and one evaluation of
+    the side's jet per batch.  For box-constrained problems the batches
+    are the leaves that the problem's kink rule makes of the cells, where
+    the clamp of the exact or of the discrete control switches.  Without
+    bounds u - u_h = -(p - p_h)/a, so the control's sums are the
     co-state's over a^2.
     """
-    kinks = problem.kink_rule(mesh)
+    kinks, straddles = problem.kink_rule(mesh), None
     discs = {"y": _ClampedLinearField(solution.Y, 1.0, None),
              "p": _ClampedLinearField(solution.P, 1.0, None)}
     if kinks is not None:
         control = discs["u"] = _ClampedLinearField(
             solution.P, -1.0 / problem.a, problem.bounds)
+        straddles = partial(control.straddles, space)
     # per field: the error's and the exact field's squared L2 norm, H1
     # seminorm and interface terms
     sums = {name: np.zeros(6) for name in discs}
     for side in (1, 2):
-        for cells in cut_info.integration_cells(mesh, side).batches():
-            rule = u_rule = space.rule(cells, VOLUME_DEGREE)
-            if kinks is not None:
-                leaves = kinks(cells, side,
-                               lambda c: control.straddles(space, c))
-                if leaves is not cells:
-                    u_rule = space.rule(leaves, VOLUME_DEGREE)
-            exact = _exact(problem, side, rule[0],
-                           [name for name in discs
-                            if name != "u" or u_rule is rule])
-            if u_rule is not rule:
-                exact.update(_exact(problem, side, u_rule[0], ("u",)))
+        for cells in cut_info.batches(mesh, side, kinks, straddles):
+            rule = space.rule(cells, VOLUME_DEGREE)
+            exact = _exact(problem, side, rule[0], discs)
             for name, disc in discs.items():
-                sums[name][:4] += _volume_sums(
-                    *exact[name], disc, u_rule if name == "u" else rule)
+                sums[name][:4] += _volume_sums(*exact[name], disc, rule)
 
     chords = cut_info.chords
     tri = mesh.triangles[chords.element]

@@ -170,7 +170,7 @@ class CellTable:
         level by level: at each level ``needs_refine(cells)`` picks, for all
         current triangles at once, the ones to split; after KINK_DEPTH
         levels the rest are leaves.  A table of which nothing is split is
-        its own leaves, the same object.  This resolves the curved kinks
+        returned as it is, not copied.  This resolves the curved kinks
         of exact fields; the straight kinks of the discrete clamp are cut
         exactly by ``clip``."""
         done, todo = [], self
@@ -285,6 +285,17 @@ class CutInfo:
         cells = CellTable.concat(
             CellTable(uncut, self.classes[uncut], mesh.coords(uncut)), cut)
         return cells[np.argsort(cells.parent, kind="stable")]
+
+    def batches(self, mesh, side, kinks=None, straddles=None):
+        """One side's integration cells in batches of at most
+        ``CellTable.BATCH`` cells; with a kink rule ``kinks``
+        (``ManufacturedProblem.kink_rule``), the leaves it makes of each
+        batch, split also where ``straddles`` flags, cut again to that
+        bound: the one walk of the loads and of the error norms."""
+        for cells in self.integration_cells(mesh, side).batches():
+            if kinks is not None:
+                cells = kinks(cells, side, straddles)
+            yield from cells.batches()
 
 
 def build_cut_info(mesh, levelset):

@@ -124,10 +124,7 @@ class ManufacturedProblem:
 
     y = _view(lambda self, m, j: j.y)
     grad_y = _view(lambda self, m, j: j.grad_y)
-    lap_y = _view(lambda self, m, j: j.lap_y, lap=True)
     z = _view(lambda self, m, j: j.z)
-    grad_z = _view(lambda self, m, j: j.grad_z)
-    lap_z = _view(lambda self, m, j: j.lap_z, lap=True)
 
     @_view
     def u(self, m, j):

@@ -165,42 +165,37 @@ def run_convergence_study(config):
     if out:
         os.makedirs(out, exist_ok=True)
     last = None             # N and the side values of Y and P of the last mesh
-    try:
-        for n in config.n_values:
-            clock = [time.perf_counter()]
-            disc = discretize(problem, n)
-            clock.append(time.perf_counter())
-            start = None
-            if last is not None and n == 2 * last[0]:
-                start = tuple(prolong(sides, last[0], problem.domain,
-                                      disc.space) for sides in last[1:])
-            last = None         # not held under the solve's memory peak
-            try:
-                sol = solve_discretized(problem, disc,
-                                        max_iter=config.max_iter, start=start)
-            except SolverError as exc:
-                raise SolverError(f"N={n}, lambda_coef={problem.lambda_coef:g}"
-                                  f": {exc}") from exc
-            clock.append(time.perf_counter())
-            report = compute_errors(problem, sol, disc.mesh, disc.cut_info,
-                                    disc.space)
-            clock.append(time.perf_counter())
-            if config.verbose:
-                print(_progress_line(n, disc, sol, np.diff(clock),
-                                     start is not None),
-                      file=sys.stderr, flush=True)
-            result.reports.append(report)
-            result.solutions.append(sol)
-            result.compute_eoc()
-            if out:
-                _write_outputs(config, problem, result, disc, sol, n)
-            if not sol.converged:
-                break
-            last = (n, *map(disc.space.vertex_sides, (sol.Y, sol.P)))
-    except Exception:
-        if out and result.reports:
-            write_errors_csv(os.path.join(out, "errors.csv"), result)
-        raise
+    for n in config.n_values:
+        clock = [time.perf_counter()]
+        disc = discretize(problem, n)
+        clock.append(time.perf_counter())
+        start = None
+        if last is not None and n == 2 * last[0]:
+            start = tuple(prolong(sides, last[0], problem.domain,
+                                  disc.space) for sides in last[1:])
+        last = None         # not held under the solve's memory peak
+        try:
+            sol = solve_discretized(problem, disc,
+                                    max_iter=config.max_iter, start=start)
+        except SolverError as exc:
+            raise SolverError(f"N={n}, lambda_coef={problem.lambda_coef:g}"
+                              f": {exc}") from exc
+        clock.append(time.perf_counter())
+        report = compute_errors(problem, sol, disc.mesh, disc.cut_info,
+                                disc.space)
+        clock.append(time.perf_counter())
+        if config.verbose:
+            print(_progress_line(n, disc, sol, np.diff(clock),
+                                 start is not None),
+                  file=sys.stderr, flush=True)
+        result.reports.append(report)
+        result.solutions.append(sol)
+        result.compute_eoc()
+        if out:
+            _write_outputs(config, problem, result, disc, sol, n)
+        if not sol.converged:
+            break
+        last = (n, *map(disc.space.vertex_sides, (sol.Y, sol.P)))
     return result
 
 

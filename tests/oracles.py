@@ -543,8 +543,6 @@ class _ClampedLinearField:
 
     def status_varies(self, dofs_matrix):
         """Per-element flag: does the clamp switch inside the element?"""
-        if not np.isfinite([self.lo, self.hi]).any():
-            return None
         raw = self.scale * self.vec[dofs_matrix]
         vmin, vmax = raw.min(axis=1), raw.max(axis=1)
         return (((vmin < self.lo) & (self.lo < vmax))
@@ -564,15 +562,17 @@ def _accumulate(acc, w, err_vals, err_grads, exact_vals, exact_grads):
     acc[3] += np.sum(w * (exact_grads ** 2).sum(axis=-1))
 
 
-def _field_errors(problem, field, disc, mesh, cut_info, space, quad_degree,
-                  seg_points):
+def _field_errors(problem, field, disc, control, mesh, cut_info, space,
+                  quad_degree, seg_points):
+    """The norms of one field; with a box, every field is integrated over
+    the leaves of the kink rule, which also splits where the clamp of the
+    discrete ``control`` switches."""
     exact = getattr(problem, field)
     exact_grad = getattr(problem, f"grad_{field}")
     bary, w = triangle_rule(quad_degree)
     acc = [0.0, 0.0, 0.0, 0.0]          # err_l2^2, err_h1^2, exact versions
 
-    kinks = KinkLoops(problem, mesh) \
-        if field == "u" and problem.bounds is not None else None
+    kinks = None if control is None else KinkLoops(problem, mesh)
 
     # --- volume terms, uncut elements -------------------------------------
     for side in (1, 2):
@@ -580,12 +580,10 @@ def _field_errors(problem, field, disc, mesh, cut_info, space, quad_degree,
         if len(els) == 0:
             continue
         dmap = space.dof1 if side == 1 else space.dof2
-        dofs = dmap[mesh.triangles[els]]
-        varies = disc.status_varies(dofs)
-        if varies is None:
-            varies = np.zeros(len(els), dtype=bool)
+        varies = np.zeros(len(els), dtype=bool)
         if kinks is not None:
-            varies |= kinks.changes(side, els)
+            varies = (control.status_varies(dmap[mesh.triangles[els]])
+                      | kinks.changes(side, els))
 
         plain = els[~varies]
         if len(plain):
@@ -605,16 +603,16 @@ def _field_errors(problem, field, disc, mesh, cut_info, space, quad_degree,
             acc[2] += np.sum(wa * ev ** 2)
             acc[3] += np.sum(wa * (egx ** 2 + egy ** 2))
         for e in els[varies]:
-            _element_volume(acc, exact, exact_grad, kinks, disc, mesh,
-                            int(e), side, [tri_coords(mesh, int(e))], bary,
-                            w)
+            _element_volume(acc, exact, exact_grad, kinks, disc, control,
+                            mesh, int(e), side, [tri_coords(mesh, int(e))],
+                            bary, w)
 
     # --- volume terms, cut elements ----------------------------------------
     cuts = element_cuts(cut_info)
     for e, cg in cuts.items():
         for side, tris in ((1, cg.tris1), (2, cg.tris2)):
-            _element_volume(acc, exact, exact_grad, kinks, disc, mesh,
-                            int(e), side, tris, bary, w)
+            _element_volume(acc, exact, exact_grad, kinks, disc, control,
+                            mesh, int(e), side, tris, bary, w)
 
     # --- interface terms of the mesh-dependent norm ------------------------
     iface_err = 0.0
@@ -651,19 +649,21 @@ def _field_errors(problem, field, disc, mesh, cut_info, space, quad_degree,
         exact_triple=np.sqrt(acc[3] + iface_exact))
 
 
-def _element_volume(acc, exact, exact_grad, kinks, disc, mesh, e, side,
-                    tris, bary, w):
-    """Slow path: per-element integration over the leaves of the kink rule
-    ``kinks`` (a KinkLoops or None), which also splits where the discrete
-    clamp switches inside a triangle."""
-    dofs = element_dofs(disc.space, e, side)
-    C = disc.coeffs(dofs)
+def _element_volume(acc, exact, exact_grad, kinks, disc, control, mesh, e,
+                    side, tris, bary, w):
+    """Slow path: per-element integration of ``disc`` over the leaves of the
+    kink rule ``kinks`` (a KinkLoops or None), which also splits where the
+    clamp of the discrete ``control`` switches inside a triangle."""
 
     def needs_refine(tc):
-        raw = mesh.barycentric(e, tc) @ C
-        if (raw.min() < disc.lo < raw.max()) or (raw.min() < disc.hi < raw.max()):
+        if kinks is None:
+            return False
+        raw = mesh.barycentric(e, tc) @ control.coeffs(
+            element_dofs(control.space, e, side))
+        if (raw.min() < control.lo < raw.max()) \
+                or (raw.min() < control.hi < raw.max()):
             return True
-        return kinks is not None and kinks.split(e, side, tc)
+        return kinks.split(e, side, tc)
 
     for t in tris:
         pts, wts = refined_triangle_quadrature(t, bary, w, needs_refine,
@@ -687,8 +687,9 @@ def loop_errors(problem, solution, mesh, cut_info, space, quad_degree=4,
         "y": _ClampedLinearField(space, solution.Y, 1.0, None),
         "p": _ClampedLinearField(space, solution.P, 1.0, None),
     }
-    fields = {name: _field_errors(problem, name, disc, mesh, cut_info, space,
-                                  quad_degree, seg_points)
+    control = specs["u"] if bounds is not None else None
+    fields = {name: _field_errors(problem, name, disc, control, mesh,
+                                  cut_info, space, quad_degree, seg_points)
               for name, disc in specs.items()}
     return ErrorReport(fields=fields, relative=problem.relative_errors)
 

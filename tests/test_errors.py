@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from nxfem_ocp.assembly import Load, assemble_load
 from nxfem_ocp.errors import compute_errors
 from nxfem_ocp.interface_geometry import CellTable
-from nxfem_ocp.problems import build_example
+from nxfem_ocp.problems import PiecewiseField, build_example
 from nxfem_ocp.solver import OcpSolution
 from nxfem_ocp.study import discretize, solve_discretized
+from nxfem_ocp.xfem_space import ExtendedSpace
 
 from helpers import (build_smooth_problem, element_areas, hat_gradients,
                      interpolate_two_sided, tri_coords)
@@ -154,3 +156,66 @@ def test_loads_and_error_norms_share_the_kink_rule(monkeypatch):
     # the computed control's kink is not the exact one: more leaves
     assert sum(len(c[3]) for c in runs["solution"]) \
         > sum(len(c[3]) for c in loads)
+
+
+def recording_rule(monkeypatch):
+    """The cells of every ``ExtendedSpace.rule`` call from now on."""
+    calls, rule = [], ExtendedSpace.rule
+
+    def recorded(space, cells, degree):
+        calls.append(cells)
+        return rule(space, cells, degree)
+    monkeypatch.setattr(ExtendedSpace, "rule", recorded)
+    return calls
+
+
+def test_loads_and_error_norms_integrate_bounded_batches(monkeypatch):
+    # the kink rule's leaves of a batch are cut again to the batch bound,
+    # which bounds the per-point temporaries of both passes; the leaves of
+    # a batch used to be integrated as one piece
+    monkeypatch.setattr(CellTable, "BATCH", 256)
+    problem = build_example(2)
+    disc = discretize(problem, 32)
+    sol = solve_discretized(problem, disc)
+    args = (disc.mesh, disc.cut_info, disc.space)
+    cells = sum(len(disc.cut_info.integration_cells(disc.mesh, side))
+                for side in (1, 2))
+    calls = recording_rule(monkeypatch)
+    assemble_load(*args, Load(problem.f, problem.g, 1.0),
+                  Load(problem.y_d, problem.g_adj, -1.0),
+                  kinks=problem.kink_rule(disc.mesh))
+    loads = calls[:]
+    calls.clear()
+    compute_errors(problem, sol, *args)
+    for run in (loads, calls):
+        assert sum(map(len, run)) > cells          # the kink rule split
+        assert max(map(len, run)) <= 256
+
+
+def test_error_norms_take_one_rule_and_one_jet_per_batch(monkeypatch):
+    # u, y and p share each batch's rule and jet, so every side's cells
+    # are integrated once; a batch that the kink touched used to take a
+    # second rule and jet for u's leaves
+    monkeypatch.setattr(CellTable, "BATCH", 256)
+    problem = build_example(2)
+    disc = discretize(problem, 32)
+    sol = solve_discretized(problem, disc)
+    shapes, jet = [], problem.jet
+
+    def counted(m):
+        def side(x, y, lap=False):
+            shapes.append(x.shape)
+            return jet.side(m)(x, y, lap)
+        return side
+
+    problem.jet = PiecewiseField(counted(1), counted(2))
+    calls = recording_rule(monkeypatch)
+    compute_errors(problem, sol, disc.mesh, disc.cut_info, disc.space)
+    # the rules' cells tile the domain [-1, 1]^2 once
+    assert sum(c.areas().sum() for c in calls) == pytest.approx(4.0,
+                                                                rel=1e-12)
+    assert all(len(np.unique(c.side)) == 1 for c in calls)
+    # one jet at the 6 points of each rule; the kink rule samples z at 7
+    # points a cell, and the chords' rule has 3 points
+    assert [s for s in shapes if s[1:] == (6,)] \
+        == [(len(c), 6) for c in calls]

@@ -74,6 +74,9 @@ def test_package_imports_resolve():
     ("problems", "ManufacturedProblem.load_refine"),
     ("errors", "_kink_refined"),
     ("problems", "ManufacturedProblem.clamp_status"),
+    ("problems", "ManufacturedProblem.lap_y"),
+    ("problems", "ManufacturedProblem.lap_z"),
+    ("problems", "ManufacturedProblem.grad_z"),
 ])
 def test_test_only_helpers_stay_in_tests(module, name):
     # these live in tests/helpers.py or tests/oracles.py, or are gone; the
