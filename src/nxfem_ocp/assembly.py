@@ -101,9 +101,9 @@ def assemble_stiffness(mesh, cut_info, space, alpha1, alpha2, lambda_coef):
     """Global matrix of the penalized interface form, with the jump penalty
     lambda = lambda_coef / h.  Cut elements carry six dofs: the side-1
     copies of their hats, then the side-2 copies."""
-    if not lambda_coef > 0.0:
-        raise ValueError(f"penalty coefficient must be positive, got "
-                         f"{lambda_coef}")
+    if not (np.isfinite(lambda_coef) and lambda_coef > 0.0):
+        raise ValueError(f"penalty coefficient must be positive and finite, "
+                         f"got {lambda_coef}")
     lam_penalty = lambda_coef / mesh.h
 
     def local(side, els):

@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .interface_geometry import VOLUME_DEGREE
+from .interface_geometry import VOLUME_DEGREE, box_status
 
 __all__ = ["FieldErrors", "ErrorReport", "compute_errors"]
 
@@ -59,7 +59,6 @@ class _ClampedLinearField:
     def __init__(self, coeff_vec, scale, bounds):
         self.vec = scale * coeff_vec
         self.bounds = bounds
-        self.lo, self.hi = (-np.inf, np.inf) if bounds is None else bounds
 
     def evaluate(self, dofs, lam, grads):
         """Clamped values (C, q), unclamped mask (C, q) and unclamped
@@ -71,16 +70,14 @@ class _ClampedLinearField:
         grad = np.einsum("ci,cid->cd", C, grads)
         if self.bounds is None:
             return raw, True, grad
-        return (np.clip(raw, self.lo, self.hi),
-                (raw > self.lo) & (raw < self.hi), grad)
+        return (np.clip(raw, *self.bounds),
+                box_status(raw, *self.bounds) == 0, grad)
 
     def straddles(self, space, cells):
-        """Whether the clamp switches inside each cell of a CellTable,
-        judged from the unclamped values at its vertices."""
+        """Whether the clamp switches inside each cell of a CellTable: the
+        status of the unclamped values differs among its vertices."""
         raw = space.cell_sampler(cells)(self.vec)
-        rmin, rmax = raw.min(axis=1), raw.max(axis=1)
-        return (((rmin < self.lo) & (self.lo < rmax))
-                | ((rmin < self.hi) & (self.hi < rmax)))
+        return np.ptp(box_status(raw, *self.bounds), axis=1) > 0
 
 
 def _volume_sums(exact, exact_grad, disc, rule):

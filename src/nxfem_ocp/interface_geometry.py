@@ -17,7 +17,8 @@ from .mesh import ConfigurationError, cross
 
 __all__ = ["LevelSet", "line_interface", "circle_interface", "ElementClass",
            "CutInfo", "GeometryError", "build_cut_info", "triangle_rule",
-           "CellTable", "ChordTable", "write_integration_mesh_csv"]
+           "CellTable", "ChordTable", "box_status",
+           "write_integration_mesh_csv"]
 
 # vertices closer to the zero set than SNAP_REL * h count as subdomain-2
 # vertices, so chords never pass through mesh nodes
@@ -193,10 +194,9 @@ class CellTable:
         triangle at that vertex and two triangles for the rest.  Any other
         cell stays whole, above the level if one of its values is, so a
         vertex at the level counts as below.  Returns the pieces in cell
-        order, their vertex values (the level at the new vertices), whether
-        each lies above the level, the cell each comes from, and the chords
-        (K, 2, 2) of the cut cells, end points in edge order, in cell order;
-        a vertex at the level is a chord's end point.
+        order, whether each lies above the level, the cell each comes from,
+        and the chords (K, 2, 2) of the cut cells, end points in edge order,
+        in cell order; a vertex at the level is a chord's end point.
         """
         v = values - level
         split = (v.min(axis=1) < 0.0) & (v.max(axis=1) > 0.0)
@@ -212,10 +212,6 @@ class CellTable:
         qda = d + (vd / (vd - va))[:, None] * (a - d)
         parts = np.stack([np.stack(t, axis=1) for t in
                           ((a, qab, qda), (qab, b, d), (qab, d, qda))], 1)
-        wa, wb, wd = values[turn].T
-        lvl = np.full(len(rows), level)
-        vals = np.stack([np.stack(t, axis=1) for t in
-                         ((wa, lvl, lvl), (lvl, wb, wd), (lvl, wd, lvl))], 1)
         whole = np.flatnonzero(~split)
         source = np.concatenate([whole, np.repeat(rows, 3)])
         order = np.argsort(source, kind="stable")
@@ -225,10 +221,18 @@ class CellTable:
         above = np.concatenate([v[whole].max(axis=1) > 0.0,
                                 np.stack([lone_up, ~lone_up, ~lone_up],
                                          1).ravel()])[order]
-        vals = np.concatenate([values[whole], vals.reshape(-1, 3)])[order]
         chords = np.where((lone == 0)[:, None, None], np.stack([qab, qda], 1),
                           np.stack([qda, qab], 1))
-        return pieces, vals, above, source[order], chords
+        return pieces, above, source[order], chords
+
+
+def box_status(values, lo, hi):
+    """The status (int8) of every value against the box [lo, hi]: -1 at or
+    below lo (tested first), 1 at or above hi, 0 between: the one
+    classification of a control, exact or discrete, against its box."""
+    status = (values >= hi).astype(np.int8)
+    status[values <= lo] = -1
+    return status
 
 
 def _children(coords):
@@ -416,12 +420,10 @@ def gauss_segment(n_points):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def write_integration_mesh_csv(path, mesh, cut_info, extra=None):
+def write_integration_mesh_csv(path, mesh, cut_info, *extra):
     """Dump the integration cells in element order (whole uncut elements,
-    the cut-element sub-triangles), then the cells of the table ``extra``."""
-    cells = cut_info.integration_cells(mesh)
-    if extra is not None:
-        cells = CellTable.concat(cells, extra)
+    the cut-element sub-triangles), then the cells of the tables ``extra``."""
+    cells = CellTable.concat(cut_info.integration_cells(mesh), *extra)
     rows = np.column_stack([cells.parent, cells.side,
                             cells.coords.reshape(-1, 6)])
     np.savetxt(path, rows, fmt=["%d", "%d"] + ["%.17e"] * 6, delimiter=",",

@@ -21,7 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .interface_geometry import LevelSet, circle_interface, line_interface
+from .interface_geometry import (LevelSet, box_status, circle_interface,
+                                 line_interface)
 from .mesh import ConfigurationError
 
 __all__ = ["Jet", "PiecewiseField", "ManufacturedProblem", "build_example",
@@ -136,7 +137,7 @@ class ManufacturedProblem:
         """grad z off the active set, zero on it."""
         if self.bounds is None:
             return j.grad_z
-        free = (j.z > self.bounds[0]) & (j.z < self.bounds[1])
+        free = box_status(j.z, *self.bounds) == 0
         return tuple(np.where(free, g, 0.0) for g in j.grad_z)
 
     @_view
@@ -178,11 +179,10 @@ class ManufacturedProblem:
         whose own vertices see the status change are sampled."""
         if self.bounds is None:
             return None
-        lo, hi = self.bounds
 
         def status(side, pts):
-            z = self.z.side(side)(pts[..., 0], pts[..., 1])
-            return (z > lo).astype(np.int8) + (z >= hi)
+            return box_status(self.z.side(side)(pts[..., 0], pts[..., 1]),
+                              *self.bounds)
 
         # the status once per vertex (not at 3T points), gathered per element
         changes = {side: np.ptp(status(side, mesh.vertices)[mesh.triangles],

@@ -6,14 +6,14 @@ iteration (state solve, co-state solve, clamp update) or, alternatively, by
 a primal-dual active-set / semismooth Newton loop.  The control never gets
 its own unknowns: it is the pointwise clamp of -p/a (Hinze's variational
 discretization).  For P1 co-states -p/a is linear on every integration
-cell, so the clamp's kinks are straight: the cells are clipped exactly at
-both bounds (``CellTable.clip``), and on every piece the control is a
-bound or -p/a, which a degree-2 rule integrates exactly against hats and
-hat products.  The box-constrained solvers and the active-set output
-read the control through one ``ControlClamp``, which holds the cells and
-is built once per solve.  The error norms clamp -p_h/a themselves
-(``errors._ClampedLinearField``), at their quadrature points and, for the
-kink rule's straddle test, at the vertices of the cells.
+cell, so the control's load is M(-P/a) corrected by exact integrals on
+the pieces beyond each bound, which one clip per bound cuts from the
+cells that reach past it (``CellTable.clip``), and Newton's inactive mass
+is M less the mass on them.  The box-constrained solvers and the
+active-set output read the control through one ``ControlClamp``, which
+holds the cells and is built once per solve.  The error norms clamp
+-p_h/a themselves (``errors._ClampedLinearField``), at their quadrature
+points and, for the kink rule's straddle test, at the cells' vertices.
 
 Every block system is solved in q = p/sqrt(a), where it has the square
 form [[M, -sqrt(a) A], [sqrt(a) A, M_I]], by flexible GMRES preconditioned
@@ -50,8 +50,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import _assemble, _hat_blocks, _hat_load
-from .interface_geometry import (VOLUME_DEGREE, CellTable, ElementClass,
+from .assembly import _assemble, _hat_blocks, _hat_load, assemble_mass
+from .interface_geometry import (VOLUME_DEGREE, ElementClass, box_status,
                                  triangle_rule)
 from .mesh import ConfigurationError
 
@@ -503,15 +503,16 @@ class ControlClamp:
     It holds what does not depend on P: the integration cells, the map
     from a dof vector to its values at the cells' vertices and the weights
     of the degree-VOLUME_DEGREE points of the cells.  -p/a is linear on
-    every cell, so the cells are clipped exactly at both bounds
-    (``pieces``), and on every piece the control is lo, -p/a or hi, which
-    the degree-2 rule integrates exactly against hats and hat products
-    (``load``, ``newton_terms``).
+    every cell, so the control is -p/a corrected on the pieces beyond each
+    bound, which one exact clip per bound cuts out of the cells that reach
+    past it (``clips``): the degree-2 rule integrates the correction
+    exactly against hats and hat products (``load``, ``newton_terms``),
+    and the rest is the mass matrix M.
     """
 
     def __init__(self, mesh, cut_info, space, a, bounds):
         _check_control(a, bounds)
-        self.mesh, self.space, self.a, self.bounds = mesh, space, a, bounds
+        self.space, self.a, self.bounds = space, a, bounds
         self.cells = cut_info.integration_cells(mesh)
         self._sampler = space.cell_sampler(self.cells)
         self._bary, w = triangle_rule(VOLUME_DEGREE)
@@ -519,52 +520,52 @@ class ControlClamp:
         self._P = self._z = None
 
     def vertex_values(self, P):
-        """-P/a at the vertices (C, 3) of every cell.  The pieces and the
+        """-P/a at the vertices (C, 3) of every cell.  The clips and the
         samples of a co-state read the same values, so those of the last P
         are kept; P is never changed in place."""
         if P is not self._P:
             self._P, self._z = P, self._sampler(-P / self.a)
         return self._z
 
-    def pieces(self, P):
-        """The cells clipped at both bounds: the pieces, the index of the
-        cell each comes from, and the control's status on each: -1 (lo),
-        0 (-p/a) or 1 (hi).  Where -p/a equals a bound the control counts
-        as clamped (the upper clip is of p/a at -hi)."""
-        lo, hi = self.bounds
-        pieces, zp, up, source, _ = self.cells.clip(self.vertex_values(P), lo)
-        rest, _, inside, src, _ = pieces[up].clip(-zp[up], -hi)
-        return (CellTable.concat(pieces[~up], rest),
-                np.concatenate([source[~up], source[up][src]]),
-                np.concatenate([np.full(np.count_nonzero(~up), -1),
-                                np.where(inside, 0, 1)]))
+    def clips(self, P):
+        """Per bound, lo then hi: the bound and the clip at it of the cells
+        where -P/a reaches past it (below lo, above hi): the pieces,
+        whether each lies beyond the bound (at or below lo, above hi), the
+        cell each comes from, and the chords of the cells the bound
+        crosses, in cell order."""
+        z = self.vertex_values(P)
+        for sign, level in zip((-1.0, 1.0), self.bounds):
+            reach = np.flatnonzero((sign * z).max(axis=1) > sign * level)
+            pieces, above, source, chords = self.cells[reach].clip(z[reach],
+                                                                   level)
+            yield level, pieces, above == (sign > 0), reach[source], chords
 
-    def _rule(self, P):
-        """Weights (K, 3), parent barycentrics (K, 3, 3), dofs (K, 3) and
-        control values (K, 3) of the degree-2 rule on the K pieces, and
-        their status."""
-        lo, hi = self.bounds
-        pieces, _, status = self.pieces(P)
-        _, w, lam, dofs, _ = self.space.rule(pieces, 2)
-        u = np.einsum("cqi,ci->cq", lam, -P[dofs] / self.a)
-        u[status < 0] = lo
-        u[status > 0] = hi
-        return w, lam, dofs, u, status
+    def _beyond(self, P):
+        """Per bound: the bound and the weights, parent barycentrics and
+        dofs of the degree-2 rule on the pieces beyond it."""
+        for level, pieces, beyond, _, _ in self.clips(P):
+            _, w, lam, dofs, _ = self.space.rule(pieces[beyond], 2)
+            yield level, w, lam, dofs
 
-    def load(self, P):
-        """Inner products of the control with all basis functions."""
-        w, lam, dofs, u, _ = self._rule(P)
-        return _hat_load(self.space.n_dofs, dofs, w, lam, u)
+    def load(self, P, M):
+        """Inner products of the control with all basis functions: M z for
+        z = -P/a, plus those of bound - z on the pieces beyond each bound."""
+        z = -P / self.a
+        return M @ z + sum(
+            _hat_load(len(z), dofs, w, lam,
+                      level - np.einsum("cqi,ci->cq", lam, z[dofs]))
+            for level, w, lam, dofs in self._beyond(P))
 
-    def newton_terms(self, P):
-        """The mass matrix on the inactive set (status 0) and the load of
-        the control on the active set."""
-        w, lam, dofs, u, status = self._rule(P)
-        free = status == 0
-        M_inact = _assemble(self.space,
-                            _hat_blocks(dofs[free], w[free], lam[free]))
-        return M_inact, _hat_load(self.space.n_dofs, dofs[~free], w[~free],
-                                  lam[~free], u[~free])
+    def newton_terms(self, P, M):
+        """The mass matrix on the inactive set, the mass matrix M (on the
+        space's pattern) less the mass on the pieces beyond the bounds, and
+        the load of the control there."""
+        rules = list(self._beyond(P))
+        M_inact = _assemble(self.space, (
+            b for _, w, lam, dofs in rules for b in _hat_blocks(dofs, w, lam)))
+        np.subtract(M.data, M_inact.data, out=M_inact.data)
+        return M_inact, sum(_hat_load(M.shape[0], dofs, w, lam, level)
+                            for level, w, lam, dofs in rules)
 
     def _at_points(self, P):
         return (self.vertex_values(P) @ self._bary.T).ravel()
@@ -575,16 +576,14 @@ class ControlClamp:
         return np.clip(self._at_points(P), *self.bounds)
 
     def status(self, P):
-        """The control's status at the points of ``samples``: -1 (lo), 0
-        (-p/a) or 1 (hi)."""
-        lo, hi = self.bounds
-        z = self._at_points(P)
-        return np.where(z <= lo, -1, np.where(z >= hi, 1, 0))
+        """The control's ``box_status`` at the points of ``samples``."""
+        return box_status(self._at_points(P), *self.bounds)
 
 
 def _control_load(mesh, cut_info, space, P, a, bounds):
     """Inner products of clamp(-p/a) with all basis functions."""
-    return ControlClamp(mesh, cut_info, space, a, bounds).load(P)
+    return ControlClamp(mesh, cut_info, space, a, bounds).load(
+        P, assemble_mass(mesh, cut_info, space))
 
 
 FIXED_POINT_TOL = 1e-10   # the fixed point's stop on the control update
@@ -611,14 +610,14 @@ def solve_constrained_fixed_point(mesh, cut_info, space, A, M, F1_base,
     load = np.zeros(space.n_dofs)
     u_prev = 0.0
     if start is not None:
-        load, u_prev = clamp.load(start[1]), clamp.samples(start[1])
+        load, u_prev = clamp.load(start[1], M), clamp.samples(start[1])
     history = []
     for it in range(max_iter):
         Y = solver.solve(F1_base + load, ybc_values)
         P = solver.solve(F2_base + M @ Y)
         # the load induced by the updated control doubles as the residual
         # probe and as next sweep's state load
-        load = clamp.load(P)
+        load = clamp.load(P, M)
         u_now = clamp.samples(P)
         diff = np.sqrt(np.sum(clamp.weights * (u_now - u_prev) ** 2)) \
             / sqrt_area
@@ -655,7 +654,7 @@ def solve_constrained_ssn(mesh, cut_info, space, A, M, F1_base, F2_base, a,
     x = status = None
     saddle_its, saddle_res, history = [], [], []
     for it in range(max_iter):
-        M_inact, b_act = clamp.newton_terms(P)
+        M_inact, b_act = clamp.newton_terms(P, M)
         P, Y, its, res = _solve_saddle(red, M_inact, M, F1_base + b_act,
                                        F2_base, a, ybc_values, x)
         # the next step starts from this one's (y, q)
@@ -670,7 +669,7 @@ def solve_constrained_ssn(mesh, cut_info, space, A, M, F1_base, F2_base, a,
             break
 
     r1, r2 = _relative_residuals(_block_rows(
-        A, M, F1_base, F2_base, Y, P, clamp.load(P), red.free))
+        A, M, F1_base, F2_base, Y, P, clamp.load(P, M), red.free))
     return OcpSolution(Y=Y, P=P, a=a, bounds=bounds, iterations=len(history),
                        converged=changed == 0, residual_state=r1,
                        residual_costate=r2, history=history,

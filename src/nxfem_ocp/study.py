@@ -236,9 +236,9 @@ def _write_outputs(config, problem, result, disc, sol, n):
     with open(os.path.join(out, "table.txt"), "w") as fh:
         fh.write(format_table(result))
     if problem.bounds is not None:
-        clamp = ControlClamp(disc.mesh, disc.cut_info, disc.space, problem.a,
-                             problem.bounds)
-        curves = _active_set_curves(clamp, sol.P)
+        clips = list(ControlClamp(disc.mesh, disc.cut_info, disc.space,
+                                  problem.a, problem.bounds).clips(sol.P))
+        curves = _active_set_curves(clips)
         curves["interface"] = interface_polylines(disc.cut_info)
         # the plain name holds a byte copy of the last mesh's table
         path = os.path.join(out, f"activeset_n{n}.csv")
@@ -248,15 +248,13 @@ def _write_outputs(config, problem, result, disc, sol, n):
         write_mesh_csv(disc.mesh,
                        os.path.join(out, f"mesh_vertices_n{n}.csv"),
                        os.path.join(out, f"mesh_triangles_n{n}.csv"))
-        extra = None
+        extra = ()
         if problem.bounds is not None:
-            # the pieces of every cell that a kink of the control crosses
-            pieces, source, _ = clamp.pieces(sol.P)
-            crossed = np.flatnonzero(np.bincount(source)[source] > 1)
-            extra = pieces[crossed[np.argsort(source[crossed],
-                                              kind="stable")]]
+            # per bound, the pieces of every cell that it crosses
+            extra = [pieces[np.bincount(source)[source] > 1]
+                     for _, pieces, _, source, _ in clips]
         path = os.path.join(out, f"integration_mesh_n{n}.csv")
-        write_integration_mesh_csv(path, disc.mesh, disc.cut_info, extra)
+        write_integration_mesh_csv(path, disc.mesh, disc.cut_info, *extra)
         shutil.copyfile(path, os.path.join(out, "integration_mesh.csv"))
     if config.verbose:
         with open(os.path.join(out, f"iterations_n{n}.csv"), "w") as fh:
@@ -357,14 +355,15 @@ def extract_active_set_boundary(solution, a, bounds, mesh, cut_info, space):
     polylines keyed 'lower' / 'upper': the chords of the integration cells
     clipped at each bound, without repeated points; a polyline that
     shrinks to one point is dropped."""
-    return _active_set_curves(ControlClamp(mesh, cut_info, space, a, bounds),
-                              solution.P)
+    return _active_set_curves(ControlClamp(mesh, cut_info, space, a,
+                                           bounds).clips(solution.P))
 
 
-def _active_set_curves(clamp, P):
+def _active_set_curves(clips):
+    """The contours of ``extract_active_set_boundary`` from the chords of
+    the clips at each bound (``ControlClamp.clips``)."""
     curves = {}
-    for name, level in zip(("lower", "upper"), clamp.bounds):
-        chords = clamp.cells.clip(clamp.vertex_values(P), level)[-1]
+    for name, (_, _, _, _, chords) in zip(("lower", "upper"), clips):
         polys = map(_drop_repeats, _chain_segments(list(chords)))
         curves[name] = [poly for poly in polys if len(poly) > 1]
     return curves

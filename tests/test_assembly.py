@@ -208,7 +208,7 @@ def test_penalty_scaling():
         assert v @ (A2 - A) @ v == pytest.approx(
             problem.lambda_coef / mesh.h * total_interface_length(info),
             rel=1e-10)
-    for bad in (-1.0, 0.0, np.nan):
+    for bad in (-1.0, 0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="penalty coefficient"):
             assemble_stiffness(mesh, info, space, 1.0, 1.0, bad)
 

@@ -14,6 +14,9 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import nxfem_ocp
 from nxfem_ocp import problems, solver, study, xfem_space
 
@@ -134,3 +137,21 @@ def test_mesh_and_space_reads_match_the_package():
             assert hasattr(getattr(disc, owner), attr), f"{owner}.{attr}"
     assert {"vertices", "triangles"} <= read["mesh"]
     assert {"dof1", "dof2", "doubled", "dirichlet_dofs"} <= read["space"]
+
+
+@pytest.mark.parametrize("name", ["constrained-fixed-point",
+                                  "constrained-ssn"])
+def test_constrained_workloads_pass_their_checks(name, tmp_path, monkeypatch):
+    """The constrained workloads, run and checked on their smoke meshes:
+    their sweeps and checks call the fixed point, Newton and
+    ``solver._control_load``, so a change that breaks those calls fails
+    here and not only in a benchmark run."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    workload = workloads.WORKLOADS[name]
+    meshes = workload.smoke_meshes
+    problem, solutions = workloads.run_sweep(workload, meshes, str(tmp_path),
+                                             [])
+    assert workloads.check_sweep(workload, problem, meshes, solutions,
+                                 str(tmp_path), np.random.default_rng(0)) \
+        == [[] for _ in meshes]

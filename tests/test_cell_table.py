@@ -272,8 +272,9 @@ def test_clamp_integrals_on_single_cells_match_polygon_clipping(case, cut):
     args = (mesh, info, space, P, a, bounds)
     load, M_inact, b_act = clipped_control_integrals(*args)
     clamp = ControlClamp(mesh, info, space, a, bounds)
-    M, b = clamp.newton_terms(P)
-    assert np.abs(clamp.load(P) - load).max() <= 1e-13
+    mass = assemble_mass(mesh, info, space)
+    M, b = clamp.newton_terms(P, mass)
+    assert np.abs(clamp.load(P, mass) - load).max() <= 1e-13
     assert np.abs(M.toarray() - M_inact.toarray()).max() <= 1e-13
     assert np.abs(b - b_act).max() <= 1e-13
 
@@ -292,8 +293,10 @@ def clamp_setup(example, n):
 
 
 def clamp_of(mesh, info, space, P, a, bounds):
-    """The clamp of the oracles' arguments, and their co-state."""
-    return ControlClamp(mesh, info, space, a, bounds), P
+    """The clamp of the oracles' arguments, their co-state and the mass
+    matrix."""
+    return (ControlClamp(mesh, info, space, a, bounds), P,
+            assemble_mass(mesh, info, space))
 
 
 CLAMP_CASES = [(ex, n) for ex in (1, 2, 3) for n in (16, 32)]
@@ -303,10 +306,10 @@ CLAMP_CASES = [(ex, n) for ex in (1, 2, 3) for n in (16, 32)]
 def test_clamp_integrals_match_exact_clipping(example, n):
     args = clamp_setup(example, n)
     load, M_inact, b_act = clipped_control_integrals(*args)
-    clamp, P = clamp_of(*args)
-    M, b = clamp.newton_terms(P)
+    clamp, P, mass = clamp_of(*args)
+    M, b = clamp.newton_terms(P, mass)
     assert_on_space_pattern(M, args[2])
-    assert_close(clamp.load(P), load)
+    assert_close(clamp.load(P, mass), load)
     assert_close(M.toarray(), M_inact.toarray())
     assert_close(b, b_act)
 
@@ -315,9 +318,9 @@ def test_clamp_integrals_match_exact_clipping(example, n):
 def test_refined_clamp_loops_converge_to_the_clipped_integrals(example, n):
     # the loops refine kink cells to a depth; their error shrinks with it
     args = clamp_setup(example, n)
-    clamp, P = clamp_of(*args)
-    M, b = clamp.newton_terms(P)
-    exact = (clamp.load(P), M.toarray(), b)
+    clamp, P, mass = clamp_of(*args)
+    M, b = clamp.newton_terms(P, mass)
+    exact = (clamp.load(P, mass), M.toarray(), b)
     gaps = []
     for depth in (2, 3):
         M_d, b_d = loop_active_mass_and_load(*args, depth=depth)
@@ -329,6 +332,26 @@ def test_refined_clamp_loops_converge_to_the_clipped_integrals(example, n):
     # active load jump at the kink, so the loops' rule is first order there
     assert gaps[1][0] <= 1e-5
     assert max(gaps[1][1:]) <= 5e-3
+
+
+def test_clamp_is_minus_p_over_a_corrected_beyond_the_bounds():
+    # a box that -p/a never reaches leaves nothing to correct: the load is
+    # M(-P/a) bitwise, and Newton's terms are M's data and no load; on a
+    # one-point box the control is that point, and nothing is inactive
+    mesh, info, space, P, a, _ = clamp_setup(2, 16)
+    mass = assemble_mass(mesh, info, space)
+    wide = ControlClamp(mesh, info, space, a, (-100.0, 100.0))
+    assert np.array_equal(wide.load(P, mass), mass @ (-P / a))
+    M, b = wide.newton_terms(P, mass)
+    assert np.array_equal(M.data, mass.data) and not b.any()
+    point = ControlClamp(mesh, info, space, a, (-0.2, -0.2))
+    z = point.vertex_values(P)
+    assert ((z.min(axis=1) < -0.2) & (z.max(axis=1) > -0.2)).any()
+    at_point = -0.2 * (mass @ np.ones(space.n_dofs))
+    assert np.abs(point.load(P, mass) - at_point).max() <= 1e-13
+    M, b = point.newton_terms(P, mass)
+    assert np.abs(M.data).max() <= 1e-13
+    assert np.abs(b - at_point).max() <= 1e-13
 
 
 def test_control_samples_match_the_element_loop():
@@ -358,7 +381,7 @@ def test_clip_splits_cells_into_pieces_on_each_side(label):
     # a level at a vertex value puts vertices exactly on the line, and
     # at a cell's lowest value touches that cell at a vertex only
     for level in (0.1, float(z[7, 1]), float(z[7].min()), np.inf):
-        pieces, values, above, source, chords = cells.clip(z, level)
+        pieces, above, source, chords = cells.clip(z, level)
         assert np.array_equal(source, np.sort(source))
         assert np.array_equal(pieces.parent, cells.parent[source])
         assert np.array_equal(pieces.side, cells.side[source])
@@ -370,12 +393,6 @@ def test_clip_splits_cells_into_pieces_on_each_side(label):
         c = pieces.coords
         e0, e1 = c[:, 1] - c[:, 0], c[:, 2] - c[:, 0]
         assert (e0[:, 0] * e1[:, 1] - e0[:, 1] * e1[:, 0]).min() >= 0.0
-        # the carried vertex values are those of the cell's linear function
-        scale = np.abs(z).max()
-        assert np.abs(values - space.cell_sampler(pieces)(vec)).max() \
-            <= 1e-13 * scale
-        assert (values[above] >= level).all()
-        assert (values[~above] <= level).all()
         split = np.bincount(source) > 1
         straddles = (z.min(axis=1) < level) & (z.max(axis=1) > level)
         assert np.array_equal(split, straddles)

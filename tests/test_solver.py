@@ -466,7 +466,7 @@ def _saddle_case(example, n=16):
             disc.F2, problem.a, problem.bounds, disc.ybc_values, max_iter=1)
         clamp = ControlClamp(disc.mesh, disc.cut_info, disc.space, problem.a,
                              problem.bounds)
-        M_inact, b_act = clamp.newton_terms(first.P)
+        M_inact, b_act = clamp.newton_terms(first.P, disc.M)
         M_I, load = M_inact, disc.F1 + b_act
         # all three share one pattern; M_I has fewer nonzeros than M
         for B in (M_I, disc.M):
@@ -571,7 +571,8 @@ def test_solve_footprint_is_the_basis_and_S(example):
     else:
         geometry = (disc.mesh, disc.cut_info, disc.space)
         _, clamp = _traced_peak(lambda: ControlClamp(
-            *geometry, problem.a, problem.bounds).newton_terms(np.zeros(n)))
+            *geometry, problem.a, problem.bounds).newton_terms(np.zeros(n),
+                                                               disc.M))
         sol, peak = _traced_peak(lambda: solve_constrained_ssn(
             *geometry, disc.A, disc.M, disc.F1, disc.F2, problem.a,
             problem.bounds, disc.ybc_values))
