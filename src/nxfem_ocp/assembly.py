@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .interface_geometry import VOLUME_DEGREE, CellTable
+from .interface_geometry import CellTable
 
 __all__ = ["Load", "assemble_stiffness", "assemble_mass", "assemble_load"]
 
@@ -90,11 +90,16 @@ def _hat_products(weights, lam):
     return (weights[..., None] * lam).transpose(0, 2, 1) @ lam
 
 
-def _hat_blocks(dofs, weights, lam):
-    """(dofs, integrals of hat products) of a batched rule, a batch of
-    cells at a time."""
-    for part in _slices(len(dofs)):
-        yield dofs[part], _hat_products(weights[part], lam[part])
+def _cell_masses(space, cells):
+    """(dofs, masses of hat products) of the cells of a CellTable, a batch
+    at a time.  The parent hats are linear on a cell, with values Λ (3, 3)
+    at its vertices (the parent barycentrics that
+    ``ExtendedSpace.cell_sampler`` reads), so their mass there is
+    area · Λᵀ _MASS_BARY Λ in closed form."""
+    for part in cells.batches():
+        lam = space.mesh.barycentric(part.parent, part.coords)
+        yield space.cell_dofs(part), part.areas()[:, None, None] * (
+            lam.transpose(0, 2, 1) @ _MASS_BARY @ lam)
 
 
 def assemble_stiffness(mesh, cut_info, space, alpha1, alpha2, lambda_coef):
@@ -133,17 +138,17 @@ def assemble_stiffness(mesh, cut_info, space, alpha1, alpha2, lambda_coef):
 
 
 def assemble_mass(mesh, cut_info, space):
-    """Global L2 mass matrix of the extended space.  Its pattern is that
-    of the stiffness matrix, so the entries that couple the two sides of a
-    cut element are stored zeros."""
+    """Global L2 mass matrix of the extended space, in closed form on
+    every cell.  Its pattern is that of the stiffness matrix, so the
+    entries that couple the two sides of a cut element are stored
+    zeros."""
 
     def local(side, els):
         return mesh.areas(els)[:, None, None] * _MASS_BARY[None, :, :]
 
-    _, w, lam, dofs, _ = space.rule(cut_info.cells, VOLUME_DEGREE)
     return _assemble(space, itertools.chain(
         _uncut_blocks(mesh, cut_info, space, local),
-        _hat_blocks(dofs, w, lam)))
+        _cell_masses(space, cut_info.cells)))
 
 
 def _hat_load(n, dofs, w, lam, values):
@@ -161,7 +166,7 @@ def _batch_loads(live, space, side, part):
     sources that view one jet (see ``problems.PiecewiseField``) read it
     evaluated once, with Laplacians.  Nothing of the batch outlives the
     call."""
-    pts, w, lam, dofs, _ = space.rule(part, VOLUME_DEGREE)
+    pts, w, lam, dofs, _ = space.rule(part)
     jets = {}
     for vec, load in live:
         f = load.f

@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .interface_geometry import VOLUME_DEGREE, box_status
+from .interface_geometry import box_status
 
 __all__ = ["FieldErrors", "ErrorReport", "compute_errors"]
 
@@ -151,7 +151,7 @@ def compute_errors(problem, solution, mesh, cut_info, space):
     sums = {name: np.zeros(6) for name in discs}
     for side in (1, 2):
         for cells in cut_info.batches(mesh, side, kinks, straddles):
-            rule = space.rule(cells, VOLUME_DEGREE)
+            rule = space.rule(cells)
             exact = _exact(problem, side, rule[0], discs)
             for name, disc in discs.items():
                 sums[name][:4] += _volume_sums(*exact[name], disc, rule)

@@ -393,24 +393,19 @@ def build_cut_info(mesh, levelset):
 # ---------------------------------------------------------------------------
 
 def triangle_rule(degree):
-    """Symmetric reference rule in barycentric coordinates.
+    """Symmetric reference rule in barycentric coordinates, of degree 4
+    (``VOLUME_DEGREE``), the one degree of the cell integrals.
 
     Returns (bary (n,3), weights (n,)); weights sum to one and are scaled
     by the physical area on mapping.
     """
-    if degree == 2:
-        bary = np.array([[0.5, 0.5, 0.0],
-                         [0.0, 0.5, 0.5],
-                         [0.5, 0.0, 0.5]])
-        w = np.full(3, 1.0 / 3.0)
-    elif degree == 4:
-        a, b = 0.445948490915965, 0.091576213509771
-        wa, wb = 0.223381589678011, 0.109951743655322
-        bary = np.array([[1 - 2 * a, a, a], [a, 1 - 2 * a, a], [a, a, 1 - 2 * a],
-                         [1 - 2 * b, b, b], [b, 1 - 2 * b, b], [b, b, 1 - 2 * b]])
-        w = np.array([wa, wa, wa, wb, wb, wb])
-    else:
+    if degree != 4:
         raise ConfigurationError(f"unsupported triangle quadrature degree {degree}")
+    a, b = 0.445948490915965, 0.091576213509771
+    wa, wb = 0.223381589678011, 0.109951743655322
+    bary = np.array([[1 - 2 * a, a, a], [a, 1 - 2 * a, a], [a, a, 1 - 2 * a],
+                     [1 - 2 * b, b, b], [b, 1 - 2 * b, b], [b, b, 1 - 2 * b]])
+    w = np.array([wa, wa, wa, wb, wb, wb])
     return bary, w
 
 

@@ -6,10 +6,14 @@ iteration (state solve, co-state solve, clamp update) or, alternatively, by
 a primal-dual active-set / semismooth Newton loop.  The control never gets
 its own unknowns: it is the pointwise clamp of -p/a (Hinze's variational
 discretization).  For P1 co-states -p/a is linear on every integration
-cell, so the control's load is M(-P/a) corrected by exact integrals on
-the pieces beyond each bound, which one clip per bound cuts from the
-cells that reach past it (``CellTable.clip``), and Newton's inactive mass
-is M less the mass on them.  The box-constrained solvers and the
+cell, so every integral of the control is the closed-form mass of a
+linear function on a cell or on a piece of one: Newton's inactive mass
+M_I is M less the mass on the pieces beyond each bound, which one clip
+per bound cuts from the cells that reach past it (``CellTable.clip``),
+and the control's load is M_I(-P/a) plus each bound's load on its
+pieces.  The fixed point stops on the L2 norm of the cellwise-linear
+interpolant of its clamped control update, Newton on the residuals of
+both rows of the optimality system.  The box-constrained solvers and the
 active-set output read the control through one ``ControlClamp``, which
 holds the cells and is built once per solve.  The error norms clamp
 -p_h/a themselves (``errors._ClampedLinearField``), at their quadrature
@@ -50,9 +54,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import _assemble, _hat_blocks, _hat_load, assemble_mass
-from .interface_geometry import (VOLUME_DEGREE, ElementClass, box_status,
-                                 triangle_rule)
+from .assembly import _MASS_BARY, _assemble, _cell_masses, assemble_mass
+from .interface_geometry import ElementClass
 from .mesh import ConfigurationError
 
 __all__ = ["SolverError", "OcpSolution", "ReducedSolver", "ControlClamp",
@@ -78,7 +81,8 @@ class OcpSolution:
     residual_costate: float = 0.0
     control_diffs: list = field(default_factory=list)
     # one row per iteration: (sweep, control_diff, residual_state,
-    # residual_costate), or for Newton (step, status changes, -1 at first)
+    # residual_costate), or for Newton (step, residual_state,
+    # residual_costate)
     history: list = field(default_factory=list)
     # one entry per saddle solve (the unconstrained solve or a Newton step):
     # GMRES iterations and the relative true residuals of both block rows
@@ -500,14 +504,15 @@ class ControlClamp:
     box-constrained solvers and the active-set output read it, built once
     per solve.
 
-    It holds what does not depend on P: the integration cells, the map
-    from a dof vector to its values at the cells' vertices and the weights
-    of the degree-VOLUME_DEGREE points of the cells.  -p/a is linear on
-    every cell, so the control is -p/a corrected on the pieces beyond each
-    bound, which one exact clip per bound cuts out of the cells that reach
-    past it (``clips``): the degree-2 rule integrates the correction
-    exactly against hats and hat products (``load``, ``newton_terms``),
-    and the rest is the mass matrix M.
+    It holds what does not depend on P: the integration cells and the map
+    from a dof vector to its values at the cells' vertices.  -p/a is
+    linear on every cell, so the control is -p/a corrected on the pieces
+    beyond each bound, which one exact clip per bound cuts out of the
+    cells that reach past it (``clips``).  Every integral it needs is the
+    mass of a linear function on a cell or a piece, in closed form
+    (``assembly._cell_masses``): the mass matrix M less the mass on the
+    pieces beyond the bounds is the mass on the inactive set, and the
+    bounds there give the rest of the control's load (``newton_terms``).
     """
 
     def __init__(self, mesh, cut_info, space, a, bounds):
@@ -515,14 +520,12 @@ class ControlClamp:
         self.space, self.a, self.bounds = space, a, bounds
         self.cells = cut_info.integration_cells(mesh)
         self._sampler = space.cell_sampler(self.cells)
-        self._bary, w = triangle_rule(VOLUME_DEGREE)
-        self.weights = np.outer(self.cells.areas(), w).ravel()
         self._P = self._z = None
 
     def vertex_values(self, P):
         """-P/a at the vertices (C, 3) of every cell.  The clips and the
-        samples of a co-state read the same values, so those of the last P
-        are kept; P is never changed in place."""
+        fixed point's update of a co-state read the same values, so those
+        of the last P are kept; P is never changed in place."""
         if P is not self._P:
             self._P, self._z = P, self._sampler(-P / self.a)
         return self._z
@@ -540,44 +543,27 @@ class ControlClamp:
                                                                    level)
             yield level, pieces, above == (sign > 0), reach[source], chords
 
-    def _beyond(self, P):
-        """Per bound: the bound and the weights, parent barycentrics and
-        dofs of the degree-2 rule on the pieces beyond it."""
-        for level, pieces, beyond, _, _ in self.clips(P):
-            _, w, lam, dofs, _ = self.space.rule(pieces[beyond], 2)
-            yield level, w, lam, dofs
-
-    def load(self, P, M):
-        """Inner products of the control with all basis functions: M z for
-        z = -P/a, plus those of bound - z on the pieces beyond each bound."""
-        z = -P / self.a
-        return M @ z + sum(
-            _hat_load(len(z), dofs, w, lam,
-                      level - np.einsum("cqi,ci->cq", lam, z[dofs]))
-            for level, w, lam, dofs in self._beyond(P))
-
     def newton_terms(self, P, M):
         """The mass matrix on the inactive set, the mass matrix M (on the
         space's pattern) less the mass on the pieces beyond the bounds, and
-        the load of the control there."""
-        rules = list(self._beyond(P))
-        M_inact = _assemble(self.space, (
-            b for _, w, lam, dofs in rules for b in _hat_blocks(dofs, w, lam)))
+        the load of the control there: each bound times the row sums of
+        its pieces' masses."""
+        n = M.shape[0]
+        blocks, b = [], np.zeros(n)
+        for level, pieces, beyond, _, _ in self.clips(P):
+            for dofs, mass in _cell_masses(self.space, pieces[beyond]):
+                blocks.append((dofs, mass))
+                b += np.bincount(dofs.ravel(),
+                                 level * mass.sum(axis=2).ravel(), minlength=n)
+        M_inact = _assemble(self.space, blocks)
         np.subtract(M.data, M_inact.data, out=M_inact.data)
-        return M_inact, sum(_hat_load(M.shape[0], dofs, w, lam, level)
-                            for level, w, lam, dofs in rules)
+        return M_inact, b
 
-    def _at_points(self, P):
-        return (self.vertex_values(P) @ self._bary.T).ravel()
-
-    def samples(self, P):
-        """The control at the degree-VOLUME_DEGREE points of every cell,
-        whose weights are ``weights``."""
-        return np.clip(self._at_points(P), *self.bounds)
-
-    def status(self, P):
-        """The control's ``box_status`` at the points of ``samples``."""
-        return box_status(self._at_points(P), *self.bounds)
+    def load(self, P, M):
+        """Inner products of the control with all basis functions: M_I z
+        plus the bound load of ``newton_terms``, z = -P/a."""
+        M_inact, b = self.newton_terms(P, M)
+        return M_inact @ (-P / self.a) + b
 
 
 def _control_load(mesh, cut_info, space, P, a, bounds):
@@ -597,20 +583,25 @@ def solve_constrained_fixed_point(mesh, cut_info, space, A, M, F1_base,
     Per sweep: state solve with the current control, co-state solve (both
     with the one factor of A), clamp update.  The first control is
     clamp(-P0/a) for ``start`` = (Y0, P0), else zero.  Stops when the
-    quadrature-sampled L2 norm of the control update, normalized by
-    sqrt(domain area), drops below FIXED_POINT_TOL.  Returns a flagged (not
-    raised) result when ``max_iter`` is exhausted.
+    control update, measured as the L2 norm of the cellwise-linear
+    interpolant of the clamped update (d = clip(-P/a) - clip(-P_prev/a)
+    at the cells' vertices, exactly integrated: sum of area d^T
+    _MASS_BARY d) normalized by sqrt(domain area), drops below
+    FIXED_POINT_TOL.  Returns a flagged (not raised) result when
+    ``max_iter`` is exhausted.
     """
     _check_control(a, bounds, max_iter)
     clamp = ControlClamp(mesh, cut_info, space, a, bounds)
     solver = ReducedSolver(A, space)
+    areas = clamp.cells.areas()
     x0, x1, y0, y1 = mesh.domain
     sqrt_area = np.sqrt((x1 - x0) * (y1 - y0))
 
     load = np.zeros(space.n_dofs)
     u_prev = 0.0
     if start is not None:
-        load, u_prev = clamp.load(start[1], M), clamp.samples(start[1])
+        load = clamp.load(start[1], M)
+        u_prev = np.clip(clamp.vertex_values(start[1]), *bounds)
     history = []
     for it in range(max_iter):
         Y = solver.solve(F1_base + load, ybc_values)
@@ -618,8 +609,9 @@ def solve_constrained_fixed_point(mesh, cut_info, space, A, M, F1_base,
         # the load induced by the updated control doubles as the residual
         # probe and as next sweep's state load
         load = clamp.load(P, M)
-        u_now = clamp.samples(P)
-        diff = np.sqrt(np.sum(clamp.weights * (u_now - u_prev) ** 2)) \
+        u_now = np.clip(clamp.vertex_values(P), *bounds)
+        d = u_now - u_prev
+        diff = np.sqrt(areas @ ((d @ _MASS_BARY) * d).sum(axis=1)) \
             / sqrt_area
         history.append((it + 1, diff, *_relative_residuals(_block_rows(
             A, M, F1_base, F2_base, Y, P, load, solver.free))))
@@ -639,40 +631,45 @@ def solve_constrained_fixed_point(mesh, cut_info, space, A, M, F1_base,
 def solve_constrained_ssn(mesh, cut_info, space, A, M, F1_base, F2_base, a,
                           bounds, ybc_values, max_iter=30):
     """Primal-dual active-set (semismooth Newton) solve of the clamped
-    optimality system.
+    optimality system (Hintermueller, Ito & Kunisch 2002).
 
-    Each step freezes the active set induced by the current co-state and
-    solves the resulting linear saddle system to SADDLE_TOL; convergence is
-    declared when the control's status at the quadrature points stops
-    changing.
+    Each step freezes the active set induced by the current co-state, as
+    the mass M_I on the inactive set and the bound load b there
+    (``ControlClamp.newton_terms``), and solves the resulting linear
+    saddle system to SADDLE_TOL.  The terms at the new co-state give both
+    the step's stop and the next step's system: converged when both rows
+    of the optimality system, with the exact clamp's load M_I(-P/a) + b,
+    have residuals <= SADDLE_TOL.  The rows are measured as the next
+    step's GMRES judges its start, so a step that fails the stop leaves
+    that solve work to do.
     """
     _check_control(a, bounds, max_iter)
     clamp = ControlClamp(mesh, cut_info, space, a, bounds)
     red = ReducedSolver(A, space)
 
     P = np.zeros(A.shape[0])
-    x = status = None
+    M_inact, b_act = clamp.newton_terms(P, M)
+    x = None
     saddle_its, saddle_res, history = [], [], []
     for it in range(max_iter):
-        M_inact, b_act = clamp.newton_terms(P, M)
         P, Y, its, res = _solve_saddle(red, M_inact, M, F1_base + b_act,
                                        F2_base, a, ybc_values, x)
         # the next step starts from this one's (y, q)
         x = _free_pair(red, Y, P, a)
         saddle_its.append(its)
         saddle_res.append(res)
-        prev, status = status, clamp.status(P)
-        changed = (-1 if prev is None
-                   else int(np.count_nonzero(status != prev)))
-        history.append((it + 1, changed))
-        if changed == 0:
+        M_inact, b_act = clamp.newton_terms(P, M)
+        residuals = _relative_residuals(_block_rows(
+            A, M, F1_base + b_act, F2_base, Y, P, -(M_inact @ P) / a,
+            red.free))
+        history.append((it + 1, *residuals))
+        if max(residuals) <= SADDLE_TOL:
             break
 
-    r1, r2 = _relative_residuals(_block_rows(
-        A, M, F1_base, F2_base, Y, P, clamp.load(P, M), red.free))
     return OcpSolution(Y=Y, P=P, a=a, bounds=bounds, iterations=len(history),
-                       converged=changed == 0, residual_state=r1,
-                       residual_costate=r2, history=history,
+                       converged=max(residuals) <= SADDLE_TOL,
+                       residual_state=residuals[0],
+                       residual_costate=residuals[1], history=history,
                        saddle_iterations=saddle_its,
                        saddle_residuals=saddle_res, factor_nnz=red.factor_nnz,
                        factor_s=red.factor_s, order_s=red.order_s)

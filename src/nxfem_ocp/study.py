@@ -236,9 +236,9 @@ def _write_outputs(config, problem, result, disc, sol, n):
     with open(os.path.join(out, "table.txt"), "w") as fh:
         fh.write(format_table(result))
     if problem.bounds is not None:
-        clips = list(ControlClamp(disc.mesh, disc.cut_info, disc.space,
-                                  problem.a, problem.bounds).clips(sol.P))
-        curves = _active_set_curves(clips)
+        curves = extract_active_set_boundary(sol, problem.a, problem.bounds,
+                                             disc.mesh, disc.cut_info,
+                                             disc.space)
         curves["interface"] = interface_polylines(disc.cut_info)
         # the plain name holds a byte copy of the last mesh's table
         path = os.path.join(out, f"activeset_n{n}.csv")
@@ -251,8 +251,10 @@ def _write_outputs(config, problem, result, disc, sol, n):
         extra = ()
         if problem.bounds is not None:
             # per bound, the pieces of every cell that it crosses
+            clamp = ControlClamp(disc.mesh, disc.cut_info, disc.space,
+                                 problem.a, problem.bounds)
             extra = [pieces[np.bincount(source)[source] > 1]
-                     for _, pieces, _, source, _ in clips]
+                     for _, pieces, _, source, _ in clamp.clips(sol.P)]
         path = os.path.join(out, f"integration_mesh_n{n}.csv")
         write_integration_mesh_csv(path, disc.mesh, disc.cut_info, *extra)
         shutil.copyfile(path, os.path.join(out, "integration_mesh.csv"))
@@ -353,15 +355,9 @@ def _drop_repeats(poly):
 def extract_active_set_boundary(solution, a, bounds, mesh, cut_info, space):
     """Contours where the clamped control hits each finite bound, as chained
     polylines keyed 'lower' / 'upper': the chords of the integration cells
-    clipped at each bound, without repeated points; a polyline that
-    shrinks to one point is dropped."""
-    return _active_set_curves(ControlClamp(mesh, cut_info, space, a,
-                                           bounds).clips(solution.P))
-
-
-def _active_set_curves(clips):
-    """The contours of ``extract_active_set_boundary`` from the chords of
-    the clips at each bound (``ControlClamp.clips``)."""
+    clipped at each bound (``ControlClamp.clips``), without repeated
+    points; a polyline that shrinks to one point is dropped."""
+    clips = ControlClamp(mesh, cut_info, space, a, bounds).clips(solution.P)
     curves = {}
     for name, (_, _, _, _, chords) in zip(("lower", "upper"), clips):
         polys = map(_drop_repeats, _chain_segments(list(chords)))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .interface_geometry import triangle_rule
+from .interface_geometry import VOLUME_DEGREE, triangle_rule
 
 __all__ = ["ExtendedSpace", "prolong"]
 
@@ -85,12 +85,13 @@ class ExtendedSpace:
         return np.where((cells.side == 1)[:, None], self.dof1[tri],
                         self.dof2[tri])
 
-    def rule(self, cells, degree):
+    def rule(self, cells):
         """Points (C, q, 2), weights (C, q), parent barycentrics (C, q, 3),
         dofs (C, 3) and parent hat gradients (C, 3, 2) of the
-        degree-``degree`` triangle rule on a batch of cells (a CellTable):
-        the one rule of every cell integral."""
-        bary, w = triangle_rule(degree)
+        degree-VOLUME_DEGREE triangle rule on a batch of cells (a
+        CellTable): the one rule of every cell integral but the masses of
+        hats, which are closed form (``assembly._cell_masses``)."""
+        bary, w = triangle_rule(VOLUME_DEGREE)
         pts = bary @ cells.coords
         grads = self.mesh.geometry(cells.parent)[1]
         return (pts, cells.areas()[:, None] * w,

@@ -33,8 +33,7 @@ from nxfem_ocp.errors import compute_errors
 from nxfem_ocp.interface_geometry import build_cut_info, circle_interface
 from nxfem_ocp.mesh import build_uniform_mesh
 from nxfem_ocp.problems import build_example
-from nxfem_ocp.solver import (ControlClamp, OcpSolution,
-                              solve_constrained_fixed_point,
+from nxfem_ocp.solver import (OcpSolution, solve_constrained_fixed_point,
                               solve_constrained_ssn)
 from nxfem_ocp.study import RunConfig, discretize, run_convergence_study, \
     solve_discretized
@@ -43,7 +42,7 @@ from nxfem_ocp.xfem_space import ExtendedSpace
 from helpers import (build_smooth_problem, element_areas,
                      interpolate_two_sided, project_control,
                      total_interface_length, tri_coords, triangle_area)
-from oracles import element_cuts
+from oracles import element_cuts, loop_control_at_quadrature
 
 FULL_SWEEP = (16, 32, 64, 128, 256)
 
@@ -318,9 +317,10 @@ def test_criterion_5_property_bundle():
     if max(sol2.residual_state, sol2.residual_costate) > 1e-8:
         failures.append("discrete KKT residuals exceed 1e-8")
     args = (disc2.mesh, disc2.cut_info, disc2.space)
-    u_vals = ControlClamp(*args, problem2.a, problem2.bounds).samples(sol2.P)
+    u_vals, _ = loop_control_at_quadrature(*args, sol2.P, problem2.a,
+                                           problem2.bounds)
     # the co-state itself: the unbounded clamp of -(-P)/1
-    p_vals = ControlClamp(*args, 1.0, (-np.inf, np.inf)).samples(-sol2.P)
+    p_vals, _ = loop_control_at_quadrature(*args, -sol2.P, 1.0, None)
     idx = rng.integers(0, len(u_vals), size=1000)
     v = rng.uniform(*problem2.bounds, size=1000)
     vi = ((p_vals[idx] + problem2.a * u_vals[idx]) * (v - u_vals[idx])).min()

@@ -16,14 +16,16 @@ from nxfem_ocp.interface_geometry import (CellTable, ElementClass,
                                           line_interface)
 from nxfem_ocp.mesh import build_uniform_mesh
 from nxfem_ocp.problems import PiecewiseField, build_example
-from nxfem_ocp.solver import ControlClamp, OcpSolution
+from nxfem_ocp.solver import (ControlClamp, OcpSolution,
+                              solve_constrained_fixed_point)
+from nxfem_ocp.study import discretize
 from nxfem_ocp.xfem_space import ExtendedSpace
 
 from helpers import (element_areas, interpolate_two_sided, mesh_from_arrays,
                      tri_coords)
 from oracles import (KinkLoops, clipped_control_integrals,
-                     loop_active_mass_and_load, loop_control_at_quadrature,
-                     loop_control_load, loop_cut_info, loop_errors,
+                     loop_active_mass_and_load, loop_control_load,
+                     loop_control_update, loop_cut_info, loop_errors,
                      loop_integration_cells, loop_load, loop_mass,
                      loop_stiffness)
 
@@ -354,22 +356,25 @@ def test_clamp_is_minus_p_over_a_corrected_beyond_the_bounds():
     assert np.abs(b - at_point).max() <= 1e-13
 
 
-def test_control_samples_match_the_element_loop():
-    mesh, info, space, P, a, bounds = clamp_setup(3, 16)
-    for lim in (bounds, (-np.inf, np.inf)):
-        clamp = ControlClamp(mesh, info, space, a, lim)
-        vals, w = clamp.samples(P), clamp.weights
-        ref_vals, ref_w = loop_control_at_quadrature(mesh, info, space, P, a,
-                                                     lim)
-        # the status marks the samples at a bound
-        status = clamp.status(P)
-        assert np.array_equal(status < 0, vals == lim[0])
-        assert np.array_equal(status > 0, vals == lim[1])
-        # the same points, in element order rather than side by side
-        assert np.allclose(np.sort(vals), np.sort(ref_vals), rtol=0.0,
-                           atol=1e-14)
-        assert np.allclose(np.sort(w), np.sort(ref_w), rtol=1e-13, atol=0.0)
-        assert w.sum() == pytest.approx(4.0, rel=1e-13)
+@pytest.mark.parametrize("example, bounds", [
+    (3, (-0.5, 0.5)), (2, (0.1, 0.5)), (2, (-np.inf, np.inf))],
+    ids=["ex3-box", "ex2-one-sided", "ex2-unbounded"])
+def test_control_update_matches_the_element_loop(example, bounds):
+    # the fixed point's first update, from the zero control and from a
+    # start (the interpolated exact co-state), is the element loop's L2
+    # norm of the cellwise-linear interpolant of the clamped update
+    problem = build_example(example)
+    disc = discretize(problem, 16)
+    args = (disc.mesh, disc.cut_info, disc.space)
+    P0 = interpolate_two_sided(disc.space, disc.cut_info.vertex_sign,
+                               problem.p.side(1), problem.p.side(2))
+    for P_prev in (None, P0):
+        start = None if P_prev is None else (np.zeros_like(P0), P_prev)
+        sol = solve_constrained_fixed_point(
+            *args, disc.A, disc.M, disc.F1, disc.F2, problem.a, bounds,
+            disc.ybc_values, max_iter=1, start=start)
+        want = loop_control_update(*args, sol.P, P_prev, problem.a, bounds)
+        assert sol.control_diffs[0] == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("label", sorted(GEOMETRIES))

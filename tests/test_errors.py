@@ -162,9 +162,9 @@ def recording_rule(monkeypatch):
     """The cells of every ``ExtendedSpace.rule`` call from now on."""
     calls, rule = [], ExtendedSpace.rule
 
-    def recorded(space, cells, degree):
+    def recorded(space, cells):
         calls.append(cells)
-        return rule(space, cells, degree)
+        return rule(space, cells)
     monkeypatch.setattr(ExtendedSpace, "rule", recorded)
     return calls
 

@@ -186,18 +186,18 @@ def test_subtriangle_quadrature_partition_and_monomials():
 
 
 def test_triangle_rules_exactness():
-    for degree in (2, 4):
-        bary, w = triangle_rule(degree)
-        assert w.sum() == pytest.approx(1.0, rel=1e-14)
-        rule = map_rule_to_triangle([(0, 0), (1, 0), (0, 1)], bary, w)
-        # exact integrals of x^a y^b over the reference triangle
-        exact = {(0, 0): 0.5, (1, 0): 1 / 6, (0, 1): 1 / 6, (1, 1): 1 / 24,
-                 (2, 0): 1 / 12, (0, 2): 1 / 12}
-        if degree == 4:
-            exact.update({(2, 2): 1 / 180, (3, 1): 1 / 120, (4, 0): 1 / 30})
-        for (a, bb), val in exact.items():
-            q = rule.weights @ (rule.points[:, 0] ** a * rule.points[:, 1] ** bb)
-            assert q == pytest.approx(val, rel=1e-13)
+    bary, w = triangle_rule(4)
+    assert w.sum() == pytest.approx(1.0, rel=1e-14)
+    rule = map_rule_to_triangle([(0, 0), (1, 0), (0, 1)], bary, w)
+    # exact integrals of x^a y^b over the reference triangle
+    exact = {(0, 0): 0.5, (1, 0): 1 / 6, (0, 1): 1 / 6, (1, 1): 1 / 24,
+             (2, 0): 1 / 12, (0, 2): 1 / 12, (2, 2): 1 / 180,
+             (3, 1): 1 / 120, (4, 0): 1 / 30}
+    for (a, bb), val in exact.items():
+        q = rule.weights @ (rule.points[:, 0] ** a * rule.points[:, 1] ** bb)
+        assert q == pytest.approx(val, rel=1e-13)
+    with pytest.raises(ConfigurationError):
+        triangle_rule(2)
 
 
 def test_segment_quadrature():

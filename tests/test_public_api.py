@@ -77,6 +77,11 @@ def test_package_imports_resolve():
     ("problems", "ManufacturedProblem.lap_y"),
     ("problems", "ManufacturedProblem.lap_z"),
     ("problems", "ManufacturedProblem.grad_z"),
+    ("solver", "ControlClamp.samples"),
+    ("solver", "ControlClamp.weights"),
+    ("solver", "ControlClamp.status"),
+    ("solver", "ControlClamp._at_points"),
+    ("assembly", "_hat_blocks"),
 ])
 def test_test_only_helpers_stay_in_tests(module, name):
     # these live in tests/helpers.py or tests/oracles.py, or are gone; the

@@ -21,7 +21,8 @@ from nxfem_ocp.solver import (ControlClamp, ReducedSolver, SolverError,
                               _solve_saddle)
 import nxfem_ocp
 from nxfem_ocp import solver
-from nxfem_ocp.study import RunConfig, discretize, solve_discretized
+from nxfem_ocp.study import (RunConfig, discretize, run_convergence_study,
+                             solve_discretized)
 from nxfem_ocp.xfem_space import ExtendedSpace, prolong
 
 import oracles
@@ -216,8 +217,67 @@ def test_ssn_inactive_bounds_reproduce_unconstrained():
     sol = solve_constrained_ssn(disc.mesh, disc.cut_info, disc.space, disc.A,
                                 disc.M, disc.F1, disc.F2, problem.a,
                                 (-1e6, 1e6), disc.ybc_values)
-    assert sol.converged
+    # nothing is active, so the first step's system is the optimality
+    # system itself: its solve passes the stop
+    assert sol.converged and sol.iterations == 1
     assert np.abs(sol.P - unc.P).max() <= 1e-9 * max(1.0, np.abs(unc.P).max())
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_converged_newton_meets_the_saddle_tolerance(n):
+    # a converged Newton solve holds both rows of the optimality system,
+    # with the exact clamp's load, to the tolerance of every linear solve;
+    # a stop on the status at quadrature points left 5.7e-10 and 8.7e-10
+    problem = build_example(2)
+    disc = discretize(problem, n)
+    sol = solve_constrained_ssn(disc.mesh, disc.cut_info, disc.space, disc.A,
+                                disc.M, disc.F1, disc.F2, problem.a,
+                                problem.bounds, disc.ybc_values)
+    assert sol.converged
+    assert max(sol.residual_state, sol.residual_costate) <= solver.SADDLE_TOL
+    assert [row[0] for row in sol.history] == list(range(1, sol.iterations
+                                                          + 1))
+    assert sol.history[-1][1:] == (sol.residual_state, sol.residual_costate)
+    # the stop's load is the clamp's own
+    load = ControlClamp(disc.mesh, disc.cut_info, disc.space, problem.a,
+                        problem.bounds).load(sol.P, disc.M)
+    rows = solver._block_rows(disc.A, disc.M, disc.F1, disc.F2, sol.Y, sol.P,
+                              load, ReducedSolver(disc.A, disc.space).free)
+    assert max(solver._relative_residuals(rows)) <= solver.SADDLE_TOL
+
+
+def test_fixed_point_updates_of_the_default_study(monkeypatch):
+    # the default example-2 study with nested starts takes 4/3/3/3 sweeps,
+    # and every update is the L2 norm of the cellwise-linear interpolant of
+    # the clamped update, as the element loop integrates it
+    co_states = []
+    load = ControlClamp.load
+
+    def recorded(self, P, M):
+        co_states.append((self, P))
+        return load(self, P, M)
+    monkeypatch.setattr(ControlClamp, "load", recorded)
+    problem = build_example(2)
+    result = run_convergence_study(RunConfig(example=2,
+                                             n_values=(16, 32, 64, 128)))
+    assert [sol.iterations for sol in result.solutions] == [4, 3, 3, 3]
+    by_mesh = {}
+    for clamp, P in co_states:
+        by_mesh.setdefault(clamp, []).append(P)
+    assert len(by_mesh) == 4
+    for i, (clamp, Ps) in enumerate(by_mesh.items()):
+        sol = result.solutions[i]
+        mesh = clamp.space.mesh
+        info = build_cut_info(mesh, problem.levelset)
+        # the nested meshes load their start's co-state first; the first
+        # mesh starts from the zero control
+        if i == 0:
+            Ps = [None] + Ps
+        updates = [oracles.loop_control_update(
+            mesh, info, clamp.space, P, P_prev, problem.a, problem.bounds)
+            for P_prev, P in zip(Ps, Ps[1:])]
+        assert np.allclose(sol.control_diffs, updates, rtol=1e-10,
+                           atol=1e-14)
 
 
 @pytest.mark.parametrize("n", [16, 32])
@@ -240,9 +300,10 @@ def test_kkt_variational_inequality_proxy():
     disc = discretize(problem, 16)
     sol = solve_discretized(problem, disc)
     args = (disc.mesh, disc.cut_info, disc.space)
-    u_vals = ControlClamp(*args, problem.a, problem.bounds).samples(sol.P)
+    u_vals, _ = oracles.loop_control_at_quadrature(*args, sol.P, problem.a,
+                                                   problem.bounds)
     # the co-state itself: the unbounded clamp of -(-P)/1
-    p_vals = ControlClamp(*args, 1.0, (-np.inf, np.inf)).samples(-sol.P)
+    p_vals, _ = oracles.loop_control_at_quadrature(*args, -sol.P, 1.0, None)
     rng = np.random.default_rng(23)
     lo, hi = problem.bounds
     idx = rng.integers(0, len(u_vals), size=1000)

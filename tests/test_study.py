@@ -368,10 +368,11 @@ def test_cli_stops_at_the_first_unconverged_mesh(tmp_path, capsys):
 
 def test_cli_dump_builds_one_clamp_per_mesh(tmp_path, monkeypatch):
     # the outputs of a constrained run read the control through one clamp
-    # per mesh, for the contours and the dump's pieces alike; they used to
-    # build a second one
-    calls = {"integration_cells": 0, "cell_sampler": 0}
-    stage = {"outputs": False, "dump": False}
+    # per mesh for the contours, that of the public
+    # ``extract_active_set_boundary`` (so the benchmark's tracer times
+    # them), and through one more for the dump's pieces
+    calls = {}
+    stage = {"outputs": False, "contours": False, "writer": False}
 
     def within(name, key):
         function = getattr(study_mod, name)
@@ -390,19 +391,24 @@ def test_cli_dump_builds_one_clamp_per_mesh(tmp_path, monkeypatch):
         def wrapper(*args, **kwargs):
             # in the outputs stage, but not in the dump writer, which reads
             # the whole-mesh cells itself
-            calls[name] += stage["outputs"] and not stage["dump"]
+            if stage["outputs"] and not stage["writer"]:
+                key = (name, "contours" if stage["contours"] else "dump")
+                calls[key] = calls.get(key, 0) + 1
             return method(*args, **kwargs)
         monkeypatch.setattr(cls, name, wrapper)
 
     within("_write_outputs", "outputs")
-    within("write_integration_mesh_csv", "dump")
+    within("extract_active_set_boundary", "contours")
+    within("write_integration_mesh_csv", "writer")
     counted(CutInfo, "integration_cells")
     counted(ExtendedSpace, "cell_sampler")
     rc = main(["solve", "--example", "2", "--n-list", "8,16",
                "--dump-geometry", "--out", str(tmp_path / "run9")])
     assert rc == 0
     assert (tmp_path / "run9" / "integration_mesh_n16.csv").exists()
-    assert calls == {"integration_cells": 2, "cell_sampler": 2}
+    assert calls == {(name, where): 2
+                     for name in ("integration_cells", "cell_sampler")
+                     for where in ("contours", "dump")}
 
 
 def test_cli_writes_each_mesh_table_once(tmp_path, monkeypatch):
