@@ -204,8 +204,8 @@ def _interface_load(vec, mesh, cut_info, space, g):
 
 def assemble_load(mesh, cut_info, space, *loads, kinks=None):
     """One right-hand side vector per Load, all from one pass over the
-    integration cells, or over the leaves that the problem's kink rule
-    ``kinks`` (``ManufacturedProblem.kink_rule``) makes of them.  The
+    integration cells, or over their leaves where the problem's kink
+    predicate ``kinks`` (``ManufacturedProblem.kink_rule``) flags.  The
     volume part is scaled by the load's sign before the interface part is
     added, so a sign of -1 gives the same vector as the negated source
     would."""

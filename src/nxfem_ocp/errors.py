@@ -14,7 +14,6 @@ interface terms (average normal derivative scaled by h_T, jump scaled by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -139,18 +138,20 @@ def compute_errors(problem, solution, mesh, cut_info, space):
     bounds u - u_h = -(p - p_h)/a, so the control's sums are the
     co-state's over a^2.
     """
-    kinks, straddles = problem.kink_rule(mesh), None
+    kinks = split = problem.kink_rule(mesh)
     discs = {"y": _ClampedLinearField(solution.Y, 1.0, None),
              "p": _ClampedLinearField(solution.P, 1.0, None)}
     if kinks is not None:
         control = discs["u"] = _ClampedLinearField(
             solution.P, -1.0 / problem.a, problem.bounds)
-        straddles = partial(control.straddles, space)
+
+        def split(cells, side):
+            return kinks(cells, side) | control.straddles(space, cells)
     # per field: the error's and the exact field's squared L2 norm, H1
     # seminorm and interface terms
     sums = {name: np.zeros(6) for name in discs}
     for side in (1, 2):
-        for cells in cut_info.batches(mesh, side, kinks, straddles):
+        for cells in cut_info.batches(mesh, side, split):
             rule = space.rule(cells)
             exact = _exact(problem, side, rule[0], discs)
             for name, disc in discs.items():

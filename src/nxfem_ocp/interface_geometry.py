@@ -290,15 +290,15 @@ class CutInfo:
             CellTable(uncut, self.classes[uncut], mesh.coords(uncut)), cut)
         return cells[np.argsort(cells.parent, kind="stable")]
 
-    def batches(self, mesh, side, kinks=None, straddles=None):
+    def batches(self, mesh, side, split=None):
         """One side's integration cells in batches of at most
-        ``CellTable.BATCH`` cells; with a kink rule ``kinks``
-        (``ManufacturedProblem.kink_rule``), the leaves it makes of each
-        batch, split also where ``straddles`` flags, cut again to that
-        bound: the one walk of the loads and of the error norms."""
+        ``CellTable.BATCH`` cells; with a kink predicate ``split(cells,
+        side)`` (``ManufacturedProblem.kink_rule``), the leaves that
+        ``CellTable.refined`` makes of each batch where it flags, cut again
+        to that bound: the one walk of the loads and of the error norms."""
         for cells in self.integration_cells(mesh, side).batches():
-            if kinks is not None:
-                cells = kinks(cells, side, straddles)
+            if split is not None:
+                cells = cells.refined(lambda c: split(c, side))
             yield from cells.batches()
 
 

@@ -170,13 +170,12 @@ class ManufacturedProblem:
         return flux_jump(self.grad_p, self.levelset, self.alpha1, self.alpha2)
 
     def kink_rule(self, mesh):
-        """The one rule of the cells that the kink of clamp(z) crosses
-        (None without bounds): ``rule(cells, side, straddles=None)`` gives
-        the leaves of a batch of one side's integration cells, split up to
-        KINK_DEPTH levels while the status of z (below, inside or above the
-        box) differs among a cell's vertices, edge midpoints and centroid,
-        or where ``straddles(cells)`` flags.  Only the cells of elements
-        whose own vertices see the status change are sampled."""
+        """The one predicate of the cells that the kink of clamp(z) crosses
+        (None without bounds): ``split(cells, side)`` flags the cells of a
+        CellTable of one side where the status of z (below, inside or above
+        the box) differs among a cell's vertices, edge midpoints and
+        centroid.  Only the cells of elements whose own vertices see the
+        status change are sampled."""
         if self.bounds is None:
             return None
 
@@ -188,18 +187,15 @@ class ManufacturedProblem:
         changes = {side: np.ptp(status(side, mesh.vertices)[mesh.triangles],
                                 axis=1) > 0 for side in (1, 2)}
 
-        def rule(cells, side, straddles=None):
-            def split(c):
-                flags = changes[side][c.parent]
-                tc = c.coords[flags]
-                pts = np.concatenate([tc, 0.5 * (tc + np.roll(tc, 1, axis=1)),
-                                      tc.mean(axis=1, keepdims=True)], axis=1)
-                flags[flags] = np.ptp(status(side, pts), axis=1) > 0
-                return flags if straddles is None else flags | straddles(c)
+        def split(cells, side):
+            flags = changes[side][cells.parent]
+            tc = cells.coords[flags]
+            pts = np.concatenate([tc, 0.5 * (tc + np.roll(tc, 1, axis=1)),
+                                  tc.mean(axis=1, keepdims=True)], axis=1)
+            flags[flags] = np.ptp(status(side, pts), axis=1) > 0
+            return flags
 
-            return cells.refined(split)
-
-        return rule
+        return split
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ both rows of the optimality system.  The box-constrained solvers and the
 active-set output read the control through one ``ControlClamp``, which
 holds the cells and is built once per solve.  The error norms clamp
 -p_h/a themselves (``errors._ClampedLinearField``), at their quadrature
-points and, for the kink rule's straddle test, at the cells' vertices.
+points and, for the straddle test they add to the kink predicate, at the
+cells' vertices.
 
 Every block system is solved in q = p/sqrt(a), where it has the square
 form [[M, -sqrt(a) A], [sqrt(a) A, M_I]], by flexible GMRES preconditioned
@@ -42,7 +43,8 @@ of the fixed point shares) takes one path: a geometric nested-dissection
 order of the free dofs (George 1973) on fixed halving boxes, computed by
 one sort once per Dirichlet reduction from A's own pattern, the matrix's
 free/free block (the one block ever split), and a symmetric factor
-without pivoting, whose pivots give the inertia.
+without pivoting.  Before the order, the Dirichlet reduction checks A's
+blocks on the cut elements, where a too small interface penalty shows.
 """
 
 from __future__ import annotations
@@ -159,13 +161,32 @@ class ReducedSolver:
     matrix stays as it was assembled, on the space's pattern: a
     vector on the free dofs is scattered to full length (``_expand``),
     multiplied, and gathered back by indexing with ``free``.  The one
-    matrix that is split is the one that is factored (``_free_block``)."""
+    matrix that is split is the one that is factored (``_free_block``).
+
+    Hansbo's Nitsche form is coercive only for a large enough interface
+    penalty, which shows in A's principal blocks on the free dofs of the
+    cut elements: unless all are positive definite, SolverError is raised
+    before the order and before any factor."""
 
     def __init__(self, A, space):
         self.A = A
         self.constrained = np.asarray(space.dirichlet_dofs, dtype=np.int64)
         mask = np.zeros(A.shape[0], dtype=bool)
         mask[self.constrained] = True
+        # A's 6x6 block on every cut element, constrained rows and columns
+        # set to identity
+        cut = space.mesh.triangles[space.classes == int(ElementClass.CUT)]
+        dofs = np.concatenate([space.dof1[cut], space.dof2[cut]], axis=1)
+        blocks = A[np.repeat(dofs, 6, axis=1), np.tile(dofs, (1, 6))]
+        kept = ~mask[dofs]
+        try:
+            np.linalg.cholesky(np.where(kept[:, :, None] & kept[:, None, :],
+                                        blocks.toarray().reshape(-1, 6, 6),
+                                        np.eye(6)))
+        except np.linalg.LinAlgError:
+            raise SolverError("stiffness matrix is not positive definite on "
+                              "the cut elements: the interface penalty "
+                              "lambda_coef / h is too small") from None
         free = np.flatnonzero(~mask)
         start = time.perf_counter()
         # the upper-triangle entries of A's own pattern between free dofs
@@ -177,11 +198,6 @@ class ReducedSolver:
                                    space.mesh.vertices[space.dof_vertex[free]])
         self.order_s = time.perf_counter() - start
         self.free = free[order]
-        position[self.free] = np.arange(len(self.free))
-        position[self.constrained] = -1
-        cut = space.mesh.triangles[space.classes == int(ElementClass.CUT)]
-        self._cut_dofs = position[np.concatenate([space.dof1[cut],
-                                                  space.dof2[cut]], axis=1)]
         self.factor_nnz = 0
         self.factor_s = 0.0
         self._lu = None
@@ -207,13 +223,7 @@ class ReducedSolver:
         The free dofs are in nested-dissection order already, so B is
         factored as it is, without pivoting: its transpose is the CSC
         matrix on B's own arrays, its factor is used by transposed solves,
-        and no permuted copy of B or of a vector is made.  U's diagonal
-        holds the pivots of B = L D L^T, and by Sylvester's law of inertia
-        the non-positive pivots count B's non-positive eigenvalues.  Reading
-        U makes scipy keep CSC copies of L and U as large as the factor, so
-        the pivots are counted, and SolverError raised, only once B is
-        shown not to be positive definite: by its principal block on some
-        cut element, where a too small interface penalty shows.
+        and no permuted copy of B or of a vector is made.
         """
         start = time.perf_counter()
         try:
@@ -226,33 +236,9 @@ class ReducedSolver:
         if not np.array_equal(lu.perm_r, lu.perm_c):
             raise SolverError("matrix is not positive definite: the "
                               "factorization left the diagonal")
-        if not self._cut_blocks_definite(B):
-            bad = np.count_nonzero(lu.U.diagonal() <= 0.0)
-            if bad:
-                raise SolverError(f"matrix is not positive definite: {bad} "
-                                  "non-positive pivots")
         self.factor_nnz = lu.nnz
         dtype = B.dtype
         return lambda b: lu.solve(b.astype(dtype, copy=False), trans="T")
-
-    def _cut_blocks_definite(self, B, on_free=True):
-        """Whether the principal blocks of B on the free dofs of every cut
-        element are positive definite, as they are if B is: B on the free
-        dofs in elimination order or, unless ``on_free``, on all dofs (A)."""
-        dofs = self._cut_dofs
-        if len(dofs) == 0:
-            return True
-        free = dofs >= 0
-        i = np.where(free, dofs if on_free else self.free[dofs], 0)
-        blocks = np.asarray(B[np.repeat(i, 6, axis=1).ravel(),
-                              np.tile(i, (1, 6)).ravel()]).reshape(-1, 6, 6)
-        blocks = np.where(free[:, :, None] & free[:, None, :], blocks,
-                          np.eye(6))
-        try:
-            np.linalg.cholesky(blocks)
-        except np.linalg.LinAlgError:
-            return False
-        return True
 
     def solve(self, b, bc_values=None):
         """Solve with full-length right-hand side; ``bc_values`` holds the
@@ -320,11 +306,6 @@ def _presb(red, M, a):
             raise SolverError(f"S = M + sqrt(a) A overflows single precision "
                               f"at sqrt(a) = {s:.3e}")
         red._saddle_lu = red._factor(S)
-        # at small a, S can be definite where A is not
-        if not red._cut_blocks_definite(A, on_free=False):
-            raise SolverError("stiffness matrix is not positive definite on "
-                              "the cut elements: the interface penalty "
-                              "lambda_coef / h is too small")
     solve, free, nf = red._saddle_lu, red.free, len(red.free)
 
     def apply(r):

@@ -768,6 +768,13 @@ def free_block(red, B):
     return B[red.free][:, red.free].sorted_indices()
 
 
+def dirichlet_free_block(B, space):
+    """The block of an assembled matrix B on the dofs of ``space`` that are
+    not Dirichlet dofs, in dof order."""
+    free = np.setdiff1d(np.arange(space.n_dofs), space.dirichlet_dofs)
+    return B[free][:, free]
+
+
 def saddle_matrix(red, M_I, M, a):
     """The assembled block matrix [[M_I/a, A], [A, -M]] on the free dofs."""
     A_ff = free_block(red, red.A)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nxfem_ocp.assembly import Load, assemble_load
-from nxfem_ocp.errors import compute_errors
+from nxfem_ocp.errors import _ClampedLinearField, compute_errors
 from nxfem_ocp.interface_geometry import CellTable
 from nxfem_ocp.problems import PiecewiseField, build_example
 from nxfem_ocp.solver import OcpSolution
@@ -118,18 +118,22 @@ def test_loads_and_error_norms_share_the_kink_rule(monkeypatch):
     # small batches, so that each side has several
     monkeypatch.setattr(CellTable, "BATCH", 256)
     problem = build_example(2)
-    rule_of, calls = problem.kink_rule, []
+    refined, straddles = CellTable.refined, _ClampedLinearField.straddles
+    calls, tested = [], []
 
-    def recording(mesh):
-        rule = rule_of(mesh)
+    def record(cells, needs_refine):
+        before = len(tested)
+        leaves = refined(cells, needs_refine)
+        calls.append((int(cells.side[0]), len(cells), len(tested) > before,
+                      leaves))
+        return leaves
 
-        def record(cells, side, straddles=None):
-            leaves = rule(cells, side, straddles)
-            calls.append((side, len(cells), straddles is not None, leaves))
-            return leaves
-        return record
+    def straddle_test(field, space, cells):
+        tested.append(len(cells))
+        return straddles(field, space, cells)
 
-    monkeypatch.setattr(problem, "kink_rule", recording)
+    monkeypatch.setattr(CellTable, "refined", record)
+    monkeypatch.setattr(_ClampedLinearField, "straddles", straddle_test)
     disc = discretize(problem, 32)
     loads = calls[:]
     batches = [(side, len(part)) for side in (1, 2) for part in
@@ -144,8 +148,8 @@ def test_loads_and_error_norms_share_the_kink_rule(monkeypatch):
         calls.clear()
         compute_errors(problem, sol, *args)
         runs[name] = calls[:]
-    # one call per batch and side; the error norms also split where the
-    # discrete control straddles a bound
+    # one refinement per batch and side; the error norms also split where
+    # the discrete control straddles a bound
     assert [c[:3] for c in loads] == [(*b, False) for b in batches]
     for run in runs.values():
         assert [c[:3] for c in run] == [(*b, True) for b in batches]

@@ -272,7 +272,8 @@ def test_kink_rule_splits_where_the_element_vertices_see_the_kink(case):
         corners = _status_varies(problem, side,
                                  mesh.vertices[mesh.triangles])[cells.parent]
         sampled += np.count_nonzero(seven & ~corners)
-        leaves = rule(cells, side)
+        assert np.array_equal(rule(cells, side), seven & corners)
+        leaves = cells.refined(lambda c: rule(c, side))
         n = mesh.num_triangles
         split = np.bincount(leaves.parent, minlength=n) \
             > np.bincount(cells.parent, minlength=n)

@@ -82,6 +82,9 @@ def test_package_imports_resolve():
     ("solver", "ControlClamp.status"),
     ("solver", "ControlClamp._at_points"),
     ("assembly", "_hat_blocks"),
+    ("solver", "ReducedSolver._cut_dofs"),
+    ("solver", "ReducedSolver._cut_blocks_definite"),
+    ("solver", "_cut_blocks_definite"),
 ])
 def test_test_only_helpers_stay_in_tests(module, name):
     # these live in tests/helpers.py or tests/oracles.py, or are gone; the

@@ -10,8 +10,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from nxfem_ocp.assembly import Load, assemble_load
-from nxfem_ocp.interface_geometry import (CutInfo, build_cut_info,
-                                          line_interface)
+from nxfem_ocp.interface_geometry import (CutInfo, ElementClass,
+                                          build_cut_info, line_interface)
 from nxfem_ocp.mesh import ConfigurationError, build_uniform_mesh
 from nxfem_ocp.problems import PiecewiseField, build_example
 from nxfem_ocp.solver import (ControlClamp, ReducedSolver, SolverError,
@@ -418,10 +418,16 @@ def test_constrained_drivers_build_the_cells_once(driver, monkeypatch):
 def test_solver_error_reports_residual():
     problem = build_example(1)
     disc = discretize(problem, 8)
-    S = disc.space.n_dofs
-    # a singular system stops the factorization
+    space, S = disc.space, disc.space.n_dofs
+    # a matrix definite on the cut elements (the identity on their dofs) but
+    # singular elsewhere passes the stiffness guard and stops the
+    # factorization
+    cut = space.mesh.triangles[space.classes == int(ElementClass.CUT)]
+    on_cut = np.zeros(S)
+    on_cut[space.dof1[cut]] = on_cut[space.dof2[cut]] = 1.0
+    assert 0.0 < on_cut.sum() < S
     with pytest.raises(SolverError, match="factorization failed"):
-        ReducedSolver(sp.csr_matrix((S, S)), disc.space).solve(np.ones(S))
+        ReducedSolver(sp.diags(on_cut, format="csr"), space).solve(np.ones(S))
     # a solve whose residual is not small is reported, a NaN one included
     red = ReducedSolver(disc.A, disc.space)
     b = np.ones(S)
@@ -869,40 +875,49 @@ def test_solution_does_not_depend_on_the_blas_thread_count():
     assert out[0].split(maxsplit=1)[1].strip() == "[6]"
 
 
+GUARD = ("stiffness matrix is not positive definite on the cut elements: "
+         "the interface penalty lambda_coef / h is too small")
+
+
 @pytest.mark.parametrize("example, lambda_coef, definite", [
-    (1, None, True), (2, None, True), (3, None, True), (3, 10.0, False)])
+    (1, 10.0, False), (1, 15.0, False), (1, None, True),
+    (2, 10.0, False), (2, 15.0, False), (2, None, True),
+    (3, 10.0, False), (3, 15.0, True), (3, None, True)])
 def test_stiffness_guard_reads_a_on_the_cut_elements(example, lambda_coef,
                                                      definite):
-    # A's own entries, gathered per cut element at the global dofs, give the
-    # verdict of its free block's cut blocks
+    # the one guard, Cholesky on A's blocks on the cut elements, accepts
+    # exactly when A's free block is positive definite
     problem = build_example(example)
     if lambda_coef is not None:
         problem.lambda_coef = lambda_coef
-    for n in (16, 32, 64):
+    for n in (16, 32):
         disc = discretize(problem, n)
-        red = ReducedSolver(disc.A, disc.space)
-        assert red._cut_blocks_definite(disc.A, on_free=False) == definite
-        assert red._cut_blocks_definite(oracles.free_block(red, disc.A)) \
-            == definite
+        A_ff = oracles.dirichlet_free_block(disc.A, disc.space)
+        assert (np.linalg.eigvalsh(A_ff.toarray()).min() > 0.0) == definite
+        if definite:
+            ReducedSolver(disc.A, disc.space)
+        else:
+            with pytest.raises(SolverError, match=GUARD):
+                ReducedSolver(disc.A, disc.space)
 
 
-def test_inertia_guard_counts_negative_eigenvalues():
-    # a penalty far below the examples' makes the interface form indefinite
+def test_every_driver_rejects_an_indefinite_stiffness_before_any_factor(
+        monkeypatch):
+    # a penalty far below the example's makes the interface form indefinite;
+    # every driver reports it with the one message, whatever it factors
     problem = build_example(3)
     problem.lambda_coef = 10.0
     disc = discretize(problem, 16)
-    red = ReducedSolver(disc.A, disc.space)
-    A_ff = oracles.free_block(red, disc.A)
-    S = oracles.free_block(red, disc.M) + np.sqrt(problem.a) * A_ff
-    for B in (S, A_ff):
-        neg = np.count_nonzero(np.linalg.eigvalsh(B.toarray()) <= 0.0)
-        assert neg == 4
-        with pytest.raises(SolverError,
-                           match=f"not positive definite: {neg} non-positive"):
-            ReducedSolver(disc.A, disc.space)._factor(B)
-    with pytest.raises(SolverError, match="not positive definite: 4 "):
-        solve_discretized(problem, disc)
-    with pytest.raises(SolverError, match="not positive definite: 4 "):
-        solve_constrained_fixed_point(
-            disc.mesh, disc.cut_info, disc.space, disc.A, disc.M, disc.F1,
-            disc.F2, problem.a, (-1e6, 1e6), disc.ybc_values)
+    calls = []
+    monkeypatch.setattr(spla, "splu", lambda *args, **kw: calls.append(args))
+    box = (disc.mesh, disc.cut_info, disc.space, disc.A, disc.M, disc.F1,
+           disc.F2, problem.a, (-1e6, 1e6), disc.ybc_values)
+    for solve in (lambda: solve_unconstrained_ocp(
+                      disc.A, disc.M, disc.F1, disc.F2, problem.a,
+                      disc.space, disc.ybc_values),
+                  lambda: solve_constrained_fixed_point(*box),
+                  lambda: solve_constrained_ssn(*box)):
+        with pytest.raises(SolverError) as exc:
+            solve()
+        assert str(exc.value) == GUARD
+    assert calls == []
