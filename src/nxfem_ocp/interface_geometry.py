@@ -280,12 +280,16 @@ class CutInfo:
     cells: CellTable
     chords: ChordTable
 
-    def integration_cells(self, mesh, side=None):
-        """Every integration cell (of ``side`` only, if given) in element
+    def integration_cells(self, mesh, side=None, near=None):
+        """Every integration cell (of ``side`` only, if given; of the
+        elements of the mask ``near`` (T,) only, if given) in element
         order: uncut elements whole, cut elements as their sub-triangles."""
-        uncut = np.flatnonzero(self.classes != int(ElementClass.CUT)
-                               if side is None else self.classes == side)
+        uncut = (self.classes != int(ElementClass.CUT) if side is None
+                 else self.classes == side)
         cut = self.cells if side is None else self.cells[self.cells.side == side]
+        if near is not None:
+            uncut, cut = uncut & near, cut[near[cut.parent]]
+        uncut = np.flatnonzero(uncut)
         cells = CellTable.concat(
             CellTable(uncut, self.classes[uncut], mesh.coords(uncut)), cut)
         return cells[np.argsort(cells.parent, kind="stable")]

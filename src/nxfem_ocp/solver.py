@@ -11,11 +11,12 @@ linear function on a cell or on a piece of one: Newton's inactive mass
 M_I is M less the mass on the pieces beyond each bound, which one clip
 per bound cuts from the cells that reach past it (``CellTable.clip``),
 and the control's load is M_I(-P/a) plus each bound's load on its
-pieces.  The fixed point stops on the L2 norm of the cellwise-linear
-interpolant of its clamped control update, Newton on the residuals of
-both rows of the optimality system.  The box-constrained solvers and the
-active-set output read the control through one ``ControlClamp``, which
-holds the cells and is built once per solve.  The error norms clamp
+pieces.  The fixed point stops on the M-norm of its clamped control
+update at the dofs, Newton on the residuals of both rows of the
+optimality system.  The box-constrained solvers and the active-set
+output read the control through ``ControlClamp``, which holds no cells:
+per bound it builds and samples only those of the elements with a dof
+at or past the bound.  The error norms clamp
 -p_h/a themselves (``errors._ClampedLinearField``), at their quadrature
 points and, for the straddle test they add to the kink predicate, at the
 cells' vertices.
@@ -56,7 +57,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .assembly import _MASS_BARY, _assemble, _cell_masses, assemble_mass
+from .assembly import _assemble, _cell_masses, assemble_mass
 from .interface_geometry import ElementClass
 from .mesh import ConfigurationError
 
@@ -482,15 +483,14 @@ def solve_unconstrained_ocp(A, M, F1, F2, a, space, ybc_values, start=None):
 
 class ControlClamp:
     """The control clamp(-p/a) for co-states P of an extended space, as the
-    box-constrained solvers and the active-set output read it, built once
-    per solve.
+    box-constrained solvers and the active-set output read it.
 
-    It holds what does not depend on P: the integration cells and the map
-    from a dof vector to its values at the cells' vertices.  -p/a is
-    linear on every cell, so the control is -p/a corrected on the pieces
-    beyond each bound, which one exact clip per bound cuts out of the
-    cells that reach past it (``clips``).  Every integral it needs is the
-    mass of a linear function on a cell or a piece, in closed form
+    It holds its inputs only.  -p/a is linear on every cell, so the
+    control is -p/a corrected on the pieces beyond each bound, which one
+    exact clip per bound cuts out of the cells that reach past it
+    (``clips``); those cells are built and sampled per call, from the
+    elements near the bound alone.  Every integral it needs is the mass
+    of a linear function on a cell or a piece, in closed form
     (``assembly._cell_masses``): the mass matrix M less the mass on the
     pieces beyond the bounds is the mass on the inactive set, and the
     bounds there give the rest of the control's load (``newton_terms``).
@@ -498,31 +498,30 @@ class ControlClamp:
 
     def __init__(self, mesh, cut_info, space, a, bounds):
         _check_control(a, bounds)
-        self.space, self.a, self.bounds = space, a, bounds
-        self.cells = cut_info.integration_cells(mesh)
-        self._sampler = space.cell_sampler(self.cells)
-        self._P = self._z = None
-
-    def vertex_values(self, P):
-        """-P/a at the vertices (C, 3) of every cell.  The clips and the
-        fixed point's update of a co-state read the same values, so those
-        of the last P are kept; P is never changed in place."""
-        if P is not self._P:
-            self._P, self._z = P, self._sampler(-P / self.a)
-        return self._z
+        self.mesh, self.cut_info, self.space = mesh, cut_info, space
+        self.a, self.bounds = a, bounds
 
     def clips(self, P):
         """Per bound, lo then hi: the bound and the clip at it of the cells
         where -P/a reaches past it (below lo, above hi): the pieces,
         whether each lies beyond the bound (at or below lo, above hi), the
-        cell each comes from, and the chords of the cells the bound
-        crosses, in cell order."""
-        z = self.vertex_values(P)
+        clipped cell each comes from (its index among them), and the
+        chords of the cells the bound crosses, in cell order.  Only the
+        elements with a dof at or past the bound are sampled: on a cell
+        -P/a is a convex combination of its element's dofs on its side,
+        rounded past them by a few ulps of max |P/a| at most, so a dof
+        within 16 such ulps of the bound counts as at it."""
+        z = -P / self.a
+        slack = 16 * np.finfo(float).eps * np.abs(z).max(initial=0.0)
         for sign, level in zip((-1.0, 1.0), self.bounds):
-            reach = np.flatnonzero((sign * z).max(axis=1) > sign * level)
-            pieces, above, source, chords = self.cells[reach].clip(z[reach],
-                                                                   level)
-            yield level, pieces, above == (sign > 0), reach[source], chords
+            past = self.space.vertex_sides(sign * z >= sign * level - slack)
+            near = past.any(axis=0)[self.mesh.triangles].any(axis=1)
+            cells = self.cut_info.integration_cells(self.mesh, near=near)
+            values = self.space.cell_sampler(cells)(z)
+            reach = (sign * values).max(axis=1) > sign * level
+            pieces, above, source, chords = cells[reach].clip(values[reach],
+                                                              level)
+            yield level, pieces, above == (sign > 0), source, chords
 
     def newton_terms(self, P, M):
         """The mass matrix on the inactive set, the mass matrix M (on the
@@ -564,17 +563,14 @@ def solve_constrained_fixed_point(mesh, cut_info, space, A, M, F1_base,
     Per sweep: state solve with the current control, co-state solve (both
     with the one factor of A), clamp update.  The first control is
     clamp(-P0/a) for ``start`` = (Y0, P0), else zero.  Stops when the
-    control update, measured as the L2 norm of the cellwise-linear
-    interpolant of the clamped update (d = clip(-P/a) - clip(-P_prev/a)
-    at the cells' vertices, exactly integrated: sum of area d^T
-    _MASS_BARY d) normalized by sqrt(domain area), drops below
-    FIXED_POINT_TOL.  Returns a flagged (not raised) result when
-    ``max_iter`` is exhausted.
+    control update, measured as the M-norm of the clamped update at the
+    dofs (d = clip(-P/a) - clip(-P_prev/a), sqrt(d^T M d)) normalized by
+    sqrt(domain area), drops below FIXED_POINT_TOL.  Returns a flagged
+    (not raised) result when ``max_iter`` is exhausted.
     """
     _check_control(a, bounds, max_iter)
     clamp = ControlClamp(mesh, cut_info, space, a, bounds)
     solver = ReducedSolver(A, space)
-    areas = clamp.cells.areas()
     x0, x1, y0, y1 = mesh.domain
     sqrt_area = np.sqrt((x1 - x0) * (y1 - y0))
 
@@ -582,7 +578,7 @@ def solve_constrained_fixed_point(mesh, cut_info, space, A, M, F1_base,
     u_prev = 0.0
     if start is not None:
         load = clamp.load(start[1], M)
-        u_prev = np.clip(clamp.vertex_values(start[1]), *bounds)
+        u_prev = np.clip(-start[1] / a, *bounds)
     history = []
     for it in range(max_iter):
         Y = solver.solve(F1_base + load, ybc_values)
@@ -590,10 +586,9 @@ def solve_constrained_fixed_point(mesh, cut_info, space, A, M, F1_base,
         # the load induced by the updated control doubles as the residual
         # probe and as next sweep's state load
         load = clamp.load(P, M)
-        u_now = np.clip(clamp.vertex_values(P), *bounds)
+        u_now = np.clip(-P / a, *bounds)
         d = u_now - u_prev
-        diff = np.sqrt(areas @ ((d @ _MASS_BARY) * d).sum(axis=1)) \
-            / sqrt_area
+        diff = np.sqrt(np.einsum("i,i->", d, M @ d)) / sqrt_area
         history.append((it + 1, diff, *_relative_residuals(_block_rows(
             A, M, F1_base, F2_base, Y, P, load, solver.free))))
         if diff < FIXED_POINT_TOL:

@@ -883,32 +883,26 @@ def loop_control_at_quadrature(mesh, cut_info, space, P, a, bounds):
 
 def loop_control_update(mesh, cut_info, space, P, P_prev, a, bounds):
     """The fixed point's control update, by the degree-4 rule on every
-    cell: the L2 norm, over sqrt(domain area), of the cellwise-linear
-    interpolant of clip(-P/a) - clip(-P_prev/a) at each cell's vertices.
-    P_prev None is the zero control.  Uncut elements side by side, then
-    the cut-element sub-triangles one at a time."""
-    lo, hi = bounds
+    cell: the L2 norm, over sqrt(domain area), of the extended-space field
+    whose dofs are d = clip(-P/a) - clip(-P_prev/a).  P_prev None is the
+    zero control.  Uncut elements side by side, then the cut-element
+    sub-triangles one at a time."""
+    d = np.clip(-P / a, *bounds)
+    if P_prev is not None:
+        d = d - np.clip(-P_prev / a, *bounds)
     bary, w = triangle_rule(4)
-
-    def update(dofs, lam):
-        # lam: parent barycentrics at the cells' vertices, (..., 3, 3)
-        d = np.clip(lam @ (-P[dofs][..., None] / a), lo, hi)[..., 0]
-        if P_prev is not None:
-            d -= np.clip(lam @ (-P_prev[dofs][..., None] / a), lo, hi)[..., 0]
-        return (d @ bary.T) ** 2 @ w
-
     total = 0.0
     for side, dmap in ((1, space.dof1), (2, space.dof2)):
         els = np.flatnonzero(cut_info.classes == side)
-        total += element_areas(mesh, els) @ update(
-            dmap[mesh.triangles[els]], np.broadcast_to(np.eye(3),
-                                                       (len(els), 3, 3)))
+        total += element_areas(mesh, els) @ (
+            (d[dmap[mesh.triangles[els]]] @ bary.T) ** 2 @ w)
     for e, cg in element_cuts(cut_info).items():
         for side, tris in ((1, cg.tris1), (2, cg.tris2)):
-            dofs = element_dofs(space, e, side)
+            coeffs = d[element_dofs(space, e, side)]
             for t in tris:
-                total += triangle_area(t) * update(dofs,
-                                                   mesh.barycentric(e, t))
+                r = map_rule_to_triangle(t, bary, w)
+                total += r.weights @ (mesh.barycentric(e, r.points)
+                                      @ coeffs) ** 2
     x0, x1, y0, y1 = mesh.domain
     return float(np.sqrt(total / ((x1 - x0) * (y1 - y0))))
 

@@ -316,6 +316,60 @@ def test_clamp_integrals_match_exact_clipping(example, n):
     assert_close(b, b_act)
 
 
+def full_table_clips(mesh, info, space, P, a, bounds):
+    """Per bound, the pieces, beyond flags and chords of the clip of every
+    cell that reaches past it, sampled from the whole cell table."""
+    cells = info.integration_cells(mesh)
+    z = space.cell_sampler(cells)(-P / a)
+    for sign, level in zip((-1.0, 1.0), bounds):
+        reach = (sign * z).max(axis=1) > sign * level
+        pieces, above, _, chords = cells[reach].clip(z[reach], level)
+        yield pieces, above == (sign > 0), chords
+
+
+@pytest.mark.parametrize("example, n", [(ex, n) for ex in (1, 2, 3)
+                                         for n in (16, 20, 32)])
+def test_clips_equal_the_full_table_clip(example, n):
+    # the clamp samples only the elements with a dof at or past a bound,
+    # and no cell of another element reaches past it, so the clips are
+    # those of the whole table bit for bit: at levels at quantiles, at dof
+    # values and at cut cells' vertex values, and at the dofs next to (and
+    # one ulp beyond) the cell values that round furthest past their
+    # element's dofs, which on N=20 some do
+    mesh, info, space, _, a, _ = clamp_setup(example, n)
+    cells = info.integration_cells(mesh)
+    dofs = space.cell_dofs(cells)
+    cut = np.isin(cells.parent, info.cut_elements)
+    rng = np.random.default_rng(10 * example + n)
+    for _ in range(3):
+        P = rng.standard_normal(space.n_dofs)
+        z = -P / a
+        values = space.cell_sampler(cells)(z)
+        top = z[dofs].max(axis=1)[np.argmax(values.max(axis=1)
+                                            - z[dofs].max(axis=1))]
+        bottom = z[dofs].min(axis=1)[np.argmax(z[dofs].min(axis=1)
+                                               - values.min(axis=1))]
+        for bounds in (np.quantile(z, (0.2, 0.8)),
+                       np.sort(rng.choice(z, 2, replace=False)),
+                       np.sort(rng.choice(values[cut].ravel(), 2,
+                                          replace=False)),
+                       np.sort([bottom, top]),
+                       np.sort([np.nextafter(bottom, -np.inf),
+                                np.nextafter(top, np.inf)])):
+            clamp = ControlClamp(mesh, info, space, a, tuple(bounds))
+            got = [(pieces, beyond, chords)
+                   for _, pieces, beyond, _, chords in clamp.clips(P)]
+            want = list(full_table_clips(mesh, info, space, P, a, bounds))
+            assert len(got) == len(want) == 2
+            for (pieces, beyond, chords), (w_pieces, w_beyond, w_chords) \
+                    in zip(got, want):
+                for name in ("parent", "side", "coords"):
+                    assert np.array_equal(getattr(pieces, name),
+                                          getattr(w_pieces, name))
+                assert np.array_equal(beyond, w_beyond)
+                assert np.array_equal(chords, w_chords)
+
+
 @pytest.mark.parametrize("example, n", CLAMP_CASES)
 def test_refined_clamp_loops_converge_to_the_clipped_integrals(example, n):
     # the loops refine kink cells to a depth; their error shrinks with it
@@ -347,7 +401,7 @@ def test_clamp_is_minus_p_over_a_corrected_beyond_the_bounds():
     M, b = wide.newton_terms(P, mass)
     assert np.array_equal(M.data, mass.data) and not b.any()
     point = ControlClamp(mesh, info, space, a, (-0.2, -0.2))
-    z = point.vertex_values(P)
+    z = space.cell_sampler(info.integration_cells(mesh))(-P / a)
     assert ((z.min(axis=1) < -0.2) & (z.max(axis=1) > -0.2)).any()
     at_point = -0.2 * (mass @ np.ones(space.n_dofs))
     assert np.abs(point.load(P, mass) - at_point).max() <= 1e-13
@@ -362,7 +416,7 @@ def test_clamp_is_minus_p_over_a_corrected_beyond_the_bounds():
 def test_control_update_matches_the_element_loop(example, bounds):
     # the fixed point's first update, from the zero control and from a
     # start (the interpolated exact co-state), is the element loop's L2
-    # norm of the cellwise-linear interpolant of the clamped update
+    # norm of the extended-space field of the clamped update at the dofs
     problem = build_example(example)
     disc = discretize(problem, 16)
     args = (disc.mesh, disc.cut_info, disc.space)

@@ -85,6 +85,9 @@ def test_package_imports_resolve():
     ("solver", "ReducedSolver._cut_dofs"),
     ("solver", "ReducedSolver._cut_blocks_definite"),
     ("solver", "_cut_blocks_definite"),
+    ("solver", "ControlClamp.vertex_values"),
+    ("solver", "ControlClamp.cells"),
+    ("solver", "ControlClamp._sampler"),
 ])
 def test_test_only_helpers_stay_in_tests(module, name):
     # these live in tests/helpers.py or tests/oracles.py, or are gone; the

@@ -10,8 +10,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from nxfem_ocp.assembly import Load, assemble_load
-from nxfem_ocp.interface_geometry import (CutInfo, ElementClass,
-                                          build_cut_info, line_interface)
+from nxfem_ocp.interface_geometry import (ElementClass, build_cut_info,
+                                          line_interface)
 from nxfem_ocp.mesh import ConfigurationError, build_uniform_mesh
 from nxfem_ocp.problems import PiecewiseField, build_example
 from nxfem_ocp.solver import (ControlClamp, ReducedSolver, SolverError,
@@ -391,28 +391,70 @@ def test_drivers_reject_bad_input(case):
                   disc.ybc_values, max_iter=change.get("max_iter", 1))
 
 
+def _record_samples(monkeypatch):
+    """Patch ``ControlClamp.clips`` and ``ExtendedSpace.cell_sampler`` to
+    record, for every sampler call inside a clip, the co-state clipped and
+    the cells sampled."""
+    samples, current = [], []
+    clips, sampler = ControlClamp.clips, ExtendedSpace.cell_sampler
+
+    def recorded_clips(self, P):
+        current[:] = [P]
+        yield from clips(self, P)
+
+    def recorded_sampler(self, cells):
+        samples.append((current[0], cells))
+        return sampler(self, cells)
+    monkeypatch.setattr(ControlClamp, "clips", recorded_clips)
+    monkeypatch.setattr(ExtendedSpace, "cell_sampler", recorded_sampler)
+    return samples
+
+
 @pytest.mark.parametrize("driver", [solve_constrained_ssn,
                                     solve_constrained_fixed_point],
                          ids=["ssn", "fixed-point"])
-def test_constrained_drivers_build_the_cells_once(driver, monkeypatch):
+def test_constrained_drivers_sample_only_the_cells_near_a_bound(
+        driver, monkeypatch):
+    # the clamp holds no cells: each clip samples the whole elements with
+    # a dof of -P/a at or past a bound, never the whole table
     problem = build_example(2)
-    disc = discretize(problem, 16)
-    calls = {"integration_cells": 0, "cell_sampler": 0}
-
-    def counted(cls, name):
-        method = getattr(cls, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return method(*args, **kwargs)
-        monkeypatch.setattr(cls, name, wrapper)
-
-    counted(CutInfo, "integration_cells")
-    counted(ExtendedSpace, "cell_sampler")
-    sol = driver(disc.mesh, disc.cut_info, disc.space, disc.A, disc.M,
-                 disc.F1, disc.F2, problem.a, problem.bounds, disc.ybc_values)
+    disc = discretize(problem, 32)
+    mesh, info, space = disc.mesh, disc.cut_info, disc.space
+    whole = info.integration_cells(mesh)
+    lo, hi = problem.bounds
+    samples = _record_samples(monkeypatch)
+    sol = driver(mesh, info, space, disc.A, disc.M, disc.F1, disc.F2,
+                 problem.a, problem.bounds, disc.ybc_values)
     assert sol.converged and sol.iterations >= 2
-    assert calls == {"integration_cells": 1, "cell_sampler": 1}
+    assert samples and any(len(cells) for _, cells in samples)
+    for P, cells in samples:
+        z = space.vertex_sides(-P / problem.a)
+        past = ((z <= lo) | (z >= hi)).any(axis=0)[mesh.triangles].any(axis=1)
+        assert past[cells.parent].all()
+        # every cell of each element sampled, as the whole table has them
+        mine = np.isin(whole.parent, cells.parent)
+        assert np.array_equal(cells.coords, whole.coords[mine])
+        assert len(cells) < len(whole)
+
+
+def test_clamp_memory_follows_the_active_region(monkeypatch):
+    # a clamp is its inputs; one Newton step's terms at the solution sample
+    # a small share of the integration cells, those near the active set
+    problem = build_example(2)
+    disc = discretize(problem, 64)
+    geometry = (disc.mesh, disc.cut_info, disc.space)
+    sol = solve_constrained_ssn(*geometry, disc.A, disc.M, disc.F1, disc.F2,
+                                problem.a, problem.bounds, disc.ybc_values)
+    assert sol.converged
+    _, size = _traced_peak(lambda: ControlClamp(*geometry, problem.a,
+                                                problem.bounds))
+    assert size < 4096
+    samples = _record_samples(monkeypatch)
+    ControlClamp(*geometry, problem.a, problem.bounds).newton_terms(sol.P,
+                                                                   disc.M)
+    sampled = sum(len(cells) for _, cells in samples)
+    assert 0 < sampled < 0.15 * len(disc.cut_info.integration_cells(
+        disc.mesh))
 
 
 def test_solver_error_reports_residual():
@@ -622,7 +664,8 @@ def test_solve_footprint_is_the_basis_and_S(example):
     # a solve holds, above its inputs, the Krylov basis of its longest
     # saddle solve (k + 1 float64 and k float32 vectors of length 2 n_f),
     # S's float32 data and int32 index arrays, for Newton what the clamp
-    # holds on its own on the first step (cells, rule, M_I), and a slack of
+    # takes on its own on the first step (the sampled cells near the
+    # bounds, their pieces and M_I), and a slack of
     # FOOTPRINT_SLACK full-length float64 vectors.  Measured at N=128, in
     # full-length vectors above the bound's other terms: 12.4 (ex1) and 6.4
     # (ex2 Newton); with split copies of A and M on the free dofs beside

@@ -14,7 +14,6 @@ from nxfem_ocp.mesh import ConfigurationError, build_uniform_mesh
 from nxfem_ocp.interface_geometry import CellTable, CutInfo, build_cut_info
 from nxfem_ocp.problems import build_example
 from nxfem_ocp.solver import OcpSolution
-from nxfem_ocp.xfem_space import ExtendedSpace
 from nxfem_ocp.study import (RunConfig, discretize, extract_active_set_boundary,
                              interface_polylines, run_convergence_study,
                              solve_discretized)
@@ -366,12 +365,14 @@ def test_cli_stops_at_the_first_unconverged_mesh(tmp_path, capsys):
     assert not (out / "activeset_n32.csv").exists()
 
 
-def test_cli_dump_builds_one_clamp_per_mesh(tmp_path, monkeypatch):
-    # the outputs of a constrained run read the control through one clamp
-    # per mesh for the contours, that of the public
-    # ``extract_active_set_boundary`` (so the benchmark's tracer times
-    # them), and through one more for the dump's pieces
-    calls = {}
+def test_cli_outputs_build_the_whole_cell_table_in_the_dump_only(
+        tmp_path, monkeypatch):
+    # the outputs of a constrained run read the control through clamps,
+    # for the contours that of the public ``extract_active_set_boundary``
+    # (so the benchmark's tracer times them), and for the dump's pieces;
+    # each bound's clip builds only the cells near that bound, so the
+    # whole-mesh table is built by the dump writer alone
+    built = {}
     stage = {"outputs": False, "contours": False, "writer": False}
 
     def within(name, key):
@@ -385,30 +386,30 @@ def test_cli_dump_builds_one_clamp_per_mesh(tmp_path, monkeypatch):
                 stage[key] = False
         monkeypatch.setattr(study_mod, name, wrapper)
 
-    def counted(cls, name):
-        method = getattr(cls, name)
+    method = CutInfo.integration_cells
 
-        def wrapper(*args, **kwargs):
-            # in the outputs stage, but not in the dump writer, which reads
-            # the whole-mesh cells itself
-            if stage["outputs"] and not stage["writer"]:
-                key = (name, "contours" if stage["contours"] else "dump")
-                calls[key] = calls.get(key, 0) + 1
-            return method(*args, **kwargs)
-        monkeypatch.setattr(cls, name, wrapper)
+    def counted(self, mesh, *args, **kwargs):
+        cells = method(self, mesh, *args, **kwargs)
+        if stage["outputs"] and not stage["writer"]:
+            where = "contours" if stage["contours"] else "dump"
+            built.setdefault(where, []).append(
+                (len(cells), len(method(self, mesh))))
+        return cells
 
     within("_write_outputs", "outputs")
     within("extract_active_set_boundary", "contours")
     within("write_integration_mesh_csv", "writer")
-    counted(CutInfo, "integration_cells")
-    counted(ExtendedSpace, "cell_sampler")
+    monkeypatch.setattr(CutInfo, "integration_cells", counted)
     rc = main(["solve", "--example", "2", "--n-list", "8,16",
                "--dump-geometry", "--out", str(tmp_path / "run9")])
     assert rc == 0
     assert (tmp_path / "run9" / "integration_mesh_n16.csv").exists()
-    assert calls == {(name, where): 2
-                     for name in ("integration_cells", "cell_sampler")
-                     for where in ("contours", "dump")}
+    # two meshes, two bounds each
+    assert {where: len(sizes) for where, sizes in built.items()} == {
+        "contours": 4, "dump": 4}
+    for sizes in built.values():
+        assert all(n < whole for n, whole in sizes)
+        assert any(n for n, _ in sizes)
 
 
 def test_cli_writes_each_mesh_table_once(tmp_path, monkeypatch):
