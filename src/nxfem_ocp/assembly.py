@@ -104,8 +104,8 @@ def _cell_masses(space, cells):
 
 def assemble_stiffness(mesh, cut_info, space, alpha1, alpha2, lambda_coef):
     """Global matrix of the penalized interface form, with the jump penalty
-    lambda = lambda_coef / h.  Cut elements carry six dofs: the side-1
-    copies of their hats, then the side-2 copies."""
+    lambda = lambda_coef / h; a cut element's block sits on its six
+    ``space.cut_dofs``."""
     if not (np.isfinite(lambda_coef) and lambda_coef > 0.0):
         raise ValueError(f"penalty coefficient must be positive and finite, "
                          f"got {lambda_coef}")
@@ -130,11 +130,9 @@ def assemble_stiffness(mesh, cut_info, space, alpha1, alpha2, lambda_coef):
          - D[:, :, None] * J[:, None, :] - J[:, :, None] * D[:, None, :])
     A[:, :3, :3] += (alpha1 * ch.k1)[:, None, None] * vol
     A[:, 3:, 3:] += (alpha2 * ch.k2)[:, None, None] * vol
-    dofs = np.concatenate([space.dof1[mesh.triangles[ch.element]],
-                           space.dof2[mesh.triangles[ch.element]]], axis=1)
     # the cut elements, O(n) of them, in one block
     return _assemble(space, itertools.chain(
-        _uncut_blocks(mesh, cut_info, space, local), [(dofs, A)]))
+        _uncut_blocks(mesh, cut_info, space, local), [(space.cut_dofs, A)]))
 
 
 def assemble_mass(mesh, cut_info, space):
@@ -196,9 +194,9 @@ def _interface_load(vec, mesh, cut_info, space, g):
     pts, w, lam = ch.quadrature(mesh)
     gv = np.asarray(g(pts[..., 0], pts[..., 1]), dtype=float)
     base = np.einsum("kq,kqi->ki", w * gv, lam)
-    tri = mesh.triangles[ch.element]
-    for dmap, k in ((space.dof1, ch.k2), (space.dof2, ch.k1)):
-        vec += np.bincount(dmap[tri].ravel(), (k[:, None] * base).ravel(),
+    for dofs, k in ((space.cut_dofs[:, :3], ch.k2),
+                    (space.cut_dofs[:, 3:], ch.k1)):
+        vec += np.bincount(dofs.ravel(), (k[:, None] * base).ravel(),
                            minlength=len(vec))
 
 

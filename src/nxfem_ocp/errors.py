@@ -158,10 +158,9 @@ def compute_errors(problem, solution, mesh, cut_info, space):
                 sums[name][:4] += _volume_sums(*exact[name], disc, rule)
 
     chords = cut_info.chords
-    tri = mesh.triangles[chords.element]
     grads = mesh.geometry(chords.element)[1]
     rule = (*chords.quadrature(mesh, grads),
-            {1: space.dof1[tri], 2: space.dof2[tri]}, grads)
+            {1: space.cut_dofs[:, :3], 2: space.cut_dofs[:, 3:]}, grads)
     on_chords = {side: _exact(problem, side, rule[0], discs)
                  for side in (1, 2)}
     for name, disc in discs.items():

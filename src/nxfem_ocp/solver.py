@@ -50,6 +50,7 @@ blocks on the cut elements, where a too small interface penalty shows.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -58,7 +59,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import _assemble, _cell_masses, assemble_mass
-from .interface_geometry import ElementClass
 from .mesh import ConfigurationError
 
 __all__ = ["SolverError", "OcpSolution", "ReducedSolver", "ControlClamp",
@@ -166,8 +166,8 @@ class ReducedSolver:
 
     Hansbo's Nitsche form is coercive only for a large enough interface
     penalty, which shows in A's principal blocks on the free dofs of the
-    cut elements: unless all are positive definite, SolverError is raised
-    before the order and before any factor."""
+    cut elements (``space.cut_dofs``): unless all are positive definite,
+    SolverError is raised before the order and before any factor."""
 
     def __init__(self, A, space):
         self.A = A
@@ -176,8 +176,7 @@ class ReducedSolver:
         mask[self.constrained] = True
         # A's 6x6 block on every cut element, constrained rows and columns
         # set to identity
-        cut = space.mesh.triangles[space.classes == int(ElementClass.CUT)]
-        dofs = np.concatenate([space.dof1[cut], space.dof2[cut]], axis=1)
+        dofs = space.cut_dofs
         blocks = A[np.repeat(dofs, 6, axis=1), np.tile(dofs, (1, 6))]
         kept = ~mask[dofs]
         try:
@@ -434,10 +433,11 @@ def _solve_saddle(red, M_I, M, load, F2, a, ybc_values, x0=None):
     return P, Y, its, residuals
 
 
-def _check_control(a, bounds, max_iter=1):
+def _check_control(a=1.0, bounds=(-np.inf, np.inf), max_iter=1):
     """Raise ConfigurationError unless the regularization weight is positive
-    and finite, the box (lo, hi) holds a finite control and at least one
-    iteration is allowed: the one check of every driver's input."""
+    and finite, the box (lo, hi) holds a finite control and max_iter is an
+    integer (one that ``operator.index`` takes) of at least 1: the one
+    check of every driver's input, and of RunConfig's max_iter."""
     if bounds is None:
         raise ConfigurationError("no control box (lo, hi): bounds=None")
     lo, hi = bounds
@@ -449,9 +449,13 @@ def _check_control(a, bounds, max_iter=1):
             f"control box [{lo}, {hi}] admits no finite control")
     if not lo <= hi:
         raise ConfigurationError(f"empty control box [{lo}, {hi}]")
-    if not max_iter >= 1:
+    try:
+        count = operator.index(max_iter)
+    except TypeError:
+        count = 0
+    if not count >= 1:
         raise ConfigurationError(
-            f"max_iter must be at least 1, got {max_iter}")
+            f"max_iter must be at least 1 and an integer, got {max_iter!r}")
 
 
 def _free_pair(red, Y, P, a):
@@ -466,7 +470,7 @@ def solve_unconstrained_ocp(A, M, F1, F2, a, space, ybc_values, start=None):
     by PRESB-preconditioned GMRES, from the free y and p/sqrt(a) of
     ``start`` = (Y0, P0) if given, else from zero.  ``space`` is the
     ExtendedSpace of the matrices: its Dirichlet dofs and dof positions."""
-    _check_control(a, (-np.inf, np.inf))
+    _check_control(a)
     red = ReducedSolver(A, space)
     x0 = None if start is None else _free_pair(red, *start, a)
     P, Y, its, res = _solve_saddle(red, M, M, F1, F2, a, ybc_values, x0)

@@ -54,9 +54,7 @@ class RunConfig:
             if value is not None and not (np.isfinite(value) and value > 0.0):
                 raise ConfigurationError(
                     f"{name} must be positive and finite, got {value}")
-        if self.max_iter < 1:
-            raise ConfigurationError(
-                f"max_iter must be at least 1, got {self.max_iter}")
+        _check_control(max_iter=self.max_iter)
         self.n_values = ns
 
     def build_problem(self):

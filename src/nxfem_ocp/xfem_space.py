@@ -3,7 +3,11 @@ interface.
 
 Every vertex incident to a cut element carries two degrees of freedom, one
 active on each subdomain fragment (the side-restricted representation of
-the enriched space).  All other vertices keep a single standard hat.
+the enriched space).  All other vertices keep a single standard hat.  A
+cut element thus carries six dofs (Hansbo & Hansbo 2002), held once, in
+``cut_dofs``: the side-1 copies of its three hats, then the side-2
+copies.  No side is stored per dof; ``on_side2`` derives it from the copy
+and, for a single dof, from its vertex's snapped sign.
 
 A field of the space on the uniform n-mesh is carried to the uniform
 2n-mesh of the same rectangle by ``prolong``, from its values on each side
@@ -19,8 +23,6 @@ from .interface_geometry import VOLUME_DEGREE, triangle_rule
 
 __all__ = ["ExtendedSpace", "prolong"]
 
-SIDE_BOTH = 3
-
 
 class ExtendedSpace:
     """Degree-of-freedom map of the extended space on a classified mesh."""
@@ -30,8 +32,9 @@ class ExtendedSpace:
         self.classes = cut_info.classes
         self.vertex_sign = cut_info.vertex_sign
 
+        cut = mesh.triangles[cut_info.cut_elements]
         doubled = np.zeros(mesh.num_vertices, dtype=bool)
-        doubled[mesh.triangles[cut_info.cut_elements]] = True
+        doubled[cut] = True
         self.doubled = doubled
 
         # vertex-major numbering, side-1 copy before side-2 copy
@@ -42,41 +45,33 @@ class ExtendedSpace:
         self.n_dofs = int(copies.sum())
 
         self.dof_vertex = np.repeat(np.arange(mesh.num_vertices), copies)
-        self.dof_side = np.full(self.n_dofs, SIDE_BOTH, dtype=np.int8)
-        self.dof_side[dof1[doubled]] = 1
-        self.dof_side[dof2[doubled]] = 2
+        # per cut element, in chord order: side-1 copies, then side-2 copies
+        self.cut_dofs = np.concatenate([dof1[cut], dof2[cut]], axis=1)
 
         bnd = np.flatnonzero(mesh.boundary_vertex)
         dirichlet = np.concatenate([dof1[bnd], dof2[bnd[doubled[bnd]]]])
         self.dirichlet_dofs = np.unique(dirichlet)
-        self.pattern = self._pattern(mesh.triangles, cut_info.cut_elements)
+        self.pattern = self._pattern(mesh.triangles)
 
-    def _pattern(self, tri, cut):
+    def _pattern(self, tri):
         """The sparsity pattern (indptr, indices) shared by every matrix on
-        the space, rows with sorted columns: the dofs of an uncut element
-        couple with each other, and the six of a cut element (both sides'
-        copies) all with each other.  That is the pattern of E^T E, E the
-        incidence of elements and their dofs; it is symmetric, so the CSC
-        arrays of E^T E are its CSR arrays."""
-        E = self._incidence(tri, cut)
-        P = E.T @ E
-        P.sort_indices()
-        return P.indptr, P.indices
-
-    def _incidence(self, tri, cut):
-        """E: one row per element with the dofs active on it, and one more
-        per cut element with the dofs of both sides."""
+        the space, rows with sorted columns: that of E^T E, E the incidence
+        of elements and their dofs, one row per element with the dofs
+        active on it and one more per cut element with its ``cut_dofs``.
+        E^T E is symmetric, so its CSC arrays are its CSR arrays."""
         rows = self.dof1[tri]
         # side-2 elements hold the side-2 copies of their doubled vertices
         rows += (self.classes == 2)[:, None] & self.doubled[tri]
-        six = np.concatenate([self.dof1[tri[cut]], self.dof2[tri[cut]]],
-                             axis=1)
+        six = self.cut_dofs
         indptr = np.concatenate([np.arange(0, rows.size, 3),
                                  rows.size + np.arange(0, six.size + 1, 6)])
-        return sp.csr_matrix(
+        E = sp.csr_matrix(
             (np.ones(indptr[-1], dtype=bool),
              np.concatenate([rows.ravel(), six.ravel()]), indptr),
             shape=(len(indptr) - 1, self.n_dofs))
+        P = E.T @ E
+        P.sort_indices()
+        return P.indptr, P.indices
 
     # ------------------------------------------------------------------
     def cell_dofs(self, cells):
@@ -109,11 +104,11 @@ class ExtendedSpace:
 
     def on_side2(self, dofs):
         """Whether each of the dofs reads a two-sided field on side 2: a
-        copy of a doubled vertex its own side, a single dof the side of its
-        vertex's snapped sign."""
-        side = self.dof_side[dofs]
-        return (side == 2) | ((side == SIDE_BOTH)
-                              & (self.vertex_sign[self.dof_vertex[dofs]] > 0))
+        copy of a doubled vertex its own side (the second copy is side 2),
+        a single dof the side of its vertex's snapped sign."""
+        v = self.dof_vertex[dofs]
+        return np.where(self.doubled[v], dofs != self.dof1[v],
+                        self.vertex_sign[v] > 0)
 
     def vertex_sides(self, x):
         """The values (2, V) of the dof vector x on side 1 and on side 2 at

@@ -1,8 +1,9 @@
 """Helpers that only the tests use: a mesh from raw arrays, element
 coordinates, areas and hat gradients, a triangle's area, one element's
-dofs, a two-sided nodal interpolant, the total chord length, the subdomain
-of a point and the exact state trace there, two interface-free control
-problems and the pointwise projection of a co-state onto the control box."""
+dofs, the side table the extended space once stored, a two-sided nodal
+interpolant, the total chord length, the subdomain of a point and the exact
+state trace there, two interface-free control problems and the pointwise
+projection of a co-state onto the control box."""
 
 import numpy as np
 
@@ -11,7 +12,8 @@ from nxfem_ocp.interface_geometry import (ElementClass, GeometryError,
 from nxfem_ocp.mesh import Mesh
 from nxfem_ocp.problems import Jet, ManufacturedProblem, PiecewiseField
 from nxfem_ocp.solver import _check_control
-from nxfem_ocp.xfem_space import SIDE_BOTH
+
+SIDE_BOTH = 3       # the stored side of a single dof, read on both sides
 
 
 def mesh_from_arrays(vertices, triangles, domain=None):
@@ -82,6 +84,19 @@ def element_dofs(space, element, side=None):
     return (space.dof1 if side == 1 else space.dof2)[tri]
 
 
+def stored_on_side2(space, dofs):
+    """``ExtendedSpace.on_side2`` by the side table the space once stored
+    beside its dof maps, 1 and 2 for the two copies of a doubled vertex and
+    SIDE_BOTH for a single dof: a copy reads its own side, a single dof the
+    side of its vertex's snapped sign."""
+    side = np.full(space.n_dofs, SIDE_BOTH, dtype=np.int8)
+    side[space.dof1[space.doubled]] = 1
+    side[space.dof2[space.doubled]] = 2
+    side = side[dofs]
+    return (side == 2) | ((side == SIDE_BOTH)
+                          & (space.vertex_sign[space.dof_vertex[dofs]] > 0))
+
+
 def interpolate_two_sided(space, vertex_signs, f1, f2):
     """Dof vector interpolating a two-sided field: doubled vertices take the
     matching side value on each copy, plain vertices the value of the side
@@ -90,12 +105,10 @@ def interpolate_two_sided(space, vertex_signs, f1, f2):
     x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
     v1 = np.asarray(f1(x, y), dtype=float)
     v2 = np.asarray(f2(x, y), dtype=float)
-    vals = np.empty(space.n_dofs)
-    vertex = space.dof_vertex
-    side = space.dof_side
-    pick1 = (side == 1) | ((side == SIDE_BOTH) & (vertex_signs[vertex] < 0))
-    vals[pick1] = v1[vertex[pick1]]
-    vals[~pick1] = v2[vertex[~pick1]]
+    vals = np.where(vertex_signs < 0, v1, v2)[space.dof_vertex]
+    doubled = space.doubled
+    vals[space.dof1[doubled]] = v1[doubled]
+    vals[space.dof2[doubled]] = v2[doubled]
     return vals
 
 

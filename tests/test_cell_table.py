@@ -87,10 +87,11 @@ def test_matrices_and_loads_match_element_loops(label, n):
         assert_on_space_pattern(matrix, space)
     rows = np.repeat(np.arange(space.n_dofs), np.diff(M.indptr))
     zero = M.data == 0.0
-    sides = np.sort([space.dof_side[rows[zero]],
-                     space.dof_side[M.indices[zero]]], axis=0)
+    ends = np.stack([rows[zero], M.indices[zero]])
+    side2 = np.sort(space.on_side2(ends), axis=0)
     assert (zero.any() == (len(info.cut_elements) > 0)
-            and (sides == [[1], [2]]).all())
+            and space.doubled[space.dof_vertex[ends]].all()
+            and (side2 == [[False], [True]]).all())
     kinks = problem.kink_rule(mesh)
     assert (kinks is not None) == (problem.bounds is not None)
     loops = None if kinks is None else KinkLoops(problem, mesh)

@@ -88,6 +88,8 @@ def test_package_imports_resolve():
     ("solver", "ControlClamp.vertex_values"),
     ("solver", "ControlClamp.cells"),
     ("solver", "ControlClamp._sampler"),
+    ("xfem_space", "ExtendedSpace.dof_side"),
+    ("xfem_space", "SIDE_BOTH"),
 ])
 def test_test_only_helpers_stay_in_tests(module, name):
     # these live in tests/helpers.py or tests/oracles.py, or are gone; the

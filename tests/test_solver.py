@@ -10,8 +10,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from nxfem_ocp.assembly import Load, assemble_load
-from nxfem_ocp.interface_geometry import (ElementClass, build_cut_info,
-                                          line_interface)
+from nxfem_ocp.interface_geometry import build_cut_info, line_interface
 from nxfem_ocp.mesh import ConfigurationError, build_uniform_mesh
 from nxfem_ocp.problems import PiecewiseField, build_example
 from nxfem_ocp.solver import (ControlClamp, ReducedSolver, SolverError,
@@ -364,6 +363,13 @@ def test_a_missing_box_is_named(entry):
 BAD_INPUT = {
     "ssn-empty-box": ("ssn", {"bounds": (0.5, -0.5)}, "empty control box"),
     "ssn-no-steps": ("ssn", {"max_iter": 0}, "max_iter must be at least 1"),
+    # a fractional count passed every check and died in range() after the
+    # discretization
+    "ssn-fractional-steps": ("ssn", {"max_iter": 2.5},
+                             "max_iter must be .* an integer, got 2.5"),
+    "fixed-point-fractional-sweeps": ("fixed-point", {"max_iter": 2.5},
+                                      "max_iter must be .* an integer, got "
+                                      "2.5"),
     "fixed-point-negative-a": ("fixed-point", {"a": -1.0},
                                "regularization weight"),
     "fixed-point-zero-a": ("fixed-point", {"a": 0.0},
@@ -464,9 +470,8 @@ def test_solver_error_reports_residual():
     # a matrix definite on the cut elements (the identity on their dofs) but
     # singular elsewhere passes the stiffness guard and stops the
     # factorization
-    cut = space.mesh.triangles[space.classes == int(ElementClass.CUT)]
     on_cut = np.zeros(S)
-    on_cut[space.dof1[cut]] = on_cut[space.dof2[cut]] = 1.0
+    on_cut[space.cut_dofs] = 1.0
     assert 0.0 < on_cut.sum() < S
     with pytest.raises(SolverError, match="factorization failed"):
         ReducedSolver(sp.diags(on_cut, format="csr"), space).solve(np.ones(S))

@@ -69,6 +69,14 @@ def test_run_config_validation():
         RunConfig(example=1, n_values=(16, 8))
     cfg = RunConfig(example=1, n_values=(8, 16))
     assert cfg.n_values == (8, 16)
+    # a fractional max_iter passed here, discretized N=8 and died in
+    # range(); any integer operator.index takes is kept
+    for bad in (2.5, np.float64(3.0), "3"):
+        with pytest.raises(ConfigurationError,
+                           match="max_iter must be .* an integer"):
+            RunConfig(example=2, n_values=(8,), max_iter=bad)
+    assert RunConfig(example=2, n_values=(8,),
+                     max_iter=np.int64(3)).max_iter == 3
 
 
 def test_determinism_bitwise():

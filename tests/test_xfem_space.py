@@ -6,10 +6,10 @@ from nxfem_ocp.interface_geometry import (ElementClass, LevelSet,
                                           line_interface)
 from nxfem_ocp.mesh import build_uniform_mesh
 from nxfem_ocp.problems import build_example
-from nxfem_ocp.xfem_space import ExtendedSpace, SIDE_BOTH, prolong
+from nxfem_ocp.xfem_space import ExtendedSpace, prolong
 
 from helpers import (element_dofs, hat_gradients, interpolate_two_sided,
-                     mesh_from_arrays, tri_coords)
+                     mesh_from_arrays, stored_on_side2, tri_coords)
 
 FAR_AWAY = circle_interface(1.0, center=(10.0, 10.0))
 
@@ -138,8 +138,9 @@ def test_interpolation_dispatches_sides():
     for dof in range(space.n_dofs):
         v = space.dof_vertex[dof]
         x, y = mesh.vertices[v]
-        side = space.dof_side[dof]
-        if side == SIDE_BOTH:
+        if space.doubled[v]:
+            side = 1 if dof == space.dof1[v] else 2
+        else:
             side = 1 if info.vertex_sign[v] < 0 else 2
         expected = f1(x, y) if side == 1 else f2(x, y)
         assert vals[dof] == pytest.approx(expected, rel=1e-14)
@@ -186,21 +187,48 @@ def test_dof_numbering_matches_vertex_loop(example):
     assert np.array_equal(space.dof2, dof2)
     assert space.n_dofs == next_dof
     assert space.dirichlet_dofs.tolist() == dirichlet
+    # a copy reads its own side, a single dof its vertex's snapped sign
+    side = np.empty(space.n_dofs, dtype=np.int64)
     for dof in range(space.n_dofs):
         v = space.dof_vertex[dof]
         assert dof in (dof1[v], dof2[v])
-        expected = SIDE_BOTH if not doubled[v] else (1 if dof == dof1[v] else 2)
-        assert space.dof_side[dof] == expected
+        if doubled[v]:
+            side[dof] = 1 if dof == dof1[v] else 2
+        else:
+            side[dof] = 1 if info.vertex_sign[v] < 0 else 2
+    assert np.array_equal(space.on_side2(np.arange(space.n_dofs)), side == 2)
     # boundary data: each dof takes its side's trace
     dofs, vals = space.boundary_values(problem.y)
     for dof, val in zip(dofs, vals):
         v = space.dof_vertex[dof]
-        side = space.dof_side[dof]
-        if side == SIDE_BOTH:
-            side = 1 if info.vertex_sign[v] < 0 else 2
         x, y = mesh.vertices[v]
-        assert val == pytest.approx(problem.y.side(side)(x, y), rel=1e-14,
-                                    abs=0.0)
+        assert val == pytest.approx(problem.y.side(side[dof])(x, y),
+                                    rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("case", [(1, 16), (1, 32), (2, 16), (2, 32),
+                                  (3, 16), (3, 32), "hand"])
+def test_cut_dofs_and_derived_sides_match_the_stored_table(case):
+    if case == "hand":
+        # one triangle, cut by the line y = x - 1/2
+        mesh = mesh_from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
+        info = build_cut_info(mesh, line_interface(1.0, -0.5))
+    else:
+        problem = build_example(case[0])
+        mesh = build_uniform_mesh(problem.domain, case[1])
+        info = build_cut_info(mesh, problem.levelset)
+    space = ExtendedSpace(mesh, info)
+    assert len(info.cut_elements) > 0 and not hasattr(space, "dof_side")
+    dofs = np.arange(space.n_dofs)
+    assert np.array_equal(space.on_side2(dofs), stored_on_side2(space, dofs))
+    # one row per chord: the side-1 copies of the element's vertices, then
+    # the side-2 copies
+    assert np.array_equal(info.chords.element, info.cut_elements)
+    tri = mesh.triangles[info.cut_elements]
+    assert np.array_equal(space.cut_dofs, np.concatenate(
+        [space.dof1[tri], space.dof2[tri]], axis=1))
+    side2 = space.on_side2(space.cut_dofs)
+    assert not side2[:, :3].any() and side2[:, 3:].all()
 
 
 def _space(problem, n):
@@ -238,9 +266,8 @@ def test_prolong_is_exact_for_linear_fields(example, n):
     lam = np.stack([coarse.mesh.barycentric(e, fine.mesh.vertices)
                     for e in range(coarse.mesh.num_triangles)])
     holds = (lam >= -1e-12).all(axis=2)         # (elements, fine vertices)
-    cut = coarse.classes == int(ElementClass.CUT)
-    near = holds[cut].any(axis=0)[fine.dof_vertex]
-    assert np.any(near & (fine.dof_side != SIDE_BOTH))
+    near = holds[coarse_info.cut_elements].any(axis=0)[fine.dof_vertex]
+    assert np.any(near & fine.doubled[fine.dof_vertex])
     assert np.abs(got - want)[near].max() <= 1e-13 * np.abs(want).max()
 
 
