@@ -14,9 +14,9 @@ and the control's load is M_I(-P/a) plus each bound's load on its
 pieces.  The fixed point stops on the M-norm of its clamped control
 update at the dofs, Newton on the residuals of both rows of the
 optimality system.  The box-constrained solvers and the active-set
-output read the control through ``ControlClamp``, which holds no cells:
-per bound it builds and samples only those of the elements with a dof
-at or past the bound.  The error norms clamp
+output read the control as a function of z = -P/a (``_clips``), which
+holds no cells: per bound it builds and samples only those of the
+elements with a dof at or past the bound.  The error norms clamp
 -p_h/a themselves (``errors._ClampedLinearField``), at their quadrature
 points and, for the straddle test they add to the kink predicate, at the
 cells' vertices.
@@ -50,6 +50,7 @@ blocks on the cut elements, where a too small interface penalty shows.
 
 from __future__ import annotations
 
+import numbers
 import operator
 import time
 from dataclasses import dataclass, field
@@ -61,7 +62,7 @@ import scipy.sparse.linalg as spla
 from .assembly import _assemble, _cell_masses, assemble_mass
 from .mesh import ConfigurationError
 
-__all__ = ["SolverError", "OcpSolution", "ReducedSolver", "ControlClamp",
+__all__ = ["SolverError", "OcpSolution", "ReducedSolver",
            "solve_unconstrained_ocp", "solve_constrained_fixed_point",
            "solve_constrained_ssn"]
 
@@ -435,12 +436,15 @@ def _solve_saddle(red, M_I, M, load, F2, a, ybc_values, x0=None):
 
 def _check_control(a=1.0, bounds=(-np.inf, np.inf), max_iter=1):
     """Raise ConfigurationError unless the regularization weight is positive
-    and finite, the box (lo, hi) holds a finite control and max_iter is an
-    integer (one that ``operator.index`` takes) of at least 1: the one
-    check of every driver's input, and of RunConfig's max_iter."""
-    if bounds is None:
-        raise ConfigurationError("no control box (lo, hi): bounds=None")
-    lo, hi = bounds
+    and finite, the box is a pair (lo, hi) of real numbers (no strings)
+    that holds a finite control and max_iter is an integer (one that
+    ``operator.index`` takes) of at least 1: the one check of every public
+    entry's input, and of RunConfig's box and max_iter."""
+    pair = list(bounds) if np.iterable(bounds) else []
+    if len(pair) != 2 or not all(isinstance(v, numbers.Real) for v in pair):
+        raise ConfigurationError(f"control box must be a pair (lo, hi) of "
+                                 f"real numbers, got {bounds!r}")
+    lo, hi = pair
     if not (np.isfinite(a) and a > 0.0):
         raise ConfigurationError(
             f"regularization weight must be positive and finite, got {a}")
@@ -485,75 +489,56 @@ def solve_unconstrained_ocp(A, M, F1, F2, a, space, ybc_values, start=None):
 # box-constrained drivers
 # ---------------------------------------------------------------------------
 
-class ControlClamp:
-    """The control clamp(-p/a) for co-states P of an extended space, as the
-    box-constrained solvers and the active-set output read it.
+def _clips(cut_info, space, z, bounds):
+    """Per bound, lo then hi: the bound and the clip at it of the cells
+    where the pre-clamp control z = -P/a reaches past it (below lo, above
+    hi): the pieces, whether each lies beyond the bound (at or below lo,
+    above hi), the clipped cell each comes from (its index among them),
+    and the chords of the cells the bound crosses, in cell order.  Only
+    the elements with a dof at or past the bound are sampled: on a cell z
+    is a convex combination of its element's dofs on its side, rounded
+    past them by a few ulps of max |z| at most, so a dof within 16 such
+    ulps of the bound counts as at it."""
+    slack = 16 * np.finfo(float).eps * np.abs(z).max(initial=0.0)
+    for sign, level in zip((-1.0, 1.0), bounds):
+        past = space.vertex_sides(sign * z >= sign * level - slack)
+        near = past.any(axis=0)[space.mesh.triangles].any(axis=1)
+        cells = cut_info.integration_cells(space.mesh, near=near)
+        values = space.cell_sampler(cells)(z)
+        reach = (sign * values).max(axis=1) > sign * level
+        pieces, above, source, chords = cells[reach].clip(values[reach],
+                                                          level)
+        yield level, pieces, above == (sign > 0), source, chords
 
-    It holds its inputs only.  -p/a is linear on every cell, so the
-    control is -p/a corrected on the pieces beyond each bound, which one
-    exact clip per bound cuts out of the cells that reach past it
-    (``clips``); those cells are built and sampled per call, from the
-    elements near the bound alone.  Every integral it needs is the mass
-    of a linear function on a cell or a piece, in closed form
-    (``assembly._cell_masses``): the mass matrix M less the mass on the
-    pieces beyond the bounds is the mass on the inactive set, and the
-    bounds there give the rest of the control's load (``newton_terms``).
-    """
 
-    def __init__(self, mesh, cut_info, space, a, bounds):
-        _check_control(a, bounds)
-        self.mesh, self.cut_info, self.space = mesh, cut_info, space
-        self.a, self.bounds = a, bounds
+def _newton_terms(cut_info, space, z, bounds, M):
+    """The mass matrix on the inactive set of clamp(z), the mass matrix M
+    (on the space's pattern) less the mass on the pieces beyond the bounds
+    (``_clips``), and the load of the control there: each bound times the
+    row sums of its pieces' masses."""
+    n = M.shape[0]
+    blocks, b = [], np.zeros(n)
+    for level, pieces, beyond, _, _ in _clips(cut_info, space, z, bounds):
+        for dofs, mass in _cell_masses(space, pieces[beyond]):
+            blocks.append((dofs, mass))
+            b += np.bincount(dofs.ravel(), level * mass.sum(axis=2).ravel(),
+                             minlength=n)
+    M_inact = _assemble(space, blocks)
+    np.subtract(M.data, M_inact.data, out=M_inact.data)
+    return M_inact, b
 
-    def clips(self, P):
-        """Per bound, lo then hi: the bound and the clip at it of the cells
-        where -P/a reaches past it (below lo, above hi): the pieces,
-        whether each lies beyond the bound (at or below lo, above hi), the
-        clipped cell each comes from (its index among them), and the
-        chords of the cells the bound crosses, in cell order.  Only the
-        elements with a dof at or past the bound are sampled: on a cell
-        -P/a is a convex combination of its element's dofs on its side,
-        rounded past them by a few ulps of max |P/a| at most, so a dof
-        within 16 such ulps of the bound counts as at it."""
-        z = -P / self.a
-        slack = 16 * np.finfo(float).eps * np.abs(z).max(initial=0.0)
-        for sign, level in zip((-1.0, 1.0), self.bounds):
-            past = self.space.vertex_sides(sign * z >= sign * level - slack)
-            near = past.any(axis=0)[self.mesh.triangles].any(axis=1)
-            cells = self.cut_info.integration_cells(self.mesh, near=near)
-            values = self.space.cell_sampler(cells)(z)
-            reach = (sign * values).max(axis=1) > sign * level
-            pieces, above, source, chords = cells[reach].clip(values[reach],
-                                                              level)
-            yield level, pieces, above == (sign > 0), source, chords
 
-    def newton_terms(self, P, M):
-        """The mass matrix on the inactive set, the mass matrix M (on the
-        space's pattern) less the mass on the pieces beyond the bounds, and
-        the load of the control there: each bound times the row sums of
-        its pieces' masses."""
-        n = M.shape[0]
-        blocks, b = [], np.zeros(n)
-        for level, pieces, beyond, _, _ in self.clips(P):
-            for dofs, mass in _cell_masses(self.space, pieces[beyond]):
-                blocks.append((dofs, mass))
-                b += np.bincount(dofs.ravel(),
-                                 level * mass.sum(axis=2).ravel(), minlength=n)
-        M_inact = _assemble(self.space, blocks)
-        np.subtract(M.data, M_inact.data, out=M_inact.data)
-        return M_inact, b
-
-    def load(self, P, M):
-        """Inner products of the control with all basis functions: M_I z
-        plus the bound load of ``newton_terms``, z = -P/a."""
-        M_inact, b = self.newton_terms(P, M)
-        return M_inact @ (-P / self.a) + b
+def _clamp_load(cut_info, space, z, bounds, M):
+    """Inner products of clamp(z) with all basis functions: M_I z + b."""
+    M_inact, b = _newton_terms(cut_info, space, z, bounds, M)
+    return M_inact @ z + b
 
 
 def _control_load(mesh, cut_info, space, P, a, bounds):
     """Inner products of clamp(-p/a) with all basis functions."""
-    return ControlClamp(mesh, cut_info, space, a, bounds).load(
-        P, assemble_mass(mesh, cut_info, space))
+    _check_control(a, bounds)
+    return _clamp_load(cut_info, space, -P / a, bounds,
+                       assemble_mass(mesh, cut_info, space))
 
 
 FIXED_POINT_TOL = 1e-10   # the fixed point's stop on the control update
@@ -573,7 +558,6 @@ def solve_constrained_fixed_point(mesh, cut_info, space, A, M, F1_base,
     (not raised) result when ``max_iter`` is exhausted.
     """
     _check_control(a, bounds, max_iter)
-    clamp = ControlClamp(mesh, cut_info, space, a, bounds)
     solver = ReducedSolver(A, space)
     x0, x1, y0, y1 = mesh.domain
     sqrt_area = np.sqrt((x1 - x0) * (y1 - y0))
@@ -581,7 +565,7 @@ def solve_constrained_fixed_point(mesh, cut_info, space, A, M, F1_base,
     load = np.zeros(space.n_dofs)
     u_prev = 0.0
     if start is not None:
-        load = clamp.load(start[1], M)
+        load = _clamp_load(cut_info, space, -start[1] / a, bounds, M)
         u_prev = np.clip(-start[1] / a, *bounds)
     history = []
     for it in range(max_iter):
@@ -589,7 +573,7 @@ def solve_constrained_fixed_point(mesh, cut_info, space, A, M, F1_base,
         P = solver.solve(F2_base + M @ Y)
         # the load induced by the updated control doubles as the residual
         # probe and as next sweep's state load
-        load = clamp.load(P, M)
+        load = _clamp_load(cut_info, space, -P / a, bounds, M)
         u_now = np.clip(-P / a, *bounds)
         d = u_now - u_prev
         diff = np.sqrt(np.einsum("i,i->", d, M @ d)) / sqrt_area
@@ -615,7 +599,7 @@ def solve_constrained_ssn(mesh, cut_info, space, A, M, F1_base, F2_base, a,
 
     Each step freezes the active set induced by the current co-state, as
     the mass M_I on the inactive set and the bound load b there
-    (``ControlClamp.newton_terms``), and solves the resulting linear
+    (``_newton_terms`` of z = -P/a), and solves the resulting linear
     saddle system to SADDLE_TOL.  The terms at the new co-state give both
     the step's stop and the next step's system: converged when both rows
     of the optimality system, with the exact clamp's load M_I(-P/a) + b,
@@ -624,11 +608,10 @@ def solve_constrained_ssn(mesh, cut_info, space, A, M, F1_base, F2_base, a,
     that solve work to do.
     """
     _check_control(a, bounds, max_iter)
-    clamp = ControlClamp(mesh, cut_info, space, a, bounds)
     red = ReducedSolver(A, space)
 
     P = np.zeros(A.shape[0])
-    M_inact, b_act = clamp.newton_terms(P, M)
+    M_inact, b_act = _newton_terms(cut_info, space, -P / a, bounds, M)
     x = None
     saddle_its, saddle_res, history = [], [], []
     for it in range(max_iter):
@@ -638,7 +621,7 @@ def solve_constrained_ssn(mesh, cut_info, space, A, M, F1_base, F2_base, a,
         x = _free_pair(red, Y, P, a)
         saddle_its.append(its)
         saddle_res.append(res)
-        M_inact, b_act = clamp.newton_terms(P, M)
+        M_inact, b_act = _newton_terms(cut_info, space, -P / a, bounds, M)
         residuals = _relative_residuals(_block_rows(
             A, M, F1_base + b_act, F2_base, Y, P, -(M_inact @ P) / a,
             red.free))

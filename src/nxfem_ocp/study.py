@@ -18,7 +18,7 @@ from .errors import compute_errors, FIELDS, NORMS
 from .interface_geometry import build_cut_info, write_integration_mesh_csv
 from .mesh import ConfigurationError, build_uniform_mesh, write_mesh_csv
 from .problems import build_example
-from .solver import (ControlClamp, SolverError, _check_control,
+from .solver import (SolverError, _check_control, _clips,
                      solve_constrained_fixed_point, solve_unconstrained_ocp)
 from .xfem_space import ExtendedSpace, prolong
 
@@ -54,6 +54,10 @@ class RunConfig:
             if value is not None and not (np.isfinite(value) and value > 0.0):
                 raise ConfigurationError(
                     f"{name} must be positive and finite, got {value}")
+        if self.bounds is not None and not (isinstance(self.bounds, str)
+                                            and self.bounds == "default"):
+            _check_control(bounds=self.bounds)
+            self.bounds = tuple(self.bounds)
         _check_control(max_iter=self.max_iter)
         self.n_values = ns
 
@@ -249,10 +253,10 @@ def _write_outputs(config, problem, result, disc, sol, n):
         extra = ()
         if problem.bounds is not None:
             # per bound, the pieces of every cell that it crosses
-            clamp = ControlClamp(disc.mesh, disc.cut_info, disc.space,
-                                 problem.a, problem.bounds)
+            clips = _clips(disc.cut_info, disc.space, -sol.P / problem.a,
+                           problem.bounds)
             extra = [pieces[np.bincount(source)[source] > 1]
-                     for _, pieces, _, source, _ in clamp.clips(sol.P)]
+                     for _, pieces, _, source, _ in clips]
         path = os.path.join(out, f"integration_mesh_n{n}.csv")
         write_integration_mesh_csv(path, disc.mesh, disc.cut_info, *extra)
         shutil.copyfile(path, os.path.join(out, "integration_mesh.csv"))
@@ -353,9 +357,10 @@ def _drop_repeats(poly):
 def extract_active_set_boundary(solution, a, bounds, mesh, cut_info, space):
     """Contours where the clamped control hits each finite bound, as chained
     polylines keyed 'lower' / 'upper': the chords of the integration cells
-    clipped at each bound (``ControlClamp.clips``), without repeated
+    clipped at each bound (``solver._clips`` of z = -P/a), without repeated
     points; a polyline that shrinks to one point is dropped."""
-    clips = ControlClamp(mesh, cut_info, space, a, bounds).clips(solution.P)
+    _check_control(a, bounds)
+    clips = _clips(cut_info, space, -solution.P / a, bounds)
     curves = {}
     for name, (_, _, _, _, chords) in zip(("lower", "upper"), clips):
         polys = map(_drop_repeats, _chain_segments(list(chords)))

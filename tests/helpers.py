@@ -2,8 +2,9 @@
 coordinates, areas and hat gradients, a triangle's area, one element's
 dofs, the side table the extended space once stored, a two-sided nodal
 interpolant, the total chord length, the subdomain of a point and the exact
-state trace there, two interface-free control problems and the pointwise
-projection of a co-state onto the control box."""
+state trace there, two interface-free control problems, the pointwise
+projection of a co-state onto the control box and the malformed boxes
+every entry that takes one refuses."""
 
 import numpy as np
 
@@ -14,6 +15,12 @@ from nxfem_ocp.problems import Jet, ManufacturedProblem, PiecewiseField
 from nxfem_ocp.solver import _check_control
 
 SIDE_BOTH = 3       # the stored side of a single dof, read on both sides
+
+# control boxes that are no pair (lo, hi) of real numbers; each used to fail
+# in unpacking it, with a bare ValueError or TypeError
+MALFORMED_BOXES = {"one-entry": (0.3,), "scalar": 0.3,
+                   "three-entries": (0.1, 0.2, 0.3), "strings": ("a", "b"),
+                   "word": "none"}
 
 
 def mesh_from_arrays(vertices, triangles, domain=None):

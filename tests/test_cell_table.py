@@ -16,8 +16,8 @@ from nxfem_ocp.interface_geometry import (CellTable, ElementClass,
                                           line_interface)
 from nxfem_ocp.mesh import build_uniform_mesh
 from nxfem_ocp.problems import PiecewiseField, build_example
-from nxfem_ocp.solver import (ControlClamp, OcpSolution,
-                              solve_constrained_fixed_point)
+from nxfem_ocp.solver import (OcpSolution, _clamp_load, _clips,
+                              _newton_terms, solve_constrained_fixed_point)
 from nxfem_ocp.study import discretize
 from nxfem_ocp.xfem_space import ExtendedSpace
 
@@ -274,10 +274,9 @@ def test_clamp_integrals_on_single_cells_match_polygon_clipping(case, cut):
     mesh, info, space, P, a = single_cell(cut, z)
     args = (mesh, info, space, P, a, bounds)
     load, M_inact, b_act = clipped_control_integrals(*args)
-    clamp = ControlClamp(mesh, info, space, a, bounds)
-    mass = assemble_mass(mesh, info, space)
-    M, b = clamp.newton_terms(P, mass)
-    assert np.abs(clamp.load(P, mass) - load).max() <= 1e-13
+    clamp, mass = clamp_of(*args)
+    M, b = _newton_terms(*clamp, mass)
+    assert np.abs(_clamp_load(*clamp, mass) - load).max() <= 1e-13
     assert np.abs(M.toarray() - M_inact.toarray()).max() <= 1e-13
     assert np.abs(b - b_act).max() <= 1e-13
 
@@ -296,10 +295,9 @@ def clamp_setup(example, n):
 
 
 def clamp_of(mesh, info, space, P, a, bounds):
-    """The clamp of the oracles' arguments, their co-state and the mass
-    matrix."""
-    return (ControlClamp(mesh, info, space, a, bounds), P,
-            assemble_mass(mesh, info, space))
+    """The clamp functions' arguments (cut info, space, z = -P/a, bounds)
+    for the oracles' arguments, and the mass matrix."""
+    return (info, space, -P / a, bounds), assemble_mass(mesh, info, space)
 
 
 CLAMP_CASES = [(ex, n) for ex in (1, 2, 3) for n in (16, 32)]
@@ -309,10 +307,10 @@ CLAMP_CASES = [(ex, n) for ex in (1, 2, 3) for n in (16, 32)]
 def test_clamp_integrals_match_exact_clipping(example, n):
     args = clamp_setup(example, n)
     load, M_inact, b_act = clipped_control_integrals(*args)
-    clamp, P, mass = clamp_of(*args)
-    M, b = clamp.newton_terms(P, mass)
+    clamp, mass = clamp_of(*args)
+    M, b = _newton_terms(*clamp, mass)
     assert_on_space_pattern(M, args[2])
-    assert_close(clamp.load(P, mass), load)
+    assert_close(_clamp_load(*clamp, mass), load)
     assert_close(M.toarray(), M_inact.toarray())
     assert_close(b, b_act)
 
@@ -357,9 +355,8 @@ def test_clips_equal_the_full_table_clip(example, n):
                        np.sort([bottom, top]),
                        np.sort([np.nextafter(bottom, -np.inf),
                                 np.nextafter(top, np.inf)])):
-            clamp = ControlClamp(mesh, info, space, a, tuple(bounds))
-            got = [(pieces, beyond, chords)
-                   for _, pieces, beyond, _, chords in clamp.clips(P)]
+            got = [(pieces, beyond, chords) for _, pieces, beyond, _, chords
+                   in _clips(info, space, z, tuple(bounds))]
             want = list(full_table_clips(mesh, info, space, P, a, bounds))
             assert len(got) == len(want) == 2
             for (pieces, beyond, chords), (w_pieces, w_beyond, w_chords) \
@@ -375,9 +372,9 @@ def test_clips_equal_the_full_table_clip(example, n):
 def test_refined_clamp_loops_converge_to_the_clipped_integrals(example, n):
     # the loops refine kink cells to a depth; their error shrinks with it
     args = clamp_setup(example, n)
-    clamp, P, mass = clamp_of(*args)
-    M, b = clamp.newton_terms(P, mass)
-    exact = (clamp.load(P, mass), M.toarray(), b)
+    clamp, mass = clamp_of(*args)
+    M, b = _newton_terms(*clamp, mass)
+    exact = (_clamp_load(*clamp, mass), M.toarray(), b)
     gaps = []
     for depth in (2, 3):
         M_d, b_d = loop_active_mass_and_load(*args, depth=depth)
@@ -397,16 +394,16 @@ def test_clamp_is_minus_p_over_a_corrected_beyond_the_bounds():
     # one-point box the control is that point, and nothing is inactive
     mesh, info, space, P, a, _ = clamp_setup(2, 16)
     mass = assemble_mass(mesh, info, space)
-    wide = ControlClamp(mesh, info, space, a, (-100.0, 100.0))
-    assert np.array_equal(wide.load(P, mass), mass @ (-P / a))
-    M, b = wide.newton_terms(P, mass)
+    wide = (info, space, -P / a, (-100.0, 100.0))
+    assert np.array_equal(_clamp_load(*wide, mass), mass @ (-P / a))
+    M, b = _newton_terms(*wide, mass)
     assert np.array_equal(M.data, mass.data) and not b.any()
-    point = ControlClamp(mesh, info, space, a, (-0.2, -0.2))
+    point = (info, space, -P / a, (-0.2, -0.2))
     z = space.cell_sampler(info.integration_cells(mesh))(-P / a)
     assert ((z.min(axis=1) < -0.2) & (z.max(axis=1) > -0.2)).any()
     at_point = -0.2 * (mass @ np.ones(space.n_dofs))
-    assert np.abs(point.load(P, mass) - at_point).max() <= 1e-13
-    M, b = point.newton_terms(P, mass)
+    assert np.abs(_clamp_load(*point, mass) - at_point).max() <= 1e-13
+    M, b = _newton_terms(*point, mass)
     assert np.abs(M.data).max() <= 1e-13
     assert np.abs(b - at_point).max() <= 1e-13
 

@@ -12,6 +12,9 @@ from pathlib import Path
 import pytest
 
 import nxfem_ocp
+from nxfem_ocp.problems import build_example
+from nxfem_ocp.solver import ReducedSolver
+from nxfem_ocp.study import discretize
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(nxfem_ocp.__path__))
 LAYERS = [m for m in MODULES
@@ -36,6 +39,16 @@ def test_package_imports_resolve():
     assert names
     missing = [n for n in names if not hasattr(nxfem_ocp, n)]
     assert not missing, f"nxfem_ocp does not provide {missing}"
+
+
+@pytest.fixture(scope="module")
+def instances():
+    """One instance of each class that sets its attributes in ``__init__``,
+    from one small discretization: a walk of the class cannot see them."""
+    disc = discretize(build_example(2), 8)
+    return {"Mesh": disc.mesh, "CutInfo": disc.cut_info,
+            "ExtendedSpace": disc.space,
+            "ReducedSolver": ReducedSolver(disc.A, disc.space)}
 
 
 @pytest.mark.parametrize("module, name", [
@@ -90,8 +103,9 @@ def test_package_imports_resolve():
     ("solver", "ControlClamp._sampler"),
     ("xfem_space", "ExtendedSpace.dof_side"),
     ("xfem_space", "SIDE_BOTH"),
+    ("solver", "ControlClamp"),
 ])
-def test_test_only_helpers_stay_in_tests(module, name):
+def test_test_only_helpers_stay_in_tests(module, name, instances):
     # these live in tests/helpers.py or tests/oracles.py, or are gone; the
     # package keeps what it runs
     def provides(obj):
@@ -106,6 +120,10 @@ def test_test_only_helpers_stay_in_tests(module, name):
 
     assert not provides(importlib.import_module(f"nxfem_ocp.{module}"))
     assert not provides(nxfem_ocp)
+    # an attribute set in __init__ is on the instances only
+    owner, _, attribute = name.partition(".")
+    if owner in instances:
+        assert not hasattr(instances[owner], attribute)
 
 
 def _names_read(tree, skip):

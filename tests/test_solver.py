@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,20 +14,21 @@ from nxfem_ocp.assembly import Load, assemble_load
 from nxfem_ocp.interface_geometry import build_cut_info, line_interface
 from nxfem_ocp.mesh import ConfigurationError, build_uniform_mesh
 from nxfem_ocp.problems import PiecewiseField, build_example
-from nxfem_ocp.solver import (ControlClamp, ReducedSolver, SolverError,
+from nxfem_ocp.solver import (OcpSolution, ReducedSolver, SolverError,
                               solve_constrained_fixed_point,
                               solve_constrained_ssn, solve_unconstrained_ocp,
                               _nested_dissection, _presb, _saddle_operator,
                               _solve_saddle)
 import nxfem_ocp
-from nxfem_ocp import solver
-from nxfem_ocp.study import (RunConfig, discretize, run_convergence_study,
-                             solve_discretized)
+from nxfem_ocp import solver, study
+from nxfem_ocp.study import (RunConfig, discretize,
+                             extract_active_set_boundary,
+                             run_convergence_study, solve_discretized)
 from nxfem_ocp.xfem_space import ExtendedSpace, prolong
 
 import oracles
-from helpers import (build_smooth_problem, interpolate_two_sided,
-                     mesh_from_arrays, project_control)
+from helpers import (MALFORMED_BOXES, build_smooth_problem,
+                     interpolate_two_sided, mesh_from_arrays, project_control)
 
 
 def full_control_system(A, M, F1, F2, a, dirichlet_dofs, ybc_values):
@@ -238,8 +240,8 @@ def test_converged_newton_meets_the_saddle_tolerance(n):
                                                           + 1))
     assert sol.history[-1][1:] == (sol.residual_state, sol.residual_costate)
     # the stop's load is the clamp's own
-    load = ControlClamp(disc.mesh, disc.cut_info, disc.space, problem.a,
-                        problem.bounds).load(sol.P, disc.M)
+    load = solver._clamp_load(disc.cut_info, disc.space, -sol.P / problem.a,
+                              problem.bounds, disc.M)
     rows = solver._block_rows(disc.A, disc.M, disc.F1, disc.F2, sol.Y, sol.P,
                               load, ReducedSolver(disc.A, disc.space).free)
     assert max(solver._relative_residuals(rows)) <= solver.SADDLE_TOL
@@ -249,31 +251,33 @@ def test_fixed_point_updates_of_the_default_study(monkeypatch):
     # the default example-2 study with nested starts takes 4/3/3/3 sweeps,
     # and every update is the L2 norm of the cellwise-linear interpolant of
     # the clamped update, as the element loop integrates it
-    co_states = []
-    load = ControlClamp.load
+    controls = []
+    load = solver._clamp_load
 
-    def recorded(self, P, M):
-        co_states.append((self, P))
-        return load(self, P, M)
-    monkeypatch.setattr(ControlClamp, "load", recorded)
+    def recorded(cut_info, space, z, bounds, M):
+        controls.append((space, z))
+        return load(cut_info, space, z, bounds, M)
+    monkeypatch.setattr(solver, "_clamp_load", recorded)
     problem = build_example(2)
     result = run_convergence_study(RunConfig(example=2,
                                              n_values=(16, 32, 64, 128)))
     assert [sol.iterations for sol in result.solutions] == [4, 3, 3, 3]
     by_mesh = {}
-    for clamp, P in co_states:
-        by_mesh.setdefault(clamp, []).append(P)
+    for space, z in controls:
+        by_mesh.setdefault(space, []).append(z)
     assert len(by_mesh) == 4
-    for i, (clamp, Ps) in enumerate(by_mesh.items()):
+    for i, (space, zs) in enumerate(by_mesh.items()):
         sol = result.solutions[i]
-        mesh = clamp.space.mesh
+        mesh = space.mesh
         info = build_cut_info(mesh, problem.levelset)
         # the nested meshes load their start's co-state first; the first
-        # mesh starts from the zero control
+        # mesh starts from the zero control.  -z is a co-state whose -p/1
+        # is z, bit for bit
+        Ps = [-z for z in zs]
         if i == 0:
             Ps = [None] + Ps
         updates = [oracles.loop_control_update(
-            mesh, info, clamp.space, P, P_prev, problem.a, problem.bounds)
+            mesh, info, space, P, P_prev, 1.0, problem.bounds)
             for P_prev, P in zip(Ps, Ps[1:])]
         assert np.allclose(sol.control_diffs, updates, rtol=1e-10,
                            atol=1e-14)
@@ -338,22 +342,68 @@ def test_fixed_point_rejects_no_sweeps():
                 max_iter=max_iter)
 
 
-@pytest.mark.parametrize("entry", ["ssn", "fixed-point", "clamp"])
+# the public entries that take a control box
+BOX_ENTRIES = ["ssn", "fixed-point", "active-set", "control-load"]
+
+
+def _call_entry(entry, problem, disc, bounds):
+    """Call one public entry on ``disc`` with the box ``bounds``: a driver
+    (the unconstrained one takes no box), or the active-set extraction or
+    the control load of the zero co-state."""
+    geometry = (disc.mesh, disc.cut_info, disc.space)
+    P = np.zeros(disc.space.n_dofs)
+    if entry == "unconstrained":
+        return solve_unconstrained_ocp(disc.A, disc.M, disc.F1, disc.F2,
+                                       problem.a, disc.space, disc.ybc_values)
+    if entry == "active-set":
+        return extract_active_set_boundary(
+            OcpSolution(Y=P, P=P, a=problem.a, bounds=bounds), problem.a,
+            bounds, *geometry)
+    if entry == "control-load":
+        return solver._control_load(*geometry, P, problem.a, bounds)
+    solve = (solve_constrained_ssn if entry == "ssn"
+             else solve_constrained_fixed_point)
+    return solve(*geometry, disc.A, disc.M, disc.F1, disc.F2, problem.a,
+                 bounds, disc.ybc_values)
+
+
+@pytest.mark.parametrize("entry", BOX_ENTRIES)
 def test_a_missing_box_is_named(entry):
     # example 3 has no box; bounds=None used to fail in unpacking it, with
     # a TypeError that did not say what was missing
     problem = build_example(3)
     assert problem.bounds is None
-    disc = discretize(problem, 8)
-    geometry = (disc.mesh, disc.cut_info, disc.space)
     with pytest.raises(ConfigurationError, match="control box"):
-        if entry == "clamp":
-            ControlClamp(*geometry, problem.a, problem.bounds)
-        else:
-            solve = (solve_constrained_ssn if entry == "ssn"
-                     else solve_constrained_fixed_point)
-            solve(*geometry, disc.A, disc.M, disc.F1, disc.F2, problem.a,
-                  problem.bounds, disc.ybc_values)
+        _call_entry(entry, problem, discretize(problem, 8), problem.bounds)
+
+
+@pytest.mark.parametrize("box", sorted(MALFORMED_BOXES))
+@pytest.mark.parametrize("entry", BOX_ENTRIES)
+def test_a_malformed_box_is_named(entry, box):
+    bounds = MALFORMED_BOXES[box]
+    problem = build_example(2)
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"control box must be a pair (lo, hi) "
+                                       f"of real numbers, got {bounds!r}")):
+        _call_entry(entry, problem, discretize(problem, 8), bounds)
+
+
+@pytest.mark.parametrize("entry", ["unconstrained", *BOX_ENTRIES])
+def test_each_entry_checks_its_input_once(entry, monkeypatch):
+    # each public entry owns the check of its input; nothing it calls
+    # checks again
+    problem = build_example(2)
+    disc = discretize(problem, 8)
+    calls = []
+    check = solver._check_control
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+    for module in (solver, study):
+        monkeypatch.setattr(module, "_check_control", counted)
+    _call_entry(entry, problem, disc, problem.bounds)
+    assert len(calls) == 1
 
 
 # each of these returned a wrong answer (a converged Newton solve on an
@@ -398,20 +448,20 @@ def test_drivers_reject_bad_input(case):
 
 
 def _record_samples(monkeypatch):
-    """Patch ``ControlClamp.clips`` and ``ExtendedSpace.cell_sampler`` to
-    record, for every sampler call inside a clip, the co-state clipped and
-    the cells sampled."""
+    """Patch ``solver._clips`` and ``ExtendedSpace.cell_sampler`` to
+    record, for every sampler call inside a clip, the pre-clamp control z
+    clipped and the cells sampled."""
     samples, current = [], []
-    clips, sampler = ControlClamp.clips, ExtendedSpace.cell_sampler
+    clips, sampler = solver._clips, ExtendedSpace.cell_sampler
 
-    def recorded_clips(self, P):
-        current[:] = [P]
-        yield from clips(self, P)
+    def recorded_clips(cut_info, space, z, bounds):
+        current[:] = [z]
+        yield from clips(cut_info, space, z, bounds)
 
     def recorded_sampler(self, cells):
         samples.append((current[0], cells))
         return sampler(self, cells)
-    monkeypatch.setattr(ControlClamp, "clips", recorded_clips)
+    monkeypatch.setattr(solver, "_clips", recorded_clips)
     monkeypatch.setattr(ExtendedSpace, "cell_sampler", recorded_sampler)
     return samples
 
@@ -433,8 +483,8 @@ def test_constrained_drivers_sample_only_the_cells_near_a_bound(
                  problem.a, problem.bounds, disc.ybc_values)
     assert sol.converged and sol.iterations >= 2
     assert samples and any(len(cells) for _, cells in samples)
-    for P, cells in samples:
-        z = space.vertex_sides(-P / problem.a)
+    for z, cells in samples:
+        z = space.vertex_sides(z)
         past = ((z <= lo) | (z >= hi)).any(axis=0)[mesh.triangles].any(axis=1)
         assert past[cells.parent].all()
         # every cell of each element sampled, as the whole table has them
@@ -444,20 +494,17 @@ def test_constrained_drivers_sample_only_the_cells_near_a_bound(
 
 
 def test_clamp_memory_follows_the_active_region(monkeypatch):
-    # a clamp is its inputs; one Newton step's terms at the solution sample
-    # a small share of the integration cells, those near the active set
+    # one Newton step's terms at the solution sample a small share of the
+    # integration cells, those near the active set
     problem = build_example(2)
     disc = discretize(problem, 64)
-    geometry = (disc.mesh, disc.cut_info, disc.space)
-    sol = solve_constrained_ssn(*geometry, disc.A, disc.M, disc.F1, disc.F2,
-                                problem.a, problem.bounds, disc.ybc_values)
+    sol = solve_constrained_ssn(disc.mesh, disc.cut_info, disc.space, disc.A,
+                                disc.M, disc.F1, disc.F2, problem.a,
+                                problem.bounds, disc.ybc_values)
     assert sol.converged
-    _, size = _traced_peak(lambda: ControlClamp(*geometry, problem.a,
-                                                problem.bounds))
-    assert size < 4096
     samples = _record_samples(monkeypatch)
-    ControlClamp(*geometry, problem.a, problem.bounds).newton_terms(sol.P,
-                                                                   disc.M)
+    solver._newton_terms(disc.cut_info, disc.space, -sol.P / problem.a,
+                         problem.bounds, disc.M)
     sampled = sum(len(cells) for _, cells in samples)
     assert 0 < sampled < 0.15 * len(disc.cut_info.integration_cells(
         disc.mesh))
@@ -578,9 +625,9 @@ def _saddle_case(example, n=16):
         first = solve_constrained_ssn(
             disc.mesh, disc.cut_info, disc.space, disc.A, disc.M, disc.F1,
             disc.F2, problem.a, problem.bounds, disc.ybc_values, max_iter=1)
-        clamp = ControlClamp(disc.mesh, disc.cut_info, disc.space, problem.a,
-                             problem.bounds)
-        M_inact, b_act = clamp.newton_terms(first.P, disc.M)
+        M_inact, b_act = solver._newton_terms(
+            disc.cut_info, disc.space, -first.P / problem.a, problem.bounds,
+            disc.M)
         M_I, load = M_inact, disc.F1 + b_act
         # all three share one pattern; M_I has fewer nonzeros than M
         for B in (M_I, disc.M):
@@ -685,9 +732,9 @@ def test_solve_footprint_is_the_basis_and_S(example):
         sol, peak = _traced_peak(lambda: solve_discretized(problem, disc))
     else:
         geometry = (disc.mesh, disc.cut_info, disc.space)
-        _, clamp = _traced_peak(lambda: ControlClamp(
-            *geometry, problem.a, problem.bounds).newton_terms(np.zeros(n),
-                                                               disc.M))
+        _, clamp = _traced_peak(lambda: solver._newton_terms(
+            disc.cut_info, disc.space, -np.zeros(n) / problem.a,
+            problem.bounds, disc.M))
         sol, peak = _traced_peak(lambda: solve_constrained_ssn(
             *geometry, disc.A, disc.M, disc.F1, disc.F2, problem.a,
             problem.bounds, disc.ybc_values))

@@ -1,3 +1,4 @@
+import re
 import resource
 import sys
 import warnings
@@ -18,7 +19,7 @@ from nxfem_ocp.study import (RunConfig, discretize, extract_active_set_boundary,
                              interface_polylines, run_convergence_study,
                              solve_discretized)
 
-from helpers import element_dofs, interpolate_two_sided
+from helpers import MALFORMED_BOXES, element_dofs, interpolate_two_sided
 from oracles import loop_integration_cells
 
 R2 = np.sqrt(3) / 4
@@ -77,6 +78,34 @@ def test_run_config_validation():
             RunConfig(example=2, n_values=(8,), max_iter=bad)
     assert RunConfig(example=2, n_values=(8,),
                      max_iter=np.int64(3)).max_iter == 3
+
+
+@pytest.mark.parametrize("box", sorted(MALFORMED_BOXES))
+def test_run_config_names_a_malformed_box(box):
+    # RunConfig(bounds="none") died in unpacking the box once the study ran
+    bounds = MALFORMED_BOXES[box]
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"control box must be a pair (lo, hi) "
+                                       f"of real numbers, got {bounds!r}")):
+        RunConfig(example=2, n_values=(8,), bounds=bounds)
+
+
+def test_run_config_takes_a_box_pair_of_any_kind(tmp_path):
+    # an array box failed in build_problem, whose comparison with
+    # "default" had no truth value; a list or an array pair writes what
+    # the tuple does, byte for byte
+    outputs = []
+    for kind in (tuple, list, np.array):
+        out = tmp_path / kind.__name__
+        config = RunConfig(example=2, n_values=(8, 16), bounds=kind([-0.3,
+                                                                     0.3]),
+                           out_dir=str(out), dump_geometry=True, verbose=True)
+        assert config.bounds == (-0.3, 0.3)
+        run_convergence_study(config)
+        outputs.append({path.name: path.read_bytes()
+                        for path in sorted(out.iterdir())})
+    assert len(outputs[0]) == 14
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_determinism_bitwise():
@@ -375,8 +404,9 @@ def test_cli_stops_at_the_first_unconverged_mesh(tmp_path, capsys):
 
 def test_cli_outputs_build_the_whole_cell_table_in_the_dump_only(
         tmp_path, monkeypatch):
-    # the outputs of a constrained run read the control through clamps,
-    # for the contours that of the public ``extract_active_set_boundary``
+    # the outputs of a constrained run clip the control at its bounds
+    # (``solver._clips``), for the contours in the public
+    # ``extract_active_set_boundary``
     # (so the benchmark's tracer times them), and for the dump's pieces;
     # each bound's clip builds only the cells near that bound, so the
     # whole-mesh table is built by the dump writer alone
