@@ -9,7 +9,7 @@ from .interface_geometry import (CutInfo, ElementClass, LevelSet,
 from .mesh import Mesh, build_uniform_mesh
 from .problems import ManufacturedProblem, PiecewiseField, build_example
 from .solver import (OcpSolution, solve_constrained_fixed_point,
-                     solve_constrained_ssn, solve_unconstrained_ocp)
+                     solve_constrained_ssn)
 from .study import (RunConfig, discretize, extract_active_set_boundary,
                     run_convergence_study, solve_discretized)
 from .xfem_space import ExtendedSpace

@@ -19,6 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .interface_geometry import CellTable
+from .mesh import _check_positive
 
 __all__ = ["Load", "assemble_stiffness", "assemble_mass", "assemble_load"]
 
@@ -106,9 +107,7 @@ def assemble_stiffness(mesh, cut_info, space, alpha1, alpha2, lambda_coef):
     """Global matrix of the penalized interface form, with the jump penalty
     lambda = lambda_coef / h; a cut element's block sits on its six
     ``space.cut_dofs``."""
-    if not (np.isfinite(lambda_coef) and lambda_coef > 0.0):
-        raise ValueError(f"penalty coefficient must be positive and finite, "
-                         f"got {lambda_coef}")
+    _check_positive("penalty coefficient", lambda_coef)
     lam_penalty = lambda_coef / mesh.h
 
     def local(side, els):

@@ -7,6 +7,7 @@ deterministic and the triangles uniformly shape regular.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,14 @@ BATCH = 4096
 
 class ConfigurationError(ValueError):
     """Invalid user-supplied configuration (domain, counts, degrees...)."""
+
+
+def _check_positive(name, value):
+    """Raise ConfigurationError, naming the value, unless it is a real
+    number (no string) that is positive and finite."""
+    if not (isinstance(value, numbers.Real) and 0.0 < value < np.inf):
+        raise ConfigurationError(
+            f"{name} must be positive and finite, got {value}")
 
 
 def cross(tris):

@@ -1,25 +1,24 @@
 """Linear solves and optimal-control drivers.
 
-The unconstrained problem is solved as one 2x2 block system in (state,
-co-state); the box-constrained problem by the projected fixed-point
-iteration (state solve, co-state solve, clamp update) or, alternatively, by
-a primal-dual active-set / semismooth Newton loop.  The control never gets
-its own unknowns: it is the pointwise clamp of -p/a (Hinze's variational
-discretization).  For P1 co-states -p/a is linear on every integration
-cell, so every integral of the control is the closed-form mass of a
-linear function on a cell or on a piece of one: Newton's inactive mass
-M_I is M less the mass on the pieces beyond each bound, which one clip
-per bound cuts from the cells that reach past it (``CellTable.clip``),
-and the control's load is M_I(-P/a) plus each bound's load on its
-pieces.  The fixed point stops on the M-norm of its clamped control
-update at the dofs, Newton on the residuals of both rows of the
-optimality system.  The box-constrained solvers and the active-set
-output read the control as a function of z = -P/a (``_clips``), which
-holds no cells: per bound it builds and samples only those of the
-elements with a dof at or past the bound.  The error norms clamp
--p_h/a themselves (``errors._ClampedLinearField``), at their quadrature
-points and, for the straddle test they add to the kink predicate, at the
-cells' vertices.
+The box-constrained problem is solved by the projected fixed-point
+iteration (state solve, co-state solve, clamp update) or by a primal-dual
+active-set / semismooth Newton loop, which also solves the problem without
+bounds: on the box (-inf, inf) its one step is one 2x2 block system in
+(state, co-state).  The control never gets its own unknowns: it is the
+pointwise clamp of -p/a (Hinze's variational discretization).  For P1
+co-states -p/a is linear on every integration cell, so every integral of
+the control is the closed-form mass of a linear function on a cell or on a
+piece of one: Newton's inactive mass M_I is M less the mass on the pieces
+beyond each bound, which one clip per bound cuts from the cells that reach
+past it (``CellTable.clip``), and the control's load is M_I(-P/a) plus each
+bound's load on its pieces.  The fixed point stops on the M-norm of its
+clamped control update at the dofs, Newton on the residuals of both rows of
+the optimality system.  The box-constrained solvers and the active-set
+output read the control as a function of z = -P/a (``_clips``), which holds
+no cells: per bound it builds and samples only those of the elements with a
+dof at or past the bound.  The error norms clamp -p_h/a themselves
+(``errors._ClampedLinearField``), at their quadrature points and, for the
+straddle test they add to the kink predicate, at the cells' vertices.
 
 Every block system is solved in q = p/sqrt(a), where it has the square
 form [[M, -sqrt(a) A], [sqrt(a) A, M_I]], by flexible GMRES preconditioned
@@ -33,11 +32,11 @@ the true residual still falls to the double-precision stop.
 GMRES stops on the judged block residuals, and each Newton step starts
 from the last one's solution.
 
-Both drivers of the CLI take a start (Y0, P0), full-length dof vectors on
-the space of the system, in a convergence sweep the last mesh's solution
-prolonged to the next (``xfem_space.prolong``): the unconstrained solve
-starts GMRES from it, and the fixed point takes clamp(-P0/a) as its first
-control.  Without one, both start from zero.
+Both drivers take a start (Y0, P0), full-length dof vectors on the space
+of the system, in a convergence sweep the last mesh's solution prolonged
+to the next (``xfem_space.prolong``): Newton's first step linearizes at
+P0 and starts GMRES from it, the fixed point's first control is
+clamp(-P0/a).  Without one, both start from zero.
 
 Every sparse factorization (S, or A, whose one factor every inner solve
 of the fixed point shares) takes one path: a geometric nested-dissection
@@ -60,11 +59,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import _assemble, _cell_masses, assemble_mass
-from .mesh import ConfigurationError
+from .mesh import ConfigurationError, _check_positive
 
 __all__ = ["SolverError", "OcpSolution", "ReducedSolver",
-           "solve_unconstrained_ocp", "solve_constrained_fixed_point",
-           "solve_constrained_ssn"]
+           "solve_constrained_fixed_point", "solve_constrained_ssn"]
 
 
 class SolverError(RuntimeError):
@@ -77,8 +75,6 @@ class OcpSolution:
 
     Y: np.ndarray
     P: np.ndarray
-    a: float
-    bounds: tuple | None
     iterations: int = 1
     converged: bool = True
     residual_state: float = 0.0
@@ -88,8 +84,8 @@ class OcpSolution:
     # residual_costate), or for Newton (step, residual_state,
     # residual_costate)
     history: list = field(default_factory=list)
-    # one entry per saddle solve (the unconstrained solve or a Newton step):
-    # GMRES iterations and the relative true residuals of both block rows
+    # one entry per Newton step's saddle solve: GMRES iterations and the
+    # relative true residuals of both block rows
     saddle_iterations: list = field(default_factory=list)
     saddle_residuals: list = field(default_factory=list)
     factor_nnz: int = 0               # L+U nonzeros of the sparse factor
@@ -435,19 +431,18 @@ def _solve_saddle(red, M_I, M, load, F2, a, ybc_values, x0=None):
 
 
 def _check_control(a=1.0, bounds=(-np.inf, np.inf), max_iter=1):
-    """Raise ConfigurationError unless the regularization weight is positive
-    and finite, the box is a pair (lo, hi) of real numbers (no strings)
-    that holds a finite control and max_iter is an integer (one that
-    ``operator.index`` takes) of at least 1: the one check of every public
-    entry's input, and of RunConfig's box and max_iter."""
+    """Raise ConfigurationError unless the regularization weight is a
+    positive and finite real number, the box is a pair (lo, hi) of real
+    numbers (no strings) that holds a finite control and max_iter is an
+    integer (one that ``operator.index`` takes) of at least 1: the one
+    check of every public entry's input, and of RunConfig's a, box and
+    max_iter."""
     pair = list(bounds) if np.iterable(bounds) else []
     if len(pair) != 2 or not all(isinstance(v, numbers.Real) for v in pair):
         raise ConfigurationError(f"control box must be a pair (lo, hi) of "
                                  f"real numbers, got {bounds!r}")
     lo, hi = pair
-    if not (np.isfinite(a) and a > 0.0):
-        raise ConfigurationError(
-            f"regularization weight must be positive and finite, got {a}")
+    _check_positive("regularization weight", a)
     if np.isnan(lo) or np.isnan(hi) or lo == np.inf or hi == -np.inf:
         raise ConfigurationError(
             f"control box [{lo}, {hi}] admits no finite control")
@@ -466,23 +461,6 @@ def _free_pair(red, Y, P, a):
     """The free (y, q) of full-length Y and P, q = p/sqrt(a): the start of
     a saddle solve."""
     return np.concatenate([Y[red.free], P[red.free] / np.sqrt(a)])
-
-
-def solve_unconstrained_ocp(A, M, F1, F2, a, space, ybc_values, start=None):
-    """Coupled optimality system without control bounds: the control is
-    eliminated via u = -p/a and the saddle system with M_I = M is solved
-    by PRESB-preconditioned GMRES, from the free y and p/sqrt(a) of
-    ``start`` = (Y0, P0) if given, else from zero.  ``space`` is the
-    ExtendedSpace of the matrices: its Dirichlet dofs and dof positions."""
-    _check_control(a)
-    red = ReducedSolver(A, space)
-    x0 = None if start is None else _free_pair(red, *start, a)
-    P, Y, its, res = _solve_saddle(red, M, M, F1, F2, a, ybc_values, x0)
-    return OcpSolution(Y=Y, P=P, a=a, bounds=None,
-                       residual_state=res[0], residual_costate=res[1],
-                       saddle_iterations=[its], saddle_residuals=[res],
-                       factor_nnz=red.factor_nnz, factor_s=red.factor_s,
-                       order_s=red.order_s)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +493,8 @@ def _newton_terms(cut_info, space, z, bounds, M):
     """The mass matrix on the inactive set of clamp(z), the mass matrix M
     (on the space's pattern) less the mass on the pieces beyond the bounds
     (``_clips``), and the load of the control there: each bound times the
-    row sums of its pieces' masses."""
+    row sums of its pieces' masses.  With no piece beyond a bound, M_I is
+    M itself, not a copy."""
     n = M.shape[0]
     blocks, b = [], np.zeros(n)
     for level, pieces, beyond, _, _ in _clips(cut_info, space, z, bounds):
@@ -523,6 +502,8 @@ def _newton_terms(cut_info, space, z, bounds, M):
             blocks.append((dofs, mass))
             b += np.bincount(dofs.ravel(), level * mass.sum(axis=2).ravel(),
                              minlength=n)
+    if not blocks:
+        return M, b
     M_inact = _assemble(space, blocks)
     np.subtract(M.data, M_inact.data, out=M_inact.data)
     return M_inact, b
@@ -583,7 +564,7 @@ def solve_constrained_fixed_point(mesh, cut_info, space, A, M, F1_base,
             break
         u_prev = u_now
 
-    return OcpSolution(Y=Y, P=P, a=a, bounds=bounds, iterations=len(history),
+    return OcpSolution(Y=Y, P=P, iterations=len(history),
                        converged=diff < FIXED_POINT_TOL,
                        residual_state=history[-1][2],
                        residual_costate=history[-1][3],
@@ -593,26 +574,28 @@ def solve_constrained_fixed_point(mesh, cut_info, space, A, M, F1_base,
 
 
 def solve_constrained_ssn(mesh, cut_info, space, A, M, F1_base, F2_base, a,
-                          bounds, ybc_values, max_iter=30):
+                          bounds, ybc_values, max_iter=30, start=None):
     """Primal-dual active-set (semismooth Newton) solve of the clamped
     optimality system (Hintermueller, Ito & Kunisch 2002).
 
     Each step freezes the active set induced by the current co-state, as
     the mass M_I on the inactive set and the bound load b there
     (``_newton_terms`` of z = -P/a), and solves the resulting linear
-    saddle system to SADDLE_TOL.  The terms at the new co-state give both
-    the step's stop and the next step's system: converged when both rows
-    of the optimality system, with the exact clamp's load M_I(-P/a) + b,
-    have residuals <= SADDLE_TOL.  The rows are measured as the next
-    step's GMRES judges its start, so a step that fails the stop leaves
-    that solve work to do.
+    saddle system to SADDLE_TOL, the first at P0 of ``start`` = (Y0, P0)
+    and from its free (y, p/sqrt(a)), else at and from zero.  The terms at
+    the new co-state give both the step's stop and the next step's system:
+    converged when both rows of the optimality system, with the exact
+    clamp's load M_I(-P/a) + b, have residuals <= SADDLE_TOL.  The rows
+    are measured as the next step's GMRES judges its start, so a step
+    that fails the stop leaves that solve work to do.  On the box (-inf,
+    inf), the problem without bounds, M_I is M and b zero: one step.
     """
     _check_control(a, bounds, max_iter)
     red = ReducedSolver(A, space)
 
-    P = np.zeros(A.shape[0])
+    P = np.zeros(A.shape[0]) if start is None else start[1]
     M_inact, b_act = _newton_terms(cut_info, space, -P / a, bounds, M)
-    x = None
+    x = None if start is None else _free_pair(red, *start, a)
     saddle_its, saddle_res, history = [], [], []
     for it in range(max_iter):
         P, Y, its, res = _solve_saddle(red, M_inact, M, F1_base + b_act,
@@ -629,7 +612,7 @@ def solve_constrained_ssn(mesh, cut_info, space, A, M, F1_base, F2_base, a,
         if max(residuals) <= SADDLE_TOL:
             break
 
-    return OcpSolution(Y=Y, P=P, a=a, bounds=bounds, iterations=len(history),
+    return OcpSolution(Y=Y, P=P, iterations=len(history),
                        converged=max(residuals) <= SADDLE_TOL,
                        residual_state=residuals[0],
                        residual_costate=residuals[1], history=history,

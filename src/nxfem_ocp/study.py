@@ -16,10 +16,11 @@ import numpy as np
 from .assembly import Load, assemble_load, assemble_mass, assemble_stiffness
 from .errors import compute_errors, FIELDS, NORMS
 from .interface_geometry import build_cut_info, write_integration_mesh_csv
-from .mesh import ConfigurationError, build_uniform_mesh, write_mesh_csv
+from .mesh import (ConfigurationError, _check_positive, build_uniform_mesh,
+                   write_mesh_csv)
 from .problems import build_example
 from .solver import (SolverError, _check_control, _clips,
-                     solve_constrained_fixed_point, solve_unconstrained_ocp)
+                     solve_constrained_fixed_point, solve_constrained_ssn)
 from .xfem_space import ExtendedSpace, prolong
 
 __all__ = ["RunConfig", "Discretization", "discretize", "solve_discretized",
@@ -49,16 +50,15 @@ class RunConfig:
             raise ConfigurationError("mesh sizes must be >= 4")
         if any(b >= a for a, b in zip(ns[1:], ns)):
             raise ConfigurationError("mesh sizes must be strictly increasing")
-        for name in ("a", "lambda_coef"):
-            value = getattr(self, name)
-            if value is not None and not (np.isfinite(value) and value > 0.0):
-                raise ConfigurationError(
-                    f"{name} must be positive and finite, got {value}")
-        if self.bounds is not None and not (isinstance(self.bounds, str)
-                                            and self.bounds == "default"):
-            _check_control(bounds=self.bounds)
+        if self.lambda_coef is not None:
+            _check_positive("lambda_coef", self.lambda_coef)
+        given = self.bounds is not None and not (isinstance(self.bounds, str)
+                                                 and self.bounds == "default")
+        _check_control(1.0 if self.a is None else self.a,
+                       self.bounds if given else (-np.inf, np.inf),
+                       self.max_iter)
+        if given:
             self.bounds = tuple(self.bounds)
-        _check_control(max_iter=self.max_iter)
         self.n_values = ns
 
     def build_problem(self):
@@ -102,18 +102,17 @@ def discretize(problem, n):
 
 
 def solve_discretized(problem, disc, max_iter=200, start=None):
-    """Dispatch to the block solve by PRESB-preconditioned GMRES (no
-    bounds) or to the projected fixed-point iteration (box constraints),
-    whose inner solves share one factor of A; either starts from ``start``
-    = (Y0, P0), dof vectors of ``disc.space``, if given."""
-    if problem.bounds is None:
-        return solve_unconstrained_ocp(disc.A, disc.M, disc.F1, disc.F2,
-                                       problem.a, disc.space, disc.ybc_values,
-                                       start=start)
-    return solve_constrained_fixed_point(
-        disc.mesh, disc.cut_info, disc.space, disc.A, disc.M, disc.F1,
-        disc.F2, problem.a, problem.bounds, disc.ybc_values, max_iter=max_iter,
-        start=start)
+    """Dispatch to the projected fixed-point iteration (box constraints),
+    whose inner solves share one factor of A, or without bounds to the
+    active-set Newton driver on the box (-inf, inf), whose one step is
+    the block solve by PRESB-preconditioned GMRES; either starts from
+    ``start`` = (Y0, P0), dof vectors of ``disc.space``, if given."""
+    solve, box = solve_constrained_fixed_point, problem.bounds
+    if box is None:
+        solve, box = solve_constrained_ssn, (-np.inf, np.inf)
+    return solve(disc.mesh, disc.cut_info, disc.space, disc.A, disc.M,
+                 disc.F1, disc.F2, problem.a, box, disc.ybc_values,
+                 max_iter=max_iter, start=start)
 
 
 @dataclass
@@ -160,9 +159,6 @@ def run_convergence_study(config):
     problem = config.build_problem()
     result = StudyResult(problem=problem, n_values=config.n_values,
                          reports=[], solutions=[])
-    if problem.bounds is not None:
-        # a box the drivers reject is rejected before any output or work
-        _check_control(problem.a, problem.bounds, config.max_iter)
     out = config.out_dir
     if out:
         os.makedirs(out, exist_ok=True)
@@ -261,10 +257,16 @@ def _write_outputs(config, problem, result, disc, sol, n):
         write_integration_mesh_csv(path, disc.mesh, disc.cut_info, *extra)
         shutil.copyfile(path, os.path.join(out, "integration_mesh.csv"))
     if config.verbose:
+        # the second column: a Newton step's GMRES iterations, or a
+        # fixed-point sweep's control update
+        name, column = "krylov_iterations", sol.saddle_iterations
+        if not column:
+            name, column = "control_diff", [f"{row[1]:.17e}"
+                                            for row in sol.history]
         with open(os.path.join(out, f"iterations_n{n}.csv"), "w") as fh:
-            fh.write("iteration,control_diff,residual_state,residual_costate\n")
-            for it, diff, r1, r2 in sol.history:
-                fh.write(f"{it},{diff:.17e},{r1:.17e},{r2:.17e}\n")
+            fh.write(f"iteration,{name},residual_state,residual_costate\n")
+            for (it, *_, r1, r2), second in zip(sol.history, column):
+                fh.write(f"{it},{second},{r1:.17e},{r2:.17e}\n")
 
 
 def write_errors_csv(path, result):

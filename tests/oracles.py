@@ -12,9 +12,11 @@ compares the package's batched integration-cell tables against them, and
 the clipped clamp integrals against both the refined loops and an exact
 polygon clipping of each cell;
 ``test_solver.py`` compares the solver's one-sort nested dissection, its
-matrix-free saddle operator and preconditioner, its saddle solve and its
-factor against the per-box recursion, the assembled block matrices, a
-direct solve and the COLAMD factor at the end of this module.
+matrix-free saddle operator and preconditioner, its saddle solve, its
+factor and its Newton driver on the unbounded box against the per-box
+recursion, the assembled block matrices, a direct solve, the COLAMD
+factor and the one-solve unconstrained driver at the end of this
+module.
 """
 
 import numpy as np
@@ -30,7 +32,8 @@ from nxfem_ocp.interface_geometry import (KINK_DEPTH, ROOT_TOL, CellTable,
                                           GeometryError, _classes_from_signs,
                                           gauss_segment, snapped_vertex_signs,
                                           triangle_rule)
-from nxfem_ocp.solver import ND_LEAF
+from nxfem_ocp.solver import (ND_LEAF, OcpSolution, ReducedSolver,
+                              _check_control, _free_pair, _solve_saddle)
 
 from helpers import (element_areas, element_dofs, hat_gradients, tri_coords,
                      triangle_area)
@@ -789,6 +792,22 @@ def scaled_saddle_matrices(red, M_I, M, a):
     sA, M_ff = np.sqrt(a) * free_block(red, red.A), free_block(red, M)
     return (sp.bmat([[M_ff, -sA], [sA, free_block(red, M_I)]], format="csr"),
             sp.bmat([[M_ff, -sA], [sA, M_ff + 2 * sA]], format="csc"))
+
+
+def solve_unconstrained_ocp(A, M, F1, F2, a, space, ybc_values, start=None):
+    """The optimality system without control bounds as one saddle solve
+    with M_I = M, the control eliminated via u = -p/a: the package's
+    unconstrained driver before the active-set Newton driver took the
+    unbounded box over.  GMRES starts from the free y and p/sqrt(a) of
+    ``start`` = (Y0, P0) if given, else from zero."""
+    _check_control(a)
+    red = ReducedSolver(A, space)
+    x0 = None if start is None else _free_pair(red, *start, a)
+    P, Y, its, res = _solve_saddle(red, M, M, F1, F2, a, ybc_values, x0)
+    return OcpSolution(Y=Y, P=P, residual_state=res[0],
+                       residual_costate=res[1], saddle_iterations=[its],
+                       saddle_residuals=[res], factor_nnz=red.factor_nnz,
+                       factor_s=red.factor_s, order_s=red.order_s)
 
 
 def colamd_factor(red, B):

@@ -129,7 +129,7 @@ def interpolant_errors(problem, n):
     space = ExtendedSpace(mesh, info)
     Y, P = (interpolate_two_sided(space, info.vertex_sign, f.side(1),
                                   f.side(2)) for f in (problem.y, problem.p))
-    sol = OcpSolution(Y=Y, P=P, a=problem.a, bounds=problem.bounds)
+    sol = OcpSolution(Y=Y, P=P)
     return compute_errors(problem, sol, mesh, info, space)
 
 

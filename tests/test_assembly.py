@@ -9,7 +9,7 @@ from nxfem_ocp.assembly import (Load, assemble_load, assemble_mass,
 from nxfem_ocp.interface_geometry import (CellTable, LevelSet,
                                           build_cut_info, circle_interface,
                                           line_interface)
-from nxfem_ocp.mesh import build_uniform_mesh
+from nxfem_ocp.mesh import ConfigurationError, build_uniform_mesh
 from nxfem_ocp.problems import PiecewiseField, build_example
 from nxfem_ocp.solver import ReducedSolver
 from nxfem_ocp.xfem_space import ExtendedSpace
@@ -211,6 +211,15 @@ def test_penalty_scaling():
     for bad in (-1.0, 0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="penalty coefficient"):
             assemble_stiffness(mesh, info, space, 1.0, 1.0, bad)
+
+
+def test_a_penalty_that_is_no_real_number_is_named():
+    # a string penalty died in np.isfinite with a bare TypeError
+    mesh, info, space, _ = setup(build_example(1), 8)
+    with pytest.raises(ConfigurationError,
+                       match="penalty coefficient must be positive and "
+                             "finite, got 2"):
+        assemble_stiffness(mesh, info, space, 1.0, 1.0, "2")
 
 
 def test_zero_load():

@@ -159,8 +159,7 @@ def test_one_jet_per_batch_and_side(label, monkeypatch):
     # the norms of u, y and p read one jet per batch, and one per side on
     # the chords
     calls.clear()
-    sol = OcpSolution(Y=np.zeros(space.n_dofs), P=np.zeros(space.n_dofs),
-                      a=problem.a, bounds=None)
+    sol = OcpSolution(Y=np.zeros(space.n_dofs), P=np.zeros(space.n_dofs))
     compute_errors(problem, sol, mesh, info, space)
     assert calls == [(m, shape, False) for m, shape in batches] \
         + [(m, chords, False) for m in (1, 2)]
@@ -178,8 +177,7 @@ def test_error_norms_match_element_loops(label, n):
         vec = interpolate_two_sided(space, info.vertex_sign, exact.side(1),
                                     exact.side(2))
         fields[name] = vec * (1.0 + 0.05 * rng.standard_normal(len(vec)))
-    sol = OcpSolution(Y=fields["Y"], P=fields["P"], a=problem.a,
-                      bounds=problem.bounds)
+    sol = OcpSolution(Y=fields["Y"], P=fields["P"])
     new = compute_errors(problem, sol, mesh, info, space)
     old = loop_errors(problem, sol, mesh, info, space)
     for fld in ("u", "y", "p"):

@@ -18,7 +18,7 @@ def interpolant_solution(problem, disc):
                               problem.p.side(1), problem.p.side(2))
     Y = interpolate_two_sided(disc.space, disc.cut_info.vertex_sign,
                               problem.y.side(1), problem.y.side(2))
-    return OcpSolution(Y=Y, P=P, a=problem.a, bounds=problem.bounds)
+    return OcpSolution(Y=Y, P=P)
 
 
 def test_interpolant_error_on_uncut_mesh():
@@ -51,7 +51,7 @@ def test_zero_solution_has_unit_relative_error():
     problem = build_example(1)
     disc = discretize(problem, 8)
     sol = OcpSolution(Y=np.zeros(disc.space.n_dofs),
-                      P=np.zeros(disc.space.n_dofs), a=problem.a, bounds=None)
+                      P=np.zeros(disc.space.n_dofs))
     rep = compute_errors(problem, sol, disc.mesh, disc.cut_info, disc.space)
     for fld in ("u", "y", "p"):
         assert rep.value(fld, "l2") == pytest.approx(1.0, rel=1e-12)
@@ -143,8 +143,7 @@ def test_loads_and_error_norms_share_the_kink_rule(monkeypatch):
     zero = np.zeros(disc.space.n_dofs)
     runs = {}
     for name, sol in (("solution", solve_discretized(problem, disc)),
-                      ("zero", OcpSolution(Y=zero, P=zero, a=problem.a,
-                                           bounds=problem.bounds))):
+                      ("zero", OcpSolution(Y=zero, P=zero))):
         calls.clear()
         compute_errors(problem, sol, *args)
         runs[name] = calls[:]

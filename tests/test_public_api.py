@@ -104,6 +104,9 @@ def instances():
     ("xfem_space", "ExtendedSpace.dof_side"),
     ("xfem_space", "SIDE_BOTH"),
     ("solver", "ControlClamp"),
+    ("solver", "solve_unconstrained_ocp"),
+    ("solver", "OcpSolution.a"),
+    ("solver", "OcpSolution.bounds"),
 ])
 def test_test_only_helpers_stay_in_tests(module, name, instances):
     # these live in tests/helpers.py or tests/oracles.py, or are gone; the

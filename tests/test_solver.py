@@ -16,9 +16,8 @@ from nxfem_ocp.mesh import ConfigurationError, build_uniform_mesh
 from nxfem_ocp.problems import PiecewiseField, build_example
 from nxfem_ocp.solver import (OcpSolution, ReducedSolver, SolverError,
                               solve_constrained_fixed_point,
-                              solve_constrained_ssn, solve_unconstrained_ocp,
-                              _nested_dissection, _presb, _saddle_operator,
-                              _solve_saddle)
+                              solve_constrained_ssn, _nested_dissection,
+                              _presb, _saddle_operator, _solve_saddle)
 import nxfem_ocp
 from nxfem_ocp import solver, study
 from nxfem_ocp.study import (RunConfig, discretize,
@@ -29,6 +28,10 @@ from nxfem_ocp.xfem_space import ExtendedSpace, prolong
 import oracles
 from helpers import (MALFORMED_BOXES, build_smooth_problem,
                      interpolate_two_sided, mesh_from_arrays, project_control)
+
+
+# the box of a problem without control bounds
+UNBOUNDED = (-np.inf, np.inf)
 
 
 def full_control_system(A, M, F1, F2, a, dirichlet_dofs, ybc_values):
@@ -97,8 +100,9 @@ def test_unconstrained_decoupled_limit():
     Y0 = ReducedSolver(disc.A, disc.space).solve(
         disc.F1, disc.ybc_values)
     F2 = -(disc.M @ Y0)
-    sol = solve_unconstrained_ocp(disc.A, disc.M, disc.F1, F2, problem.a,
-                                  disc.space, disc.ybc_values)
+    sol = solve_constrained_ssn(disc.mesh, disc.cut_info, disc.space, disc.A,
+                                disc.M, disc.F1, F2, problem.a, UNBOUNDED,
+                                disc.ybc_values)
     assert np.abs(sol.P).max() <= 1e-10 * max(1.0, np.abs(Y0).max())
     assert np.abs(-sol.P / problem.a).max() <= 1e-8
     assert np.abs(sol.Y - Y0).max() <= 1e-9 * max(1.0, np.abs(Y0).max())
@@ -107,8 +111,7 @@ def test_unconstrained_decoupled_limit():
 def test_unconstrained_residuals_and_identity():
     problem = build_example(1)
     disc = discretize(problem, 16)
-    sol = solve_unconstrained_ocp(disc.A, disc.M, disc.F1, disc.F2,
-                                  problem.a, disc.space, disc.ybc_values)
+    sol = solve_discretized(problem, disc)
     assert sol.residual_state <= 1e-9
     assert sol.residual_costate <= 1e-9
     # the state equation holds with the control u = -p/a
@@ -122,10 +125,9 @@ def test_unconstrained_residuals_and_identity():
 def test_full_and_reduced_block_forms_agree():
     problem = build_example(1)
     disc = discretize(problem, 8)
-    args = (disc.A, disc.M, disc.F1, disc.F2, problem.a)
-    red = solve_unconstrained_ocp(*args, disc.space, disc.ybc_values)
-    Y, P = full_control_system(*args, disc.space.dirichlet_dofs,
-                               disc.ybc_values)
+    red = solve_discretized(problem, disc)
+    Y, P = full_control_system(disc.A, disc.M, disc.F1, disc.F2, problem.a,
+                               disc.space.dirichlet_dofs, disc.ybc_values)
     scale = np.abs(red.Y).max()
     assert np.abs(red.Y - Y).max() <= 1e-9 * scale
     assert np.abs(red.P - P).max() <= 1e-9 * scale
@@ -151,8 +153,9 @@ def test_project_control_values():
 def test_fixed_point_with_inactive_bounds_matches_unconstrained():
     problem = build_example(2)
     disc = discretize(problem, 16)
-    unc = solve_unconstrained_ocp(disc.A, disc.M, disc.F1, disc.F2,
-                                  problem.a, disc.space, disc.ybc_values)
+    unc = oracles.solve_unconstrained_ocp(disc.A, disc.M, disc.F1, disc.F2,
+                                          problem.a, disc.space,
+                                          disc.ybc_values)
     sol = solve_constrained_fixed_point(
         disc.mesh, disc.cut_info, disc.space, disc.A, disc.M, disc.F1,
         disc.F2, problem.a, (-1e6, 1e6), disc.ybc_values)
@@ -213,8 +216,9 @@ def test_fixed_point_max_iter_flag():
 def test_ssn_inactive_bounds_reproduce_unconstrained():
     problem = build_example(2)
     disc = discretize(problem, 8)
-    unc = solve_unconstrained_ocp(disc.A, disc.M, disc.F1, disc.F2,
-                                  problem.a, disc.space, disc.ybc_values)
+    unc = oracles.solve_unconstrained_ocp(disc.A, disc.M, disc.F1, disc.F2,
+                                          problem.a, disc.space,
+                                          disc.ybc_values)
     sol = solve_constrained_ssn(disc.mesh, disc.cut_info, disc.space, disc.A,
                                 disc.M, disc.F1, disc.F2, problem.a,
                                 (-1e6, 1e6), disc.ybc_values)
@@ -222,6 +226,69 @@ def test_ssn_inactive_bounds_reproduce_unconstrained():
     # system itself: its solve passes the stop
     assert sol.converged and sol.iterations == 1
     assert np.abs(sol.P - unc.P).max() <= 1e-9 * max(1.0, np.abs(unc.P).max())
+
+
+@pytest.mark.parametrize("started", [False, True], ids=["zero", "coarse"])
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("example", [1, 3])
+def test_unbounded_newton_is_the_unconstrained_solve(example, n, started):
+    # on the box (-inf, inf) nothing is clipped: Newton's one step is the
+    # saddle solve with M_I = M, its stop repeats the residuals that GMRES
+    # accepted, and the study's solve returns the one-solve driver's
+    # fields bit for bit, from zero and from the prolonged coarse solution
+    problem = build_example(example)
+    disc = discretize(problem, n)
+    start = None
+    if started:
+        coarse = discretize(problem, n // 2)
+        sol = solve_discretized(problem, coarse)
+        start = tuple(prolong(coarse.space.vertex_sides(v), n // 2,
+                              problem.domain, disc.space)
+                      for v in (sol.Y, sol.P))
+    got = solve_discretized(problem, disc, start=start)
+    want = oracles.solve_unconstrained_ocp(
+        disc.A, disc.M, disc.F1, disc.F2, problem.a, disc.space,
+        disc.ybc_values, start=start)
+    assert got.converged and got.iterations == 1
+    assert got.saddle_iterations == want.saddle_iterations
+    assert np.array_equal(got.Y, want.Y) and np.array_equal(got.P, want.P)
+    assert (got.residual_state, got.residual_costate) == (
+        want.residual_state, want.residual_costate)
+
+
+@pytest.mark.parametrize("example", [1, 2], ids=["1-unbounded", "2"])
+def test_newton_restarted_at_its_solution_takes_no_krylov_iteration(
+        example):
+    # a start gives the first step's co-state and its GMRES start: at
+    # Newton's own solution that step iterates no more and passes the stop
+    problem = build_example(example)
+    disc = discretize(problem, 16)
+    box = UNBOUNDED if problem.bounds is None else problem.bounds
+    args = (disc.mesh, disc.cut_info, disc.space, disc.A, disc.M, disc.F1,
+            disc.F2, problem.a, box, disc.ybc_values)
+    sol = solve_constrained_ssn(*args)
+    again = solve_constrained_ssn(*args, start=(sol.Y, sol.P))
+    assert sol.converged and min(sol.saddle_iterations) > 0
+    assert again.converged and again.saddle_iterations == [0]
+    assert np.array_equal(again.Y, sol.Y)
+    assert np.abs(again.P - sol.P).max() <= 4e-16 * np.abs(sol.P).max()
+
+
+def test_newton_terms_hand_back_m_itself_when_nothing_is_clipped():
+    # no copy of M sits under the solve's peak: the unbounded box and a box
+    # wider than the control clip nothing, and M_I is M; a box that clips
+    # gets a matrix of its own
+    problem = build_example(2)
+    disc = discretize(problem, 16)
+    z = np.random.default_rng(7).standard_normal(disc.space.n_dofs)
+    wide = np.abs(z).max() + 1.0
+    for box in (UNBOUNDED, (-wide, wide)):
+        M_I, b = solver._newton_terms(disc.cut_info, disc.space, z, box,
+                                      disc.M)
+        assert M_I is disc.M and not b.any()
+    M_I, b = solver._newton_terms(disc.cut_info, disc.space, z,
+                                  problem.bounds, disc.M)
+    assert M_I is not disc.M and b.any()
 
 
 @pytest.mark.parametrize("n", [16, 32])
@@ -348,17 +415,15 @@ BOX_ENTRIES = ["ssn", "fixed-point", "active-set", "control-load"]
 
 def _call_entry(entry, problem, disc, bounds):
     """Call one public entry on ``disc`` with the box ``bounds``: a driver
-    (the unconstrained one takes no box), or the active-set extraction or
-    the control load of the zero co-state."""
+    (the study's solve of a problem without bounds takes no box), or the
+    active-set extraction or the control load of the zero co-state."""
     geometry = (disc.mesh, disc.cut_info, disc.space)
     P = np.zeros(disc.space.n_dofs)
     if entry == "unconstrained":
-        return solve_unconstrained_ocp(disc.A, disc.M, disc.F1, disc.F2,
-                                       problem.a, disc.space, disc.ybc_values)
+        return solve_discretized(problem, disc)
     if entry == "active-set":
-        return extract_active_set_boundary(
-            OcpSolution(Y=P, P=P, a=problem.a, bounds=bounds), problem.a,
-            bounds, *geometry)
+        return extract_active_set_boundary(OcpSolution(Y=P, P=P), problem.a,
+                                           bounds, *geometry)
     if entry == "control-load":
         return solver._control_load(*geometry, P, problem.a, bounds)
     solve = (solve_constrained_ssn if entry == "ssn"
@@ -391,8 +456,9 @@ def test_a_malformed_box_is_named(entry, box):
 @pytest.mark.parametrize("entry", ["unconstrained", *BOX_ENTRIES])
 def test_each_entry_checks_its_input_once(entry, monkeypatch):
     # each public entry owns the check of its input; nothing it calls
-    # checks again
-    problem = build_example(2)
+    # checks again.  The unconstrained solve is the study's on example 1,
+    # which runs Newton on the unbounded box
+    problem = build_example(1 if entry == "unconstrained" else 2)
     disc = discretize(problem, 8)
     calls = []
     check = solver._check_control
@@ -426,19 +492,25 @@ BAD_INPUT = {
                            "regularization weight"),
     "unconstrained-negative-a": ("unconstrained", {"a": -1.0},
                                  "regularization weight"),
+    # a string weight died in np.isfinite with a bare TypeError
+    "ssn-string-a": ("ssn", {"a": "1"}, "regularization weight must be "
+                     "positive and finite, got 1"),
+    "unconstrained-string-a": ("unconstrained", {"a": "1"},
+                               "regularization weight must be positive "
+                               "and finite, got 1"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUT))
 def test_drivers_reject_bad_input(case):
     driver, change, message = BAD_INPUT[case]
-    problem = build_example(2)
+    problem = build_example(1 if driver == "unconstrained" else 2)
     disc = discretize(problem, 8)
     a = change.get("a", problem.a)
     with pytest.raises(ConfigurationError, match=message):
         if driver == "unconstrained":
-            solve_unconstrained_ocp(disc.A, disc.M, disc.F1, disc.F2, a,
-                                    disc.space, disc.ybc_values)
+            problem.a = a
+            solve_discretized(problem, disc)
         else:
             solve = (solve_constrained_ssn if driver == "ssn"
                      else solve_constrained_fixed_point)
@@ -759,8 +831,9 @@ def test_non_finite_load_raises():
     F1 = disc.F1.copy()
     F1[disc.space.n_dofs // 2] = np.nan
     with pytest.raises(SolverError):
-        solve_unconstrained_ocp(disc.A, disc.M, F1, disc.F2, problem.a,
-                                disc.space, disc.ybc_values)
+        solve_constrained_ssn(disc.mesh, disc.cut_info, disc.space, disc.A,
+                              disc.M, F1, disc.F2, problem.a, UNBOUNDED,
+                              disc.ybc_values)
 
 
 def _perturbed_mesh(n, seed):
@@ -1007,9 +1080,7 @@ def test_every_driver_rejects_an_indefinite_stiffness_before_any_factor(
     monkeypatch.setattr(spla, "splu", lambda *args, **kw: calls.append(args))
     box = (disc.mesh, disc.cut_info, disc.space, disc.A, disc.M, disc.F1,
            disc.F2, problem.a, (-1e6, 1e6), disc.ybc_values)
-    for solve in (lambda: solve_unconstrained_ocp(
-                      disc.A, disc.M, disc.F1, disc.F2, problem.a,
-                      disc.space, disc.ybc_values),
+    for solve in (lambda: solve_discretized(problem, disc),
                   lambda: solve_constrained_fixed_point(*box),
                   lambda: solve_constrained_ssn(*box)):
         with pytest.raises(SolverError) as exc:

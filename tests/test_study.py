@@ -80,6 +80,18 @@ def test_run_config_validation():
                      max_iter=np.int64(3)).max_iter == 3
 
 
+@pytest.mark.parametrize("field, value, name", [
+    ("a", "1", "regularization weight"), ("lambda_coef", "2", "lambda_coef")])
+def test_run_config_names_a_weight_that_is_no_real_number(field, value,
+                                                          name):
+    # a string weight died in np.isfinite with a bare TypeError; the
+    # regularization weight is checked by the drivers' own check
+    with pytest.raises(ConfigurationError,
+                       match=f"{name} must be positive and finite, got "
+                             f"{value}"):
+        RunConfig(example=2, n_values=(8,), **{field: value})
+
+
 @pytest.mark.parametrize("box", sorted(MALFORMED_BOXES))
 def test_run_config_names_a_malformed_box(box):
     # RunConfig(bounds="none") died in unpacking the box once the study ran
@@ -180,8 +192,7 @@ def test_active_set_matches_analytic_locus():
     disc = discretize(problem, 128)
     P = interpolate_two_sided(disc.space, disc.cut_info.vertex_sign,
                               problem.p.side(1), problem.p.side(2))
-    sol = OcpSolution(Y=np.zeros_like(P), P=P, a=problem.a,
-                      bounds=problem.bounds)
+    sol = OcpSolution(Y=np.zeros_like(P), P=P)
     curves = extract_active_set_boundary(sol, problem.a, problem.bounds,
                                          disc.mesh, disc.cut_info, disc.space)
     assert len(curves["lower"]) >= 1
